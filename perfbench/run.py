@@ -4,22 +4,33 @@ Replays a seeded synthetic scene (see ``workloads.py``) through
 ``OdometryEstimator.process_frame``, one scan at a time, in one process: a
 closed loop with one client.  Run it from the repository root:
 
-    python3 perfbench/run.py --workload loop --seed 1 --seconds 50 --trace 0
+    python3 perfbench/run.py --workload loop --seed 1 --seconds 40 --trace 0
 
 ``--trace 0`` reports the end-to-end metrics.  It measures set-up time in
 fresh interpreters (import, construction, bootstrap scan; median of
-SETUP_REPEATS), then replays the whole scene until another replay would end
-after ``--seconds``.  Latency percentiles over every scan after the first are
-Harrell-Davis estimates.  ``--trace 1`` replays the scene once untraced and
-once with spans recorded around the calls into each layer (``tracing.py``),
-whatever ``--seconds`` says, reports the per-layer metrics and writes the
-spans to ``perfbench/out/``.  ``--workload all`` runs every workload in turn.
+SETUP_REPEATS), then replays as many scenes of the workload, each with its
+own seed drawn from ``--seed``, as fill ``--seconds`` (``Workload.replays``).
+The number of scenes depends only on ``--seconds``, so a run's work and
+outputs do not depend on the speed of the host.  Latency percentiles pool
+every scan after the first of each scene and are Harrell-Davis estimates;
+the ATE is the mean over the scenes.  The end-to-end times (set-up, scan
+latency, throughput) are wall-clock times scaled to the speed of a reference
+host, which a fixed kernel run between the scans measures (``speed.py``);
+the unscaled figures are printed too.  ``--trace 1`` replays the first scene
+once untraced and once with spans recorded around the calls into each layer
+(``tracing.py``), whatever ``--seconds`` says, reports the per-layer metrics
+(span times unscaled) and writes the spans to ``perfbench/out/``.
+``--workload all`` runs every workload in turn.
 
-Every run checks that each returned state is finite, that the ATE is
-computable and below the workload's divergence limit, and that a second
-replay of the same seed gives bit-identical states, warnings, factor counts
-and keyframe events.  A scan that raises is counted by error type and the
-next scans still go to the same estimator.
+The run pins the BLAS libraries to one thread unless their variables are
+set: the estimator's matrices are small, and a second BLAS thread on a
+shared 2-core host measures the scheduler rather than the program.
+
+Every run checks that each returned state is finite, that the ATE of every
+scene is computable and below the workload's divergence limit, and that a
+second replay of the first scene (or of its first scans) gives bit-identical
+states, warnings, factor counts and keyframe events.  A scan that raises is
+counted by error type and the next scans still go to the same estimator.
 
 The last line of standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``; the lines before it
@@ -48,9 +59,14 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-import scipy
-from scipy.special import betainc
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402 - after the BLAS thread settings
+import scipy  # noqa: E402
+from scipy.special import betainc  # noqa: E402
+
+from speed import SpeedLog  # noqa: E402
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -58,7 +74,7 @@ SRC = ROOT / "src"
 OUT = HERE / "out"
 
 SETUP_REPEATS = 3  # fresh interpreters per run; setup_s is their median
-CHECK_SCANS = 8  # scans replayed again when a run has time for one replay
+CHECK_SCANS = 8  # scans of the first scene replayed again in an end-to-end run
 
 UNITS = {
     "setup_s": "s", "scan_ms_p50": "ms", "scan_ms_p90": "ms",
@@ -125,10 +141,20 @@ class Replay:
     """Outputs and timings of one replay of a scene."""
 
     times: list = field(default_factory=list)  # s per successful scan after the first
+    speeds: list = field(default_factory=list)  # host speed around each of them
     states: list = field(default_factory=list)  # SensorState, or None if it raised
     notes: list = field(default_factory=list)  # per scan: warning, error type or None
     factor_kinds: list = field(default_factory=list)  # Counter per scan
     keyframe_events: list = field(default_factory=list)
+
+    @property
+    def scaled_times(self) -> list:
+        """`times` scaled to the reference host's speed (speed.py)."""
+        return [dt * v for dt, v in zip(self.times, self.speeds)]
+
+    @property
+    def scans_per_s(self) -> float:
+        return len(self.times) / sum(self.scaled_times)
 
     @property
     def failures(self) -> Counter:
@@ -177,9 +203,12 @@ def replay(scene, batches, n_scans: int, tracer=None) -> Replay:
 
     est = OdometryEstimator()
     out = Replay()
+    log = SpeedLog()
+    spans = []  # (start, end) of each scan in out.times
     for k in range(n_scans):
         if tracer is not None:
             tracer.scan = k
+        log.sample()
         t0 = time.perf_counter()
         try:
             result = est.process_frame(scene.scans[k], batches[k])
@@ -187,12 +216,15 @@ def replay(scene, batches, n_scans: int, tracer=None) -> Replay:
             out.states.append(None)
             out.notes.append(error_label(exc))
         else:
-            dt = time.perf_counter() - t0
+            t1 = time.perf_counter()
             if k > 0:
-                out.times.append(dt)
+                out.times.append(t1 - t0)
+                spans.append((t0, t1))
             out.states.append(result.state)
             out.notes.append(result.warning)
         out.factor_kinds.append(Counter(f.kind for f in est.graph.factors))
+    log.sample()
+    out.speeds = [log.around(t0, t1) for t0, t1 in spans]
     out.keyframe_events = [
         (e["frame_index"], e["inserted"], tuple(e["dropped_low_overlap"]),
          None if e["removed_by_score"] is None else e["removed_by_score"]["removed"])
@@ -208,37 +240,42 @@ def ate(replay_: Replay, scene) -> float:
     return compute_ate(records, scene.ground_truth).rmse
 
 
-def check(replays: list, scene, workload) -> tuple[list[str], float]:
-    """(reasons the outputs are wrong, ATE of the first replay in m).
+def check(runs: list, repeats: list, workload) -> tuple[list[str], float]:
+    """(reasons the outputs are wrong, mean ATE of `runs` in m).
 
-    The reasons are empty when the outputs are correct; the ATE reads 0 when
-    it cannot be computed.
+    `runs` pairs each scene with its replay; `repeats` are further replays of
+    the first scene, whole or a prefix, which must reproduce its outputs
+    exactly.  The reasons are empty when the outputs are correct; the ATE
+    reads 0 when no scene's ATE can be computed.
     """
-    problems = []
-    error = 0.0
-    first = replays[0]
-    for k, s in enumerate(first.states):
-        if s is not None and not np.all(np.isfinite(state_vector(s))):
-            problems.append(f"scan {k}: non-finite state")
-    try:
-        error = ate(first, scene)
-        if not error <= workload.ate_limit:
-            problems.append(f"ATE {error:.4g} m above {workload.ate_limit} m")
-    except Exception as exc:  # noqa: BLE001 - reported as a wrong result
-        problems.append(f"ATE not computable: {error_label(exc)}: {exc}")
+    problems, errors = [], []
+    for i, (scene, r) in enumerate(runs):
+        for k, s in enumerate(r.states):
+            if s is not None and not np.all(np.isfinite(state_vector(s))):
+                problems.append(f"scene {i}, scan {k}: non-finite state")
+        try:
+            errors.append(ate(r, scene))
+        except Exception as exc:  # noqa: BLE001 - reported as a wrong result
+            problems.append(f"scene {i}: ATE not computable: "
+                            f"{error_label(exc)}: {exc}")
+            continue
+        if not errors[-1] <= workload.ate_limit:
+            problems.append(f"scene {i}: ATE {errors[-1]:.4g} m above "
+                            f"{workload.ate_limit} m")
+    first = runs[0][1]
     ref = first.scan_records()
-    for r in replays[1:]:
+    for r in repeats:
         got = r.scan_records()
         if got != ref[:len(got)]:
             problems.append("replay of the same seed gave different outputs")
         elif len(got) == len(ref) and r.keyframe_events != first.keyframe_events:
             problems.append("replay of the same seed gave different keyframes")
-    return problems, error
+    return problems, (statistics.fmean(errors) if errors else 0.0)
 
 
-def measure_setup(scene, batches, repeats: int) -> list[float]:
-    """Set-up seconds of `repeats` fresh interpreters, each bootstrapping on
-    the first scan."""
+def measure_setup(scene, batches, repeats: int) -> tuple[list, list]:
+    """(scaled, wall-clock) set-up seconds of `repeats` fresh interpreters,
+    each bootstrapping on the first scan."""
     scan, imu = scene.scans[0], batches[0]
     buf = io.BytesIO()
     np.savez(buf, points=scan.points, stamps=scan.stamps,
@@ -246,7 +283,7 @@ def measure_setup(scene, batches, repeats: int) -> list[float]:
              imu_stamps=np.array([s.stamp for s in imu]),
              imu_accel=np.array([s.accel for s in imu]).reshape(-1, 3),
              imu_gyro=np.array([s.gyro for s in imu]).reshape(-1, 3))
-    times = []
+    scaled, wall = [], []
     for _ in range(repeats):
         proc = subprocess.run(
             [sys.executable, str(HERE / "setup_probe.py"), str(SRC)],
@@ -254,8 +291,9 @@ def measure_setup(scene, batches, repeats: int) -> list[float]:
         rec = json.loads(proc.stdout.decode().strip().splitlines()[-1])
         if not rec["finite"]:
             raise RuntimeError("bootstrap state is not finite")
-        times.append(rec["setup_s"])
-    return times
+        scaled.append(rec["setup_s"])
+        wall.append(rec["wall_s"])
+    return scaled, wall
 
 
 def write_spans(path: Path, env: dict, spans) -> None:
@@ -268,26 +306,26 @@ def write_spans(path: Path, env: dict, spans) -> None:
                 "parent": s.parent, "scan": s.scan, "error": s.error}) + "\n")
 
 
-def end_to_end(scene, batches, seconds: float):
-    """Replays the scene untraced until the next replay would overrun
-    `seconds`; returns (timed replays, all replays, metrics)."""
-    setup = measure_setup(scene, batches, SETUP_REPEATS)
-    n = len(scene.scans)
-    timed = []
-    start = time.perf_counter()
-    while True:
-        t = time.perf_counter()
-        timed.append(replay(scene, batches, n))
-        now = time.perf_counter()
-        if now - start + (now - t) > seconds:
-            break
-    # with one timed replay, repeat a prefix so determinism is still checked
-    extra = [replay(scene, batches, min(CHECK_SCANS, n))] if len(timed) == 1 else []
-    samples = [dt for r in timed for dt in r.times]
-    attempted = len(timed) * n
+def end_to_end(scenes, batches):
+    """Replays each scene once untraced, then a prefix of the first again;
+    returns (timed replays, repeats, metrics)."""
+    setup, setup_wall = measure_setup(scenes[0], batches[0], SETUP_REPEATS)
+    timed = [replay(scene, b, len(scene.scans)) for scene, b in zip(scenes, batches)]
+    n = len(scenes[0].scans)
+    repeats = [replay(scenes[0], batches[0], min(CHECK_SCANS, n))]
+    wall = [dt for r in timed for dt in r.times]
+    speeds = [v for r in timed for v in r.speeds]
+    samples = [dt for r in timed for dt in r.scaled_times]
+    attempted = sum(len(r.states) for r in timed)
     print(f"replays: {len(timed)} timed, {len(samples)} latency samples; "
           f"setup runs: {', '.join(f'{s:.4f}' for s in setup)} s")
-    return timed, timed + extra, {
+    print(f"wall-clock, unscaled: setup_s {statistics.median(setup_wall):.6g}, "
+          f"scan_ms_p50 {quantile(wall, 0.5) * 1000.0:.6g}, "
+          f"scan_ms_p90 {quantile(wall, 0.9) * 1000.0:.6g}, "
+          f"scans_per_s {len(wall) / sum(wall):.6g}; host speed "
+          f"{min(speeds):.3f} to {max(speeds):.3f}, median "
+          f"{statistics.median(speeds):.3f}")
+    return timed, repeats, {
         "setup_s": statistics.median(setup),
         "scan_ms_p50": quantile(samples, 0.5) * 1000.0,
         "scan_ms_p90": quantile(samples, 0.9) * 1000.0,
@@ -322,8 +360,7 @@ def per_layer(scene, batches):
         np.linalg.norm(last.bias_accel - scene.spec.accel_bias))
     metrics["odometry.bias_gyro_err"] = float(
         np.linalg.norm(last.bias_gyro - scene.spec.gyro_bias))
-    metrics["trace.overhead_scans_per_s"] = (
-        len(plain.times) / sum(plain.times) - len(traced.times) / sum(traced.times))
+    metrics["trace.overhead_scans_per_s"] = plain.scans_per_s - traced.scans_per_s
     return replays, tracer.spans, metrics
 
 
@@ -333,21 +370,25 @@ def run_workload(workload, seed: int, seconds: float, traced: bool) -> dict:
     from workloads import imu_batches
 
     env = environment()
+    count = 1 if traced else workload.replays(seconds)
     t0 = time.perf_counter()
-    scene = generate_synthetic_scene(workload.spec(seed, workload.n_frames))
-    generate_s = time.perf_counter() - t0
-    batches = imu_batches(scene, PipelineConfig().odometry.init_window)
-    print(f"workload {workload.name}: seed {seed}, {len(scene.scans)} scans, "
-          f"{np.mean([len(s) for s in scene.scans]):.0f} points per scan")
+    scenes = [generate_synthetic_scene(workload.spec(s, workload.n_frames))
+              for s in workload.seeds(seed, count)]
+    generate_s = (time.perf_counter() - t0) / count
+    init_window = PipelineConfig().odometry.init_window
+    batches = [imu_batches(scene, init_window) for scene in scenes]
+    print(f"workload {workload.name}: seed {seed}, {count} scenes of "
+          f"{len(scenes[0].scans)} scans, "
+          f"{np.mean([len(s) for s in scenes[0].scans]):.0f} points per scan")
 
     if traced:
-        timed, spans, metrics = per_layer(scene, batches)
-        replays = timed
+        replays, spans, metrics = per_layer(scenes[0], batches[0])
+        timed, repeats = replays, replays[1:]
         metrics["synthetic.generate_s"] = generate_s
     else:
-        timed, replays, metrics = end_to_end(scene, batches, seconds)
+        timed, repeats, metrics = end_to_end(scenes, batches)
     env["loadavg_1m_end"] = os.getloadavg()[0]
-    problems, ate_m = check(replays, scene, workload)
+    problems, ate_m = check(list(zip(scenes, timed)), repeats, workload)
     if traced:
         write_spans(OUT / f"{workload.name}-seed{seed}.spans.jsonl", env, spans)
         units = {k: layer_unit(k) for k in metrics}

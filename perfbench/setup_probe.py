@@ -3,7 +3,9 @@
 Reads the first scan and its IMU batch as an ``.npz`` archive on standard
 input, then times importing limapper, constructing ``OdometryEstimator``
 and the bootstrap ``process_frame``.  Decoding the input is not timed.
-Prints one JSON object: ``{"setup_s": ..., "finite": ...}``.
+Prints one JSON object: ``{"setup_s": ..., "wall_s": ..., "finite": ...}``,
+where ``setup_s`` is ``wall_s`` scaled by the host speed around it
+(``speed.py``).
 
     python3 perfbench/setup_probe.py src < first_scan.npz
 """
@@ -13,10 +15,13 @@ import json
 import sys
 import time
 
+from speed import reference_s, speed
+
 
 def main() -> int:
     sys.path.insert(0, sys.argv[1])
     data = sys.stdin.buffer.read()
+    before = reference_s()
     t0 = time.perf_counter()
     import numpy as np
     from limapper.imu import ImuSample
@@ -30,10 +35,13 @@ def main() -> int:
     t2 = time.perf_counter()
     state = OdometryEstimator().process_frame(scan, imu).state
     t3 = time.perf_counter()
+    after = reference_s()
+    wall = (t1 - t0) + (t3 - t2)
     finite = bool(np.all(np.isfinite(np.concatenate([
         state.pose.rotation.quat, state.pose.translation, state.velocity,
         state.bias_accel, state.bias_gyro]))))
-    print(json.dumps({"setup_s": (t1 - t0) + (t3 - t2), "finite": finite}))
+    print(json.dumps({"setup_s": wall * speed([before, after]), "wall_s": wall,
+                      "finite": finite}))
     return 0
 
 

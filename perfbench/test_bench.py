@@ -13,6 +13,7 @@ HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 
 import run  # noqa: E402
+import speed  # noqa: E402
 import tracing  # noqa: E402
 from limapper.config import PipelineConfig  # noqa: E402
 from limapper.synthetic import generate_synthetic_scene  # noqa: E402
@@ -80,4 +81,13 @@ def test_counts_and_outputs_repeat_exactly():
     assert (tracing.count_signature(first_tracer.spans)
             == tracing.count_signature(second_tracer.spans))
     assert first.scan_records() == second.scan_records()
-    assert run.check([first, second], scene, WORKLOADS["loop"])[0] == []
+    assert run.check([(scene, first)], [second], WORKLOADS["loop"])[0] == []
+
+
+def test_speed_log_scales_by_kernel_runs_near_the_call():
+    log = speed.SpeedLog()
+    ref = speed.REFERENCE_S
+    log.runs = [(0.0, 2 * ref), (10.0, ref), (10.5, ref), (20.0, ref / 2)]
+    assert log.around(10.1, 10.4) == 1.0  # the runs at 0 and 20 s are too far
+    assert log.around(1.0, 19.0) == 1.0  # median of all four
+    assert speed.speed([ref / 2]) == 2.0
