@@ -72,7 +72,7 @@ class ImuConfig:
 @dataclass
 class OptimizerConfig:
     max_iterations: int = 64
-    rel_cost_tol: float = 1e-9
+    rel_cost_tol: float = 1e-6
     update_tol: float = 1e-9
     lambda_init: float = 1e-6
     lambda_max: float = 1e12

@@ -4,9 +4,12 @@ marginalization.
 Every factor contributes a scalar cost plus, on linearization, the gradient
 and Gauss-Newton Hessian blocks of that cost with respect to the connected
 variables' tangent perturbations.  The optimizer assembles damped normal
-equations from all factors at the current estimate each iteration, so
-matching-cost factors are re-linearized (correspondences re-looked-up) every
-iteration, while priors and relative-state factors are fixed-form quadratics.
+equations from all factors at the current estimate each iteration.  A
+matching-cost factor looks its correspondences up again only when it is
+linearized; the candidate steps of one iteration are costed with the
+correspondences of that linearization, so the cost the optimizer compares
+is smooth within the iteration.  Priors and relative-state factors are
+fixed-form quadratics.
 
 Variable kinds and tangent layouts:
 
@@ -211,9 +214,12 @@ class MatchingCostFactor(Factor):
     target voxel map; unary when the target pose is fixed.
 
     The source/target poses are read from the connected variables (the pose
-    component for state variables).  If the correspondence count drops below
-    the minimum at the current estimate, the factor contributes nothing for
-    that iteration.
+    component for state variables).  ``linearize`` looks up the voxel of
+    every source point at the given estimate; ``cost`` keeps the voxels of
+    the last ``linearize`` (or looks them up if there was none yet), so that
+    a point crossing a voxel boundary does not make the cost jump between
+    two linearizations.  If the correspondence count is below the minimum,
+    the factor contributes nothing.
     """
 
     def __init__(self, key_source: Key, source: Frame, target_map: GaussianVoxelMap,
@@ -227,9 +233,13 @@ class MatchingCostFactor(Factor):
         self.target_map = target_map
         self.fixed_target_pose = fixed_target_pose
         self.min_inliers = min_inliers
+        self._empty = (len(source) == 0 or len(target_map) == 0
+                       or source.covs is None)
         self._hats = None  # skew matrices of the source points, built lazily
-        # correspondences of the last evaluated value pair; values are
-        # immutable, so identity comparison is a safe cache key
+        self._rows = None  # voxel row per source point from the last linearize
+        # (v_i, v_j, terms, t_ij) of the last evaluated value pair, with terms
+        # on self._rows once set; values are immutable, so identity comparison
+        # is a safe cache key
         self._terms_cache = None
 
     @property
@@ -244,44 +254,55 @@ class MatchingCostFactor(Factor):
     def kind(self) -> str:
         return "matching-cost-unary" if self.unary else "matching-cost-binary"
 
+    @property
+    def inliers(self) -> int:
+        """Source points that found a voxel at the last linearization."""
+        return 0 if self._rows is None else int(np.count_nonzero(self._rows >= 0))
+
     def _poses(self, values):
         t_i = _pose_of(self.keys[0].kind, values[self.keys[0]])
         if self.unary:
             return t_i, self.fixed_target_pose
         return t_i, _pose_of(self.keys[1].kind, values[self.keys[1]])
 
-    def _terms(self, values):
-        """Correspondences at the given values, reusing the previous lookup
-        when the connected values are the same objects."""
+    def _terms(self, values, lookup: bool):
+        """Correspondence terms at the given values: on the voxel rows of the
+        last linearization, or on fresh ones when ``lookup`` is set or there
+        was no linearization yet.  Terms computed at the same value objects
+        are reused when their rows are the ones asked for."""
         v_i = values[self.keys[0]]
         v_j = None if self.unary else values[self.keys[1]]
         cached = self._terms_cache
         if cached is not None and cached[0] is v_i and cached[1] is v_j:
-            return cached[2], cached[3]
-        t_i, t_j = self._poses(values)
-        t_ij = pose_compose(pose_inverse(t_j), t_i)
-        if len(self.source) == 0 or len(self.target_map) == 0 \
-                or self.source.covs is None:
-            terms = None
+            terms, t_ij = cached[2], cached[3]
+            if not lookup:
+                return terms, t_ij
+            rows = self.target_map.lookup(terms.moved)
+            if np.array_equal(rows, terms.rows):
+                return terms, t_ij
         else:
-            terms = match_terms(self.source, self.target_map, t_ij)
+            t_i, t_j = self._poses(values)
+            t_ij = pose_compose(pose_inverse(t_j), t_i)
+            rows = None if lookup else self._rows
+        terms = match_terms(self.source, self.target_map, t_ij, rows)
         self._terms_cache = (v_i, v_j, terms, t_ij)
         return terms, t_ij
 
     def cost(self, values) -> float:
-        terms, _ = self._terms(values)
-        if terms is None or terms.inliers < self.min_inliers:
+        if self._empty:
             return 0.0
-        return terms.cost
+        terms, _ = self._terms(values, lookup=False)
+        return terms.cost if terms.inliers >= self.min_inliers else 0.0
 
     def linearize(self, values) -> FactorLinearization:
         zeros = [np.zeros(k.dim) for k in self.keys]
         if self._hats is None and len(self.source):
             self._hats = skew_batch(self.source.points)
-        terms, t_ij = self._terms(values)
         try:
-            if terms is None:
+            if self._empty:
                 raise DegenerateConstraint("no points to match")
+            terms, t_ij = self._terms(values, lookup=True)
+            self._rows = terms.rows
             lin = linearize_from_terms(self.source, terms, t_ij,
                                        target_fixed=self.unary,
                                        min_inliers=self.min_inliers,
@@ -425,11 +446,11 @@ class MarginalPriorFactor(Factor):
 @dataclass
 class LmSettings:
     max_iterations: int = 64
-    rel_cost_tol: float = 1e-9
+    # stop once one step changes the cost by at most this fraction of it;
+    # correspondences jump between voxels, so much less is below the noise
+    rel_cost_tol: float = 1e-6
     update_tol: float = 1e-9
     lambda_init: float = 1e-6
-    lambda_down: float = 0.5
-    lambda_up: float = 4.0
     lambda_max: float = 1e12
     dense_threshold: int = 600  # tangent dims; sparse solve above
 
@@ -437,9 +458,54 @@ class LmSettings:
 @dataclass
 class OptimizeResult:
     estimates: dict
-    final_cost: float
-    iterations: int
-    converged: bool = True
+    final_cost: float  # on the correspondences the solve used last
+    iterations: int  # linearizations of the whole graph
+    converged: bool  # False when max_iterations ended the solve
+    initial_cost: float
+    cost_evaluations: int  # candidate steps whose cost was evaluated
+    rejected_steps: int  # evaluated candidates that did not lower the cost
+
+
+def _layout(keys):
+    """Tangent slice of each key when the keys are stacked in order."""
+    slices = {}
+    off = 0
+    for k in keys:
+        slices[k] = slice(off, off + k.dim)
+        off += k.dim
+    return slices, off
+
+
+def _accumulate(factors, values, slices, dim):
+    """Dense normal equations (H, g) and total cost of the factors at values."""
+    h = np.zeros((dim, dim))
+    g = np.zeros(dim)
+    cost = 0.0
+    for f in factors:
+        lin = f.linearize(values)
+        cost += lin.cost
+        sls = [slices[k] for k in lin.keys]
+        for a, ga in enumerate(lin.g):
+            g[sls[a]] += ga
+        for (a, b), blk in lin.h.items():
+            h[sls[a], sls[b]] += blk
+            if a != b:
+                h[sls[b], sls[a]] += blk.T
+    return h, g, cost
+
+
+def _damped_step(h, g, damping, dense: bool):
+    """Solution of (H + diag(damping)) delta = -g; None if it fails."""
+    try:
+        if dense:
+            factorized = scipy.linalg.cho_factor(h + np.diag(damping), lower=True)
+            delta = scipy.linalg.cho_solve(factorized, -g)
+        else:
+            sp = scipy.sparse.csc_matrix(h + np.diag(damping))
+            delta = scipy.sparse.linalg.splu(sp).solve(-g)
+    except (np.linalg.LinAlgError, RuntimeError, ValueError):
+        return None
+    return delta if np.all(np.isfinite(delta)) else None
 
 
 class FactorGraph:
@@ -511,30 +577,6 @@ class FactorGraph:
 
     # -- assembly ----------------------------------------------------------
 
-    def _slices(self):
-        slices = {}
-        off = 0
-        for k in self.values:
-            slices[k] = slice(off, off + k.dim)
-            off += k.dim
-        return slices, off
-
-    def _assemble_dense(self, values, slices, dim):
-        h = np.zeros((dim, dim))
-        g = np.zeros(dim)
-        cost = 0.0
-        for f in self.factors:
-            lin = f.linearize(values)
-            cost += lin.cost
-            sls = [slices[k] for k in lin.keys]
-            for a, ga in enumerate(lin.g):
-                g[sls[a]] += ga
-            for (a, b), blk in lin.h.items():
-                h[sls[a], sls[b]] += blk
-                if a != b:
-                    h[sls[b], sls[a]] += blk.T
-        return h, g, cost
-
     def _retract_all(self, values, slices, delta):
         out = {}
         for k, v in values.items():
@@ -544,72 +586,91 @@ class FactorGraph:
     # -- optimization --------------------------------------------------------
 
     def optimize_lm(self, settings: LmSettings | None = None) -> OptimizeResult:
-        """Damped Gauss-Newton with multiplicative trust-region control.
+        """Levenberg-Marquardt with Nielsen's gain-ratio damping.
 
-        The damping term is lambda * diag(H); accepted steps halve lambda,
-        rejected steps quadruple it, and the best estimate so far rides
-        along in case damping tops out.
+        Each iteration linearizes every factor at the current estimate and
+        solves the normal equations damped by lambda * diag(H).  A candidate
+        step is accepted when it lowers the cost, which matching factors
+        evaluate on the correspondences of that linearization.  The gain
+        ratio rho, the actual cost decrease over the one the quadratic model
+        predicts, steers lambda (Madsen, Nielsen & Tingleff 2004): an
+        accepted step scales it by max(1/3, 1 - (2 rho - 1)^3) and resets
+        nu to 2; a rejected step scales it by nu and doubles nu.
+
+        The solve converges when a step changes the cost by at most
+        rel_cost_tol times the cost, whether or not it is accepted, or when
+        the step is shorter than update_tol.  It also converges when two
+        linearizations in a row find no cost lower, by more than that
+        tolerance, than the lowest an earlier one found: the correspondences
+        looked up at each linearization then move the cost more than the
+        steps do, and the iterates wander or cycle between correspondence
+        sets.  Ending at max_iterations is not converging.  NotConverged is raised when lambda passes
+        lambda_max.  The normal equations are kept for marginal_covariance
+        when the solve ends where they were assembled.
         """
         settings = settings or LmSettings()
         self.check_structure()
-        slices, dim = self._slices()
+        slices, dim = _layout(self.values)
         values = dict(self.values)
-        cost = self.total_cost(values)
-        lam = settings.lambda_init
-        iterations = 0
+        initial_cost = cost = self.total_cost(values)
+        lam, nu = settings.lambda_init, 2.0
+        iterations = evaluations = rejected = 0
+        converged = False
+        normal = None
         dense = dim <= settings.dense_threshold
 
-        for _ in range(settings.max_iterations):
-            h, g, cost = self._assemble_dense(values, slices, dim)
+        def negligible(change, ref):
+            return abs(change) <= settings.rel_cost_tol * max(ref, 1e-30)
+
+        best = None  # lowest cost at a linearization so far
+        stalled = 0  # linearizations since best was last lowered
+        while not converged and iterations < settings.max_iterations:
+            h, g, cost = _accumulate(self.factors, values, slices, dim)
+            normal = (h, slices, dim)
             iterations += 1
-            diag = np.diag(h).copy()
-            accepted = False
-            converged = False
-            while True:
-                try:
-                    if dense:
-                        factorized = scipy.linalg.cho_factor(
-                            h + np.diag(lam * diag), lower=True)
-                        delta = scipy.linalg.cho_solve(factorized, -g)
-                    else:
-                        sp = scipy.sparse.csc_matrix(h + np.diag(lam * diag))
-                        delta = scipy.sparse.linalg.splu(sp).solve(-g)
-                    if not np.all(np.isfinite(delta)):
-                        raise np.linalg.LinAlgError("non-finite update")
-                except (np.linalg.LinAlgError, RuntimeError, ValueError):
-                    lam *= settings.lambda_up
-                    if lam > settings.lambda_max:
-                        self.values = values
-                        self._cached_normal = None
-                        raise NotConverged("damping exhausted on singular system",
-                                           estimates=values, cost=cost)
-                    continue
-                if np.max(np.abs(delta)) < settings.update_tol:
+            if best is None or (cost < best and not negligible(best - cost, best)):
+                best, stalled = cost, 0
+            else:
+                stalled += 1
+                if stalled == 2:
                     converged = True
                     break
-                candidate = self._retract_all(values, slices, delta)
-                new_cost = self.total_cost(candidate)
-                if np.isfinite(new_cost) and new_cost < cost:
-                    values = candidate
-                    accepted = True
-                    lam = max(lam * settings.lambda_down, 1e-12)
-                    break
-                lam *= settings.lambda_up
+            diag = np.diag(h).copy()
+            while True:
+                delta = _damped_step(h, g, lam * diag, dense)
+                if delta is not None:
+                    if np.max(np.abs(delta)) < settings.update_tol:
+                        converged = True
+                        break
+                    candidate = self._retract_all(values, slices, delta)
+                    new_cost = self.total_cost(candidate)
+                    evaluations += 1
+                    small = negligible(cost - new_cost, cost)
+                    if np.isfinite(new_cost) and new_cost < cost:
+                        predicted = 0.5 * delta @ (lam * diag * delta - g)
+                        rho = (cost - new_cost) / predicted if predicted > 0 else 1.0
+                        lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3),
+                                  1e-12)
+                        nu = 2.0
+                        values, cost = candidate, new_cost
+                        normal = None
+                        converged = small
+                        break
+                    rejected += 1
+                    if small:
+                        converged = True
+                        break
+                lam, nu = lam * nu, 2.0 * nu
                 if lam > settings.lambda_max:
                     self.values = values
                     self._cached_normal = None
-                    raise NotConverged("no cost-reducing step found",
-                                       estimates=values, cost=cost)
-            if converged:
-                break
-            if accepted and (cost - new_cost) <= settings.rel_cost_tol * max(cost, 1e-30):
-                cost = new_cost
-                break
-            cost = new_cost
+                    reason = ("no cost-reducing step found" if delta is not None
+                              else "damping exhausted on singular system")
+                    raise NotConverged(reason, estimates=values, cost=cost)
         self.values = values
-        h, _, final = self._assemble_dense(values, slices, dim)
-        self._cached_normal = (h, slices, dim)
-        return OptimizeResult(values, final, iterations)
+        self._cached_normal = normal
+        return OptimizeResult(values, cost, iterations, converged, initial_cost,
+                              evaluations, rejected)
 
     def warm_restart_optimize(self, previous_estimates: dict,
                               settings: LmSettings | None = None) -> OptimizeResult:
@@ -664,23 +725,8 @@ class FactorGraph:
             raise DisconnectedGraph(str(exc)) from exc
 
         # local ordering: removed first, then retained
-        order = removed + retained
-        slices = {}
-        off = 0
-        for k in order:
-            slices[k] = slice(off, off + k.dim)
-            off += k.dim
-        h = np.zeros((off, off))
-        g = np.zeros(off)
-        for f in involved:
-            lin = f.linearize(self.values)
-            sls = [slices[k] for k in lin.keys]
-            for a, ga in enumerate(lin.g):
-                g[sls[a]] += ga
-            for (a, b), blk in lin.h.items():
-                h[sls[a], sls[b]] += blk
-                if a != b:
-                    h[sls[b], sls[a]] += blk.T
+        slices, dim = _layout(removed + retained)
+        h, g, _ = _accumulate(involved, self.values, slices, dim)
 
         r_dim = sum(k.dim for k in removed)
         h_rr = h[:r_dim, :r_dim]
@@ -710,12 +756,13 @@ class FactorGraph:
         return prior
 
     def marginal_covariance(self, key: Key) -> np.ndarray:
-        """Covariance block of one variable from the full normal equations."""
+        """Covariance block of one variable from the full normal equations,
+        assembled at the current values unless the last solve kept them."""
         if self._cached_normal is not None:
             h, slices, dim = self._cached_normal
         else:
-            slices, dim = self._slices()
-            h, _, _ = self._assemble_dense(self.values, slices, dim)
+            slices, dim = _layout(self.values)
+            h, _, _ = _accumulate(self.factors, self.values, slices, dim)
         sl = slices[key]
         rhs = np.zeros((dim, key.dim))
         rhs[sl] = np.eye(key.dim)

@@ -45,6 +45,10 @@ from .preprocess import (
 )
 from .registration import GaussianVoxelMap, build_voxelmap, overlap_rate
 
+# velocity and bias prior strengths handed downstream when the window's
+# normal equations cannot be factorized
+FALLBACK_VEL_BIAS_SIGMA = np.concatenate([np.full(3, 0.5), np.full(6, 0.05)])
+
 
 def initialize_from_rest(samples, gravity, window: float = 0.5,
                          gyro_limit: float = 0.05, stamp: float | None = None
@@ -417,8 +421,8 @@ class OdometryEstimator:
         try:
             cov = self.graph.marginal_covariance(key)
             sigmas = np.sqrt(np.clip(np.diag(cov)[6:15], 1e-12, None))
-        except Exception:
-            sigmas = np.concatenate([np.full(3, 0.5), np.full(6, 0.05)])
+        except np.linalg.LinAlgError:
+            sigmas = FALLBACK_VEL_BIAS_SIGMA.copy()
         for kf in self.keyframes:
             if kf.frame_index == rec["index"]:
                 kf.marginalized = True

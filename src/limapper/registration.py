@@ -10,7 +10,9 @@ nothing; low-overlap pairs are rejected up front by the overlap gate.
 Linearization produces Gauss-Newton blocks for right-multiplicative
 perturbations of the two sensor poses, re-evaluating correspondences at the
 supplied linearization point and holding the per-point weight matrices fixed
-within the iteration.
+within the iteration.  ``match_terms`` can also evaluate the cost with
+correspondences fixed from an earlier lookup, which keeps the cost smooth
+between two linearizations.
 """
 
 from __future__ import annotations
@@ -134,6 +136,7 @@ def _inv3x3(m: np.ndarray) -> np.ndarray:
 class MatchTerms:
     """Correspondences and fixed weights of one frame/map pair at one pose."""
 
+    rows: np.ndarray  # (n,) voxel row per source point, -1 on a miss
     hit: np.ndarray  # (n,) bool, per source point
     moved: np.ndarray  # (n, 3) transformed source means
     d: np.ndarray  # (m, 3) residuals of the matched subset
@@ -143,10 +146,17 @@ class MatchTerms:
     inliers: int
 
 
-def match_terms(frame: Frame, vmap: GaussianVoxelMap, t_ij: Se3Pose) -> MatchTerms:
+def match_terms(frame: Frame, vmap: GaussianVoxelMap, t_ij: Se3Pose,
+                rows: np.ndarray | None = None) -> MatchTerms:
+    """Residuals and weights of frame against the map at relative pose t_ij.
+
+    Each source point is matched to the voxel that contains it, unless
+    ``rows`` fixes the voxel row of every source point (-1 for none).
+    """
     rmat = t_ij.rotation.matrix()
     moved = frame.points @ rmat.T + t_ij.translation
-    rows = vmap.lookup(moved)
+    if rows is None:
+        rows = vmap.lookup(moved)
     hit = rows >= 0
     idx = rows[hit]
     d = vmap.means[idx] - moved[hit]
@@ -154,7 +164,8 @@ def match_terms(frame: Frame, vmap: GaussianVoxelMap, t_ij: Se3Pose) -> MatchTer
     weight = _inv3x3(cov)
     wd = (weight @ d[:, :, None])[:, :, 0]
     cost = float(np.sum(d * wd))
-    return MatchTerms(hit, moved, d, weight, wd, cost, int(np.count_nonzero(hit)))
+    return MatchTerms(rows, hit, moved, d, weight, wd, cost,
+                      int(np.count_nonzero(hit)))
 
 
 def matching_cost(frame: Frame, vmap: GaussianVoxelMap, t_ij: Se3Pose):

@@ -33,7 +33,7 @@ from limapper.geometry import (
     state_retract,
 )
 from limapper.imu import GRAVITY, ImuNoiseParams, ImuSample, preintegrate, propagate_state
-from limapper.registration import build_voxelmap
+from limapper.registration import build_voxelmap, matching_cost
 
 from test_registration import box_room_frame, box_room_frame_plane_covs, make_frame
 
@@ -48,6 +48,47 @@ def random_state(rng, stamp=0.0):
         bias_gyro=rng.uniform(-0.05, 0.05, 3),
         stamp=stamp,
     )
+
+
+def record_costs(graph):
+    """Make graph.total_cost append every value it returns to a list."""
+    costs = []
+    total_cost = graph.total_cost
+
+    def recording(values=None):
+        costs.append(total_cost(values))
+        return costs[-1]
+
+    graph.total_cost = recording
+    return costs
+
+
+def prior_bowl():
+    rng = np.random.default_rng(2)
+    target = random_state(rng)
+    g = FactorGraph()
+    g.add_variable(frame_key(0), state_retract(target, rng.uniform(-0.3, 0.3, 15)))
+    g.add_factor(PriorFactor(frame_key(0), target, np.full(15, 100.0)))
+    return g, target
+
+
+def two_pose_registration():
+    rng = np.random.default_rng(3)
+    cloud = box_room_frame_plane_covs(rng, n_per_wall=150)
+    vmap = build_voxelmap(cloud, 0.5)
+    true_rel = Se3Pose(so3_exp([0.02, -0.03, 0.3]), np.array([0.4, -0.2, 0.1]))
+    # frame observed from the displaced pose: points in its own frame
+    moved_pts = pose_apply(pose_inverse(true_rel), cloud.points)
+    moved = make_frame(moved_pts, covs=cloud.covs)
+    g = FactorGraph()
+    g.add_variable(submap_key(0), Se3Pose.identity())
+    perturb = np.concatenate([rng.normal(size=3) * (5 * np.pi / 180 / np.sqrt(3)),
+                              rng.normal(size=3) * (0.1 / np.sqrt(3))])
+    g.add_variable(submap_key(1), pose_retract(true_rel, perturb))
+    g.add_factor(PriorFactor(submap_key(0), Se3Pose.identity(), np.full(6, 1e6)))
+    g.add_factor(MatchingCostFactor(submap_key(1), moved, vmap,
+                                    key_target=submap_key(0)))
+    return g, true_rel
 
 
 class TestContainer:
@@ -108,35 +149,80 @@ class TestContainer:
 
 class TestOptimize:
     def test_prior_bowl_converges_exactly(self):
-        rng = np.random.default_rng(2)
-        target = random_state(rng)
-        g = FactorGraph()
-        g.add_variable(frame_key(0), state_retract(target, rng.uniform(-0.3, 0.3, 15)))
-        g.add_factor(PriorFactor(frame_key(0), target, np.full(15, 100.0)))
+        g, target = prior_bowl()
         res = g.optimize_lm()
         assert res.final_cost < 1e-18
         assert np.linalg.norm(state_local(res.estimates[frame_key(0)], target)) < 1e-9
 
     def test_two_pose_registration_recovers_truth(self):
-        rng = np.random.default_rng(3)
-        cloud = box_room_frame_plane_covs(rng, n_per_wall=150)
-        vmap = build_voxelmap(cloud, 0.5)
-        true_rel = Se3Pose(so3_exp([0.02, -0.03, 0.3]), np.array([0.4, -0.2, 0.1]))
-        # frame observed from the displaced pose: points in its own frame
-        moved_pts = pose_apply(pose_inverse(true_rel), cloud.points)
-        moved = make_frame(moved_pts, covs=cloud.covs)
-        g = FactorGraph()
-        g.add_variable(submap_key(0), Se3Pose.identity())
-        perturb = np.concatenate([rng.normal(size=3) * (5 * np.pi / 180 / np.sqrt(3)),
-                                  rng.normal(size=3) * (0.1 / np.sqrt(3))])
-        g.add_variable(submap_key(1), pose_retract(true_rel, perturb))
-        g.add_factor(PriorFactor(submap_key(0), Se3Pose.identity(), np.full(6, 1e6)))
-        g.add_factor(MatchingCostFactor(submap_key(1), moved, vmap,
-                                        key_target=submap_key(0)))
+        g, true_rel = two_pose_registration()
         res = g.optimize_lm()
         err = pose_local(res.estimates[submap_key(1)], true_rel)
         assert np.linalg.norm(err[3:]) < 1e-3
         assert np.linalg.norm(err[:3]) < 1e-3
+
+    def test_prior_bowl_counters(self):
+        g, _ = prior_bowl()
+        costs = record_costs(g)
+        res = g.optimize_lm()
+        assert res.converged
+        assert res.initial_cost == costs[0]
+        assert res.cost_evaluations == len(costs) - 1
+        # without correspondences the cost of an accepted candidate is the
+        # cost at the next linearization, so rejections show in the sequence
+        current, rejected = costs[0], 0
+        for c in costs[1:]:
+            if c < current:
+                current = c
+            else:
+                rejected += 1
+        assert res.rejected_steps == rejected
+        assert res.final_cost == current
+        assert res.cost_evaluations - res.rejected_steps <= res.iterations
+
+    def test_two_pose_registration_counters(self):
+        g, _ = two_pose_registration()
+        costs = record_costs(g)
+        res = g.optimize_lm()
+        assert res.converged
+        assert res.initial_cost == costs[0]
+        assert res.cost_evaluations == len(costs) - 1
+        assert 0 <= res.rejected_steps <= res.cost_evaluations
+        # at most one accepted candidate per linearization
+        assert res.cost_evaluations - res.rejected_steps <= res.iterations
+        assert res.final_cost < res.initial_cost
+
+    def test_stops_when_correspondences_cycle(self):
+        # the target flips at every linearization and holds in between, like
+        # a point crossing back and forth between two voxels: every step is
+        # accepted, but no linearization finds a lower cost than the first
+        class FlippingPrior(PriorFactor):
+            def __init__(self, key, a, b, information):
+                super().__init__(key, a, information)
+                self.targets = (a, b)
+                self.flips = 0
+
+            def linearize(self, values):
+                self.prior = self.targets[self.flips % 2]
+                self.flips += 1
+                return super().linearize(values)
+
+        a = Se3Pose.identity()
+        b = Se3Pose(a.rotation, np.array([0.1, 0.0, 0.0]))
+        g = FactorGraph()
+        g.add_variable(submap_key(0), Se3Pose(a.rotation, np.array([0.04, 0.0, 0.0])))
+        g.add_factor(FlippingPrior(submap_key(0), a, b, np.full(6, 100.0)))
+        res = g.optimize_lm()
+        assert res.converged
+        assert res.iterations == 3
+        assert res.rejected_steps == 0
+
+    def test_iteration_cap_is_not_convergence(self):
+        g, _ = prior_bowl()
+        res = g.optimize_lm(LmSettings(max_iterations=1))
+        assert res.iterations == 1
+        assert not res.converged
+        assert res.final_cost < res.initial_cost
 
     def test_pure_imu_chain_matches_propagation(self):
         rng = np.random.default_rng(4)
@@ -200,6 +286,41 @@ class TestOptimize:
         res = g.warm_restart_optimize(first.estimates)
         assert res.iterations <= 2
         assert res.final_cost <= first.final_cost + 1e-15
+
+
+class TestMatchingCostFactor:
+    def test_cost_keeps_correspondences_of_last_linearization(self):
+        rng = np.random.default_rng(13)
+        res = 0.5
+        cells = np.array([[i, j, k] for i in range(3) for j in range(2)
+                          for k in range(2)], dtype=float)
+        centers = (cells + 0.5) * res
+        target = make_frame(np.repeat(centers, 8, axis=0)
+                            + rng.uniform(-0.2, 0.2, (8 * len(centers), 3)))
+        vmap = build_voxelmap(target, res)
+        # one source point per occupied voxel, and one on the x = 0 face of
+        # voxel (0, 0, 0), whose neighbour across that face is empty
+        on_face = np.array([[0.0, 0.2, 0.3]])
+        source = make_frame(np.vstack(
+            [centers + rng.uniform(-0.1, 0.1, centers.shape), on_face]))
+        f = MatchingCostFactor(submap_key(0), source, vmap,
+                               fixed_target_pose=Se3Pose.identity())
+        at = Se3Pose.identity()
+        nudged = Se3Pose(at.rotation, np.array([-1e-7, 0.0, 0.0]))
+
+        f.linearize({submap_key(0): at})
+        assert f.inliers == len(source)
+        c0 = f.cost({submap_key(0): at})
+        assert abs(f.cost({submap_key(0): nudged}) - c0) < 1e-6 * c0
+        # a fresh lookup at the nudged pose loses the point on the face
+        fresh, inliers = matching_cost(source, vmap, nudged)
+        assert inliers == len(source) - 1
+        assert abs(fresh - c0) > 1e-3 * c0
+
+        lin = f.linearize({submap_key(0): nudged})
+        assert f.inliers == len(source) - 1
+        assert lin.cost == pytest.approx(fresh, rel=1e-12)
+        assert f.cost({submap_key(0): nudged}) == pytest.approx(fresh, rel=1e-12)
 
 
 class TestRelativeStateFactor:
