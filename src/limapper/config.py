@@ -36,8 +36,6 @@ class OdometryConfig:
     init_window: float = 0.5  # s of stationary IMU for bootstrapping
     init_gyro_limit: float = 0.05  # rad/s
     lm_max_iterations: int = 15  # window solves start warm; cap the tail
-    imu_factors_enabled: bool = True
-    matching_factors_enabled: bool = True
 
 
 @dataclass
@@ -70,23 +68,13 @@ class ImuConfig:
 
 
 @dataclass
-class OptimizerConfig:
-    max_iterations: int = 64
-    rel_cost_tol: float = 1e-6
-    update_tol: float = 1e-9
-    lambda_init: float = 1e-6
-    lambda_max: float = 1e12
-    dense_threshold: int = 600
-
-
-@dataclass
 class PipelineConfig:
     preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
     odometry: OdometryConfig = field(default_factory=OdometryConfig)
     local: LocalMappingConfig = field(default_factory=LocalMappingConfig)
     global_mapping: GlobalMappingConfig = field(default_factory=GlobalMappingConfig)
     imu: ImuConfig = field(default_factory=ImuConfig)
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
+    optimizer: LmSettings = field(default_factory=LmSettings)
 
     _SECTIONS = {
         "preprocess": "preprocess",
@@ -128,13 +116,6 @@ class PipelineConfig:
             gyro_bias_walk=self.imu.gyro_bias_walk,
             gravity=np.array([0.0, 0.0, self.imu.gravity_z]),
         )
-
-    def lm_settings(self) -> LmSettings:
-        o = self.optimizer
-        return LmSettings(max_iterations=o.max_iterations,
-                          rel_cost_tol=o.rel_cost_tol, update_tol=o.update_tol,
-                          lambda_init=o.lambda_init, lambda_max=o.lambda_max,
-                          dense_threshold=o.dense_threshold)
 
     # -- flat key-value mapping ------------------------------------------------
 

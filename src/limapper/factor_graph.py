@@ -24,8 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import (
     DegenerateConstraint,
@@ -452,7 +450,6 @@ class LmSettings:
     update_tol: float = 1e-9
     lambda_init: float = 1e-6
     lambda_max: float = 1e12
-    dense_threshold: int = 600  # tangent dims; sparse solve above
 
 
 @dataclass
@@ -494,16 +491,12 @@ def _accumulate(factors, values, slices, dim):
     return h, g, cost
 
 
-def _damped_step(h, g, damping, dense: bool):
+def _damped_step(h, g, damping):
     """Solution of (H + diag(damping)) delta = -g; None if it fails."""
     try:
-        if dense:
-            factorized = scipy.linalg.cho_factor(h + np.diag(damping), lower=True)
-            delta = scipy.linalg.cho_solve(factorized, -g)
-        else:
-            sp = scipy.sparse.csc_matrix(h + np.diag(damping))
-            delta = scipy.sparse.linalg.splu(sp).solve(-g)
-    except (np.linalg.LinAlgError, RuntimeError, ValueError):
+        factorized = scipy.linalg.cho_factor(h + np.diag(damping), lower=True)
+        delta = scipy.linalg.cho_solve(factorized, -g)
+    except (np.linalg.LinAlgError, ValueError):
         return None
     return delta if np.all(np.isfinite(delta)) else None
 
@@ -617,7 +610,6 @@ class FactorGraph:
         iterations = evaluations = rejected = 0
         converged = False
         normal = None
-        dense = dim <= settings.dense_threshold
 
         def negligible(change, ref):
             return abs(change) <= settings.rel_cost_tol * max(ref, 1e-30)
@@ -637,7 +629,7 @@ class FactorGraph:
                     break
             diag = np.diag(h).copy()
             while True:
-                delta = _damped_step(h, g, lam * diag, dense)
+                delta = _damped_step(h, g, lam * diag)
                 if delta is not None:
                     if np.max(np.abs(delta)) < settings.update_tol:
                         converged = True

@@ -34,12 +34,13 @@ from .geometry import (
     pose_inverse,
     so3_exp,
 )
-from .imu import predict_state, preintegrate
+from .imu import ImuSample, predict_state, preintegrate
 from .preprocess import (
     Frame,
     RawScan,
     deskew,
     estimate_covariances,
+    frame_from_scan,
     knn_search,
     voxel_downsample,
 )
@@ -112,16 +113,27 @@ def keyframe_score(i: int, overlaps: np.ndarray) -> float:
     return float(overlaps[i, m - 1] * total)
 
 
-@dataclass
-class Keyframe:
-    frame_index: int
-    frame: Frame
-    voxelmap: GaussianVoxelMap
-    state: SensorState
+@dataclass(eq=False)
+class WindowFrame:
+    """One scan in the odometry window.
+
+    A keyframe is a window frame that stays on as a matching target after
+    it is marginalized; the keyframe set holds the same objects as the
+    window, so membership tests go by identity.
+    """
+
+    index: int
+    pre_frame: Frame | None  # pre-deskew cloud; None once handed downstream
+    frame: Frame  # deskewed, covariances attached
+    voxelmap: GaussianVoxelMap | None  # None for an empty frame
+    state: SensorState  # window estimate; final once marginalized
+    scan_start: float
+    scan_end: float
     marginalized: bool = False
 
-    def pose(self) -> Se3Pose:
-        return self.state.pose
+    @property
+    def key(self) -> Key:
+        return frame_key(self.index)
 
 
 @dataclass
@@ -153,9 +165,9 @@ class OdometryEstimator:
         self.noise = self.config.noise_params()
         self.gravity = self.noise.gravity
         self.graph = FactorGraph()
-        self.keyframes: list[Keyframe] = []
+        self.keyframes: list[WindowFrame] = []
         self.keyframe_events: list[dict] = []
-        self._window: list[dict] = []  # per-frame records, oldest first
+        self._window: list[WindowFrame] = []  # oldest first
         self._imu: list[ImuSample] = []
         self._next_index = 0
         self._last_scan_start = -math.inf
@@ -170,7 +182,7 @@ class OdometryEstimator:
         # keep the buffer bounded: only the current inter-frame span and the
         # initialization window are ever read back
         if self._initialized and self._window:
-            horizon = self._window[-1]["stamp"] - 1.0
+            horizon = self._window[-1].scan_start - 1.0
             drop = 0
             while drop < len(self._imu) - 1 and self._imu[drop + 1].stamp < horizon:
                 drop += 1
@@ -183,9 +195,7 @@ class OdometryEstimator:
 
     def _prepare(self, scan: RawScan) -> Frame:
         cfg = self.config.preprocess
-        down = voxel_downsample(scan, cfg.downsample_resolution)
-        frame = Frame(points=down.points, stamps=down.stamps,
-                      stamp=scan.scan_start, scan_end=scan.scan_end)
+        frame = frame_from_scan(voxel_downsample(scan, cfg.downsample_resolution))
         if len(frame) >= cfg.knn:
             frame = replace(frame, neighbors=knn_search(frame, cfg.knn))
         return frame
@@ -203,97 +213,82 @@ class OdometryEstimator:
             return replace(frame, covs=np.zeros((len(frame), 3, 3)))
         return estimate_covariances(frame, cfg.plane_eps)
 
-    def _overlap_between(self, rec_or_kf_a, kf_b) -> float:
-        pose_a = rec_or_kf_a["state"].pose if isinstance(rec_or_kf_a, dict) \
-            else rec_or_kf_a.pose()
-        frame_a = rec_or_kf_a["frame"] if isinstance(rec_or_kf_a, dict) \
-            else rec_or_kf_a.frame
-        rel = pose_compose(pose_inverse(kf_b.pose()), pose_a)
-        return overlap_rate(frame_a, kf_b.voxelmap, rel)
-
-    def _current_state(self, index: int) -> SensorState:
-        return self.graph.values[frame_key(index)]
-
-    def _refresh_window_states(self) -> None:
-        for rec in self._window:
-            rec["state"] = self._current_state(rec["index"])
-        for kf in self.keyframes:
-            if not kf.marginalized:
-                kf.state = self._current_state(kf.frame_index)
+    def _overlap(self, a: WindowFrame, b: WindowFrame) -> float:
+        """Fraction of a's points in occupied voxels of b's map."""
+        rel = pose_compose(pose_inverse(b.state.pose), a.state.pose)
+        return overlap_rate(a.frame, b.voxelmap, rel)
 
     # -- main entry --------------------------------------------------------------
 
     def process_frame(self, scan: RawScan, imu_samples) -> OdometryResult:
+        """Add one scan to the window and re-optimize it.
+
+        A scan that raises before it enters the graph leaves the estimator
+        as it was, apart from buffering its IMU samples, so it can be sent
+        again with more IMU data.
+        """
         if scan.scan_start <= self._last_scan_start:
             raise OutOfOrder(
                 f"scan at {scan.scan_start:.6f} does not follow "
                 f"{self._last_scan_start:.6f}")
-        self._last_scan_start = scan.scan_start
         self._push_imu(imu_samples)
         cfg = self.config.odometry
 
         pre_frame = self._prepare(scan)
-        warning = None
         if not self._initialized:
-            init = initialize_from_rest(
+            state = initialize_from_rest(
                 self._imu, self.gravity, window=cfg.init_window,
                 gyro_limit=cfg.init_gyro_limit, stamp=scan.scan_start)
-            state = init
-            self._initialized = True
             pre = None
         else:
             prev = self._window[-1]
-            pre = preintegrate(self._imu_between(prev["stamp"], scan.scan_start),
-                               prev["stamp"], scan.scan_start,
-                               prev["state"].bias, self.noise,
+            pre = preintegrate(self._imu_between(prev.scan_start, scan.scan_start),
+                               prev.scan_start, scan.scan_start,
+                               prev.state.bias, self.noise,
                                max_gap=self.config.preprocess.max_imu_gap)
-            state = predict_state(prev["state"], pre, self.gravity)
+            state = predict_state(prev.state, pre, self.gravity)
 
         frame = self._finish_frame(pre_frame, state)
         vmap = build_voxelmap(frame, cfg.voxel_resolution) if len(frame) else None
-        index = self._next_index
+        rec = WindowFrame(index=self._next_index, pre_frame=pre_frame,
+                          frame=frame, voxelmap=vmap, state=state,
+                          scan_start=scan.scan_start, scan_end=scan.scan_end)
         self._next_index += 1
-        key = frame_key(index)
-        rec = {"index": index, "key": key, "frame": frame, "voxelmap": vmap,
-               "pre_frame": pre_frame, "state": state, "stamp": scan.scan_start,
-               "scan_end": scan.scan_end}
-        self.graph.add_variable(key, state)
+        self._last_scan_start = scan.scan_start
+        self._initialized = True
+        self.graph.add_variable(rec.key, state)
 
         if pre is None:
             # bootstrap: anchor the first state completely
             info = np.concatenate([np.full(6, 1e6), np.full(3, 1e4),
                                    np.full(6, 1e4)])
-            self.graph.add_factor(PriorFactor(key, state, info))
-        elif cfg.imu_factors_enabled:
-            self.graph.add_factor(ImuFactor(
-                self._window[-1]["key"], key, pre, self.gravity,
-                walk_information=self._walk_information(pre.dt_total)))
+            self.graph.add_factor(PriorFactor(rec.key, state, info))
         else:
-            # keep velocity and bias observable without inertial constraints
-            info = np.concatenate([np.zeros(6), np.full(3, 1.0), np.full(6, 100.0)])
-            self.graph.add_factor(PriorFactor(key, state, info))
+            self.graph.add_factor(ImuFactor(
+                self._window[-1].key, rec.key, pre, self.gravity,
+                walk_information=self._walk_information(pre.dt_total)))
 
-        if cfg.matching_factors_enabled and len(frame):
+        if len(frame):
             self._add_matching_factors(rec)
 
-        settings = self.config.lm_settings()
-        settings.max_iterations = min(settings.max_iterations,
-                                      cfg.lm_max_iterations)
+        settings = replace(self.config.optimizer, max_iterations=min(
+            self.config.optimizer.max_iterations, cfg.lm_max_iterations))
         snapshot = dict(self.graph.values)
+        warning = None
         try:
             self.graph.optimize_lm(settings)
         except NotConverged:
             warning = "optimizer did not converge; prediction retained"
             self.graph.values = snapshot
-        self._refresh_window_states()
         self._window.append(rec)
-        rec["state"] = self._current_state(index)
+        for f in self._window:
+            f.state = self.graph.values[f.key]
 
-        if cfg.matching_factors_enabled and len(frame):
+        if len(frame):
             self._keyframe_update(rec)
 
         marginalized = self._marginalize_old_frames()
-        return OdometryResult(state=rec["state"], marginalized=marginalized,
+        return OdometryResult(state=rec.state, marginalized=marginalized,
                               warning=warning)
 
     def finish(self) -> list:
@@ -312,69 +307,51 @@ class OdometryEstimator:
             np.full(3, 1.0 / (self.noise.gyro_bias_walk**2 * dt)),
         ])
 
-    def _add_matching_factors(self, rec) -> None:
-        cfg = self.config.odometry
-        linked = set()
-        recent = self._window[-cfg.recent_frame_links:]
-        for other in reversed(recent):
-            if other["voxelmap"] is None:
-                continue
-            self._try_binary_factor(rec, other["key"], other["voxelmap"],
-                                    other["state"])
-            linked.add(other["index"])
-        for kf in self.keyframes:
-            if kf.frame_index in linked:
-                continue
-            rel = pose_compose(pose_inverse(kf.pose()), rec["state"].pose)
-            if overlap_rate(rec["frame"], kf.voxelmap, rel) <= 0.0:
-                continue
-            if kf.marginalized:
-                self.graph.add_factor(MatchingCostFactor(
-                    rec["key"], rec["frame"], kf.voxelmap,
-                    fixed_target_pose=kf.pose(), min_inliers=cfg.min_inliers))
-            else:
-                self._try_binary_factor(rec, frame_key(kf.frame_index),
-                                        kf.voxelmap, kf.state)
+    def _add_matching_factors(self, rec: WindowFrame) -> None:
+        """Link rec to the recent frames (newest first), then to the
+        keyframes not linked already.
 
-    def _try_binary_factor(self, rec, target_key: Key,
-                           target_map: GaussianVoxelMap,
-                           target_state: SensorState) -> None:
+        A marginalized keyframe that any point of rec hits gets a unary
+        factor; a window frame with at least min_inliers hits gets a binary
+        one.
+        """
         cfg = self.config.odometry
-        rel = pose_compose(pose_inverse(target_state.pose), rec["state"].pose)
-        moved = rec["frame"].points @ rel.rotation.matrix().T + rel.translation
-        hits = int(np.count_nonzero(target_map.lookup(moved) >= 0))
-        if hits < cfg.min_inliers:
-            return
-        self.graph.add_factor(MatchingCostFactor(
-            rec["key"], rec["frame"], target_map, key_target=target_key,
-            min_inliers=cfg.min_inliers))
+        recent = [f for f in reversed(self._window[-cfg.recent_frame_links:])
+                  if f.voxelmap is not None]
+        targets = recent + [kf for kf in self.keyframes if kf not in recent]
+        for target in targets:
+            rel = pose_compose(pose_inverse(target.state.pose), rec.state.pose)
+            moved = rec.frame.points @ rel.rotation.matrix().T + rel.translation
+            hits = int(np.count_nonzero(target.voxelmap.lookup(moved) >= 0))
+            if target.marginalized:
+                if hits:
+                    self.graph.add_factor(MatchingCostFactor(
+                        rec.key, rec.frame, target.voxelmap,
+                        fixed_target_pose=target.state.pose,
+                        min_inliers=cfg.min_inliers))
+            elif hits >= cfg.min_inliers:
+                self.graph.add_factor(MatchingCostFactor(
+                    rec.key, rec.frame, target.voxelmap, key_target=target.key,
+                    min_inliers=cfg.min_inliers))
 
     # -- keyframes --------------------------------------------------------------------
 
-    def _keyframe_update(self, rec) -> None:
+    def _keyframe_update(self, rec: WindowFrame) -> None:
         cfg = self.config.odometry
-        event = {"frame_index": rec["index"], "inserted": False,
+        event = {"frame_index": rec.index, "inserted": False,
                  "dropped_low_overlap": [], "removed_by_score": None}
-        if not self.keyframes:
-            self._insert_keyframe(rec)
+        if not self.keyframes or (
+                self._overlap(rec, self.keyframes[-1])
+                < cfg.keyframe_insert_overlap):
             event["inserted"] = True
-            self.keyframe_events.append(event)
-            return
-        latest = self.keyframes[-1]
-        overlap = self._overlap_between(rec, latest)
-        if overlap < cfg.keyframe_insert_overlap:
-            self._insert_keyframe(rec)
-            event["inserted"] = True
-            latest = self.keyframes[-1]
-            # rule 1: drop keyframes barely overlapping the latest one
+            # rule 1: drop keyframes barely overlapping the new one
             kept = []
-            for kf in self.keyframes[:-1]:
-                o = self._overlap_between(kf, latest)
-                if o < cfg.keyframe_drop_overlap:
-                    event["dropped_low_overlap"].append(kf.frame_index)
+            for kf in self.keyframes:
+                if self._overlap(kf, rec) < cfg.keyframe_drop_overlap:
+                    event["dropped_low_overlap"].append(kf.index)
                 else:
                     kept.append(kf)
-            self.keyframes = kept + [latest]
+            self.keyframes = kept + [rec]
             # rule 2: scored removal keeps the set bounded
             if len(self.keyframes) > cfg.max_keyframes:
                 overlaps = self._overlap_matrix()
@@ -384,18 +361,13 @@ class OdometryEstimator:
                     scores[i] = keyframe_score(i, overlaps)
                 victim = int(np.argmin(scores))
                 event["removed_by_score"] = {
-                    "keyframe_ids": [kf.frame_index for kf in self.keyframes],
+                    "keyframe_ids": [kf.index for kf in self.keyframes],
                     "overlaps": overlaps,
                     "scores": scores.copy(),
-                    "removed": self.keyframes[victim].frame_index,
+                    "removed": self.keyframes[victim].index,
                 }
                 del self.keyframes[victim]
         self.keyframe_events.append(event)
-
-    def _insert_keyframe(self, rec) -> None:
-        self.keyframes.append(Keyframe(
-            frame_index=rec["index"], frame=rec["frame"],
-            voxelmap=rec["voxelmap"], state=rec["state"]))
 
     def _overlap_matrix(self) -> np.ndarray:
         m = len(self.keyframes)
@@ -403,7 +375,7 @@ class OdometryEstimator:
         for i, kf_i in enumerate(self.keyframes):
             for j, kf_j in enumerate(self.keyframes):
                 if i != j:
-                    out[i, j] = self._overlap_between(kf_i, kf_j)
+                    out[i, j] = self._overlap(kf_i, kf_j)
         return out
 
     # -- marginalization -------------------------------------------------------------------
@@ -416,19 +388,16 @@ class OdometryEstimator:
 
     def _emit_oldest(self) -> MarginalizedFrame:
         rec = self._window.pop(0)
-        key = rec["key"]
-        state = self._current_state(rec["index"])
         try:
-            cov = self.graph.marginal_covariance(key)
+            cov = self.graph.marginal_covariance(rec.key)
             sigmas = np.sqrt(np.clip(np.diag(cov)[6:15], 1e-12, None))
         except np.linalg.LinAlgError:
             sigmas = FALLBACK_VEL_BIAS_SIGMA.copy()
-        for kf in self.keyframes:
-            if kf.frame_index == rec["index"]:
-                kf.marginalized = True
-                kf.state = state
-        self.graph.marginalize([key])
-        return MarginalizedFrame(
-            frame_index=rec["index"], frame=rec["pre_frame"], state=state,
-            vel_bias_sigma=sigmas, scan_start=rec["stamp"],
-            scan_end=rec["scan_end"])
+        self.graph.marginalize([rec.key])
+        rec.marginalized = True
+        out = MarginalizedFrame(
+            frame_index=rec.index, frame=rec.pre_frame, state=rec.state,
+            vel_bias_sigma=sigmas, scan_start=rec.scan_start,
+            scan_end=rec.scan_end)
+        rec.pre_frame = None  # a keyframe keeps only what matching reads
+        return out

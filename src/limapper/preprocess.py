@@ -230,12 +230,3 @@ def deskew(frame: Frame, imu_samples, state_at_scan_start: SensorState,
     c1 = 2.0 * np.cross(u, frame.points)
     pts = frame.points + w * c1 + np.cross(u, c1) + t
     return replace(frame, points=pts, deskewed=True)
-
-
-def preprocess_scan(scan: RawScan, resolution: float, k: int) -> Frame:
-    """Downsample and attach neighbor lists; covariance-ready, not deskewed."""
-    down = voxel_downsample(scan, resolution)
-    frame = frame_from_scan(down)
-    if len(frame) >= k:
-        frame = replace(frame, neighbors=knn_search(frame, k))
-    return frame

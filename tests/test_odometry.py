@@ -5,6 +5,7 @@ import pytest
 
 from limapper.config import PipelineConfig
 from limapper.dataset_io import record_from_pose
+from limapper.errors import ImuCoverageGap
 from limapper.evaluation import compute_ate
 from limapper.factor_graph import FactorGraph
 from limapper.odometry import FALLBACK_VEL_BIAS_SIGMA, OdometryEstimator
@@ -20,11 +21,11 @@ def loop_scene():
         ramp_time=0.5))
 
 
-def imu_batches(scene, init_window):
+def imu_batches(scene, init_window, scans=None):
     """IMU samples up to each scan's end; the first batch also covers the
     stationary window the bootstrap needs."""
     batches, j = [], 0
-    for k, scan in enumerate(scene.scans):
+    for k, scan in enumerate(scene.scans if scans is None else scans):
         horizon = scan.scan_end + (init_window if k == 0 else 0.0)
         start = j
         while j < len(scene.imu) and scene.imu[j].stamp <= horizon:
@@ -44,6 +45,17 @@ def run(scene, config=None, n_scans=None):
 def state_vector(state):
     return np.concatenate([state.pose.rotation.quat, state.pose.translation,
                            state.velocity, state.bias_accel, state.bias_gyro])
+
+
+def outputs(est, results):
+    """What a run hands back and keeps, in a form compared bit for bit."""
+    per_scan = [(state_vector(r.state).tobytes(), r.warning,
+                 [(m.frame_index, state_vector(m.state).tobytes(),
+                   m.vel_bias_sigma.tobytes()) for m in r.marginalized])
+                for r in results]
+    keyframes = [(e["frame_index"], e["inserted"], e["dropped_low_overlap"])
+                 for e in est.keyframe_events]
+    return per_scan, keyframes, [f.kind for f in est.graph.factors]
 
 
 class TestSquareLoop:
@@ -85,3 +97,36 @@ class TestMarginalCovarianceFallback:
         monkeypatch.setattr(FactorGraph, "marginal_covariance", broken)
         with pytest.raises(KeyError):
             run(loop_scene, self.short_lag(), n_scans=3)
+
+
+class TestRetryAfterFailure:
+    """A scan that raises before it enters the graph can be sent again."""
+
+    def test_retry_after_imu_gap_matches_clean_run(self, loop_scene):
+        clean_est, clean = run(loop_scene)
+        batches = imu_batches(loop_scene, clean_est.config.odometry.init_window)
+        pairs = list(zip(loop_scene.scans, batches))
+        est = OdometryEstimator()
+        results = [est.process_frame(scan, batch) for scan, batch in pairs[:8]]
+        with pytest.raises(ImuCoverageGap):
+            est.process_frame(loop_scene.scans[8], [])  # its IMU held back
+        results += [est.process_frame(scan, batch) for scan, batch in pairs[8:]]
+        assert outputs(est, results) == outputs(clean_est, clean)
+
+    def test_retry_of_bootstrap_scan_matches_clean_run(self, loop_scene):
+        # scan 5 is still at rest; the IMU from 0 s covers the bootstrap
+        # window, and the first try stops at the scan's start, so the
+        # bootstrap succeeds and the deskew fails
+        scans = loop_scene.scans[5:]
+        batches = imu_batches(loop_scene, PipelineConfig().odometry.init_window,
+                              scans)
+        clean_est = OdometryEstimator()
+        clean = [clean_est.process_frame(scan, batch)
+                 for scan, batch in zip(scans, batches)]
+        est = OdometryEstimator()
+        with pytest.raises(ImuCoverageGap):
+            est.process_frame(scans[0], [s for s in batches[0]
+                                         if s.stamp <= scans[0].scan_start])
+        results = [est.process_frame(scan, batch)
+                   for scan, batch in zip(scans, batches)]
+        assert outputs(est, results) == outputs(clean_est, clean)
