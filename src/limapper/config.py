@@ -30,7 +30,7 @@ class OdometryConfig:
     keyframe_insert_overlap: float = 0.90
     keyframe_drop_overlap: float = 0.05
     max_keyframes: int = 20
-    recent_frame_links: int = 3
+    recent_frame_links: int = 3  # 0 links keyframes only
     smoothing_lag: int = 5
     min_inliers: int = 10
     init_window: float = 0.5  # s of stationary IMU for bootstrapping
@@ -96,6 +96,8 @@ class PipelineConfig:
             raise ValueError("need 0 < first/last overlap < insert overlap < 1")
         if self.local.max_frames < 1 or self.odometry.smoothing_lag < 1:
             raise ValueError("window sizes must be positive")
+        if self.odometry.recent_frame_links < 0:
+            raise ValueError("recent_frame_links must not be negative")
         for name in ("downsample_resolution",):
             if getattr(self.preprocess, name) <= 0:
                 raise ValueError(f"preprocess.{name} must be positive")

@@ -21,6 +21,10 @@ class RequiresReintegration(PipelineError):
     """Bias moved too far from the linearization point for a first-order fix."""
 
 
+class VoxelKeyOutOfRange(PipelineError):
+    """Point is not finite or lies outside the range of packed voxel keys."""
+
+
 class DegenerateConstraint(PipelineError):
     """Too few point-to-voxel matches to form a useful constraint."""
 
@@ -48,6 +52,10 @@ class NotConverged(PipelineError):
         super().__init__(message)
         self.estimates = estimates
         self.cost = cost
+
+
+class RunFinished(PipelineError):
+    """Estimator was flushed with finish() and takes no further scans."""
 
 
 class OutOfOrder(PipelineError):

@@ -51,7 +51,6 @@ from .registration import (
     GaussianVoxelMap,
     linearize_from_terms,
     match_terms,
-    skew_batch,
 )
 from .preprocess import Frame
 
@@ -98,6 +97,13 @@ def local_value(kind: str, value, ref) -> np.ndarray:
 
 def _pose_of(kind: str, value) -> Se3Pose:
     return value if kind == "submap-pose" else value.pose
+
+
+def _padded(block: np.ndarray, *dims: int) -> np.ndarray:
+    """block in the leading corner of a zero array of shape dims."""
+    out = np.zeros(dims)
+    out[tuple(slice(0, n) for n in block.shape)] = block
+    return out
 
 
 class FactorLinearization:
@@ -233,7 +239,6 @@ class MatchingCostFactor(Factor):
         self.min_inliers = min_inliers
         self._empty = (len(source) == 0 or len(target_map) == 0
                        or source.covs is None)
-        self._hats = None  # skew matrices of the source points, built lazily
         self._rows = None  # voxel row per source point from the last linearize
         # (v_i, v_j, terms, t_ij) of the last evaluated value pair, with terms
         # on self._rows once set; values are immutable, so identity comparison
@@ -293,38 +298,25 @@ class MatchingCostFactor(Factor):
         return terms.cost if terms.inliers >= self.min_inliers else 0.0
 
     def linearize(self, values) -> FactorLinearization:
-        zeros = [np.zeros(k.dim) for k in self.keys]
-        if self._hats is None and len(self.source):
-            self._hats = skew_batch(self.source.points)
+        dims = [k.dim for k in self.keys]
         try:
             if self._empty:
                 raise DegenerateConstraint("no points to match")
             terms, t_ij = self._terms(values, lookup=True)
             self._rows = terms.rows
-            lin = linearize_from_terms(self.source, terms, t_ij,
-                                       target_fixed=self.unary,
-                                       min_inliers=self.min_inliers,
-                                       source_hats=self._hats)
+            lin = linearize_from_terms(terms, t_ij, target_fixed=self.unary,
+                                       min_inliers=self.min_inliers)
         except DegenerateConstraint:
-            h = {(a, a): np.zeros((k.dim, k.dim)) for a, k in enumerate(self.keys)}
-            return FactorLinearization(self.keys, zeros, h, 0.0)
-        di = self.keys[0].dim
-        g_i = np.zeros(di)
-        g_i[:6] = lin.b_i
-        h_ii = np.zeros((di, di))
-        h_ii[:6, :6] = lin.h_ii
-        if self.unary:
-            return FactorLinearization(self.keys, [g_i], {(0, 0): h_ii}, lin.cost)
-        dj = self.keys[1].dim
-        g_j = np.zeros(dj)
-        g_j[:6] = lin.b_j
-        h_jj = np.zeros((dj, dj))
-        h_jj[:6, :6] = lin.h_jj
-        h_ij = np.zeros((di, dj))
-        h_ij[:6, :6] = lin.h_ij
-        return FactorLinearization(
-            self.keys, [g_i, g_j],
-            {(0, 0): h_ii, (0, 1): h_ij, (1, 1): h_jj}, lin.cost)
+            return FactorLinearization(
+                self.keys, [np.zeros(d) for d in dims],
+                {(a, a): np.zeros((d, d)) for a, d in enumerate(dims)}, 0.0)
+        g = [_padded(lin.b_i, dims[0])]
+        h = {(0, 0): _padded(lin.h_ii, dims[0], dims[0])}
+        if not self.unary:
+            g.append(_padded(lin.b_j, dims[1]))
+            h[(0, 1)] = _padded(lin.h_ij, dims[0], dims[1])
+            h[(1, 1)] = _padded(lin.h_jj, dims[1], dims[1])
+        return FactorLinearization(self.keys, g, h, lin.cost)
 
 
 class RelativeStateFactor(Factor):
@@ -522,10 +514,6 @@ class FactorGraph:
             if k not in self.values:
                 raise UnknownVariable(f"factor references missing {k}")
         self.factors.append(factor)
-        self._cached_normal = None
-
-    def remove_variable(self, key: Key) -> None:
-        del self.values[key]
         self._cached_normal = None
 
     def total_cost(self, values=None) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import PipelineConfig
-from .errors import InitializationMotion, NotConverged, OutOfOrder
+from .errors import InitializationMotion, NotConverged, OutOfOrder, RunFinished
 from .factor_graph import (
     FactorGraph,
     ImuFactor,
@@ -172,6 +172,7 @@ class OdometryEstimator:
         self._next_index = 0
         self._last_scan_start = -math.inf
         self._initialized = False
+        self._finished = False
 
     # -- helpers ---------------------------------------------------------------
 
@@ -227,6 +228,8 @@ class OdometryEstimator:
         as it was, apart from buffering its IMU samples, so it can be sent
         again with more IMU data.
         """
+        if self._finished:
+            raise RunFinished("finish() ended this run; use a new estimator")
         if scan.scan_start <= self._last_scan_start:
             raise OutOfOrder(
                 f"scan at {scan.scan_start:.6f} does not follow "
@@ -292,7 +295,9 @@ class OdometryEstimator:
                               warning=warning)
 
     def finish(self) -> list:
-        """Flush: marginalize and emit every frame still in the window."""
+        """Flush: marginalize and emit every frame still in the window.
+        This ends the run: process_frame raises RunFinished afterwards."""
+        self._finished = True
         out = []
         while self._window:
             out.append(self._emit_oldest())
@@ -316,7 +321,7 @@ class OdometryEstimator:
         one.
         """
         cfg = self.config.odometry
-        recent = [f for f in reversed(self._window[-cfg.recent_frame_links:])
+        recent = [f for f in self._window[::-1][:cfg.recent_frame_links]
                   if f.voxelmap is not None]
         targets = recent + [kf for kf in self.keyframes if kf not in recent]
         for target in targets:

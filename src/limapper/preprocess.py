@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import FrameTooSparse, ImuCoverageGap
+from .errors import FrameTooSparse, ImuCoverageGap, VoxelKeyOutOfRange
 from .geometry import SensorState, Se3Pose, pose_inverse
 from .imu import GRAVITY, ImuSample, integration_nodes, propagate_state, samples_to_arrays
 
@@ -66,7 +66,19 @@ def frame_from_scan(scan: RawScan) -> Frame:
 
 
 def pack_voxel_keys(points: np.ndarray, resolution: float) -> np.ndarray:
-    idx = np.floor(points / resolution).astype(np.int64) + _KEY_OFFSET
+    """One int64 key per point from its voxel index, 21 bits per axis.
+
+    Raises VoxelKeyOutOfRange for a non-finite point or an index outside
+    [-2^20, 2^20) on any axis, where keys would alias.
+    """
+    cells = np.floor(points / resolution)
+    # one test catches both: a NaN or infinite index fails the comparison
+    inside = np.abs(cells + 0.5) < _KEY_OFFSET
+    if not inside.all():
+        raise VoxelKeyOutOfRange(
+            f"point {points[~inside.all(axis=1)][0]} is not finite or has a "
+            f"voxel index outside [-2^20, 2^20) at {resolution} m")
+    idx = cells.astype(np.int64) + _KEY_OFFSET
     return (idx[:, 0] << 42) | (idx[:, 1] << 21) | idx[:, 2]
 
 

@@ -10,9 +10,12 @@ nothing; low-overlap pairs are rejected up front by the overlap gate.
 Linearization produces Gauss-Newton blocks for right-multiplicative
 perturbations of the two sensor poses, re-evaluating correspondences at the
 supplied linearization point and holding the per-point weight matrices fixed
-within the iteration.  ``match_terms`` can also evaluate the cost with
-correspondences fixed from an earlier lookup, which keeps the cost smooth
-between two linearizations.
+within the iteration.  The per-point Jacobian is taken once, in the target
+frame, for a perturbation of the target pose; the source pose's blocks
+follow from those sums through the SE(3) adjoint of the relative pose, so a
+binary factor makes one pass over its inliers, as a unary one does.
+``match_terms`` can also evaluate the cost with correspondences fixed from
+an earlier lookup, which keeps the cost smooth between two linearizations.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateConstraint
-from .geometry import Gaussian3, Se3Pose, pose_compose, pose_inverse
+from .geometry import (Gaussian3, Se3Pose, pose_compose, pose_inverse,
+                       so3_hat)
 from .preprocess import Frame, pack_voxel_keys
 
 MIN_INLIERS_DEFAULT = 10
@@ -202,79 +206,59 @@ class MatchingCostLinearization:
     inlier_count: int
 
 
-def skew_batch(points: np.ndarray) -> np.ndarray:
-    """(n, 3, 3) cross-product matrices of (n, 3) vectors."""
-    n = points.shape[0]
-    out = np.zeros((n, 3, 3))
-    out[:, 0, 1] = -points[:, 2]
-    out[:, 0, 2] = points[:, 1]
-    out[:, 1, 0] = points[:, 2]
-    out[:, 1, 2] = -points[:, 0]
-    out[:, 2, 0] = -points[:, 1]
-    out[:, 2, 1] = points[:, 0]
-    return out
-
-
-def linearize_from_terms(frame_i: Frame, terms: MatchTerms, t_ij: Se3Pose,
+def linearize_from_terms(terms: MatchTerms, t_ij: Se3Pose,
                          target_fixed: bool = False,
-                         min_inliers: int = MIN_INLIERS_DEFAULT,
-                         source_hats: np.ndarray | None = None
+                         min_inliers: int = MIN_INLIERS_DEFAULT
                          ) -> MatchingCostLinearization:
-    """Gauss-Newton blocks from precomputed correspondences and weights."""
+    """Gauss-Newton blocks from precomputed correspondences and weights.
+
+    One Jacobian per inlier, J = [ -hat(x0) | I ], the derivative of its
+    residual with respect to the target pose, with x0 the moved point in
+    the target frame; H = 2 sum J^T W J and b = 2 sum J^T W d, formed once,
+    are the target pose's blocks.  A source perturbation xi_i moves the
+    points as the target perturbation -Ad(t_ij) xi_i does, so the source and
+    cross blocks follow from the 6x6 adjoint Ad without a second pass over
+    the points: H_ii = Ad^T H Ad, H_ij = -Ad^T H, b_i = -Ad^T b.
+    """
     if terms.inliers < min_inliers:
         raise DegenerateConstraint(
             f"{terms.inliers} inliers (minimum {min_inliers})")
-    hit, weight, wd = terms.hit, terms.weight, terms.wd
-    n_in = terms.inliers
+    x0 = terms.moved[terms.hit]
+    jac = np.zeros((terms.inliers, 3, 6))
+    jac[:, 0, 1], jac[:, 0, 2] = x0[:, 2], -x0[:, 1]
+    jac[:, 1, 0], jac[:, 1, 2] = -x0[:, 2], x0[:, 0]
+    jac[:, 2, 0], jac[:, 2, 1] = x0[:, 1], -x0[:, 0]
+    jac[:, 0, 3] = jac[:, 1, 4] = jac[:, 2, 5] = 1.0
+    rows = jac.reshape(-1, 6)  # the three rows of every inlier, stacked
+    h = 2.0 * (rows.T @ (terms.weight @ jac).reshape(-1, 6))
+    b = 2.0 * (rows.T @ terms.wd.reshape(-1))
+
     rmat = t_ij.rotation.matrix()
-    if source_hats is None:
-        source_hats = skew_batch(frame_i.points)
-    x0 = terms.moved[hit]
-
-    # source perturbation: d(residual)/dxi_i = R_ij [ hat(mu) | -I ]
-    j_i = np.empty((n_in, 3, 6))
-    j_i[:, :, :3] = rmat @ source_hats[hit]
-    j_i[:, :, 3:] = -rmat
-
-    jt_i = j_i.transpose(0, 2, 1)
-    jtw_i = jt_i @ weight
-    h_ii = 2.0 * np.sum(jtw_i @ j_i, axis=0)
-    b_i = 2.0 * np.sum(jt_i @ wd[:, :, None], axis=0)[:, 0]
-
+    adj = np.zeros((6, 6))
+    adj[:3, :3] = adj[3:, 3:] = rmat
+    adj[3:, :3] = so3_hat(t_ij.translation) @ rmat
+    adj_t_h = adj.T @ h
     if target_fixed:
-        return MatchingCostLinearization(h_ii, None, None, b_i, None,
-                                         terms.cost, n_in)
-
-    # target perturbation: d(residual)/dxi_j = [ -hat(x0) | I ]
-    j_j = np.empty((n_in, 3, 6))
-    j_j[:, :, :3] = -skew_batch(x0)
-    j_j[:, :, 3:] = np.eye(3)
-
-    jt_j = j_j.transpose(0, 2, 1)
-    jtw_j = jt_j @ weight
-    h_jj = 2.0 * np.sum(jtw_j @ j_j, axis=0)
-    h_ij = 2.0 * np.sum(jtw_i @ j_j, axis=0)
-    b_j = 2.0 * np.sum(jt_j @ wd[:, :, None], axis=0)[:, 0]
-    return MatchingCostLinearization(h_ii, h_ij, h_jj, b_i, b_j,
-                                     terms.cost, n_in)
+        return MatchingCostLinearization(adj_t_h @ adj, None, None,
+                                         -(adj.T @ b), None,
+                                         terms.cost, terms.inliers)
+    return MatchingCostLinearization(adj_t_h @ adj, -adj_t_h, h, -(adj.T @ b),
+                                     b, terms.cost, terms.inliers)
 
 
 def linearize_matching_cost(frame_i: Frame, map_j: GaussianVoxelMap,
                             t_i: Se3Pose, t_j: Se3Pose,
                             target_fixed: bool = False,
-                            min_inliers: int = MIN_INLIERS_DEFAULT,
-                            source_hats: np.ndarray | None = None
+                            min_inliers: int = MIN_INLIERS_DEFAULT
                             ) -> MatchingCostLinearization:
     """Linearize the matching cost of frame_i against map_j.
 
     Correspondences are looked up at the supplied poses and the per-point
     weights held fixed, giving the standard Gauss-Newton model of the cost.
     Raises DegenerateConstraint when fewer than min_inliers points match.
-    source_hats can carry precomputed skew matrices of the source points.
     """
     t_ij = pose_compose(pose_inverse(t_j), t_i)
     if len(frame_i) == 0 or len(map_j) == 0 or frame_i.covs is None:
         raise DegenerateConstraint("no points to match")
     terms = match_terms(frame_i, map_j, t_ij)
-    return linearize_from_terms(frame_i, terms, t_ij, target_fixed,
-                                min_inliers, source_hats)
+    return linearize_from_terms(terms, t_ij, target_fixed, min_inliers)

@@ -64,3 +64,11 @@ class TestRejection:
         config.odometry.max_keyframes = 1
         with pytest.raises(ValueError, match="max_keyframes"):
             config.validate()
+
+    def test_validate_recent_frame_links(self):
+        config = PipelineConfig()
+        config.odometry.recent_frame_links = 0  # link keyframes only
+        config.validate()
+        config.odometry.recent_frame_links = -1
+        with pytest.raises(ValueError, match="recent_frame_links"):
+            config.validate()

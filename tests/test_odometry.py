@@ -5,10 +5,11 @@ import pytest
 
 from limapper.config import PipelineConfig
 from limapper.dataset_io import record_from_pose
-from limapper.errors import ImuCoverageGap
+from limapper.errors import ImuCoverageGap, RunFinished, VoxelKeyOutOfRange
 from limapper.evaluation import compute_ate
 from limapper.factor_graph import FactorGraph
 from limapper.odometry import FALLBACK_VEL_BIAS_SIGMA, OdometryEstimator
+from limapper.preprocess import RawScan
 from limapper.synthetic import generate_synthetic_scene, square_loop_scene
 
 
@@ -113,6 +114,21 @@ class TestRetryAfterFailure:
         results += [est.process_frame(scan, batch) for scan, batch in pairs[8:]]
         assert outputs(est, results) == outputs(clean_est, clean)
 
+    def test_retry_after_nan_point_matches_clean_run(self, loop_scene):
+        clean_est, clean = run(loop_scene)
+        batches = imu_batches(loop_scene, clean_est.config.odometry.init_window)
+        pairs = list(zip(loop_scene.scans, batches))
+        est = OdometryEstimator()
+        results = [est.process_frame(scan, batch) for scan, batch in pairs[:8]]
+        scan = loop_scene.scans[8]
+        points = scan.points.copy()
+        points[17] = np.nan
+        with pytest.raises(VoxelKeyOutOfRange):
+            est.process_frame(RawScan(points, scan.stamps, scan.scan_start,
+                                      scan.scan_end), batches[8])
+        results += [est.process_frame(scan, batch) for scan, batch in pairs[8:]]
+        assert outputs(est, results) == outputs(clean_est, clean)
+
     def test_retry_of_bootstrap_scan_matches_clean_run(self, loop_scene):
         # scan 5 is still at rest; the IMU from 0 s covers the bootstrap
         # window, and the first try stops at the scan's start, so the
@@ -130,3 +146,44 @@ class TestRetryAfterFailure:
         results = [est.process_frame(scan, batch)
                    for scan, batch in zip(scans, batches)]
         assert outputs(est, results) == outputs(clean_est, clean)
+
+
+class TestFinish:
+    def test_scan_after_finish_raises_and_changes_nothing(self, loop_scene):
+        est, _ = run(loop_scene, n_scans=8)
+        flushed = est.finish()
+        assert [m.frame_index for m in flushed] == [3, 4, 5, 6, 7]
+        before = (dict(est.graph.values), list(est.graph.factors),
+                  list(est._imu), list(est.keyframes),
+                  len(est.keyframe_events), est._next_index)
+        batch = imu_batches(loop_scene, est.config.odometry.init_window)[8]
+        with pytest.raises(RunFinished):
+            est.process_frame(loop_scene.scans[8], batch)
+        after = (dict(est.graph.values), list(est.graph.factors),
+                 list(est._imu), list(est.keyframes),
+                 len(est.keyframe_events), est._next_index)
+        assert after == before
+        assert est.finish() == []
+
+
+class TestRecentFrameLinks:
+    @staticmethod
+    def binary_targets(scene, links):
+        """Target frame indices of the binary matching factors added over 8
+        scans, and the indices of every frame that became a keyframe."""
+        config = PipelineConfig()
+        config.odometry.recent_frame_links = links
+        config.odometry.smoothing_lag = 10  # keep every factor in the graph
+        est, _ = run(scene, config, n_scans=8)
+        targets = [f.keys[1].index for f in est.graph.factors
+                   if f.kind == "matching-cost-binary"]
+        keyframes = {e["frame_index"] for e in est.keyframe_events
+                     if e["inserted"]}
+        return targets, keyframes
+
+    def test_zero_links_only_keyframes(self, loop_scene):
+        targets, keyframes = self.binary_targets(loop_scene, 0)
+        assert targets and set(targets) <= keyframes
+        one, keyframes_one = self.binary_targets(loop_scene, 1)
+        assert not set(one) <= keyframes_one  # 1 links a non-keyframe
+        assert len(targets) < len(one)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from limapper.errors import FrameTooSparse, ImuCoverageGap
+from limapper.errors import FrameTooSparse, ImuCoverageGap, VoxelKeyOutOfRange
 from limapper.geometry import SensorState, Se3Pose, so3_exp, so3_log
 from limapper.imu import GRAVITY, ImuSample
 from limapper.preprocess import (
@@ -11,6 +11,7 @@ from limapper.preprocess import (
     estimate_covariances,
     frame_from_scan,
     knn_search,
+    pack_voxel_keys,
     voxel_downsample,
 )
 
@@ -78,6 +79,31 @@ class TestVoxelDownsample:
         order2 = np.lexsort(twice.points.T)
         assert len(once) == len(twice)
         assert np.allclose(once.points[order1], twice.points[order2])
+
+
+class TestPackVoxelKeys:
+    def test_in_range_keys_unchanged(self):
+        rng = np.random.default_rng(3)
+        edge = 0.25 * np.array([[-2**20, 2**20 - 1, 0],
+                                [2**20 - 1, -2**20, -1]], dtype=float)
+        points = np.vstack([rng.uniform(-1e4, 1e4, (200, 3)), edge])
+        idx = np.floor(points / 0.25).astype(np.int64) + (1 << 20)
+        packed = (idx[:, 0] << 42) | (idx[:, 1] << 21) | idx[:, 2]
+        assert np.array_equal(pack_voxel_keys(points, 0.25), packed)
+        assert len(set(pack_voxel_keys(edge, 0.25))) == 2
+
+    @pytest.mark.parametrize("point", [
+        [0.1, 0.1 + 0.25 * 2**21, 0.1],  # would alias (0.35, 0.1, 0.1)
+        [0.1, 0.1, -0.25 * (2**20 + 1)],
+        [np.nan, 0.0, 0.0],  # would get the key of the origin's voxel
+        [0.0, np.inf, 0.0],
+    ])
+    def test_out_of_range_or_non_finite_raises(self, point):
+        points = np.array([[0.35, 0.1, 0.1], point])
+        with pytest.raises(VoxelKeyOutOfRange):
+            pack_voxel_keys(points, 0.25)
+        with pytest.raises(VoxelKeyOutOfRange):
+            voxel_downsample(scan_of(points, [0.0, 0.0]), 0.25)
 
 
 class TestKnn:

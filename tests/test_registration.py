@@ -10,6 +10,7 @@ from limapper.geometry import (
     pose_inverse,
     pose_retract,
     so3_exp,
+    so3_hat,
 )
 from limapper.preprocess import Frame
 from limapper.registration import (
@@ -368,6 +369,52 @@ class TestLinearization:
                     scale = max(1.0, np.max(np.abs(fd)))
                     worst = max(worst, np.max(np.abs(fd - jac)) / scale)
         assert worst < 1e-5
+
+    def test_blocks_match_per_point_sums_of_both_jacobians(self):
+        # oracle: the per-point source Jacobian R [ hat(mu) | -I ] and target
+        # Jacobian [ -hat(x0) | I ], summed point by point; the blocks under
+        # test come from the target Jacobian and the adjoint
+        rng = np.random.default_rng(12)
+        frame = box_room_frame_plane_covs(rng, n_per_wall=20)
+        vmap = build_voxelmap(frame, 0.5)
+        pairs = 0
+        while pairs < 10:
+            t_i = Se3Pose(so3_exp(rng.uniform(-0.3, 0.3, 3)), rng.uniform(-1, 1, 3))
+            t_j = Se3Pose(so3_exp(rng.uniform(-0.3, 0.3, 3)), rng.uniform(-1, 1, 3))
+            t_ij = pose_compose(pose_inverse(t_j), t_i)
+            rmat = t_ij.rotation.matrix()
+            moved = pose_apply(t_ij, frame.points)
+            want = {k: 0.0 for k in ("h_ii", "h_ij", "h_jj", "b_i", "b_j")}
+            for mu, cov, x0, row in zip(frame.points, frame.covs, moved,
+                                        vmap.lookup(moved)):
+                if row < 0:
+                    continue
+                _, d, w = d2d_error(Gaussian3(mu, cov),
+                                    Gaussian3(vmap.means[row], vmap.covs[row]),
+                                    t_ij)
+                j_i = np.hstack([rmat @ so3_hat(mu), -rmat])
+                j_j = np.hstack([-so3_hat(x0), np.eye(3)])
+                want["h_ii"] += 2 * j_i.T @ w @ j_i
+                want["h_ij"] += 2 * j_i.T @ w @ j_j
+                want["h_jj"] += 2 * j_j.T @ w @ j_j
+                want["b_i"] += 2 * j_i.T @ w @ d
+                want["b_j"] += 2 * j_j.T @ w @ d
+            try:
+                binary = linearize_matching_cost(frame, vmap, t_i, t_j)
+                unary = linearize_matching_cost(frame, vmap, t_i, t_j,
+                                                target_fixed=True)
+            except DegenerateConstraint:
+                continue
+            pairs += 1
+            for name, value in want.items():
+                scale = np.max(np.abs(value))
+                got = getattr(binary, name)
+                assert np.max(np.abs(got - value)) <= 1e-12 * scale, name
+                if name in ("h_ii", "b_i"):
+                    got = getattr(unary, name)
+                    assert np.max(np.abs(got - value)) <= 1e-12 * scale, name
+                else:
+                    assert getattr(unary, name) is None
 
     def test_degenerate_constraint_raised(self):
         a = make_frame([[0, 0, 0]])
