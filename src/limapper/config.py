@@ -7,6 +7,7 @@ ranges.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -98,9 +99,20 @@ class PipelineConfig:
             raise ValueError("window sizes must be positive")
         if self.odometry.recent_frame_links < 0:
             raise ValueError("recent_frame_links must not be negative")
-        for name in ("downsample_resolution",):
-            if getattr(self.preprocess, name) <= 0:
+        if self.preprocess.knn < 1:
+            raise ValueError("preprocess.knn must be at least 1")
+        # comparisons written so that NaN fails them
+        for name in ("downsample_resolution", "plane_eps", "max_imu_gap"):
+            if not getattr(self.preprocess, name) > 0:
                 raise ValueError(f"preprocess.{name} must be positive")
+        opt = self.optimizer
+        if opt.max_iterations < 1 or self.odometry.lm_max_iterations < 1:
+            raise ValueError("LM iteration caps must be at least 1")
+        if not 0.0 < opt.lambda_init < opt.lambda_max:
+            raise ValueError("need 0 < optimizer.lambda_init < optimizer.lambda_max")
+        for name in ("rel_cost_tol", "update_tol"):
+            if not getattr(opt, name) >= 0:
+                raise ValueError(f"optimizer.{name} must not be negative")
         for cfg, name in ((self.odometry, "voxel_resolution"),
                           (self.global_mapping, "voxel_resolution"),
                           (self.local, "voxel_resolution")):
@@ -181,6 +193,9 @@ def _convert(raw: str, ftype: str, key: str):
     try:
         if "int" in ftype:
             return int(raw)
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ParseError(f"{key}: cannot parse {raw!r} as {ftype}")
+    if not math.isfinite(value):
+        raise ParseError(f"{key}: {raw!r} is not a finite number")
+    return value

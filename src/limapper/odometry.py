@@ -162,6 +162,7 @@ class OdometryResult:
 class OdometryEstimator:
     def __init__(self, config: PipelineConfig | None = None):
         self.config = config or PipelineConfig()
+        self.config.validate()
         self.noise = self.config.noise_params()
         self.gravity = self.noise.gravity
         self.graph = FactorGraph()

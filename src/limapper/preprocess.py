@@ -82,53 +82,96 @@ def pack_voxel_keys(points: np.ndarray, resolution: float) -> np.ndarray:
     return (idx[:, 0] << 42) | (idx[:, 1] << 21) | idx[:, 2]
 
 
+def group_by_key(keys: np.ndarray):
+    """Stable grouping of equal keys: (order, starts, counts).
+
+    Group g holds the rows ``order[starts[g]:starts[g] + counts[g]]``; groups
+    come in ascending key order and each keeps its rows in index order.
+    """
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+    counts = np.diff(np.r_[starts, keys.shape[0]])
+    return order, starts, counts
+
+
+def segment_sums(values: np.ndarray, starts: np.ndarray,
+                 counts: np.ndarray) -> np.ndarray:
+    """Sum of each run ``values[s:s + c]``, added in row order from zero.
+
+    One vectorized pass per occupancy level adds the level-th row of every
+    run that has one, so each sum is the one a sequential loop forms: equal
+    bit for bit to ``np.add.at`` over the rows in index order, and to
+    numpy's sum over axis 0 of a 2-D block.
+    """
+    by_size = np.argsort(-counts, kind="stable")
+    first = starts[by_size]
+    # runs with more than `level` rows form a prefix of `by_size`
+    active = np.searchsorted(-counts[by_size], -np.arange(counts.max()),
+                             side="left")
+    sums = np.zeros((counts.shape[0],) + values.shape[1:])
+    for level, n in enumerate(active):
+        sums[:n] += values[first[:n] + level]
+    out = np.empty_like(sums)
+    out[by_size] = sums
+    return out
+
+
 def voxel_downsample(scan: RawScan, resolution: float) -> RawScan:
     """Average positions and timestamps per voxel, splitting on stamp spread.
 
     A point whose stamp differs from its cell's running-mean stamp by more
     than a tenth of the scan duration is diverted to a single overflow cell
     for the same spatial key, so the first and last points of a spinning
-    scan are never fused.
+    scan are never fused.  Only voxels whose stamp spread exceeds that
+    tolerance run the sequential assignment; their cells follow in key order.
+
+    The output equals a per-voxel ``np.mean`` bit for bit.  That mean sums a
+    voxel's positions over axis 0 in scan order, which ``segment_sums``
+    repeats for all voxels at once.  A voxel's stamps are summed in the same
+    order only below 8 points: from 8 addends on, numpy sums a 1-D array
+    pairwise, so those voxels take the stamps' ``.sum()``, as ``np.mean`` does.
     """
     if resolution <= 0.0:
         raise ValueError("resolution must be positive")
-    n = len(scan)
-    if n == 0:
+    if len(scan) == 0:
         return scan
     split_tol = scan.duration / 10.0
-    keys = pack_voxel_keys(scan.points, resolution)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    boundaries = np.flatnonzero(np.diff(sorted_keys)) + 1
-    groups = np.split(order, boundaries)
+    order, starts, counts = group_by_key(pack_voxel_keys(scan.points, resolution))
+    stamps = scan.stamps[order]
+    sums = segment_sums(np.column_stack([scan.points[order], stamps]),
+                        starts, counts)
+    for g in np.flatnonzero(counts >= 8):
+        sums[g, 3] = stamps[starts[g]:starts[g] + counts[g]].sum()  # pairwise
+    points = sums[:, :3] / counts[:, None]
+    mean_stamps = sums[:, 3] / counts
 
-    out_pos = []
-    out_stamp = []
-    for grp in groups:
-        ts = scan.stamps[grp]
-        if ts.max() - ts.min() <= split_tol:
-            out_pos.append(scan.points[grp].mean(axis=0))
-            out_stamp.append(ts.mean())
-            continue
-        # running-mean assignment in scan order: primary cell plus overflow
+    spread = np.maximum.reduceat(stamps, starts) - np.minimum.reduceat(stamps, starts)
+    # a voxel splits unless its spread is within tolerance, so a NaN stamp
+    # splits it.  Running-mean assignment in scan order: the primary cell
+    # replaces the voxel's row, a non-empty overflow cell goes right after it
+    overflow_at, overflow_points, overflow_stamps = [], [], []
+    for g in np.flatnonzero(~(spread <= split_tol)):
         cells = [[], []]
-        sums = [0.0, 0.0]
-        for i in grp:
+        cell_sums = [0.0, 0.0]
+        for i in order[starts[g]:starts[g] + counts[g]]:
             t = scan.stamps[i]
-            if not cells[0]:
-                target = 0
-            elif abs(t - sums[0] / len(cells[0])) <= split_tol:
+            if not cells[0] or abs(t - cell_sums[0] / len(cells[0])) <= split_tol:
                 target = 0
             else:
                 target = 1
             cells[target].append(i)
-            sums[target] += t
-        for cell in cells:
-            if cell:
-                out_pos.append(scan.points[cell].mean(axis=0))
-                out_stamp.append(scan.stamps[cell].mean())
-    return RawScan(np.array(out_pos), np.array(out_stamp),
-                   scan.scan_start, scan.scan_end)
+            cell_sums[target] += t
+        points[g] = scan.points[cells[0]].mean(axis=0)
+        mean_stamps[g] = scan.stamps[cells[0]].mean()
+        if cells[1]:
+            overflow_at.append(g + 1)
+            overflow_points.append(scan.points[cells[1]].mean(axis=0))
+            overflow_stamps.append(scan.stamps[cells[1]].mean())
+    if overflow_at:
+        points = np.insert(points, overflow_at, overflow_points, axis=0)
+        mean_stamps = np.insert(mean_stamps, overflow_at, overflow_stamps)
+    return RawScan(points, mean_stamps, scan.scan_start, scan.scan_end)
 
 
 def knn_search(frame: Frame, k: int) -> np.ndarray:

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DegenerateConstraint
 from .geometry import (Gaussian3, Se3Pose, pose_compose, pose_inverse,
                        so3_hat)
-from .preprocess import Frame, pack_voxel_keys
+from .preprocess import Frame, group_by_key, pack_voxel_keys, segment_sums
 
 MIN_INLIERS_DEFAULT = 10
 
@@ -91,17 +91,14 @@ def build_voxelmap(frame: Frame, resolution: float) -> GaussianVoxelMap:
         return GaussianVoxelMap(resolution, empty, np.zeros((0, 3)),
                                 np.zeros((0, 3, 3)), np.zeros(0, dtype=np.int64))
     keys = pack_voxel_keys(frame.points, resolution)
-    uniq, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    m = uniq.shape[0]
-    means = np.zeros((m, 3))
-    np.add.at(means, inverse, frame.points)
-    means /= counts[:, None]
-    centered = frame.points - means[inverse]
-    scatter = frame.covs + np.einsum("ni,nj->nij", centered, centered)
-    covs = np.zeros((m, 3, 3))
-    np.add.at(covs, inverse, scatter)
-    covs /= counts[:, None, None]
-    return GaussianVoxelMap(resolution, uniq, means, covs, counts.astype(np.int64))
+    order, starts, counts = group_by_key(keys)
+    points = frame.points[order]
+    means = segment_sums(points, starts, counts) / counts[:, None]
+    centered = points - np.repeat(means, counts, axis=0)
+    scatter = frame.covs[order] + np.einsum("ni,nj->nij", centered, centered)
+    covs = segment_sums(scatter, starts, counts) / counts[:, None, None]
+    return GaussianVoxelMap(resolution, keys[order[starts]], means, covs,
+                            counts.astype(np.int64))
 
 
 def d2d_error(point: Gaussian3, voxel: Gaussian3, t_ij: Se3Pose):
@@ -164,9 +161,13 @@ def match_terms(frame: Frame, vmap: GaussianVoxelMap, t_ij: Se3Pose,
     hit = rows >= 0
     idx = rows[hit]
     d = vmap.means[idx] - moved[hit]
-    cov = vmap.covs[idx] + rmat @ (frame.covs[hit] @ rmat.T)
+    # R C R^T from two products over the stacked 3-row blocks: C R^T, then,
+    # C being symmetric, (C R^T)^T R^T
+    c_rt = (frame.covs[hit].reshape(-1, 3) @ rmat.T).reshape(-1, 3, 3)
+    r_c_rt = c_rt.transpose(0, 2, 1).reshape(-1, 3) @ rmat.T
+    cov = vmap.covs[idx] + r_c_rt.reshape(-1, 3, 3)
     weight = _inv3x3(cov)
-    wd = (weight @ d[:, :, None])[:, :, 0]
+    wd = np.einsum("nij,nj->ni", weight, d)
     cost = float(np.sum(d * wd))
     return MatchTerms(rows, hit, moved, d, weight, wd, cost,
                       int(np.count_nonzero(hit)))

@@ -3,6 +3,7 @@ import pytest
 from limapper.config import PipelineConfig
 from limapper.errors import ParseError
 from limapper.factor_graph import LmSettings
+from limapper.odometry import OdometryEstimator
 
 
 def write(tmp_path, text):
@@ -72,3 +73,50 @@ class TestRejection:
         config.odometry.recent_frame_links = -1
         with pytest.raises(ValueError, match="recent_frame_links"):
             config.validate()
+
+
+class TestBadValues:
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_floats_are_parse_errors(self, tmp_path, raw):
+        # a NaN lambda_init used to make optimize_lm loop forever
+        path = write(tmp_path, f"odometry.smoothing_lag = 5\noptimizer.lambda_init = {raw}\n")
+        with pytest.raises(ParseError, match="finite") as info:
+            PipelineConfig.from_file(path)
+        assert info.value.offset == 2
+
+    @pytest.mark.parametrize("section, name, value, match", [
+        ("optimizer", "max_iterations", 0, "iteration caps"),
+        ("odometry", "lm_max_iterations", 0, "iteration caps"),
+        ("optimizer", "lambda_init", 0.0, "lambda_init"),
+        ("optimizer", "lambda_init", float("nan"), "lambda_init"),
+        ("optimizer", "lambda_init", 1e13, "lambda_init"),  # above lambda_max
+        ("optimizer", "lambda_max", float("nan"), "lambda_init"),
+        ("optimizer", "rel_cost_tol", -1e-6, "rel_cost_tol"),
+        ("optimizer", "update_tol", float("nan"), "update_tol"),
+        ("preprocess", "knn", 0, "knn"),
+        ("preprocess", "plane_eps", 0.0, "plane_eps"),
+        ("preprocess", "max_imu_gap", -0.02, "max_imu_gap"),
+        ("preprocess", "downsample_resolution", float("nan"), "downsample_resolution"),
+    ])
+    def test_validate_rejects(self, section, name, value, match):
+        config = PipelineConfig()
+        setattr(getattr(config, section), name, value)
+        with pytest.raises(ValueError, match=match):
+            config.validate()
+
+    def test_limits_themselves_pass(self):
+        config = PipelineConfig()
+        config.optimizer.max_iterations = 1
+        config.odometry.lm_max_iterations = 1
+        config.optimizer.rel_cost_tol = 0.0
+        config.optimizer.update_tol = 0.0
+        config.preprocess.knn = 1
+        config.validate()
+
+    def test_estimator_validates_its_config(self):
+        # knn = 0 used to let numpy's zero-size reduction error escape
+        # process_frame
+        config = PipelineConfig()
+        config.preprocess.knn = 0
+        with pytest.raises(ValueError, match="knn"):
+            OdometryEstimator(config)

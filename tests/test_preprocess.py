@@ -14,6 +14,7 @@ from limapper.preprocess import (
     pack_voxel_keys,
     voxel_downsample,
 )
+from limapper.synthetic import generate_synthetic_scene, square_loop_scene
 
 
 def scan_of(points, stamps, start=0.0, end=0.1):
@@ -79,6 +80,104 @@ class TestVoxelDownsample:
         order2 = np.lexsort(twice.points.T)
         assert len(once) == len(twice)
         assert np.allclose(once.points[order1], twice.points[order2])
+
+
+def reference_voxel_downsample(scan, resolution):
+    """Per-voxel loop that the vectorized kernel must match bit for bit."""
+    split_tol = scan.duration / 10.0
+    keys = pack_voxel_keys(scan.points, resolution)
+    order = np.argsort(keys, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
+    out_pos, out_stamp = [], []
+    for grp in groups:
+        ts = scan.stamps[grp]
+        if ts.max() - ts.min() <= split_tol:
+            out_pos.append(scan.points[grp].mean(axis=0))
+            out_stamp.append(ts.mean())
+            continue
+        # running-mean assignment in scan order: primary cell plus overflow
+        cells, sums = [[], []], [0.0, 0.0]
+        for i in grp:
+            t = scan.stamps[i]
+            if not cells[0] or abs(t - sums[0] / len(cells[0])) <= split_tol:
+                target = 0
+            else:
+                target = 1
+            cells[target].append(i)
+            sums[target] += t
+        for cell in cells:
+            if cell:
+                out_pos.append(scan.points[cell].mean(axis=0))
+                out_stamp.append(scan.stamps[cell].mean())
+    return RawScan(np.array(out_pos), np.array(out_stamp),
+                   scan.scan_start, scan.scan_end)
+
+
+def assert_same_bits(out, ref):
+    assert out.points.shape == ref.points.shape
+    assert out.points.tobytes() == ref.points.tobytes()
+    assert out.stamps.tobytes() == ref.stamps.tobytes()
+    assert (out.scan_start, out.scan_end) == (ref.scan_start, ref.scan_end)
+
+
+@pytest.fixture(scope="module")
+def scene_scans():
+    """One scan of the 64x12-ray noisy loop and one of the 512x32-ray loop."""
+    noisy = generate_synthetic_scene(square_loop_scene(
+        perimeter=40, speed=3.0, n_frames=3, seed=1, settle=0.1,
+        ramp_time=0.1, range_noise=0.01))
+    dense = generate_synthetic_scene(square_loop_scene(
+        perimeter=40, speed=3.0, n_frames=3, seed=1, settle=0.1,
+        ramp_time=0.1, n_azimuth=512, n_elevation=32))
+    return {"loop": noisy.scans[2], "dense": dense.scans[2]}
+
+
+class TestVoxelDownsampleOracle:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_occupancies_1_to_30(self, seed):
+        # four voxels of every occupancy from 1 to 30, interleaved in scan
+        # order; occupancies from 8 on take numpy's pairwise stamp sum
+        rng = np.random.default_rng(seed)
+        counts = np.repeat(np.arange(1, 31), 4)
+        cells = rng.permutation(np.repeat(np.arange(counts.size), counts))
+        grid = rng.choice(20 ** 3, counts.size, replace=False)
+        corner = (np.column_stack(np.unravel_index(grid, (20, 20, 20))) - 10) * 0.5
+        # off the grid: a lone point and a pair whose x and z are -0.0, which
+        # keeps them in their voxels; np.mean sums from +0.0, giving +0.0
+        corner[0], corner[4] = (0.0, 6.0, 0.0), (0.0, 7.0, 0.0)
+        points = corner[cells] + rng.uniform(0.0, 0.5, (cells.size, 3))
+        points[np.isin(cells, [0, 4])[:, None] & (corner[cells] == 0.0)] = -0.0
+        stamps = 0.02 + rng.uniform(0.0, 0.009, cells.size)
+        scan = scan_of(points, stamps)
+        out = voxel_downsample(scan, 0.5)
+        assert len(out) == counts.size  # no voxel splits
+        assert_same_bits(out, reference_voxel_downsample(scan, 0.5))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_split_voxels_inside_the_key_order(self, seed):
+        # a row of voxels along x; those in the middle of the key order mix
+        # stamps from both ends of the scan, so they split
+        rng = np.random.default_rng(seed)
+        n_cells, per_cell = 12, 20
+        cells = rng.permutation(np.repeat(np.arange(n_cells), per_cell))
+        points = np.column_stack([cells + rng.uniform(0.0, 1.0, cells.size),
+                                  rng.uniform(0.0, 1.0, (cells.size, 2))])
+        stamps = rng.uniform(0.0, 0.005, cells.size)
+        late = np.isin(cells, [4, 5, 7]) & (rng.random(cells.size) < 0.4)
+        stamps[late] += 0.09
+        scan = scan_of(points, stamps)
+        out = voxel_downsample(scan, 1.0)
+        assert len(out) == n_cells + 3
+        assert_same_bits(out, reference_voxel_downsample(scan, 1.0))
+
+    @pytest.mark.parametrize("name", ["loop", "dense"])
+    @pytest.mark.parametrize("resolution", [0.25, 2.0])
+    def test_scene_scans(self, scene_scans, name, resolution):
+        # at 2 m the seam voxels split and dense voxels hold hundreds of
+        # points, past numpy's 128-addend pairwise block
+        scan = scene_scans[name]
+        assert_same_bits(voxel_downsample(scan, resolution),
+                         reference_voxel_downsample(scan, resolution))
 
 
 class TestPackVoxelKeys:

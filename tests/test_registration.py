@@ -12,13 +12,14 @@ from limapper.geometry import (
     so3_exp,
     so3_hat,
 )
-from limapper.preprocess import Frame
+from limapper.preprocess import Frame, pack_voxel_keys
 from limapper.registration import (
     GaussianVoxelMap,
     MatchingCostLinearization,
     build_voxelmap,
     d2d_error,
     linearize_matching_cost,
+    match_terms,
     matching_cost,
     overlap_rate,
 )
@@ -119,6 +120,41 @@ class TestD2dError:
             assert err1 == pytest.approx(err0, rel=1e-9)
 
 
+def reference_build_voxelmap(frame, resolution):
+    """np.unique plus np.add.at: the grouping the segment sums must match."""
+    keys = pack_voxel_keys(frame.points, resolution)
+    uniq, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    means = np.zeros((uniq.size, 3))
+    np.add.at(means, inverse, frame.points)
+    means /= counts[:, None]
+    centered = frame.points - means[inverse]
+    scatter = frame.covs + np.einsum("ni,nj->nij", centered, centered)
+    covs = np.zeros((uniq.size, 3, 3))
+    np.add.at(covs, inverse, scatter)
+    covs /= counts[:, None, None]
+    return uniq, means, covs, counts
+
+
+class TestBuildVoxelmapOracle:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("resolution", [0.3, 1.0])
+    def test_equals_add_at_bit_for_bit(self, seed, resolution):
+        # clustered points, so occupancies run from 1 to several dozen
+        rng = np.random.default_rng(seed)
+        centers = rng.uniform(-3, 3, (40, 3))
+        points = (centers[rng.integers(0, 40, 1500)]
+                  + rng.normal(scale=0.1, size=(1500, 3)))
+        covs = [random_plane_cov(rng, rng.normal(size=3)) for _ in range(1500)]
+        frame = make_frame(points, covs=covs)
+        vmap = build_voxelmap(frame, resolution)
+        keys, means, cell_covs, counts = reference_build_voxelmap(frame, resolution)
+        assert counts.max() >= 8
+        for got, want in ((vmap.keys, keys), (vmap.means, means),
+                          (vmap.covs, cell_covs), (vmap.counts, counts)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 class TestMatchingCost:
     def test_self_match(self):
         rng = np.random.default_rng(3)
@@ -167,6 +203,42 @@ class TestMatchingCost:
             count += 1
         assert inliers == count
         assert cost == pytest.approx(total, rel=1e-12)
+
+
+    @pytest.mark.parametrize("fixed_rows", [False, True])
+    def test_plane_covariances_match_per_point_terms(self, fixed_rows):
+        # anisotropic covariances and a rotation about a generic axis: a
+        # transposed R C R^T would change every weight
+        rng = np.random.default_rng(8)
+        target = make_frame(rng.uniform(-2, 2, (300, 3)), covs=[
+            random_plane_cov(rng, rng.normal(size=3)) for _ in range(300)])
+        source = make_frame(rng.uniform(-2, 2, (200, 3)), covs=[
+            random_plane_cov(rng, rng.normal(size=3)) for _ in range(200)])
+        vmap = build_voxelmap(target, 0.5)
+        t_ij = Se3Pose(so3_exp([0.3, -0.2, 0.25]), np.array([0.1, -0.05, 0.07]))
+        rows = vmap.lookup(pose_apply(t_ij, source.points))
+        if fixed_rows:
+            # hold the rows found at t_ij and evaluate at a second pose
+            t_ij = Se3Pose(so3_exp([0.32, -0.17, 0.2]), np.array([0.13, -0.02, 0.05]))
+            assert not np.array_equal(rows, vmap.lookup(pose_apply(t_ij, source.points)))
+            terms = match_terms(source, vmap, t_ij, rows)
+        else:
+            terms = match_terms(source, vmap, t_ij)
+        assert np.array_equal(terms.rows, rows)
+        hits = np.flatnonzero(rows >= 0)
+        assert terms.inliers == hits.size > 50
+        total = 0.0
+        for k, i in enumerate(hits):
+            err, d, weight = d2d_error(
+                Gaussian3(source.points[i], source.covs[i]),
+                Gaussian3(vmap.means[rows[i]], vmap.covs[rows[i]]), t_ij)
+            assert np.allclose(terms.d[k], d, rtol=1e-12, atol=0.0)
+            assert np.allclose(terms.weight[k], weight, rtol=1e-12,
+                               atol=1e-12 * np.abs(weight).max())
+            assert np.allclose(terms.wd[k], weight @ d, rtol=1e-12,
+                               atol=1e-12 * np.abs(weight @ d).max())
+            total += err
+        assert terms.cost == pytest.approx(total, rel=1e-12)
 
 
 class TestOverlap:
