@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import InvalidConfig, ParseError
 from .factor_graph import LmSettings
 from .imu import ImuNoiseParams
 
@@ -87,40 +87,48 @@ class PipelineConfig:
     }
 
     def validate(self) -> None:
-        if not (0.0 < self.odometry.keyframe_drop_overlap
-                < self.odometry.keyframe_insert_overlap < 1.0):
-            raise ValueError("need 0 < drop overlap < insert overlap < 1")
-        if self.odometry.max_keyframes < 2:
-            raise ValueError("max_keyframes must be at least 2")
-        if not (0.0 < self.local.min_first_last_overlap
-                < self.local.insert_overlap < 1.0):
-            raise ValueError("need 0 < first/last overlap < insert overlap < 1")
-        if self.local.max_frames < 1 or self.odometry.smoothing_lag < 1:
-            raise ValueError("window sizes must be positive")
-        if self.odometry.recent_frame_links < 0:
-            raise ValueError("recent_frame_links must not be negative")
-        if self.preprocess.knn < 1:
-            raise ValueError("preprocess.knn must be at least 1")
-        # comparisons written so that NaN fails them
+        """Raise InvalidConfig, naming the key, for the first value out of
+        range.  Comparisons are written so that NaN fails them."""
+        pre, odo, loc, opt = self.preprocess, self.odometry, self.local, self.optimizer
+        _require(0.0 < odo.keyframe_insert_overlap < 1.0,
+                 "odometry.keyframe_insert_overlap", "insert overlap must lie in (0, 1)")
+        _require(0.0 < odo.keyframe_drop_overlap < odo.keyframe_insert_overlap,
+                 "odometry.keyframe_drop_overlap",
+                 "need 0 < drop overlap < insert overlap < 1")
+        _require(odo.max_keyframes >= 2, "odometry.max_keyframes",
+                 "max_keyframes must be at least 2")
+        _require(0.0 < loc.insert_overlap < 1.0, "local.insert_overlap",
+                 "insert overlap must lie in (0, 1)")
+        _require(0.0 < loc.min_first_last_overlap < loc.insert_overlap,
+                 "local.min_first_last_overlap",
+                 "need 0 < first/last overlap < insert overlap < 1")
+        _require(loc.max_frames >= 1, "local.max_frames", "window sizes must be positive")
+        _require(odo.smoothing_lag >= 1, "odometry.smoothing_lag",
+                 "window sizes must be positive")
+        _require(odo.recent_frame_links >= 0, "odometry.recent_frame_links",
+                 "recent_frame_links must not be negative")
+        _require(pre.knn >= 1, "preprocess.knn", "knn must be at least 1")
         for name in ("downsample_resolution", "plane_eps", "max_imu_gap"):
-            if not getattr(self.preprocess, name) > 0:
-                raise ValueError(f"preprocess.{name} must be positive")
-        opt = self.optimizer
-        if opt.max_iterations < 1 or self.odometry.lm_max_iterations < 1:
-            raise ValueError("LM iteration caps must be at least 1")
-        if not 0.0 < opt.lambda_init < opt.lambda_max:
-            raise ValueError("need 0 < optimizer.lambda_init < optimizer.lambda_max")
+            _require(getattr(pre, name) > 0, f"preprocess.{name}", "must be positive")
+        _require(opt.max_iterations >= 1, "optimizer.max_iterations",
+                 "LM iteration caps must be at least 1")
+        _require(odo.lm_max_iterations >= 1, "odometry.lm_max_iterations",
+                 "LM iteration caps must be at least 1")
+        lambdas = "need 0 < optimizer.lambda_init < optimizer.lambda_max"
+        _require(opt.lambda_init > 0, "optimizer.lambda_init", lambdas)
+        _require(opt.lambda_max > 0, "optimizer.lambda_max", lambdas)
+        _require(opt.lambda_init < opt.lambda_max, "optimizer.lambda_init", lambdas)
         for name in ("rel_cost_tol", "update_tol"):
-            if not getattr(opt, name) >= 0:
-                raise ValueError(f"optimizer.{name} must not be negative")
-        for cfg, name in ((self.odometry, "voxel_resolution"),
-                          (self.global_mapping, "voxel_resolution"),
-                          (self.local, "voxel_resolution")):
-            if getattr(cfg, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not (0.0 < self.global_mapping.factor_overlap_min < 1.0):
-            raise ValueError("global overlap gate must lie in (0, 1)")
-        self.noise_params()
+            _require(getattr(opt, name) >= 0, f"optimizer.{name}", "must not be negative")
+        for section in ("odometry", "local", "global"):
+            cfg = getattr(self, self._SECTIONS[section])
+            _require(cfg.voxel_resolution > 0, f"{section}.voxel_resolution",
+                     "must be positive")
+        _require(0.0 < self.global_mapping.factor_overlap_min < 1.0,
+                 "global.factor_overlap_min", "global overlap gate must lie in (0, 1)")
+        for name in ("accel_noise_density", "gyro_noise_density",
+                     "accel_bias_walk", "gyro_bias_walk"):
+            _require(getattr(self.imu, name) > 0, f"imu.{name}", "must be positive")
 
     def noise_params(self) -> ImuNoiseParams:
         return ImuNoiseParams(
@@ -180,6 +188,11 @@ class PipelineConfig:
                 if isinstance(value, bool):
                     value = "true" if value else "false"
                 fh.write(f"{key} = {value}\n")
+
+
+def _require(ok: bool, key: str, message: str) -> None:
+    if not ok:
+        raise InvalidConfig(key, message)
 
 
 def _convert(raw: str, ftype: str, key: str):

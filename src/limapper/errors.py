@@ -71,6 +71,14 @@ class ParseError(PipelineError):
         self.offset = offset
 
 
+class InvalidConfig(PipelineError, ValueError):
+    """Configuration value out of its valid range; carries the key."""
+
+    def __init__(self, key, message):
+        super().__init__(f"{key}: {message}")
+        self.key = key
+
+
 class InsufficientOverlap(PipelineError):
     """Too few time-associated pose pairs for trajectory comparison."""
 

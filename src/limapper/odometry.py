@@ -212,7 +212,11 @@ class OdometryEstimator:
         frame = deskew(pre_frame, samples, state, gravity=self.gravity,
                        max_gap=cfg.max_imu_gap)
         if frame.neighbors is None:
-            return replace(frame, covs=np.zeros((len(frame), 3, 3)))
+            # fewer points than knn: no neighbourhood to fit, so take the
+            # flat-neighbourhood fallback of estimate_covariances
+            n = len(frame)
+            return replace(frame, covs=np.tile(cfg.plane_eps * np.eye(3), (n, 1, 1)),
+                           degenerate=np.ones(n, dtype=bool))
         return estimate_covariances(frame, cfg.plane_eps)
 
     def _overlap(self, a: WindowFrame, b: WindowFrame) -> float:

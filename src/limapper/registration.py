@@ -10,12 +10,19 @@ nothing; low-overlap pairs are rejected up front by the overlap gate.
 Linearization produces Gauss-Newton blocks for right-multiplicative
 perturbations of the two sensor poses, re-evaluating correspondences at the
 supplied linearization point and holding the per-point weight matrices fixed
-within the iteration.  The per-point Jacobian is taken once, in the target
-frame, for a perturbation of the target pose; the source pose's blocks
-follow from those sums through the SE(3) adjoint of the relative pose, so a
-binary factor makes one pass over its inliers, as a unary one does.
-``match_terms`` can also evaluate the cost with correspondences fixed from
-an earlier lookup, which keeps the cost smooth between two linearizations.
+within the iteration.  The per-point Jacobian is linear in the moved point,
+so the target pose's blocks are constant linear maps of a few weighted
+moment sums over the inliers; the source pose's blocks follow from those
+through the SE(3) adjoint of the relative pose, so a binary factor makes
+one pass over its inliers, as a unary one does.  ``match_terms`` can also
+evaluate the cost with correspondences fixed from an earlier lookup, which
+keeps the cost smooth between two linearizations.
+
+Frames and voxel maps store full (n, 3, 3) covariances.  The per-inlier
+terms keep each symmetric 3x3 weight as the six unique entries (xx, xy, xz,
+yy, yz, zz), and every per-inlier quantity as contiguous rows, one per
+component, so the kernels are whole-row numpy operations and small BLAS
+products with no per-inlier matrix.
 """
 
 from __future__ import annotations
@@ -113,24 +120,19 @@ def d2d_error(point: Gaussian3, voxel: Gaussian3, t_ij: Se3Pose):
     return float(d @ weight @ d), d, weight
 
 
-def _inv3x3(m: np.ndarray) -> np.ndarray:
-    """Batched closed-form inverse of (n, 3, 3) matrices."""
-    a, b, c = m[:, 0, 0], m[:, 0, 1], m[:, 0, 2]
-    d, e, f = m[:, 1, 0], m[:, 1, 1], m[:, 1, 2]
-    g, h, i = m[:, 2, 0], m[:, 2, 1], m[:, 2, 2]
-    out = np.empty_like(m)
-    out[:, 0, 0] = e * i - f * h
-    out[:, 0, 1] = c * h - b * i
-    out[:, 0, 2] = b * f - c * e
-    out[:, 1, 0] = f * g - d * i
-    out[:, 1, 1] = a * i - c * g
-    out[:, 1, 2] = c * d - a * f
-    out[:, 2, 0] = d * h - e * g
-    out[:, 2, 1] = b * g - a * h
-    out[:, 2, 2] = a * e - b * d
-    det = a * out[:, 0, 0] + b * out[:, 1, 0] + c * out[:, 2, 0]
-    out /= det[:, None, None]
-    return out
+# a symmetric 3x3 matrix is kept as the row of its unique entries (xx, xy,
+# xz, yy, yz, zz); _SYM_I/_SYM_J are their (row, column) indices and _SYM
+# their positions in the row-major flattening
+_SYM_I = np.array([0, 0, 0, 1, 1, 2])
+_SYM_J = np.array([0, 1, 2, 1, 2, 2])
+_SYM = 3 * _SYM_I + _SYM_J
+# rows (and columns) of the full 3x3 matrix, as indices into the unique entries
+_FULL = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+# the unique entries of the adjugate (cofactor) matrix, in the same order:
+# adj = s[_ADJ[0]] * s[_ADJ[1]] - s[_ADJ[2]] * s[_ADJ[3]], so that, with
+# the determinant xx adj_xx + xy adj_xy + xz adj_xz, inverse = adj / det
+_ADJ = np.array([[3, 2, 1, 0, 1, 0], [5, 4, 4, 5, 2, 3],
+                 [4, 1, 2, 2, 0, 1], [4, 5, 3, 2, 4, 1]])
 
 
 @dataclass
@@ -140,9 +142,9 @@ class MatchTerms:
     rows: np.ndarray  # (n,) voxel row per source point, -1 on a miss
     hit: np.ndarray  # (n,) bool, per source point
     moved: np.ndarray  # (n, 3) transformed source means
-    d: np.ndarray  # (m, 3) residuals of the matched subset
-    weight: np.ndarray  # (m, 3, 3) inverse combined covariances
-    wd: np.ndarray  # (m, 3) weight @ d
+    d: np.ndarray  # (m, 3) residuals of the matched subset, a view of (3, m)
+    weight: np.ndarray  # (6, m) unique entries of the inverse combined covariances
+    wd: np.ndarray  # (m, 3) weight @ d, a view of (3, m)
     cost: float
     inliers: int
 
@@ -153,24 +155,38 @@ def match_terms(frame: Frame, vmap: GaussianVoxelMap, t_ij: Se3Pose,
 
     Each source point is matched to the voxel that contains it, unless
     ``rows`` fixes the voxel row of every source point (-1 for none).
+
+    The six unique entries of R C R^T come from one (6x9)·(9xm) product of
+    the rows of R (x) R at those entries with the flattened covariances;
+    reading all nine entries of C, it does not rely on C being exactly
+    symmetric.  The voxel covariance's entries are added, and the sum is
+    inverted in closed form, adjugate over determinant, on the six rows.
     """
     rmat = t_ij.rotation.matrix()
     moved = frame.points @ rmat.T + t_ij.translation
     if rows is None:
         rows = vmap.lookup(moved)
     hit = rows >= 0
-    idx = rows[hit]
-    d = vmap.means[idx] - moved[hit]
-    # R C R^T from two products over the stacked 3-row blocks: C R^T, then,
-    # C being symmetric, (C R^T)^T R^T
-    c_rt = (frame.covs[hit].reshape(-1, 3) @ rmat.T).reshape(-1, 3, 3)
-    r_c_rt = c_rt.transpose(0, 2, 1).reshape(-1, 3) @ rmat.T
-    cov = vmap.covs[idx] + r_c_rt.reshape(-1, 3, 3)
-    weight = _inv3x3(cov)
-    wd = np.einsum("nij,nj->ni", weight, d)
-    cost = float(np.sum(d * wd))
-    return MatchTerms(rows, hit, moved, d, weight, wd, cost,
-                      int(np.count_nonzero(hit)))
+    inliers = int(np.count_nonzero(hit))
+    covs = frame.covs.reshape(-1, 9)
+    if inliers == rows.shape[0]:
+        idx, x0 = rows, moved
+    else:
+        sel = np.flatnonzero(hit)
+        idx, covs, x0 = rows[sel], covs.take(sel, axis=0), moved.take(sel, axis=0)
+    rr = (rmat[_SYM_I, :, None] * rmat[_SYM_J, None, :]).reshape(6, 9)
+    cov = rr @ covs.T
+    cov += vmap.covs.reshape(-1, 9)[:, _SYM].T.take(idx, axis=1)
+    weight = cov[_ADJ[0]] * cov[_ADJ[1]]
+    weight -= cov[_ADJ[2]] * cov[_ADJ[3]]
+    weight /= np.einsum("sm,sm->m", cov[:3], weight[:3])
+    d = vmap.means.T.take(idx, axis=1)
+    d -= x0.T
+    wd = weight[_FULL[0]] * d[0]  # W d, column by column of the symmetric W
+    wd += weight[_FULL[1]] * d[1]
+    wd += weight[_FULL[2]] * d[2]
+    cost = float(np.vdot(d, wd))
+    return MatchTerms(rows, hit, moved, d.T, weight, wd.T, cost, inliers)
 
 
 def matching_cost(frame: Frame, vmap: GaussianVoxelMap, t_ij: Se3Pose):
@@ -207,32 +223,72 @@ class MatchingCostLinearization:
     inlier_count: int
 
 
+def _moment_maps() -> tuple[np.ndarray, np.ndarray]:
+    """Constant maps from weighted monomial moments to H and b.
+
+    J(x) = [ -hat(x) | I ] = sum_k f_k J_k over the monomials f = (1, x, y, z)
+    of the moved point, so J^T W J is a fixed linear function of the
+    products w_s f_k f_l of the six unique weight entries w_s with the ten
+    monomials F = (1, x, y, z, xx, xy, xz, yy, yz, zz), and J^T W d one of
+    the products (W d)_c f_k.  Returns the (60x36) map from the moments
+    sum w_s F_q, row-major in (s, q), to H = 2 sum J^T W J, flattened, and
+    the (12x6) map from sum (W d)_c f_k, row-major in (c, k), to
+    b = 2 sum J^T W d.
+    """
+    basis = np.zeros((4, 3, 6))  # J_k
+    basis[0, :, 3:] = np.eye(3)
+    for k in range(3):
+        basis[k + 1, :, :3] = -so3_hat(np.eye(3)[k])
+    # the (k, l) of F_q = f_k f_l, in the order of F
+    pairs = [(0, k) for k in range(4)] + list(zip(_SYM_I + 1, _SYM_J + 1))
+    h_map = np.zeros((6, 10, 36))
+    for s, (i, j) in enumerate(zip(_SYM_I, _SYM_J)):
+        e_s = np.zeros((3, 3))
+        e_s[i, j] = e_s[j, i] = 1.0
+        for q, (k, l) in enumerate(pairs):
+            block = basis[k].T @ e_s @ basis[l]
+            if k != l:  # f_k f_l also comes as f_l f_k
+                block = block + block.T
+            h_map[s, q] = 2.0 * block.reshape(-1)
+    b_map = 2.0 * basis.transpose(1, 0, 2).reshape(12, 6)
+    return h_map.reshape(60, 36), b_map
+
+
+_H_MAP, _B_MAP = _moment_maps()
+
+
 def linearize_from_terms(terms: MatchTerms, t_ij: Se3Pose,
                          target_fixed: bool = False,
                          min_inliers: int = MIN_INLIERS_DEFAULT
                          ) -> MatchingCostLinearization:
     """Gauss-Newton blocks from precomputed correspondences and weights.
 
-    One Jacobian per inlier, J = [ -hat(x0) | I ], the derivative of its
-    residual with respect to the target pose, with x0 the moved point in
-    the target frame; H = 2 sum J^T W J and b = 2 sum J^T W d, formed once,
-    are the target pose's blocks.  A source perturbation xi_i moves the
-    points as the target perturbation -Ad(t_ij) xi_i does, so the source and
-    cross blocks follow from the 6x6 adjoint Ad without a second pass over
-    the points: H_ii = Ad^T H Ad, H_ij = -Ad^T H, b_i = -Ad^T b.
+    The Jacobian of an inlier's residual with respect to the target pose is
+    J = [ -hat(x0) | I ], with x0 the moved point in the target frame.  It is
+    linear in the monomials (1, x, y, z) of x0, so H = 2 sum J^T W J is a
+    constant linear map of the 6x10 moment matrix W_6 F^T, where W_6 holds
+    the six unique weight entries per inlier and F the ten monomials (1, x,
+    y, z, xx, xy, xz, yy, yz, zz) of x0, and b = 2 sum J^T W d one of the
+    3x4 matrix (W d) F[:4]^T; no per-inlier Jacobian is formed.  These are
+    the target pose's blocks.  A source perturbation xi_i moves the points
+    as the target perturbation -Ad(t_ij) xi_i does, so the source and cross
+    blocks follow from the 6x6 adjoint Ad: H_ii = Ad^T H Ad, H_ij = -Ad^T H,
+    b_i = -Ad^T b.
     """
     if terms.inliers < min_inliers:
         raise DegenerateConstraint(
             f"{terms.inliers} inliers (minimum {min_inliers})")
-    x0 = terms.moved[terms.hit]
-    jac = np.zeros((terms.inliers, 3, 6))
-    jac[:, 0, 1], jac[:, 0, 2] = x0[:, 2], -x0[:, 1]
-    jac[:, 1, 0], jac[:, 1, 2] = -x0[:, 2], x0[:, 0]
-    jac[:, 2, 0], jac[:, 2, 1] = x0[:, 1], -x0[:, 0]
-    jac[:, 0, 3] = jac[:, 1, 4] = jac[:, 2, 5] = 1.0
-    rows = jac.reshape(-1, 6)  # the three rows of every inlier, stacked
-    h = 2.0 * (rows.T @ (terms.weight @ jac).reshape(-1, 6))
-    b = 2.0 * (rows.T @ terms.wd.reshape(-1))
+    x0 = terms.moved
+    if terms.inliers < x0.shape[0]:
+        x0 = x0.take(np.flatnonzero(terms.hit), axis=0)
+    mono = np.empty((10, terms.inliers))
+    mono[0] = 1.0
+    mono[1:4] = x0.T
+    mono[4:7] = mono[1] * mono[1:4]
+    mono[7:9] = mono[2] * mono[2:4]
+    mono[9] = mono[3] * mono[3]
+    h = ((terms.weight @ mono.T).reshape(60) @ _H_MAP).reshape(6, 6)
+    b = (terms.wd.T @ mono[:4].T).reshape(12) @ _B_MAP
 
     rmat = t_ij.rotation.matrix()
     adj = np.zeros((6, 6))

@@ -1,7 +1,7 @@
 import pytest
 
 from limapper.config import PipelineConfig
-from limapper.errors import ParseError
+from limapper.errors import InvalidConfig, ParseError, PipelineError
 from limapper.factor_graph import LmSettings
 from limapper.odometry import OdometryEstimator
 
@@ -119,4 +119,46 @@ class TestBadValues:
         config = PipelineConfig()
         config.preprocess.knn = 0
         with pytest.raises(ValueError, match="knn"):
+            OdometryEstimator(config)
+
+
+class TestInvalidConfig:
+    @pytest.mark.parametrize("section, name, value, key", [
+        ("odometry", "keyframe_insert_overlap", 1.0, "odometry.keyframe_insert_overlap"),
+        ("odometry", "keyframe_drop_overlap", 0.95, "odometry.keyframe_drop_overlap"),
+        ("odometry", "max_keyframes", 1, "odometry.max_keyframes"),
+        ("local", "insert_overlap", float("nan"), "local.insert_overlap"),
+        ("local", "min_first_last_overlap", 0.0, "local.min_first_last_overlap"),
+        ("local", "max_frames", 0, "local.max_frames"),
+        ("odometry", "smoothing_lag", 0, "odometry.smoothing_lag"),
+        ("odometry", "recent_frame_links", -1, "odometry.recent_frame_links"),
+        ("preprocess", "knn", 0, "preprocess.knn"),
+        ("preprocess", "plane_eps", 0.0, "preprocess.plane_eps"),
+        ("optimizer", "max_iterations", 0, "optimizer.max_iterations"),
+        ("odometry", "lm_max_iterations", 0, "odometry.lm_max_iterations"),
+        ("optimizer", "lambda_init", 1e13, "optimizer.lambda_init"),
+        ("optimizer", "lambda_max", float("nan"), "optimizer.lambda_max"),
+        ("optimizer", "update_tol", -1.0, "optimizer.update_tol"),
+        ("odometry", "voxel_resolution", 0.0, "odometry.voxel_resolution"),
+        ("local", "voxel_resolution", -0.5, "local.voxel_resolution"),
+        ("global_mapping", "voxel_resolution", float("nan"), "global.voxel_resolution"),
+        ("global_mapping", "factor_overlap_min", 1.0, "global.factor_overlap_min"),
+        ("imu", "gyro_bias_walk", 0.0, "imu.gyro_bias_walk"),
+    ])
+    def test_names_the_key(self, section, name, value, key):
+        config = PipelineConfig()
+        setattr(getattr(config, section), name, value)
+        with pytest.raises(InvalidConfig) as info:
+            config.validate()
+        assert isinstance(info.value, PipelineError)
+        assert info.value.key == key
+        assert str(info.value).startswith(key + ": ")
+
+    def test_from_file_and_estimator(self, tmp_path):
+        path = write(tmp_path, "odometry.smoothing_lag = 0\n")
+        with pytest.raises(InvalidConfig, match="odometry.smoothing_lag"):
+            PipelineConfig.from_file(path)
+        config = PipelineConfig()
+        config.imu.accel_noise_density = -0.02
+        with pytest.raises(InvalidConfig, match="imu.accel_noise_density"):
             OdometryEstimator(config)

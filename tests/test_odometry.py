@@ -8,8 +8,10 @@ from limapper.dataset_io import record_from_pose
 from limapper.errors import ImuCoverageGap, RunFinished, VoxelKeyOutOfRange
 from limapper.evaluation import compute_ate
 from limapper.factor_graph import FactorGraph
+from limapper.geometry import Se3Pose
 from limapper.odometry import FALLBACK_VEL_BIAS_SIGMA, OdometryEstimator
 from limapper.preprocess import RawScan
+from limapper.registration import match_terms
 from limapper.synthetic import generate_synthetic_scene, square_loop_scene
 
 
@@ -187,3 +189,24 @@ class TestRecentFrameLinks:
         one, keyframes_one = self.binary_targets(loop_scene, 1)
         assert not set(one) <= keyframes_one  # 1 links a non-keyframe
         assert len(targets) < len(one)
+
+
+class TestSparseFrame:
+    def test_frame_below_knn_gets_flat_fallback_covariances(self, loop_scene):
+        # too few points for a neighbourhood: the frame takes the fallback
+        # of a flat neighbourhood, plane_eps * I, instead of zero matrices
+        # whose voxel map cannot be inverted
+        est, _ = run(loop_scene, n_scans=6)
+        scan = loop_scene.scans[6]
+        keep = np.linspace(0, len(scan.points) - 1, 5).astype(int)
+        batch = imu_batches(loop_scene, est.config.odometry.init_window)[6]
+        est.process_frame(RawScan(scan.points[keep], scan.stamps[keep],
+                                  scan.scan_start, scan.scan_end), batch)
+        rec = est._window[-1]
+        eps = est.config.preprocess.plane_eps
+        assert len(rec.frame) == 5 < est.config.preprocess.knn
+        assert np.array_equal(rec.frame.covs, np.tile(eps * np.eye(3), (5, 1, 1)))
+        assert rec.frame.degenerate.tolist() == [True] * 5
+        terms = match_terms(rec.frame, rec.voxelmap, Se3Pose.identity())
+        assert terms.inliers == 5
+        assert np.all(np.isfinite(terms.weight)) and np.isfinite(terms.cost)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from limapper.errors import DegenerateConstraint
 from limapper.geometry import (
@@ -18,6 +20,7 @@ from limapper.registration import (
     MatchingCostLinearization,
     build_voxelmap,
     d2d_error,
+    linearize_from_terms,
     linearize_matching_cost,
     match_terms,
     matching_cost,
@@ -31,6 +34,12 @@ def make_frame(points, covs=None, rng=None, iso=0.01):
         covs = np.tile(np.eye(3) * iso, (len(points), 1, 1))
     return Frame(points=points, stamps=np.zeros(len(points)), stamp=0.0,
                  covs=np.asarray(covs, dtype=float), deskewed=True)
+
+
+def symmetric(entries):
+    """3x3 matrix from its unique entries (xx, xy, xz, yy, yz, zz)."""
+    xx, xy, xz, yy, yz, zz = entries
+    return np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]])
 
 
 def random_plane_cov(rng, normal):
@@ -233,7 +242,7 @@ class TestMatchingCost:
                 Gaussian3(source.points[i], source.covs[i]),
                 Gaussian3(vmap.means[rows[i]], vmap.covs[rows[i]]), t_ij)
             assert np.allclose(terms.d[k], d, rtol=1e-12, atol=0.0)
-            assert np.allclose(terms.weight[k], weight, rtol=1e-12,
+            assert np.allclose(symmetric(terms.weight[:, k]), weight, rtol=1e-12,
                                atol=1e-12 * np.abs(weight).max())
             assert np.allclose(terms.wd[k], weight @ d, rtol=1e-12,
                                atol=1e-12 * np.abs(weight @ d).max())
@@ -494,3 +503,108 @@ class TestLinearization:
         with pytest.raises(DegenerateConstraint):
             linearize_matching_cost(a, build_voxelmap(b, 0.5),
                                     Se3Pose.identity(), Se3Pose.identity())
+
+
+# -- properties --------------------------------------------------------------
+
+angles = st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3)
+offsets = st.lists(st.floats(-20.0, 20.0), min_size=3, max_size=3)
+seeds = st.integers(0, 2**32 - 1)
+cov_kinds = st.sampled_from(["isotropic", "diagonal", "spd"])
+
+
+def random_covs(rng, kind, n):
+    """n covariances: isotropic, diagonal, or SPD with a random basis; the
+    eigenvalues span up to four decades."""
+    scales = 10.0 ** rng.uniform(-4.0, 0.0, (n, 3))
+    if kind == "isotropic":
+        return scales[:, :1, None] * np.eye(3)
+    covs = scales[:, :, None] * np.eye(3)
+    if kind == "spd":
+        basis = np.stack([so3_exp(v).matrix() for v in rng.normal(size=(n, 3))])
+        covs = basis @ covs @ basis.transpose(0, 2, 1)
+    return covs
+
+
+def matched_pair(seed, source_kind="spd", target_kind="spd"):
+    """A target voxel map and a source frame that overlaps it."""
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-2.0, 2.0, (150, 3))
+    target = make_frame(points, covs=random_covs(rng, target_kind, 150))
+    source = make_frame(points[:100] + rng.normal(scale=0.05, size=(100, 3)),
+                        covs=random_covs(rng, source_kind, 100))
+    return source, build_voxelmap(target, 0.5)
+
+
+class TestProperties:
+    @given(eigvals=st.lists(st.floats(-6.0, 3.0), min_size=3, max_size=24),
+           seed=seeds)
+    def test_weight_is_the_inverse(self, eigvals, seed):
+        # one point per voxel and a point covariance of zero: the weight of
+        # each match is the inverse of the voxel's own covariance
+        rng = np.random.default_rng(seed)
+        n = len(eigvals) // 3
+        basis = np.stack([so3_exp(v).matrix() for v in rng.normal(size=(n, 3))])
+        vals = 10.0 ** np.reshape(eigvals[:3 * n], (n, 3))
+        covs = basis @ (vals[:, :, None] * np.eye(3)) @ basis.transpose(0, 2, 1)
+        centers = (np.arange(n)[:, None] * [2.0, 0.0, 0.0]) + 0.5
+        vmap = build_voxelmap(make_frame(centers, covs=covs), 1.0)
+        terms = match_terms(make_frame(centers, covs=np.zeros((n, 3, 3))),
+                            vmap, Se3Pose.identity())
+        assert terms.inliers == n
+        for k in range(n):
+            want = np.linalg.inv(covs[k])
+            err = np.abs(symmetric(terms.weight[:, k]) - want).max()
+            cond = vals[k].max() / vals[k].min()
+            assert err <= 1e-12 * cond * np.abs(want).max()
+
+    @given(seed=seeds, rot=angles, trans=offsets, rot_ij=angles)
+    def test_rigid_change_of_source_frame(self, seed, rot, trans, rot_ij):
+        # expressing the source cloud in another frame T, and the relative
+        # pose as t_ij T^-1, changes none of the matching terms nor the
+        # target pose's blocks
+        source, vmap = matched_pair(seed)
+        t_ij = Se3Pose(so3_exp(0.05 * np.asarray(rot_ij)), np.array([0.02, -0.03, 0.01]))
+        tf = Se3Pose(so3_exp(rot), np.asarray(trans))
+        rmat = tf.rotation.matrix()
+        moved = make_frame(pose_apply(tf, source.points),
+                           covs=rmat @ source.covs @ rmat.T)
+        t_moved = pose_compose(t_ij, pose_inverse(tf))
+        a = match_terms(source, vmap, t_ij)
+        b = match_terms(moved, vmap, t_moved)
+        assert a.inliers >= 10
+        assert np.array_equal(a.rows, b.rows)
+        for name in ("d", "wd", "weight"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert np.abs(x - y).max() <= 1e-12 * np.abs(x).max(), name
+        assert b.cost == pytest.approx(a.cost, rel=1e-12)
+        lin_a = linearize_from_terms(a, t_ij)
+        lin_b = linearize_from_terms(b, t_moved)
+        for name in ("h_jj", "b_j"):
+            x, y = getattr(lin_a, name), getattr(lin_b, name)
+            assert np.abs(x - y).max() <= 1e-12 * np.abs(x).max(), name
+
+    @given(seed=seeds, source_kind=cov_kinds, target_kind=cov_kinds,
+           rot=angles, trans=offsets)
+    def test_moment_blocks_match_per_point_sums(self, seed, source_kind,
+                                                target_kind, rot, trans):
+        # the blocks against sums of J^T W J and J^T W d over the inliers,
+        # J = [ -hat(x0) | I ], with each inlier's own weight and residual;
+        # the target frame sits up to 35 m from the points, so the moments
+        # carry large offsets
+        source, vmap = matched_pair(seed, source_kind, target_kind)
+        t_ij = Se3Pose(so3_exp(np.asarray(rot)), np.asarray(trans))
+        tf = pose_inverse(t_ij)  # re-express the source so that t_ij lands it
+        rmat = tf.rotation.matrix()
+        source = make_frame(pose_apply(tf, source.points),
+                            covs=rmat @ source.covs @ rmat.T)
+        terms = match_terms(source, vmap, t_ij)
+        lin = linearize_from_terms(terms, t_ij)
+        h, b = np.zeros((6, 6)), np.zeros(6)
+        for k, x0 in enumerate(terms.moved[terms.hit]):
+            w = symmetric(terms.weight[:, k])
+            jac = np.hstack([-so3_hat(x0), np.eye(3)])
+            h += 2 * jac.T @ w @ jac
+            b += 2 * jac.T @ w @ terms.d[k]
+        assert np.abs(lin.h_jj - h).max() <= 1e-12 * np.abs(h).max()
+        assert np.abs(lin.b_j - b).max() <= 1e-12 * np.abs(b).max()
