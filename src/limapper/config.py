@@ -36,7 +36,6 @@ class OdometryConfig:
     min_inliers: int = 10
     init_window: float = 0.5  # s of stationary IMU for bootstrapping
     init_gyro_limit: float = 0.05  # rad/s
-    lm_max_iterations: int = 15  # window solves start warm; cap the tail
 
 
 @dataclass
@@ -75,7 +74,8 @@ class PipelineConfig:
     local: LocalMappingConfig = field(default_factory=LocalMappingConfig)
     global_mapping: GlobalMappingConfig = field(default_factory=GlobalMappingConfig)
     imu: ImuConfig = field(default_factory=ImuConfig)
-    optimizer: LmSettings = field(default_factory=LmSettings)
+    # window solves start warm; cap the tail
+    optimizer: LmSettings = field(default_factory=lambda: LmSettings(max_iterations=15))
 
     _SECTIONS = {
         "preprocess": "preprocess",
@@ -111,8 +111,6 @@ class PipelineConfig:
         for name in ("downsample_resolution", "plane_eps", "max_imu_gap"):
             _require(getattr(pre, name) > 0, f"preprocess.{name}", "must be positive")
         _require(opt.max_iterations >= 1, "optimizer.max_iterations",
-                 "LM iteration caps must be at least 1")
-        _require(odo.lm_max_iterations >= 1, "odometry.lm_max_iterations",
                  "LM iteration caps must be at least 1")
         lambdas = "need 0 < optimizer.lambda_init < optimizer.lambda_max"
         _require(opt.lambda_init > 0, "optimizer.lambda_init", lambdas)

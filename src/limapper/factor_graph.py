@@ -1,11 +1,13 @@
 """Factor graph container, on-manifold Levenberg-Marquardt, and fixed-lag
 marginalization.
 
-Every factor contributes a scalar cost plus, on linearization, the gradient
-and Gauss-Newton Hessian blocks of that cost with respect to the connected
-variables' tangent perturbations.  The optimizer assembles damped normal
-equations from all factors at the current estimate each iteration.  A
-matching-cost factor looks its correspondences up again only when it is
+On linearization every factor returns one dense block: the gradient and
+Gauss-Newton Hessian of its cost over its own tangent space, the leading
+``dims[a]`` components of each key stacked in key order.  ``_accumulate``
+alone scatters these blocks into a system's key slices.  The optimizer
+assembles damped normal equations at the current estimate each iteration
+and holds the last undamped system, which ``marginal_covariance`` reads.
+A matching-cost factor looks its correspondences up again only when it is
 linearized; the candidate steps of one iteration are costed with the
 correspondences of that linearization, so the cost the optimizer compares
 is smooth within the iteration.  Priors and relative-state factors are
@@ -21,6 +23,7 @@ Variable kinds and tangent layouts:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -99,28 +102,24 @@ def _pose_of(kind: str, value) -> Se3Pose:
     return value if kind == "submap-pose" else value.pose
 
 
-def _padded(block: np.ndarray, *dims: int) -> np.ndarray:
-    """block in the leading corner of a zero array of shape dims."""
-    out = np.zeros(dims)
-    out[tuple(slice(0, n) for n in block.shape)] = block
-    return out
+class FactorLinearization(NamedTuple):
+    """Gradient and Gauss-Newton Hessian of one factor's cost over its own
+    tangent space (see ``Factor.dims``); both None when the factor adds only
+    a cost."""
 
-
-class FactorLinearization:
-    """Gradient/Hessian blocks of one factor's cost contribution."""
-
-    __slots__ = ("keys", "g", "h", "cost")
-
-    def __init__(self, keys, g, h, cost):
-        self.keys = keys
-        self.g = g  # list of per-key gradient blocks
-        self.h = h  # dict (a, b) with a <= b -> block
-        self.cost = cost
+    g: np.ndarray | None
+    h: np.ndarray | None
+    cost: float
 
 
 class Factor:
     keys: tuple
     grounding = False  # anchors its component absolutely
+
+    @property
+    def dims(self) -> tuple:
+        """Leading tangent components of each key that the block covers."""
+        return tuple(k.dim for k in self.keys)
 
     def cost(self, values) -> float:
         raise NotImplementedError
@@ -169,9 +168,8 @@ class PriorFactor(Factor):
         jac[0:3, 0:3] = so3_right_jacobian_inv(r[:3])
         jac[3:6, 3:6] = ref_r.rotation.matrix().T @ cur_r.rotation.matrix()
         jtw = 2.0 * jac.T @ self.information
-        return FactorLinearization(
-            self.keys, [jtw @ r], {(0, 0): jtw @ jac},
-            float(r @ self.information @ r))
+        return FactorLinearization(jtw @ r, jtw @ jac,
+                                   float(r @ self.information @ r))
 
 
 class ImuFactor(Factor):
@@ -204,13 +202,10 @@ class ImuFactor(Factor):
     def linearize(self, values) -> FactorLinearization:
         si, sj = self._states(values)
         r, j_i, j_j = imu_factor_residual(si, sj, self.pre, self.gravity)
-        wi = 2.0 * j_i.T @ self.information
-        wj = 2.0 * j_j.T @ self.information
-        return FactorLinearization(
-            self.keys,
-            [wi @ r, wj @ r],
-            {(0, 0): wi @ j_i, (0, 1): wi @ j_j, (1, 1): wj @ j_j},
-            float(r @ self.information @ r))
+        jac = np.hstack([j_i, j_j])
+        w = 2.0 * jac.T @ self.information
+        return FactorLinearization(w @ r, w @ jac,
+                                   float(r @ self.information @ r))
 
 
 class MatchingCostFactor(Factor):
@@ -258,6 +253,10 @@ class MatchingCostFactor(Factor):
         return "matching-cost-unary" if self.unary else "matching-cost-binary"
 
     @property
+    def dims(self) -> tuple:
+        return (6,) * len(self.keys)  # the pose part of each key
+
+    @property
     def inliers(self) -> int:
         """Source points that found a voxel at the last linearization."""
         return 0 if self._rows is None else int(np.count_nonzero(self._rows >= 0))
@@ -298,7 +297,6 @@ class MatchingCostFactor(Factor):
         return terms.cost if terms.inliers >= self.min_inliers else 0.0
 
     def linearize(self, values) -> FactorLinearization:
-        dims = [k.dim for k in self.keys]
         try:
             if self._empty:
                 raise DegenerateConstraint("no points to match")
@@ -307,16 +305,15 @@ class MatchingCostFactor(Factor):
             lin = linearize_from_terms(terms, t_ij, target_fixed=self.unary,
                                        min_inliers=self.min_inliers)
         except DegenerateConstraint:
-            return FactorLinearization(
-                self.keys, [np.zeros(d) for d in dims],
-                {(a, a): np.zeros((d, d)) for a, d in enumerate(dims)}, 0.0)
-        g = [_padded(lin.b_i, dims[0])]
-        h = {(0, 0): _padded(lin.h_ii, dims[0], dims[0])}
-        if not self.unary:
-            g.append(_padded(lin.b_j, dims[1]))
-            h[(0, 1)] = _padded(lin.h_ij, dims[0], dims[1])
-            h[(1, 1)] = _padded(lin.h_jj, dims[1], dims[1])
-        return FactorLinearization(self.keys, g, h, lin.cost)
+            return FactorLinearization(None, None, 0.0)
+        if self.unary:
+            return FactorLinearization(lin.b_i, lin.h_ii, lin.cost)
+        h = np.empty((12, 12))
+        h[:6, :6] = lin.h_ii
+        h[:6, 6:] = lin.h_ij
+        h[6:, :6] = lin.h_ij.T
+        h[6:, 6:] = lin.h_jj
+        return FactorLinearization(np.concatenate([lin.b_i, lin.b_j]), h, lin.cost)
 
 
 class RelativeStateFactor(Factor):
@@ -364,28 +361,22 @@ class RelativeStateFactor(Factor):
         rc_t = c.rotation.matrix().T
         rb = self.rel_pose.rotation.matrix().T  # rotation of rel_pose^-1
 
-        j_s = np.zeros((15, 6))
-        j_s[0:3, 0:3] = -jr_inv @ rc_t
-        j_s[3:6, 0:3] = rb @ so3_hat(c.translation)
-        j_s[3:6, 3:6] = -rb
-        j_s[6:9, 0:3] = so3_hat(rs_t @ state.velocity)
-
-        j_e = np.zeros((15, 15))
-        j_e[0:3, 0:3] = jr_inv
-        j_e[3:6, 3:6] = e_rot
-        j_e[6:9, 6:9] = rs_t
-        j_e[9:15, 9:15] = np.eye(6)
+        # columns 0:6 the submap pose, 6:21 the endpoint state
+        jac = np.zeros((15, 21))
+        jac[0:3, 0:3] = -jr_inv @ rc_t
+        jac[3:6, 0:3] = rb @ so3_hat(c.translation)
+        jac[3:6, 3:6] = -rb
+        jac[6:9, 0:3] = so3_hat(rs_t @ state.velocity)
+        jac[0:3, 6:9] = jr_inv
+        jac[3:6, 9:12] = e_rot
+        jac[6:9, 12:15] = rs_t
+        jac[9:15, 15:21] = np.eye(6)
 
         wr = self.information * r
-        ws = 2.0 * j_s.T
-        we = 2.0 * j_e.T
-        lam = self.information[:, None]
-        return FactorLinearization(
-            self.keys,
-            [ws @ wr, we @ wr],
-            {(0, 0): ws @ (lam * j_s), (0, 1): ws @ (lam * j_e),
-             (1, 1): we @ (lam * j_e)},
-            float(r @ wr))
+        jt2 = 2.0 * jac.T
+        return FactorLinearization(jt2 @ wr,
+                                   jt2 @ (self.information[:, None] * jac),
+                                   float(r @ wr))
 
 
 class MarginalPriorFactor(Factor):
@@ -405,16 +396,11 @@ class MarginalPriorFactor(Factor):
         self.lin_values = dict(lin_values)
         self.hessian = 0.5 * (hessian + hessian.T)
         self.gradient = gradient
-        self._slices = []
-        off = 0
-        for k in self.keys:
-            self._slices.append(slice(off, off + k.dim))
-            off += k.dim
-        self.dim = off
+        self._slices, self.dim = _layout(self.keys)
 
     def _delta(self, values) -> np.ndarray:
         delta = np.empty(self.dim)
-        for k, sl in zip(self.keys, self._slices):
+        for k, sl in self._slices.items():
             delta[sl] = local_value(k.kind, values[k], self.lin_values[k])
         return delta
 
@@ -424,13 +410,8 @@ class MarginalPriorFactor(Factor):
 
     def linearize(self, values) -> FactorLinearization:
         d = self._delta(values)
-        g_full = self.gradient + self.hessian @ d
-        g = [g_full[sl] for sl in self._slices]
-        h = {}
-        for a in range(len(self.keys)):
-            for b in range(a, len(self.keys)):
-                h[(a, b)] = self.hessian[self._slices[a], self._slices[b]]
-        return FactorLinearization(self.keys, g, h, self.cost(values))
+        return FactorLinearization(self.gradient + self.hessian @ d,
+                                   self.hessian, self.cost(values))
 
 
 @dataclass
@@ -466,20 +447,26 @@ def _layout(keys):
 
 
 def _accumulate(factors, values, slices, dim):
-    """Dense normal equations (H, g) and total cost of the factors at values."""
+    """Dense normal equations (H, g) and total cost of the factors at values;
+    each block lands, one key pair at a time, in the leading dims[a] entries
+    of its keys' slices."""
     h = np.zeros((dim, dim))
     g = np.zeros(dim)
     cost = 0.0
     for f in factors:
         lin = f.linearize(values)
         cost += lin.cost
-        sls = [slices[k] for k in lin.keys]
-        for a, ga in enumerate(lin.g):
-            g[sls[a]] += ga
-        for (a, b), blk in lin.h.items():
-            h[sls[a], sls[b]] += blk
-            if a != b:
-                h[sls[b], sls[a]] += blk.T
+        if lin.h is None:
+            continue
+        places, off = [], 0  # (system slice, block slice) per key
+        for k, n in zip(f.keys, f.dims):
+            start = slices[k].start
+            places.append((slice(start, start + n), slice(off, off + n)))
+            off += n
+        for sys_a, blk_a in places:
+            g[sys_a] += lin.g[blk_a]
+            for sys_b, blk_b in places:
+                h[sys_a, sys_b] += lin.h[blk_a, blk_b]
     return h, g, cost
 
 
@@ -499,13 +486,13 @@ class FactorGraph:
     def __init__(self):
         self.values: dict[Key, object] = {}
         self.factors: list[Factor] = []
-        self._cached_normal = None  # (H, slices, dim) at current values
+        # (H, slices) of the last assembly of optimize_lm
+        self._normal: tuple[np.ndarray, dict] | None = None
 
     def add_variable(self, key: Key, initial_value) -> None:
         if key in self.values:
             raise DuplicateVariable(f"{key} already in graph")
         self.values[key] = initial_value
-        self._cached_normal = None
 
     def add_factor(self, factor: Factor) -> None:
         if not factor.keys:
@@ -514,7 +501,6 @@ class FactorGraph:
             if k not in self.values:
                 raise UnknownVariable(f"factor references missing {k}")
         self.factors.append(factor)
-        self._cached_normal = None
 
     def total_cost(self, values=None) -> float:
         values = self.values if values is None else values
@@ -585,9 +571,13 @@ class FactorGraph:
         tolerance, than the lowest an earlier one found: the correspondences
         looked up at each linearization then move the cost more than the
         steps do, and the iterates wander or cycle between correspondence
-        sets.  Ending at max_iterations is not converging.  NotConverged is raised when lambda passes
-        lambda_max.  The normal equations are kept for marginal_covariance
-        when the solve ends where they were assembled.
+        sets.  Ending at max_iterations is not converging.  NotConverged is
+        raised when lambda passes lambda_max.
+
+        The undamped system H of the last assembly, with its key slices, is
+        held for marginal_covariance until the next solve, also when
+        NotConverged ends this one.  It is linearized at the estimate of
+        that iteration, which an accepted step may have moved since.
         """
         settings = settings or LmSettings()
         self.check_structure()
@@ -597,7 +587,6 @@ class FactorGraph:
         lam, nu = settings.lambda_init, 2.0
         iterations = evaluations = rejected = 0
         converged = False
-        normal = None
 
         def negligible(change, ref):
             return abs(change) <= settings.rel_cost_tol * max(ref, 1e-30)
@@ -606,7 +595,7 @@ class FactorGraph:
         stalled = 0  # linearizations since best was last lowered
         while not converged and iterations < settings.max_iterations:
             h, g, cost = _accumulate(self.factors, values, slices, dim)
-            normal = (h, slices, dim)
+            self._normal = (h, slices)
             iterations += 1
             if best is None or (cost < best and not negligible(best - cost, best)):
                 best, stalled = cost, 0
@@ -633,7 +622,6 @@ class FactorGraph:
                                   1e-12)
                         nu = 2.0
                         values, cost = candidate, new_cost
-                        normal = None
                         converged = small
                         break
                     rejected += 1
@@ -643,12 +631,10 @@ class FactorGraph:
                 lam, nu = lam * nu, 2.0 * nu
                 if lam > settings.lambda_max:
                     self.values = values
-                    self._cached_normal = None
                     reason = ("no cost-reducing step found" if delta is not None
                               else "damping exhausted on singular system")
                     raise NotConverged(reason, estimates=values, cost=cost)
         self.values = values
-        self._cached_normal = normal
         return OptimizeResult(values, cost, iterations, converged, initial_cost,
                               evaluations, rejected)
 
@@ -727,7 +713,6 @@ class FactorGraph:
         self.factors = remaining
         for k in removed:
             del self.values[k]
-        self._cached_normal = None
         prior = MarginalPriorFactor(retained,
                                     {k: self.values[k] for k in retained},
                                     h_marg, g_marg)
@@ -736,13 +721,18 @@ class FactorGraph:
         return prior
 
     def marginal_covariance(self, key: Key) -> np.ndarray:
-        """Covariance block of one variable from the full normal equations,
-        assembled at the current values unless the last solve kept them."""
-        if self._cached_normal is not None:
-            h, slices, dim = self._cached_normal
-        else:
-            slices, dim = _layout(self.values)
-            h, _, _ = _accumulate(self.factors, self.values, slices, dim)
+        """Covariance block of one variable: the key's block of the inverse
+        of the system H that the last optimize_lm assembled.
+
+        The inverse of H restricted to any set of its keys is their marginal
+        under the Gaussian that the solve linearized, so the answer does not
+        change when other keys of that system are marginalized afterwards.
+        Raises UnknownVariable for a key that was not in the held system.
+        """
+        if self._normal is None or key not in self._normal[1]:
+            raise UnknownVariable(f"{key} was not in the last solve's system")
+        h, slices = self._normal
+        dim = len(h)
         sl = slices[key]
         rhs = np.zeros((dim, key.dim))
         rhs[sl] = np.eye(key.dim)

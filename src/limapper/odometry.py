@@ -279,12 +279,10 @@ class OdometryEstimator:
         if len(frame):
             self._add_matching_factors(rec)
 
-        settings = replace(self.config.optimizer, max_iterations=min(
-            self.config.optimizer.max_iterations, cfg.lm_max_iterations))
         snapshot = dict(self.graph.values)
         warning = None
         try:
-            self.graph.optimize_lm(settings)
+            self.graph.optimize_lm(self.config.optimizer)
         except NotConverged:
             warning = "optimizer did not converge; prediction retained"
             self.graph.values = snapshot
@@ -397,13 +395,16 @@ class OdometryEstimator:
         return out
 
     def _emit_oldest(self) -> MarginalizedFrame:
-        rec = self._window.pop(0)
+        """Hand the oldest frame downstream; it leaves the window only once
+        marginalize succeeded, so a failure keeps window and graph in step."""
+        rec = self._window[0]
         try:
             cov = self.graph.marginal_covariance(rec.key)
             sigmas = np.sqrt(np.clip(np.diag(cov)[6:15], 1e-12, None))
         except np.linalg.LinAlgError:
             sigmas = FALLBACK_VEL_BIAS_SIGMA.copy()
         self.graph.marginalize([rec.key])
+        del self._window[0]
         rec.marginalized = True
         out = MarginalizedFrame(
             frame_index=rec.index, frame=rec.pre_frame, state=rec.state,

@@ -86,7 +86,6 @@ class TestBadValues:
 
     @pytest.mark.parametrize("section, name, value, match", [
         ("optimizer", "max_iterations", 0, "iteration caps"),
-        ("odometry", "lm_max_iterations", 0, "iteration caps"),
         ("optimizer", "lambda_init", 0.0, "lambda_init"),
         ("optimizer", "lambda_init", float("nan"), "lambda_init"),
         ("optimizer", "lambda_init", 1e13, "lambda_init"),  # above lambda_max
@@ -107,7 +106,6 @@ class TestBadValues:
     def test_limits_themselves_pass(self):
         config = PipelineConfig()
         config.optimizer.max_iterations = 1
-        config.odometry.lm_max_iterations = 1
         config.optimizer.rel_cost_tol = 0.0
         config.optimizer.update_tol = 0.0
         config.preprocess.knn = 1
@@ -135,7 +133,6 @@ class TestInvalidConfig:
         ("preprocess", "knn", 0, "preprocess.knn"),
         ("preprocess", "plane_eps", 0.0, "preprocess.plane_eps"),
         ("optimizer", "max_iterations", 0, "optimizer.max_iterations"),
-        ("odometry", "lm_max_iterations", 0, "odometry.lm_max_iterations"),
         ("optimizer", "lambda_init", 1e13, "optimizer.lambda_init"),
         ("optimizer", "lambda_max", float("nan"), "optimizer.lambda_max"),
         ("optimizer", "update_tol", -1.0, "optimizer.update_tol"),

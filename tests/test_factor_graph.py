@@ -1,7 +1,10 @@
+import functools
 import io
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from limapper.errors import (
     DuplicateVariable,
@@ -38,6 +41,8 @@ from limapper.registration import build_voxelmap, matching_cost
 from test_registration import box_room_frame, box_room_frame_plane_covs, make_frame
 
 NOISE = ImuNoiseParams()
+# a stationary IMU long enough for the longest chain below
+STILL_SAMPLES = [ImuSample(t, -GRAVITY, np.zeros(3)) for t in np.arange(0, 6.21, 0.005)]
 
 
 def random_state(rng, stamp=0.0):
@@ -425,41 +430,49 @@ class TestRelativeStateFactor:
             g_e_expected = 2.0 * fd_e.T @ (f.information * r0)
             scale = max(1.0, np.max(np.abs(g_s_expected)), np.max(np.abs(g_e_expected)))
             worst = max(worst,
-                        np.max(np.abs(lin.g[0] - g_s_expected)) / scale,
-                        np.max(np.abs(lin.g[1] - g_e_expected)) / scale)
+                        np.max(np.abs(lin.g[:6] - g_s_expected)) / scale,
+                        np.max(np.abs(lin.g[6:] - g_e_expected)) / scale)
         assert worst < 1e-5
+
+
+@functools.cache
+def still_link(i):
+    """Preintegrated stationary IMU over [i, i + 1] s."""
+    return preintegrate(STILL_SAMPLES, float(i), i + 1.0, np.zeros(6), NOISE)
+
+
+def translation_chain(n, rng, prior_translation, prior_velocity, prior_info):
+    """n states one second apart, from random initials, linked by a
+    stationary IMU, with a prior on the first state's translation and
+    velocity.  Rotations and biases are pinned hard at identity/zero, so the
+    remaining translation/velocity problem is exactly linear-Gaussian."""
+    g = FactorGraph()
+    pin = np.zeros(15)
+    pin[0:3] = 1e12
+    pin[9:15] = 1e12
+    for i in range(n):
+        s = SensorState(
+            pose=Se3Pose(so3_exp(np.zeros(3)), rng.uniform(-1, 1, 3)),
+            velocity=rng.uniform(-1, 1, 3),
+            bias_accel=np.zeros(3), bias_gyro=np.zeros(3), stamp=float(i))
+        g.add_variable(frame_key(i), s)
+        g.add_factor(PriorFactor(frame_key(i), SensorState.zero(float(i)), pin))
+    info = np.zeros(15)
+    info[3:9] = prior_info
+    prior_target = SensorState(
+        pose=Se3Pose(so3_exp(np.zeros(3)), np.asarray(prior_translation, dtype=float)),
+        velocity=np.asarray(prior_velocity, dtype=float),
+        bias_accel=np.zeros(3), bias_gyro=np.zeros(3), stamp=0.0)
+    g.add_factor(PriorFactor(frame_key(0), prior_target, info))
+    for i in range(n - 1):
+        g.add_factor(ImuFactor(frame_key(i), frame_key(i + 1), still_link(i)))
+    return g
 
 
 class TestMarginalization:
     def _translation_chain(self):
-        # rotations and biases pinned hard at identity/zero; the remaining
-        # translation/velocity problem is exactly linear-Gaussian
-        g = FactorGraph()
-        rng = np.random.default_rng(11)
-        pin = np.zeros(15)
-        pin[0:3] = 1e12
-        pin[9:15] = 1e12
-        for i in range(3):
-            s = SensorState(
-                pose=Se3Pose(so3_exp(np.zeros(3)), rng.uniform(-1, 1, 3)),
-                velocity=rng.uniform(-1, 1, 3),
-                bias_accel=np.zeros(3), bias_gyro=np.zeros(3), stamp=float(i))
-            g.add_variable(frame_key(i), s)
-            g.add_factor(PriorFactor(frame_key(i), SensorState.zero(float(i)), pin))
-        info = np.zeros(15)
-        info[3:6] = 50.0
-        info[6:9] = 20.0
-        prior_target = SensorState(
-            pose=Se3Pose(so3_exp(np.zeros(3)), np.array([1.0, 2.0, 3.0])),
-            velocity=np.array([0.1, 0.0, -0.1]),
-            bias_accel=np.zeros(3), bias_gyro=np.zeros(3), stamp=0.0)
-        g.add_factor(PriorFactor(frame_key(0), prior_target, info))
-        samples = [ImuSample(t, -GRAVITY, np.zeros(3)) for t in np.arange(0, 2.21, 0.005)]
-        g.add_factor(ImuFactor(frame_key(0), frame_key(1),
-                               preintegrate(samples, 0.0, 1.0, np.zeros(6), NOISE)))
-        g.add_factor(ImuFactor(frame_key(1), frame_key(2),
-                               preintegrate(samples, 1.0, 2.0, np.zeros(6), NOISE)))
-        return g
+        return translation_chain(3, np.random.default_rng(11), [1.0, 2.0, 3.0],
+                                 [0.1, 0.0, -0.1], [50.0] * 3 + [20.0] * 3)
 
     def test_linear_chain_marginalization_exact(self):
         full = self._translation_chain()
@@ -523,3 +536,62 @@ class TestMarginalization:
         second = g.optimize_lm()
         err = state_local(second.estimates[frame_key(1)], first.estimates[frame_key(1)])
         assert np.linalg.norm(err) < 1e-8
+
+    def test_marginal_covariance_is_a_block_of_the_held_inverse(self):
+        g = self._translation_chain()
+        g.optimize_lm()
+        h, slices = g._normal
+        inverse = np.linalg.inv(h)
+        for i in range(3):
+            sl = slices[frame_key(i)]
+            want = inverse[sl, sl]
+            got = g.marginal_covariance(frame_key(i))
+            assert np.abs(got - want).max() < 1e-12
+
+    def test_marginal_covariance_survives_marginalization(self):
+        # the held system is the solve's, so marginalizing frame 0 afterwards
+        # changes none of the other blocks
+        g = self._translation_chain()
+        g.optimize_lm()
+        before = {i: g.marginal_covariance(frame_key(i)) for i in (1, 2)}
+        g.marginalize([frame_key(0)])
+        for i in (1, 2):
+            assert np.array_equal(g.marginal_covariance(frame_key(i)), before[i])
+
+    def test_marginal_covariance_of_a_key_added_after_the_solve(self):
+        g = self._translation_chain()
+        with pytest.raises(UnknownVariable):
+            g.marginal_covariance(frame_key(0))  # no solve yet
+        g.optimize_lm()
+        g.add_variable(frame_key(3), SensorState.zero(3.0))
+        with pytest.raises(UnknownVariable):
+            g.marginal_covariance(frame_key(3))
+
+
+class TestMarginalizationProperties:
+    @given(n=st.integers(3, 6), data=st.data(),
+           seed=st.integers(0, 2**32 - 1),
+           translation=st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3),
+           velocity=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+           log_info=st.lists(st.floats(1.0, 4.0), min_size=6, max_size=6))
+    def test_marginalizing_a_prefix_keeps_the_batch_optimum(
+            self, n, data, seed, translation, velocity, log_info):
+        k = data.draw(st.integers(1, n - 1), label="marginalized")
+        info = 10.0 ** np.asarray(log_info)
+        batch = translation_chain(n, np.random.default_rng(seed), translation,
+                                  velocity, info).optimize_lm()
+        g = translation_chain(n, np.random.default_rng(seed), translation,
+                              velocity, info)
+        # as in the fixed-lag window, marginalize one state at a time at the
+        # estimate of a solve, here one cut short after two iterations.  At
+        # the initial values, or with prior strengths below 10, the marginal
+        # prior's cost cancels so far from zero that its rounding hides
+        # errors above the bound from the re-solve's acceptance test,
+        # whatever the marginalization.
+        g.optimize_lm(LmSettings(max_iterations=2))
+        for i in range(k):
+            g.marginalize([frame_key(i)])
+        res = g.optimize_lm()
+        for i in range(k, n):
+            err = state_local(res.estimates[frame_key(i)], batch.estimates[frame_key(i)])
+            assert np.linalg.norm(err) < 1e-8

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from limapper.geometry import (
     Rotation,
@@ -27,6 +29,15 @@ def random_rotation(rng):
 
 def random_pose(rng, scale=5.0):
     return Se3Pose(random_rotation(rng), rng.uniform(-scale, scale, 3))
+
+
+def vectors(n, bound):
+    return st.lists(st.floats(-bound, bound), min_size=n, max_size=n).map(np.array)
+
+
+# rotation vectors up to 1.85 per axis reach past pi; the tests keep those
+# below pi - 1e-3, where the logarithm is unique
+rotvecs = vectors(3, 1.85)
 
 
 class TestSo3:
@@ -184,3 +195,20 @@ class TestRetractions:
         rng = np.random.default_rng(12)
         a, b = rng.normal(size=3), rng.normal(size=3)
         assert np.allclose(so3_hat(a) @ b, np.cross(a, b))
+
+
+class TestRetractionProperties:
+    @given(rot=rotvecs, trans=vectors(3, 20.0), phi=rotvecs, rho=vectors(3, 5.0))
+    def test_pose_local_inverts_retract(self, rot, trans, phi, rho):
+        assume(np.linalg.norm(phi) < np.pi - 1e-3)
+        p = Se3Pose(so3_exp(rot), trans)
+        xi = np.concatenate([phi, rho])
+        assert np.abs(pose_local(pose_retract(p, xi), p) - xi).max() <= 1e-9
+
+    @given(rot=rotvecs, rest=vectors(12, 5.0), phi=rotvecs, delta=vectors(12, 5.0))
+    def test_state_local_inverts_retract(self, rot, rest, phi, delta):
+        assume(np.linalg.norm(phi) < np.pi - 1e-3)
+        s = SensorState(pose=Se3Pose(so3_exp(rot), rest[:3]), velocity=rest[3:6],
+                        bias_accel=rest[6:9], bias_gyro=rest[9:], stamp=0.0)
+        xi = np.concatenate([phi, delta])
+        assert np.abs(state_local(state_retract(s, xi), s) - xi).max() <= 1e-9

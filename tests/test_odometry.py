@@ -1,3 +1,4 @@
+import copy
 import warnings
 
 import numpy as np
@@ -5,9 +6,14 @@ import pytest
 
 from limapper.config import PipelineConfig
 from limapper.dataset_io import record_from_pose
-from limapper.errors import ImuCoverageGap, RunFinished, VoxelKeyOutOfRange
+from limapper.errors import (
+    DisconnectedGraph,
+    ImuCoverageGap,
+    RunFinished,
+    VoxelKeyOutOfRange,
+)
 from limapper.evaluation import compute_ate
-from limapper.factor_graph import FactorGraph
+from limapper.factor_graph import FactorGraph, _accumulate, _layout, frame_key
 from limapper.geometry import Se3Pose
 from limapper.odometry import FALLBACK_VEL_BIAS_SIGMA, OdometryEstimator
 from limapper.preprocess import RawScan
@@ -100,6 +106,51 @@ class TestMarginalCovarianceFallback:
         monkeypatch.setattr(FactorGraph, "marginal_covariance", broken)
         with pytest.raises(KeyError):
             run(loop_scene, self.short_lag(), n_scans=3)
+
+
+class TestFailedMarginalization:
+    def test_window_and_graph_stay_in_step(self, loop_scene, monkeypatch):
+        def disconnected(self, keys):
+            raise DisconnectedGraph("probe")
+
+        monkeypatch.setattr(FactorGraph, "marginalize", disconnected)
+        est = OdometryEstimator(TestMarginalCovarianceFallback.short_lag())
+        batches = imu_batches(loop_scene, est.config.odometry.init_window)
+        est.process_frame(loop_scene.scans[0], batches[0])
+        with pytest.raises(DisconnectedGraph):
+            est.process_frame(loop_scene.scans[1], batches[1])
+        # the frame that could not be marginalized is still in both
+        assert [f.key for f in est._window] == list(est.graph.values)
+        assert est._window[0].key == frame_key(0)
+        assert not est._window[0].marginalized
+
+
+class TestEmittedSigmas:
+    def test_close_to_a_fresh_assembly(self, loop_scene, monkeypatch):
+        # the sigmas come from the last solve's system, which an accepted
+        # step may have left; a fresh assembly of the window at its final
+        # values moves them by at most 5.2e-5 relative (measured); the bound
+        # is ten times that
+        held = FactorGraph.marginal_covariance
+        worst = []
+
+        def compare(self, key):
+            cov = held(self, key)
+            slices, dim = _layout(self.values)
+            # linearize copies, so the matching factors keep their own
+            # correspondences and the run is not disturbed
+            h, _, _ = _accumulate([copy.copy(f) for f in self.factors],
+                                  self.values, slices, dim)
+            fresh = np.linalg.inv(h)[slices[key], slices[key]]
+            a, b = (np.sqrt(np.diag(c)[6:15]) for c in (cov, fresh))
+            worst.append(np.max(np.abs(a - b) / b))
+            return cov
+
+        monkeypatch.setattr(FactorGraph, "marginal_covariance", compare)
+        est, _ = run(loop_scene)
+        est.finish()
+        assert len(worst) == 14
+        assert max(worst) < 5.2e-4
 
 
 class TestRetryAfterFailure:
