@@ -107,7 +107,8 @@ class PipelineConfig:
                  "window sizes must be positive")
         _require(odo.recent_frame_links >= 0, "odometry.recent_frame_links",
                  "recent_frame_links must not be negative")
-        _require(pre.knn >= 1, "preprocess.knn", "knn must be at least 1")
+        # a plane through a point's neighbourhood needs 3 points to be defined
+        _require(pre.knn >= 3, "preprocess.knn", "knn must be at least 3")
         for name in ("downsample_resolution", "plane_eps", "max_imu_gap"):
             _require(getattr(pre, name) > 0, f"preprocess.{name}", "must be positive")
         _require(opt.max_iterations >= 1, "optimizer.max_iterations",

@@ -5,6 +5,17 @@ A scan becomes a Frame in four steps: downsample with per-voxel timestamp
 averaging, find neighbors (before deskewing, reused afterwards), deskew by
 integrating the IMU across the scan, then estimate plane-regularized point
 covariances from the precomputed neighborhoods.
+
+The two per-point kernels take a general algorithm only where it is needed:
+
+- ``knn_search`` keeps the tree's order on rows whose distances are clearly
+  distinct and re-sorts only rows with a near-tie, because the tree does not
+  break equal distances by index.  The result is the same bit for bit as a
+  re-sort of every row.
+- ``estimate_covariances`` takes each plane normal in closed form, within
+  about 3e-12 of ``np.linalg.eigh``, and hands neighborhoods without a
+  well-defined normal (lines, duplicates, near-isotropic clusters; the rule
+  is at ``_COV_EIGEN_GAP``) to eigh, whose result they get bit for bit.
 """
 
 from __future__ import annotations
@@ -20,6 +31,24 @@ from .imu import GRAVITY, ImuSample, integration_nodes, propagate_state, samples
 
 # voxel indices are packed into a single int64, 21 bits per axis
 _KEY_OFFSET = 1 << 20
+
+# Relative step between consecutive kNN distances below which a row counts as
+# tied.  The tree and the re-sort each form a squared distance from rounded
+# coordinate differences, within about 4 ulp (1e-15) of the exact one, so
+# steps above 1e-9 order both the same way: such a row needs no re-sort.
+_KNN_TIE_REL = 1e-9
+
+# Eigenvalue gap (lambda1 - lambda0) / lambda2 at or below which a point's
+# covariance comes from eigh.  The closed-form normal is a column of
+# adj(A - lambda0*I).  Rounding of order ulp(lambda2) in A - lambda0*I turns
+# it by about ulp(lambda2) / (lambda1 - lambda0), as it turns eigh's, so the
+# two covariances differ by about 3e-16 / gap: 3e-12 at this threshold
+# (measured on noisy lines and elongated planes).  A ten times smaller
+# threshold allows 3e-11; a ten times larger one sends 7 % of the rows of a
+# dense scan, whose smallest gap is 2.4e-4, to eigh.  It must stay well above
+# 1.4e-8, the largest gap the closed form reads on an exact line: near a
+# double eigenvalue arccos amplifies rounding to about sqrt(ulp).
+_COV_EIGEN_GAP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -130,7 +159,8 @@ def voxel_downsample(scan: RawScan, resolution: float) -> RawScan:
     voxel's positions over axis 0 in scan order, which ``segment_sums``
     repeats for all voxels at once.  A voxel's stamps are summed in the same
     order only below 8 points: from 8 addends on, numpy sums a 1-D array
-    pairwise, so those voxels take the stamps' ``.sum()``, as ``np.mean`` does.
+    pairwise, so those voxels take a row sum of their stamps, which numpy forms
+    pairwise too, as ``np.mean`` does.
     """
     if resolution <= 0.0:
         raise ValueError("resolution must be positive")
@@ -141,8 +171,11 @@ def voxel_downsample(scan: RawScan, resolution: float) -> RawScan:
     stamps = scan.stamps[order]
     sums = segment_sums(np.column_stack([scan.points[order], stamps]),
                         starts, counts)
-    for g in np.flatnonzero(counts >= 8):
-        sums[g, 3] = stamps[starts[g]:starts[g] + counts[g]].sum()  # pairwise
+    for c in np.unique(counts[counts >= 8]):
+        # one (voxels, c) block per occupancy; numpy sums each contiguous
+        # row pairwise, as it sums the voxel's 1-D slice
+        g = np.flatnonzero(counts == c)
+        sums[g, 3] = stamps[starts[g][:, None] + np.arange(c)].sum(axis=1)
     points = sums[:, :3] / counts[:, None]
     mean_stamps = sums[:, 3] / counts
 
@@ -177,46 +210,147 @@ def voxel_downsample(scan: RawScan, resolution: float) -> RawScan:
 def knn_search(frame: Frame, k: int) -> np.ndarray:
     """Exact k-nearest-neighbor indices per point, self included.
 
-    Equal distances are broken toward the lower index so the result matches
-    a brute-force stable sort bit for bit.
+    Rows come in (squared distance, index) order, so the result matches a
+    brute-force stable sort bit for bit: equal distances are broken toward
+    the lower index.  The tree returns each row sorted by its own distances;
+    a row whose distances rise by more than ``_KNN_TIE_REL`` at every step is
+    in that order already.  Only rows with a near-tie (duplicates, grid
+    points, the self point beside a coincident one) have their squared
+    distances recomputed and are re-sorted, because the tree does not order
+    equal distances by index.
     """
     n = len(frame)
     if n < k:
         raise FrameTooSparse(f"frame has {n} points, need at least {k}")
-    tree = cKDTree(frame.points)
-    _, idx = tree.query(frame.points, k=k)
-    idx = idx.reshape(n, k)
-    # recompute distances with plain vectorized arithmetic, then order by
-    # (distance, index) for a deterministic tie-break
-    diff = frame.points[idx] - frame.points[:, None, :]
-    d2 = np.einsum("nkd,nkd->nk", diff, diff)
-    order = np.lexsort((idx, d2), axis=1)
-    return np.take_along_axis(idx, order, axis=1)
+    dist, idx = cKDTree(frame.points).query(frame.points, k=k)
+    dist, idx = dist.reshape(n, k), idx.reshape(n, k)
+    tied = np.flatnonzero(
+        ~(dist[:, 1:] > dist[:, :-1] * (1.0 + _KNN_TIE_REL)).all(axis=1))
+    if tied.size:
+        # recompute distances with plain vectorized arithmetic, then order by
+        # (distance, index) for a deterministic tie-break
+        rows = idx[tied]
+        diff = frame.points[rows] - frame.points[tied, None, :]
+        d2 = np.einsum("nkd,nkd->nk", diff, diff)
+        order = np.lexsort((rows, d2), axis=1)
+        idx[tied] = np.take_along_axis(rows, order, axis=1)
+    return idx
+
+
+def _eigh_covariances(points: np.ndarray, neighbors: np.ndarray,
+                      plane_eps: float):
+    """(covs, degenerate) by eigen-decomposing each sample covariance; the
+    rows of ``estimate_covariances`` that have no well-defined normal."""
+    nbr = points[neighbors]  # (n, k, 3)
+    centered = nbr - nbr.mean(axis=1, keepdims=True)
+    cov = np.einsum("nki,nkj->nij", centered, centered) / nbr.shape[1]
+    evals, evecs = np.linalg.eigh(cov)
+    degenerate = evals[:, 2] < 1e-12
+    target = np.array([plane_eps, 1.0, 1.0])
+    covs = np.einsum("nij,j,nkj->nik", evecs, target, evecs)
+    covs[degenerate] = np.eye(3) * plane_eps
+    return covs, degenerate
 
 
 def estimate_covariances(frame: Frame, plane_eps: float = 1e-3) -> Frame:
     """Plane-regularized covariance per point from its neighbor positions.
 
-    Each sample covariance is eigen-decomposed and the eigenvalues replaced
-    by (1, 1, plane_eps), keeping the eigenvectors; fully degenerate
-    neighborhoods fall back to plane_eps * I and are flagged.
+    The sample covariance A of a point's neighborhood gets the eigenvalues
+    (plane_eps, 1, 1) in place of its own, keeping the eigenvectors.  That
+    is C = I - (1 - plane_eps) * n n^T, with n the normal: the eigenvector of
+    the smallest eigenvalue lambda0.  Fully degenerate neighborhoods
+    (largest eigenvalue below 1e-12) get plane_eps * I and are flagged.
+
+    The eigenvalues come in closed form (the trigonometric method for a
+    symmetric 3x3 matrix).  The normal is the longest column of
+    adj(A - lambda0*I), that is the longest cross product of two rows of
+    A - lambda0*I.  The closed-form lambda0 loses accuracy as the gap
+    lambda1 - lambda0 shrinks (arccos is steep near +-1), so it is polished
+    once with the Rayleigh quotient n^T A n of that normal, and the normal is
+    taken again; a Newton step on det(A - lambda*I) would be limited by the
+    rounding of the determinant and stay 100 times less accurate.  A row takes
+    ``np.linalg.eigh`` instead, with the same result as a full eigh pass bit
+    for bit, when (lambda1 - lambda0) <= ``_COV_EIGEN_GAP`` * lambda2 or
+    when every cross product is zero: lines, fewer than 3 distinct points
+    and duplicates, where no normal is well defined.  The gap is tested on
+    the unpolished eigenvalues.  Elsewhere the covariance is within about
+    3e-12 of eigh's (see ``_COV_EIGEN_GAP``), and within 1e-14 on planar
+    scan rows.
     """
     if frame.neighbors is None:
         raise ValueError("neighbors must be computed before covariances")
     n = len(frame)
     if n == 0:
         return replace(frame, covs=np.zeros((0, 3, 3)), degenerate=np.zeros(0, dtype=bool))
-    nbr = frame.points[frame.neighbors]  # (n, k, 3)
-    mean = nbr.mean(axis=1, keepdims=True)
-    centered = nbr - mean
-    cov = np.einsum("nki,nkj->nij", centered, centered) / nbr.shape[1]
-    evals, evecs = np.linalg.eigh(cov)
-    degenerate = evals[:, 2] < 1e-12
-    target = np.array([plane_eps, 1.0, 1.0])
-    covs = np.einsum("nij,j,nkj->nik", evecs, target, evecs)
-    if np.any(degenerate):
-        covs[degenerate] = np.eye(3) * plane_eps
+    k = frame.neighbors.shape[1]
+    nbr = np.take(frame.points.T, frame.neighbors, axis=1)  # (3, n, k)
+    nbr -= np.einsum("cnk->cn", nbr)[:, :, None] / k
+    x, y, z = nbr
+    a = np.stack([np.einsum("nk,nk->n", u, v) for u, v in (
+        (x, x), (x, y), (x, z), (y, y), (y, z), (z, z))]) / k
+
+    lam0, lam1, lam2 = _symmetric_eigenvalues(a)
+    gap = (lam1 - lam0) > _COV_EIGEN_GAP * lam2
+    # polish lambda0 with the Rayleigh quotient of a first normal
+    n0, n1, n2 = _null_direction(a, lam0)[0]
+    xx, xy, xz, yy, yz, zz = a
+    lam0 = (xx * n0 * n0 + yy * n1 * n1 + zz * n2 * n2
+            + 2.0 * (xy * n0 * n1 + xz * n0 * n2 + yz * n1 * n2))
+    normal, found = _null_direction(a, lam0)
+    fallback = ~(gap & found)
+
+    nt = normal.T  # (n, 3)
+    covs = nt[:, :, None] * (-(1.0 - plane_eps) * nt[:, None, :])
+    covs[:, [0, 1, 2], [0, 1, 2]] += 1.0
+    degenerate = lam2 < 1e-12
+    covs[degenerate] = np.eye(3) * plane_eps
+    if fallback.any():
+        rows = np.flatnonzero(fallback)
+        covs[rows], degenerate[rows] = _eigh_covariances(
+            frame.points, frame.neighbors[rows], plane_eps)
     return replace(frame, covs=covs, degenerate=degenerate)
+
+
+def _symmetric_eigenvalues(a: np.ndarray):
+    """Ascending eigenvalues of symmetric 3x3 matrices, trigonometric method.
+
+    ``a`` holds the unique entries (xx, xy, xz, yy, yz, zz) as rows.  With
+    A = q*I + p*B, q = tr(A) / 3 and p chosen so that tr(B^2) = 6, the
+    eigenvalues are q + 2p cos(phi + 2j*pi/3), where cos(3*phi) = det(B) / 2.
+    """
+    xx, xy, xz, yy, yz, zz = a
+    q = (xx + yy + zz) / 3.0
+    bx, by, bz = xx - q, yy - q, zz - q
+    p2 = (bx * bx + by * by + bz * bz + 2.0 * (xy * xy + xz * xz + yz * yz)) / 6.0
+    p = np.sqrt(p2)
+    det = bx * (by * bz - yz * yz) + xy * (xz * yz - xy * bz) + xz * (xy * yz - xz * by)
+    p3 = 2.0 * p2 * p
+    r = np.divide(det, p3, out=np.zeros_like(det), where=p3 > 0.0)  # p = 0: A = q*I
+    phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
+    lam2 = q + 2.0 * p * np.cos(phi)
+    lam0 = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
+    return lam0, 3.0 * q - lam0 - lam2, lam2
+
+
+def _null_direction(a: np.ndarray, lam: np.ndarray):
+    """Unit longest column of adj(A - lam*I) per matrix, and where it is nonzero.
+
+    Each column of the adjugate is the cross product of two rows of
+    A - lam*I, so for an eigenvalue lam of multiplicity one all three lie
+    along its eigenvector; the longest is the most accurate.  Returns
+    (3, n) directions, zero where every column is.
+    """
+    xx, xy, xz, yy, yz, zz = a
+    bx, by, bz = xx - lam, yy - lam, zz - lam
+    m = (by * bz - yz * yz, xz * yz - xy * bz, xy * yz - xz * by,
+         bx * bz - xz * xz, xy * xz - bx * yz, bx * by - xy * xy)
+    columns = np.array([[m[0], m[1], m[2]], [m[1], m[3], m[4]], [m[2], m[4], m[5]]])
+    lengths = np.sqrt(np.einsum("cin,cin->cn", columns, columns))
+    rows = np.arange(lam.shape[0])
+    best = lengths.argmax(axis=0)
+    length = lengths[best, rows]
+    found = length > 0.0
+    return columns[best, :, rows].T / np.where(found, length, 1.0), found
 
 
 def _slerp_batch(qa: np.ndarray, qb: np.ndarray, alpha: np.ndarray) -> np.ndarray:

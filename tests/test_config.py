@@ -93,6 +93,8 @@ class TestBadValues:
         ("optimizer", "rel_cost_tol", -1e-6, "rel_cost_tol"),
         ("optimizer", "update_tol", float("nan"), "update_tol"),
         ("preprocess", "knn", 0, "knn"),
+        ("preprocess", "knn", 1, "knn"),  # every covariance would be eps * I
+        ("preprocess", "knn", 2, "knn"),  # every normal an arbitrary one
         ("preprocess", "plane_eps", 0.0, "plane_eps"),
         ("preprocess", "max_imu_gap", -0.02, "max_imu_gap"),
         ("preprocess", "downsample_resolution", float("nan"), "downsample_resolution"),
@@ -108,7 +110,7 @@ class TestBadValues:
         config.optimizer.max_iterations = 1
         config.optimizer.rel_cost_tol = 0.0
         config.optimizer.update_tol = 0.0
-        config.preprocess.knn = 1
+        config.preprocess.knn = 3
         config.validate()
 
     def test_estimator_validates_its_config(self):
@@ -131,6 +133,7 @@ class TestInvalidConfig:
         ("odometry", "smoothing_lag", 0, "odometry.smoothing_lag"),
         ("odometry", "recent_frame_links", -1, "odometry.recent_frame_links"),
         ("preprocess", "knn", 0, "preprocess.knn"),
+        ("preprocess", "knn", 2, "preprocess.knn"),
         ("preprocess", "plane_eps", 0.0, "preprocess.plane_eps"),
         ("optimizer", "max_iterations", 0, "optimizer.max_iterations"),
         ("optimizer", "lambda_init", 1e13, "optimizer.lambda_init"),
