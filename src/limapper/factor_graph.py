@@ -22,7 +22,7 @@ Variable kinds and tangent layouts:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -55,7 +55,7 @@ from .registration import (
     linearize_from_terms,
     match_terms,
 )
-from .preprocess import Frame
+from .preprocess import Frame, pack_voxel_keys
 
 VARIABLE_DIMS = {"frame-state": 15, "submap-pose": 6, "endpoint-state": 15}
 
@@ -217,8 +217,11 @@ class MatchingCostFactor(Factor):
     every source point at the given estimate; ``cost`` keeps the voxels of
     the last ``linearize`` (or looks them up if there was none yet), so that
     a point crossing a voxel boundary does not make the cost jump between
-    two linearizations.  If the correspondence count is below the minimum,
-    the factor contributes nothing.
+    two linearizations.  A lookup after the first searches the map only for
+    the points whose packed voxel key differs from the last linearization's;
+    the others keep their rows, which depend only on the key and the
+    immutable map.  If the correspondence count is below the minimum, the
+    factor contributes nothing.
     """
 
     def __init__(self, key_source: Key, source: Frame, target_map: GaussianVoxelMap,
@@ -234,10 +237,12 @@ class MatchingCostFactor(Factor):
         self.min_inliers = min_inliers
         self._empty = (len(source) == 0 or len(target_map) == 0
                        or source.covs is None)
-        self._rows = None  # voxel row per source point from the last linearize
+        # (keys, rows): packed voxel key and voxel row per source point from
+        # the lookup of the last linearize
+        self._lookup = None
         # (v_i, v_j, terms, t_ij) of the last evaluated value pair, with terms
-        # on self._rows once set; values are immutable, so identity comparison
-        # is a safe cache key
+        # on the rows of self._lookup once set; values are immutable, so
+        # identity comparison is a safe cache key
         self._terms_cache = None
 
     @property
@@ -259,7 +264,7 @@ class MatchingCostFactor(Factor):
     @property
     def inliers(self) -> int:
         """Source points that found a voxel at the last linearization."""
-        return 0 if self._rows is None else int(np.count_nonzero(self._rows >= 0))
+        return 0 if self._lookup is None else int(np.count_nonzero(self._lookup[1] >= 0))
 
     def _poses(self, values):
         t_i = _pose_of(self.keys[0].kind, values[self.keys[0]])
@@ -267,26 +272,42 @@ class MatchingCostFactor(Factor):
             return t_i, self.fixed_target_pose
         return t_i, _pose_of(self.keys[1].kind, values[self.keys[1]])
 
+    def hits(self, values) -> int:
+        """Source points in an occupied voxel of the target map at the given
+        values.  The terms of this lookup serve the next ``cost`` and
+        ``linearize`` at the same values."""
+        if self._empty:
+            return 0
+        return self._terms(values, lookup=True)[0].inliers
+
     def _terms(self, values, lookup: bool):
         """Correspondence terms at the given values: on the voxel rows of the
-        last linearization, or on fresh ones when ``lookup`` is set or there
+        last linearization, or on a lookup when ``lookup`` is set or there
         was no linearization yet.  Terms computed at the same value objects
-        are reused when their rows are the ones asked for."""
+        are reused when their rows are the ones asked for; terms from a
+        lookup (``keys`` set) are the ones any lookup at those values asks
+        for."""
         v_i = values[self.keys[0]]
         v_j = None if self.unary else values[self.keys[1]]
         cached = self._terms_cache
         if cached is not None and cached[0] is v_i and cached[1] is v_j:
             terms, t_ij = cached[2], cached[3]
-            if not lookup:
+            if not lookup or terms.keys is not None:
                 return terms, t_ij
-            rows = self.target_map.lookup(terms.moved)
-            if np.array_equal(rows, terms.rows):
-                return terms, t_ij
+            keys = pack_voxel_keys(terms.moved, self.target_map.resolution)
+            rows = self.target_map.lookup_keys(keys, self._lookup)
+            if not np.array_equal(rows, terms.rows):
+                terms = match_terms(self.source, self.target_map, t_ij, rows)
+            terms = replace(terms, keys=keys)
         else:
             t_i, t_j = self._poses(values)
             t_ij = pose_compose(pose_inverse(t_j), t_i)
-            rows = None if lookup else self._rows
-        terms = match_terms(self.source, self.target_map, t_ij, rows)
+            if lookup:
+                terms = match_terms(self.source, self.target_map, t_ij,
+                                    known=self._lookup)
+            else:
+                rows = None if self._lookup is None else self._lookup[1]
+                terms = match_terms(self.source, self.target_map, t_ij, rows)
         self._terms_cache = (v_i, v_j, terms, t_ij)
         return terms, t_ij
 
@@ -301,7 +322,7 @@ class MatchingCostFactor(Factor):
             if self._empty:
                 raise DegenerateConstraint("no points to match")
             terms, t_ij = self._terms(values, lookup=True)
-            self._rows = terms.rows
+            self._lookup = (terms.keys, terms.rows)
             lin = linearize_from_terms(terms, t_ij, target_fixed=self.unary,
                                        min_inliers=self.min_inliers)
         except DegenerateConstraint:

@@ -321,26 +321,27 @@ class OdometryEstimator:
 
         A marginalized keyframe that any point of rec hits gets a unary
         factor; a window frame with at least min_inliers hits gets a binary
-        one.
+        one.  The hits come from the factor's own first lookup, whose terms
+        the solve's opening cost and first linearization reuse.
         """
         cfg = self.config.odometry
         recent = [f for f in self._window[::-1][:cfg.recent_frame_links]
                   if f.voxelmap is not None]
         targets = recent + [kf for kf in self.keyframes if kf not in recent]
         for target in targets:
-            rel = pose_compose(pose_inverse(target.state.pose), rec.state.pose)
-            moved = rec.frame.points @ rel.rotation.matrix().T + rel.translation
-            hits = int(np.count_nonzero(target.voxelmap.lookup(moved) >= 0))
             if target.marginalized:
-                if hits:
-                    self.graph.add_factor(MatchingCostFactor(
-                        rec.key, rec.frame, target.voxelmap,
-                        fixed_target_pose=target.state.pose,
-                        min_inliers=cfg.min_inliers))
-            elif hits >= cfg.min_inliers:
-                self.graph.add_factor(MatchingCostFactor(
+                factor = MatchingCostFactor(
+                    rec.key, rec.frame, target.voxelmap,
+                    fixed_target_pose=target.state.pose,
+                    min_inliers=cfg.min_inliers)
+                needed = 1
+            else:
+                factor = MatchingCostFactor(
                     rec.key, rec.frame, target.voxelmap, key_target=target.key,
-                    min_inliers=cfg.min_inliers))
+                    min_inliers=cfg.min_inliers)
+                needed = cfg.min_inliers
+            if factor.hits(self.graph.values) >= needed:
+                self.graph.add_factor(factor)
 
     # -- keyframes --------------------------------------------------------------------
 

@@ -18,11 +18,21 @@ one pass over its inliers, as a unary one does.  ``match_terms`` can also
 evaluate the cost with correspondences fixed from an earlier lookup, which
 keeps the cost smooth between two linearizations.
 
-Frames and voxel maps store full (n, 3, 3) covariances.  The per-inlier
-terms keep each symmetric 3x3 weight as the six unique entries (xx, xy, xz,
-yy, yz, zz), and every per-inlier quantity as contiguous rows, one per
-component, so the kernels are whole-row numpy operations and small BLAS
-products with no per-inlier matrix.
+Every per-point array is stored in component rows: a frame keeps its
+points as one C-contiguous (3, n) array and its covariances as one (9, n)
+array (``Frame.point_rows``, ``Frame.cov_rows``), and a voxel map keeps its
+means as (3, M) rows and its covariances as (9, M) rows whose first six are
+the unique entries (xx, xy, xz, yy, yz, zz).  The per-inlier terms keep each
+symmetric 3x3 weight as those six entries and every per-inlier quantity as
+rows too, so the kernels are whole-row numpy operations, contiguous
+``take`` gathers and small BLAS products with no per-inlier matrix; moving
+the points is one (3x3)·(3xn) product.
+
+A lookup packs each moved point's voxel index into one int64 key and finds
+the key among the map's sorted keys.  ``MatchingCostFactor`` keeps the keys
+and rows of its last lookup, so a re-linearization searches only the points
+whose key changed; a row depends only on the key and the immutable map, so
+the result is the same as a full search.
 """
 
 from __future__ import annotations
@@ -42,29 +52,68 @@ MIN_INLIERS_DEFAULT = 10
 class GaussianVoxelMap:
     """Spatial hash of per-voxel aggregate Gaussians.
 
-    Cells are stored as parallel arrays sorted by packed voxel key so that
-    batched lookups reduce to a searchsorted.
+    Cells are sorted by packed voxel key, so that a batched lookup is one
+    searchsorted.  Their values are stored as rows: ``mean_rows`` (3, M) and
+    ``cov_rows`` (9, M), both C-contiguous.  The first six covariance rows
+    are the unique entries (xx, xy, xz, yy, yz, zz), which matching reads
+    as one (6, M) block; the last three are the entries below the diagonal
+    (yx, zx, zy), kept so that ``covs`` gives back the aggregated matrices
+    as built.  ``means`` is a view of ``mean_rows``; ``covs`` is assembled
+    on access.
     """
 
-    def __init__(self, resolution: float, keys: np.ndarray, means: np.ndarray,
-                 covs: np.ndarray, counts: np.ndarray):
+    def __init__(self, resolution: float, keys: np.ndarray,
+                 mean_rows: np.ndarray, cov_rows: np.ndarray,
+                 counts: np.ndarray):
         self.resolution = float(resolution)
         self.keys = keys
-        self.means = means
-        self.covs = covs
+        self.mean_rows = mean_rows
+        self.cov_rows = cov_rows
         self.counts = counts
 
     def __len__(self) -> int:
         return self.keys.shape[0]
 
+    @property
+    def means(self) -> np.ndarray:
+        """(M, 3) cell means, a view of ``mean_rows``."""
+        return self.mean_rows.T
+
+    @property
+    def covs(self) -> np.ndarray:
+        """(M, 3, 3) cell covariances, assembled from ``cov_rows``."""
+        return self.cov_rows[_FROM_CELL_ROWS].T.reshape(-1, 3, 3)
+
     def lookup(self, points: np.ndarray) -> np.ndarray:
-        """Row index of the containing cell per point, -1 on a miss."""
+        """Row index of the containing cell per (n, 3) point, -1 on a miss."""
         if len(self) == 0 or points.shape[0] == 0:
             return np.full(points.shape[0], -1, dtype=np.int64)
-        pkeys = pack_voxel_keys(points, self.resolution)
-        pos = np.searchsorted(self.keys, pkeys)
+        return self.lookup_keys(pack_voxel_keys(points, self.resolution))
+
+    def lookup_keys(self, keys: np.ndarray,
+                    known: tuple[np.ndarray, np.ndarray] | None = None
+                    ) -> np.ndarray:
+        """Row index of the cell per packed voxel key, -1 on a miss.
+
+        ``known`` holds the (keys, rows) of an earlier lookup of as many
+        points in this map; only the keys that differ from it are searched,
+        and its rows are returned as they are when none does.
+        """
+        if known is None:
+            return self._search(keys)
+        old_keys, rows = known
+        changed = np.flatnonzero(keys != old_keys)
+        if changed.size:
+            rows = rows.copy()
+            rows[changed] = self._search(keys[changed])
+        return rows
+
+    def _search(self, keys: np.ndarray) -> np.ndarray:
+        if len(self) == 0 or keys.shape[0] == 0:
+            return np.full(keys.shape[0], -1, dtype=np.int64)
+        pos = np.searchsorted(self.keys, keys)
         pos = np.clip(pos, 0, len(self) - 1)
-        hit = self.keys[pos] == pkeys
+        hit = self.keys[pos] == keys
         return np.where(hit, pos, -1)
 
     def cell(self, index3) -> tuple[np.ndarray, np.ndarray, int]:
@@ -73,7 +122,8 @@ class GaussianVoxelMap:
         row = int(self.lookup(pt.reshape(1, 3))[0])
         if row < 0:
             raise KeyError(f"voxel {tuple(index3)} is empty")
-        return self.means[row], self.covs[row], int(self.counts[row])
+        cov = self.cov_rows[_FROM_CELL_ROWS, row].reshape(3, 3)
+        return self.means[row], cov, int(self.counts[row])
 
     def occupied_indices(self) -> np.ndarray:
         """Integer 3-indices of all occupied voxels."""
@@ -89,23 +139,26 @@ def build_voxelmap(frame: Frame, resolution: float) -> GaussianVoxelMap:
 
     The cell covariance is the mean of member covariances plus the scatter
     of member means about the cell mean (total covariance decomposition).
+    Every entry is summed in the same order as ``np.add.at`` over the points
+    in index order would sum it.
     """
     if frame.covs is None and len(frame) > 0:
         raise ValueError("frame needs covariances before voxelization")
-    n = len(frame)
-    if n == 0:
+    if len(frame) == 0:
         empty = np.zeros(0, dtype=np.int64)
-        return GaussianVoxelMap(resolution, empty, np.zeros((0, 3)),
-                                np.zeros((0, 3, 3)), np.zeros(0, dtype=np.int64))
+        return GaussianVoxelMap(resolution, empty, np.zeros((3, 0)),
+                                np.zeros((9, 0)), empty)
     keys = pack_voxel_keys(frame.points, resolution)
     order, starts, counts = group_by_key(keys)
-    points = frame.points[order]
-    means = segment_sums(points, starts, counts) / counts[:, None]
-    centered = points - np.repeat(means, counts, axis=0)
-    scatter = frame.covs[order] + np.einsum("ni,nj->nij", centered, centered)
-    covs = segment_sums(scatter, starts, counts) / counts[:, None, None]
-    return GaussianVoxelMap(resolution, keys[order[starts]], means, covs,
-                            counts.astype(np.int64))
+    points = frame.point_rows.take(order, axis=1)
+    means = segment_sums(points.T, starts, counts) / counts[:, None]
+    centered = points - np.repeat(means.T, counts, axis=1)
+    scatter = frame.cov_rows.take(order, axis=1)[_CELL_ROWS]
+    scatter += centered[_CELL_ROWS // 3] * centered[_CELL_ROWS % 3]
+    covs = segment_sums(scatter.T, starts, counts) / counts[:, None]
+    return GaussianVoxelMap(resolution, keys[order[starts]],
+                            np.ascontiguousarray(means.T),
+                            np.ascontiguousarray(covs.T), counts.astype(np.int64))
 
 
 def d2d_error(point: Gaussian3, voxel: Gaussian3, t_ij: Se3Pose):
@@ -126,6 +179,11 @@ def d2d_error(point: Gaussian3, voxel: Gaussian3, t_ij: Se3Pose):
 _SYM_I = np.array([0, 0, 0, 1, 1, 2])
 _SYM_J = np.array([0, 1, 2, 1, 2, 2])
 _SYM = 3 * _SYM_I + _SYM_J
+# a voxel map's covariance rows: the unique entries, then those below the
+# diagonal (yx, zx, zy), as positions in the row-major flattening; and the
+# reverse order, from those rows back to the flattening
+_CELL_ROWS = np.r_[_SYM, 3, 6, 7]
+_FROM_CELL_ROWS = np.argsort(_CELL_ROWS)
 # rows (and columns) of the full 3x3 matrix, as indices into the unique entries
 _FULL = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 # the unique entries of the adjugate (cofactor) matrix, in the same order:
@@ -141,7 +199,10 @@ class MatchTerms:
 
     rows: np.ndarray  # (n,) voxel row per source point, -1 on a miss
     hit: np.ndarray  # (n,) bool, per source point
-    moved: np.ndarray  # (n, 3) transformed source means
+    # (n,) packed voxel keys of the moved points when ``rows`` came from a
+    # lookup of them, None when the rows were fixed by the caller
+    keys: np.ndarray | None
+    moved: np.ndarray  # (n, 3) transformed source means, a view of (3, n)
     d: np.ndarray  # (m, 3) residuals of the matched subset, a view of (3, m)
     weight: np.ndarray  # (6, m) unique entries of the inverse combined covariances
     wd: np.ndarray  # (m, 3) weight @ d, a view of (3, m)
@@ -150,43 +211,52 @@ class MatchTerms:
 
 
 def match_terms(frame: Frame, vmap: GaussianVoxelMap, t_ij: Se3Pose,
-                rows: np.ndarray | None = None) -> MatchTerms:
+                rows: np.ndarray | None = None,
+                known: tuple[np.ndarray, np.ndarray] | None = None
+                ) -> MatchTerms:
     """Residuals and weights of frame against the map at relative pose t_ij.
 
     Each source point is matched to the voxel that contains it, unless
-    ``rows`` fixes the voxel row of every source point (-1 for none).
+    ``rows`` fixes the voxel row of every source point (-1 for none).  A
+    lookup with ``known``, the (keys, rows) of an earlier lookup of the
+    frame in the same map, searches only the points whose voxel key changed.
 
-    The six unique entries of R C R^T come from one (6x9)·(9xm) product of
-    the rows of R (x) R at those entries with the flattened covariances;
-    reading all nine entries of C, it does not rely on C being exactly
+    The kernel works on the frame's component rows: the points move as one
+    (3x3)·(3xn) product, and every gather is a ``take`` along contiguous
+    rows.  The six unique entries of R C R^T come from one (6x9)·(9xm)
+    product of the rows of R (x) R at those entries with the covariance
+    rows; reading all nine entries of C, it does not rely on C being exactly
     symmetric.  The voxel covariance's entries are added, and the sum is
     inverted in closed form, adjugate over determinant, on the six rows.
     """
     rmat = t_ij.rotation.matrix()
-    moved = frame.points @ rmat.T + t_ij.translation
+    moved = rmat @ frame.point_rows
+    moved += t_ij.translation[:, None]
+    keys = None
     if rows is None:
-        rows = vmap.lookup(moved)
+        keys = pack_voxel_keys(moved.T, vmap.resolution)
+        rows = vmap.lookup_keys(keys, known)
     hit = rows >= 0
     inliers = int(np.count_nonzero(hit))
-    covs = frame.covs.reshape(-1, 9)
+    covs = frame.cov_rows
     if inliers == rows.shape[0]:
         idx, x0 = rows, moved
     else:
         sel = np.flatnonzero(hit)
-        idx, covs, x0 = rows[sel], covs.take(sel, axis=0), moved.take(sel, axis=0)
+        idx, covs, x0 = rows[sel], covs.take(sel, axis=1), moved.take(sel, axis=1)
     rr = (rmat[_SYM_I, :, None] * rmat[_SYM_J, None, :]).reshape(6, 9)
-    cov = rr @ covs.T
-    cov += vmap.covs.reshape(-1, 9)[:, _SYM].T.take(idx, axis=1)
+    cov = rr @ covs
+    cov += vmap.cov_rows[:6].take(idx, axis=1)
     weight = cov[_ADJ[0]] * cov[_ADJ[1]]
     weight -= cov[_ADJ[2]] * cov[_ADJ[3]]
     weight /= np.einsum("sm,sm->m", cov[:3], weight[:3])
-    d = vmap.means.T.take(idx, axis=1)
-    d -= x0.T
+    d = vmap.mean_rows.take(idx, axis=1)
+    d -= x0
     wd = weight[_FULL[0]] * d[0]  # W d, column by column of the symmetric W
     wd += weight[_FULL[1]] * d[1]
     wd += weight[_FULL[2]] * d[2]
     cost = float(np.vdot(d, wd))
-    return MatchTerms(rows, hit, moved, d.T, weight, wd.T, cost, inliers)
+    return MatchTerms(rows, hit, keys, moved.T, d.T, weight, wd.T, cost, inliers)
 
 
 def matching_cost(frame: Frame, vmap: GaussianVoxelMap, t_ij: Se3Pose):
@@ -201,8 +271,9 @@ def overlap_rate(frame: Frame, vmap: GaussianVoxelMap, t_ij: Se3Pose) -> float:
     """Fraction of frame points landing in occupied voxels of the map."""
     if len(frame) == 0 or len(vmap) == 0:
         return 0.0
-    moved = frame.points @ t_ij.rotation.matrix().T + t_ij.translation
-    return float(np.count_nonzero(vmap.lookup(moved) >= 0)) / len(frame)
+    moved = t_ij.rotation.matrix() @ frame.point_rows
+    moved += t_ij.translation[:, None]
+    return float(np.count_nonzero(vmap.lookup(moved.T) >= 0)) / len(frame)
 
 
 @dataclass(frozen=True)
@@ -278,12 +349,12 @@ def linearize_from_terms(terms: MatchTerms, t_ij: Se3Pose,
     if terms.inliers < min_inliers:
         raise DegenerateConstraint(
             f"{terms.inliers} inliers (minimum {min_inliers})")
-    x0 = terms.moved
-    if terms.inliers < x0.shape[0]:
-        x0 = x0.take(np.flatnonzero(terms.hit), axis=0)
+    x0 = terms.moved.T  # (3, n) rows
+    if terms.inliers < x0.shape[1]:
+        x0 = x0.take(np.flatnonzero(terms.hit), axis=1)
     mono = np.empty((10, terms.inliers))
     mono[0] = 1.0
-    mono[1:4] = x0.T
+    mono[1:4] = x0
     mono[4:7] = mono[1] * mono[1:4]
     mono[7:9] = mono[2] * mono[2:4]
     mono[9] = mono[3] * mono[3]

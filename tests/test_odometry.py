@@ -19,6 +19,7 @@ from limapper.odometry import FALLBACK_VEL_BIAS_SIGMA, OdometryEstimator
 from limapper.preprocess import RawScan
 from limapper.registration import match_terms
 from limapper.synthetic import generate_synthetic_scene, square_loop_scene
+from test_preprocess import assert_row_storage
 
 
 @pytest.fixture(scope="module")
@@ -257,7 +258,24 @@ class TestSparseFrame:
         eps = est.config.preprocess.plane_eps
         assert len(rec.frame) == 5 < est.config.preprocess.knn
         assert np.array_equal(rec.frame.covs, np.tile(eps * np.eye(3), (5, 1, 1)))
+        assert_row_storage(rec.frame)
         assert rec.frame.degenerate.tolist() == [True] * 5
         terms = match_terms(rec.frame, rec.voxelmap, Se3Pose.identity())
         assert terms.inliers == 5
         assert np.all(np.isfinite(terms.weight)) and np.isfinite(terms.cost)
+
+    def test_matching_links_need_hits(self, loop_scene):
+        # five points hit the marginalized keyframe five times: a unary
+        # factor, but too few hits for a binary one to the recent frames;
+        # moved 100 m away they hit nothing and get no link at all
+        est, _ = run(loop_scene, n_scans=6)
+        scan = loop_scene.scans[6]
+        keep = np.linspace(0, len(scan.points) - 1, 5).astype(int)
+        batch = imu_batches(loop_scene, est.config.odometry.init_window)[6]
+        for offset, links in ((0.0, ["matching-cost-unary"]), (100.0, [])):
+            trial = copy.deepcopy(est)
+            trial.process_frame(RawScan(scan.points[keep] + offset, scan.stamps[keep],
+                                        scan.scan_start, scan.scan_end), batch)
+            key = trial._window[-1].key
+            assert [f.kind for f in trial.graph.factors
+                    if f.kind.startswith("matching-cost") and f.keys[0] == key] == links

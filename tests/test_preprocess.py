@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from limapper.imu import GRAVITY, ImuSample
 from limapper.preprocess import (
     Frame,
     RawScan,
+    _cross_rows,
     deskew,
     estimate_covariances,
     frame_from_scan,
@@ -502,8 +505,89 @@ class TestDeskew:
         with pytest.raises(ImuCoverageGap):
             deskew(frame, samples, SensorState.zero())
 
+    def test_row_cross_products_equal_np_cross(self):
+        # deskew rotates the (3, n) point rows with _cross_rows, which must
+        # form np.cross's products and differences exactly
+        rng = np.random.default_rng(10)
+        a = rng.normal(size=(3, 500)) * 10.0 ** rng.uniform(-3, 3, 500)
+        b = np.ascontiguousarray(rng.normal(size=(500, 3)).T) * 50.0
+        assert _cross_rows(a, b).tobytes() == np.ascontiguousarray(np.cross(a.T, b.T).T).tobytes()
+
     def test_already_deskewed_rejected(self):
         frame = Frame(points=np.zeros((1, 3)), stamps=np.zeros(1), stamp=0.0,
                       scan_end=0.1, deskewed=True)
         with pytest.raises(ValueError):
             deskew(frame, stationary_imu(0, 0.1), SensorState.zero())
+
+
+def assert_row_storage(frame):
+    """The frame's per-point arrays are views of C-contiguous component rows
+    (an empty array shares no memory with anything)."""
+    n = len(frame)
+    rows = frame.point_rows
+    assert rows.shape == (3, n) and rows.flags.c_contiguous
+    assert np.shares_memory(rows, frame.points) or n == 0
+    assert frame.points.shape == (n, 3)
+    if frame.covs is not None:
+        rows = frame.cov_rows
+        assert rows.shape == (9, n) and rows.flags.c_contiguous
+        assert np.shares_memory(rows, frame.covs) or n == 0
+        assert frame.covs.shape == (n, 3, 3)
+        assert np.array_equal(rows, np.reshape(frame.covs, (n, 9)).T)
+
+
+class TestRowStorage:
+    def test_frame_from_scan(self):
+        rng = np.random.default_rng(1)
+        scan = scan_of(rng.uniform(-2, 2, (40, 3)), rng.uniform(0, 0.1, 40))
+        frame = frame_from_scan(scan)
+        assert_row_storage(frame)
+        assert np.array_equal(frame.points, scan.points)
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_constructor_copies_other_layouts_once(self, n):
+        rng = np.random.default_rng(n)
+        points = rng.normal(size=(2 * n, 3))[::2]  # strided rows
+        covs = rng.normal(size=(n, 3, 3))  # C-contiguous
+        frame = Frame(points=points, stamps=np.zeros(n), stamp=0.0, covs=covs)
+        assert_row_storage(frame)
+        assert np.array_equal(frame.points, points)
+        assert np.array_equal(frame.covs, covs)
+
+    def test_replace_shares_the_rows(self):
+        rng = np.random.default_rng(2)
+        frame = frame_from_scan(scan_of(rng.uniform(-2, 2, (30, 3)), np.zeros(30)))
+        with_neighbors = replace(frame, neighbors=knn_search(frame, 5))
+        assert_row_storage(with_neighbors)
+        assert np.shares_memory(with_neighbors.points, frame.points)
+        covs = estimate_covariances(with_neighbors)
+        again = replace(covs, degenerate=None)
+        assert np.shares_memory(again.covs, covs.covs)
+        assert np.shares_memory(again.points, frame.points)
+
+    def test_deskew(self):
+        rng = np.random.default_rng(3)
+        frame = Frame(points=rng.uniform(-5, 5, (50, 3)),
+                      stamps=rng.uniform(0.0, 0.1, 50), stamp=0.0, scan_end=0.1)
+        samples = [ImuSample(float(t), -GRAVITY + [0.3, -0.2, 0.1], [0.1, 0.2, -0.3])
+                   for t in np.arange(-0.01, 0.12, 0.005)]
+        assert_row_storage(deskew(frame, samples, SensorState.zero()))
+
+    def test_estimate_covariances_with_eigh_and_degenerate_rows(self):
+        # a plane (closed form), a line (eigh fallback) and ten copies of one
+        # point (degenerate: plane_eps * I)
+        rng = np.random.default_rng(9)
+        direction = rng.normal(size=3)
+        line = 3.7 + np.outer(rng.uniform(-1, 1, 10), direction / np.linalg.norm(direction))
+        plane = np.column_stack([rng.uniform(-1, 1, (10, 2)), np.zeros(10)])
+        point = np.tile([[9.0, 9.0, 9.0]], (10, 1))
+        frame = frame_of_neighborhoods([plane, line, point])
+        out = estimate_covariances(frame)
+        assert_row_storage(out)
+        covs, degenerate, _ = reference_covariances(frame.points, frame.neighbors)
+        assert out.degenerate.tolist() == degenerate.tolist() == [False] * 20 + [True] * 10
+        assert out.covs[10:].tobytes() == covs[10:].tobytes()
+
+    def test_empty_frame(self):
+        frame = frame_from_scan(scan_of(np.zeros((0, 3)), np.zeros(0)))
+        assert_row_storage(estimate_covariances(replace(frame, neighbors=np.zeros((0, 5), int))))

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from limapper.errors import DegenerateConstraint
+from limapper.errors import DegenerateConstraint, VoxelKeyOutOfRange
+from limapper.factor_graph import MatchingCostFactor, submap_key
 from limapper.geometry import (
     Gaussian3,
     Se3Pose,
@@ -18,6 +19,7 @@ from limapper.preprocess import Frame, pack_voxel_keys
 from limapper.registration import (
     GaussianVoxelMap,
     MatchingCostLinearization,
+    MatchTerms,
     build_voxelmap,
     d2d_error,
     linearize_from_terms,
@@ -608,3 +610,189 @@ class TestProperties:
             b += 2 * jac.T @ w @ terms.d[k]
         assert np.abs(lin.h_jj - h).max() <= 1e-12 * np.abs(h).max()
         assert np.abs(lin.b_j - b).max() <= 1e-12 * np.abs(b).max()
+
+
+# -- row kernel against the (n, 3) kernel ------------------------------------
+
+_REF_SYM_I = np.array([0, 0, 0, 1, 1, 2])
+_REF_SYM_J = np.array([0, 1, 2, 1, 2, 2])
+_REF_ADJ = np.array([[3, 2, 1, 0, 1, 0], [5, 4, 4, 5, 2, 3],
+                     [4, 1, 2, 2, 0, 1], [4, 5, 3, 2, 4, 1]])
+_REF_FULL = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+
+
+def reference_match_terms(frame, vmap, t_ij, rows=None):
+    """``match_terms`` on C-contiguous (n, 3) points and (n, 3, 3)
+    covariances, as it was before frames and maps stored component rows:
+    the oracle the row kernel must equal bit for bit.  Returns (rows, hit,
+    moved, d, weight, wd, cost, inliers) with moved, d and wd as (n, 3)."""
+    points = np.ascontiguousarray(frame.points)
+    map_covs = np.ascontiguousarray(vmap.covs)
+    map_means = np.ascontiguousarray(vmap.means)
+    rmat = t_ij.rotation.matrix()
+    moved = points @ rmat.T + t_ij.translation
+    if rows is None:
+        rows = vmap.lookup(moved)
+    hit = rows >= 0
+    inliers = int(np.count_nonzero(hit))
+    covs = np.ascontiguousarray(frame.covs).reshape(-1, 9)
+    if inliers == rows.shape[0]:
+        idx, x0 = rows, moved
+    else:
+        sel = np.flatnonzero(hit)
+        idx, covs, x0 = rows[sel], covs.take(sel, axis=0), moved.take(sel, axis=0)
+    rr = (rmat[_REF_SYM_I, :, None] * rmat[_REF_SYM_J, None, :]).reshape(6, 9)
+    cov = rr @ covs.T
+    cov += map_covs.reshape(-1, 9)[:, 3 * _REF_SYM_I + _REF_SYM_J].T.take(idx, axis=1)
+    weight = cov[_REF_ADJ[0]] * cov[_REF_ADJ[1]]
+    weight -= cov[_REF_ADJ[2]] * cov[_REF_ADJ[3]]
+    weight /= np.einsum("sm,sm->m", cov[:3], weight[:3])
+    d = map_means.T.take(idx, axis=1)
+    d -= x0.T
+    wd = weight[_REF_FULL[0]] * d[0]
+    wd += weight[_REF_FULL[1]] * d[1]
+    wd += weight[_REF_FULL[2]] * d[2]
+    cost = float(np.vdot(d, wd))
+    return rows, hit, moved, d.T, weight, wd.T, cost, inliers
+
+
+def assert_terms_equal(terms, ref):
+    rows, hit, moved, d, weight, wd, cost, inliers = ref
+    for name, want in (("rows", rows), ("hit", hit), ("moved", moved),
+                       ("d", d), ("weight", weight), ("wd", wd)):
+        got = getattr(terms, name)
+        assert got.shape == want.shape and got.dtype == want.dtype, name
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes(), name
+    assert terms.inliers == inliers
+    assert terms.cost == cost
+
+
+class TestRowKernelOracle:
+    @given(seed=seeds, source_kind=cov_kinds, target_kind=cov_kinds,
+           rot=angles, trans=offsets, full=st.booleans(), fixed=st.booleans())
+    def test_equals_reference_bit_for_bit(self, seed, source_kind, target_kind,
+                                          rot, trans, full, fixed):
+        # the source re-expressed so that t_ij, up to 35 m off and turned by
+        # up to 3 rad per axis, lands it near the map: every point on a
+        # target point (full hits) or beside one (partial hits); with fixed
+        # rows the rows come from a lookup at a nudged pose
+        rng = np.random.default_rng(seed)
+        source, vmap = matched_pair(seed, source_kind, target_kind)
+        if full:
+            source = make_frame(vmap.means, covs=random_covs(rng, source_kind, len(vmap)))
+        t_ij = Se3Pose(so3_exp(np.asarray(rot)), np.asarray(trans))
+        tf = pose_inverse(t_ij)
+        rmat = tf.rotation.matrix()
+        source = make_frame(pose_apply(tf, source.points),
+                            covs=rmat @ source.covs @ rmat.T)
+        rows = None
+        if fixed:
+            nudged = pose_retract(t_ij, rng.normal(scale=0.05, size=6))
+            rows = vmap.lookup(pose_apply(nudged, source.points))
+        terms = match_terms(source, vmap, t_ij, rows)
+        ref = reference_match_terms(source, vmap, t_ij, rows)
+        assert_terms_equal(terms, ref)
+        assert (terms.keys is None) == fixed
+        if full and not fixed:
+            assert terms.inliers == len(source)
+        lin = linearize_from_terms(terms, t_ij, min_inliers=0)
+        ref_lin = linearize_from_terms(
+            MatchTerms(ref[0], ref[1], None, *ref[2:]), t_ij, min_inliers=0)
+        for name in ("h_ii", "h_ij", "h_jj", "b_i", "b_j"):
+            assert getattr(lin, name).tobytes() == getattr(ref_lin, name).tobytes()
+
+    def test_known_lookup_searches_only_changed_keys(self):
+        source, vmap = matched_pair(5)
+        at = Se3Pose(so3_exp([0.0, 0.0, 0.02]), np.array([0.03, 0.0, 0.0]))
+        first = match_terms(source, vmap, Se3Pose.identity())
+        second = match_terms(source, vmap, at, known=(first.keys, first.rows))
+        changed = first.keys != second.keys
+        assert 0 < np.count_nonzero(changed) < len(source)
+        assert np.array_equal(second.rows, vmap.lookup(pose_apply(at, source.points)))
+        # a stale row where the key is unchanged is kept: nothing re-searches it
+        stale = first.rows.copy()
+        stale[~changed] = -1
+        kept = match_terms(source, vmap, at, known=(first.keys, stale))
+        assert np.array_equal(kept.rows[~changed], stale[~changed])
+        assert np.array_equal(kept.rows[changed], second.rows[changed])
+
+    @pytest.mark.parametrize("translation", [[1e7, 0.0, 0.0], [np.nan, 0.0, 0.0],
+                                             [0.0, np.inf, 0.0]])
+    def test_out_of_range_or_non_finite_moved_point_raises(self, translation):
+        source, vmap = matched_pair(6)
+        far = Se3Pose(so3_exp([0.0, 0.0, 0.0]), np.array(translation))
+        with pytest.raises(VoxelKeyOutOfRange):
+            match_terms(source, vmap, far)
+        with pytest.raises(VoxelKeyOutOfRange):
+            overlap_rate(source, vmap, far)
+        if np.isinf(translation).any():
+            return  # composing poses with it would already warn (inf * 0)
+        # also on a factor's key-diff lookup, after a lookup that succeeded
+        f = MatchingCostFactor(submap_key(0), source, vmap,
+                               fixed_target_pose=Se3Pose.identity())
+        f.linearize({submap_key(0): Se3Pose.identity()})
+        values = {submap_key(0): far}
+        f.cost(values)  # held rows: no lookup
+        with pytest.raises(VoxelKeyOutOfRange):
+            f.linearize(values)
+
+
+class TestMapRowStorage:
+    def test_rows_hold_the_cells(self):
+        rng = np.random.default_rng(11)
+        frame = make_frame(rng.uniform(-2, 2, (400, 3)), covs=[
+            random_plane_cov(rng, rng.normal(size=3)) for _ in range(400)])
+        vmap = build_voxelmap(frame, 0.5)
+        m = len(vmap)
+        assert vmap.mean_rows.shape == (3, m) and vmap.mean_rows.flags.c_contiguous
+        assert np.shares_memory(vmap.mean_rows, vmap.means)
+        assert vmap.cov_rows.shape == (9, m) and vmap.cov_rows.flags.c_contiguous
+        flat = vmap.covs.reshape(m, 9)
+        assert np.array_equal(vmap.cov_rows[:6], flat[:, [0, 1, 2, 4, 5, 8]].T)
+        assert np.array_equal(vmap.cov_rows[6:], flat[:, [3, 6, 7]].T)
+
+    def test_empty_map(self):
+        vmap = build_voxelmap(make_frame(np.zeros((0, 3)), covs=np.zeros((0, 3, 3))), 1.0)
+        assert vmap.mean_rows.shape == (3, 0) and vmap.cov_rows.shape == (9, 0)
+        assert vmap.covs.shape == (0, 3, 3) and vmap.means.shape == (0, 3)
+
+
+steps = st.lists(st.tuples(st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+                           st.booleans()), min_size=2, max_size=8)
+
+
+class TestFactorLookupOracle:
+    @given(seed=seeds, path=steps, unary=st.booleans())
+    def test_equals_freshly_built_factor(self, seed, path, unary):
+        # a pose sequence with steps of up to 0.1 rad and 0.2 m per axis, so
+        # that points cross faces of the 0.5 m voxels; before some
+        # linearizations the cost is taken first, which caches terms on the
+        # held rows at those values
+        source, vmap = matched_pair(seed)
+        key_i, key_j = submap_key(0), submap_key(1)
+        t_j = Se3Pose(so3_exp([0.2, -0.1, 0.3]), np.array([1.0, -2.0, 0.5]))
+
+        def build():
+            if unary:
+                return MatchingCostFactor(key_i, source, vmap,
+                                          fixed_target_pose=t_j, min_inliers=5)
+            return MatchingCostFactor(key_i, source, vmap, key_target=key_j,
+                                      min_inliers=5)
+
+        factor = build()
+        t_i = t_j
+        for step, cost_first in path:
+            t_i = pose_retract(t_i, np.asarray(step) * [0.1, 0.1, 0.1, 0.2, 0.2, 0.2])
+            values = {key_i: t_i, key_j: t_j}
+            if cost_first:
+                factor.cost(values)
+            fresh = build()
+            lin, want = factor.linearize(values), fresh.linearize(values)
+            assert lin.cost == want.cost
+            for got, ref in ((lin.g, want.g), (lin.h, want.h)):
+                assert (got is None) == (ref is None)
+                assert got is None or got.tobytes() == ref.tobytes()
+            t_ij = pose_compose(pose_inverse(t_j), t_i)
+            assert_terms_equal(factor._terms(values, lookup=True)[0],
+                               reference_match_terms(source, vmap, t_ij))
+            assert factor.inliers == fresh.inliers
