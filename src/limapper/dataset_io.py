@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoData, OutOfOrder, ParseError
+from .errors import OutOfOrder, ParseError
 from .geometry import Rotation, Se3Pose
 from .imu import ImuSample
 from .preprocess import RawScan
@@ -171,9 +171,3 @@ def read_trajectory(path: str) -> list[TrajectoryRecord]:
         if b.stamp <= a.stamp:
             raise OutOfOrder(f"trajectory stamps not increasing at {b.stamp:.8f}")
     return records
-
-
-def require_nonempty(items, what: str):
-    if not items:
-        raise NoData(f"no {what} found")
-    return items

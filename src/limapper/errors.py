@@ -25,10 +25,6 @@ class VoxelKeyOutOfRange(PipelineError):
     """Point is not finite or lies outside the range of packed voxel keys."""
 
 
-class DegenerateConstraint(PipelineError):
-    """Too few point-to-voxel matches to form a useful constraint."""
-
-
 class DuplicateVariable(PipelineError):
     """Variable key already present in the graph."""
 
@@ -93,7 +89,3 @@ class GenerationError(PipelineError):
 
 class InitializationMotion(PipelineError):
     """Motion detected during the stationary initialization window."""
-
-
-class NoData(PipelineError):
-    """Dataset is empty."""

@@ -8,10 +8,11 @@ alone scatters these blocks into a system's key slices.  The optimizer
 assembles damped normal equations at the current estimate each iteration
 and holds the last undamped system, which ``marginal_covariance`` reads.
 A matching-cost factor looks its correspondences up again only when it is
-linearized; the candidate steps of one iteration are costed with the
-correspondences of that linearization, so the cost the optimizer compares
-is smooth within the iteration.  Priors and relative-state factors are
-fixed-form quadratics.
+linearized (``match_terms``) and takes its block from them
+(``linearize_from_terms``); the candidate steps of one iteration are
+costed with the correspondences of that linearization, so the cost the
+optimizer compares is smooth within the iteration.  Priors and
+relative-state factors are fixed-form quadratics.
 
 Variable kinds and tangent layouts:
 
@@ -29,7 +30,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
-    DegenerateConstraint,
     DisconnectedGraph,
     DuplicateVariable,
     NotConverged,
@@ -220,8 +220,9 @@ class MatchingCostFactor(Factor):
     two linearizations.  A lookup after the first searches the map only for
     the points whose packed voxel key differs from the last linearization's;
     the others keep their rows, which depend only on the key and the
-    immutable map.  If the correspondence count is below the minimum, the
-    factor contributes nothing.
+    immutable map.  With an empty source or map, or fewer than
+    ``min_inliers`` correspondences, the factor contributes nothing; a
+    lookup below the minimum still sets the rows that ``cost`` uses.
     """
 
     def __init__(self, key_source: Key, source: Frame, target_map: GaussianVoxelMap,
@@ -318,23 +319,14 @@ class MatchingCostFactor(Factor):
         return terms.cost if terms.inliers >= self.min_inliers else 0.0
 
     def linearize(self, values) -> FactorLinearization:
-        try:
-            if self._empty:
-                raise DegenerateConstraint("no points to match")
-            terms, t_ij = self._terms(values, lookup=True)
-            self._lookup = (terms.keys, terms.rows)
-            lin = linearize_from_terms(terms, t_ij, target_fixed=self.unary,
-                                       min_inliers=self.min_inliers)
-        except DegenerateConstraint:
+        if self._empty:
             return FactorLinearization(None, None, 0.0)
-        if self.unary:
-            return FactorLinearization(lin.b_i, lin.h_ii, lin.cost)
-        h = np.empty((12, 12))
-        h[:6, :6] = lin.h_ii
-        h[:6, 6:] = lin.h_ij
-        h[6:, :6] = lin.h_ij.T
-        h[6:, 6:] = lin.h_jj
-        return FactorLinearization(np.concatenate([lin.b_i, lin.b_j]), h, lin.cost)
+        terms, t_ij = self._terms(values, lookup=True)
+        self._lookup = (terms.keys, terms.rows)
+        if terms.inliers < self.min_inliers:
+            return FactorLinearization(None, None, 0.0)
+        g, h = linearize_from_terms(terms, t_ij, self.unary)
+        return FactorLinearization(g, h, terms.cost)
 
 
 class RelativeStateFactor(Factor):
@@ -764,12 +756,3 @@ class FactorGraph:
             sol = scipy.linalg.cho_solve(
                 scipy.linalg.cho_factor(h + jitter * np.eye(dim), lower=True), rhs)
         return sol[sl]
-
-    def dump(self, stream) -> None:
-        """Line-delimited structure and per-factor cost listing."""
-        for k, v in self.values.items():
-            stream.write(f"variable {k} dim={k.dim}\n")
-        for i, f in enumerate(self.factors):
-            keys = ",".join(str(k) for k in f.keys)
-            stream.write(f"factor {i} kind={f.kind} keys=[{keys}] "
-                         f"cost={f.cost(self.values):.9g}\n")

@@ -1,4 +1,4 @@
-"""Manifold math: SO(3)/SE(3), sensor states, and 3D Gaussians.
+"""Manifold math: SO(3)/SE(3) and sensor states.
 
 Conventions used throughout the package:
 
@@ -18,7 +18,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -327,11 +327,3 @@ def state_local(state: SensorState, ref: SensorState) -> np.ndarray:
             state.bias_gyro - ref.bias_gyro,
         ]
     )
-
-
-@dataclass(frozen=True)
-class Gaussian3:
-    """3D Gaussian (mean, covariance) describing a point or a voxel."""
-
-    mean: np.ndarray
-    cov: np.ndarray = field(default_factory=lambda: np.eye(3))

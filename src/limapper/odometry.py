@@ -58,7 +58,8 @@ def initialize_from_rest(samples, gravity, window: float = 0.5,
 
     Aligns the mean specific force with the gravity reaction (roll/pitch
     only, yaw zero), takes the gyro mean as gyro bias, and attributes any
-    leftover specific-force magnitude to the accelerometer bias.
+    leftover specific-force magnitude to the accelerometer bias.  Raises
+    InitializationMotion, naming the cause, when the window does not qualify.
     """
     if not samples:
         raise InitializationMotion("no IMU samples for initialization")
@@ -69,17 +70,22 @@ def initialize_from_rest(samples, gravity, window: float = 0.5,
             f"need {window}s of IMU data, have "
             f"{window_samples[-1].stamp - t0 if window_samples else 0:.3f}s")
     gyro = np.array([s.gyro for s in window_samples])
+    accel = np.array([s.accel for s in window_samples])
+    if not (np.isfinite(gyro).all() and np.isfinite(accel).all()):
+        raise InitializationMotion("non-finite IMU sample in the init window")
     # average short chunks so white noise does not masquerade as motion
     n_chunks = max(1, len(gyro) // 20)
     for chunk in np.array_split(gyro, n_chunks):
         if np.linalg.norm(chunk.mean(axis=0)) > gyro_limit:
             raise InitializationMotion("gyro activity above the stationary limit")
-    accel = np.array([s.accel for s in window_samples])
     mean_a = accel.mean(axis=0)
     mean_g = gyro.mean(axis=0)
     g_norm = float(np.linalg.norm(gravity))
+    a_norm = float(np.linalg.norm(mean_a))
+    if not 0.0 < a_norm < math.inf:
+        raise InitializationMotion(f"mean specific force {a_norm:g}: no gravity direction")
 
-    up = mean_a / np.linalg.norm(mean_a)  # gravity reaction direction, body
+    up = mean_a / a_norm  # gravity reaction direction, body
     target = np.array([0.0, 0.0, 1.0])
     cross = np.cross(up, target)
     s = np.linalg.norm(cross)

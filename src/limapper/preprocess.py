@@ -20,13 +20,13 @@ The two per-point kernels take a general algorithm only where it is needed:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import FrameTooSparse, ImuCoverageGap, VoxelKeyOutOfRange
-from .geometry import SensorState, Se3Pose, pose_inverse
+from .errors import FrameTooSparse, VoxelKeyOutOfRange
+from .geometry import SensorState, pose_inverse
 from .imu import GRAVITY, ImuSample, integration_nodes, propagate_state, samples_to_arrays
 
 # voxel indices are packed into a single int64, 21 bits per axis

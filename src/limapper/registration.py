@@ -7,16 +7,17 @@ occupied voxel, the Mahalanobis distance between the point Gaussian and the
 voxel Gaussian under the combined covariance.  Points that miss contribute
 nothing; low-overlap pairs are rejected up front by the overlap gate.
 
-Linearization produces Gauss-Newton blocks for right-multiplicative
-perturbations of the two sensor poses, re-evaluating correspondences at the
-supplied linearization point and holding the per-point weight matrices fixed
-within the iteration.  The per-point Jacobian is linear in the moved point,
-so the target pose's blocks are constant linear maps of a few weighted
-moment sums over the inliers; the source pose's blocks follow from those
-through the SE(3) adjoint of the relative pose, so a binary factor makes
-one pass over its inliers, as a unary one does.  ``match_terms`` can also
-evaluate the cost with correspondences fixed from an earlier lookup, which
-keeps the cost smooth between two linearizations.
+A matching-cost factor has one path: ``match_terms`` finds the
+correspondences and fixed weights at the linearization point, and
+``linearize_from_terms`` turns them into the factor's gradient and
+Gauss-Newton Hessian for right-multiplicative perturbations of the source
+pose and, unless it is fixed, the target pose.  The per-point Jacobian is
+linear in the moved point, so the target pose's blocks are constant linear
+maps of a few weighted moment sums over the inliers; the source pose's
+blocks follow through the SE(3) adjoint of the relative pose.  The factor
+applies its own minimum inlier count.  ``match_terms`` can also evaluate the
+cost with correspondences fixed from an earlier lookup, which keeps the cost
+smooth between two linearizations.
 
 Every per-point array is stored in component rows: a frame keeps its
 points as one C-contiguous (3, n) array and its covariances as one (9, n)
@@ -41,12 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateConstraint
-from .geometry import (Gaussian3, Se3Pose, pose_compose, pose_inverse,
-                       so3_hat)
+from .geometry import Se3Pose, so3_hat
 from .preprocess import Frame, group_by_key, pack_voxel_keys, segment_sums
-
-MIN_INLIERS_DEFAULT = 10
 
 
 class GaussianVoxelMap:
@@ -116,22 +113,6 @@ class GaussianVoxelMap:
         hit = self.keys[pos] == keys
         return np.where(hit, pos, -1)
 
-    def cell(self, index3) -> tuple[np.ndarray, np.ndarray, int]:
-        """(mean, cov, count) of the voxel at an integer 3-index."""
-        pt = (np.asarray(index3, dtype=float) + 0.5) * self.resolution
-        row = int(self.lookup(pt.reshape(1, 3))[0])
-        if row < 0:
-            raise KeyError(f"voxel {tuple(index3)} is empty")
-        cov = self.cov_rows[_FROM_CELL_ROWS, row].reshape(3, 3)
-        return self.means[row], cov, int(self.counts[row])
-
-    def occupied_indices(self) -> np.ndarray:
-        """Integer 3-indices of all occupied voxels."""
-        off = 1 << 20
-        ix = (self.keys >> 42) - off
-        iy = ((self.keys >> 21) & ((1 << 21) - 1)) - off
-        iz = (self.keys & ((1 << 21) - 1)) - off
-        return np.column_stack([ix, iy, iz])
 
 
 def build_voxelmap(frame: Frame, resolution: float) -> GaussianVoxelMap:
@@ -159,18 +140,6 @@ def build_voxelmap(frame: Frame, resolution: float) -> GaussianVoxelMap:
     return GaussianVoxelMap(resolution, keys[order[starts]],
                             np.ascontiguousarray(means.T),
                             np.ascontiguousarray(covs.T), counts.astype(np.int64))
-
-
-def d2d_error(point: Gaussian3, voxel: Gaussian3, t_ij: Se3Pose):
-    """Distribution-to-distribution error of one point/voxel pair.
-
-    Returns (error, residual, weight) with residual = voxel mean minus the
-    transformed point mean and weight the inverse combined covariance.
-    """
-    rmat = t_ij.rotation.matrix()
-    d = voxel.mean - (rmat @ point.mean + t_ij.translation)
-    weight = np.linalg.inv(voxel.cov + rmat @ point.cov @ rmat.T)
-    return float(d @ weight @ d), d, weight
 
 
 # a symmetric 3x3 matrix is kept as the row of its unique entries (xx, xy,
@@ -259,14 +228,6 @@ def match_terms(frame: Frame, vmap: GaussianVoxelMap, t_ij: Se3Pose,
     return MatchTerms(rows, hit, keys, moved.T, d.T, weight, wd.T, cost, inliers)
 
 
-def matching_cost(frame: Frame, vmap: GaussianVoxelMap, t_ij: Se3Pose):
-    """Total matching error and inlier count of frame against the map."""
-    if len(frame) == 0 or len(vmap) == 0 or frame.covs is None:
-        return 0.0, 0
-    terms = match_terms(frame, vmap, t_ij)
-    return terms.cost, terms.inliers
-
-
 def overlap_rate(frame: Frame, vmap: GaussianVoxelMap, t_ij: Se3Pose) -> float:
     """Fraction of frame points landing in occupied voxels of the map."""
     if len(frame) == 0 or len(vmap) == 0:
@@ -274,24 +235,6 @@ def overlap_rate(frame: Frame, vmap: GaussianVoxelMap, t_ij: Se3Pose) -> float:
     moved = t_ij.rotation.matrix() @ frame.point_rows
     moved += t_ij.translation[:, None]
     return float(np.count_nonzero(vmap.lookup(moved.T) >= 0)) / len(frame)
-
-
-@dataclass(frozen=True)
-class MatchingCostLinearization:
-    """Gauss-Newton blocks of the matching cost at a linearization point.
-
-    h_* and b_* are the Hessian blocks and gradient of the summed error with
-    respect to (source, target) pose perturbations; b_j/h_jj/h_ij are None
-    in unary mode.
-    """
-
-    h_ii: np.ndarray
-    h_ij: np.ndarray | None
-    h_jj: np.ndarray | None
-    b_i: np.ndarray
-    b_j: np.ndarray | None
-    cost: float
-    inlier_count: int
 
 
 def _moment_maps() -> tuple[np.ndarray, np.ndarray]:
@@ -329,10 +272,10 @@ _H_MAP, _B_MAP = _moment_maps()
 
 
 def linearize_from_terms(terms: MatchTerms, t_ij: Se3Pose,
-                         target_fixed: bool = False,
-                         min_inliers: int = MIN_INLIERS_DEFAULT
-                         ) -> MatchingCostLinearization:
-    """Gauss-Newton blocks from precomputed correspondences and weights.
+                         target_fixed: bool = False
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Gauss-Newton Hessian over the factor's tangent space: the
+    source pose's 6 dims, then the target pose's 6 unless ``target_fixed``.
 
     The Jacobian of an inlier's residual with respect to the target pose is
     J = [ -hat(x0) | I ], with x0 the moved point in the target frame.  It is
@@ -346,9 +289,6 @@ def linearize_from_terms(terms: MatchTerms, t_ij: Se3Pose,
     blocks follow from the 6x6 adjoint Ad: H_ii = Ad^T H Ad, H_ij = -Ad^T H,
     b_i = -Ad^T b.
     """
-    if terms.inliers < min_inliers:
-        raise DegenerateConstraint(
-            f"{terms.inliers} inliers (minimum {min_inliers})")
     x0 = terms.moved.T  # (3, n) rows
     if terms.inliers < x0.shape[1]:
         x0 = x0.take(np.flatnonzero(terms.hit), axis=1)
@@ -358,35 +298,19 @@ def linearize_from_terms(terms: MatchTerms, t_ij: Se3Pose,
     mono[4:7] = mono[1] * mono[1:4]
     mono[7:9] = mono[2] * mono[2:4]
     mono[9] = mono[3] * mono[3]
-    h = ((terms.weight @ mono.T).reshape(60) @ _H_MAP).reshape(6, 6)
-    b = (terms.wd.T @ mono[:4].T).reshape(12) @ _B_MAP
+    h_jj = ((terms.weight @ mono.T).reshape(60) @ _H_MAP).reshape(6, 6)
+    b_j = (terms.wd.T @ mono[:4].T).reshape(12) @ _B_MAP
 
     rmat = t_ij.rotation.matrix()
     adj = np.zeros((6, 6))
     adj[:3, :3] = adj[3:, 3:] = rmat
     adj[3:, :3] = so3_hat(t_ij.translation) @ rmat
-    adj_t_h = adj.T @ h
+    adj_t_h = adj.T @ h_jj
     if target_fixed:
-        return MatchingCostLinearization(adj_t_h @ adj, None, None,
-                                         -(adj.T @ b), None,
-                                         terms.cost, terms.inliers)
-    return MatchingCostLinearization(adj_t_h @ adj, -adj_t_h, h, -(adj.T @ b),
-                                     b, terms.cost, terms.inliers)
-
-
-def linearize_matching_cost(frame_i: Frame, map_j: GaussianVoxelMap,
-                            t_i: Se3Pose, t_j: Se3Pose,
-                            target_fixed: bool = False,
-                            min_inliers: int = MIN_INLIERS_DEFAULT
-                            ) -> MatchingCostLinearization:
-    """Linearize the matching cost of frame_i against map_j.
-
-    Correspondences are looked up at the supplied poses and the per-point
-    weights held fixed, giving the standard Gauss-Newton model of the cost.
-    Raises DegenerateConstraint when fewer than min_inliers points match.
-    """
-    t_ij = pose_compose(pose_inverse(t_j), t_i)
-    if len(frame_i) == 0 or len(map_j) == 0 or frame_i.covs is None:
-        raise DegenerateConstraint("no points to match")
-    terms = match_terms(frame_i, map_j, t_ij)
-    return linearize_from_terms(terms, t_ij, target_fixed, min_inliers)
+        return -(adj.T @ b_j), adj_t_h @ adj
+    h = np.empty((12, 12))
+    h[:6, :6] = adj_t_h @ adj
+    h[:6, 6:] = -adj_t_h
+    h[6:, :6] = h[:6, 6:].T
+    h[6:, 6:] = h_jj
+    return np.concatenate([-(adj.T @ b_j), b_j]), h

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GenerationError
-from .dataset_io import TrajectoryRecord, record_from_pose
-from .geometry import Rotation, Se3Pose, so3_exp
+from .dataset_io import record_from_pose
+from .geometry import Se3Pose, so3_exp
 from .imu import GRAVITY, ImuSample
 from .preprocess import RawScan
 

@@ -1,5 +1,4 @@
 import functools
-import io
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from limapper.errors import (
     UnderConstrainedGraph,
     UnknownVariable,
 )
+from limapper import factor_graph
 from limapper.factor_graph import (
     FactorGraph,
     ImuFactor,
@@ -36,9 +36,14 @@ from limapper.geometry import (
     state_retract,
 )
 from limapper.imu import GRAVITY, ImuNoiseParams, ImuSample, preintegrate, propagate_state
-from limapper.registration import build_voxelmap, matching_cost
+from limapper.registration import build_voxelmap
 
-from test_registration import box_room_frame, box_room_frame_plane_covs, make_frame
+from test_registration import (
+    box_room_frame,
+    box_room_frame_plane_covs,
+    make_frame,
+    matching_cost,
+)
 
 NOISE = ImuNoiseParams()
 # a stationary IMU long enough for the longest chain below
@@ -140,16 +145,6 @@ class TestContainer:
                                          Se3Pose.identity(), np.zeros(3), np.zeros(6)))
         with pytest.raises(UnderConstrainedGraph):
             g.optimize_lm()
-
-    def test_dump_lists_factors(self):
-        g = FactorGraph()
-        g.add_variable(frame_key(0), SensorState.zero())
-        g.add_factor(PriorFactor(frame_key(0), SensorState.zero(), np.ones(15)))
-        buf = io.StringIO()
-        g.dump(buf)
-        text = buf.getvalue()
-        assert "variable frame-state:0" in text
-        assert "kind=prior" in text
 
 
 class TestOptimize:
@@ -326,6 +321,50 @@ class TestMatchingCostFactor:
         assert f.inliers == len(source) - 1
         assert lin.cost == pytest.approx(fresh, rel=1e-12)
         assert f.cost({submap_key(0): nudged}) == pytest.approx(fresh, rel=1e-12)
+
+    def test_below_min_inliers_contributes_nothing(self, monkeypatch):
+        # every lookup or evaluation the factors make goes through this
+        calls = []
+        original = factor_graph.match_terms
+
+        def spy(*args, **kwargs):
+            calls.append(original(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(factor_graph, "match_terms", spy)
+        rng = np.random.default_rng(14)
+        target = make_frame(rng.uniform(0.05, 0.45, (40, 3)))
+        vmap = build_voxelmap(target, 0.5)
+        # three points in the map's one voxel, eight far outside it
+        source = make_frame(np.vstack([rng.uniform(0.1, 0.4, (3, 3)),
+                                       rng.uniform(5.0, 6.0, (8, 3))]))
+        f = MatchingCostFactor(submap_key(0), source, vmap,
+                               fixed_target_pose=Se3Pose.identity())
+        assert f.min_inliers == 10
+        at = {submap_key(0): Se3Pose.identity()}
+        assert f.linearize(at) == (None, None, 0.0)
+        assert f.inliers == 3
+        assert f.cost(at) == 0.0
+        # the next cost, at a pose where a lookup would find no point, is
+        # taken on the rows of that lookup
+        looked_up = calls[-1].rows
+        away = {submap_key(0): Se3Pose(Se3Pose.identity().rotation,
+                                       np.array([2.0, 0.0, 0.0]))}
+        assert matching_cost(source, vmap, away[submap_key(0)])[1] == 0
+        assert f.cost(away) == 0.0
+        assert calls[-1].keys is None
+        assert np.array_equal(calls[-1].rows, looked_up)
+        assert calls[-1].inliers == 3 and f.inliers == 3
+
+        calls.clear()
+        empty = make_frame(np.zeros((0, 3)), covs=np.zeros((0, 3, 3)))
+        for g in (MatchingCostFactor(submap_key(0), empty, vmap,
+                                     fixed_target_pose=Se3Pose.identity()),
+                  MatchingCostFactor(submap_key(0), source, build_voxelmap(empty, 0.5),
+                                     fixed_target_pose=Se3Pose.identity())):
+            assert g.linearize(at) == (None, None, 0.0)
+            assert g.cost(at) == 0.0 and g.inliers == 0
+        assert calls == []
 
 
 class TestRelativeStateFactor:

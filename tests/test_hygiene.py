@@ -1,0 +1,46 @@
+"""Source hygiene of the package, checked with the standard-library parser."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "limapper"
+# a package's __init__ imports names to re-export them
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def module_imports(tree: ast.Module):
+    """(bound name, line) of every import in the module's top-level body,
+    ``from __future__`` excepted."""
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                yield name, node.lineno
+
+
+def used_names(tree: ast.Module) -> set:
+    """Every name the module reads, plus those it lists in ``__all__``."""
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            names.update(ast.literal_eval(node.value))
+    return names
+
+
+def test_the_package_has_modules():
+    assert len(MODULES) > 5
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_module_level_import(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = used_names(tree)
+    unused = [f"{path.name}:{line} {name}"
+              for name, line in module_imports(tree) if name not in used]
+    assert not unused, "unused imports: " + ", ".join(unused)

@@ -9,12 +9,14 @@ from limapper.dataset_io import record_from_pose
 from limapper.errors import (
     DisconnectedGraph,
     ImuCoverageGap,
+    InitializationMotion,
     RunFinished,
     VoxelKeyOutOfRange,
 )
 from limapper.evaluation import compute_ate
 from limapper.factor_graph import FactorGraph, _accumulate, _layout, frame_key
 from limapper.geometry import Se3Pose
+from limapper.imu import ImuSample
 from limapper.odometry import FALLBACK_VEL_BIAS_SIGMA, OdometryEstimator
 from limapper.preprocess import RawScan
 from limapper.registration import match_terms
@@ -200,6 +202,31 @@ class TestRetryAfterFailure:
         results = [est.process_frame(scan, batch)
                    for scan, batch in zip(scans, batches)]
         assert outputs(est, results) == outputs(clean_est, clean)
+
+    @pytest.mark.parametrize("fault, cause", [
+        ("zero accel", "no gravity direction"),
+        ("nan gyro", "non-finite"),
+        ("inf accel", "non-finite"),
+    ])
+    def test_unusable_bootstrap_imu_raises_and_changes_nothing(
+            self, loop_scene, fault, cause):
+        # a RuntimeWarning fails the test too (see pyproject.toml)
+        batch = imu_batches(loop_scene, PipelineConfig().odometry.init_window)[0]
+        accel = {"zero accel": np.zeros(3), "inf accel": np.full(3, np.inf)}
+        bad = [ImuSample(s.stamp, accel.get(fault, s.accel),
+                         np.full(3, np.nan) if fault == "nan gyro" else s.gyro)
+               for s in batch]
+        est = OdometryEstimator()
+        with pytest.raises(InitializationMotion, match=cause):
+            est.process_frame(loop_scene.scans[0], bad)
+
+        def state(e):
+            return (dict(e.graph.values), list(e.graph.factors), list(e.keyframes),
+                    e.keyframe_events, e._window, e._next_index,
+                    e._last_scan_start, e._initialized)
+
+        assert state(est) == state(OdometryEstimator())
+        assert len(est._imu) == len(bad)  # only the samples are buffered
 
 
 class TestFinish:

@@ -1,12 +1,13 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from limapper.errors import DegenerateConstraint, VoxelKeyOutOfRange
+from limapper.errors import VoxelKeyOutOfRange
 from limapper.factor_graph import MatchingCostFactor, submap_key
 from limapper.geometry import (
-    Gaussian3,
     Se3Pose,
     pose_apply,
     pose_compose,
@@ -17,15 +18,10 @@ from limapper.geometry import (
 )
 from limapper.preprocess import Frame, pack_voxel_keys
 from limapper.registration import (
-    GaussianVoxelMap,
-    MatchingCostLinearization,
     MatchTerms,
     build_voxelmap,
-    d2d_error,
     linearize_from_terms,
-    linearize_matching_cost,
     match_terms,
-    matching_cost,
     overlap_rate,
 )
 
@@ -44,6 +40,67 @@ def symmetric(entries):
     return np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]])
 
 
+@dataclass(frozen=True)
+class Gaussian3:
+    """3D Gaussian (mean, covariance) describing a point or a voxel."""
+
+    mean: np.ndarray
+    cov: np.ndarray
+
+
+def d2d_error(point: Gaussian3, voxel: Gaussian3, t_ij: Se3Pose):
+    """Distribution-to-distribution error of one point/voxel pair: the
+    per-pair oracle of the matching kernels.
+
+    Returns (error, residual, weight) with residual = voxel mean minus the
+    transformed point mean and weight the inverse combined covariance.
+    """
+    rmat = t_ij.rotation.matrix()
+    d = voxel.mean - (rmat @ point.mean + t_ij.translation)
+    weight = np.linalg.inv(voxel.cov + rmat @ point.cov @ rmat.T)
+    return float(d @ weight @ d), d, weight
+
+
+def cell(vmap, index3):
+    """(mean, cov, count) of the map's voxel at an integer 3-index."""
+    center = (np.asarray(index3, dtype=float) + 0.5) * vmap.resolution
+    row = int(vmap.lookup(center.reshape(1, 3))[0])
+    assert row >= 0, f"voxel {tuple(index3)} is empty"
+    return vmap.means[row], vmap.covs[row], int(vmap.counts[row])
+
+
+def voxel_indices(vmap):
+    """Integer 3-indices of the map's voxels, unpacked from their keys."""
+    off, mask = 1 << 20, (1 << 21) - 1
+    return np.column_stack([(vmap.keys >> 42) - off,
+                            ((vmap.keys >> 21) & mask) - off,
+                            (vmap.keys & mask) - off])
+
+
+def matching_cost(frame, vmap, t_ij):
+    """(cost, inliers) of frame against the map at relative pose t_ij."""
+    terms = match_terms(frame, vmap, t_ij)
+    return terms.cost, terms.inliers
+
+
+def linearize_pair(frame, vmap, t_i, t_j, target_fixed=False):
+    """(g, h, terms) of the matching cost of frame against the map at the
+    poses (t_i, t_j), correspondences looked up there."""
+    t_ij = pose_compose(pose_inverse(t_j), t_i)
+    terms = match_terms(frame, vmap, t_ij)
+    g, h = linearize_from_terms(terms, t_ij, target_fixed)
+    return g, h, terms
+
+
+def blocks(g, h):
+    """Named blocks of a linearization: source pose i, and target pose j
+    when the factor is binary."""
+    out = {"b_i": g[:6], "h_ii": h[:6, :6]}
+    if g.shape[0] == 12:
+        out.update(b_j=g[6:], h_ij=h[:6, 6:], h_jj=h[6:, 6:])
+    return out
+
+
 def random_plane_cov(rng, normal):
     normal = np.asarray(normal, float)
     normal /= np.linalg.norm(normal)
@@ -59,7 +116,7 @@ class TestBuildVoxelmap:
                            covs=[cov, cov])
         vmap = build_voxelmap(frame, 1.0)
         assert len(vmap) == 2
-        mean, c, count = vmap.cell([0, 0, 0])
+        mean, c, count = cell(vmap, [0, 0, 0])
         assert np.allclose(mean, [0.5, 0.5, 0.5])
         assert np.allclose(c, cov)
         assert count == 1
@@ -68,7 +125,7 @@ class TestBuildVoxelmap:
         cov = np.eye(3) * 0.05
         frame = make_frame([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]], covs=[cov, cov])
         vmap = build_voxelmap(frame, 1.0)
-        mean, c, count = vmap.cell([0, 0, 0])
+        mean, c, count = cell(vmap, [0, 0, 0])
         assert count == 2
         assert np.allclose(mean, [0.05, 0.0, 0.0])
         expected = cov + 0.0025 * np.diag([1.0, 0.0, 0.0])
@@ -91,7 +148,7 @@ class TestBuildVoxelmap:
         rng = np.random.default_rng(1)
         frame = make_frame(rng.uniform(-3, 3, (200, 3)))
         vmap = build_voxelmap(frame, 0.5)
-        lows = vmap.occupied_indices() * 0.5
+        lows = voxel_indices(vmap) * 0.5
         assert np.all(vmap.means >= lows - 1e-12)
         assert np.all(vmap.means <= lows + 0.5 + 1e-12)
 
@@ -189,7 +246,7 @@ class TestMatchingCost:
         source = make_frame([[0.2, 0.1, 0.0]], covs=[cov])
         cost, inliers = matching_cost(source, vmap, Se3Pose.identity())
         assert inliers == 1
-        mean, c, _ = vmap.cell([0, 0, 0])
+        mean, c, _ = cell(vmap, [0, 0, 0])
         expected, _, _ = d2d_error(Gaussian3(source.points[0], cov),
                                    Gaussian3(mean, c), Se3Pose.identity())
         assert cost == pytest.approx(expected)
@@ -330,10 +387,10 @@ class TestLinearization:
         frame = box_room_frame(rng)
         vmap = build_voxelmap(frame, 0.5)
         # self-match at identity: gradient balance at the aggregate means
-        lin = linearize_matching_cost(frame, vmap, Se3Pose.identity(), Se3Pose.identity())
+        g, _, _ = linearize_pair(frame, vmap, Se3Pose.identity(), Se3Pose.identity())
         # the full 12-dim gradient of a self-consistent pair is equal and
         # opposite between the two poses
-        assert np.allclose(lin.b_i[3:], -lin.b_j[3:], atol=1e-8)
+        assert np.allclose(g[3:6], -g[9:], atol=1e-8)
 
     def test_quadratic_expansion_oracle(self):
         # isotropic covariances make the weights pose-independent, so the
@@ -349,9 +406,7 @@ class TestLinearization:
         frac = moved / 0.5 - np.floor(moved / 0.5)
         safe = np.all((frac > 0.05) & (frac < 0.95), axis=1)
         frame = make_frame(frame.points[safe], covs=frame.covs[safe])
-        lin = linearize_matching_cost(frame, vmap, t_i, t_j)
-        h = np.block([[lin.h_ii, lin.h_ij], [lin.h_ij.T, lin.h_jj]])
-        b = np.concatenate([lin.b_i, lin.b_j])
+        b, h, terms = linearize_pair(frame, vmap, t_i, t_j)
         for _ in range(5):
             xi = rng.normal(size=12)
             xi *= 1e-4 / np.linalg.norm(xi)
@@ -360,17 +415,17 @@ class TestLinearization:
                 pose_compose(pose_inverse(pose_retract(t_j, xi[6:])),
                              pose_retract(t_i, xi[:6])))
             predicted = b @ xi + 0.5 * xi @ h @ xi
-            actual = c1 - lin.cost
+            actual = c1 - terms.cost
             assert actual == pytest.approx(predicted, rel=1e-3, abs=1e-12)
 
     def test_unary_hessian_psd(self):
         rng = np.random.default_rng(9)
         frame = box_room_frame(rng)
         vmap = build_voxelmap(frame, 0.5)
-        lin = linearize_matching_cost(frame, vmap, Se3Pose.identity(),
-                                      Se3Pose.identity(), target_fixed=True)
-        assert lin.h_ij is None and lin.b_j is None
-        evals = np.linalg.eigvalsh(0.5 * (lin.h_ii + lin.h_ii.T))
+        g, h, _ = linearize_pair(frame, vmap, Se3Pose.identity(),
+                                 Se3Pose.identity(), target_fixed=True)
+        assert g.shape == (6,) and h.shape == (6, 6)
+        evals = np.linalg.eigvalsh(0.5 * (h + h.T))
         assert evals.min() >= -1e-8 * max(1.0, evals.max())
 
     def test_full_hessian_psd_random_instances(self):
@@ -379,8 +434,8 @@ class TestLinearization:
             frame = box_room_frame(rng, n_per_wall=40)
             vmap = build_voxelmap(frame, 0.5)
             t_i = Se3Pose(so3_exp(rng.uniform(-0.05, 0.05, 3)), rng.uniform(-0.1, 0.1, 3))
-            lin = linearize_matching_cost(frame, vmap, t_i, Se3Pose.identity())
-            h = np.block([[lin.h_ii, lin.h_ij], [lin.h_ij.T, lin.h_jj]])
+            _, h, _ = linearize_pair(frame, vmap, t_i, Se3Pose.identity())
+            assert h.shape == (12, 12)
             h = 0.5 * (h + h.T)
             evals = np.linalg.eigvalsh(h)
             assert evals.min() >= -1e-8 * max(1.0, evals.max())
@@ -482,29 +537,21 @@ class TestLinearization:
                 want["h_jj"] += 2 * j_j.T @ w @ j_j
                 want["b_i"] += 2 * j_i.T @ w @ d
                 want["b_j"] += 2 * j_j.T @ w @ d
-            try:
-                binary = linearize_matching_cost(frame, vmap, t_i, t_j)
-                unary = linearize_matching_cost(frame, vmap, t_i, t_j,
-                                                target_fixed=True)
-            except DegenerateConstraint:
+            *binary, terms = linearize_pair(frame, vmap, t_i, t_j)
+            if terms.inliers < 10:  # the factors' default minimum
                 continue
+            binary = blocks(*binary)
+            unary = blocks(*linearize_pair(frame, vmap, t_i, t_j,
+                                           target_fixed=True)[:2])
+            assert set(unary) == {"h_ii", "b_i"}
             pairs += 1
             for name, value in want.items():
                 scale = np.max(np.abs(value))
-                got = getattr(binary, name)
+                got = binary[name]
                 assert np.max(np.abs(got - value)) <= 1e-12 * scale, name
-                if name in ("h_ii", "b_i"):
-                    got = getattr(unary, name)
+                if name in unary:
+                    got = unary[name]
                     assert np.max(np.abs(got - value)) <= 1e-12 * scale, name
-                else:
-                    assert getattr(unary, name) is None
-
-    def test_degenerate_constraint_raised(self):
-        a = make_frame([[0, 0, 0]])
-        b = make_frame([[50, 0, 0]])
-        with pytest.raises(DegenerateConstraint):
-            linearize_matching_cost(a, build_voxelmap(b, 0.5),
-                                    Se3Pose.identity(), Se3Pose.identity())
 
 
 # -- properties --------------------------------------------------------------
@@ -580,10 +627,10 @@ class TestProperties:
             x, y = getattr(a, name), getattr(b, name)
             assert np.abs(x - y).max() <= 1e-12 * np.abs(x).max(), name
         assert b.cost == pytest.approx(a.cost, rel=1e-12)
-        lin_a = linearize_from_terms(a, t_ij)
-        lin_b = linearize_from_terms(b, t_moved)
+        lin_a = blocks(*linearize_from_terms(a, t_ij))
+        lin_b = blocks(*linearize_from_terms(b, t_moved))
         for name in ("h_jj", "b_j"):
-            x, y = getattr(lin_a, name), getattr(lin_b, name)
+            x, y = lin_a[name], lin_b[name]
             assert np.abs(x - y).max() <= 1e-12 * np.abs(x).max(), name
 
     @given(seed=seeds, source_kind=cov_kinds, target_kind=cov_kinds,
@@ -601,15 +648,15 @@ class TestProperties:
         source = make_frame(pose_apply(tf, source.points),
                             covs=rmat @ source.covs @ rmat.T)
         terms = match_terms(source, vmap, t_ij)
-        lin = linearize_from_terms(terms, t_ij)
+        lin = blocks(*linearize_from_terms(terms, t_ij))
         h, b = np.zeros((6, 6)), np.zeros(6)
         for k, x0 in enumerate(terms.moved[terms.hit]):
             w = symmetric(terms.weight[:, k])
             jac = np.hstack([-so3_hat(x0), np.eye(3)])
             h += 2 * jac.T @ w @ jac
             b += 2 * jac.T @ w @ terms.d[k]
-        assert np.abs(lin.h_jj - h).max() <= 1e-12 * np.abs(h).max()
-        assert np.abs(lin.b_j - b).max() <= 1e-12 * np.abs(b).max()
+        assert np.abs(lin["h_jj"] - h).max() <= 1e-12 * np.abs(h).max()
+        assert np.abs(lin["b_j"] - b).max() <= 1e-12 * np.abs(b).max()
 
 
 # -- row kernel against the (n, 3) kernel ------------------------------------
@@ -695,11 +742,12 @@ class TestRowKernelOracle:
         assert (terms.keys is None) == fixed
         if full and not fixed:
             assert terms.inliers == len(source)
-        lin = linearize_from_terms(terms, t_ij, min_inliers=0)
+        lin = linearize_from_terms(terms, t_ij)
         ref_lin = linearize_from_terms(
-            MatchTerms(ref[0], ref[1], None, *ref[2:]), t_ij, min_inliers=0)
-        for name in ("h_ii", "h_ij", "h_jj", "b_i", "b_j"):
-            assert getattr(lin, name).tobytes() == getattr(ref_lin, name).tobytes()
+            MatchTerms(ref[0], ref[1], None, *ref[2:]), t_ij)
+        for got, want in zip(lin, ref_lin):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_known_lookup_searches_only_changed_keys(self):
         source, vmap = matched_pair(5)
