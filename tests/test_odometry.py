@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import warnings
 
 import numpy as np
@@ -82,6 +83,52 @@ class TestSquareLoop:
         assert compute_ate(records, loop_scene.ground_truth).rmse < 0.010
         for a, b in zip(first, second):
             assert np.array_equal(state_vector(a.state), state_vector(b.state))
+
+
+def loop_spec(seed, n_frames):
+    """The benchmark's ``loop`` scene: a 40 m square loop at 3 m/s with
+    IMU noise at the configured densities, constant IMU biases and 1 cm
+    range noise."""
+    imu = PipelineConfig().imu
+    return square_loop_scene(
+        perimeter=40.0, speed=3.0, n_frames=n_frames, seed=seed, settle=0.6,
+        ramp_time=0.5, accel_noise_density=imu.accel_noise_density,
+        gyro_noise_density=imu.gyro_noise_density, range_noise=0.01,
+        accel_bias=np.array([0.05, -0.03, 0.02]),
+        gyro_bias=np.array([0.002, -0.001, 0.003]))
+
+
+def keyframe_digest(events):
+    """sha256 of the keyframe decisions: per scan, whether it was inserted,
+    the keyframes dropped for low overlap, and the set and the victim of a
+    removal by score.  Overlap values and scores are left out, so that only
+    a change of decisions moves it."""
+    digest = hashlib.sha256()
+    for e in events:
+        removal = e["removed_by_score"]
+        digest.update(repr((
+            e["frame_index"], e["inserted"], e["dropped_low_overlap"],
+            None if removal is None
+            else (removal["keyframe_ids"], removal["removed"]))).encode())
+    return digest.hexdigest()
+
+
+class TestGoldenLoop:
+    def test_past_the_warm_up(self):
+        # 37 scans of the noisy loop: the keyframe set fills and ten
+        # keyframes are removed by score.  Measured before frozen matching
+        # weights: ATE 3.2707 mm; the bound is that plus 10 %.
+        scene = generate_synthetic_scene(loop_spec(1, 35))
+        est, first = run(scene)
+        again, second = run(scene)
+        assert len(first) == 37 and all(r.warning is None for r in first)
+        assert outputs(est, first) == outputs(again, second)
+        records = [record_from_pose(r.state.stamp, r.state.pose) for r in first]
+        assert compute_ate(records, scene.ground_truth).rmse < 3.6e-3
+        removals = [e for e in est.keyframe_events if e["removed_by_score"]]
+        assert len(removals) == 10
+        assert keyframe_digest(est.keyframe_events) == (
+            "aac86da09e12bdfb4e559a1b5645f56ff336feeddcb21f7e152197c0d794c035")
 
 
 class TestMarginalCovarianceFallback:
