@@ -88,4 +88,13 @@ class GenerationError(PipelineError):
 
 
 class InitializationMotion(PipelineError):
-    """Motion detected during the stationary initialization window."""
+    """The stationary initialization window does not qualify.
+
+    ``unusable`` is set when the window's samples can never start a run
+    (non-finite values, no gravity direction, motion), and left unset when
+    the window is only too short yet.
+    """
+
+    def __init__(self, message, unusable=False):
+        super().__init__(message)
+        self.unusable = unusable

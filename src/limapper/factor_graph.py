@@ -8,11 +8,13 @@ alone scatters these blocks into a system's key slices.  The optimizer
 assembles damped normal equations at the current estimate each iteration
 and holds the last undamped system, which ``marginal_covariance`` reads.
 A matching-cost factor looks its correspondences up again only when it is
-linearized (``match_terms``) and takes its block from them
-(``linearize_from_terms``); the candidate steps of one iteration are
-costed with the correspondences of that linearization, so the cost the
-optimizer compares is smooth within the iteration.  Priors and
-relative-state factors are fixed-form quadratics.
+linearized.  It forms their weights (``match_terms``) only when a voxel
+row changed, and holds them as a quadratic in the relative pose
+(``freeze_terms``), from which it takes its block
+(``linearize_from_terms``) and costs the candidate steps of an iteration
+in O(1).  So the cost the optimizer compares is smooth within an
+iteration, and it is the cost of the Gauss-Newton model's own weights.
+Priors and relative-state factors are fixed-form quadratics.
 
 Variable kinds and tangent layouts:
 
@@ -23,7 +25,7 @@ Variable kinds and tangent layouts:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -39,6 +41,7 @@ from .errors import (
 from .geometry import (
     Se3Pose,
     SensorState,
+    pose_between,
     pose_compose,
     pose_inverse,
     pose_local,
@@ -52,6 +55,8 @@ from .geometry import (
 from .imu import GRAVITY, PreintegratedImu, imu_factor_residual
 from .registration import (
     GaussianVoxelMap,
+    freeze_terms,
+    frozen_cost,
     linearize_from_terms,
     match_terms,
 )
@@ -213,16 +218,20 @@ class MatchingCostFactor(Factor):
     target voxel map; unary when the target pose is fixed.
 
     The source/target poses are read from the connected variables (the pose
-    component for state variables).  ``linearize`` looks up the voxel of
-    every source point at the given estimate; ``cost`` keeps the voxels of
-    the last ``linearize`` (or looks them up if there was none yet), so that
-    a point crossing a voxel boundary does not make the cost jump between
-    two linearizations.  A lookup after the first searches the map only for
-    the points whose packed voxel key differs from the last linearization's;
-    the others keep their rows, which depend only on the key and the
-    immutable map.  With an empty source or map, or fewer than
-    ``min_inliers`` correspondences, the factor contributes nothing; a
-    lookup below the minimum still sets the rows that ``cost`` uses.
+    component for state variables).  The factor holds one record: the keys
+    and voxel rows of its last lookup, and the cost on those rows with the
+    weights frozen where the rows were last found, as a quadratic in the
+    change of the relative pose (``FrozenTerms``).  ``cost`` evaluates the
+    held quadratic in O(1); it looks up only if there was no lookup yet.
+    ``linearize`` looks the voxel of every source point up at the given
+    estimate, searching the map only for the points whose packed voxel key
+    changed, and forms new terms at that estimate only when a row changed;
+    it then takes its block from the held quadratic.  So a point crossing a
+    voxel boundary does not make the cost jump between two linearizations,
+    and a linearization that finds the same rows keeps the weights of the
+    one that found them.  With an empty source or map, or fewer than
+    ``min_inliers`` correspondences, the factor contributes nothing and
+    forms no terms.
     """
 
     def __init__(self, key_source: Key, source: Frame, target_map: GaussianVoxelMap,
@@ -239,12 +248,11 @@ class MatchingCostFactor(Factor):
         self._empty = (len(source) == 0 or len(target_map) == 0
                        or source.covs is None)
         # (keys, rows): packed voxel key and voxel row per source point from
-        # the lookup of the last linearize
+        # the last lookup
         self._lookup = None
-        # (v_i, v_j, terms, t_ij) of the last evaluated value pair, with terms
-        # on the rows of self._lookup once set; values are immutable, so
-        # identity comparison is a safe cache key
-        self._terms_cache = None
+        self._inliers = 0
+        # FrozenTerms on the rows of self._lookup; None below min_inliers
+        self._held = None
 
     @property
     def unary(self) -> bool:
@@ -264,69 +272,61 @@ class MatchingCostFactor(Factor):
 
     @property
     def inliers(self) -> int:
-        """Source points that found a voxel at the last linearization."""
-        return 0 if self._lookup is None else int(np.count_nonzero(self._lookup[1] >= 0))
+        """Source points that found a voxel at the last lookup."""
+        return self._inliers
 
-    def _poses(self, values):
+    def _relative(self, values) -> Se3Pose:
         t_i = _pose_of(self.keys[0].kind, values[self.keys[0]])
         if self.unary:
-            return t_i, self.fixed_target_pose
-        return t_i, _pose_of(self.keys[1].kind, values[self.keys[1]])
+            t_j = self.fixed_target_pose
+        else:
+            t_j = _pose_of(self.keys[1].kind, values[self.keys[1]])
+        return pose_between(t_j, t_i)
+
+    def _look_up(self, t_ij: Se3Pose) -> None:
+        """Find every source point's voxel row at t_ij; re-form the held
+        terms there when a row changed."""
+        moved = t_ij.rotation.matrix() @ self.source.point_rows
+        moved += t_ij.translation[:, None]
+        keys = pack_voxel_keys(moved.T, self.target_map.resolution)
+        rows = self.target_map.lookup_keys(keys, self._lookup)
+        same = self._lookup is not None and (
+            rows is self._lookup[1] or np.array_equal(rows, self._lookup[1]))
+        self._lookup = (keys, rows)
+        if same:
+            return
+        self._inliers = int(np.count_nonzero(rows >= 0))
+        self._held = None
+        if self._inliers >= self.min_inliers:
+            self._held = freeze_terms(
+                match_terms(self.source, self.target_map, t_ij, rows), t_ij)
 
     def hits(self, values) -> int:
         """Source points in an occupied voxel of the target map at the given
         values.  The terms of this lookup serve the next ``cost`` and
-        ``linearize`` at the same values."""
+        ``linearize``."""
         if self._empty:
             return 0
-        return self._terms(values, lookup=True)[0].inliers
-
-    def _terms(self, values, lookup: bool):
-        """Correspondence terms at the given values: on the voxel rows of the
-        last linearization, or on a lookup when ``lookup`` is set or there
-        was no linearization yet.  Terms computed at the same value objects
-        are reused when their rows are the ones asked for; terms from a
-        lookup (``keys`` set) are the ones any lookup at those values asks
-        for."""
-        v_i = values[self.keys[0]]
-        v_j = None if self.unary else values[self.keys[1]]
-        cached = self._terms_cache
-        if cached is not None and cached[0] is v_i and cached[1] is v_j:
-            terms, t_ij = cached[2], cached[3]
-            if not lookup or terms.keys is not None:
-                return terms, t_ij
-            keys = pack_voxel_keys(terms.moved, self.target_map.resolution)
-            rows = self.target_map.lookup_keys(keys, self._lookup)
-            if not np.array_equal(rows, terms.rows):
-                terms = match_terms(self.source, self.target_map, t_ij, rows)
-            terms = replace(terms, keys=keys)
-        else:
-            t_i, t_j = self._poses(values)
-            t_ij = pose_compose(pose_inverse(t_j), t_i)
-            if lookup:
-                terms = match_terms(self.source, self.target_map, t_ij,
-                                    known=self._lookup)
-            else:
-                rows = None if self._lookup is None else self._lookup[1]
-                terms = match_terms(self.source, self.target_map, t_ij, rows)
-        self._terms_cache = (v_i, v_j, terms, t_ij)
-        return terms, t_ij
+        self._look_up(self._relative(values))
+        return self._inliers
 
     def cost(self, values) -> float:
         if self._empty:
             return 0.0
-        terms, _ = self._terms(values, lookup=False)
-        return terms.cost if terms.inliers >= self.min_inliers else 0.0
+        t_ij = self._relative(values)
+        if self._lookup is None:
+            self._look_up(t_ij)
+        return 0.0 if self._held is None else frozen_cost(self._held, t_ij)
 
     def linearize(self, values) -> FactorLinearization:
         if self._empty:
             return FactorLinearization(None, None, 0.0)
-        terms, t_ij = self._terms(values, lookup=True)
-        self._lookup = (terms.keys, terms.rows)
-        if terms.inliers < self.min_inliers:
+        t_ij = self._relative(values)
+        self._look_up(t_ij)
+        if self._held is None:
             return FactorLinearization(None, None, 0.0)
-        g, h = linearize_from_terms(terms, t_ij, self.unary)
-        return FactorLinearization(g, h, terms.cost)
+        return FactorLinearization(
+            *linearize_from_terms(self._held, t_ij, self.unary))
 
 
 class RelativeStateFactor(Factor):

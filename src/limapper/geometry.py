@@ -32,8 +32,9 @@ def so3_hat(v) -> np.ndarray:
 
 
 def _quat_mul(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
-    x1, y1, z1, w1 = q1
-    x2, y2, z2, w2 = q2
+    # python floats: the same double arithmetic as numpy scalars, faster
+    x1, y1, z1, w1 = q1.tolist()
+    x2, y2, z2, w2 = q2.tolist()
     return np.array(
         [
             w1 * x2 + w2 * x1 + y1 * z2 - z1 * y2,
@@ -45,7 +46,12 @@ def _quat_mul(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
 
 
 class Rotation:
-    """Unit-quaternion rotation with a lazily cached matrix form."""
+    """Unit-quaternion rotation with a lazily cached matrix form.
+
+    ``Rotation.with_matrix`` makes one the other way round: it keeps the
+    given matrix as its matrix form and derives the quaternion only when
+    one is asked for.
+    """
 
     __slots__ = ("_q", "_m")
 
@@ -56,6 +62,15 @@ class Rotation:
             raise ValueError("quaternion must be finite and nonzero")
         self._q = q / n
         self._m = None
+
+    @staticmethod
+    def with_matrix(m: np.ndarray) -> "Rotation":
+        """Rotation whose ``matrix()`` is the proper rotation matrix m as
+        given; its quaternion is ``from_matrix(m)``'s, formed on first use."""
+        rot = Rotation.__new__(Rotation)
+        rot._q = None
+        rot._m = m
+        return rot
 
     @staticmethod
     def identity() -> "Rotation":
@@ -94,11 +109,13 @@ class Rotation:
 
     @property
     def quat(self) -> np.ndarray:
+        if self._q is None:
+            self._q = Rotation.from_matrix(self._m)._q
         return self._q
 
     def matrix(self) -> np.ndarray:
         if self._m is None:
-            x, y, z, w = self._q
+            x, y, z, w = self._q.tolist()
             xx, yy, zz = x * x, y * y, z * z
             xy, xz, yz = x * y, x * z, y * z
             wx, wy, wz = w * x, w * y, w * z
@@ -112,21 +129,21 @@ class Rotation:
         return self._m
 
     def compose(self, other: "Rotation") -> "Rotation":
-        return Rotation(_quat_mul(self._q, other._q))
+        return Rotation(_quat_mul(self.quat, other.quat))
 
     def __mul__(self, other: "Rotation") -> "Rotation":
         return self.compose(other)
 
     def inverse(self) -> "Rotation":
-        x, y, z, w = self._q
+        x, y, z, w = self.quat
         return Rotation((-x, -y, -z, w))
 
     def apply(self, v) -> np.ndarray:
         """Rotate one 3-vector or an (n, 3) array of vectors."""
         v = np.asarray(v, dtype=float)
         if v.ndim == 1:
-            ux, uy, uz, w = self._q
-            vx, vy, vz = v
+            ux, uy, uz, w = self.quat.tolist()
+            vx, vy, vz = v.tolist()
             tx = 2.0 * (uy * vz - uz * vy)
             ty = 2.0 * (uz * vx - ux * vz)
             tz = 2.0 * (ux * vy - uy * vx)
@@ -141,7 +158,7 @@ class Rotation:
         return float(np.linalg.norm(so3_log(self.inverse() * other)))
 
     def __repr__(self) -> str:
-        return f"Rotation(xyzw={np.array2string(self._q, precision=6)})"
+        return f"Rotation(xyzw={np.array2string(self.quat, precision=6)})"
 
 
 def so3_exp(omega) -> Rotation:
@@ -235,6 +252,16 @@ def pose_compose(a: Se3Pose, b: Se3Pose) -> Se3Pose:
 def pose_inverse(a: Se3Pose) -> Se3Pose:
     rinv = a.rotation.inverse()
     return Se3Pose(rinv, -rinv.apply(a.translation))
+
+
+def pose_between(a: Se3Pose, b: Se3Pose) -> Se3Pose:
+    """The pose of b in the frame of a, a^-1 b, formed from the two
+    rotation matrices: (R_a^T R_b, R_a^T (t_b - t_a)).  It equals
+    ``pose_compose(pose_inverse(a), b)`` up to rounding and builds no
+    quaternion."""
+    r_a = a.rotation.matrix()
+    return Se3Pose(Rotation.with_matrix(r_a.T @ b.rotation.matrix()),
+                   r_a.T @ (b.translation - a.translation))
 
 
 def pose_apply(a: Se3Pose, p) -> np.ndarray:

@@ -59,7 +59,8 @@ def initialize_from_rest(samples, gravity, window: float = 0.5,
     Aligns the mean specific force with the gravity reaction (roll/pitch
     only, yaw zero), takes the gyro mean as gyro bias, and attributes any
     leftover specific-force magnitude to the accelerometer bias.  Raises
-    InitializationMotion, naming the cause, when the window does not qualify.
+    InitializationMotion, naming the cause, when the window does not qualify;
+    it is marked ``unusable`` unless the window is only too short.
     """
     if not samples:
         raise InitializationMotion("no IMU samples for initialization")
@@ -72,18 +73,21 @@ def initialize_from_rest(samples, gravity, window: float = 0.5,
     gyro = np.array([s.gyro for s in window_samples])
     accel = np.array([s.accel for s in window_samples])
     if not (np.isfinite(gyro).all() and np.isfinite(accel).all()):
-        raise InitializationMotion("non-finite IMU sample in the init window")
+        raise InitializationMotion("non-finite IMU sample in the init window",
+                                   unusable=True)
     # average short chunks so white noise does not masquerade as motion
     n_chunks = max(1, len(gyro) // 20)
     for chunk in np.array_split(gyro, n_chunks):
         if np.linalg.norm(chunk.mean(axis=0)) > gyro_limit:
-            raise InitializationMotion("gyro activity above the stationary limit")
+            raise InitializationMotion("gyro activity above the stationary limit",
+                                       unusable=True)
     mean_a = accel.mean(axis=0)
     mean_g = gyro.mean(axis=0)
     g_norm = float(np.linalg.norm(gravity))
     a_norm = float(np.linalg.norm(mean_a))
     if not 0.0 < a_norm < math.inf:
-        raise InitializationMotion(f"mean specific force {a_norm:g}: no gravity direction")
+        raise InitializationMotion(
+            f"mean specific force {a_norm:g}: no gravity direction", unusable=True)
 
     up = mean_a / a_norm  # gravity reaction direction, body
     target = np.array([0.0, 0.0, 1.0])
@@ -237,7 +241,9 @@ class OdometryEstimator:
 
         A scan that raises before it enters the graph leaves the estimator
         as it was, apart from buffering its IMU samples, so it can be sent
-        again with more IMU data.
+        again with more IMU data.  A bootstrap that finds its samples
+        unusable drops every buffered sample instead, so that the scan can
+        be sent again with new samples, also ones of the same stamps.
         """
         if self._finished:
             raise RunFinished("finish() ended this run; use a new estimator")
@@ -250,9 +256,14 @@ class OdometryEstimator:
 
         pre_frame = self._prepare(scan)
         if not self._initialized:
-            state = initialize_from_rest(
-                self._imu, self.gravity, window=cfg.init_window,
-                gyro_limit=cfg.init_gyro_limit, stamp=scan.scan_start)
+            try:
+                state = initialize_from_rest(
+                    self._imu, self.gravity, window=cfg.init_window,
+                    gyro_limit=cfg.init_gyro_limit, stamp=scan.scan_start)
+            except InitializationMotion as exc:
+                if exc.unusable:
+                    self._imu.clear()
+                raise
             pre = None
         else:
             prev = self._window[-1]

@@ -20,7 +20,7 @@ The two per-point kernels take a general algorithm only where it is needed:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -99,6 +99,12 @@ class Frame:
         object.__setattr__(self, "points", _row_view(self.points, 3))
         if self.covs is not None:
             object.__setattr__(self, "covs", _row_view(self.covs, 9))
+
+    def __reduce__(self):
+        # pickle and copy rebuild the frame through the constructor: numpy
+        # stores a view as an array of its own, whose (n, 3, 3) layout
+        # would leave cov_rows strided
+        return (Frame, tuple(getattr(self, f.name) for f in fields(self)))
 
     @property
     def point_rows(self) -> np.ndarray:

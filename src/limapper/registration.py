@@ -7,17 +7,20 @@ occupied voxel, the Mahalanobis distance between the point Gaussian and the
 voxel Gaussian under the combined covariance.  Points that miss contribute
 nothing; low-overlap pairs are rejected up front by the overlap gate.
 
-A matching-cost factor has one path: ``match_terms`` finds the
-correspondences and fixed weights at the linearization point, and
-``linearize_from_terms`` turns them into the factor's gradient and
+A matching-cost factor has one path.  ``match_terms`` finds the
+correspondences at the linearization point and forms their weights
+W = (C_voxel + R C_point R^T)^-1 there.  ``freeze_terms`` folds them into a
+12-parameter quadratic: with the rows and weights fixed, every residual is
+linear in g = vec([dt | dR - I]), the change of the relative pose since the
+terms were formed, so the cost is exactly c0 - 2 s.g + g.Q g, with Q and s
+gathered from a few weighted moment sums over the inliers.  The held
+quadratic then costs any candidate pose in O(1), and
+``linearize_from_terms`` takes from it the factor's gradient and
 Gauss-Newton Hessian for right-multiplicative perturbations of the source
-pose and, unless it is fixed, the target pose.  The per-point Jacobian is
-linear in the moved point, so the target pose's blocks are constant linear
-maps of a few weighted moment sums over the inliers; the source pose's
-blocks follow through the SE(3) adjoint of the relative pose.  The factor
-applies its own minimum inlier count.  ``match_terms`` can also evaluate the
-cost with correspondences fixed from an earlier lookup, which keeps the cost
-smooth between two linearizations.
+pose and, unless it is fixed, the target pose: the target pose's blocks
+come through the derivative of g, the source pose's through the SE(3)
+adjoint of the relative pose.  No per-point pass is made until a voxel row
+changes.
 
 Every per-point array is stored in component rows: a frame keeps its
 points as one C-contiguous (3, n) array and its covariances as one (9, n)
@@ -33,12 +36,14 @@ A lookup packs each moved point's voxel index into one int64 key and finds
 the key among the map's sorted keys.  ``MatchingCostFactor`` keeps the keys
 and rows of its last lookup, so a re-linearization searches only the points
 whose key changed; a row depends only on the key and the immutable map, so
-the result is the same as a full search.
+the result is the same as a full search.  It forms new terms only when a
+row changed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -168,9 +173,6 @@ class MatchTerms:
 
     rows: np.ndarray  # (n,) voxel row per source point, -1 on a miss
     hit: np.ndarray  # (n,) bool, per source point
-    # (n,) packed voxel keys of the moved points when ``rows`` came from a
-    # lookup of them, None when the rows were fixed by the caller
-    keys: np.ndarray | None
     moved: np.ndarray  # (n, 3) transformed source means, a view of (3, n)
     d: np.ndarray  # (m, 3) residuals of the matched subset, a view of (3, m)
     weight: np.ndarray  # (6, m) unique entries of the inverse combined covariances
@@ -180,15 +182,11 @@ class MatchTerms:
 
 
 def match_terms(frame: Frame, vmap: GaussianVoxelMap, t_ij: Se3Pose,
-                rows: np.ndarray | None = None,
-                known: tuple[np.ndarray, np.ndarray] | None = None
-                ) -> MatchTerms:
+                rows: np.ndarray | None = None) -> MatchTerms:
     """Residuals and weights of frame against the map at relative pose t_ij.
 
     Each source point is matched to the voxel that contains it, unless
-    ``rows`` fixes the voxel row of every source point (-1 for none).  A
-    lookup with ``known``, the (keys, rows) of an earlier lookup of the
-    frame in the same map, searches only the points whose voxel key changed.
+    ``rows`` fixes the voxel row of every source point (-1 for none).
 
     The kernel works on the frame's component rows: the points move as one
     (3x3)·(3xn) product, and every gather is a ``take`` along contiguous
@@ -201,10 +199,8 @@ def match_terms(frame: Frame, vmap: GaussianVoxelMap, t_ij: Se3Pose,
     rmat = t_ij.rotation.matrix()
     moved = rmat @ frame.point_rows
     moved += t_ij.translation[:, None]
-    keys = None
     if rows is None:
-        keys = pack_voxel_keys(moved.T, vmap.resolution)
-        rows = vmap.lookup_keys(keys, known)
+        rows = vmap.lookup(moved.T)
     hit = rows >= 0
     inliers = int(np.count_nonzero(hit))
     covs = frame.cov_rows
@@ -225,7 +221,7 @@ def match_terms(frame: Frame, vmap: GaussianVoxelMap, t_ij: Se3Pose,
     wd += weight[_FULL[1]] * d[1]
     wd += weight[_FULL[2]] * d[2]
     cost = float(np.vdot(d, wd))
-    return MatchTerms(rows, hit, keys, moved.T, d.T, weight, wd.T, cost, inliers)
+    return MatchTerms(rows, hit, moved.T, d.T, weight, wd.T, cost, inliers)
 
 
 def overlap_rate(frame: Frame, vmap: GaussianVoxelMap, t_ij: Se3Pose) -> float:
@@ -237,57 +233,69 @@ def overlap_rate(frame: Frame, vmap: GaussianVoxelMap, t_ij: Se3Pose) -> float:
     return float(np.count_nonzero(vmap.lookup(moved.T) >= 0)) / len(frame)
 
 
-def _moment_maps() -> tuple[np.ndarray, np.ndarray]:
-    """Constant maps from weighted monomial moments to H and b.
+def _change_jacobian(change: np.ndarray) -> np.ndarray:
+    """Derivative of g = vec([dt | dR - I]) with respect to a perturbation
+    xi = (phi, rho) of the target pose, at the change (3x4, ``[dt | dR - I]``).
 
-    J(x) = [ -hat(x) | I ] = sum_k f_k J_k over the monomials f = (1, x, y, z)
-    of the moved point, so J^T W J is a fixed linear function of the
-    products w_s f_k f_l of the six unique weight entries w_s with the ten
-    monomials F = (1, x, y, z, xx, xy, xz, yy, yz, zz), and J^T W d one of
-    the products (W d)_c f_k.  Returns the (60x36) map from the moments
-    sum w_s F_q, row-major in (s, q), to H = 2 sum J^T W J, flattened, and
-    the (12x6) map from sum (W d)_c f_k, row-major in (c, k), to
-    b = 2 sum J^T W d.
+    The perturbation moves the relative pose to exp(-xi) t_ij, so dR gains
+    -hat(phi) dR and dt gains -hat(phi) dt - rho: the rows of dt take
+    [ hat(dt) | -I ], and those of column k of dR take [ hat(dR[:, k]) | 0 ].
+    Row 4a + c of the (12x6) result belongs to entry (a, c) of the change.
     """
-    basis = np.zeros((4, 3, 6))  # J_k
-    basis[0, :, 3:] = np.eye(3)
-    for k in range(3):
-        basis[k + 1, :, :3] = -so3_hat(np.eye(3)[k])
-    # the (k, l) of F_q = f_k f_l, in the order of F
-    pairs = [(0, k) for k in range(4)] + list(zip(_SYM_I + 1, _SYM_J + 1))
-    h_map = np.zeros((6, 10, 36))
-    for s, (i, j) in enumerate(zip(_SYM_I, _SYM_J)):
-        e_s = np.zeros((3, 3))
-        e_s[i, j] = e_s[j, i] = 1.0
-        for q, (k, l) in enumerate(pairs):
-            block = basis[k].T @ e_s @ basis[l]
-            if k != l:  # f_k f_l also comes as f_l f_k
-                block = block + block.T
-            h_map[s, q] = 2.0 * block.reshape(-1)
-    b_map = 2.0 * basis.transpose(1, 0, 2).reshape(12, 6)
-    return h_map.reshape(60, 36), b_map
+    full = change + np.hstack([np.zeros((3, 1)), np.eye(3)])  # [dt | dR]
+    jac = np.zeros((3, 4, 6))
+    for c in range(4):
+        jac[:, c, :3] = so3_hat(full[:, c])
+    jac[:, 0, 3:] = -np.eye(3)
+    return jac.reshape(12, 6)
 
 
-_H_MAP, _B_MAP = _moment_maps()
+def _quadratic_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Constant tables of the frozen-weight quadratic.
+
+    Returns the (12x12) positions in the flattened 6x10 moment matrix
+    W_6 F^T (row-major in (s, q)) of the entries of Q, whose entry
+    (4a + k, 4b + l) is sum W_ab f_k f_l over the monomials f = (1, x, y,
+    z) of the moved points; and ``_change_jacobian`` as the (72x12) map
+    and the (72,) offset that give it, flattened, from g.
+    """
+    mono = np.array([[0, 1, 2, 3], [1, 4, 5, 6], [2, 5, 7, 8], [3, 6, 8, 9]])
+    q_index = (10 * _FULL[:, None, :, None] + mono[None, :, None, :]).reshape(12, 12)
+    offset = _change_jacobian(np.zeros((3, 4))).reshape(72)
+    jac_map = np.stack([_change_jacobian(e.reshape(3, 4)).reshape(72) - offset
+                        for e in np.eye(12)], axis=1)
+    return q_index, jac_map, offset
 
 
-def linearize_from_terms(terms: MatchTerms, t_ij: Se3Pose,
-                         target_fixed: bool = False
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and Gauss-Newton Hessian over the factor's tangent space: the
-    source pose's 6 dims, then the target pose's 6 unless ``target_fixed``.
+_Q_INDEX, _JAC_MAP, _JAC_OFFSET = _quadratic_tables()
 
-    The Jacobian of an inlier's residual with respect to the target pose is
-    J = [ -hat(x0) | I ], with x0 the moved point in the target frame.  It is
-    linear in the monomials (1, x, y, z) of x0, so H = 2 sum J^T W J is a
-    constant linear map of the 6x10 moment matrix W_6 F^T, where W_6 holds
-    the six unique weight entries per inlier and F the ten monomials (1, x,
-    y, z, xx, xy, xz, yy, yz, zz) of x0, and b = 2 sum J^T W d one of the
-    3x4 matrix (W d) F[:4]^T; no per-inlier Jacobian is formed.  These are
-    the target pose's blocks.  A source perturbation xi_i moves the points
-    as the target perturbation -Ad(t_ij) xi_i does, so the source and cross
-    blocks follow from the 6x6 adjoint Ad: H_ii = Ad^T H Ad, H_ij = -Ad^T H,
-    b_i = -Ad^T b.
+
+class FrozenTerms(NamedTuple):
+    """The matching cost on fixed correspondences and weights, as a quadratic
+    in the change of the relative pose since they were formed.
+
+    With the rows and the weights W fixed at the relative pose (R0, t0),
+    every residual d = mu - (dR x0 + dt) is linear in g = vec([dt | dR - I])
+    (row-major, 12 entries), where x0 is the point moved by (R0, t0) and
+    (dR, dt) the change to the current relative pose.  So the cost is
+    exactly ``cost - 2 s.g + g.Q g``.
+    """
+
+    pose: np.ndarray  # (3, 4) [t0 | R0]
+    # (4, 4) map from [t - t0 | R - R0] to [dt | dR - I]
+    to_change: np.ndarray
+    cost: float  # at (R0, t0)
+    s: np.ndarray  # (12,) sum (W d) f^T, row-major in (component, monomial)
+    q: np.ndarray  # (12, 12) sum of W_ab f_k f_l
+
+
+def freeze_terms(terms: MatchTerms, t_ij: Se3Pose) -> FrozenTerms:
+    """The quadratic of the terms that ``match_terms`` formed at t_ij.
+
+    Q is an index gather of the 6x10 moment matrix W_6 F^T, where W_6
+    holds the six unique weight entries per inlier and F the ten monomials
+    (1, x, y, z, xx, xy, xz, yy, yz, zz) of the moved point; s is the 3x4
+    matrix (W d) F[:4]^T.  No per-inlier quantity is kept.
     """
     x0 = terms.moved.T  # (3, n) rows
     if terms.inliers < x0.shape[1]:
@@ -298,8 +306,61 @@ def linearize_from_terms(terms: MatchTerms, t_ij: Se3Pose,
     mono[4:7] = mono[1] * mono[1:4]
     mono[7:9] = mono[2] * mono[2:4]
     mono[9] = mono[3] * mono[3]
-    h_jj = ((terms.weight @ mono.T).reshape(60) @ _H_MAP).reshape(6, 6)
-    b_j = (terms.wd.T @ mono[:4].T).reshape(12) @ _B_MAP
+    q = (terms.weight @ mono.T).reshape(60)[_Q_INDEX]
+    s = (terms.wd.T @ mono[:4].T).reshape(12)
+    r0, t0 = t_ij.rotation.matrix(), t_ij.translation
+    to_change = np.zeros((4, 4))
+    to_change[0, 0] = 1.0
+    to_change[1:, 0] = -(r0.T @ t0)
+    to_change[1:, 1:] = r0.T
+    return FrozenTerms(_pose_columns(t_ij), to_change, terms.cost, s, q)
+
+
+def _pose_columns(t_ij: Se3Pose) -> np.ndarray:
+    """[t | R] of a pose as one (3, 4) array."""
+    out = np.empty((3, 4))
+    out[:, 0] = t_ij.translation
+    out[:, 1:] = t_ij.rotation.matrix()
+    return out
+
+
+def _change(held: FrozenTerms, t_ij: Se3Pose) -> np.ndarray:
+    """g = vec([dt | dR - I]) from the held pose to t_ij.  It is formed as
+    [t - t0 | R - R0] times the held map, that is dR - I = (R - R0) R0^T and
+    dt = (t - t0) - (dR - I) t0, so g is exactly zero at the held pose and
+    carries no cancellation near it."""
+    diff = _pose_columns(t_ij)
+    diff -= held.pose
+    return (diff @ held.to_change).reshape(12)
+
+
+def frozen_cost(held: FrozenTerms, t_ij: Se3Pose) -> float:
+    """The held quadratic's cost at the relative pose t_ij."""
+    g = _change(held, t_ij)
+    return float(held.cost - g @ (2.0 * held.s - held.q @ g))
+
+
+def linearize_from_terms(held: FrozenTerms, t_ij: Se3Pose,
+                         target_fixed: bool = False
+                         ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Gradient, Gauss-Newton Hessian and cost of the held quadratic at the
+    relative pose t_ij.  The blocks cover the factor's tangent space: the
+    source pose's 6 dims, then the target pose's 6 unless ``target_fixed``.
+
+    With J the (12x6) derivative of g with respect to the target pose
+    (``_change_jacobian``), the target pose's blocks are
+    H = 2 J^T Q J and b = 2 J^T (Q g - s).  A source perturbation xi_i moves
+    the points as the target perturbation -Ad(t_ij) xi_i does, so the source
+    and cross blocks follow from the 6x6 adjoint Ad: H_ii = Ad^T H Ad,
+    H_ij = -Ad^T H, b_i = -Ad^T b.
+    """
+    g = _change(held, t_ij)
+    qg = held.q @ g
+    cost = float(held.cost - g @ (2.0 * held.s - qg))
+    jac = (_JAC_MAP @ g + _JAC_OFFSET).reshape(12, 6)
+    b_j = 2.0 * (jac.T @ (qg - held.s))
+    half = jac.T @ (held.q @ jac)
+    h_jj = half + half.T
 
     rmat = t_ij.rotation.matrix()
     adj = np.zeros((6, 6))
@@ -307,10 +368,10 @@ def linearize_from_terms(terms: MatchTerms, t_ij: Se3Pose,
     adj[3:, :3] = so3_hat(t_ij.translation) @ rmat
     adj_t_h = adj.T @ h_jj
     if target_fixed:
-        return -(adj.T @ b_j), adj_t_h @ adj
+        return -(adj.T @ b_j), adj_t_h @ adj, cost
     h = np.empty((12, 12))
     h[:6, :6] = adj_t_h @ adj
     h[:6, 6:] = -adj_t_h
     h[6:, :6] = h[:6, 6:].T
     h[6:, 6:] = h_jj
-    return np.concatenate([-(adj.T @ b_j), b_j]), h
+    return np.concatenate([-(adj.T @ b_j), b_j]), h, cost

@@ -8,6 +8,7 @@ from limapper.geometry import (
     Se3Pose,
     SensorState,
     pose_apply,
+    pose_between,
     pose_compose,
     pose_interpolate,
     pose_inverse,
@@ -145,6 +146,20 @@ class TestSe3:
         batched = pose_apply(t, pts)
         for i in range(len(pts)):
             assert np.allclose(batched[i], pose_apply(t, pts[i]), atol=1e-12)
+
+
+    def test_between_equals_composition_with_the_inverse(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            a, b = random_pose(rng), random_pose(rng)
+            got = pose_between(a, b)
+            want = pose_compose(pose_inverse(a), b)
+            assert np.allclose(got.matrix(), want.matrix(), rtol=0.0, atol=1e-14)
+            # the matrix is kept as formed, and the quaternion follows it
+            rmat = a.rotation.matrix().T @ b.rotation.matrix()
+            assert got.rotation.matrix().tobytes() == rmat.tobytes()
+            assert got.rotation.angle_to(want.rotation) < 1e-14
+            assert np.allclose(Rotation(got.rotation.quat).matrix(), rmat, atol=1e-15)
 
 
 class TestInterpolation:

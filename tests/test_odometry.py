@@ -273,7 +273,29 @@ class TestRetryAfterFailure:
                     e._last_scan_start, e._initialized)
 
         assert state(est) == state(OdometryEstimator())
-        assert len(est._imu) == len(bad)  # only the samples are buffered
+        assert est._imu == []  # the unusable samples are dropped
+        # so the scan goes through when it comes again with intact samples
+        # of the same stamps, as on a fresh estimator
+        clean = OdometryEstimator()
+        want = clean.process_frame(loop_scene.scans[0], batch)
+        got = est.process_frame(loop_scene.scans[0], batch)
+        assert outputs(est, [got]) == outputs(clean, [want])
+
+
+    def test_short_bootstrap_window_keeps_its_samples(self, loop_scene):
+        # a window that is only too short yet is not unusable: its samples
+        # stay buffered, and the rest of the window completes it
+        batch = imu_batches(loop_scene, PipelineConfig().odometry.init_window)[0]
+        head = [s for s in batch if s.stamp < 0.2]
+        est = OdometryEstimator()
+        with pytest.raises(InitializationMotion, match="need") as raised:
+            est.process_frame(loop_scene.scans[0], head)
+        assert not raised.value.unusable
+        assert est._imu == head
+        clean = OdometryEstimator()
+        want = clean.process_frame(loop_scene.scans[0], batch)
+        got = est.process_frame(loop_scene.scans[0], batch[len(head):])
+        assert outputs(est, [got]) == outputs(clean, [want])
 
 
 class TestFinish:

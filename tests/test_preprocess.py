@@ -1,4 +1,6 @@
-from dataclasses import replace
+import copy
+import pickle
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -564,6 +566,22 @@ class TestRowStorage:
         again = replace(covs, degenerate=None)
         assert np.shares_memory(again.covs, covs.covs)
         assert np.shares_memory(again.points, frame.points)
+
+    def test_pickle_and_deepcopy_restore_the_rows(self):
+        rng = np.random.default_rng(4)
+        frame = frame_from_scan(scan_of(rng.uniform(-2, 2, (30, 3)),
+                                        rng.uniform(0, 0.1, 30)))
+        frame = estimate_covariances(replace(frame, neighbors=knn_search(frame, 5)))
+        for copied in (pickle.loads(pickle.dumps(frame)), copy.deepcopy(frame)):
+            assert_row_storage(copied)
+            for f in fields(Frame):
+                got, want = getattr(copied, f.name), getattr(frame, f.name)
+                assert type(got) is type(want), f.name
+                if isinstance(want, np.ndarray):
+                    assert got.shape == want.shape and got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes(), f.name
+                else:
+                    assert got == want, f.name
 
     def test_deskew(self):
         rng = np.random.default_rng(3)

@@ -1,10 +1,12 @@
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from limapper import factor_graph
 from limapper.errors import VoxelKeyOutOfRange
 from limapper.factor_graph import MatchingCostFactor, submap_key
 from limapper.geometry import (
@@ -20,6 +22,7 @@ from limapper.preprocess import Frame, pack_voxel_keys
 from limapper.registration import (
     MatchTerms,
     build_voxelmap,
+    freeze_terms,
     linearize_from_terms,
     match_terms,
     overlap_rate,
@@ -83,13 +86,18 @@ def matching_cost(frame, vmap, t_ij):
     return terms.cost, terms.inliers
 
 
+def linearize_terms(terms, t_ij, target_fixed=False):
+    """(g, h) of the terms formed at t_ij, taken there."""
+    g, h, _ = linearize_from_terms(freeze_terms(terms, t_ij), t_ij, target_fixed)
+    return g, h
+
+
 def linearize_pair(frame, vmap, t_i, t_j, target_fixed=False):
     """(g, h, terms) of the matching cost of frame against the map at the
     poses (t_i, t_j), correspondences looked up there."""
     t_ij = pose_compose(pose_inverse(t_j), t_i)
     terms = match_terms(frame, vmap, t_ij)
-    g, h = linearize_from_terms(terms, t_ij, target_fixed)
-    return g, h, terms
+    return *linearize_terms(terms, t_ij, target_fixed), terms
 
 
 def blocks(g, h):
@@ -627,8 +635,8 @@ class TestProperties:
             x, y = getattr(a, name), getattr(b, name)
             assert np.abs(x - y).max() <= 1e-12 * np.abs(x).max(), name
         assert b.cost == pytest.approx(a.cost, rel=1e-12)
-        lin_a = blocks(*linearize_from_terms(a, t_ij))
-        lin_b = blocks(*linearize_from_terms(b, t_moved))
+        lin_a = blocks(*linearize_terms(a, t_ij))
+        lin_b = blocks(*linearize_terms(b, t_moved))
         for name in ("h_jj", "b_j"):
             x, y = lin_a[name], lin_b[name]
             assert np.abs(x - y).max() <= 1e-12 * np.abs(x).max(), name
@@ -648,7 +656,7 @@ class TestProperties:
         source = make_frame(pose_apply(tf, source.points),
                             covs=rmat @ source.covs @ rmat.T)
         terms = match_terms(source, vmap, t_ij)
-        lin = blocks(*linearize_from_terms(terms, t_ij))
+        lin = blocks(*linearize_terms(terms, t_ij))
         h, b = np.zeros((6, 6)), np.zeros(6)
         for k, x0 in enumerate(terms.moved[terms.hit]):
             w = symmetric(terms.weight[:, k])
@@ -739,30 +747,32 @@ class TestRowKernelOracle:
         terms = match_terms(source, vmap, t_ij, rows)
         ref = reference_match_terms(source, vmap, t_ij, rows)
         assert_terms_equal(terms, ref)
-        assert (terms.keys is None) == fixed
         if full and not fixed:
             assert terms.inliers == len(source)
-        lin = linearize_from_terms(terms, t_ij)
-        ref_lin = linearize_from_terms(
-            MatchTerms(ref[0], ref[1], None, *ref[2:]), t_ij)
-        for got, want in zip(lin, ref_lin):
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+        held = freeze_terms(terms, t_ij)
+        ref_held = freeze_terms(MatchTerms(*ref), t_ij)
+        for got, want in zip(held + linearize_from_terms(held, t_ij),
+                             ref_held + linearize_from_terms(ref_held, t_ij)):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     def test_known_lookup_searches_only_changed_keys(self):
         source, vmap = matched_pair(5)
         at = Se3Pose(so3_exp([0.0, 0.0, 0.02]), np.array([0.03, 0.0, 0.0]))
         first = match_terms(source, vmap, Se3Pose.identity())
-        second = match_terms(source, vmap, at, known=(first.keys, first.rows))
-        changed = first.keys != second.keys
+        first_keys = pack_voxel_keys(first.moved, vmap.resolution)
+        keys = pack_voxel_keys(pose_apply(at, source.points), vmap.resolution)
+        rows = vmap.lookup_keys(keys, (first_keys, first.rows))
+        changed = first_keys != keys
         assert 0 < np.count_nonzero(changed) < len(source)
-        assert np.array_equal(second.rows, vmap.lookup(pose_apply(at, source.points)))
+        assert np.array_equal(rows, vmap.lookup(pose_apply(at, source.points)))
         # a stale row where the key is unchanged is kept: nothing re-searches it
         stale = first.rows.copy()
         stale[~changed] = -1
-        kept = match_terms(source, vmap, at, known=(first.keys, stale))
-        assert np.array_equal(kept.rows[~changed], stale[~changed])
-        assert np.array_equal(kept.rows[changed], second.rows[changed])
+        kept = vmap.lookup_keys(keys, (first_keys, stale))
+        assert np.array_equal(kept[~changed], stale[~changed])
+        assert np.array_equal(kept[changed], rows[changed])
+        # with no key changed, the known rows come back as they are
+        assert vmap.lookup_keys(first_keys, (first_keys, stale)) is stale
 
     @pytest.mark.parametrize("translation", [[1e7, 0.0, 0.0], [np.nan, 0.0, 0.0],
                                              [0.0, np.inf, 0.0]])
@@ -805,18 +815,63 @@ class TestMapRowStorage:
         assert vmap.covs.shape == (0, 3, 3) and vmap.means.shape == (0, 3)
 
 
+# pose steps: each a direction, a scale and whether the cost is taken
+# before the linearization; the large scale turns the source by up to 0.1
+# rad and moves it by up to 0.2 m per axis, so points cross faces of the
+# 0.5 m voxels, and the small one mostly keeps every row
 steps = st.lists(st.tuples(st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
-                           st.booleans()), min_size=2, max_size=8)
+                           st.sampled_from([1e-3, 1.0]), st.booleans()),
+                 min_size=2, max_size=8)
 
 
-class TestFactorLookupOracle:
+def conditioned_pair(seed):
+    """A target voxel map and a source frame that overlaps it, every
+    covariance SPD with its eigenvalues within one decade (0.01-0.1 m^2),
+    so that an inverse is good to about 1e-15 relative."""
+    rng = np.random.default_rng(seed)
+
+    def covs(n):
+        basis = np.stack([so3_exp(v).matrix() for v in rng.normal(size=(n, 3))])
+        vals = 10.0 ** rng.uniform(-2.0, -1.0, (n, 3))
+        return basis @ (vals[:, :, None] * np.eye(3)) @ basis.transpose(0, 2, 1)
+
+    points = rng.uniform(-2.0, 2.0, (150, 3))
+    vmap = build_voxelmap(make_frame(points, covs=covs(150)), 0.5)
+    source = make_frame(points[:100] + rng.normal(scale=0.05, size=(100, 3)),
+                        covs=covs(100))
+    return source, vmap
+
+
+def frozen_reference(source, vmap, rows, held_at, t_ij, target_fixed):
+    """(cost, g, h) at the relative pose t_ij on fixed rows, each weight
+    the inverse of C_voxel + R0 C_point R0^T at the relative pose held_at,
+    summed point by point with the source Jacobian R [ hat(mu) | -I ] and
+    the target Jacobian [ -hat(x) | I ] at the moved point x."""
+    r0 = held_at.rotation.matrix()
+    rmat = t_ij.rotation.matrix()
+    cost, g, h = 0.0, np.zeros(12), np.zeros((12, 12))
+    for mu, cov, row in zip(source.points, source.covs, rows):
+        if row < 0:
+            continue
+        w = np.linalg.inv(vmap.covs[row] + r0 @ cov @ r0.T)
+        x = rmat @ mu + t_ij.translation
+        d = vmap.means[row] - x
+        jac = np.hstack([rmat @ so3_hat(mu), -rmat, -so3_hat(x), np.eye(3)])
+        cost += d @ w @ d
+        g += 2 * jac.T @ w @ d
+        h += 2 * jac.T @ w @ jac
+    if target_fixed:
+        return cost, g[:6], h[:6, :6]
+    return cost, g, h
+
+
+class TestFrozenTerms:
     @given(seed=seeds, path=steps, unary=st.booleans())
-    def test_equals_freshly_built_factor(self, seed, path, unary):
-        # a pose sequence with steps of up to 0.1 rad and 0.2 m per axis, so
-        # that points cross faces of the 0.5 m voxels; before some
-        # linearizations the cost is taken first, which caches terms on the
-        # held rows at those values
-        source, vmap = matched_pair(seed)
+    def test_factor_equals_frozen_reference_and_fresh_factor(self, seed, path, unary):
+        # the factor re-forms its terms only when a row changed, and then
+        # equals a factor built at that pose bit for bit; between changes
+        # it keeps the weights of the last change and moves only the points
+        source, vmap = conditioned_pair(seed)
         key_i, key_j = submap_key(0), submap_key(1)
         t_j = Se3Pose(so3_exp([0.2, -0.1, 0.3]), np.array([1.0, -2.0, 0.5]))
 
@@ -828,19 +883,39 @@ class TestFactorLookupOracle:
                                       min_inliers=5)
 
         factor = build()
-        t_i = t_j
-        for step, cost_first in path:
-            t_i = pose_retract(t_i, np.asarray(step) * [0.1, 0.1, 0.1, 0.2, 0.2, 0.2])
-            values = {key_i: t_i, key_j: t_j}
-            if cost_first:
-                factor.cost(values)
-            fresh = build()
-            lin, want = factor.linearize(values), fresh.linearize(values)
-            assert lin.cost == want.cost
-            for got, ref in ((lin.g, want.g), (lin.h, want.h)):
-                assert (got is None) == (ref is None)
-                assert got is None or got.tobytes() == ref.tobytes()
-            t_ij = pose_compose(pose_inverse(t_j), t_i)
-            assert_terms_equal(factor._terms(values, lookup=True)[0],
-                               reference_match_terms(source, vmap, t_ij))
-            assert factor.inliers == fresh.inliers
+        t_i, rows, held_at = t_j, None, None
+        with mock.patch.object(factor_graph, "match_terms",
+                               wraps=factor_graph.match_terms) as spy:
+            for step, scale, cost_first in path:
+                t_i = pose_retract(t_i, np.asarray(step) * scale
+                                   * [0.1, 0.1, 0.1, 0.2, 0.2, 0.2])
+                values = {key_i: t_i, key_j: t_j}
+                t_ij = pose_compose(pose_inverse(t_j), t_i)
+                if cost_first and rows is not None:
+                    calls = spy.call_count
+                    factor.cost(values)  # on the held quadratic
+                    assert spy.call_count == calls
+                moved = (t_ij.rotation.matrix() @ source.point_rows).T + t_ij.translation
+                found = vmap.lookup(moved)
+                changed = rows is None or not np.array_equal(found, rows)
+                if changed:
+                    rows, held_at = found, t_ij
+                calls = spy.call_count
+                lin = factor.linearize(values)
+                inliers = int(np.count_nonzero(rows >= 0))
+                assert factor.inliers == inliers
+                assert spy.call_count == calls + (changed and inliers >= 5)
+                assert factor.cost(values) == lin.cost
+                if inliers < 5:
+                    assert lin == (None, None, 0.0)
+                    continue
+                cost, g, h = frozen_reference(source, vmap, rows, held_at, t_ij,
+                                              unary)
+                assert lin.cost == pytest.approx(cost, rel=1e-12, abs=0.0)
+                assert np.abs(lin.g - g).max() <= 1e-12 * np.abs(g).max()
+                assert np.abs(lin.h - h).max() <= 1e-12 * np.abs(h).max()
+                if changed:
+                    want = build().linearize(values)
+                    assert lin.cost == want.cost
+                    assert lin.g.tobytes() == want.g.tobytes()
+                    assert lin.h.tobytes() == want.h.tobytes()
