@@ -54,6 +54,10 @@ class RunFinished(PipelineError):
     """Estimator was flushed with finish() and takes no further scans."""
 
 
+class NonFiniteStamp(PipelineError):
+    """A scan's start, end or point stamp is NaN or infinite."""
+
+
 class OutOfOrder(PipelineError):
     """Records arrived with non-increasing timestamps."""
 

@@ -41,7 +41,6 @@ from .errors import (
 from .geometry import (
     Se3Pose,
     SensorState,
-    pose_between,
     pose_compose,
     pose_inverse,
     pose_local,
@@ -281,7 +280,7 @@ class MatchingCostFactor(Factor):
             t_j = self.fixed_target_pose
         else:
             t_j = _pose_of(self.keys[1].kind, values[self.keys[1]])
-        return pose_between(t_j, t_i)
+        return pose_compose(pose_inverse(t_j), t_i)
 
     def _look_up(self, t_ij: Se3Pose) -> None:
         """Find every source point's voxel row at t_ij; re-form the held

@@ -2,8 +2,11 @@
 
 Conventions used throughout the package:
 
-* Rotations are stored as unit quaternions ``(x, y, z, w)`` and renormalized
-  after every composition.
+* A rotation is stored as its 3x3 matrix.  Composition is a matrix product
+  and the inverse a transpose; nothing renormalizes the product.
+  Quaternions ``(x, y, z, w)`` appear only at the boundary: ``Rotation``
+  is constructed from one, and ``Rotation.quat`` gives one back for file
+  output, deskew's per-point interpolation and ``so3_log``.
 * Poses map body-frame vectors into the world frame: ``p_w = R p_b + t``.
 * Tangent vectors are ordered rotation-first.  A pose perturbation
   ``xi = (phi, rho)`` is applied right-multiplicatively,
@@ -31,128 +34,84 @@ def so3_hat(v) -> np.ndarray:
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
-def _quat_mul(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
-    # python floats: the same double arithmetic as numpy scalars, faster
-    x1, y1, z1, w1 = q1.tolist()
-    x2, y2, z2, w2 = q2.tolist()
-    return np.array(
-        [
-            w1 * x2 + w2 * x1 + y1 * z2 - z1 * y2,
-            w1 * y2 + w2 * y1 + z1 * x2 - x1 * z2,
-            w1 * z2 + w2 * z1 + x1 * y2 - y1 * x2,
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        ]
-    )
-
-
 class Rotation:
-    """Unit-quaternion rotation with a lazily cached matrix form.
+    """Rotation in SO(3), held as its 3x3 matrix and nothing else.
 
-    ``Rotation.with_matrix`` makes one the other way round: it keeps the
-    given matrix as its matrix form and derives the quaternion only when
-    one is asked for.
+    ``Rotation(quat_xyzw)`` builds the matrix of a finite, nonzero
+    quaternion, normalized first; ``from_matrix`` keeps a matrix as given.
     """
 
-    __slots__ = ("_q", "_m")
+    __slots__ = ("_m",)
 
     def __init__(self, quat_xyzw):
         q = np.asarray(quat_xyzw, dtype=float)
         n = math.sqrt(float(q @ q))
         if n == 0.0 or not math.isfinite(n):
             raise ValueError("quaternion must be finite and nonzero")
-        self._q = q / n
-        self._m = None
-
-    @staticmethod
-    def with_matrix(m: np.ndarray) -> "Rotation":
-        """Rotation whose ``matrix()`` is the proper rotation matrix m as
-        given; its quaternion is ``from_matrix(m)``'s, formed on first use."""
-        rot = Rotation.__new__(Rotation)
-        rot._q = None
-        rot._m = m
-        return rot
+        # python floats: the same double arithmetic as numpy scalars, faster
+        x, y, z, w = (q / n).tolist()
+        xx, yy, zz = x * x, y * y, z * z
+        xy, xz, yz = x * y, x * z, y * z
+        wx, wy, wz = w * x, w * y, w * z
+        self._m = np.array(
+            [
+                [1 - 2 * (yy + zz), 2 * (xy - wz), 2 * (xz + wy)],
+                [2 * (xy + wz), 1 - 2 * (xx + zz), 2 * (yz - wx)],
+                [2 * (xz - wy), 2 * (yz + wx), 1 - 2 * (xx + yy)],
+            ]
+        )
 
     @staticmethod
     def identity() -> "Rotation":
-        return Rotation((0.0, 0.0, 0.0, 1.0))
+        return Rotation.from_matrix(np.eye(3))
 
     @staticmethod
     def from_matrix(m) -> "Rotation":
-        """Shepperd's method; robust for all proper rotation matrices."""
-        m = np.asarray(m, dtype=float)
-        tr = m[0, 0] + m[1, 1] + m[2, 2]
-        if tr > 0.0:
-            s = math.sqrt(tr + 1.0) * 2.0
-            q = np.array(
-                [(m[2, 1] - m[1, 2]) / s, (m[0, 2] - m[2, 0]) / s,
-                 (m[1, 0] - m[0, 1]) / s, 0.25 * s]
-            )
-        elif m[0, 0] >= m[1, 1] and m[0, 0] >= m[2, 2]:
-            s = math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
-            q = np.array(
-                [0.25 * s, (m[0, 1] + m[1, 0]) / s,
-                 (m[0, 2] + m[2, 0]) / s, (m[2, 1] - m[1, 2]) / s]
-            )
-        elif m[1, 1] >= m[2, 2]:
-            s = math.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
-            q = np.array(
-                [(m[0, 1] + m[1, 0]) / s, 0.25 * s,
-                 (m[1, 2] + m[2, 1]) / s, (m[0, 2] - m[2, 0]) / s]
-            )
-        else:
-            s = math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
-            q = np.array(
-                [(m[0, 2] + m[2, 0]) / s, (m[1, 2] + m[2, 1]) / s,
-                 0.25 * s, (m[1, 0] - m[0, 1]) / s]
-            )
-        return Rotation(q)
+        """The rotation whose matrix is m, kept as given; m must be a
+        proper rotation matrix."""
+        rot = Rotation.__new__(Rotation)
+        rot._m = np.asarray(m, dtype=float)
+        return rot
 
     @property
     def quat(self) -> np.ndarray:
-        if self._q is None:
-            self._q = Rotation.from_matrix(self._m)._q
-        return self._q
+        """Unit quaternion (x, y, z, w) by Shepperd's method, which is
+        robust for all proper rotation matrices; its sign is arbitrary."""
+        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = self._m.tolist()
+        tr = m00 + m11 + m22
+        if tr > 0.0:
+            s = math.sqrt(tr + 1.0) * 2.0
+            q = np.array([(m21 - m12) / s, (m02 - m20) / s, (m10 - m01) / s,
+                          0.25 * s])
+        elif m00 >= m11 and m00 >= m22:
+            s = math.sqrt(1.0 + m00 - m11 - m22) * 2.0
+            q = np.array([0.25 * s, (m01 + m10) / s, (m02 + m20) / s,
+                          (m21 - m12) / s])
+        elif m11 >= m22:
+            s = math.sqrt(1.0 + m11 - m00 - m22) * 2.0
+            q = np.array([(m01 + m10) / s, 0.25 * s, (m12 + m21) / s,
+                          (m02 - m20) / s])
+        else:
+            s = math.sqrt(1.0 + m22 - m00 - m11) * 2.0
+            q = np.array([(m02 + m20) / s, (m12 + m21) / s, 0.25 * s,
+                          (m10 - m01) / s])
+        return q / math.sqrt(float(q @ q))
 
     def matrix(self) -> np.ndarray:
-        if self._m is None:
-            x, y, z, w = self._q.tolist()
-            xx, yy, zz = x * x, y * y, z * z
-            xy, xz, yz = x * y, x * z, y * z
-            wx, wy, wz = w * x, w * y, w * z
-            self._m = np.array(
-                [
-                    [1 - 2 * (yy + zz), 2 * (xy - wz), 2 * (xz + wy)],
-                    [2 * (xy + wz), 1 - 2 * (xx + zz), 2 * (yz - wx)],
-                    [2 * (xz - wy), 2 * (yz + wx), 1 - 2 * (xx + yy)],
-                ]
-            )
         return self._m
 
     def compose(self, other: "Rotation") -> "Rotation":
-        return Rotation(_quat_mul(self.quat, other.quat))
+        return Rotation.from_matrix(self._m @ other._m)
 
     def __mul__(self, other: "Rotation") -> "Rotation":
         return self.compose(other)
 
     def inverse(self) -> "Rotation":
-        x, y, z, w = self.quat
-        return Rotation((-x, -y, -z, w))
+        return Rotation.from_matrix(self._m.T)
 
     def apply(self, v) -> np.ndarray:
         """Rotate one 3-vector or an (n, 3) array of vectors."""
-        v = np.asarray(v, dtype=float)
-        if v.ndim == 1:
-            ux, uy, uz, w = self.quat.tolist()
-            vx, vy, vz = v.tolist()
-            tx = 2.0 * (uy * vz - uz * vy)
-            ty = 2.0 * (uz * vx - ux * vz)
-            tz = 2.0 * (ux * vy - uy * vx)
-            return np.array([
-                vx + w * tx + uy * tz - uz * ty,
-                vy + w * ty + uz * tx - ux * tz,
-                vz + w * tz + ux * ty - uy * tx,
-            ])
-        return v @ self.matrix().T
+        return np.asarray(v, dtype=float) @ self._m.T
 
     def angle_to(self, other: "Rotation") -> float:
         return float(np.linalg.norm(so3_log(self.inverse() * other)))
@@ -162,16 +121,27 @@ class Rotation:
 
 
 def so3_exp(omega) -> Rotation:
-    """Exponential map R^3 -> SO(3) (Rodrigues, via the quaternion form)."""
-    omega = np.asarray(omega, dtype=float)
-    angle = math.sqrt(float(omega @ omega))
-    half = 0.5 * angle
-    if angle < _SMALL_ANGLE:
-        # sin(x/2)/x = 1/2 - x^2/48 + O(x^4)
-        s = 0.5 - angle * angle / 48.0
-        return Rotation((omega[0] * s, omega[1] * s, omega[2] * s, math.cos(half)))
-    s = math.sin(half) / angle
-    return Rotation((omega[0] * s, omega[1] * s, omega[2] * s, math.cos(half)))
+    """Exponential map R^3 -> SO(3) by Rodrigues' formula,
+    ``I + a K + b K^2`` with ``K = hat(omega)``, ``a = sin(t) / t`` and
+    ``b = (1 - cos t) / t^2``; below _SMALL_ANGLE a and b are their series."""
+    x, y, z = np.asarray(omega, dtype=float).tolist()
+    t2 = x * x + y * y + z * z
+    if t2 < _SMALL_ANGLE * _SMALL_ANGLE:
+        a = 1.0 - t2 / 6.0
+        b = 0.5 - t2 / 24.0
+    else:
+        t = math.sqrt(t2)
+        h = math.sin(0.5 * t)
+        a = math.sin(t) / t
+        b = 2.0 * h * h / t2  # 1 - cos t without the cancellation
+    xx, yy, zz = x * x, y * y, z * z
+    bxy, bxz, byz = b * x * y, b * x * z, b * y * z
+    ax, ay, az = a * x, a * y, a * z
+    return Rotation.from_matrix(np.array([
+        [1.0 - b * (yy + zz), bxy - az, bxz + ay],
+        [bxy + az, 1.0 - b * (xx + zz), byz - ax],
+        [bxz - ay, byz + ax, 1.0 - b * (xx + yy)],
+    ]))
 
 
 def so3_log(rot: Rotation) -> np.ndarray:
@@ -254,48 +224,15 @@ def pose_inverse(a: Se3Pose) -> Se3Pose:
     return Se3Pose(rinv, -rinv.apply(a.translation))
 
 
-def pose_between(a: Se3Pose, b: Se3Pose) -> Se3Pose:
-    """The pose of b in the frame of a, a^-1 b, formed from the two
-    rotation matrices: (R_a^T R_b, R_a^T (t_b - t_a)).  It equals
-    ``pose_compose(pose_inverse(a), b)`` up to rounding and builds no
-    quaternion."""
-    r_a = a.rotation.matrix()
-    return Se3Pose(Rotation.with_matrix(r_a.T @ b.rotation.matrix()),
-                   r_a.T @ (b.translation - a.translation))
-
-
 def pose_apply(a: Se3Pose, p) -> np.ndarray:
     """Transform one point or an (n, 3) array of points."""
     return a.rotation.apply(p) + a.translation
 
 
-def slerp(qa: Rotation, qb: Rotation, alpha: float) -> Rotation:
-    """Spherical interpolation along the shortest arc."""
-    q0 = qa.quat
-    q1 = qb.quat.copy()
-    dot = float(q0 @ q1)
-    if dot < 0.0:
-        q1 = -q1
-        dot = -dot
-    if dot > 1.0 - 1e-12:
-        return Rotation(q0 + alpha * (q1 - q0))
-    theta = math.acos(min(dot, 1.0))
-    st = math.sin(theta)
-    return Rotation(
-        (math.sin((1.0 - alpha) * theta) / st) * q0 + (math.sin(alpha * theta) / st) * q1
-    )
-
-
-def pose_interpolate(a: Se3Pose, b: Se3Pose, alpha: float) -> Se3Pose:
-    """Shortest-arc rotation slerp with linear translation blending."""
-    if alpha <= 0.0:
-        return a
-    if alpha >= 1.0:
-        return b
-    return Se3Pose(
-        slerp(a.rotation, b.rotation, alpha),
-        (1.0 - alpha) * a.translation + alpha * b.translation,
-    )
+def slerp(a: Rotation, b: Rotation, alpha: float) -> Rotation:
+    """Geodesic interpolation ``a exp(alpha log(a^-1 b))``: a at alpha 0,
+    b at alpha 1, along the shorter arc."""
+    return a * so3_exp(alpha * so3_log(a.inverse() * b))
 
 
 def pose_retract(pose: Se3Pose, xi) -> Se3Pose:

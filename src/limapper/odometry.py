@@ -17,7 +17,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import PipelineConfig
-from .errors import InitializationMotion, NotConverged, OutOfOrder, RunFinished
+from .errors import (
+    InitializationMotion,
+    NonFiniteStamp,
+    NotConverged,
+    OutOfOrder,
+    RunFinished,
+)
 from .factor_graph import (
     FactorGraph,
     ImuFactor,
@@ -108,6 +114,28 @@ def initialize_from_rest(samples, gravity, window: float = 0.5,
     )
 
 
+def finite_samples(samples) -> tuple[list, int]:
+    """The samples whose stamp, accel and gyro are all finite, and the
+    count of the others."""
+    values = np.array([[s.stamp, *s.accel, *s.gyro] for s in samples],
+                      dtype=float).reshape(-1, 7)
+    finite = np.isfinite(values).all(axis=1)
+    return [s for s, ok in zip(samples, finite) if ok], int((~finite).sum())
+
+
+def check_stamps(scan: RawScan) -> None:
+    """Raise NonFiniteStamp unless the scan's span and point stamps are
+    finite."""
+    for name, value in (("scan_start", scan.scan_start), ("scan_end", scan.scan_end)):
+        if not math.isfinite(value):
+            raise NonFiniteStamp(f"{name} is {value}")
+    bad = np.flatnonzero(~np.isfinite(scan.stamps))
+    if bad.size:
+        raise NonFiniteStamp(
+            f"{bad.size} point stamps are not finite, the first at point "
+            f"{bad[0]}: {scan.stamps[bad[0]]}")
+
+
 def keyframe_score(i: int, overlaps: np.ndarray) -> float:
     """Removal score of keyframe i given the pairwise overlap matrix.
 
@@ -187,7 +215,14 @@ class OdometryEstimator:
 
     # -- helpers ---------------------------------------------------------------
 
-    def _push_imu(self, samples) -> None:
+    def _push_imu(self, samples) -> int:
+        """Buffer the samples newer than the last buffered one.  Once the
+        run has started, samples with a non-finite value are left out and
+        their count is returned; before, the bootstrap sees them and names
+        its window unusable."""
+        dropped = 0
+        if self._initialized:
+            samples, dropped = finite_samples(samples)
         for s in samples:
             if not self._imu or s.stamp > self._imu[-1].stamp:
                 self._imu.append(s)
@@ -200,6 +235,7 @@ class OdometryEstimator:
                 drop += 1
             if drop:
                 del self._imu[:drop]
+        return dropped
 
     def _imu_between(self, t0: float, t1: float):
         pad = 2.0 * self.config.preprocess.max_imu_gap
@@ -244,14 +280,17 @@ class OdometryEstimator:
         again with more IMU data.  A bootstrap that finds its samples
         unusable drops every buffered sample instead, so that the scan can
         be sent again with new samples, also ones of the same stamps.
+        After the bootstrap, IMU samples with a non-finite value are left
+        out, and the scan's warning gives their count.
         """
         if self._finished:
             raise RunFinished("finish() ended this run; use a new estimator")
+        check_stamps(scan)
         if scan.scan_start <= self._last_scan_start:
             raise OutOfOrder(
                 f"scan at {scan.scan_start:.6f} does not follow "
                 f"{self._last_scan_start:.6f}")
-        self._push_imu(imu_samples)
+        dropped = self._push_imu(imu_samples)
         cfg = self.config.odometry
 
         pre_frame = self._prepare(scan)
@@ -264,6 +303,8 @@ class OdometryEstimator:
                 if exc.unusable:
                     self._imu.clear()
                 raise
+            # the window is finite; samples after it may not be
+            self._imu, dropped = finite_samples(self._imu)
             pre = None
         else:
             prev = self._window[-1]
@@ -297,11 +338,13 @@ class OdometryEstimator:
             self._add_matching_factors(rec)
 
         snapshot = dict(self.graph.values)
-        warning = None
+        warnings = []
+        if dropped:
+            warnings.append(f"left out {dropped} IMU sample(s) with a non-finite value")
         try:
             self.graph.optimize_lm(self.config.optimizer)
         except NotConverged:
-            warning = "optimizer did not converge; prediction retained"
+            warnings.append("optimizer did not converge; prediction retained")
             self.graph.values = snapshot
         self._window.append(rec)
         for f in self._window:
@@ -312,7 +355,7 @@ class OdometryEstimator:
 
         marginalized = self._marginalize_old_frames()
         return OdometryResult(state=rec.state, marginalized=marginalized,
-                              warning=warning)
+                              warning="; ".join(warnings) or None)
 
     def finish(self) -> list:
         """Flush: marginalize and emit every frame still in the window.

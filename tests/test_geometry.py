@@ -4,16 +4,16 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from limapper.geometry import (
+    _SMALL_ANGLE,
     Rotation,
     Se3Pose,
     SensorState,
     pose_apply,
-    pose_between,
     pose_compose,
-    pose_interpolate,
     pose_inverse,
     pose_local,
     pose_retract,
+    slerp,
     so3_exp,
     so3_hat,
     so3_log,
@@ -107,6 +107,71 @@ class TestSo3:
             assert np.allclose(jj, np.eye(3), atol=1e-9)
 
 
+def quat_product(q1, q2):
+    """Hamilton product of two (x, y, z, w) quaternions."""
+    x1, y1, z1, w1 = q1
+    x2, y2, z2, w2 = q2
+    return np.array([
+        w1 * x2 + w2 * x1 + y1 * z2 - z1 * y2,
+        w1 * y2 + w2 * y1 + z1 * x2 - x1 * z2,
+        w1 * z2 + w2 * z1 + x1 * y2 - y1 * x2,
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+    ])
+
+
+class TestRepresentation:
+    """The rotation is its matrix; quaternions only enter and leave."""
+
+    def test_composition_order_matches_the_quaternion_product(self):
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            q1, q2 = rng.normal(size=4), rng.normal(size=4)
+            got = (Rotation(q1) * Rotation(q2)).matrix()
+            want = Rotation(quat_product(q1, q2)).matrix()
+            assert np.allclose(got, want, rtol=0.0, atol=1e-15)
+            swapped = Rotation(quat_product(q2, q1)).matrix()
+            assert not np.allclose(got, swapped, rtol=0.0, atol=1e-6)
+
+    @pytest.mark.parametrize("branch", ["trace", "x", "y", "z", "random"])
+    def test_quat_returns_the_normalized_quaternion_up_to_sign(self, branch):
+        # a large axis component sends Shepperd's method down its branch
+        rng = np.random.default_rng(14)
+        for _ in range(50):
+            q = rng.normal(size=4)
+            if branch != "random":
+                q[:3] *= 0.1
+                q[{"x": 0, "y": 1, "z": 2, "trace": 3}[branch]] = 2.0
+            unit = q / np.linalg.norm(q)
+            got = Rotation(q).quat
+            assert abs(np.linalg.norm(got) - 1.0) <= 1e-15
+            assert np.max(np.abs(got - np.sign(got @ unit) * unit)) <= 1e-15
+
+    def test_exp_continuous_across_the_small_angle_series(self):
+        # on both sides of the branch the matrix equals its second-order
+        # series to two ulp of 1, so the branches meet to rounding
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            axis = rng.normal(size=3)
+            axis /= np.linalg.norm(axis)
+            for side in (1.0 - 1e-6, 1.0, 1.0 + 1e-6):
+                k = so3_hat(axis * _SMALL_ANGLE * side)
+                got = so3_exp(axis * _SMALL_ANGLE * side).matrix()
+                assert np.allclose(got, np.eye(3) + k + 0.5 * k @ k,
+                                   rtol=0.0, atol=4.5e-16)
+        # and from 1e-10 to pi it is the matrix of the half-angle quaternion
+        for angle in np.logspace(-10, np.log10(np.pi), 200):
+            axis = rng.normal(size=3)
+            axis /= np.linalg.norm(axis)
+            quat = np.r_[np.sin(angle / 2) * axis, np.cos(angle / 2)]
+            assert np.allclose(so3_exp(axis * angle).matrix(), Rotation(quat).matrix(),
+                               rtol=0.0, atol=1e-15)
+
+    def test_from_matrix_keeps_the_matrix_as_given(self):
+        rng = np.random.default_rng(16)
+        m = random_rotation(rng).matrix() + rng.normal(scale=1e-13, size=(3, 3))
+        assert Rotation.from_matrix(m).matrix().tobytes() == m.tobytes()
+
+
 class TestSe3:
     def test_compose_identity(self):
         rng = np.random.default_rng(0)
@@ -148,39 +213,24 @@ class TestSe3:
             assert np.allclose(batched[i], pose_apply(t, pts[i]), atol=1e-12)
 
 
-    def test_between_equals_composition_with_the_inverse(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            a, b = random_pose(rng), random_pose(rng)
-            got = pose_between(a, b)
-            want = pose_compose(pose_inverse(a), b)
-            assert np.allclose(got.matrix(), want.matrix(), rtol=0.0, atol=1e-14)
-            # the matrix is kept as formed, and the quaternion follows it
-            rmat = a.rotation.matrix().T @ b.rotation.matrix()
-            assert got.rotation.matrix().tobytes() == rmat.tobytes()
-            assert got.rotation.angle_to(want.rotation) < 1e-14
-            assert np.allclose(Rotation(got.rotation.quat).matrix(), rmat, atol=1e-15)
-
-
 class TestInterpolation:
     def test_endpoints_exact(self):
         rng = np.random.default_rng(8)
-        a, b = random_pose(rng), random_pose(rng)
-        assert pose_interpolate(a, b, 0.0) is a
-        assert pose_interpolate(a, b, 1.0) is b
+        a, b = random_rotation(rng), random_rotation(rng)
+        assert slerp(a, b, 0.0).matrix().tobytes() == a.matrix().tobytes()
+        assert np.allclose(slerp(a, b, 1.0).matrix(), b.matrix(), rtol=0.0, atol=1e-15)
 
     def test_halfway_hand_example(self):
-        a = Se3Pose.identity()
-        b = Se3Pose(so3_exp([0.0, 0.0, np.pi - 1e-9]), [2.0, 0.0, 0.0])
-        mid = pose_interpolate(a, b, 0.5)
-        assert np.allclose(so3_log(mid.rotation), [0.0, 0.0, np.pi / 2], atol=1e-6)
-        assert np.allclose(mid.translation, [1.0, 0.0, 0.0], atol=1e-9)
+        a = Rotation.identity()
+        b = so3_exp([0.0, 0.0, np.pi - 1e-9])
+        mid = slerp(a, b, 0.5)
+        assert np.allclose(so3_log(mid), [0.0, 0.0, np.pi / 2], atol=1e-6)
 
     def test_shortest_arc(self):
-        a = Se3Pose(so3_exp([0.0, 0.0, -0.2]), np.zeros(3))
-        b = Se3Pose(so3_exp([0.0, 0.0, 0.2]), np.zeros(3))
-        mid = pose_interpolate(a, b, 0.5)
-        assert np.linalg.norm(so3_log(mid.rotation)) < 1e-9
+        a = so3_exp([0.0, 0.0, -0.2])
+        b = so3_exp([0.0, 0.0, 0.2])
+        mid = slerp(a, b, 0.5)
+        assert np.linalg.norm(so3_log(mid)) < 1e-9
 
 
 class TestRetractions:

@@ -44,3 +44,16 @@ def test_no_unused_module_level_import(path):
     unused = [f"{path.name}:{line} {name}"
               for name, line in module_imports(tree) if name not in used]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+# a rotation is stored as its matrix; only these modules turn one into a
+# quaternion: geometry itself, file output, and deskew's per-point slerp
+QUAT_READERS = {"geometry.py", "dataset_io.py", "preprocess.py"}
+
+
+def test_only_boundary_modules_read_quaternions():
+    reads = [f"{path.name}:{node.lineno}"
+             for path in MODULES if path.name not in QUAT_READERS
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "quat"]
+    assert not reads, ".quat read outside the boundary modules: " + ", ".join(reads)

@@ -11,6 +11,7 @@ from limapper.errors import (
     DisconnectedGraph,
     ImuCoverageGap,
     InitializationMotion,
+    NonFiniteStamp,
     RunFinished,
     VoxelKeyOutOfRange,
 )
@@ -203,6 +204,32 @@ class TestEmittedSigmas:
         assert max(worst) < 5.2e-4
 
 
+class TestImuFaultAfterBootstrap:
+    @pytest.mark.parametrize("scan, stamp, fault", [
+        (10, 1.05, "nan gyro"),
+        (10, 1.05, "inf accel"),
+        # the bootstrap batch runs past the 0.5 s window the bootstrap reads
+        (0, 0.55, "nan gyro"),
+    ])
+    def test_sample_is_left_out_and_every_scan_processed(
+            self, loop_scene, scan, stamp, fault):
+        batches = imu_batches(loop_scene, PipelineConfig().odometry.init_window)
+        batch = batches[scan]
+        i = next(i for i, s in enumerate(batch) if abs(s.stamp - stamp) < 1e-9)
+        s = batch[i]
+        batches[scan] = batch[:i] + [ImuSample(
+            s.stamp, np.full(3, np.inf) if fault == "inf accel" else s.accel,
+            np.full(3, np.nan) if fault == "nan gyro" else s.gyro)] + batch[i + 1:]
+        est = OdometryEstimator()
+        results = [est.process_frame(sc, b) for sc, b in zip(loop_scene.scans, batches)]
+        assert [r.warning for r in results] == [
+            "left out 1 IMU sample(s) with a non-finite value" if k == scan else None
+            for k in range(len(loop_scene.scans))]
+        assert all(np.isfinite(state_vector(r.state)).all() for r in results)
+        records = [record_from_pose(r.state.stamp, r.state.pose) for r in results]
+        assert compute_ate(records, loop_scene.ground_truth).rmse < 0.010
+
+
 class TestRetryAfterFailure:
     """A scan that raises before it enters the graph can be sent again."""
 
@@ -229,6 +256,28 @@ class TestRetryAfterFailure:
         with pytest.raises(VoxelKeyOutOfRange):
             est.process_frame(RawScan(points, scan.stamps, scan.scan_start,
                                       scan.scan_end), batches[8])
+        results += [est.process_frame(scan, batch) for scan, batch in pairs[8:]]
+        assert outputs(est, results) == outputs(clean_est, clean)
+
+    @pytest.mark.parametrize("where", ["point stamp", "scan_start", "scan_end"])
+    def test_retry_after_nan_stamp_matches_clean_run(self, loop_scene, where):
+        clean_est, clean = run(loop_scene)
+        batches = imu_batches(loop_scene, clean_est.config.odometry.init_window)
+        pairs = list(zip(loop_scene.scans, batches))
+        est = OdometryEstimator()
+        results = [est.process_frame(scan, batch) for scan, batch in pairs[:8]]
+        scan = loop_scene.scans[8]
+        stamps = scan.stamps.copy()
+        span = [scan.scan_start, scan.scan_end]
+        if where == "point stamp":
+            stamps[17] = np.nan
+        else:
+            span[where == "scan_end"] = np.nan
+        buffered = list(est._imu)
+        with pytest.raises(NonFiniteStamp, match="point 17" if where == "point stamp"
+                           else where):
+            est.process_frame(RawScan(scan.points, stamps, *span), batches[8])
+        assert est._imu == buffered  # rejected before anything is buffered
         results += [est.process_frame(scan, batch) for scan, batch in pairs[8:]]
         assert outputs(est, results) == outputs(clean_est, clean)
 
