@@ -114,12 +114,12 @@ def initialize_from_rest(samples, gravity, window: float = 0.5,
     )
 
 
-def finite_samples(samples) -> tuple[list, int]:
-    """The samples whose stamp, accel and gyro are all finite, and the
-    count of the others."""
+def finite_samples(samples, stamp_only: bool = False) -> tuple[list, int]:
+    """The samples whose stamp, accel and gyro are all finite (only the
+    stamp, if stamp_only), and the count of the others."""
     values = np.array([[s.stamp, *s.accel, *s.gyro] for s in samples],
                       dtype=float).reshape(-1, 7)
-    finite = np.isfinite(values).all(axis=1)
+    finite = np.isfinite(values[:, :1] if stamp_only else values).all(axis=1)
     return [s for s, ok in zip(samples, finite) if ok], int((~finite).sum())
 
 
@@ -134,21 +134,6 @@ def check_stamps(scan: RawScan) -> None:
         raise NonFiniteStamp(
             f"{bad.size} point stamps are not finite, the first at point "
             f"{bad[0]}: {scan.stamps[bad[0]]}")
-
-
-def keyframe_score(i: int, overlaps: np.ndarray) -> float:
-    """Removal score of keyframe i given the pairwise overlap matrix.
-
-    High score means redundant: well overlapped with the latest keyframe and
-    with the other retained keyframes.  The first and latest keyframes are
-    not scored.
-    """
-    m = overlaps.shape[0]
-    total = 0.0
-    for j in range(1, m - 1):
-        if j != i:
-            total += 1.0 - overlaps[i, j]
-    return float(overlaps[i, m - 1] * total)
 
 
 @dataclass(eq=False)
@@ -216,13 +201,12 @@ class OdometryEstimator:
     # -- helpers ---------------------------------------------------------------
 
     def _push_imu(self, samples) -> int:
-        """Buffer the samples newer than the last buffered one.  Once the
-        run has started, samples with a non-finite value are left out and
-        their count is returned; before, the bootstrap sees them and names
-        its window unusable."""
-        dropped = 0
-        if self._initialized:
-            samples, dropped = finite_samples(samples)
+        """Buffer the samples newer than the last buffered one, leaving out
+        those with a non-finite stamp and, once the run has started, those
+        with any non-finite value; return the count left out.  Before the
+        bootstrap, a sample with a non-finite accel or gyro value is
+        buffered, so that the bootstrap names its window unusable."""
+        samples, dropped = finite_samples(samples, stamp_only=not self._initialized)
         for s in samples:
             if not self._imu or s.stamp > self._imu[-1].stamp:
                 self._imu.append(s)
@@ -280,8 +264,9 @@ class OdometryEstimator:
         again with more IMU data.  A bootstrap that finds its samples
         unusable drops every buffered sample instead, so that the scan can
         be sent again with new samples, also ones of the same stamps.
-        After the bootstrap, IMU samples with a non-finite value are left
-        out, and the scan's warning gives their count.
+        IMU samples with a non-finite stamp are left out, and after the
+        bootstrap so are those with a non-finite value; the scan's warning
+        gives their count.
         """
         if self._finished:
             raise RunFinished("finish() ended this run; use a new estimator")
@@ -304,7 +289,8 @@ class OdometryEstimator:
                     self._imu.clear()
                 raise
             # the window is finite; samples after it may not be
-            self._imu, dropped = finite_samples(self._imu)
+            self._imu, late = finite_samples(self._imu)
+            dropped += late
             pre = None
         else:
             prev = self._window[-1]
@@ -406,6 +392,19 @@ class OdometryEstimator:
     # -- keyframes --------------------------------------------------------------------
 
     def _keyframe_update(self, rec: WindowFrame) -> None:
+        """Apply the three keyframe rules to rec, forming each overlap
+        o(a, b) (the fraction of a's points in b's occupied voxels) once.
+
+        Insertion: rec becomes a keyframe if the set is empty or
+        o(rec, newest keyframe), one overlap, is below
+        keyframe_insert_overlap.  Rule 1: each keyframe k whose o(k, rec)
+        is below keyframe_drop_overlap leaves the set; one overlap per
+        keyframe.  Rule 2: if the set of m then exceeds max_keyframes, the
+        inner keyframe k (neither the oldest nor rec) of least score
+        o(k, rec) * sum of (1 - o(k, j)) over the other inner keyframes j
+        leaves it, the first on a tie.  It reuses rule 1's o(k, rec) and
+        forms the (m-2)(m-3) ordered pairs of inner keyframes.
+        """
         cfg = self.config.odometry
         event = {"frame_index": rec.index, "inserted": False,
                  "dropped_low_overlap": [], "removed_by_score": None}
@@ -414,38 +413,31 @@ class OdometryEstimator:
                 < cfg.keyframe_insert_overlap):
             event["inserted"] = True
             # rule 1: drop keyframes barely overlapping the new one
+            to_rec = [self._overlap(kf, rec) for kf in self.keyframes]
             kept = []
-            for kf in self.keyframes:
-                if self._overlap(kf, rec) < cfg.keyframe_drop_overlap:
+            for kf, o in zip(self.keyframes, to_rec):
+                if o < cfg.keyframe_drop_overlap:
                     event["dropped_low_overlap"].append(kf.index)
                 else:
-                    kept.append(kf)
-            self.keyframes = kept + [rec]
+                    kept.append((kf, o))
+            self.keyframes = [kf for kf, _ in kept] + [rec]
             # rule 2: scored removal keeps the set bounded
             if len(self.keyframes) > cfg.max_keyframes:
-                overlaps = self._overlap_matrix()
-                m = len(self.keyframes)
-                scores = np.full(m, np.inf)
-                for i in range(1, m - 1):
-                    scores[i] = keyframe_score(i, overlaps)
-                victim = int(np.argmin(scores))
+                inner = kept[1:]
+                scores = []
+                for kf, o in inner:
+                    total = 0.0
+                    for other, _ in inner:
+                        if other is not kf:
+                            total += 1.0 - self._overlap(kf, other)
+                    scores.append(o * total)
+                victim = 1 + scores.index(min(scores))  # inner starts at 1
                 event["removed_by_score"] = {
                     "keyframe_ids": [kf.index for kf in self.keyframes],
-                    "overlaps": overlaps,
-                    "scores": scores.copy(),
                     "removed": self.keyframes[victim].index,
                 }
                 del self.keyframes[victim]
         self.keyframe_events.append(event)
-
-    def _overlap_matrix(self) -> np.ndarray:
-        m = len(self.keyframes)
-        out = np.zeros((m, m))
-        for i, kf_i in enumerate(self.keyframes):
-            for j, kf_j in enumerate(self.keyframes):
-                if i != j:
-                    out[i, j] = self._overlap(kf_i, kf_j)
-        return out
 
     # -- marginalization -------------------------------------------------------------------
 

@@ -57,3 +57,34 @@ def test_only_boundary_modules_read_quaternions():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Attribute) and node.attr == "quat"]
     assert not reads, ".quat read outside the boundary modules: " + ", ".join(reads)
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_definitions(tree: ast.Module):
+    """(name, line) of every module-level function, class and constant,
+    and every method, whose name has a single leading underscore."""
+    for node in tree.body:
+        bodies = [node] + (node.body if isinstance(node, ast.ClassDef) else [])
+        for item in bodies:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield item.name, item.lineno
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Name):
+                    yield t.id, node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_private_definition(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    read |= {n.attr for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = [f"{path.name}:{line} {name}" for name, line in private_definitions(tree)
+              if is_private(name) and name not in read]
+    assert not unread, "private names nothing in their module reads: " + ", ".join(unread)

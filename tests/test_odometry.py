@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from limapper import odometry
 from limapper.config import PipelineConfig
 from limapper.dataset_io import record_from_pose
 from limapper.errors import (
@@ -21,7 +22,7 @@ from limapper.geometry import Se3Pose
 from limapper.imu import ImuSample
 from limapper.odometry import FALLBACK_VEL_BIAS_SIGMA, OdometryEstimator
 from limapper.preprocess import RawScan
-from limapper.registration import match_terms
+from limapper.registration import match_terms, overlap_rate
 from limapper.synthetic import generate_synthetic_scene, square_loop_scene
 from test_preprocess import assert_row_storage
 
@@ -132,6 +133,37 @@ class TestGoldenLoop:
             "aac86da09e12bdfb4e559a1b5645f56ff336feeddcb21f7e152197c0d794c035")
 
 
+class TestKeyframeScoring:
+    def test_scored_removal_forms_only_the_overlaps_it_reads(
+            self, loop_scene, monkeypatch):
+        # an insertion forms o(new, newest keyframe) and o(k, new) for each
+        # keyframe k it found; a removal by score reuses those and adds the
+        # (m-2)(m-3) ordered pairs of inner keyframes of the m it then has
+        calls = []
+
+        def counted(*args):
+            calls[-1] += 1
+            return overlap_rate(*args)
+
+        monkeypatch.setattr(odometry, "overlap_rate", counted)
+        config = PipelineConfig()
+        config.odometry.max_keyframes = 4
+        est = OdometryEstimator(config)
+        batches = imu_batches(loop_scene, config.odometry.init_window)
+        checked = 0
+        for scan, batch in zip(loop_scene.scans, batches):
+            before = len(est.keyframes)
+            calls.append(0)
+            est.process_frame(scan, batch)
+            removal = est.keyframe_events[-1]["removed_by_score"]
+            if removal:
+                m = len(removal["keyframe_ids"])
+                assert m == 5
+                assert calls[-1] == 1 + before + (m - 2) * (m - 3)
+                checked += 1
+        assert checked
+
+
 class TestMarginalCovarianceFallback:
     @staticmethod
     def short_lag():
@@ -228,6 +260,26 @@ class TestImuFaultAfterBootstrap:
         assert all(np.isfinite(state_vector(r.state)).all() for r in results)
         records = [record_from_pose(r.state.stamp, r.state.pose) for r in results]
         assert compute_ate(records, loop_scene.ground_truth).rmse < 0.010
+
+
+class TestNonFiniteImuStamp:
+    @pytest.mark.parametrize("scan", [0, 10])
+    def test_sample_is_left_out_and_the_run_matches_a_clean_one(
+            self, loop_scene, scan):
+        # before the fix a NaN stamp leading the first batch entered the
+        # empty buffer, every later sample failed the newer-stamp test, and
+        # the bootstrap raised on every scan
+        clean_est, clean = run(loop_scene)
+        batches = imu_batches(loop_scene, clean_est.config.odometry.init_window)
+        s = batches[scan][0]
+        batches[scan] = [ImuSample(np.nan, s.accel, s.gyro)] + batches[scan]
+        est = OdometryEstimator()
+        results = [est.process_frame(sc, b) for sc, b in zip(loop_scene.scans, batches)]
+        assert [r.warning for r in results] == [
+            "left out 1 IMU sample(s) with a non-finite value" if k == scan else None
+            for k in range(len(loop_scene.scans))]
+        assert [state_vector(r.state).tobytes() for r in results] == [
+            state_vector(r.state).tobytes() for r in clean]
 
 
 class TestRetryAfterFailure:
