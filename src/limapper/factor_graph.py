@@ -397,17 +397,22 @@ class MarginalPriorFactor(Factor):
     Stores the Schur-complement gradient and Hessian at a frozen
     linearization point; evaluation treats the local-coordinate map as
     identity (first-order consistent at the linearization point).
+    ``constant`` is the cost the marginalized factors keep at that point
+    once the removed variables take their conditional optimum, so the
+    prior's cost is that of the factors it replaces, offset included, and
+    a window's total cost stays a sum of nonnegative terms.
     """
 
     grounding = True
     kind = "marginal-prior"
 
     def __init__(self, keys, lin_values: dict, hessian: np.ndarray,
-                 gradient: np.ndarray):
+                 gradient: np.ndarray, constant: float = 0.0):
         self.keys = tuple(keys)
         self.lin_values = dict(lin_values)
         self.hessian = 0.5 * (hessian + hessian.T)
         self.gradient = gradient
+        self.constant = constant
         self._slices, self.dim = _layout(self.keys)
 
     def _delta(self, values) -> np.ndarray:
@@ -418,7 +423,7 @@ class MarginalPriorFactor(Factor):
 
     def cost(self, values) -> float:
         d = self._delta(values)
-        return float(self.gradient @ d + 0.5 * d @ self.hessian @ d)
+        return float(self.constant + self.gradient @ d + 0.5 * d @ self.hessian @ d)
 
     def linearize(self, values) -> FactorLinearization:
         d = self._delta(values)
@@ -704,7 +709,7 @@ class FactorGraph:
 
         # local ordering: removed first, then retained
         slices, dim = _layout(removed + retained)
-        h, g, _ = _accumulate(involved, self.values, slices, dim)
+        h, g, cost = _accumulate(involved, self.values, slices, dim)
 
         r_dim = sum(k.dim for k in removed)
         h_rr = h[:r_dim, :r_dim]
@@ -725,9 +730,11 @@ class FactorGraph:
         self.factors = remaining
         for k in removed:
             del self.values[k]
+        # the quadratic model c + g.d + d.H.d/2 at its minimum over the
+        # removed variables, with the retained ones held
         prior = MarginalPriorFactor(retained,
                                     {k: self.values[k] for k in retained},
-                                    h_marg, g_marg)
+                                    h_marg, g_marg, cost - 0.5 * float(g_r @ x_r))
         if retained:
             self.add_factor(prior)
         return prior

@@ -526,6 +526,32 @@ class TestMarginalization:
                               full_res.estimates[frame_key(i)])
             assert np.linalg.norm(err) < 1e-9
 
+    def test_reduced_chain_cost_equals_batch_optimum(self):
+        # the prior carries the cost the removed factors keep, so the reduced
+        # chain's cost is the full chain's, not 751 below it
+        reduced = self._translation_chain()
+        reduced.marginalize([frame_key(0)])
+        red_res = reduced.optimize_lm()
+        assert 0.0 <= red_res.final_cost < 1e-9 * red_res.initial_cost
+
+        def conflicting_chain():
+            # a prior on the last state that the chain cannot meet, so the
+            # optimum costs well above zero
+            g = self._translation_chain()
+            info = np.zeros(15)
+            info[3:9] = [30.0] * 3 + [5.0] * 3
+            target = SensorState(Se3Pose(so3_exp(np.zeros(3)), np.array([0.5, -1.0, 2.0])),
+                                 np.array([0.3, 0.2, 0.0]), np.zeros(3), np.zeros(3), 2.0)
+            g.add_factor(PriorFactor(frame_key(2), target, info))
+            return g
+
+        full_res = conflicting_chain().optimize_lm()
+        reduced = conflicting_chain()
+        reduced.marginalize([frame_key(0)])
+        red_res = reduced.optimize_lm()
+        assert full_res.final_cost > 10.0
+        assert abs(red_res.final_cost - full_res.final_cost) <= 1e-9 * full_res.final_cost
+
     def test_marginal_prior_information_psd(self):
         g = self._translation_chain()
         prior = g.marginalize([frame_key(0)])
