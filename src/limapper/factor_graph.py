@@ -421,14 +421,16 @@ class MarginalPriorFactor(Factor):
             delta[sl] = local_value(k.kind, values[k], self.lin_values[k])
         return delta
 
-    def cost(self, values) -> float:
-        d = self._delta(values)
+    def _cost_at(self, d) -> float:
         return float(self.constant + self.gradient @ d + 0.5 * d @ self.hessian @ d)
+
+    def cost(self, values) -> float:
+        return self._cost_at(self._delta(values))
 
     def linearize(self, values) -> FactorLinearization:
         d = self._delta(values)
         return FactorLinearization(self.gradient + self.hessian @ d,
-                                   self.hessian, self.cost(values))
+                                   self.hessian, self._cost_at(d))
 
 
 @dataclass

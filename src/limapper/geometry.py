@@ -6,7 +6,7 @@ Conventions used throughout the package:
   and the inverse a transpose; nothing renormalizes the product.
   Quaternions ``(x, y, z, w)`` appear only at the boundary: ``Rotation``
   is constructed from one, and ``Rotation.quat`` gives one back for file
-  output, deskew's per-point interpolation and ``so3_log``.
+  output and ``so3_log``.
 * Poses map body-frame vectors into the world frame: ``p_w = R p_b + t``.
 * Tangent vectors are ordered rotation-first.  A pose perturbation
   ``xi = (phi, rho)`` is applied right-multiplicatively,
@@ -120,6 +120,17 @@ class Rotation:
         return f"Rotation(xyzw={np.array2string(self.quat, precision=6)})"
 
 
+def _rodrigues_entries(x, y, z, a, b) -> list:
+    """Row-major entries of ``I + a K + b K^2`` with ``K = hat((x, y, z))``,
+    written out on Python floats."""
+    xx, yy, zz = x * x, y * y, z * z
+    bxy, bxz, byz = b * x * y, b * x * z, b * y * z
+    ax, ay, az = a * x, a * y, a * z
+    return [1.0 - b * (yy + zz), bxy - az, bxz + ay,
+            bxy + az, 1.0 - b * (xx + zz), byz - ax,
+            bxz - ay, byz + ax, 1.0 - b * (xx + yy)]
+
+
 def so3_exp(omega) -> Rotation:
     """Exponential map R^3 -> SO(3) by Rodrigues' formula,
     ``I + a K + b K^2`` with ``K = hat(omega)``, ``a = sin(t) / t`` and
@@ -134,14 +145,46 @@ def so3_exp(omega) -> Rotation:
         h = math.sin(0.5 * t)
         a = math.sin(t) / t
         b = 2.0 * h * h / t2  # 1 - cos t without the cancellation
-    xx, yy, zz = x * x, y * y, z * z
-    bxy, bxz, byz = b * x * y, b * x * z, b * y * z
-    ax, ay, az = a * x, a * y, a * z
-    return Rotation.from_matrix(np.array([
-        [1.0 - b * (yy + zz), bxy - az, bxz + ay],
-        [bxy + az, 1.0 - b * (xx + zz), byz - ax],
-        [bxz - ay, byz + ax, 1.0 - b * (xx + yy)],
-    ]))
+    return Rotation.from_matrix(np.array(_rodrigues_entries(x, y, z, a, b)).reshape(3, 3))
+
+
+def rodrigues_coefficients(t2: np.ndarray):
+    """so3_exp's coefficients ``(a, b)`` for an array of squared angles,
+    formed as so3_exp forms them."""
+    small = t2 < _SMALL_ANGLE * _SMALL_ANGLE
+    safe = np.where(small, 1.0, t2)
+    t = np.sqrt(safe)
+    h = np.sin(0.5 * t)
+    return (np.where(small, 1.0 - t2 / 6.0, np.sin(t) / t),
+            np.where(small, 0.5 - t2 / 24.0, 2.0 * h * h / safe))
+
+
+def so3_hat_batch(v: np.ndarray) -> np.ndarray:
+    """so3_hat of every row of an (m, 3) array, as (m, 3, 3)."""
+    hat = np.zeros((v.shape[0], 9))
+    hat[:, [7, 2, 3]] = v  # the entries that are +x, +y, +z
+    hat[:, [5, 6, 1]] = -v
+    return hat.reshape(-1, 3, 3)
+
+
+def so3_exp_jacobian_batch(phi: np.ndarray):
+    """so3_exp and so3_right_jacobian of every row of an (m, 3) array, as
+    two (m, 3, 3) arrays ``I + a K + b K^2`` and ``I - b K + c K^2``.
+
+    They share ``K = hat(phi_k)``, ``K^2`` and so3_exp's coefficient
+    ``b = (1 - cos t) / t^2``; ``c = (t - sin t) / t^3`` is formed as
+    ``(1 - a) / t^2`` from so3_exp's ``a = sin(t) / t``, whose rounding
+    moves c K^2 by under 2e-16.
+    """
+    t2 = np.einsum("ij,ij->i", phi, phi)
+    a, b = rodrigues_coefficients(t2)
+    small = t2 < _SMALL_ANGLE**2
+    c = np.where(small, 1.0 / 6.0, (1.0 - a) / np.where(small, 1.0, t2))
+    k = so3_hat_batch(phi)
+    k2 = k @ k
+    a, b, c = a[:, None, None], b[:, None, None], c[:, None, None]
+    eye = np.eye(3)
+    return eye + a * k + b * k2, eye - b * k + c * k2
 
 
 def so3_log(rot: Rotation) -> np.ndarray:
@@ -164,32 +207,42 @@ def so3_log(rot: Rotation) -> np.ndarray:
 
 
 def so3_right_jacobian(phi) -> np.ndarray:
-    """Right Jacobian of SO(3): exp(phi + d) ~ exp(phi) exp(Jr(phi) d)."""
-    phi = np.asarray(phi, dtype=float)
-    theta2 = float(phi @ phi)
-    k = so3_hat(phi)
-    if theta2 < _SMALL_ANGLE**2:
-        return np.eye(3) - 0.5 * k + (k @ k) / 6.0
-    theta = math.sqrt(theta2)
-    a = (1.0 - math.cos(theta)) / theta2
-    b = (theta - math.sin(theta)) / (theta2 * theta)
-    return np.eye(3) - a * k + b * (k @ k)
+    """Right Jacobian of SO(3): exp(phi + d) ~ exp(phi) exp(Jr(phi) d).
+
+    ``Jr = I - a K + b K^2`` with ``K = hat(phi)``, ``a = (1 - cos t) / t^2``
+    and ``b = (t - sin t) / t^3``; below _SMALL_ANGLE a = 1/2 and b = 1/6.
+    a is formed as so3_exp forms its b, without the cancellation of
+    1 - cos t, which costs up to 1e-15 in Jr near t = 0.1.
+    """
+    x, y, z = np.asarray(phi, dtype=float).tolist()
+    t2 = x * x + y * y + z * z
+    if t2 < _SMALL_ANGLE**2:
+        a, b = 0.5, 1.0 / 6.0
+    else:
+        t = math.sqrt(t2)
+        h = math.sin(0.5 * t)
+        a = 2.0 * h * h / t2
+        b = (t - math.sin(t)) / (t2 * t)
+    return np.array(_rodrigues_entries(x, y, z, -a, b)).reshape(3, 3)
 
 
 def so3_right_jacobian_inv(phi) -> np.ndarray:
-    phi = np.asarray(phi, dtype=float)
-    theta2 = float(phi @ phi)
-    k = so3_hat(phi)
-    if theta2 < _SMALL_ANGLE**2:
-        return np.eye(3) + 0.5 * k + (k @ k) / 12.0
-    theta = math.sqrt(theta2)
-    st = math.sin(theta)
-    if abs(st) < 1e-9:
-        # theta ~ pi: (1 + cos t) / (2 t sin t) -> (pi - t) / (4 t), negligible
-        c = 1.0 / theta2
+    """Inverse of so3_right_jacobian: ``I + K / 2 + c K^2`` with
+    ``c = 1 / t^2 - (1 + cos t) / (2 t sin t)``; below _SMALL_ANGLE
+    c = 1/12."""
+    x, y, z = np.asarray(phi, dtype=float).tolist()
+    t2 = x * x + y * y + z * z
+    if t2 < _SMALL_ANGLE**2:
+        c = 1.0 / 12.0
     else:
-        c = 1.0 / theta2 - (1.0 + math.cos(theta)) / (2.0 * theta * st)
-    return np.eye(3) + 0.5 * k + c * (k @ k)
+        t = math.sqrt(t2)
+        st = math.sin(t)
+        if abs(st) < 1e-9:
+            # t ~ pi: (1 + cos t) / (2 t sin t) -> (pi - t) / (4 t), negligible
+            c = 1.0 / t2
+        else:
+            c = 1.0 / t2 - (1.0 + math.cos(t)) / (2.0 * t * st)
+    return np.array(_rodrigues_entries(x, y, z, 0.5, c)).reshape(3, 3)
 
 
 class Se3Pose:

@@ -1,15 +1,33 @@
-"""IMU state propagation, preintegration, and the preintegrated-motion factor.
+"""IMU preintegration and the preintegrated-motion factor.
 
 Preintegrated deltas accumulate body motion between two stamps in the frame
 of the first stamp, with the linearization-point bias subtracted and gravity
 excluded; gravity re-enters when composing onto a state or evaluating the
 factor residual.  The 9x9 covariance and the 9x6 bias Jacobian are ordered
 (rotation, velocity, position) x (accel bias, gyro bias).
+
+One kernel, ``integrate``, forms the deltas at every node of a window, and
+both ``preintegrate`` and ``preprocess.deskew`` read them.  The readings are
+held over each of the m steps (Euler integration, the discrete model of
+Forster et al., "On-manifold preintegration for real-time visual-inertial
+odometry", T-RO 2017).  With bias-corrected readings a_k and w_k over a step
+of length dt_k and phi_k = w_k dt_k:
+
+    R_{k+1} = R_k exp(phi_k),                R_0 = I
+    v_{k+1} = v_k + R_k a_k dt_k,            v_0 = 0
+    p_{k+1} = p_k + v_k dt_k + R_k a_k dt_k^2 / 2,   p_0 = 0
+
+Every exp(phi_k) comes from one batched Rodrigues formula, the rotations
+from a prefix product in log2(m) rounds of batched 3x3 products, and v and p
+from cumulative sums.  ``preintegrate``
+takes the bias Jacobians and the covariance from the same sums, in closed
+form over the steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,7 +37,9 @@ from .geometry import (
     SensorState,
     Se3Pose,
     so3_exp,
+    so3_exp_jacobian_batch,
     so3_hat,
+    so3_hat_batch,
     so3_log,
     so3_right_jacobian,
     so3_right_jacobian_inv,
@@ -72,151 +92,167 @@ def samples_to_arrays(samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return stamps, accel, gyro
 
 
-def propagate_state(state: SensorState, sample: ImuSample, dt: float,
-                    gravity=GRAVITY) -> SensorState:
-    """Single Euler step of the IMU state evolution.
-
-    The rotation and velocity on the right-hand sides are the pre-update
-    values, so repeated calls reproduce the discrete evolution exactly.
-    """
-    if dt <= 0.0:
-        raise InvalidInterval(f"dt must be positive, got {dt}")
-    gravity = np.asarray(gravity, dtype=float)
-    r = state.pose.rotation
-    omega = np.asarray(sample.gyro, dtype=float) - state.bias_gyro
-    accel = np.asarray(sample.accel, dtype=float) - state.bias_accel
-    acc_world = r.apply(accel)
-    new_r = r * so3_exp(omega * dt)
-    new_v = state.velocity + gravity * dt + acc_world * dt
-    new_t = (state.pose.translation + state.velocity * dt
-             + 0.5 * gravity * dt * dt + 0.5 * acc_world * dt * dt)
-    return SensorState(
-        pose=Se3Pose(new_r, new_t),
-        velocity=new_v,
-        bias_accel=state.bias_accel,
-        bias_gyro=state.bias_gyro,
-        stamp=state.stamp + dt,
-    )
-
-
 def integration_nodes(samples, t0: float, t1: float, max_gap: float = 0.02):
     """Sub-interval boundaries and measurements covering [t0, t1].
 
     Returns (stamps, accel, gyro) where stamps has m+1 entries and the i-th
-    measurement row applies over [stamps[i], stamps[i+1]].  Measurements at
-    the window edges are linearly interpolated between bracketing samples.
+    measurement row applies over [stamps[i], stamps[i+1]].  The nodes are
+    t0, every sample stamp inside (t0, t1), and t1; a node at a sample's
+    stamp takes that sample.  The first node, when it falls between two
+    samples, takes their linear interpolation, and before the first or
+    after the last sample the nearest one.  Samples must be in stamp order.
     """
     if t1 <= t0:
         raise InvalidInterval(f"window [{t0}, {t1}] is empty")
     stamps, accel, gyro = (samples if isinstance(samples, tuple)
                            else samples_to_arrays(samples))
-    if stamps.size == 0:
+    n = stamps.size
+    if n == 0:
         raise ImuCoverageGap("no IMU samples supplied")
     if stamps[0] - t0 > max_gap or t1 - stamps[-1] > max_gap:
         raise ImuCoverageGap(
             f"samples span [{stamps[0]:.4f}, {stamps[-1]:.4f}], "
             f"window is [{t0:.4f}, {t1:.4f}]")
-    inside = (stamps > t0) & (stamps < t1)
-    node_t = np.concatenate([[t0], stamps[inside], [t1]])
+    j, hi = np.searchsorted(stamps, [t0, t1])  # first at or after each
+    lo = np.searchsorted(stamps, t0, side="right")
+    node_t = np.concatenate([[t0], stamps[lo:hi], [t1]])
     gaps = np.diff(node_t)
     # every integration sub-interval must stay below the configured gap
-    if gaps.size and np.max(gaps) > max_gap:
+    if np.max(gaps) > max_gap:
         raise ImuCoverageGap(
             f"IMU gap of {np.max(gaps):.4f}s inside [{t0:.4f}, {t1:.4f}]")
 
-    def measure_at(t):
-        i = int(np.searchsorted(stamps, t, side="right")) - 1
-        if i < 0:
-            return accel[0], gyro[0]
-        if i >= stamps.size - 1:
-            return accel[-1], gyro[-1]
-        span = stamps[i + 1] - stamps[i]
-        w = 0.0 if span <= 0.0 else (t - stamps[i]) / span
-        return (accel[i] + w * (accel[i + 1] - accel[i]),
-                gyro[i] + w * (gyro[i + 1] - gyro[i]))
-
-    m = node_t.size - 1
-    node_a = np.empty((m, 3))
-    node_g = np.empty((m, 3))
-    idx = np.searchsorted(stamps, node_t[:-1])
-    for k in range(m):
-        t = node_t[k]
-        j = idx[k]
-        if j < stamps.size and stamps[j] == t:
-            node_a[k] = accel[j]
-            node_g[k] = gyro[j]
-        else:
-            node_a[k], node_g[k] = measure_at(t)
+    node_a = np.empty((hi - lo + 1, 3))
+    node_g = np.empty((hi - lo + 1, 3))
+    node_a[1:], node_g[1:] = accel[lo:hi], gyro[lo:hi]
+    if j == n or stamps[j] == t0 or j == 0:
+        first = min(j, n - 1)
+        node_a[0], node_g[0] = accel[first], gyro[first]
+    else:
+        w = (t0 - stamps[j - 1]) / (stamps[j] - stamps[j - 1])
+        node_a[0] = accel[j - 1] + w * (accel[j] - accel[j - 1])
+        node_g[0] = gyro[j - 1] + w * (gyro[j] - gyro[j - 1])
     return node_t, node_a, node_g
+
+
+class NodeDeltas(NamedTuple):
+    """Deltas of an integration window at its m + 1 nodes, with the per-step
+    terms they were formed from (see the module docstring)."""
+
+    stamps: np.ndarray  # (m + 1,) node stamps
+    dt: np.ndarray  # (m,) step lengths, all positive
+    acc: np.ndarray  # (m, 3) a_k, bias-corrected specific force
+    phi: np.ndarray  # (m, 3) phi_k = w_k dt_k
+    jr: np.ndarray  # (m, 3, 3) right Jacobians of phi_k
+    rot: np.ndarray  # (m + 1, 3, 3) R_k
+    vel: np.ndarray  # (m + 1, 3) v_k
+    pos: np.ndarray  # (m + 1, 3) p_k
+
+
+def _prefix_sums(steps: np.ndarray) -> np.ndarray:
+    """Sums of the first k rows of ``steps`` for k = 0 .. m, added in order."""
+    out = np.zeros((steps.shape[0] + 1,) + steps.shape[1:])
+    np.cumsum(steps, axis=0, out=out[1:])
+    return out
+
+
+def integrate(samples, t0: float, t1: float, bias,
+              max_gap: float = 0.02) -> NodeDeltas:
+    """Deltas from t0 to every node of [t0, t1] at the given (accel, gyro)
+    bias; raises as integration_nodes does."""
+    bias = np.asarray(bias, dtype=float)
+    node_t, node_a, node_g = integration_nodes(samples, t0, t1, max_gap)
+    dt = np.diff(node_t)
+    # a sample stamp given twice makes a step of zero length, which moves
+    # nothing and is left out
+    keep = dt > 0.0
+    if not keep.all():
+        node_t = node_t[np.r_[True, keep]]
+        dt, node_a, node_g = dt[keep], node_a[keep], node_g[keep]
+    acc = node_a - bias[:3]
+    phi = (node_g - bias[3:]) * dt[:, None]
+    # R_k is the product of the first k step rotations: a prefix product in
+    # log2(m) rounds, each composing every partial product with the one
+    # that ends where it starts
+    rot = np.empty((dt.size + 1, 3, 3))
+    rot[0] = np.eye(3)
+    rot[1:], jr = so3_exp_jacobian_batch(phi)
+    span = 1
+    while span < dt.size:
+        rot[span + 1:] = rot[1:-span] @ rot[span + 1:]
+        span *= 2
+    acc_rot = np.einsum("kij,kj->ki", rot[:-1], acc)
+    dt_col = dt[:, None]
+    vel = _prefix_sums(acc_rot * dt_col)
+    pos = _prefix_sums(vel[:-1] * dt_col + 0.5 * acc_rot * dt_col * dt_col)
+    return NodeDeltas(node_t, dt, acc, phi, jr, rot, vel, pos)
 
 
 def preintegrate(samples, t_i: float, t_j: float, bias_lin,
                  noise: ImuNoiseParams, max_gap: float = 0.02) -> PreintegratedImu:
-    """Accumulate relative-motion deltas over [t_i, t_j].
+    """Deltas over [t_i, t_j] with their covariance and bias Jacobian.
 
-    Per-sample Euler integration matching propagate_state step for step;
-    first-order covariance propagation and bias Jacobians are accumulated
-    alongside.
+    The deltas are those of ``integrate`` at the last node N.  Every sum
+    over the steps below weights step k by dt_k, or for a position row by
+    dt_k s_k, with s_k = t_N - (t_k + t_{k+1}) / 2 the time from the step's
+    midpoint to t_N: that is how a velocity term of step k reaches the
+    position at N.  With J_k the right Jacobian of phi_k,
+    S_k = sum_{i<k} R_{i+1} J_i dt_i and G_k = -R_k^T S_k (the gyro-bias
+    Jacobian of the rotation at node k), the bias Jacobians are
+
+        dR/db_g = G_N,
+        dv/db_a = -sum R_k dt_k,        dv/db_g = -sum R_k hat(a_k) G_k dt_k,
+        dp/db_a = -sum R_k dt_k s_k,    dp/db_g = -sum R_k hat(a_k) G_k dt_k s_k.
+
+    The covariance is the recursion P <- A_k P A_k^T + Q_k from P = 0, with
+    the error-state transition
+
+        A_k = [[exp(phi_k)^T, 0, 0],
+               [-R_k hat(a_k) dt_k, I, 0],
+               [-R_k hat(a_k) dt_k^2 / 2, I dt_k, I]],
+
+    summed in closed form.  In the world-aligned rotation error R_k dphi_k,
+    which A_k leaves unchanged, the noise of step k reaches node N through
+
+        [[R_N^T, 0, 0], [-hat(V_k), I, 0], [-hat(U_k), tau_k I, I]],
+
+    with tau_k = t_N - t_{k+1}, V_k = v_N - v_{k+1} and
+    U_k = p_N - p_{k+1} - v_{k+1} tau_k.  The gyro density enters step k
+    through R_{k+1} J_k sg sqrt(dt_k), so its part of P is the Gram matrix
+    of those 9x3 factors carried to N.  The accel density, isotropic and so
+    the same in any frame, adds sa^2 dt_k I on velocity, sa^2 dt_k s_k I
+    between velocity and position and sa^2 dt_k s_k^2 I on position.
     """
     bias_lin = np.asarray(bias_lin, dtype=float)
-    node_t, node_a, node_g = integration_nodes(samples, t_i, t_j, max_gap)
-    ba, bg = bias_lin[:3], bias_lin[3:]
+    d = integrate(samples, t_i, t_j, bias_lin, max_gap)
+    r = d.rot[:-1]
+    tau = d.stamps[-1] - d.stamps[1:]
+    mid = tau + 0.5 * d.dt
+    weights = np.stack([d.dt, d.dt * mid])  # velocity rows, position rows
 
-    delta_r = Rotation.identity()
-    delta_v = np.zeros(3)
-    delta_p = np.zeros(3)
-    cov = np.zeros((9, 9))
+    r_jr = d.rot[1:] @ d.jr
+    g_k = -np.swapaxes(d.rot, 1, 2) @ _prefix_sums(r_jr * d.dt[:, None, None])
     jac = np.zeros((9, 6))
-    sg2 = noise.gyro_noise_density**2
-    sa2 = noise.accel_noise_density**2
+    jac[0:3, 3:6] = g_k[-1]
+    jac[3:9, 0:3] = -np.einsum("wk,kij->wij", weights, r).reshape(6, 3)
+    jac[3:9, 3:6] = -np.einsum("wk,kij->wij", weights,
+                               r @ so3_hat_batch(d.acc) @ g_k[:-1]).reshape(6, 3)
 
-    for k in range(node_t.size - 1):
-        dt = float(node_t[k + 1] - node_t[k])
-        if dt <= 0.0:
-            continue
-        omega = node_g[k] - bg
-        acc = node_a[k] - ba
-        rmat = delta_r.matrix()
-        acc_hat = so3_hat(acc)
-        step = so3_exp(omega * dt)
-        jr = so3_right_jacobian(omega * dt)
-        emat_t = step.matrix().T
-        r_acc_hat = rmat @ acc_hat
-
-        # covariance: P <- A P A^T + B Q B^T, Q the discretized densities
-        a_mat = np.eye(9)
-        a_mat[0:3, 0:3] = emat_t
-        a_mat[3:6, 0:3] = -r_acc_hat * dt
-        a_mat[6:9, 0:3] = -0.5 * r_acc_hat * dt * dt
-        a_mat[6:9, 3:6] = np.eye(3) * dt
-        cov = a_mat @ cov @ a_mat.T
-        cov[0:3, 0:3] += (jr @ jr.T) * (sg2 * dt)
-        rrt = rmat @ rmat.T
-        cov[3:6, 3:6] += rrt * (sa2 * dt)
-        cov[6:9, 6:9] += rrt * (0.25 * sa2 * dt**3)
-        cov[3:6, 6:9] += rrt * (0.5 * sa2 * dt**2)
-        cov[6:9, 3:6] += rrt * (0.5 * sa2 * dt**2)
-
-        # bias Jacobians; position first so the velocity rows are pre-update
-        j_phi_g = jac[0:3, 3:6]
-        jac[6:9, 0:3] = jac[6:9, 0:3] + jac[3:6, 0:3] * dt - 0.5 * rmat * dt * dt
-        jac[6:9, 3:6] = (jac[6:9, 3:6] + jac[3:6, 3:6] * dt
-                         - 0.5 * r_acc_hat @ j_phi_g * dt * dt)
-        jac[3:6, 0:3] = jac[3:6, 0:3] - rmat * dt
-        jac[3:6, 3:6] = jac[3:6, 3:6] - r_acc_hat @ j_phi_g * dt
-        jac[0:3, 3:6] = emat_t @ j_phi_g - jr * dt
-
-        # deltas, pre-update rotation and velocity on the right-hand sides
-        acc_rot = rmat @ acc
-        delta_p = delta_p + delta_v * dt + 0.5 * acc_rot * dt * dt
-        delta_v = delta_v + acc_rot * dt
-        delta_r = delta_r * step
-
-    cov = 0.5 * (cov + cov.T)
+    # covariance: the gyro part as the Gram matrix of every step's 9x3
+    # noise factor carried to node N, the accel part in closed form
+    root = r_jr * (noise.gyro_noise_density * np.sqrt(d.dt))[:, None, None]
+    h_v = so3_hat_batch(d.vel[-1] - d.vel[1:])
+    h_p = so3_hat_batch(d.pos[-1] - d.pos[1:] - d.vel[1:] * tau[:, None])
+    factors = np.concatenate([d.rot[-1].T @ root, -h_v @ root, -h_p @ root], axis=1)
+    factors = factors.transpose(1, 0, 2).reshape(9, -1)
+    cov = factors @ factors.T
+    accel = noise.accel_noise_density**2 * d.dt
+    moments = np.array([[accel.sum(), accel @ mid], [accel @ mid, accel @ (mid * mid)]])
+    cov[3:, 3:] += (moments[:, None, :, None] * np.eye(3)[None, :, None, :]).reshape(6, 6)
     return PreintegratedImu(
-        delta_r=delta_r,
-        delta_v=delta_v,
-        delta_p=delta_p,
+        delta_r=Rotation.from_matrix(d.rot[-1]),
+        delta_v=d.vel[-1],
+        delta_p=d.pos[-1],
         dt_total=float(t_j - t_i),
         cov=cov,
         bias_lin=bias_lin,

@@ -26,8 +26,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import FrameTooSparse, VoxelKeyOutOfRange
-from .geometry import SensorState, pose_inverse
-from .imu import GRAVITY, ImuSample, integration_nodes, propagate_state, samples_to_arrays
+from .geometry import SensorState, rodrigues_coefficients
+from .imu import GRAVITY, integrate
 
 # voxel indices are packed into a single int64, 21 bits per axis
 _KEY_OFFSET = 1 << 20
@@ -398,27 +398,23 @@ def _null_direction(a: np.ndarray, lam: np.ndarray):
     return columns[best, :, rows].T / np.where(found, length, 1.0), found
 
 
-def _slerp_batch(qa: np.ndarray, qb: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Vectorized shortest-arc quaternion slerp; rows are xyzw."""
-    dot = np.einsum("nj,nj->n", qa, qb)
-    qb = np.where(dot[:, None] < 0.0, -qb, qb)
-    dot = np.abs(dot)
-    theta = np.arccos(np.clip(dot, -1.0, 1.0))
-    st = np.sin(theta)
-    near = dot > 1.0 - 1e-12
-    w0 = np.where(near, 1.0 - alpha, np.sin((1.0 - alpha) * theta) / np.where(st == 0, 1.0, st))
-    w1 = np.where(near, alpha, np.sin(alpha * theta) / np.where(st == 0, 1.0, st))
-    out = w0[:, None] * qa + w1[:, None] * qb
-    return out / np.linalg.norm(out, axis=1, keepdims=True)
-
-
 def deskew(frame: Frame, imu_samples, state_at_scan_start: SensorState,
            gravity=GRAVITY, max_gap: float = 0.02) -> Frame:
     """Undistort a frame by IMU motion prediction across the scan.
 
-    The state is integrated from the scan start through every IMU stamp in
-    the scan span; each point is transformed by the pose interpolated at its
-    capture time and re-expressed in the reference (scan start) frame.
+    ``imu.integrate`` forms the deltas from the scan start t_s to every IMU
+    node in the scan span, at the bias of the scan-start state.  With that
+    state's rotation R_s and velocity v_s, the pose at node k relative to
+    the scan start is
+
+        rotation  dR_k,
+        translation  R_s^T (v_s tau_k + g tau_k^2 / 2) + dp_k,  tau_k = t_k - t_s,
+
+    the closed form of integrating the state forward step by step.  A point
+    captured at t in step k, a fraction alpha into it, takes the rotation
+    dR_k exp(alpha phi_k), the geodesic to the next node along the step's
+    own rotation vector phi_k, and the linear interpolation of the two
+    nodes' translations; it is then expressed in the scan-start frame.
     """
     if frame.deskewed:
         raise ValueError("frame is already deskewed")
@@ -429,42 +425,32 @@ def deskew(frame: Frame, imu_samples, state_at_scan_start: SensorState,
     if t1 <= t0:
         return replace(frame, deskewed=True)
 
-    arrays = (imu_samples if isinstance(imu_samples, tuple)
-              else samples_to_arrays(imu_samples))
-    node_t, node_a, node_g = integration_nodes(arrays, t0, t1, max_gap)
-
-    # integrate the trajectory across the scan, keeping poses relative to
-    # the reference stamp
-    ref_inv = pose_inverse(state_at_scan_start.pose)
     state = state_at_scan_start
-    quats = np.empty((node_t.size, 4))
-    trans = np.empty((node_t.size, 3))
-    quats[0] = np.array([0.0, 0.0, 0.0, 1.0])
-    trans[0] = 0.0
-    for k in range(node_t.size - 1):
-        dt = float(node_t[k + 1] - node_t[k])
-        state = propagate_state(state, ImuSample(node_t[k], node_a[k], node_g[k]),
-                                dt, gravity)
-        rel_r = ref_inv.rotation * state.pose.rotation
-        quats[k + 1] = rel_r.quat
-        trans[k + 1] = ref_inv.rotation.apply(
-            state.pose.translation) + ref_inv.translation
+    d = integrate(imu_samples, t0, t1, state.bias, max_gap)
+    tau = (d.stamps - t0)[:, None]
+    trans = (state.velocity * tau + 0.5 * np.asarray(gravity, dtype=float) * tau * tau
+             ) @ state.pose.rotation.matrix() + d.pos
 
-    seg = np.clip(np.searchsorted(node_t, frame.stamps, side="right") - 1,
-                  0, node_t.size - 2)
-    span = node_t[seg + 1] - node_t[seg]
-    alpha = np.where(span > 0, (frame.stamps - node_t[seg]) / np.where(span == 0, 1, span), 0.0)
-    alpha = np.clip(alpha, 0.0, 1.0)
-    q = _slerp_batch(quats[seg], quats[seg + 1], alpha)
-    t = (1.0 - alpha)[:, None] * trans[seg] + alpha[:, None] * trans[seg + 1]
-
-    # rotate each point by its own quaternion: p' = p + 2 w (u x p) + 2 u x (u x p),
-    # on (3, n) rows
-    u = q[:, :3].T
+    seg = np.clip(np.searchsorted(d.stamps, frame.stamps, side="right") - 1,
+                  0, d.dt.size - 1)
+    alpha = np.clip((frame.stamps - d.stamps[seg]) / d.dt[seg], 0.0, 1.0)
+    # one gather of each point's step: dR_k (rows 0-8), phi_k (9-11), the
+    # node translation (12-14) and its change over the step (15-17)
+    steps = np.concatenate([d.rot[:-1].reshape(-1, 9), d.phi, trans[:-1],
+                            np.diff(trans, axis=0)], axis=1)
+    per_point = np.ascontiguousarray(steps.T)[:, seg]
+    # rotate by exp(alpha phi_k) with Rodrigues' formula on the (3, n) rows,
+    # p + a (w x p) + b w x (w x p), then by dR_k, and translate
+    w = per_point[9:12] * alpha
+    a, b = rodrigues_coefficients(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])
     points = frame.point_rows
-    c1 = 2.0 * _cross_rows(u, points)
-    points = points + q[:, 3] * c1 + _cross_rows(u, c1) + t.T
-    return replace(frame, points=points.T, deskewed=True)
+    c1 = _cross_rows(w, points)
+    points = points + a * c1 + b * _cross_rows(w, c1)
+    out = per_point[12:15] + per_point[15:18] * alpha
+    for i in range(3):
+        rot = per_point[3 * i:3 * i + 3]
+        out[i] += rot[0] * points[0] + rot[1] * points[1] + rot[2] * points[2]
+    return replace(frame, points=out.T, deskewed=True)
 
 
 def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -35,9 +35,10 @@ from limapper.geometry import (
     state_local,
     state_retract,
 )
-from limapper.imu import GRAVITY, ImuNoiseParams, ImuSample, preintegrate, propagate_state
+from limapper.imu import GRAVITY, ImuNoiseParams, ImuSample, preintegrate
 from limapper.registration import build_voxelmap
 
+from test_imu import propagate_state
 from test_registration import (
     box_room_frame,
     box_room_frame_plane_covs,
@@ -528,11 +529,11 @@ class TestMarginalization:
 
     def test_reduced_chain_cost_equals_batch_optimum(self):
         # the prior carries the cost the removed factors keep, so the reduced
-        # chain's cost is the full chain's, not 751 below it
+        # chain's cost is the full chain's, zero up to rounding, not -751
         reduced = self._translation_chain()
         reduced.marginalize([frame_key(0)])
         red_res = reduced.optimize_lm()
-        assert 0.0 <= red_res.final_cost < 1e-9 * red_res.initial_cost
+        assert abs(red_res.final_cost) < 1e-9 * red_res.initial_cost
 
         def conflicting_chain():
             # a prior on the last state that the chain cannot meet, so the
@@ -550,7 +551,21 @@ class TestMarginalization:
         reduced.marginalize([frame_key(0)])
         red_res = reduced.optimize_lm()
         assert full_res.final_cost > 10.0
+        assert red_res.final_cost > 0.0
         assert abs(red_res.final_cost - full_res.final_cost) <= 1e-9 * full_res.final_cost
+
+    def test_prior_linearizes_on_one_delta_with_the_cost_of_cost(self):
+        g = self._translation_chain()
+        prior = g.marginalize([frame_key(0)])
+        values = {k: state_retract(v, np.random.default_rng(12).uniform(-0.1, 0.1, 15))
+                  for k, v in g.values.items()}
+        deltas = []
+        delta = prior._delta
+        prior._delta = lambda vals: deltas.append(delta(vals)) or deltas[-1]
+        lin = prior.linearize(values)
+        assert len(deltas) == 1
+        assert lin.cost == prior.cost(values)
+        assert np.array_equal(lin.g, prior.gradient + prior.hessian @ deltas[0])
 
     def test_marginal_prior_information_psd(self):
         g = self._translation_chain()

@@ -15,6 +15,7 @@ from limapper.geometry import (
     pose_retract,
     slerp,
     so3_exp,
+    so3_exp_jacobian_batch,
     so3_hat,
     so3_log,
     so3_right_jacobian,
@@ -165,6 +166,47 @@ class TestRepresentation:
             quat = np.r_[np.sin(angle / 2) * axis, np.cos(angle / 2)]
             assert np.allclose(so3_exp(axis * angle).matrix(), Rotation(quat).matrix(),
                                rtol=0.0, atol=1e-15)
+
+    def test_right_jacobians_equal_the_matrix_formulas(self):
+        # written out on floats, Jr and its inverse are the matrix formulas
+        # I - a K + b K^2 and I + K/2 + c K^2, on both sides of the
+        # small-angle branch and up to pi; the batched exp and Jr equal
+        # so3_exp and Jr row by row
+        def jr_matrix(phi):
+            t2 = float(phi @ phi)
+            k = so3_hat(phi)
+            if t2 < _SMALL_ANGLE**2:
+                return np.eye(3) - 0.5 * k + (k @ k) / 6.0
+            t = np.sqrt(t2)
+            a = 2.0 * np.sin(t / 2) ** 2 / t2  # (1 - cos t) / t^2
+            return np.eye(3) - a * k + (t - np.sin(t)) / (t2 * t) * (k @ k)
+
+        def jr_inv_matrix(phi):
+            t2 = float(phi @ phi)
+            k = so3_hat(phi)
+            if t2 < _SMALL_ANGLE**2:
+                return np.eye(3) + 0.5 * k + (k @ k) / 12.0
+            t = np.sqrt(t2)
+            c = (1.0 / t2 if abs(np.sin(t)) < 1e-9
+                 else 1.0 / t2 - (1.0 + np.cos(t)) / (2.0 * t * np.sin(t)))
+            return np.eye(3) + 0.5 * k + c * (k @ k)
+
+        rng = np.random.default_rng(17)
+        angles = np.r_[0.0, _SMALL_ANGLE * np.array([1e-3, 1.0 - 1e-6, 1.0, 1.0 + 1e-6]),
+                       np.logspace(-7, np.log10(np.pi), 60),
+                       np.pi - np.array([1e-4, 1e-6, 1e-10])]
+        phis = []
+        for angle in angles:
+            axis = rng.normal(size=3)
+            phis.append(axis / np.linalg.norm(axis) * angle)
+        exp_rows, jr_rows = so3_exp_jacobian_batch(np.array(phis))
+        for phi, exp_row, jr_row in zip(phis, exp_rows, jr_rows):
+            jr = so3_right_jacobian(phi)
+            assert np.allclose(jr, jr_matrix(phi), rtol=0.0, atol=1e-15)
+            assert np.allclose(so3_right_jacobian_inv(phi), jr_inv_matrix(phi),
+                               rtol=0.0, atol=1e-15)
+            assert np.allclose(jr_row, jr, rtol=0.0, atol=1e-15)
+            assert np.allclose(exp_row, so3_exp(phi).matrix(), rtol=0.0, atol=1e-15)
 
     def test_from_matrix_keeps_the_matrix_as_given(self):
         rng = np.random.default_rng(16)

@@ -47,8 +47,8 @@ def test_no_unused_module_level_import(path):
 
 
 # a rotation is stored as its matrix; only these modules turn one into a
-# quaternion: geometry itself, file output, and deskew's per-point slerp
-QUAT_READERS = {"geometry.py", "dataset_io.py", "preprocess.py"}
+# quaternion: geometry itself and file output
+QUAT_READERS = {"geometry.py", "dataset_io.py"}
 
 
 def test_only_boundary_modules_read_quaternions():

@@ -6,7 +6,9 @@ from limapper.geometry import (
     Se3Pose,
     SensorState,
     so3_exp,
+    so3_hat,
     so3_log,
+    so3_right_jacobian,
     state_local,
     state_retract,
 )
@@ -16,12 +18,137 @@ from limapper.imu import (
     ImuSample,
     correct_for_bias,
     imu_factor_residual,
+    integration_nodes,
     preintegrate,
     predict_state,
-    propagate_state,
+    samples_to_arrays,
 )
 
 NOISE = ImuNoiseParams()
+
+
+def propagate_state(state: SensorState, sample: ImuSample, dt: float,
+                    gravity=GRAVITY) -> SensorState:
+    """Oracle: one Euler step of the IMU state evolution.
+
+    The rotation and velocity on the right-hand sides are the pre-update
+    values, so repeated calls reproduce the discrete evolution that
+    preintegration sums in closed form.
+    """
+    if dt <= 0.0:
+        raise InvalidInterval(f"dt must be positive, got {dt}")
+    gravity = np.asarray(gravity, dtype=float)
+    r = state.pose.rotation
+    omega = np.asarray(sample.gyro, dtype=float) - state.bias_gyro
+    accel = np.asarray(sample.accel, dtype=float) - state.bias_accel
+    acc_world = r.apply(accel)
+    new_r = r * so3_exp(omega * dt)
+    new_v = state.velocity + gravity * dt + acc_world * dt
+    new_t = (state.pose.translation + state.velocity * dt
+             + 0.5 * gravity * dt * dt + 0.5 * acc_world * dt * dt)
+    return SensorState(
+        pose=Se3Pose(new_r, new_t),
+        velocity=new_v,
+        bias_accel=state.bias_accel,
+        bias_gyro=state.bias_gyro,
+        stamp=state.stamp + dt,
+    )
+
+
+def nodes_oracle(samples, t0, t1):
+    """Oracle of integration_nodes' measurements: each node takes the sample
+    at its stamp, else the interpolation of the samples around it, else the
+    nearest sample, found one node at a time."""
+    stamps, accel, gyro = samples_to_arrays(samples)
+    node_t = np.concatenate([[t0], stamps[(stamps > t0) & (stamps < t1)], [t1]])
+    node_a, node_g = [], []
+    for t in node_t[:-1]:
+        hit = np.flatnonzero(stamps == t)
+        i = int(np.searchsorted(stamps, t, side="right")) - 1
+        if hit.size:
+            node_a.append(accel[hit[0]])
+            node_g.append(gyro[hit[0]])
+        elif i < 0 or i >= stamps.size - 1:
+            node_a.append(accel[max(i, 0)])
+            node_g.append(gyro[max(i, 0)])
+        else:
+            w = (t - stamps[i]) / (stamps[i + 1] - stamps[i])
+            node_a.append(accel[i] + w * (accel[i + 1] - accel[i]))
+            node_g.append(gyro[i] + w * (gyro[i + 1] - gyro[i]))
+    return node_t, np.array(node_a), np.array(node_g)
+
+
+def preintegrate_oracle(samples, t_i, t_j, bias, noise=NOISE, max_gap=0.02):
+    """Oracle: deltas, covariance and bias Jacobian by the per-step
+    recursion (delta_r, delta_v, delta_p, cov, jac_bias)."""
+    node_t, node_a, node_g = integration_nodes(samples, t_i, t_j, max_gap)
+    ba, bg = bias[:3], bias[3:]
+    delta_r = np.eye(3)
+    delta_v = np.zeros(3)
+    delta_p = np.zeros(3)
+    cov = np.zeros((9, 9))
+    jac = np.zeros((9, 6))
+    sg2 = noise.gyro_noise_density**2
+    sa2 = noise.accel_noise_density**2
+    for k in range(node_t.size - 1):
+        dt = float(node_t[k + 1] - node_t[k])
+        omega = node_g[k] - bg
+        acc = node_a[k] - ba
+        rmat = delta_r
+        step = so3_exp(omega * dt).matrix()
+        jr = so3_right_jacobian(omega * dt)
+        r_acc_hat = rmat @ so3_hat(acc)
+
+        # covariance: P <- A P A^T + B Q B^T, Q the discretized densities
+        a_mat = np.eye(9)
+        a_mat[0:3, 0:3] = step.T
+        a_mat[3:6, 0:3] = -r_acc_hat * dt
+        a_mat[6:9, 0:3] = -0.5 * r_acc_hat * dt * dt
+        a_mat[6:9, 3:6] = np.eye(3) * dt
+        cov = a_mat @ cov @ a_mat.T
+        cov[0:3, 0:3] += (jr @ jr.T) * (sg2 * dt)
+        rrt = rmat @ rmat.T
+        cov[3:6, 3:6] += rrt * (sa2 * dt)
+        cov[6:9, 6:9] += rrt * (0.25 * sa2 * dt**3)
+        cov[3:6, 6:9] += rrt * (0.5 * sa2 * dt**2)
+        cov[6:9, 3:6] += rrt * (0.5 * sa2 * dt**2)
+
+        # bias Jacobians; position first so the velocity rows are pre-update
+        j_phi_g = jac[0:3, 3:6]
+        jac[6:9, 0:3] = jac[6:9, 0:3] + jac[3:6, 0:3] * dt - 0.5 * rmat * dt * dt
+        jac[6:9, 3:6] = (jac[6:9, 3:6] + jac[3:6, 3:6] * dt
+                         - 0.5 * r_acc_hat @ j_phi_g * dt * dt)
+        jac[3:6, 0:3] = jac[3:6, 0:3] - rmat * dt
+        jac[3:6, 3:6] = jac[3:6, 3:6] - r_acc_hat @ j_phi_g * dt
+        jac[0:3, 3:6] = step.T @ j_phi_g - jr * dt
+
+        acc_rot = rmat @ acc
+        delta_p = delta_p + delta_v * dt + 0.5 * acc_rot * dt * dt
+        delta_v = delta_v + acc_rot * dt
+        delta_r = delta_r @ step
+    return delta_r, delta_v, delta_p, 0.5 * (cov + cov.T), jac
+
+
+def stepwise_deltas(samples, t_i, t_j, bias):
+    """Oracle: deltas by propagate_state over integration_nodes' nodes,
+    from the identity without gravity (rotation vector, velocity, position
+    are then the deltas)."""
+    node_t, node_a, node_g = integration_nodes(samples, t_i, t_j)
+    state = SensorState(Se3Pose.identity(), np.zeros(3), bias[:3], bias[3:], t_i)
+    for k in range(node_t.size - 1):
+        state = propagate_state(state, ImuSample(node_t[k], node_a[k], node_g[k]),
+                                node_t[k + 1] - node_t[k], gravity=np.zeros(3))
+    return state.pose.rotation, state.velocity, state.pose.translation
+
+
+def irregular_samples(rng, t0=0.0, t1=0.3, max_gap=0.02):
+    """Samples at random rates with gaps up to max_gap, random readings."""
+    stamps = [t0 - rng.uniform(0.0, max_gap)]
+    while stamps[-1] < t1:
+        stamps.append(stamps[-1] + rng.uniform(1e-4, max_gap) * rng.choice([0.1, 0.5, 1.0]))
+    rate = rng.uniform(0.1, 4.0)
+    return [ImuSample(float(t), rng.normal(size=3) * 3.0 - GRAVITY,
+                      rng.normal(size=3) * rate) for t in stamps]
 
 
 def make_samples(rng, n, rate=200.0, accel_scale=1.0, gyro_scale=0.5, t0=0.0):
@@ -154,6 +281,45 @@ class TestPreintegrate:
         with pytest.raises(InvalidInterval):
             preintegrate(samples, 0.5, 0.5, np.zeros(6), NOISE)
 
+    def test_nodes_equal_per_node_interpolation(self):
+        # integration_nodes finds every node's measurement in one pass; the
+        # result is the per-node lookup's bit for bit
+        rng = np.random.default_rng(20)
+        for _ in range(40):
+            samples = irregular_samples(rng)
+            stamps = [s.stamp for s in samples]
+            t0 = rng.choice([stamps[0] - 0.01, stamps[2], rng.uniform(stamps[0], stamps[3])])
+            t1 = rng.uniform(stamps[-4], stamps[-1] + 0.01)
+            got = integration_nodes(samples, t0, t1)
+            want = nodes_oracle(samples, t0, t1)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+
+    def test_matches_per_step_recursion(self):
+        # random biases, rates, windows cut between samples and gaps up to
+        # max_gap: the closed forms give the per-step recursion's numbers
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            samples = irregular_samples(rng)
+            t0 = rng.uniform(0.0, 0.01)
+            t1 = rng.uniform(0.25, 0.3)
+            bias = rng.uniform(-0.2, 0.2, 6)
+            pre = preintegrate(samples, t0, t1, bias, NOISE)
+            dr, dv, dp, cov, jac = preintegrate_oracle(samples, t0, t1, bias)
+            assert np.max(np.abs(pre.delta_r.matrix() - dr)) < 1e-14
+            assert np.max(np.abs(pre.delta_v - dv)) < 1e-13 * max(1.0, np.max(np.abs(dv)))
+            assert np.max(np.abs(pre.delta_p - dp)) < 1e-13 * max(1.0, np.max(np.abs(dp)))
+            assert np.max(np.abs(pre.cov - cov)) < 1e-12 * np.max(np.abs(cov))
+            assert np.max(np.abs(pre.jac_bias - jac)) < 1e-12 * np.max(np.abs(jac))
+
+    def test_repeated_stamp_is_a_zero_step(self):
+        samples = make_samples(np.random.default_rng(22), 60)
+        doubled = samples[:30] + [samples[29]] + samples[30:]
+        a = preintegrate(samples, 0.0, samples[-1].stamp, np.zeros(6), NOISE)
+        b = preintegrate(doubled, 0.0, samples[-1].stamp, np.zeros(6), NOISE)
+        assert b.delta_r.matrix().tobytes() == a.delta_r.matrix().tobytes()
+        assert np.allclose(b.cov, a.cov, rtol=1e-14, atol=0.0)
+
     def test_cov_trace_monotone_in_time(self):
         rng = np.random.default_rng(9)
         samples = make_samples(rng, 400)
@@ -221,6 +387,29 @@ class TestBiasCorrection:
             fd[6:9, c] = (plus.delta_p - minus.delta_p) / (2 * h)
         scale = max(1.0, np.max(np.abs(fd)))
         assert np.max(np.abs(fd - pre.jac_bias)) / scale < 1e-5
+
+    def test_jac_bias_matches_stepwise_finite_differences(self):
+        # central differences of the step-by-step propagation over the
+        # bias, on windows cut between samples at random rates and biases
+        rng = np.random.default_rng(23)
+        h = 1e-6
+        for _ in range(5):
+            samples = irregular_samples(rng, t1=0.2)
+            t0, t1 = rng.uniform(0.0, 0.01), rng.uniform(0.15, 0.2)
+            bias = rng.uniform(-0.2, 0.2, 6)
+            pre = preintegrate(samples, t0, t1, bias, NOISE)
+            r0 = stepwise_deltas(samples, t0, t1, bias)[0]
+            fd = np.zeros((9, 6))
+            for c in range(6):
+                db = np.zeros(6)
+                db[c] = h
+                plus = stepwise_deltas(samples, t0, t1, bias + db)
+                minus = stepwise_deltas(samples, t0, t1, bias - db)
+                fd[0:3, c] = (so3_log(r0.inverse() * plus[0])
+                              - so3_log(r0.inverse() * minus[0])) / (2 * h)
+                fd[3:6, c] = (plus[1] - minus[1]) / (2 * h)
+                fd[6:9, c] = (plus[2] - minus[2]) / (2 * h)
+            assert np.max(np.abs(fd - pre.jac_bias)) < 1e-7 * max(1.0, np.max(np.abs(fd)))
 
     def test_large_bias_change_requires_reintegration(self):
         rng = np.random.default_rng(5)

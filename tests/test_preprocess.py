@@ -9,8 +9,16 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from limapper.errors import FrameTooSparse, ImuCoverageGap, VoxelKeyOutOfRange
-from limapper.geometry import SensorState, Se3Pose, so3_exp, so3_log
-from limapper.imu import GRAVITY, ImuSample
+from limapper.geometry import (
+    SensorState,
+    Se3Pose,
+    pose_compose,
+    pose_inverse,
+    slerp,
+    so3_exp,
+    so3_log,
+)
+from limapper.imu import GRAVITY, ImuSample, integration_nodes
 from limapper.preprocess import (
     Frame,
     RawScan,
@@ -23,6 +31,8 @@ from limapper.preprocess import (
     voxel_downsample,
 )
 from limapper.synthetic import generate_synthetic_scene, square_loop_scene
+
+from test_imu import propagate_state
 
 
 def scan_of(points, stamps, start=0.0, end=0.1):
@@ -498,6 +508,43 @@ class TestDeskew:
         g_ref = state.pose.rotation.inverse().apply(GRAVITY)
         out_ref = deskew(frame, samples, ref, gravity=g_ref)
         assert np.allclose(out_posed.points, out_ref.points, atol=1e-9)
+
+    def test_moving_rotating_sensor_matches_stepwise_poses(self):
+        # a sensor at speed, turning fast, at a far pose: each point is
+        # moved by the pose that propagate_state reaches, step by step over
+        # the IMU nodes, at its capture time (geodesic rotation and linear
+        # translation between nodes), relative to the scan-start pose
+        rng = np.random.default_rng(11)
+        samples = [ImuSample(float(t), rng.normal(size=3) * 4.0 - GRAVITY,
+                             rng.normal(size=3) * 2.0)
+                   for t in np.arange(-0.01, 0.12, 0.005) + 0.0021]
+        state = SensorState(
+            pose=Se3Pose(so3_exp([0.4, -1.1, 2.0]), np.array([40.0, -25.0, 3.0])),
+            velocity=np.array([8.0, -3.0, 0.5]),
+            bias_accel=np.array([0.05, -0.1, 0.02]),
+            bias_gyro=np.array([0.01, 0.03, -0.02]), stamp=0.0)
+        node_t, node_a, node_g = integration_nodes(samples, 0.0, 0.1)
+        poses = [state.pose]
+        s = state
+        for k in range(node_t.size - 1):
+            s = propagate_state(s, ImuSample(node_t[k], node_a[k], node_g[k]),
+                                node_t[k + 1] - node_t[k])
+            poses.append(s.pose)
+        ref_inv = pose_inverse(state.pose)
+        rel = [pose_compose(ref_inv, p) for p in poses]
+
+        stamps = np.concatenate([node_t, rng.uniform(0.0, 0.1, 200)])
+        pts = rng.uniform(-30, 30, (stamps.size, 3))
+        frame = Frame(points=pts, stamps=stamps, stamp=0.0, scan_end=0.1)
+        out = deskew(frame, samples, state)
+        err = 0.0
+        for p, t, got in zip(pts, stamps, out.points):
+            k = min(int(np.searchsorted(node_t, t, side="right")) - 1, node_t.size - 2)
+            alpha = (t - node_t[k]) / (node_t[k + 1] - node_t[k])
+            rot = slerp(rel[k].rotation, rel[k + 1].rotation, alpha)
+            trans = (1 - alpha) * rel[k].translation + alpha * rel[k + 1].translation
+            err = max(err, np.max(np.abs(got - (rot.apply(p) + trans))))
+        assert err < 1e-12 * 30
 
     def test_imu_gap_raises(self):
         pts = np.array([[1.0, 0.0, 0.0]])
