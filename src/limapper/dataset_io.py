@@ -12,7 +12,6 @@ Formats:
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
 
@@ -76,29 +75,6 @@ def read_scan(path: str) -> RawScan:
     else:
         start, end = 0.0, 0.0
     return RawScan(points, stamps, start, max(end, start + 1e-9))
-
-
-def write_scan_sequence(scans, directory: str) -> list[str]:
-    os.makedirs(directory, exist_ok=True)
-    paths = []
-    for i, scan in enumerate(scans):
-        path = os.path.join(directory, f"scan_{i:06d}.bin")
-        write_scan(scan, path)
-        paths.append(path)
-    return paths
-
-
-def read_scan_sequence(directory: str):
-    """Yield scans in filename (time) order; empty directory yields nothing."""
-    names = sorted(n for n in os.listdir(directory) if n.endswith(".bin"))
-    last_start = -np.inf
-    for name in names:
-        scan = read_scan(os.path.join(directory, name))
-        if scan.scan_start < last_start:
-            raise OutOfOrder(f"{name} starts at {scan.scan_start:.6f}, "
-                             f"before previous scan {last_start:.6f}")
-        last_start = scan.scan_start
-        yield scan
 
 
 # -- IMU ----------------------------------------------------------------------

@@ -17,10 +17,6 @@ class InvalidInterval(PipelineError):
     """Integration interval end does not come after its start."""
 
 
-class RequiresReintegration(PipelineError):
-    """Bias moved too far from the linearization point for a first-order fix."""
-
-
 class VoxelKeyOutOfRange(PipelineError):
     """Point is not finite or lies outside the range of packed voxel keys."""
 
@@ -81,10 +77,6 @@ class InvalidConfig(PipelineError, ValueError):
 
 class InsufficientOverlap(PipelineError):
     """Too few time-associated pose pairs for trajectory comparison."""
-
-
-class InsufficientLength(PipelineError):
-    """Trajectory arc length is shorter than the evaluation segment."""
 
 
 class GenerationError(PipelineError):

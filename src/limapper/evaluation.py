@@ -1,5 +1,4 @@
-"""Trajectory accuracy metrics: absolute trajectory error and fixed-length
-relative trajectory error."""
+"""Trajectory accuracy metric: absolute trajectory error."""
 
 from __future__ import annotations
 
@@ -7,8 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientLength, InsufficientOverlap
-from .geometry import Rotation, Se3Pose, pose_compose, pose_inverse, slerp
+from .errors import InsufficientOverlap
 
 ASSOCIATION_TOL = 0.05  # seconds
 
@@ -75,70 +73,3 @@ def compute_ate(estimate, ground_truth, align: bool = True,
         mean=float(np.mean(errors)),
         median=float(np.median(errors)),
     )
-
-
-@dataclass(frozen=True)
-class RteResult:
-    mean: float
-    std: float
-    errors: np.ndarray
-    segment_length: float
-
-
-def _interpolate_record(records, stamps, positions, quats, t: float) -> Se3Pose:
-    i = int(np.clip(np.searchsorted(stamps, t) - 1, 0, len(records) - 2))
-    span = stamps[i + 1] - stamps[i]
-    w = 0.0 if span <= 0 else float(np.clip((t - stamps[i]) / span, 0.0, 1.0))
-    rot = slerp(Rotation(quats[i]), Rotation(quats[i + 1]), w)
-    pos = (1 - w) * positions[i] + w * positions[i + 1]
-    return Se3Pose(rot, pos)
-
-
-def compute_rte(estimate, ground_truth, segment_length: float = 100.0,
-                tol: float = ASSOCIATION_TOL) -> RteResult:
-    """Translational error of relative motions over fixed path segments.
-
-    For every associated pose, the pose one segment_length ahead along the
-    ground-truth arc is found (linear interpolation between records) and the
-    relative transforms of estimate and ground truth compared.
-    """
-    pairs = associate(estimate, ground_truth, tol)
-    if len(pairs) < 3:
-        raise InsufficientOverlap(f"only {len(pairs)} associated pose pairs")
-    gt_stamps = np.array([r.stamp for r in ground_truth])
-    gt_pos = np.array([r.position for r in ground_truth])
-    gt_quat = np.array([r.orientation for r in ground_truth])
-    arc = np.concatenate([[0.0], np.cumsum(
-        np.linalg.norm(np.diff(gt_pos, axis=0), axis=1))])
-    if arc[-1] < segment_length:
-        raise InsufficientLength(
-            f"trajectory covers {arc[-1]:.2f} m < segment of {segment_length} m")
-
-    est_stamps = np.array([p[0].stamp for p in pairs])
-    est_pos = np.array([p[0].position for p in pairs])
-    est_quat = np.array([p[0].orientation for p in pairs])
-
-    errors = []
-    for rec_est, rec_gt in pairs:
-        i = int(np.searchsorted(gt_stamps, rec_gt.stamp))
-        i = min(max(i, 0), len(gt_stamps) - 1)
-        s_start = float(np.interp(rec_gt.stamp, gt_stamps, arc))
-        s_end = s_start + segment_length
-        if s_end > arc[-1]:
-            break
-        t_end = float(np.interp(s_end, arc, gt_stamps))
-        gt_a = rec_gt.pose()
-        gt_b = _interpolate_record(ground_truth, gt_stamps, gt_pos, gt_quat, t_end)
-        if t_end > est_stamps[-1] + tol:
-            break
-        est_a = rec_est.pose()
-        est_b = _interpolate_record(pairs, est_stamps, est_pos, est_quat, t_end)
-        rel_gt = pose_compose(pose_inverse(gt_a), gt_b)
-        rel_est = pose_compose(pose_inverse(est_a), est_b)
-        delta = pose_compose(pose_inverse(rel_gt), rel_est)
-        errors.append(float(np.linalg.norm(delta.translation)))
-    if not errors:
-        raise InsufficientLength("no complete segments")
-    errors = np.array(errors)
-    return RteResult(mean=float(errors.mean()), std=float(errors.std()),
-                     errors=errors, segment_length=segment_length)

@@ -14,13 +14,10 @@ row changed, and holds them as a quadratic in the relative pose
 (``linearize_from_terms``) and costs the candidate steps of an iteration
 in O(1).  So the cost the optimizer compares is smooth within an
 iteration, and it is the cost of the Gauss-Newton model's own weights.
-Priors and relative-state factors are fixed-form quadratics.
+Priors are fixed-form quadratics.
 
-Variable kinds and tangent layouts:
-
-* ``frame-state`` / ``endpoint-state``: SensorState, 15 dof
-  (rot, trans, vel, accel bias, gyro bias)
-* ``submap-pose``: Se3Pose, 6 dof (rot, trans)
+Every variable is the SensorState of one frame, keyed by the frame's index,
+with a 15-dof tangent (rot, trans, vel, accel bias, gyro bias).
 """
 
 from __future__ import annotations
@@ -43,10 +40,6 @@ from .geometry import (
     SensorState,
     pose_compose,
     pose_inverse,
-    pose_local,
-    pose_retract,
-    so3_hat,
-    so3_log,
     so3_right_jacobian_inv,
     state_local,
     state_retract,
@@ -61,49 +54,19 @@ from .registration import (
 )
 from .preprocess import Frame, pack_voxel_keys
 
-VARIABLE_DIMS = {"frame-state": 15, "submap-pose": 6, "endpoint-state": 15}
+STATE_DIM = 15  # tangent dimension of every variable
 
 
 @dataclass(frozen=True, order=True)
 class Key:
-    kind: str
     index: int
 
-    @property
-    def dim(self) -> int:
-        return VARIABLE_DIMS[self.kind]
-
     def __repr__(self) -> str:
-        return f"{self.kind}:{self.index}"
+        return f"frame-state:{self.index}"
 
 
 def frame_key(index: int) -> Key:
-    return Key("frame-state", index)
-
-
-def submap_key(index: int) -> Key:
-    return Key("submap-pose", index)
-
-
-def endpoint_key(submap_index: int, side: str) -> Key:
-    offset = 0 if side == "left" else 1
-    return Key("endpoint-state", 2 * submap_index + offset)
-
-
-def retract_value(kind: str, value, delta):
-    if kind == "submap-pose":
-        return pose_retract(value, delta)
-    return state_retract(value, delta)
-
-
-def local_value(kind: str, value, ref) -> np.ndarray:
-    if kind == "submap-pose":
-        return pose_local(value, ref)
-    return state_local(value, ref)
-
-
-def _pose_of(kind: str, value) -> Se3Pose:
-    return value if kind == "submap-pose" else value.pose
+    return Key(index)
 
 
 class FactorLinearization(NamedTuple):
@@ -123,7 +86,7 @@ class Factor:
     @property
     def dims(self) -> tuple:
         """Leading tangent components of each key that the block covers."""
-        return tuple(k.dim for k in self.keys)
+        return (STATE_DIM,) * len(self.keys)
 
     def cost(self, values) -> float:
         raise NotImplementedError
@@ -147,7 +110,7 @@ class PriorFactor(Factor):
     grounding = True
     kind = "prior"
 
-    def __init__(self, key: Key, prior_value, information):
+    def __init__(self, key: Key, prior_value: SensorState, information):
         self.keys = (key,)
         self.prior = prior_value
         info = np.asarray(information, dtype=float)
@@ -156,21 +119,18 @@ class PriorFactor(Factor):
         self.information = info
 
     def _residual(self, values):
-        return local_value(self.keys[0].kind, values[self.keys[0]], self.prior)
+        return state_local(values[self.keys[0]], self.prior)
 
     def cost(self, values) -> float:
         r = self._residual(values)
         return float(r @ self.information @ r)
 
     def linearize(self, values) -> FactorLinearization:
-        key = self.keys[0]
         r = self._residual(values)
-        d = key.dim
-        jac = np.eye(d)
-        ref_r = self.prior if key.kind == "submap-pose" else self.prior.pose
-        cur_r = _pose_of(key.kind, values[key])
+        jac = np.eye(STATE_DIM)
+        cur_r = values[self.keys[0]].pose
         jac[0:3, 0:3] = so3_right_jacobian_inv(r[:3])
-        jac[3:6, 3:6] = ref_r.rotation.matrix().T @ cur_r.rotation.matrix()
+        jac[3:6, 3:6] = self.prior.pose.rotation.matrix().T @ cur_r.rotation.matrix()
         jtw = 2.0 * jac.T @ self.information
         return FactorLinearization(jtw @ r, jtw @ jac,
                                    float(r @ self.information @ r))
@@ -216,11 +176,11 @@ class MatchingCostFactor(Factor):
     """Voxelized registration constraint between a source frame and a
     target voxel map; unary when the target pose is fixed.
 
-    The source/target poses are read from the connected variables (the pose
-    component for state variables).  The factor holds one record: the keys
-    and voxel rows of its last lookup, and the cost on those rows with the
-    weights frozen where the rows were last found, as a quadratic in the
-    change of the relative pose (``FrozenTerms``).  ``cost`` evaluates the
+    The source/target poses are the pose components of the connected
+    states.  The factor holds one record: the keys and voxel rows of its
+    last lookup, and the cost on those rows with the weights frozen where
+    the rows were last found, as a quadratic in the change of the relative
+    pose (``FrozenTerms``).  ``cost`` evaluates the
     held quadratic in O(1); it looks up only if there was no lookup yet.
     ``linearize`` looks the voxel of every source point up at the given
     estimate, searching the map only for the points whose packed voxel key
@@ -275,11 +235,11 @@ class MatchingCostFactor(Factor):
         return self._inliers
 
     def _relative(self, values) -> Se3Pose:
-        t_i = _pose_of(self.keys[0].kind, values[self.keys[0]])
+        t_i = values[self.keys[0]].pose
         if self.unary:
             t_j = self.fixed_target_pose
         else:
-            t_j = _pose_of(self.keys[1].kind, values[self.keys[1]])
+            t_j = values[self.keys[1]].pose
         return pose_compose(pose_inverse(t_j), t_i)
 
     def _look_up(self, t_ij: Se3Pose) -> None:
@@ -328,69 +288,6 @@ class MatchingCostFactor(Factor):
             *linearize_from_terms(self._held, t_ij, self.unary))
 
 
-class RelativeStateFactor(Factor):
-    """Ties an endpoint state to its submap pose through stored relatives.
-
-    The residual vanishes when the endpoint equals the submap pose composed
-    with the stored relative pose, the rotated stored velocity, and the
-    stored bias.  Weighted near-rigid by default.
-    """
-
-    kind = "relative-state"
-
-    def __init__(self, key_submap: Key, key_endpoint: Key, rel_pose: Se3Pose,
-                 rel_velocity, rel_bias, sigma: float = 1e-3):
-        self.keys = (key_submap, key_endpoint)
-        self.rel_pose = rel_pose
-        self.rel_velocity = np.asarray(rel_velocity, dtype=float)
-        self.rel_bias = np.asarray(rel_bias, dtype=float)
-        self.information = np.full(15, 1.0 / sigma**2)
-
-    def _residual(self, values):
-        t_s: Se3Pose = values[self.keys[0]]
-        state: SensorState = values[self.keys[1]]
-        err = pose_compose(pose_inverse(self.rel_pose),
-                           pose_compose(pose_inverse(t_s), state.pose))
-        r = np.empty(15)
-        r[0:3] = so3_log(err.rotation)
-        r[3:6] = err.translation
-        r[6:9] = t_s.rotation.inverse().apply(state.velocity) - self.rel_velocity
-        r[9:15] = state.bias - self.rel_bias
-        return r, err, t_s, state
-
-    def cost(self, values) -> float:
-        r, _, _, _ = self._residual(values)
-        return float(r @ (self.information * r))
-
-    def linearize(self, values) -> FactorLinearization:
-        r, err, t_s, state = self._residual(values)
-        jr_inv = so3_right_jacobian_inv(r[0:3])
-        e_rot = err.rotation.matrix()
-        rs_t = t_s.rotation.matrix().T
-
-        # C = (T_s)^-1 T_endpoint enters the submap-side chain rule
-        c = pose_compose(pose_inverse(t_s), state.pose)
-        rc_t = c.rotation.matrix().T
-        rb = self.rel_pose.rotation.matrix().T  # rotation of rel_pose^-1
-
-        # columns 0:6 the submap pose, 6:21 the endpoint state
-        jac = np.zeros((15, 21))
-        jac[0:3, 0:3] = -jr_inv @ rc_t
-        jac[3:6, 0:3] = rb @ so3_hat(c.translation)
-        jac[3:6, 3:6] = -rb
-        jac[6:9, 0:3] = so3_hat(rs_t @ state.velocity)
-        jac[0:3, 6:9] = jr_inv
-        jac[3:6, 9:12] = e_rot
-        jac[6:9, 12:15] = rs_t
-        jac[9:15, 15:21] = np.eye(6)
-
-        wr = self.information * r
-        jt2 = 2.0 * jac.T
-        return FactorLinearization(jt2 @ wr,
-                                   jt2 @ (self.information[:, None] * jac),
-                                   float(r @ wr))
-
-
 class MarginalPriorFactor(Factor):
     """Dense Gaussian prior left behind by marginalized variables.
 
@@ -418,7 +315,7 @@ class MarginalPriorFactor(Factor):
     def _delta(self, values) -> np.ndarray:
         delta = np.empty(self.dim)
         for k, sl in self._slices.items():
-            delta[sl] = local_value(k.kind, values[k], self.lin_values[k])
+            delta[sl] = state_local(values[k], self.lin_values[k])
         return delta
 
     def _cost_at(self, d) -> float:
@@ -460,8 +357,8 @@ def _layout(keys):
     slices = {}
     off = 0
     for k in keys:
-        slices[k] = slice(off, off + k.dim)
-        off += k.dim
+        slices[k] = slice(off, off + STATE_DIM)
+        off += STATE_DIM
     return slices, off
 
 
@@ -503,7 +400,7 @@ class FactorGraph:
     """Variables plus factors; a multigraph (parallel factors allowed)."""
 
     def __init__(self):
-        self.values: dict[Key, object] = {}
+        self.values: dict[Key, SensorState] = {}
         self.factors: list[Factor] = []
         # (H, slices) of the last assembly of optimize_lm
         self._normal: tuple[np.ndarray, dict] | None = None
@@ -566,7 +463,7 @@ class FactorGraph:
     def _retract_all(self, values, slices, delta):
         out = {}
         for k, v in values.items():
-            out[k] = retract_value(k.kind, v, delta[slices[k]])
+            out[k] = state_retract(v, delta[slices[k]])
         return out
 
     # -- optimization --------------------------------------------------------
@@ -657,19 +554,6 @@ class FactorGraph:
         return OptimizeResult(values, cost, iterations, converged, initial_cost,
                               evaluations, rejected)
 
-    def warm_restart_optimize(self, previous_estimates: dict,
-                              settings: LmSettings | None = None) -> OptimizeResult:
-        """Re-optimize after seeding existing variables from a prior solve.
-
-        Variables absent from previous_estimates keep their insertion-time
-        initials, which is what makes repeated batch solves cheap as the
-        graph grows.
-        """
-        for k, v in previous_estimates.items():
-            if k in self.values:
-                self.values[k] = v
-        return self.optimize_lm(settings)
-
     # -- marginalization -----------------------------------------------------
 
     def marginalize(self, keys_to_remove) -> MarginalPriorFactor:
@@ -699,10 +583,10 @@ class FactorGraph:
                 probe.values[k] = v
         probe.factors = remaining
         if retained:
+            kept_dim = STATE_DIM * len(retained)
             probe.factors = remaining + [
                 MarginalPriorFactor(retained, {k: self.values[k] for k in retained},
-                                    np.zeros((sum(k.dim for k in retained),) * 2),
-                                    np.zeros(sum(k.dim for k in retained)))]
+                                    np.zeros((kept_dim, kept_dim)), np.zeros(kept_dim))]
         try:
             if probe.values:
                 probe.check_structure()
@@ -713,7 +597,7 @@ class FactorGraph:
         slices, dim = _layout(removed + retained)
         h, g, cost = _accumulate(involved, self.values, slices, dim)
 
-        r_dim = sum(k.dim for k in removed)
+        r_dim = STATE_DIM * len(removed)
         h_rr = h[:r_dim, :r_dim]
         h_rk = h[:r_dim, r_dim:]
         g_r = g[:r_dim]
@@ -755,8 +639,8 @@ class FactorGraph:
         h, slices = self._normal
         dim = len(h)
         sl = slices[key]
-        rhs = np.zeros((dim, key.dim))
-        rhs[sl] = np.eye(key.dim)
+        rhs = np.zeros((dim, STATE_DIM))
+        rhs[sl] = np.eye(STATE_DIM)
         try:
             sol = scipy.linalg.cho_solve(scipy.linalg.cho_factor(h, lower=True), rhs)
         except np.linalg.LinAlgError:

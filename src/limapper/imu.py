@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ImuCoverageGap, InvalidInterval, RequiresReintegration
+from .errors import ImuCoverageGap, InvalidInterval
 from .geometry import (
     Rotation,
     SensorState,
@@ -262,20 +262,12 @@ def preintegrate(samples, t_i: float, t_j: float, bias_lin,
     )
 
 
-def correct_for_bias(pre: PreintegratedImu, new_bias,
-                     threshold: float = 0.1):
+def correct_for_bias(pre: PreintegratedImu, new_bias):
     """First-order update of the deltas for a bias away from bias_lin.
 
-    Returns (delta_r, delta_v, delta_p).  Raises RequiresReintegration when
-    the bias change exceeds the configured threshold; callers should then
-    re-run preintegrate at the new bias.
+    Returns (delta_r, delta_v, delta_p).
     """
-    new_bias = np.asarray(new_bias, dtype=float)
-    db = new_bias - pre.bias_lin
-    norm = float(np.linalg.norm(db))
-    if norm > threshold:
-        raise RequiresReintegration(
-            f"bias moved {norm:.3f} from the linearization point (> {threshold})")
+    db = np.asarray(new_bias, dtype=float) - pre.bias_lin
     delta_r = pre.delta_r * so3_exp(pre.jac_bias[0:3, 3:6] @ db[3:])
     delta_v = pre.delta_v + pre.jac_bias[3:6, :] @ db
     delta_p = pre.delta_p + pre.jac_bias[6:9, :] @ db
@@ -286,10 +278,7 @@ def predict_state(state: SensorState, pre: PreintegratedImu,
                   gravity=GRAVITY) -> SensorState:
     """Compose preintegrated deltas onto a state, re-injecting gravity."""
     gravity = np.asarray(gravity, dtype=float)
-    try:
-        dr, dv, dp = correct_for_bias(pre, state.bias)
-    except RequiresReintegration:
-        dr, dv, dp = pre.delta_r, pre.delta_v, pre.delta_p
+    dr, dv, dp = correct_for_bias(pre, state.bias)
     dt = pre.dt_total
     r_i = state.pose.rotation
     return SensorState(
@@ -315,12 +304,7 @@ def imu_factor_residual(state_i: SensorState, state_j: SensorState,
     """
     gravity = np.asarray(gravity, dtype=float)
     dt = pre.dt_total
-    db = state_i.bias - pre.bias_lin
-    j_phi_g = pre.jac_bias[0:3, 3:6]
-    theta = j_phi_g @ db[3:]
-    delta_r = pre.delta_r * so3_exp(theta)
-    delta_v = pre.delta_v + pre.jac_bias[3:6, :] @ db
-    delta_p = pre.delta_p + pre.jac_bias[6:9, :] @ db
+    delta_r, delta_v, delta_p = correct_for_bias(pre, state_i.bias)
 
     r_i = state_i.pose.rotation
     r_j = state_j.pose.rotation
@@ -348,6 +332,8 @@ def imu_factor_residual(state_i: SensorState, state_j: SensorState,
 
     # rotation rows
     j_i[0:3, 0:3] = -jr_inv @ (r_j.matrix().T @ r_i.matrix())
+    j_phi_g = pre.jac_bias[0:3, 3:6]
+    theta = j_phi_g @ (state_i.bias - pre.bias_lin)[3:]
     j_i[0:3, 12:15] = -jr_inv @ e_mat.T @ so3_right_jacobian(theta) @ j_phi_g
     j_j[0:3, 0:3] = jr_inv
     # velocity rows

@@ -17,7 +17,6 @@ class TestFileRoundTrip:
         config = PipelineConfig()
         config.preprocess.knn = 12
         config.odometry.keyframe_insert_overlap = 0.85
-        config.global_mapping.imu_enabled = False
         config.imu.gravity_z = -9.81
         config.optimizer.rel_cost_tol = 2.5e-7
         path = str(tmp_path / "pipeline.cfg")
@@ -37,7 +36,6 @@ class TestRejection:
         "odometry.no_such_key = 1",  # unknown key
         "mapping.voxel_resolution = 1.0",  # unknown section
         "max_keyframes = 20",  # missing section prefix
-        "global.imu_enabled = maybe",  # not a boolean
         "preprocess.knn = ten",  # not an integer
         "odometry.smoothing_lag",  # no '='
     ])
@@ -46,6 +44,17 @@ class TestRejection:
         with pytest.raises(ParseError) as info:
             PipelineConfig.from_file(path)
         assert info.value.path == path
+        assert info.value.offset == 2
+
+    @pytest.mark.parametrize("line, section", [
+        ("local.max_frames = 15", "local"),
+        ("global.optimize_every = 5", "global"),
+    ])
+    def test_removed_sections_are_unknown(self, tmp_path, line, section):
+        path = write(tmp_path, "odometry.max_keyframes = 20\n" + line + "\n")
+        with pytest.raises(ParseError,
+                           match=f"^line 2: unknown section '{section}'$") as info:
+            PipelineConfig.from_file(path)
         assert info.value.offset == 2
 
     @pytest.mark.parametrize("key", [
@@ -127,9 +136,6 @@ class TestInvalidConfig:
         ("odometry", "keyframe_insert_overlap", 1.0, "odometry.keyframe_insert_overlap"),
         ("odometry", "keyframe_drop_overlap", 0.95, "odometry.keyframe_drop_overlap"),
         ("odometry", "max_keyframes", 1, "odometry.max_keyframes"),
-        ("local", "insert_overlap", float("nan"), "local.insert_overlap"),
-        ("local", "min_first_last_overlap", 0.0, "local.min_first_last_overlap"),
-        ("local", "max_frames", 0, "local.max_frames"),
         ("odometry", "smoothing_lag", 0, "odometry.smoothing_lag"),
         ("odometry", "recent_frame_links", -1, "odometry.recent_frame_links"),
         ("preprocess", "knn", 0, "preprocess.knn"),
@@ -140,9 +146,6 @@ class TestInvalidConfig:
         ("optimizer", "lambda_max", float("nan"), "optimizer.lambda_max"),
         ("optimizer", "update_tol", -1.0, "optimizer.update_tol"),
         ("odometry", "voxel_resolution", 0.0, "odometry.voxel_resolution"),
-        ("local", "voxel_resolution", -0.5, "local.voxel_resolution"),
-        ("global_mapping", "voxel_resolution", float("nan"), "global.voxel_resolution"),
-        ("global_mapping", "factor_overlap_min", 1.0, "global.factor_overlap_min"),
         ("imu", "gyro_bias_walk", 0.0, "imu.gyro_bias_walk"),
     ])
     def test_names_the_key(self, section, name, value, key):

@@ -88,3 +88,27 @@ def test_no_unread_private_definition(path):
     unread = [f"{path.name}:{line} {name}" for name, line in private_definitions(tree)
               if is_private(name) and name not in read]
     assert not unread, "private names nothing in their module reads: " + ", ".join(unread)
+
+
+def test_every_error_type_is_raised():
+    # a deletion must not leave behind the error type only it raised
+    errors = ast.parse((PACKAGE / "errors.py").read_text())
+    declared = {}
+    for node in errors.body:
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(b, ast.Name) and b.id in {"PipelineError", *declared}
+                for b in node.bases):
+            declared[node.name] = node.lineno
+    raised = set()
+    for path in MODULES:
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert declared
+    never = [f"errors.py:{line} {name}" for name, line in declared.items()
+             if name not in raised]
+    assert not never, "error types no module raises: " + ", ".join(never)

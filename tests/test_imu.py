@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from limapper.errors import ImuCoverageGap, InvalidInterval, RequiresReintegration
+from limapper.errors import ImuCoverageGap, InvalidInterval
 from limapper.geometry import (
     Se3Pose,
     SensorState,
@@ -410,13 +410,6 @@ class TestBiasCorrection:
                 fd[3:6, c] = (plus[1] - minus[1]) / (2 * h)
                 fd[6:9, c] = (plus[2] - minus[2]) / (2 * h)
             assert np.max(np.abs(fd - pre.jac_bias)) < 1e-7 * max(1.0, np.max(np.abs(fd)))
-
-    def test_large_bias_change_requires_reintegration(self):
-        rng = np.random.default_rng(5)
-        samples = make_samples(rng, 50)
-        pre = preintegrate(samples, 0.0, samples[-1].stamp, np.zeros(6), NOISE)
-        with pytest.raises(RequiresReintegration):
-            correct_for_bias(pre, np.full(6, 0.2))
 
 
 class TestImuFactor:

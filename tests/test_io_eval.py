@@ -7,21 +7,18 @@ from limapper.dataset_io import (
     TrajectoryRecord,
     read_imu_csv,
     read_scan,
-    read_scan_sequence,
     read_trajectory,
     record_from_pose,
     write_imu_csv,
     write_scan,
-    write_scan_sequence,
     write_trajectory,
 )
 from limapper.errors import (
-    InsufficientLength,
     InsufficientOverlap,
     OutOfOrder,
     ParseError,
 )
-from limapper.evaluation import compute_ate, compute_rte, umeyama_alignment
+from limapper.evaluation import compute_ate, umeyama_alignment
 from limapper.geometry import Rotation, Se3Pose, pose_apply, pose_compose, so3_exp
 from limapper.imu import ImuSample
 from limapper.preprocess import RawScan
@@ -53,19 +50,6 @@ class TestScanIo:
         open(path, "wb").write(b"fields: a b c\n")
         with pytest.raises(ParseError):
             read_scan(path)
-
-    def test_empty_directory_empty_stream(self, tmp_path):
-        assert list(read_scan_sequence(str(tmp_path))) == []
-
-    def test_sequence_round_trip_in_order(self, tmp_path):
-        rng = np.random.default_rng(0)
-        scans = [RawScan(rng.normal(size=(5, 3)), np.sort(rng.uniform(i, i + 0.1, 5)),
-                         i, i + 0.1) for i in range(4)]
-        write_scan_sequence(scans, str(tmp_path / "scans"))
-        back = list(read_scan_sequence(str(tmp_path / "scans")))
-        assert len(back) == 4
-        starts = [s.scan_start for s in back]
-        assert starts == sorted(starts)
 
 
 class TestImuIo:
@@ -131,8 +115,8 @@ class TestTrajectoryIo:
         assert len(back) == 1000
 
 
-def straight_records(n, step=0.5, scale=1.0):
-    return [TrajectoryRecord(0.1 * i, np.array([scale * step * i, 0.0, 0.0]),
+def straight_records(n, step=0.5):
+    return [TrajectoryRecord(0.1 * i, np.array([step * i, 0.0, 0.0]),
                              np.array([0.0, 0.0, 0.0, 1.0])) for i in range(n)]
 
 
@@ -177,36 +161,3 @@ class TestAte:
         r2, t2 = umeyama_alignment(src, dst)
         assert np.allclose(r2, rot, atol=1e-9)
         assert np.allclose(t2, t, atol=1e-9)
-
-
-class TestRte:
-    def test_identical_zero(self):
-        recs = straight_records(50, step=5.0)  # 245 m path
-        res = compute_rte(recs, recs, segment_length=100.0)
-        assert res.mean == pytest.approx(0.0)
-        assert res.std == pytest.approx(0.0)
-
-    def test_one_percent_scale_on_line(self):
-        gt = straight_records(41, step=5.0)  # 200 m
-        est = straight_records(41, step=5.0, scale=1.01)
-        res = compute_rte(est, gt, segment_length=100.0)
-        assert res.mean == pytest.approx(1.0, abs=1e-6)
-
-    def test_interpolated_segment_boundary(self):
-        # stamps misaligned with the 100 m mark exercise interpolation
-        gt = straight_records(65, step=3.3)
-        est = straight_records(65, step=3.3, scale=1.02)
-        res = compute_rte(est, gt, segment_length=100.0)
-        assert res.mean == pytest.approx(2.0, rel=1e-3)
-
-    def test_too_short(self):
-        with pytest.raises(InsufficientLength):
-            compute_rte(straight_records(10), straight_records(10), 100.0)
-
-    def test_rigid_transform_invariance(self):
-        rng = np.random.default_rng(4)
-        gt = straight_records(50, step=5.0)
-        g = Se3Pose(so3_exp(rng.uniform(-1, 1, 3)), rng.uniform(-5, 5, 3))
-        est = [record_from_pose(r.stamp, pose_compose(g, r.pose())) for r in gt]
-        res = compute_rte(est, gt, segment_length=100.0)
-        assert res.mean < 1e-9

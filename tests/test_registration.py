@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from limapper import factor_graph
 from limapper.errors import VoxelKeyOutOfRange
-from limapper.factor_graph import MatchingCostFactor, submap_key
+from limapper.factor_graph import MatchingCostFactor, frame_key
 from limapper.geometry import (
     Se3Pose,
+    SensorState,
     pose_apply,
     pose_compose,
     pose_inverse,
@@ -35,6 +36,11 @@ def make_frame(points, covs=None, rng=None, iso=0.01):
         covs = np.tile(np.eye(3) * iso, (len(points), 1, 1))
     return Frame(points=points, stamps=np.zeros(len(points)), stamp=0.0,
                  covs=np.asarray(covs, dtype=float), deskewed=True)
+
+
+def at_pose(pose):
+    """A state at the pose, at rest and without bias."""
+    return SensorState(pose, np.zeros(3), np.zeros(3), np.zeros(3), 0.0)
 
 
 def symmetric(entries):
@@ -786,10 +792,10 @@ class TestRowKernelOracle:
         if np.isinf(translation).any():
             return  # composing poses with it would already warn (inf * 0)
         # also on a factor's key-diff lookup, after a lookup that succeeded
-        f = MatchingCostFactor(submap_key(0), source, vmap,
+        f = MatchingCostFactor(frame_key(0), source, vmap,
                                fixed_target_pose=Se3Pose.identity())
-        f.linearize({submap_key(0): Se3Pose.identity()})
-        values = {submap_key(0): far}
+        f.linearize({frame_key(0): at_pose(Se3Pose.identity())})
+        values = {frame_key(0): at_pose(far)}
         f.cost(values)  # held rows: no lookup
         with pytest.raises(VoxelKeyOutOfRange):
             f.linearize(values)
@@ -872,7 +878,7 @@ class TestFrozenTerms:
         # equals a factor built at that pose bit for bit; between changes
         # it keeps the weights of the last change and moves only the points
         source, vmap = conditioned_pair(seed)
-        key_i, key_j = submap_key(0), submap_key(1)
+        key_i, key_j = frame_key(0), frame_key(1)
         t_j = Se3Pose(so3_exp([0.2, -0.1, 0.3]), np.array([1.0, -2.0, 0.5]))
 
         def build():
@@ -889,7 +895,7 @@ class TestFrozenTerms:
             for step, scale, cost_first in path:
                 t_i = pose_retract(t_i, np.asarray(step) * scale
                                    * [0.1, 0.1, 0.1, 0.2, 0.2, 0.2])
-                values = {key_i: t_i, key_j: t_j}
+                values = {key_i: at_pose(t_i), key_j: at_pose(t_j)}
                 t_ij = pose_compose(pose_inverse(t_j), t_i)
                 if cost_first and rows is not None:
                     calls = spy.call_count
