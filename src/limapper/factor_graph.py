@@ -16,6 +16,14 @@ in O(1).  So the cost the optimizer compares is smooth within an
 iteration, and it is the cost of the Gauss-Newton model's own weights.
 Priors are fixed-form quadratics.
 
+The matching factors of a graph are linearized and costed together: one
+stacked pass forms the relative poses of all of them, each factor then
+moves, packs and looks up its own points, and one stacked call takes the
+blocks (or the costs) of all held quadratics.  Each slice of a stacked
+product is the 2-D product of that slice, so H, g and the cost are the
+same bits as with every factor taken alone; a single factor's
+``linearize``, ``cost`` and ``hits`` are that path with one factor.
+
 Every variable is the SensorState of one frame, keyed by the frame's index,
 with a 15-dof tangent (rot, trans, vel, accel bias, gyro bias).
 """
@@ -36,10 +44,9 @@ from .errors import (
     UnknownVariable,
 )
 from .geometry import (
+    Rotation,
     Se3Pose,
     SensorState,
-    pose_compose,
-    pose_inverse,
     so3_right_jacobian_inv,
     state_local,
     state_retract,
@@ -234,19 +241,11 @@ class MatchingCostFactor(Factor):
         """Source points that found a voxel at the last lookup."""
         return self._inliers
 
-    def _relative(self, values) -> Se3Pose:
-        t_i = values[self.keys[0]].pose
-        if self.unary:
-            t_j = self.fixed_target_pose
-        else:
-            t_j = values[self.keys[1]].pose
-        return pose_compose(pose_inverse(t_j), t_i)
-
-    def _look_up(self, t_ij: Se3Pose) -> None:
-        """Find every source point's voxel row at t_ij; re-form the held
-        terms there when a row changed."""
-        moved = t_ij.rotation.matrix() @ self.source.point_rows
-        moved += t_ij.translation[:, None]
+    def _look_up(self, rot: np.ndarray, trans: np.ndarray) -> None:
+        """Find every source point's voxel row at the relative pose
+        (rot, trans); re-form the held terms there when a row changed."""
+        moved = rot @ self.source.point_rows
+        moved += trans[:, None]
         keys = pack_voxel_keys(moved.T, self.target_map.resolution)
         rows = self.target_map.lookup_keys(keys, self._lookup)
         same = self._lookup is not None and (
@@ -257,35 +256,111 @@ class MatchingCostFactor(Factor):
         self._inliers = int(np.count_nonzero(rows >= 0))
         self._held = None
         if self._inliers >= self.min_inliers:
+            t_ij = Se3Pose(Rotation.from_matrix(rot), trans)
             self._held = freeze_terms(
                 match_terms(self.source, self.target_map, t_ij, rows), t_ij)
+
+    # one factor is the stacked path of all matching factors with K=1
 
     def hits(self, values) -> int:
         """Source points in an occupied voxel of the target map at the given
         values.  The terms of this lookup serve the next ``cost`` and
         ``linearize``."""
-        if self._empty:
-            return 0
-        self._look_up(self._relative(values))
-        return self._inliers
+        return next(matching_hits([self], values))
 
     def cost(self, values) -> float:
-        if self._empty:
-            return 0.0
-        t_ij = self._relative(values)
-        if self._lookup is None:
-            self._look_up(t_ij)
-        return 0.0 if self._held is None else frozen_cost(self._held, t_ij)
+        return _matching_costs([self], values)[0]
 
     def linearize(self, values) -> FactorLinearization:
-        if self._empty:
-            return FactorLinearization(None, None, 0.0)
-        t_ij = self._relative(values)
-        self._look_up(t_ij)
-        if self._held is None:
-            return FactorLinearization(None, None, 0.0)
-        return FactorLinearization(
-            *linearize_from_terms(self._held, t_ij, self.unary))
+        return _matching_linearizations([self], values)[0]
+
+
+def _relative_poses(factors, values) -> tuple[np.ndarray, np.ndarray]:
+    """Rotations (K, 3, 3) and translations (K, 3) of the relative poses
+    T_j^-1 T_i of K matching factors, from the source pose T_i and the
+    target pose T_j (held or fixed).  They are the products that
+    ``pose_compose(pose_inverse(T_j), T_i)`` forms, R_j^T R_i and
+    t_i R_j - t_j R_j with row vectors; a stacked ``np.matmul`` forms each
+    slice with the BLAS call of the 2-D product, so the two agree bit for
+    bit."""
+    src = [values[f.keys[0]].pose for f in factors]
+    tgt = [f.fixed_target_pose if f.unary else values[f.keys[1]].pose
+           for f in factors]
+    rot_j = np.array([p.rotation.matrix() for p in tgt])
+    rot = np.matmul(rot_j.transpose(0, 2, 1),
+                    np.array([p.rotation.matrix() for p in src]))
+    trans = np.matmul(np.array([p.translation for p in src])[:, None], rot_j)
+    trans -= np.matmul(np.array([p.translation for p in tgt])[:, None], rot_j)
+    return rot, trans[:, 0]
+
+
+def _looked_up(factors, values, always: bool):
+    """(factor, rotation, translation) per matching factor, in order, with
+    the relative poses of all factors that have a source and a map from one
+    stacked pass, and None for the others.  Each one with a pose is looked
+    up there if ``always`` or if it has no lookup yet, just before it is
+    yielded."""
+    live = [f for f in factors if not f._empty]
+    poses = zip(*_relative_poses(live, values)) if live else iter(())
+    for f in factors:
+        if f._empty:
+            yield f, None, None
+            continue
+        rot, trans = next(poses)
+        if always or f._lookup is None:
+            f._look_up(rot, trans)
+        yield f, rot, trans
+
+
+def matching_hits(factors, values):
+    """The hits of each matching factor at the values, as ``hits`` gives
+    them, with the relative poses from one stacked pass.  It yields one
+    factor's hits at a time, after its lookup and before the next one's."""
+    for f, _, _ in _looked_up(factors, values, always=True):
+        yield f.inliers
+
+
+def _held_terms(factors, values, always: bool):
+    """(position in the stack or None, per factor; the stacked terms'
+    FrozenTerms, rotations and translations) of the matching factors that
+    hold terms after their lookups."""
+    at, held, rots, trans = [], [], [], []
+    for f, rot, t in _looked_up(factors, values, always):
+        if f._held is None:
+            at.append(None)
+            continue
+        at.append(len(held))
+        held.append(f._held)
+        rots.append(rot)
+        trans.append(t)
+    return at, held, np.array(rots), np.array(trans)
+
+
+def _matching_costs(factors, values) -> list[float]:
+    """``cost`` of every matching factor: each looks up only if it has not
+    yet, and one stacked ``frozen_cost`` evaluates all held terms."""
+    at, held, rots, trans = _held_terms(factors, values, always=False)
+    costs = frozen_cost(held, rots, trans).tolist() if held else []
+    return [0.0 if k is None else costs[k] for k in at]
+
+
+def _matching_linearizations(factors, values) -> list[FactorLinearization]:
+    """``linearize`` of every matching factor: each looks up, in order, and
+    one stacked ``linearize_from_terms`` takes the blocks of all held
+    terms; a factor with a fixed target keeps the source pose's blocks."""
+    at, held, rots, trans = _held_terms(factors, values, always=True)
+    if held:
+        grad, hess, cost = linearize_from_terms(held, rots, trans)
+        cost = cost.tolist()
+    out = []
+    for f, k in zip(factors, at):
+        if k is None:
+            out.append(FactorLinearization(None, None, 0.0))
+        elif f.unary:
+            out.append(FactorLinearization(grad[k, :6], hess[k, :6, :6], cost[k]))
+        else:
+            out.append(FactorLinearization(grad[k], hess[k], cost[k]))
+    return out
 
 
 class MarginalPriorFactor(Factor):
@@ -362,15 +437,29 @@ def _layout(keys):
     return slices, off
 
 
+def _by_factor(factors, values, matching, other) -> list:
+    """``matching(ms, values)`` for the matching factors ms, taken in one
+    stacked call, and ``other(f)`` for every other factor, in factor
+    order."""
+    ms = [f for f in factors if isinstance(f, MatchingCostFactor)]
+    stacked = iter(matching(ms, values) if ms else ())
+    return [next(stacked) if isinstance(f, MatchingCostFactor) else other(f)
+            for f in factors]
+
+
 def _accumulate(factors, values, slices, dim):
-    """Dense normal equations (H, g) and total cost of the factors at values;
-    each block lands, one key pair at a time, in the leading dims[a] entries
-    of its keys' slices."""
+    """Dense normal equations (H, g) and total cost of the factors at values.
+
+    The matching factors' blocks come from one stacked linearization; every
+    other factor linearizes alone.  The blocks are then placed, and the
+    costs summed, in factor order, each block landing, one key pair at a
+    time, in the leading dims[a] entries of its keys' slices."""
     h = np.zeros((dim, dim))
     g = np.zeros(dim)
     cost = 0.0
-    for f in factors:
-        lin = f.linearize(values)
+    lins = _by_factor(factors, values, _matching_linearizations,
+                      lambda f: f.linearize(values))
+    for f, lin in zip(factors, lins):
         cost += lin.cost
         if lin.h is None:
             continue
@@ -419,8 +508,12 @@ class FactorGraph:
         self.factors.append(factor)
 
     def total_cost(self, values=None) -> float:
+        """Sum of the factor costs at the values (the graph's own by
+        default), in factor order; the matching factors' costs come from one
+        stacked evaluation."""
         values = self.values if values is None else values
-        return float(sum(f.cost(values) for f in self.factors))
+        return float(sum(_by_factor(self.factors, values, _matching_costs,
+                                    lambda f: f.cost(values))))
 
     # -- structural checks -------------------------------------------------
 

@@ -113,9 +113,6 @@ class Rotation:
         """Rotate one 3-vector or an (n, 3) array of vectors."""
         return np.asarray(v, dtype=float) @ self._m.T
 
-    def angle_to(self, other: "Rotation") -> float:
-        return float(np.linalg.norm(so3_log(self.inverse() * other)))
-
     def __repr__(self) -> str:
         return f"Rotation(xyzw={np.array2string(self.quat, precision=6)})"
 
@@ -280,12 +277,6 @@ def pose_inverse(a: Se3Pose) -> Se3Pose:
 def pose_apply(a: Se3Pose, p) -> np.ndarray:
     """Transform one point or an (n, 3) array of points."""
     return a.rotation.apply(p) + a.translation
-
-
-def slerp(a: Rotation, b: Rotation, alpha: float) -> Rotation:
-    """Geodesic interpolation ``a exp(alpha log(a^-1 b))``: a at alpha 0,
-    b at alpha 1, along the shorter arc."""
-    return a * so3_exp(alpha * so3_log(a.inverse() * b))
 
 
 def pose_retract(pose: Se3Pose, xi) -> Se3Pose:

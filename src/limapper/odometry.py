@@ -31,6 +31,7 @@ from .factor_graph import (
     MatchingCostFactor,
     PriorFactor,
     frame_key,
+    matching_hits,
 )
 from .geometry import (
     Rotation,
@@ -367,26 +368,30 @@ class OdometryEstimator:
 
         A marginalized keyframe that any point of rec hits gets a unary
         factor; a window frame with at least min_inliers hits gets a binary
-        one.  The hits come from the factor's own first lookup, whose terms
-        the solve's opening cost and first linearization reuse.
+        one.  The hits come from each candidate factor's own first lookup,
+        all at relative poses formed in one stacked pass, and the solve's
+        opening cost and first linearization reuse the terms of that lookup.
         """
         cfg = self.config.odometry
         recent = [f for f in self._window[::-1][:cfg.recent_frame_links]
                   if f.voxelmap is not None]
         targets = recent + [kf for kf in self.keyframes if kf not in recent]
+        candidates, needed = [], []
         for target in targets:
             if target.marginalized:
-                factor = MatchingCostFactor(
+                candidates.append(MatchingCostFactor(
                     rec.key, rec.frame, target.voxelmap,
                     fixed_target_pose=target.state.pose,
-                    min_inliers=cfg.min_inliers)
-                needed = 1
+                    min_inliers=cfg.min_inliers))
+                needed.append(1)
             else:
-                factor = MatchingCostFactor(
+                candidates.append(MatchingCostFactor(
                     rec.key, rec.frame, target.voxelmap, key_target=target.key,
-                    min_inliers=cfg.min_inliers)
-                needed = cfg.min_inliers
-            if factor.hits(self.graph.values) >= needed:
+                    min_inliers=cfg.min_inliers))
+                needed.append(cfg.min_inliers)
+        hits = matching_hits(candidates, self.graph.values)
+        for factor, need, found in zip(candidates, needed, hits):
+            if found >= need:
                 self.graph.add_factor(factor)
 
     # -- keyframes --------------------------------------------------------------------

@@ -7,20 +7,24 @@ occupied voxel, the Mahalanobis distance between the point Gaussian and the
 voxel Gaussian under the combined covariance.  Points that miss contribute
 nothing; low-overlap pairs are rejected up front by the overlap gate.
 
-A matching-cost factor has one path.  ``match_terms`` finds the
-correspondences at the linearization point and forms their weights
-W = (C_voxel + R C_point R^T)^-1 there.  ``freeze_terms`` folds them into a
-12-parameter quadratic: with the rows and weights fixed, every residual is
-linear in g = vec([dt | dR - I]), the change of the relative pose since the
-terms were formed, so the cost is exactly c0 - 2 s.g + g.Q g, with Q and s
-gathered from a few weighted moment sums over the inliers.  The held
-quadratic then costs any candidate pose in O(1), and
-``linearize_from_terms`` takes from it the factor's gradient and
-Gauss-Newton Hessian for right-multiplicative perturbations of the source
-pose and, unless it is fixed, the target pose: the target pose's blocks
-come through the derivative of g, the source pose's through the SE(3)
-adjoint of the relative pose.  No per-point pass is made until a voxel row
-changes.
+A matching-cost factor has one path, and all the matching factors of a
+window take it together.  ``match_terms`` finds the correspondences at the
+linearization point and forms their weights W = (C_voxel + R C_point R^T)^-1
+there.  ``freeze_terms`` folds them into a 12-parameter quadratic: with the
+rows and weights fixed, every residual is linear in g = vec([dt | dR - I]),
+the change of the relative pose since the terms were formed, so the cost is
+exactly c0 - 2 s.g + g.Q g, with Q and s gathered from a few weighted
+moment sums over the inliers.  No per-point pass is made until a voxel row
+changes.  ``frozen_cost`` and ``linearize_from_terms`` take K held
+quadratics, each at its own relative pose, in one pass of stacked
+``np.matmul`` products.  The first costs candidate poses in O(1) per
+quadratic; the second takes each factor's gradient and Gauss-Newton
+Hessian for right-multiplicative perturbations of the source pose and the
+target pose: the target pose's blocks come through the derivative of g,
+the source pose's through the SE(3) adjoint of the relative pose, and a
+factor whose target pose is fixed keeps the source pose's.  A stacked
+product forms each slice with the BLAS call of the 2-D product of that
+slice alone, so a quadratic's result is the same bits in any stack.
 
 Every per-point array is stored in component rows: a frame keeps its
 points as one C-contiguous (3, n) array and its covariances as one (9, n)
@@ -43,11 +47,11 @@ row changed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import Se3Pose, so3_hat
+from .geometry import Se3Pose, so3_hat, so3_hat_batch
 from .preprocess import Frame, group_by_key, pack_voxel_keys, segment_sums
 
 
@@ -324,28 +328,50 @@ def _pose_columns(t_ij: Se3Pose) -> np.ndarray:
     return out
 
 
-def _change(held: FrozenTerms, t_ij: Se3Pose) -> np.ndarray:
-    """g = vec([dt | dR - I]) from the held pose to t_ij.  It is formed as
+def _stack(held: Sequence[FrozenTerms]) -> FrozenTerms:
+    """K held quadratics as one FrozenTerms whose fields carry a leading
+    axis of length K."""
+    return FrozenTerms(*(np.array(field) for field in zip(*held)))
+
+
+def _changes(terms: FrozenTerms, rot: np.ndarray, trans: np.ndarray
+             ) -> np.ndarray:
+    """(K, 12) g = vec([dt | dR - I]) from each held pose of the stacked
+    terms to the relative pose (rot[k], trans[k]).  It is formed as
     [t - t0 | R - R0] times the held map, that is dR - I = (R - R0) R0^T and
     dt = (t - t0) - (dR - I) t0, so g is exactly zero at the held pose and
     carries no cancellation near it."""
-    diff = _pose_columns(t_ij)
-    diff -= held.pose
-    return (diff @ held.to_change).reshape(12)
+    diff = np.empty((rot.shape[0], 3, 4))
+    diff[:, :, 0] = trans
+    diff[:, :, 1:] = rot
+    diff -= terms.pose
+    return np.matmul(diff, terms.to_change).reshape(-1, 12)
 
 
-def frozen_cost(held: FrozenTerms, t_ij: Se3Pose) -> float:
-    """The held quadratic's cost at the relative pose t_ij."""
-    g = _change(held, t_ij)
-    return float(held.cost - g @ (2.0 * held.s - held.q @ g))
+def _costs(terms: FrozenTerms, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(K,) costs c0 - 2 s.g + g.Q g of the stacked terms at the (K, 12)
+    changes g, and Q g as (K, 12, 1)."""
+    qg = np.matmul(terms.q, g[:, :, None])
+    lin = 2.0 * terms.s[:, :, None] - qg
+    return terms.cost - np.matmul(g[:, None, :], lin)[:, 0, 0], qg
 
 
-def linearize_from_terms(held: FrozenTerms, t_ij: Se3Pose,
-                         target_fixed: bool = False
-                         ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Gradient, Gauss-Newton Hessian and cost of the held quadratic at the
-    relative pose t_ij.  The blocks cover the factor's tangent space: the
-    source pose's 6 dims, then the target pose's 6 unless ``target_fixed``.
+def frozen_cost(held: Sequence[FrozenTerms], rot: np.ndarray,
+                trans: np.ndarray) -> np.ndarray:
+    """(K,) costs of K held quadratics, each at its relative pose
+    (rot (K, 3, 3), trans (K, 3))."""
+    terms = _stack(held)
+    return _costs(terms, _changes(terms, rot, trans))[0]
+
+
+def linearize_from_terms(held: Sequence[FrozenTerms], rot: np.ndarray,
+                         trans: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients (K, 12), Gauss-Newton Hessians (K, 12, 12) and costs (K,)
+    of K held quadratics, each at its relative pose (rot (K, 3, 3), trans
+    (K, 3)).  Each block covers the source pose's 6 dims, then the target
+    pose's 6; a factor whose target pose is fixed takes the leading 6 of
+    the gradient and the leading 6x6 of the Hessian.
 
     With J the (12x6) derivative of g with respect to the target pose
     (``_change_jacobian``), the target pose's blocks are
@@ -353,25 +379,32 @@ def linearize_from_terms(held: FrozenTerms, t_ij: Se3Pose,
     the points as the target perturbation -Ad(t_ij) xi_i does, so the source
     and cross blocks follow from the 6x6 adjoint Ad: H_ii = Ad^T H Ad,
     H_ij = -Ad^T H, b_i = -Ad^T b.
-    """
-    g = _change(held, t_ij)
-    qg = held.q @ g
-    cost = float(held.cost - g @ (2.0 * held.s - qg))
-    jac = (_JAC_MAP @ g + _JAC_OFFSET).reshape(12, 6)
-    b_j = 2.0 * (jac.T @ (qg - held.s))
-    half = jac.T @ (held.q @ jac)
-    h_jj = half + half.T
 
-    rmat = t_ij.rotation.matrix()
-    adj = np.zeros((6, 6))
-    adj[:3, :3] = adj[3:, 3:] = rmat
-    adj[3:, :3] = so3_hat(t_ij.translation) @ rmat
-    adj_t_h = adj.T @ h_jj
-    if target_fixed:
-        return -(adj.T @ b_j), adj_t_h @ adj, cost
-    h = np.empty((12, 12))
-    h[:6, :6] = adj_t_h @ adj
-    h[:6, 6:] = -adj_t_h
-    h[6:, :6] = h[:6, 6:].T
-    h[6:, 6:] = h_jj
-    return np.concatenate([-(adj.T @ b_j), b_j]), h, cost
+    Every product is one ``np.matmul`` over the stack, which forms each
+    slice with the same BLAS call as the 2-D product of that slice alone,
+    so the blocks of a quadratic do not depend on the others in the stack.
+    """
+    terms = _stack(held)
+    g = _changes(terms, rot, trans)
+    cost, qg = _costs(terms, g)
+    jac = (np.matmul(_JAC_MAP, g[:, :, None])[:, :, 0] + _JAC_OFFSET).reshape(-1, 12, 6)
+    jac_t = jac.transpose(0, 2, 1)
+    b_j = 2.0 * np.matmul(jac_t, qg - terms.s[:, :, None])
+    half = np.matmul(jac_t, np.matmul(terms.q, jac))
+    h_jj = half + half.transpose(0, 2, 1)
+
+    k = rot.shape[0]
+    adj = np.zeros((k, 6, 6))
+    adj[:, :3, :3] = adj[:, 3:, 3:] = rot
+    adj[:, 3:, :3] = np.matmul(so3_hat_batch(trans), rot)
+    adj_t = adj.transpose(0, 2, 1)
+    adj_t_h = np.matmul(adj_t, h_jj)
+    grad = np.empty((k, 12))
+    grad[:, :6] = -np.matmul(adj_t, b_j)[:, :, 0]
+    grad[:, 6:] = b_j[:, :, 0]
+    hess = np.empty((k, 12, 12))
+    hess[:, :6, :6] = np.matmul(adj_t_h, adj)
+    hess[:, :6, 6:] = -adj_t_h
+    hess[:, 6:, :6] = hess[:, :6, 6:].transpose(0, 2, 1)
+    hess[:, 6:, 6:] = h_jj
+    return grad, hess, cost

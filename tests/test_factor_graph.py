@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from limapper.errors import (
     DuplicateVariable,
-    NotConverged,
     UnderConstrainedGraph,
     UnknownVariable,
 )
@@ -18,12 +17,15 @@ from limapper.factor_graph import (
     LmSettings,
     MatchingCostFactor,
     PriorFactor,
+    _accumulate,
+    _layout,
     frame_key,
 )
 from limapper.geometry import (
     Se3Pose,
     SensorState,
     pose_apply,
+    pose_compose,
     pose_inverse,
     pose_local,
     pose_retract,
@@ -33,14 +35,16 @@ from limapper.geometry import (
 )
 from limapper.imu import GRAVITY, ImuNoiseParams, ImuSample, preintegrate
 from limapper.registration import build_voxelmap
+from limapper.synthetic import generate_synthetic_scene
 
 from test_imu import propagate_state
+from test_odometry import loop_spec, run
 from test_registration import (
     at_pose,
-    box_room_frame,
     box_room_frame_plane_covs,
     make_frame,
     matching_cost,
+    reference_linearize,
 )
 
 NOISE = ImuNoiseParams()
@@ -563,3 +567,86 @@ class TestMarginalizationProperties:
         for i in range(k, n):
             err = state_local(res.estimates[frame_key(i)], batch.estimates[frame_key(i)])
             assert np.linalg.norm(err) < 1e-8
+
+
+def reference_lin(f, values):
+    """(g, h, cost) of one factor linearized alone; a matching factor by
+    the 2-D per-factor kernel on the terms it holds, at the relative pose
+    that ``pose_compose`` forms, and (None, None, 0.0) without terms."""
+    if not isinstance(f, MatchingCostFactor):
+        return f.linearize(values)
+    if f._held is None:
+        return None, None, 0.0
+    t_j = f.fixed_target_pose if f.unary else values[f.keys[1]].pose
+    t_ij = pose_compose(pose_inverse(t_j), values[f.keys[0]].pose)
+    return reference_linearize(f._held, t_ij, f.unary)
+
+
+def reference_assembly(factors, values, slices, dim):
+    """(H, g, cost) with every factor linearized alone, its block placed and
+    its cost summed in factor order."""
+    h, g, cost = np.zeros((dim, dim)), np.zeros(dim), 0.0
+    for f in factors:
+        g_f, h_f, c_f = reference_lin(f, values)
+        cost += c_f
+        if h_f is None:
+            continue
+        places, off = [], 0
+        for k, n in zip(f.keys, f.dims):
+            places.append((slice(slices[k].start, slices[k].start + n),
+                           slice(off, off + n)))
+            off += n
+        for sys_a, blk_a in places:
+            g[sys_a] += g_f[blk_a]
+            for sys_b, blk_b in places:
+                h[sys_a, sys_b] += h_f[blk_a, blk_b]
+    return h, g, cost
+
+
+def reference_cost(f, values):
+    if isinstance(f, MatchingCostFactor):
+        return reference_lin(f, values)[2]
+    return f.cost(values)
+
+
+class TestStackedAssembly:
+    @pytest.fixture(scope="class")
+    def window(self):
+        """The graph after 22 scans of the seed-1 loop, with a factor of an
+        empty source and one below its min_inliers among its factors."""
+        est, _ = run(generate_synthetic_scene(loop_spec(1, 20)), n_scans=22)
+        graph = est.graph
+        matching = [f for f in graph.factors if isinstance(f, MatchingCostFactor)]
+        binary = next(f for f in matching if not f.unary)
+        unary = next(f for f in matching if f.unary)
+        empty = make_frame(np.zeros((0, 3)), covs=np.zeros((0, 3, 3)))
+        graph.factors[3:3] = [
+            MatchingCostFactor(binary.keys[0], empty, binary.target_map,
+                               key_target=binary.keys[1]),
+            MatchingCostFactor(unary.keys[0], unary.source, unary.target_map,
+                               fixed_target_pose=unary.fixed_target_pose,
+                               min_inliers=10**9)]
+        return graph
+
+    def test_accumulate_and_total_cost_equal_a_per_factor_reference(self, window):
+        kinds = {f.kind for f in window.factors}
+        assert {"matching-cost-unary", "matching-cost-binary"} <= kinds
+        values = window.values
+        slices, dim = _layout(values)
+        h, g, cost = _accumulate(window.factors, values, slices, dim)
+        # the reference reads the terms the assembly's lookups left held
+        h_ref, g_ref, cost_ref = reference_assembly(window.factors, values,
+                                                    slices, dim)
+        assert h.tobytes() == h_ref.tobytes()
+        assert g.tobytes() == g_ref.tobytes()
+        assert cost == cost_ref
+        empty, starved = window.factors[3:5]
+        assert empty.inliers == 0 and empty._held is None
+        assert starved.inliers > 0 and starved._held is None
+        # a candidate step costs on the held terms, without a lookup
+        rng = np.random.default_rng(4)
+        step = {k: state_retract(v, rng.normal(scale=1e-3, size=15))
+                for k, v in values.items()}
+        for at in (values, step):
+            assert window.total_cost(at) == sum(
+                reference_cost(f, at) for f in window.factors)

@@ -13,7 +13,6 @@ from limapper.geometry import (
     pose_inverse,
     pose_local,
     pose_retract,
-    slerp,
     so3_exp,
     so3_exp_jacobian_batch,
     so3_hat,
@@ -23,6 +22,17 @@ from limapper.geometry import (
     state_local,
     state_retract,
 )
+
+
+def slerp(a: Rotation, b: Rotation, alpha: float) -> Rotation:
+    """Geodesic interpolation ``a exp(alpha log(a^-1 b))``: a at alpha 0,
+    b at alpha 1, along the shorter arc.  An oracle of the tests."""
+    return a * so3_exp(alpha * so3_log(a.inverse() * b))
+
+
+def rotation_angle(a: Rotation, b: Rotation) -> float:
+    """Angle of the rotation a^-1 b, in radians.  An oracle of the tests."""
+    return float(np.linalg.norm(so3_log(a.inverse() * b)))
 
 
 def random_rotation(rng):

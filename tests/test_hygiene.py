@@ -1,13 +1,16 @@
-"""Source hygiene of the package, checked with the standard-library parser."""
+"""Source hygiene of the package and its tests, checked with the
+standard-library parser."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "limapper"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "limapper"
 # a package's __init__ imports names to re-export them
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "golden").glob("*.py")])
 
 
 def module_imports(tree: ast.Module):
@@ -37,11 +40,16 @@ def test_the_package_has_modules():
     assert len(MODULES) > 5
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def short_name(path: Path) -> str:
+    """A package module by its file name, any other file by its path."""
+    return path.name if path.parent == PACKAGE else str(path.relative_to(ROOT))
+
+
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=short_name)
 def test_no_unused_module_level_import(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = used_names(tree)
-    unused = [f"{path.name}:{line} {name}"
+    unused = [f"{short_name(path)}:{line} {name}"
               for name, line in module_imports(tree) if name not in used]
     assert not unused, "unused imports: " + ", ".join(unused)
 

@@ -19,7 +19,7 @@ from limapper.errors import (
     ParseError,
 )
 from limapper.evaluation import compute_ate, umeyama_alignment
-from limapper.geometry import Rotation, Se3Pose, pose_apply, pose_compose, so3_exp
+from limapper.geometry import Se3Pose, pose_compose, so3_exp
 from limapper.imu import ImuSample
 from limapper.preprocess import RawScan
 

@@ -1,11 +1,12 @@
 import copy
 import hashlib
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from limapper import odometry
+from limapper import factor_graph, odometry
 from limapper.config import PipelineConfig
 from limapper.dataset_io import record_from_pose
 from limapper.errors import (
@@ -476,3 +477,17 @@ class TestSparseFrame:
             key = trial._window[-1].key
             assert [f.kind for f in trial.graph.factors
                     if f.kind.startswith("matching-cost") and f.keys[0] == key] == links
+
+
+class TestTracedBindings:
+    def test_matching_goes_through_the_factor_graph_bindings(self):
+        # the benchmark's tracer times matching by replacing these two
+        # module globals of factor_graph; a call that bypassed them would
+        # leave its per-layer spans silently empty
+        scene = generate_synthetic_scene(loop_spec(1, 4))
+        with mock.patch.object(factor_graph, "match_terms",
+                               wraps=factor_graph.match_terms) as terms, \
+                mock.patch.object(factor_graph, "linearize_from_terms",
+                                  wraps=factor_graph.linearize_from_terms) as lin:
+            run(scene)
+        assert terms.call_count > 0 and lin.call_count > 0

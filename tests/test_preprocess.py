@@ -14,9 +14,7 @@ from limapper.geometry import (
     Se3Pose,
     pose_compose,
     pose_inverse,
-    slerp,
     so3_exp,
-    so3_log,
 )
 from limapper.imu import GRAVITY, ImuSample, integration_nodes
 from limapper.preprocess import (
@@ -32,6 +30,7 @@ from limapper.preprocess import (
 )
 from limapper.synthetic import generate_synthetic_scene, square_loop_scene
 
+from test_geometry import slerp
 from test_imu import propagate_state
 
 

@@ -21,9 +21,12 @@ from limapper.geometry import (
 )
 from limapper.preprocess import Frame, pack_voxel_keys
 from limapper.registration import (
+    _JAC_MAP,
+    _JAC_OFFSET,
     MatchTerms,
     build_voxelmap,
     freeze_terms,
+    frozen_cost,
     linearize_from_terms,
     match_terms,
     overlap_rate,
@@ -92,9 +95,18 @@ def matching_cost(frame, vmap, t_ij):
     return terms.cost, terms.inliers
 
 
+def linearize_held(held, t_ij, target_fixed=False):
+    """(g, h, cost) of one held quadratic at t_ij: the stacked kernel with
+    K=1, the source pose's blocks only when the target is fixed."""
+    g, h, cost = linearize_from_terms([held], t_ij.rotation.matrix()[None],
+                                      t_ij.translation[None])
+    n = 6 if target_fixed else 12
+    return g[0, :n], h[0, :n, :n], float(cost[0])
+
+
 def linearize_terms(terms, t_ij, target_fixed=False):
     """(g, h) of the terms formed at t_ij, taken there."""
-    g, h, _ = linearize_from_terms(freeze_terms(terms, t_ij), t_ij, target_fixed)
+    g, h, _ = linearize_held(freeze_terms(terms, t_ij), t_ij, target_fixed)
     return g, h
 
 
@@ -757,8 +769,8 @@ class TestRowKernelOracle:
             assert terms.inliers == len(source)
         held = freeze_terms(terms, t_ij)
         ref_held = freeze_terms(MatchTerms(*ref), t_ij)
-        for got, want in zip(held + linearize_from_terms(held, t_ij),
-                             ref_held + linearize_from_terms(ref_held, t_ij)):
+        for got, want in zip(held + linearize_held(held, t_ij),
+                             ref_held + linearize_held(ref_held, t_ij)):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     def test_known_lookup_searches_only_changed_keys(self):
@@ -925,3 +937,65 @@ class TestFrozenTerms:
                     assert lin.cost == want.cost
                     assert lin.g.tobytes() == want.g.tobytes()
                     assert lin.h.tobytes() == want.h.tobytes()
+
+
+def reference_linearize(held, t_ij, target_fixed=False):
+    """(g, h, cost) of one held quadratic at t_ij, formed with the 2-D
+    product of every step of the stacked kernel: the per-factor oracle that
+    a slice of the stack must equal bit for bit."""
+    diff = np.empty((3, 4))
+    diff[:, 0] = t_ij.translation
+    diff[:, 1:] = t_ij.rotation.matrix()
+    diff -= held.pose
+    g = (diff @ held.to_change).reshape(12)
+    qg = held.q @ g
+    cost = float(held.cost - g @ (2.0 * held.s - qg))
+    jac = (_JAC_MAP @ g + _JAC_OFFSET).reshape(12, 6)
+    b_j = 2.0 * (jac.T @ (qg - held.s))
+    half = jac.T @ (held.q @ jac)
+    h_jj = half + half.T
+    rmat = t_ij.rotation.matrix()
+    adj = np.zeros((6, 6))
+    adj[:3, :3] = adj[3:, 3:] = rmat
+    adj[3:, :3] = so3_hat(t_ij.translation) @ rmat
+    adj_t_h = adj.T @ h_jj
+    if target_fixed:
+        return -(adj.T @ b_j), adj_t_h @ adj, cost
+    h = np.empty((12, 12))
+    h[:6, :6] = adj_t_h @ adj
+    h[:6, 6:] = -adj_t_h
+    h[6:, :6] = h[:6, 6:].T
+    h[6:, 6:] = h_jj
+    return np.concatenate([-(adj.T @ b_j), b_j]), h, cost
+
+
+class TestStackedKernel:
+    def test_each_quadratic_equals_itself_alone_bit_for_bit(self):
+        # five quadratics of different pairs, each held at its own relative
+        # pose and taken at another; the ones marked fixed stand for unary
+        # factors, which read the source pose's blocks of the same stack
+        rng = np.random.default_rng(21)
+        held, poses = [], []
+        for seed in range(30, 35):
+            source, vmap = conditioned_pair(seed)
+            at = Se3Pose(so3_exp(rng.normal(scale=0.05, size=3)),
+                         rng.normal(scale=0.05, size=3))
+            held.append(freeze_terms(match_terms(source, vmap, at), at))
+            poses.append(pose_retract(at, rng.normal(scale=0.02, size=6)))
+        fixed = [True, False, True, False, False]
+        rots = np.stack([p.rotation.matrix() for p in poses])
+        trans = np.stack([p.translation for p in poses])
+        grad, hess, cost = linearize_from_terms(held, rots, trans)
+        costs = frozen_cost(held, rots, trans)
+        assert grad.shape == (5, 12) and hess.shape == (5, 12, 12)
+        for k, (one, pose) in enumerate(zip(held, poses)):
+            n = 6 if fixed[k] else 12
+            g1, h1, c1 = linearize_from_terms([one], rots[k:k + 1], trans[k:k + 1])
+            assert grad[k, :n].tobytes() == g1[0, :n].tobytes()
+            assert hess[k, :n, :n].tobytes() == h1[0, :n, :n].tobytes()
+            assert cost[k] == c1[0] == costs[k]
+            assert frozen_cost([one], rots[k:k + 1], trans[k:k + 1])[0] == costs[k]
+            g2, h2, c2 = reference_linearize(one, pose, fixed[k])
+            assert grad[k, :n].tobytes() == g2.tobytes()
+            assert hess[k, :n, :n].tobytes() == h2.tobytes()
+            assert cost[k] == c2

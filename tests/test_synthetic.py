@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from limapper.errors import GenerationError
-from limapper.geometry import SensorState, so3_log
-from limapper.imu import GRAVITY, ImuSample, preintegrate, ImuNoiseParams, predict_state
+from limapper.geometry import SensorState
+from limapper.imu import GRAVITY, preintegrate, ImuNoiseParams, predict_state
 from limapper.synthetic import (
     CirclePath,
     LinePath,
@@ -19,6 +19,8 @@ from limapper.synthetic import (
     square_loop_scene,
     two_room_world,
 )
+
+from test_geometry import rotation_angle
 
 
 class TestRayCasting:
@@ -139,7 +141,7 @@ class TestSceneGeneration:
         predicted = predict_state(state0, pre)
         expected = traj.pose(t1)
         assert np.linalg.norm(predicted.pose.translation - expected.translation) < 5e-3
-        assert predicted.pose.rotation.angle_to(expected.rotation) < 2e-3
+        assert rotation_angle(predicted.pose.rotation, expected.rotation) < 2e-3
 
     def test_skewed_scan_differs_from_unskewed(self):
         # with per-ray poses, a moving sensor distorts the raw scan
