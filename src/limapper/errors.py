@@ -50,6 +50,10 @@ class RunFinished(PipelineError):
     """Estimator was flushed with finish() and takes no further scans."""
 
 
+class MalformedScan(PipelineError):
+    """A scan's points are not (n, 3) or its stamps are not (n,)."""
+
+
 class NonFiniteStamp(PipelineError):
     """A scan's start, end or point stamp is NaN or infinite."""
 

@@ -45,7 +45,6 @@ def umeyama_alignment(src: np.ndarray, dst: np.ndarray):
 @dataclass(frozen=True)
 class AteResult:
     rmse: float
-    errors: np.ndarray  # per-pose translational error [m]
     mean: float
     median: float
 
@@ -69,7 +68,6 @@ def compute_ate(estimate, ground_truth, align: bool = True,
     errors = np.linalg.norm(est - gt, axis=1)
     return AteResult(
         rmse=float(np.sqrt(np.mean(errors**2))),
-        errors=errors,
         mean=float(np.mean(errors)),
         median=float(np.median(errors)),
     )

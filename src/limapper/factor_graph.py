@@ -22,7 +22,7 @@ moves, packs and looks up its own points, and one stacked call takes the
 blocks (or the costs) of all held quadratics.  Each slice of a stacked
 product is the 2-D product of that slice, so H, g and the cost are the
 same bits as with every factor taken alone; a single factor's
-``linearize``, ``cost`` and ``hits`` are that path with one factor.
+``linearize`` and ``cost`` are that path with one factor.
 
 Every variable is the SensorState of one frame, keyed by the frame's index,
 with a 15-dof tangent (rot, trans, vel, accel bias, gyro bias).
@@ -262,12 +262,6 @@ class MatchingCostFactor(Factor):
 
     # one factor is the stacked path of all matching factors with K=1
 
-    def hits(self, values) -> int:
-        """Source points in an occupied voxel of the target map at the given
-        values.  The terms of this lookup serve the next ``cost`` and
-        ``linearize``."""
-        return next(matching_hits([self], values))
-
     def cost(self, values) -> float:
         return _matching_costs([self], values)[0]
 
@@ -313,9 +307,11 @@ def _looked_up(factors, values, always: bool):
 
 
 def matching_hits(factors, values):
-    """The hits of each matching factor at the values, as ``hits`` gives
-    them, with the relative poses from one stacked pass.  It yields one
-    factor's hits at a time, after its lookup and before the next one's."""
+    """The source points of each matching factor that land in an occupied
+    voxel of its target map at the values, with the relative poses from one
+    stacked pass.  It yields one factor's hits at a time, after its lookup
+    and before the next one's; the terms of that lookup serve the factor's
+    next ``cost`` and ``linearize``."""
     for f, _, _ in _looked_up(factors, values, always=True):
         yield f.inliers
 
@@ -475,6 +471,17 @@ def _accumulate(factors, values, slices, dim):
     return h, g, cost
 
 
+def _cholesky(h):
+    """Lower Cholesky factor of h for ``cho_solve``.  A matrix that is not
+    numerically positive definite is factored with a jitter added to its
+    diagonal: 1e-9 of its largest diagonal entry, and at least 1e-9."""
+    try:
+        return scipy.linalg.cho_factor(h, lower=True)
+    except np.linalg.LinAlgError:
+        jitter = 1e-9 * max(1.0, float(np.max(np.abs(np.diag(h)))))
+        return scipy.linalg.cho_factor(h + jitter * np.eye(len(h)), lower=True)
+
+
 def _damped_step(h, g, damping):
     """Solution of (H + diag(damping)) delta = -g; None if it fails."""
     try:
@@ -483,6 +490,35 @@ def _damped_step(h, g, damping):
     except (np.linalg.LinAlgError, ValueError):
         return None
     return delta if np.all(np.isfinite(delta)) else None
+
+
+def _check_anchored(variables, links) -> None:
+    """Raise UnderConstrainedGraph unless every variable is touched by a
+    link and sits in a component, joined by the links, that owns a
+    grounding link.  ``links`` holds (keys, grounding) per factor."""
+    parent = {k: k for k in variables}
+
+    def find(k):
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    touched = set()
+    for keys, _ in links:
+        touched.update(keys)
+        for a, b in zip(keys, keys[1:]):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
+    loose = [k for k in variables if k not in touched]
+    if loose:
+        raise UnderConstrainedGraph(f"variables without factors: {loose}")
+    grounded = {find(keys[0]) for keys, grounding in links if grounding}
+    for k in variables:
+        if find(k) not in grounded:
+            raise UnderConstrainedGraph(
+                f"component containing {k} has no anchoring factor")
 
 
 class FactorGraph:
@@ -520,36 +556,7 @@ class FactorGraph:
     def check_structure(self) -> None:
         """Every variable must sit in a component that owns an anchoring
         (prior-like) factor; lone variables are rejected outright."""
-        touched = {k: False for k in self.values}
-        parent = {k: k for k in self.values}
-
-        def find(k):
-            while parent[k] is not k:
-                parent[k] = parent[parent[k]]
-                k = parent[k]
-            return k
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra is not rb:
-                parent[ra] = rb
-
-        for f in self.factors:
-            for k in f.keys:
-                touched[k] = True
-            for a, b in zip(f.keys, f.keys[1:]):
-                union(a, b)
-        loose = [k for k, t in touched.items() if not t]
-        if loose:
-            raise UnderConstrainedGraph(f"variables without factors: {loose}")
-        grounded = set()
-        for f in self.factors:
-            if f.grounding:
-                grounded.add(find(f.keys[0]))
-        for k in self.values:
-            if find(k) not in grounded:
-                raise UnderConstrainedGraph(
-                    f"component containing {k} has no anchoring factor")
+        _check_anchored(self.values, [(f.keys, f.grounding) for f in self.factors])
 
     # -- assembly ----------------------------------------------------------
 
@@ -661,28 +668,22 @@ class FactorGraph:
             if k not in self.values:
                 raise UnknownVariable(f"{k} not in graph")
         removed_set = set(removed)
-        involved = [f for f in self.factors if any(k in removed_set for k in f.keys)]
+        involved, remaining = [], []
+        for f in self.factors:
+            (involved if any(k in removed_set for k in f.keys) else remaining).append(f)
         retained = []
         for f in involved:
             for k in f.keys:
                 if k not in removed_set and k not in retained:
                     retained.append(k)
 
-        # validate connectivity of the remaining graph before mutating
-        remaining = [f for f in self.factors if f not in involved]
-        probe = FactorGraph()
-        for k, v in self.values.items():
-            if k not in removed_set:
-                probe.values[k] = v
-        probe.factors = remaining
+        # check the remaining graph, with the prior as one grounding link
+        # over the retained keys, before mutating
+        links = [(f.keys, f.grounding) for f in remaining]
         if retained:
-            kept_dim = STATE_DIM * len(retained)
-            probe.factors = remaining + [
-                MarginalPriorFactor(retained, {k: self.values[k] for k in retained},
-                                    np.zeros((kept_dim, kept_dim)), np.zeros(kept_dim))]
+            links.append((retained, True))
         try:
-            if probe.values:
-                probe.check_structure()
+            _check_anchored([k for k in self.values if k not in removed_set], links)
         except UnderConstrainedGraph as exc:
             raise DisconnectedGraph(str(exc)) from exc
 
@@ -694,15 +695,9 @@ class FactorGraph:
         h_rr = h[:r_dim, :r_dim]
         h_rk = h[:r_dim, r_dim:]
         g_r = g[:r_dim]
-        try:
-            chol = scipy.linalg.cho_factor(h_rr, lower=True)
-            x_rk = scipy.linalg.cho_solve(chol, h_rk)
-            x_r = scipy.linalg.cho_solve(chol, g_r)
-        except np.linalg.LinAlgError:
-            jitter = 1e-10 * max(1.0, float(np.max(np.abs(np.diag(h_rr)))))
-            chol = scipy.linalg.cho_factor(h_rr + jitter * np.eye(r_dim), lower=True)
-            x_rk = scipy.linalg.cho_solve(chol, h_rk)
-            x_r = scipy.linalg.cho_solve(chol, g_r)
+        chol = _cholesky(h_rr)
+        x_rk = scipy.linalg.cho_solve(chol, h_rk)
+        x_r = scipy.linalg.cho_solve(chol, g_r)
         h_marg = h[r_dim:, r_dim:] - h_rk.T @ x_rk
         g_marg = g[r_dim:] - h_rk.T @ x_r
 
@@ -730,14 +725,7 @@ class FactorGraph:
         if self._normal is None or key not in self._normal[1]:
             raise UnknownVariable(f"{key} was not in the last solve's system")
         h, slices = self._normal
-        dim = len(h)
         sl = slices[key]
-        rhs = np.zeros((dim, STATE_DIM))
+        rhs = np.zeros((len(h), STATE_DIM))
         rhs[sl] = np.eye(STATE_DIM)
-        try:
-            sol = scipy.linalg.cho_solve(scipy.linalg.cho_factor(h, lower=True), rhs)
-        except np.linalg.LinAlgError:
-            jitter = 1e-9 * max(1.0, float(np.max(np.abs(np.diag(h)))))
-            sol = scipy.linalg.cho_solve(
-                scipy.linalg.cho_factor(h + jitter * np.eye(dim), lower=True), rhs)
-        return sol[sl]
+        return scipy.linalg.cho_solve(_cholesky(h), rhs)[sl]

@@ -81,8 +81,6 @@ class PreintegratedImu:
     cov: np.ndarray  # 9x9, (rot, vel, pos)
     bias_lin: np.ndarray  # 6, (ba, bg) at the linearization point
     jac_bias: np.ndarray  # 9x6, d(deltas)/d(bias)
-    t_i: float = 0.0
-    t_j: float = 0.0
 
 
 def samples_to_arrays(samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -257,8 +255,6 @@ def preintegrate(samples, t_i: float, t_j: float, bias_lin,
         cov=cov,
         bias_lin=bias_lin,
         jac_bias=jac,
-        t_i=float(t_i),
-        t_j=float(t_j),
     )
 
 

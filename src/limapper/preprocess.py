@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import FrameTooSparse, VoxelKeyOutOfRange
+from .errors import FrameTooSparse, MalformedScan, VoxelKeyOutOfRange
 from .geometry import SensorState, rodrigues_coefficients
 from .imu import GRAVITY, integrate
 
@@ -53,7 +53,11 @@ _COV_EIGEN_GAP = 1e-4
 
 @dataclass(frozen=True)
 class RawScan:
-    """Points with absolute per-point stamps plus the scan time span."""
+    """Points with absolute per-point stamps plus the scan time span.
+
+    The points must be (n, 3), an empty input becoming (0, 3), and the
+    stamps (n,); any other shapes raise MalformedScan.
+    """
 
     points: np.ndarray  # (n, 3) positions, sensor frame [m]
     stamps: np.ndarray  # (n,) absolute capture times [s]
@@ -61,8 +65,15 @@ class RawScan:
     scan_end: float
 
     def __post_init__(self):
-        object.__setattr__(self, "points", np.asarray(self.points, dtype=float).reshape(-1, 3))
-        object.__setattr__(self, "stamps", np.asarray(self.stamps, dtype=float).reshape(-1))
+        points = np.asarray(self.points, dtype=float)
+        stamps = np.asarray(self.stamps, dtype=float)
+        if points.shape == (0,):
+            points = points.reshape(0, 3)
+        if points.ndim != 2 or points.shape[1] != 3 or stamps.shape != points.shape[:1]:
+            raise MalformedScan(f"points of shape {points.shape} and stamps of "
+                                f"shape {stamps.shape}; need (n, 3) and (n,)")
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "stamps", stamps)
 
     @property
     def duration(self) -> float:

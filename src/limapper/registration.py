@@ -29,8 +29,8 @@ slice alone, so a quadratic's result is the same bits in any stack.
 Every per-point array is stored in component rows: a frame keeps its
 points as one C-contiguous (3, n) array and its covariances as one (9, n)
 array (``Frame.point_rows``, ``Frame.cov_rows``), and a voxel map keeps its
-means as (3, M) rows and its covariances as (9, M) rows whose first six are
-the unique entries (xx, xy, xz, yy, yz, zz).  The per-inlier terms keep each
+means as (3, M) rows and its covariances as the (6, M) rows of their unique
+entries (xx, xy, xz, yy, yz, zz).  The per-inlier terms keep each
 symmetric 3x3 weight as those six entries and every per-inlier quantity as
 rows too, so the kernels are whole-row numpy operations, contiguous
 ``take`` gathers and small BLAS products with no per-inlier matrix; moving
@@ -60,12 +60,10 @@ class GaussianVoxelMap:
 
     Cells are sorted by packed voxel key, so that a batched lookup is one
     searchsorted.  Their values are stored as rows: ``mean_rows`` (3, M) and
-    ``cov_rows`` (9, M), both C-contiguous.  The first six covariance rows
-    are the unique entries (xx, xy, xz, yy, yz, zz), which matching reads
-    as one (6, M) block; the last three are the entries below the diagonal
-    (yx, zx, zy), kept so that ``covs`` gives back the aggregated matrices
-    as built.  ``means`` is a view of ``mean_rows``; ``covs`` is assembled
-    on access.
+    ``cov_rows`` (6, M), both C-contiguous.  The covariance rows are the
+    unique entries (xx, xy, xz, yy, yz, zz), the only ones matching reads.
+    ``means`` is a view of ``mean_rows``; ``covs`` is assembled on access,
+    with each entry below the diagonal a copy of the one above it.
     """
 
     def __init__(self, resolution: float, keys: np.ndarray,
@@ -88,7 +86,7 @@ class GaussianVoxelMap:
     @property
     def covs(self) -> np.ndarray:
         """(M, 3, 3) cell covariances, assembled from ``cov_rows``."""
-        return self.cov_rows[_FROM_CELL_ROWS].T.reshape(-1, 3, 3)
+        return self.cov_rows[_FULL].transpose(2, 0, 1)
 
     def lookup(self, points: np.ndarray) -> np.ndarray:
         """Row index of the containing cell per (n, 3) point, -1 on a miss."""
@@ -129,22 +127,22 @@ def build_voxelmap(frame: Frame, resolution: float) -> GaussianVoxelMap:
 
     The cell covariance is the mean of member covariances plus the scatter
     of member means about the cell mean (total covariance decomposition).
-    Every entry is summed in the same order as ``np.add.at`` over the points
-    in index order would sum it.
+    Only the six unique entries of each cell are summed, each in the same
+    order as ``np.add.at`` over the points in index order would sum it.
     """
     if frame.covs is None and len(frame) > 0:
         raise ValueError("frame needs covariances before voxelization")
     if len(frame) == 0:
         empty = np.zeros(0, dtype=np.int64)
         return GaussianVoxelMap(resolution, empty, np.zeros((3, 0)),
-                                np.zeros((9, 0)), empty)
+                                np.zeros((6, 0)), empty)
     keys = pack_voxel_keys(frame.points, resolution)
     order, starts, counts = group_by_key(keys)
     points = frame.point_rows.take(order, axis=1)
     means = segment_sums(points.T, starts, counts) / counts[:, None]
     centered = points - np.repeat(means.T, counts, axis=1)
-    scatter = frame.cov_rows.take(order, axis=1)[_CELL_ROWS]
-    scatter += centered[_CELL_ROWS // 3] * centered[_CELL_ROWS % 3]
+    scatter = frame.cov_rows.take(order, axis=1)[_SYM]
+    scatter += centered[_SYM_I] * centered[_SYM_J]
     covs = segment_sums(scatter.T, starts, counts) / counts[:, None]
     return GaussianVoxelMap(resolution, keys[order[starts]],
                             np.ascontiguousarray(means.T),
@@ -157,11 +155,6 @@ def build_voxelmap(frame: Frame, resolution: float) -> GaussianVoxelMap:
 _SYM_I = np.array([0, 0, 0, 1, 1, 2])
 _SYM_J = np.array([0, 1, 2, 1, 2, 2])
 _SYM = 3 * _SYM_I + _SYM_J
-# a voxel map's covariance rows: the unique entries, then those below the
-# diagonal (yx, zx, zy), as positions in the row-major flattening; and the
-# reverse order, from those rows back to the flattening
-_CELL_ROWS = np.r_[_SYM, 3, 6, 7]
-_FROM_CELL_ROWS = np.argsort(_CELL_ROWS)
 # rows (and columns) of the full 3x3 matrix, as indices into the unique entries
 _FULL = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 # the unique entries of the adjugate (cofactor) matrix, in the same order:
@@ -215,7 +208,7 @@ def match_terms(frame: Frame, vmap: GaussianVoxelMap, t_ij: Se3Pose,
         idx, covs, x0 = rows[sel], covs.take(sel, axis=1), moved.take(sel, axis=1)
     rr = (rmat[_SYM_I, :, None] * rmat[_SYM_J, None, :]).reshape(6, 9)
     cov = rr @ covs
-    cov += vmap.cov_rows[:6].take(idx, axis=1)
+    cov += vmap.cov_rows.take(idx, axis=1)
     weight = cov[_ADJ[0]] * cov[_ADJ[1]]
     weight -= cov[_ADJ[2]] * cov[_ADJ[3]]
     weight /= np.einsum("sm,sm->m", cov[:3], weight[:3])

@@ -2,10 +2,12 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
 from limapper.errors import (
+    DisconnectedGraph,
     DuplicateVariable,
     UnderConstrainedGraph,
     UnknownVariable,
@@ -15,6 +17,7 @@ from limapper.factor_graph import (
     FactorGraph,
     ImuFactor,
     LmSettings,
+    MarginalPriorFactor,
     MatchingCostFactor,
     PriorFactor,
     _accumulate,
@@ -538,6 +541,66 @@ class TestMarginalization:
         g.add_variable(frame_key(3), SensorState.zero(3.0))
         with pytest.raises(UnknownVariable):
             g.marginal_covariance(frame_key(3))
+
+
+def record_cholesky(monkeypatch):
+    """Make scipy's cho_factor append, per call, whether it raised."""
+    raised = []
+    cho_factor = scipy.linalg.cho_factor
+
+    def recording(*args, **kwargs):
+        try:
+            out = cho_factor(*args, **kwargs)
+        except np.linalg.LinAlgError:
+            raised.append(True)
+            raise
+        raised.append(False)
+        return out
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", recording)
+    return raised
+
+
+class TestMarginalizationEdges:
+    def test_variable_without_factors_is_refused_before_any_change(self):
+        g = translation_chain(2, np.random.default_rng(13), [0.0] * 3, [0.0] * 3,
+                              [10.0] * 6)
+        g.add_variable(frame_key(2), SensorState.zero(2.0))  # no factor
+        values, factors = dict(g.values), list(g.factors)
+        with pytest.raises(DisconnectedGraph, match="variables without factors") as info:
+            g.marginalize([frame_key(0)])
+        assert isinstance(info.value.__cause__, UnderConstrainedGraph)
+        assert list(g.values) == list(values)
+        assert all(g.values[k] is v for k, v in values.items())
+        assert g.factors == factors
+
+    def test_unobserved_velocity_and_bias_fold_through_the_jitter(self, monkeypatch):
+        # frame 0 keeps its pose prior and its matching factor, but nothing
+        # informs its velocity or biases, so their block of H is zero
+        g, _ = two_pose_registration()
+        g.factors[0] = PriorFactor(frame_key(0), SensorState.zero(),
+                                   np.r_[np.full(6, 1e6), np.zeros(9)])
+        raised = record_cholesky(monkeypatch)
+        prior = g.marginalize([frame_key(0)])
+        assert raised == [True, False]
+        assert prior.keys == (frame_key(1),)
+        assert np.all(np.isfinite(prior.hessian)) and np.all(np.isfinite(prior.gradient))
+        assert np.isfinite(prior.constant)
+        evals = np.linalg.eigvalsh(prior.hessian)
+        assert evals.max() > 0 and evals.min() >= -1e-8 * evals.max()
+
+    def test_marginal_covariance_of_a_singular_held_system(self, monkeypatch):
+        # a rank-one prior with every diagonal entry set: the damped solve
+        # converges, and the undamped H it holds has no Cholesky factor
+        g = FactorGraph()
+        g.add_variable(frame_key(0), SensorState.zero())
+        g.add_factor(MarginalPriorFactor([frame_key(0)], dict(g.values),
+                                         np.ones((15, 15)), np.zeros(15)))
+        assert g.optimize_lm().converged
+        raised = record_cholesky(monkeypatch)
+        cov = g.marginal_covariance(frame_key(0))
+        assert raised == [True, False]
+        assert cov.shape == (15, 15) and np.all(np.isfinite(cov))
 
 
 class TestMarginalizationProperties:

@@ -120,3 +120,33 @@ def test_every_error_type_is_raised():
     never = [f"errors.py:{line} {name}" for name, line in declared.items()
              if name not in raised]
     assert not never, "error types no module raises: " + ", ".join(never)
+
+
+def record_fields(tree: ast.Module):
+    """(class, field, line) of every annotated field of a dataclass or a
+    NamedTuple defined at the module's top level."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        marks = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        marks += node.bases
+        if not any(isinstance(m, ast.Name) and m.id in {"dataclass", "NamedTuple"}
+                   for m in marks):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                yield node.name, item.target.id, item.lineno
+
+
+def test_every_record_field_is_read():
+    # a field that no code reads is state that only its writers keep alive
+    readers = [p for d in ("src", "tests", "golden", "perfbench")
+               for p in (ROOT / d).rglob("*.py")]
+    read = {n.attr for path in readers
+            for n in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = [f"{path.name}:{line} {cls}.{name}"
+              for path in MODULES
+              for cls, name, line in record_fields(ast.parse(path.read_text()))
+              if name not in read]
+    assert not unread, "record fields nothing reads: " + ", ".join(unread)

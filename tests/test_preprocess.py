@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from limapper.errors import FrameTooSparse, ImuCoverageGap, VoxelKeyOutOfRange
+from limapper.errors import (
+    FrameTooSparse,
+    ImuCoverageGap,
+    MalformedScan,
+    VoxelKeyOutOfRange,
+)
 from limapper.geometry import (
     SensorState,
     Se3Pose,
@@ -42,6 +47,24 @@ def stationary_imu(t0, t1, rate=200.0):
     accel = -GRAVITY
     return [ImuSample(float(t), accel.copy(), np.zeros(3))
             for t in np.arange(t0, t1 + 1.5 / rate, 1.0 / rate)]
+
+
+class TestRawScanShapes:
+    def test_xyz_intensity_rows_are_refused(self):
+        # read as xyz they would be 1024 points beside 768 stamps
+        rows = np.random.default_rng(0).uniform(-5, 5, (768, 4))
+        with pytest.raises(MalformedScan, match=r"\(768, 4\).*\(768,\)"):
+            scan_of(rows, np.linspace(0.0, 0.1, 768))
+
+    def test_one_stamp_too_many_is_refused(self):
+        points = np.random.default_rng(0).uniform(-5, 5, (768, 3))
+        with pytest.raises(MalformedScan, match=r"\(768, 3\).*\(769,\)"):
+            scan_of(points, np.linspace(0.0, 0.1, 769))
+
+    def test_empty_input_becomes_no_points(self):
+        scan = RawScan([], [], 0.0, 0.1)
+        assert scan.points.shape == (0, 3) and scan.stamps.shape == (0,)
+        assert len(scan) == 0
 
 
 class TestVoxelDownsample:

@@ -243,10 +243,15 @@ class TestBuildVoxelmapOracle:
         vmap = build_voxelmap(frame, resolution)
         keys, means, cell_covs, counts = reference_build_voxelmap(frame, resolution)
         assert counts.max() >= 8
+        # the map keeps the six unique covariance entries (xx, xy, xz, yy, yz,
+        # zz); those below the diagonal are copies of the ones above
+        upper = np.triu_indices(3)
         for got, want in ((vmap.keys, keys), (vmap.means, means),
-                          (vmap.covs, cell_covs), (vmap.counts, counts)):
+                          (vmap.covs[:, upper[0], upper[1]], cell_covs[:, upper[0], upper[1]]),
+                          (vmap.counts, counts)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+        assert np.array_equal(vmap.covs, vmap.covs.transpose(0, 2, 1))
 
 
 class TestMatchingCost:
@@ -822,14 +827,14 @@ class TestMapRowStorage:
         m = len(vmap)
         assert vmap.mean_rows.shape == (3, m) and vmap.mean_rows.flags.c_contiguous
         assert np.shares_memory(vmap.mean_rows, vmap.means)
-        assert vmap.cov_rows.shape == (9, m) and vmap.cov_rows.flags.c_contiguous
+        assert vmap.cov_rows.shape == (6, m) and vmap.cov_rows.flags.c_contiguous
         flat = vmap.covs.reshape(m, 9)
-        assert np.array_equal(vmap.cov_rows[:6], flat[:, [0, 1, 2, 4, 5, 8]].T)
-        assert np.array_equal(vmap.cov_rows[6:], flat[:, [3, 6, 7]].T)
+        assert np.array_equal(vmap.cov_rows, flat[:, [0, 1, 2, 4, 5, 8]].T)
+        assert np.array_equal(flat[:, [3, 6, 7]], flat[:, [1, 2, 5]])
 
     def test_empty_map(self):
         vmap = build_voxelmap(make_frame(np.zeros((0, 3)), covs=np.zeros((0, 3, 3))), 1.0)
-        assert vmap.mean_rows.shape == (3, 0) and vmap.cov_rows.shape == (9, 0)
+        assert vmap.mean_rows.shape == (3, 0) and vmap.cov_rows.shape == (6, 0)
         assert vmap.covs.shape == (0, 3, 3) and vmap.means.shape == (0, 3)
 
 
