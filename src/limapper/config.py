@@ -1,16 +1,16 @@
 """Pipeline configuration: one flat key-value document covering every stage.
 
 Keys use dotted section prefixes, the field names of ``PipelineConfig``
-(``odometry.max_keyframes = 20``).  Unknown keys are rejected and all
-thresholds validated against their documented ranges.
+(``odometry.max_keyframes = 20``).  The ``imu`` section is the estimator's
+one noise record, ``imu.ImuNoiseParams``, and the ``optimizer`` section is
+``factor_graph.LmSettings``.  Unknown keys are rejected and all thresholds
+validated against their documented ranges.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-
-import numpy as np
 
 from .errors import InvalidConfig, ParseError
 from .factor_graph import LmSettings
@@ -39,19 +39,10 @@ class OdometryConfig:
 
 
 @dataclass
-class ImuConfig:
-    accel_noise_density: float = 0.02
-    gyro_noise_density: float = 0.002
-    accel_bias_walk: float = 2e-4
-    gyro_bias_walk: float = 2e-5
-    gravity_z: float = -9.80665
-
-
-@dataclass
 class PipelineConfig:
     preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
     odometry: OdometryConfig = field(default_factory=OdometryConfig)
-    imu: ImuConfig = field(default_factory=ImuConfig)
+    imu: ImuNoiseParams = field(default_factory=ImuNoiseParams)
     # window solves start warm; cap the tail
     optimizer: LmSettings = field(default_factory=lambda: LmSettings(max_iterations=15))
 
@@ -70,6 +61,8 @@ class PipelineConfig:
                  "window sizes must be positive")
         _require(odo.recent_frame_links >= 0, "odometry.recent_frame_links",
                  "recent_frame_links must not be negative")
+        _require(odo.min_inliers >= 1, "odometry.min_inliers",
+                 "a matching factor needs at least 1 inlier")
         # a plane through a point's neighbourhood needs 3 points to be defined
         _require(pre.knn >= 3, "preprocess.knn", "knn must be at least 3")
         for name in ("downsample_resolution", "plane_eps", "max_imu_gap"):
@@ -86,15 +79,6 @@ class PipelineConfig:
         for name in ("accel_noise_density", "gyro_noise_density",
                      "accel_bias_walk", "gyro_bias_walk"):
             _require(getattr(self.imu, name) > 0, f"imu.{name}", "must be positive")
-
-    def noise_params(self) -> ImuNoiseParams:
-        return ImuNoiseParams(
-            accel_noise_density=self.imu.accel_noise_density,
-            gyro_noise_density=self.imu.gyro_noise_density,
-            accel_bias_walk=self.imu.accel_bias_walk,
-            gyro_bias_walk=self.imu.gyro_bias_walk,
-            gravity=np.array([0.0, 0.0, self.imu.gravity_z]),
-        )
 
     # -- flat key-value mapping ------------------------------------------------
 

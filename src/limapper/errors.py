@@ -54,6 +54,10 @@ class MalformedScan(PipelineError):
     """A scan's points are not (n, 3) or its stamps are not (n,)."""
 
 
+class MalformedImuSample(PipelineError):
+    """An IMU sample's stamp is not one real number or a vector not three."""
+
+
 class NonFiniteStamp(PipelineError):
     """A scan's start, end or point stamp is NaN or infinite."""
 

@@ -17,8 +17,9 @@ iteration, and it is the cost of the Gauss-Newton model's own weights.
 Priors are fixed-form quadratics.
 
 The matching factors of a graph are linearized and costed together: one
-stacked pass forms the relative poses of all of them, each factor then
-moves, packs and looks up its own points, and one stacked call takes the
+stacked pass forms the relative poses of all of them, each factor then has
+its target map look its points up at its pose (``GaussianVoxelMap.look_up``,
+which moves, packs and searches them), and one stacked call takes the
 blocks (or the costs) of all held quadratics.  Each slice of a stacked
 product is the 2-D product of that slice, so H, g and the cost are the
 same bits as with every factor taken alone; a single factor's
@@ -59,7 +60,7 @@ from .registration import (
     linearize_from_terms,
     match_terms,
 )
-from .preprocess import Frame, pack_voxel_keys
+from .preprocess import Frame
 
 STATE_DIM = 15  # tangent dimension of every variable
 
@@ -244,10 +245,8 @@ class MatchingCostFactor(Factor):
     def _look_up(self, rot: np.ndarray, trans: np.ndarray) -> None:
         """Find every source point's voxel row at the relative pose
         (rot, trans); re-form the held terms there when a row changed."""
-        moved = rot @ self.source.point_rows
-        moved += trans[:, None]
-        keys = pack_voxel_keys(moved.T, self.target_map.resolution)
-        rows = self.target_map.lookup_keys(keys, self._lookup)
+        keys, rows = self.target_map.look_up(self.source.point_rows, rot, trans,
+                                             self._lookup)
         same = self._lookup is not None and (
             rows is self._lookup[1] or np.array_equal(rows, self._lookup[1]))
         self._lookup = (keys, rows)
@@ -288,40 +287,25 @@ def _relative_poses(factors, values) -> tuple[np.ndarray, np.ndarray]:
     return rot, trans[:, 0]
 
 
-def _looked_up(factors, values, always: bool):
-    """(factor, rotation, translation) per matching factor, in order, with
-    the relative poses of all factors that have a source and a map from one
-    stacked pass, and None for the others.  Each one with a pose is looked
-    up there if ``always`` or if it has no lookup yet, just before it is
-    yielded."""
-    live = [f for f in factors if not f._empty]
-    poses = zip(*_relative_poses(live, values)) if live else iter(())
-    for f in factors:
-        if f._empty:
-            yield f, None, None
-            continue
-        rot, trans = next(poses)
-        if always or f._lookup is None:
-            f._look_up(rot, trans)
-        yield f, rot, trans
-
-
-def matching_hits(factors, values):
+def matching_hits(factors, values) -> list[int]:
     """The source points of each matching factor that land in an occupied
-    voxel of its target map at the values, with the relative poses from one
-    stacked pass.  It yields one factor's hits at a time, after its lookup
-    and before the next one's; the terms of that lookup serve the factor's
-    next ``cost`` and ``linearize``."""
-    for f, _, _ in _looked_up(factors, values, always=True):
-        yield f.inliers
+    voxel of its target map at the values; the terms of these look-ups
+    serve each factor's next ``cost`` and ``linearize``."""
+    _held_terms(factors, values, relook=True)
+    return [f.inliers for f in factors]
 
 
-def _held_terms(factors, values, always: bool):
+def _held_terms(factors, values, relook: bool):
     """(position in the stack or None, per factor; the stacked terms'
     FrozenTerms, rotations and translations) of the matching factors that
-    hold terms after their lookups."""
+    hold terms after their look-ups.  The relative poses come from one
+    stacked pass; each factor with a source and a map is looked up there,
+    in factor order, if ``relook`` or if it has no look-up yet."""
+    poses = zip(*_relative_poses(factors, values)) if factors else ()
     at, held, rots, trans = [], [], [], []
-    for f, rot, t in _looked_up(factors, values, always):
+    for f, (rot, t) in zip(factors, poses):
+        if not f._empty and (relook or f._lookup is None):
+            f._look_up(rot, t)
         if f._held is None:
             at.append(None)
             continue
@@ -335,7 +319,7 @@ def _held_terms(factors, values, always: bool):
 def _matching_costs(factors, values) -> list[float]:
     """``cost`` of every matching factor: each looks up only if it has not
     yet, and one stacked ``frozen_cost`` evaluates all held terms."""
-    at, held, rots, trans = _held_terms(factors, values, always=False)
+    at, held, rots, trans = _held_terms(factors, values, relook=False)
     costs = frozen_cost(held, rots, trans).tolist() if held else []
     return [0.0 if k is None else costs[k] for k in at]
 
@@ -344,7 +328,7 @@ def _matching_linearizations(factors, values) -> list[FactorLinearization]:
     """``linearize`` of every matching factor: each looks up, in order, and
     one stacked ``linearize_from_terms`` takes the blocks of all held
     terms; a factor with a fixed target keeps the source pose's blocks."""
-    at, held, rots, trans = _held_terms(factors, values, always=True)
+    at, held, rots, trans = _held_terms(factors, values, relook=True)
     if held:
         grad, hess, cost = linearize_from_terms(held, rots, trans)
         cost = cost.tolist()

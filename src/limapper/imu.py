@@ -26,12 +26,12 @@ form over the steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ImuCoverageGap, InvalidInterval
+from .errors import ImuCoverageGap, InvalidInterval, MalformedImuSample
 from .geometry import (
     Rotation,
     SensorState,
@@ -50,26 +50,41 @@ GRAVITY = np.array([0.0, 0.0, -9.80665])
 
 @dataclass(frozen=True)
 class ImuSample:
+    """One IMU reading, held as a float stamp and float (3,) arrays; other
+    values raise MalformedImuSample, naming the field and its shape."""
+
     stamp: float
     accel: np.ndarray  # specific force, body frame [m/s^2]
     gyro: np.ndarray  # angular rate, body frame [rad/s]
 
+    def __post_init__(self):
+        for name, shape in (("stamp", ()), ("accel", (3,)), ("gyro", (3,))):
+            try:
+                value = np.asarray(getattr(self, name))
+            except ValueError:  # sequences nested unevenly
+                raise MalformedImuSample(f"{name} is a ragged sequence") from None
+            if value.dtype.kind not in "iuf" or value.shape != shape:
+                raise MalformedImuSample(
+                    f"{name} of shape {value.shape} and dtype {value.dtype}; "
+                    f"need real numbers of shape {shape}")
+            value = value.astype(float, copy=False)
+            object.__setattr__(self, name, value if shape else float(value))
 
-@dataclass(frozen=True)
+
+@dataclass
 class ImuNoiseParams:
-    """Continuous-time noise densities and the gravity vector."""
+    """Continuous-time noise densities and the gravity along z; the
+    ``imu`` section of the pipeline configuration."""
 
     accel_noise_density: float = 0.02  # m/s^2/sqrt(Hz)
     gyro_noise_density: float = 0.002  # rad/s/sqrt(Hz)
     accel_bias_walk: float = 2e-4  # m/s^3/sqrt(Hz)
     gyro_bias_walk: float = 2e-5  # rad/s^2/sqrt(Hz)
-    gravity: np.ndarray = field(default_factory=lambda: GRAVITY.copy())
+    gravity_z: float = -9.80665  # m/s^2
 
-    def __post_init__(self):
-        for name in ("accel_noise_density", "gyro_noise_density",
-                     "accel_bias_walk", "gyro_bias_walk"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+    @property
+    def gravity(self) -> np.ndarray:
+        return np.array([0.0, 0.0, self.gravity_z])
 
 
 @dataclass(frozen=True)

@@ -143,16 +143,15 @@ class WindowFrame:
 
     A keyframe is a window frame that stays on as a matching target after
     it is marginalized; the keyframe set holds the same objects as the
-    window, so membership tests go by identity.
+    window, so membership tests go by identity.  The scan span is read from
+    ``frame``, and an empty frame has an empty voxel map.
     """
 
     index: int
     pre_frame: Frame | None  # pre-deskew cloud; None once handed downstream
     frame: Frame  # deskewed, covariances attached
-    voxelmap: GaussianVoxelMap | None  # None for an empty frame
+    voxelmap: GaussianVoxelMap
     state: SensorState  # window estimate; final once marginalized
-    scan_start: float
-    scan_end: float
     marginalized: bool = False
 
     @property
@@ -172,8 +171,6 @@ class MarginalizedFrame:
     frame: Frame  # pre-deskew, downsampled, neighbors attached
     state: SensorState
     vel_bias_sigma: np.ndarray  # (9,) prior strengths for velocity and bias
-    scan_start: float
-    scan_end: float
 
 
 @dataclass
@@ -187,8 +184,6 @@ class OdometryEstimator:
     def __init__(self, config: PipelineConfig | None = None):
         self.config = config or PipelineConfig()
         self.config.validate()
-        self.noise = self.config.noise_params()
-        self.gravity = self.noise.gravity
         self.graph = FactorGraph()
         self.keyframes: list[WindowFrame] = []
         self.keyframe_events: list[dict] = []
@@ -214,7 +209,7 @@ class OdometryEstimator:
         # keep the buffer bounded: only the current inter-frame span and the
         # initialization window are ever read back
         if self._initialized and self._window:
-            horizon = self._window[-1].scan_start - 1.0
+            horizon = self._window[-1].frame.scan_start - 1.0
             drop = 0
             while drop < len(self._imu) - 1 and self._imu[drop + 1].stamp < horizon:
                 drop += 1
@@ -236,11 +231,8 @@ class OdometryEstimator:
     def _finish_frame(self, pre_frame: Frame, state: SensorState) -> Frame:
         """Deskew with the predicted state and attach covariances."""
         cfg = self.config.preprocess
-        if len(pre_frame) == 0:
-            return replace(pre_frame, deskewed=True,
-                           covs=np.zeros((0, 3, 3)))
-        samples = self._imu_between(pre_frame.stamp, pre_frame.scan_end)
-        frame = deskew(pre_frame, samples, state, gravity=self.gravity,
+        samples = self._imu_between(pre_frame.scan_start, pre_frame.scan_end)
+        frame = deskew(pre_frame, samples, state, gravity=self.config.imu.gravity,
                        max_gap=cfg.max_imu_gap)
         if frame.neighbors is None:
             # fewer points than knn: no neighbourhood to fit, so take the
@@ -283,7 +275,7 @@ class OdometryEstimator:
         if not self._initialized:
             try:
                 state = initialize_from_rest(
-                    self._imu, self.gravity, window=cfg.init_window,
+                    self._imu, self.config.imu.gravity, window=cfg.init_window,
                     gyro_limit=cfg.init_gyro_limit, stamp=scan.scan_start)
             except InitializationMotion as exc:
                 if exc.unusable:
@@ -295,17 +287,17 @@ class OdometryEstimator:
             pre = None
         else:
             prev = self._window[-1]
-            pre = preintegrate(self._imu_between(prev.scan_start, scan.scan_start),
-                               prev.scan_start, scan.scan_start,
-                               prev.state.bias, self.noise,
+            t_prev = prev.frame.scan_start
+            pre = preintegrate(self._imu_between(t_prev, scan.scan_start),
+                               t_prev, scan.scan_start,
+                               prev.state.bias, self.config.imu,
                                max_gap=self.config.preprocess.max_imu_gap)
-            state = predict_state(prev.state, pre, self.gravity)
+            state = predict_state(prev.state, pre, self.config.imu.gravity)
 
         frame = self._finish_frame(pre_frame, state)
-        vmap = build_voxelmap(frame, cfg.voxel_resolution) if len(frame) else None
-        rec = WindowFrame(index=self._next_index, pre_frame=pre_frame,
-                          frame=frame, voxelmap=vmap, state=state,
-                          scan_start=scan.scan_start, scan_end=scan.scan_end)
+        rec = WindowFrame(index=self._next_index, pre_frame=pre_frame, frame=frame,
+                          voxelmap=build_voxelmap(frame, cfg.voxel_resolution),
+                          state=state)
         self._next_index += 1
         self._last_scan_start = scan.scan_start
         self._initialized = True
@@ -318,11 +310,10 @@ class OdometryEstimator:
             self.graph.add_factor(PriorFactor(rec.key, state, info))
         else:
             self.graph.add_factor(ImuFactor(
-                self._window[-1].key, rec.key, pre, self.gravity,
+                self._window[-1].key, rec.key, pre, self.config.imu.gravity,
                 walk_information=self._walk_information(pre.dt_total)))
 
-        if len(frame):
-            self._add_matching_factors(rec)
+        self._add_matching_factors(rec)
 
         snapshot = dict(self.graph.values)
         warnings = []
@@ -358,8 +349,8 @@ class OdometryEstimator:
     def _walk_information(self, dt: float) -> np.ndarray:
         dt = max(dt, 1e-3)
         return np.concatenate([
-            np.full(3, 1.0 / (self.noise.accel_bias_walk**2 * dt)),
-            np.full(3, 1.0 / (self.noise.gyro_bias_walk**2 * dt)),
+            np.full(3, 1.0 / (self.config.imu.accel_bias_walk**2 * dt)),
+            np.full(3, 1.0 / (self.config.imu.gyro_bias_walk**2 * dt)),
         ])
 
     def _add_matching_factors(self, rec: WindowFrame) -> None:
@@ -373,8 +364,7 @@ class OdometryEstimator:
         opening cost and first linearization reuse the terms of that lookup.
         """
         cfg = self.config.odometry
-        recent = [f for f in self._window[::-1][:cfg.recent_frame_links]
-                  if f.voxelmap is not None]
+        recent = self._window[::-1][:cfg.recent_frame_links]
         targets = recent + [kf for kf in self.keyframes if kf not in recent]
         candidates, needed = [], []
         for target in targets:
@@ -466,7 +456,6 @@ class OdometryEstimator:
         rec.marginalized = True
         out = MarginalizedFrame(
             frame_index=rec.index, frame=rec.pre_frame, state=rec.state,
-            vel_bias_sigma=sigmas, scan_start=rec.scan_start,
-            scan_end=rec.scan_end)
+            vel_bias_sigma=sigmas)
         rec.pre_frame = None  # a keyframe keeps only what matching reads
         return out

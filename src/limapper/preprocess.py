@@ -94,12 +94,13 @@ class Frame:
     storage; construction copies an array into it only when it is not laid
     out so already, so ``replace`` shares the arrays it keeps.  Matching
     reads the rows, so transforming the points is one (3x3)·(3xn) product
-    and every gather is a contiguous ``take`` along a row.
+    and every gather is a contiguous ``take`` along a row.  The frame holds
+    the scan span, named as on ``RawScan``, for every stage after it.
     """
 
     points: np.ndarray  # (n, 3), a view of point_rows
     stamps: np.ndarray  # (n,)
-    stamp: float  # reference time (scan start)
+    scan_start: float
     scan_end: float = 0.0
     neighbors: np.ndarray | None = None  # (n, k) indices, self included
     covs: np.ndarray | None = None  # (n, 3, 3) regularized, a view of cov_rows
@@ -143,7 +144,7 @@ def _row_view(values, width: int) -> np.ndarray:
 
 def frame_from_scan(scan: RawScan) -> Frame:
     return Frame(points=scan.points, stamps=scan.stamps,
-                 stamp=scan.scan_start, scan_end=scan.scan_end)
+                 scan_start=scan.scan_start, scan_end=scan.scan_end)
 
 
 def pack_voxel_keys(points: np.ndarray, resolution: float) -> np.ndarray:
@@ -431,7 +432,7 @@ def deskew(frame: Frame, imu_samples, state_at_scan_start: SensorState,
         raise ValueError("frame is already deskewed")
     if len(frame) == 0:
         return replace(frame, deskewed=True)
-    t0 = frame.stamp
+    t0 = frame.scan_start
     t1 = max(float(frame.stamps.max()), frame.scan_end)
     if t1 <= t0:
         return replace(frame, deskewed=True)

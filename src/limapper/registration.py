@@ -36,12 +36,13 @@ rows too, so the kernels are whole-row numpy operations, contiguous
 ``take`` gathers and small BLAS products with no per-inlier matrix; moving
 the points is one (3x3)·(3xn) product.
 
-A lookup packs each moved point's voxel index into one int64 key and finds
-the key among the map's sorted keys.  ``MatchingCostFactor`` keeps the keys
-and rows of its last lookup, so a re-linearization searches only the points
-whose key changed; a row depends only on the key and the immutable map, so
-the result is the same as a full search.  It forms new terms only when a
-row changed.
+A look-up (``GaussianVoxelMap.look_up``) moves the points, packs each
+one's voxel index into one int64 key and finds the key among the map's
+sorted keys.  Handed the keys and rows of an earlier look-up, it searches
+only the points whose key changed; a row depends only on the key and the
+immutable map, so the result is the same as a full search.
+``MatchingCostFactor`` keeps its last look-up for this, and forms new terms
+only when a row changed; ``overlap_rate`` takes the same path.
 """
 
 from __future__ import annotations
@@ -59,11 +60,12 @@ class GaussianVoxelMap:
     """Spatial hash of per-voxel aggregate Gaussians.
 
     Cells are sorted by packed voxel key, so that a batched lookup is one
-    searchsorted.  Their values are stored as rows: ``mean_rows`` (3, M) and
-    ``cov_rows`` (6, M), both C-contiguous.  The covariance rows are the
-    unique entries (xx, xy, xz, yy, yz, zz), the only ones matching reads.
-    ``means`` is a view of ``mean_rows``; ``covs`` is assembled on access,
-    with each entry below the diagonal a copy of the one above it.
+    searchsorted; ``look_up`` moves, packs and searches a frame's points
+    for matching and the overlap alike.  Values are stored as C-contiguous
+    rows: ``mean_rows`` (3, M) and ``cov_rows`` (6, M), the unique entries
+    (xx, xy, xz, yy, yz, zz), the only ones matching reads.  ``means`` is a
+    view of ``mean_rows``; ``covs`` is assembled on access, with each entry
+    below the diagonal a copy of the one above it.
     """
 
     def __init__(self, resolution: float, keys: np.ndarray,
@@ -92,25 +94,27 @@ class GaussianVoxelMap:
         """Row index of the containing cell per (n, 3) point, -1 on a miss."""
         if len(self) == 0 or points.shape[0] == 0:
             return np.full(points.shape[0], -1, dtype=np.int64)
-        return self.lookup_keys(pack_voxel_keys(points, self.resolution))
+        return self._search(pack_voxel_keys(points, self.resolution))
 
-    def lookup_keys(self, keys: np.ndarray,
-                    known: tuple[np.ndarray, np.ndarray] | None = None
-                    ) -> np.ndarray:
-        """Row index of the cell per packed voxel key, -1 on a miss.
-
-        ``known`` holds the (keys, rows) of an earlier lookup of as many
-        points in this map; only the keys that differ from it are searched,
-        and its rows are returned as they are when none does.
-        """
+    def look_up(self, point_rows: np.ndarray, rot: np.ndarray, trans: np.ndarray,
+                known: tuple[np.ndarray, np.ndarray] | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """(packed voxel key, cell row or -1 on a miss) of each point of the
+        (3, n) rows moved by (rot, trans).  ``known`` holds the (keys, rows)
+        of an earlier look-up of the same points in this map: only the keys
+        that differ from it are searched, and its rows come back as they are
+        when none does."""
+        moved = rot @ point_rows
+        moved += trans[:, None]
+        keys = pack_voxel_keys(moved.T, self.resolution)
         if known is None:
-            return self._search(keys)
+            return keys, self._search(keys)
         old_keys, rows = known
         changed = np.flatnonzero(keys != old_keys)
         if changed.size:
             rows = rows.copy()
             rows[changed] = self._search(keys[changed])
-        return rows
+        return keys, rows
 
     def _search(self, keys: np.ndarray) -> np.ndarray:
         if len(self) == 0 or keys.shape[0] == 0:
@@ -225,9 +229,8 @@ def overlap_rate(frame: Frame, vmap: GaussianVoxelMap, t_ij: Se3Pose) -> float:
     """Fraction of frame points landing in occupied voxels of the map."""
     if len(frame) == 0 or len(vmap) == 0:
         return 0.0
-    moved = t_ij.rotation.matrix() @ frame.point_rows
-    moved += t_ij.translation[:, None]
-    return float(np.count_nonzero(vmap.lookup(moved.T) >= 0)) / len(frame)
+    _, rows = vmap.look_up(frame.point_rows, t_ij.rotation.matrix(), t_ij.translation)
+    return float(np.count_nonzero(rows >= 0)) / len(frame)
 
 
 def _change_jacobian(change: np.ndarray) -> np.ndarray:

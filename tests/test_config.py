@@ -138,6 +138,8 @@ class TestInvalidConfig:
         ("odometry", "max_keyframes", 1, "odometry.max_keyframes"),
         ("odometry", "smoothing_lag", 0, "odometry.smoothing_lag"),
         ("odometry", "recent_frame_links", -1, "odometry.recent_frame_links"),
+        # with 0, every frame would link to an empty frame by an inert factor
+        ("odometry", "min_inliers", 0, "odometry.min_inliers"),
         ("preprocess", "knn", 0, "preprocess.knn"),
         ("preprocess", "knn", 2, "preprocess.knn"),
         ("preprocess", "plane_eps", 0.0, "preprocess.plane_eps"),

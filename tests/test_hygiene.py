@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from limapper.config import PipelineConfig
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "limapper"
 # a package's __init__ imports names to re-export them
@@ -150,3 +152,13 @@ def test_every_record_field_is_read():
               for cls, name, line in record_fields(ast.parse(path.read_text()))
               if name not in read]
     assert not unread, "record fields nothing reads: " + ", ".join(unread)
+
+
+def test_every_config_key_reaches_the_pipeline():
+    # a key that only the configuration itself reads is a knob wired to nothing
+    read = {n.attr for path in MODULES if path.name != "config.py"
+            for n in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = [key for key, _ in PipelineConfig().items()
+              if key.partition(".")[2] not in read]
+    assert not unread, "config keys no pipeline module reads: " + ", ".join(unread)

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from limapper.errors import ImuCoverageGap, InvalidInterval
+from limapper.errors import (
+    ImuCoverageGap,
+    InvalidInterval,
+    MalformedImuSample,
+    PipelineError,
+)
 from limapper.geometry import (
     Se3Pose,
     SensorState,
@@ -183,6 +188,42 @@ def random_state(rng, stamp=0.0, bias_scale=0.05):
         bias_gyro=rng.uniform(-bias_scale, bias_scale, 3),
         stamp=stamp,
     )
+
+
+class TestImuSample:
+    def test_valid_values_become_floats(self):
+        accel = np.array([0.1, 0.2, 9.8])
+        s = ImuSample(np.float64(1.5), accel, [0, 0, 1])
+        assert type(s.stamp) is float and s.stamp == 1.5
+        assert s.accel is accel  # a float (3,) array is kept as it is
+        assert s.gyro.dtype == np.float64 and s.gyro.tolist() == [0.0, 0.0, 1.0]
+        assert type(ImuSample(2, accel, accel).stamp) is float
+
+    # each of these once reached process_frame and raised a raw ValueError or
+    # TypeError from finite_samples or the IMU buffer
+    @pytest.mark.parametrize("stamp, accel, gyro, match", [
+        (1.05, [0.0, 9.8], [0.0, 0.0, 0.1], r"accel of shape \(2,\)"),
+        (1.05, [0.0, 0.0, 9.8], 0.1, r"gyro of shape \(\)"),
+        ("1.05", [0.0, 0.0, 9.8], [0.0, 0.0, 0.1], r"stamp of shape \(\) and dtype <U4"),
+        (1.05, [[0.0], [0.0], [9.8]], [0.0, 0.0, 0.1], r"accel of shape \(3, 1\)"),
+        (1.05, [0.0, 9.8], [0.0, 0.1], r"accel of shape \(2,\)"),
+        (None, [0.0, 0.0, 9.8], [0.0, 0.0, 0.1], r"stamp of shape \(\) and dtype object"),
+        (1.05, [0.0, [0.0], 9.8], [0.0, 0.0, 0.1], "accel is a ragged sequence"),
+        (1.05, [0.0, 0.0, 9.8], [True, False, True], r"gyro of .* dtype bool"),
+    ])
+    def test_malformed_value_raises_naming_the_field(self, stamp, accel, gyro, match):
+        assert issubclass(MalformedImuSample, PipelineError)
+        with pytest.raises(MalformedImuSample, match=match):
+            ImuSample(stamp, accel, gyro)
+
+    def test_batch_of_short_samples_stops_at_the_first(self):
+        # 21 samples with 2-entry accels once passed finite_samples as 18
+        # rows of 7 values, which dropped 3 of them without a word
+        built = []
+        with pytest.raises(MalformedImuSample, match="accel"):
+            for k in range(21):
+                built.append(ImuSample(0.005 * k, [0.0, 9.8], [0.0, 0.0, 0.0]))
+        assert built == []
 
 
 class TestPropagateState:

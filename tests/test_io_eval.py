@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,15 +40,15 @@ class TestScanIo:
         scan = RawScan(np.ones((2, 3)), np.array([0.0, 0.01]), 0.0, 0.1)
         path = str(tmp_path / "scan.bin")
         write_scan(scan, path)
-        data = open(path, "rb").read()
-        open(path, "wb").write(data[:-3])
+        data = Path(path).read_bytes()
+        Path(path).write_bytes(data[:-3])
         with pytest.raises(ParseError) as exc:
             read_scan(path)
         assert exc.value.offset == len(b"fields: x y z t\n") + 20
 
     def test_bad_header(self, tmp_path):
         path = str(tmp_path / "scan.bin")
-        open(path, "wb").write(b"fields: a b c\n")
+        Path(path).write_bytes(b"fields: a b c\n")
         with pytest.raises(ParseError):
             read_scan(path)
 
@@ -65,20 +66,20 @@ class TestImuIo:
 
     def test_scientific_notation(self, tmp_path):
         path = str(tmp_path / "imu.csv")
-        open(path, "w").write("t,ax,ay,az,wx,wy,wz\n1.5e-3,1e-2,0,9.8e0,0,0,-1E-4\n")
+        Path(path).write_text("t,ax,ay,az,wx,wy,wz\n1.5e-3,1e-2,0,9.8e0,0,0,-1E-4\n")
         back = read_imu_csv(path)
         assert back[0].stamp == pytest.approx(1.5e-3)
         assert back[0].gyro[2] == pytest.approx(-1e-4)
 
     def test_missing_column(self, tmp_path):
         path = str(tmp_path / "imu.csv")
-        open(path, "w").write("t,ax,ay,az,wx,wy,wz\n0.0,1,2,3,4,5\n")
+        Path(path).write_text("t,ax,ay,az,wx,wy,wz\n0.0,1,2,3,4,5\n")
         with pytest.raises(ParseError):
             read_imu_csv(path)
 
     def test_shuffled_rows_out_of_order(self, tmp_path):
         path = str(tmp_path / "imu.csv")
-        open(path, "w").write("t,ax,ay,az,wx,wy,wz\n"
+        Path(path).write_text("t,ax,ay,az,wx,wy,wz\n"
                               "0.01,0,0,9.8,0,0,0\n0.0,0,0,9.8,0,0,0\n")
         with pytest.raises(OutOfOrder):
             read_imu_csv(path)
@@ -88,7 +89,7 @@ class TestTrajectoryIo:
     def test_identity_line_format(self, tmp_path):
         path = str(tmp_path / "traj.txt")
         write_trajectory([record_from_pose(0.0, Se3Pose.identity())], path)
-        line = open(path).read().strip()
+        line = Path(path).read_text().strip()
         assert line == "0.00000000 0 0 0 0 0 0 1"
 
     def test_round_trip_precision(self, tmp_path):

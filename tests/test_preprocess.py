@@ -378,7 +378,8 @@ def frame_of_neighborhoods(clouds):
     pts = np.vstack(clouds)
     i = np.arange(len(pts))[:, None]
     neighbors = i - i % k + (i + np.arange(k)) % k
-    return Frame(points=pts, stamps=np.zeros(len(pts)), stamp=0.0, neighbors=neighbors)
+    return Frame(points=pts, stamps=np.zeros(len(pts)), scan_start=0.0,
+                 neighbors=neighbors)
 
 
 class TestCovarianceProperties:
@@ -438,7 +439,7 @@ class TestCovariances:
     def _frame_with_neighbors(self, pts):
         frame = frame_from_scan(scan_of(pts, np.zeros(len(pts))))
         k = min(len(pts), 10)
-        return Frame(points=frame.points, stamps=frame.stamps, stamp=0.0,
+        return Frame(points=frame.points, stamps=frame.stamps, scan_start=0.0,
                      neighbors=knn_search(frame, k))
 
     def test_planar_neighborhood_normal_direction(self):
@@ -480,7 +481,7 @@ class TestDeskew:
         rng = np.random.default_rng(7)
         pts = rng.uniform(-5, 5, (100, 3))
         stamps = rng.uniform(0.0, 0.1, 100)
-        frame = Frame(points=pts, stamps=stamps, stamp=0.0, scan_end=0.1)
+        frame = Frame(points=pts, stamps=stamps, scan_start=0.0, scan_end=0.1)
         out = deskew(frame, stationary_imu(-0.01, 0.12), SensorState.zero())
         assert out.deskewed
         assert np.max(np.abs(out.points - pts)) < 1e-9
@@ -493,7 +494,7 @@ class TestDeskew:
                    for t in np.arange(-0.01, 0.12, 0.005)]
         pts = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
         stamps = np.array([0.05, 0.08])
-        frame = Frame(points=pts, stamps=stamps, stamp=0.0, scan_end=0.1)
+        frame = Frame(points=pts, stamps=stamps, scan_start=0.0, scan_end=0.1)
         out = deskew(frame, samples, SensorState.zero())
         for i, t in enumerate(stamps):
             expected = so3_exp(omega * t).apply(pts[i])
@@ -501,7 +502,7 @@ class TestDeskew:
 
     def test_reference_stamp_points_unchanged(self):
         pts = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        frame = Frame(points=pts, stamps=np.zeros(2), stamp=0.0, scan_end=0.1)
+        frame = Frame(points=pts, stamps=np.zeros(2), scan_start=0.0, scan_end=0.1)
         samples = [ImuSample(float(t), -GRAVITY + [0.5, 0, 0], [0, 0, 0.3])
                    for t in np.arange(-0.01, 0.12, 0.005)]
         out = deskew(frame, samples, SensorState.zero())
@@ -514,7 +515,7 @@ class TestDeskew:
         stamps = rng.uniform(0.0, 0.1, 50)
         samples = [ImuSample(float(t), -GRAVITY + [0.3, -0.2, 0.1], [0.1, 0.2, -0.3])
                    for t in np.arange(-0.01, 0.12, 0.005)]
-        frame = Frame(points=pts, stamps=stamps, stamp=0.0, scan_end=0.1)
+        frame = Frame(points=pts, stamps=stamps, scan_start=0.0, scan_end=0.1)
         out_id = deskew(frame, samples, SensorState.zero())
         state = SensorState(
             pose=Se3Pose(so3_exp([0.4, -0.1, 1.2]), np.array([10.0, -3.0, 2.0])),
@@ -557,7 +558,7 @@ class TestDeskew:
 
         stamps = np.concatenate([node_t, rng.uniform(0.0, 0.1, 200)])
         pts = rng.uniform(-30, 30, (stamps.size, 3))
-        frame = Frame(points=pts, stamps=stamps, stamp=0.0, scan_end=0.1)
+        frame = Frame(points=pts, stamps=stamps, scan_start=0.0, scan_end=0.1)
         out = deskew(frame, samples, state)
         err = 0.0
         for p, t, got in zip(pts, stamps, out.points):
@@ -570,7 +571,7 @@ class TestDeskew:
 
     def test_imu_gap_raises(self):
         pts = np.array([[1.0, 0.0, 0.0]])
-        frame = Frame(points=pts, stamps=np.array([0.05]), stamp=0.0, scan_end=0.1)
+        frame = Frame(points=pts, stamps=np.array([0.05]), scan_start=0.0, scan_end=0.1)
         samples = [ImuSample(0.0, -GRAVITY, np.zeros(3)),
                    ImuSample(0.1, -GRAVITY, np.zeros(3))]
         with pytest.raises(ImuCoverageGap):
@@ -585,7 +586,7 @@ class TestDeskew:
         assert _cross_rows(a, b).tobytes() == np.ascontiguousarray(np.cross(a.T, b.T).T).tobytes()
 
     def test_already_deskewed_rejected(self):
-        frame = Frame(points=np.zeros((1, 3)), stamps=np.zeros(1), stamp=0.0,
+        frame = Frame(points=np.zeros((1, 3)), stamps=np.zeros(1), scan_start=0.0,
                       scan_end=0.1, deskewed=True)
         with pytest.raises(ValueError):
             deskew(frame, stationary_imu(0, 0.1), SensorState.zero())
@@ -620,7 +621,7 @@ class TestRowStorage:
         rng = np.random.default_rng(n)
         points = rng.normal(size=(2 * n, 3))[::2]  # strided rows
         covs = rng.normal(size=(n, 3, 3))  # C-contiguous
-        frame = Frame(points=points, stamps=np.zeros(n), stamp=0.0, covs=covs)
+        frame = Frame(points=points, stamps=np.zeros(n), scan_start=0.0, covs=covs)
         assert_row_storage(frame)
         assert np.array_equal(frame.points, points)
         assert np.array_equal(frame.covs, covs)
@@ -655,7 +656,7 @@ class TestRowStorage:
     def test_deskew(self):
         rng = np.random.default_rng(3)
         frame = Frame(points=rng.uniform(-5, 5, (50, 3)),
-                      stamps=rng.uniform(0.0, 0.1, 50), stamp=0.0, scan_end=0.1)
+                      stamps=rng.uniform(0.0, 0.1, 50), scan_start=0.0, scan_end=0.1)
         samples = [ImuSample(float(t), -GRAVITY + [0.3, -0.2, 0.1], [0.1, 0.2, -0.3])
                    for t in np.arange(-0.01, 0.12, 0.005)]
         assert_row_storage(deskew(frame, samples, SensorState.zero()))

@@ -37,7 +37,7 @@ def make_frame(points, covs=None, rng=None, iso=0.01):
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     if covs is None:
         covs = np.tile(np.eye(3) * iso, (len(points), 1, 1))
-    return Frame(points=points, stamps=np.zeros(len(points)), stamp=0.0,
+    return Frame(points=points, stamps=np.zeros(len(points)), scan_start=0.0,
                  covs=np.asarray(covs, dtype=float), deskewed=True)
 
 
@@ -781,21 +781,25 @@ class TestRowKernelOracle:
     def test_known_lookup_searches_only_changed_keys(self):
         source, vmap = matched_pair(5)
         at = Se3Pose(so3_exp([0.0, 0.0, 0.02]), np.array([0.03, 0.0, 0.0]))
-        first = match_terms(source, vmap, Se3Pose.identity())
-        first_keys = pack_voxel_keys(first.moved, vmap.resolution)
-        keys = pack_voxel_keys(pose_apply(at, source.points), vmap.resolution)
-        rows = vmap.lookup_keys(keys, (first_keys, first.rows))
+        rot, trans = at.rotation.matrix(), at.translation
+        still = (source.point_rows, np.eye(3), np.zeros(3))
+        first_keys, first_rows = vmap.look_up(*still)
+        assert np.array_equal(first_rows,
+                              match_terms(source, vmap, Se3Pose.identity()).rows)
+        keys, rows = vmap.look_up(source.point_rows, rot, trans, (first_keys, first_rows))
+        moved = (rot @ source.point_rows + trans[:, None]).T
+        assert np.array_equal(keys, pack_voxel_keys(moved, vmap.resolution))
         changed = first_keys != keys
         assert 0 < np.count_nonzero(changed) < len(source)
-        assert np.array_equal(rows, vmap.lookup(pose_apply(at, source.points)))
+        assert np.array_equal(rows, vmap.lookup(moved))
         # a stale row where the key is unchanged is kept: nothing re-searches it
-        stale = first.rows.copy()
+        stale = first_rows.copy()
         stale[~changed] = -1
-        kept = vmap.lookup_keys(keys, (first_keys, stale))
+        _, kept = vmap.look_up(source.point_rows, rot, trans, (first_keys, stale))
         assert np.array_equal(kept[~changed], stale[~changed])
         assert np.array_equal(kept[changed], rows[changed])
         # with no key changed, the known rows come back as they are
-        assert vmap.lookup_keys(first_keys, (first_keys, stale)) is stale
+        assert vmap.look_up(*still, (first_keys, stale))[1] is stale
 
     @pytest.mark.parametrize("translation", [[1e7, 0.0, 0.0], [np.nan, 0.0, 0.0],
                                              [0.0, np.inf, 0.0]])
