@@ -21,12 +21,15 @@ from limapper import factor_graph, odometry  # noqa: E402
 from limapper.dataset_io import record_from_pose  # noqa: E402
 from limapper.evaluation import compute_ate  # noqa: E402
 from limapper.odometry import OdometryEstimator  # noqa: E402
+from limapper.registration import GaussianVoxelMap  # noqa: E402
 from limapper.synthetic import generate_synthetic_scene  # noqa: E402
 from test_odometry import imu_batches, keyframe_digest, loop_spec  # noqa: E402
 
-# the bindings whose calls per scan are counted, in the columns of `calls`
+# the bindings whose calls per scan are counted, in the columns of `calls`;
+# a method is counted through an autospec, which passes its instance on
 COUNTED = ((factor_graph, "match_terms"), (factor_graph, "linearize_from_terms"),
            (odometry, "overlap_rate"))
+COUNTED_METHODS = ((GaussianVoxelMap, "look_up"),)
 
 
 def counted_run(scene):
@@ -39,6 +42,9 @@ def counted_run(scene):
     with ExitStack() as stack:
         spies = [stack.enter_context(mock.patch.object(m, name, wraps=getattr(m, name)))
                  for m, name in COUNTED]
+        spies += [stack.enter_context(mock.patch.object(
+            cls, name, autospec=True, side_effect=getattr(cls, name)))
+            for cls, name in COUNTED_METHODS]
         for scan, batch in zip(scene.scans, batches):
             results.append(est.process_frame(scan, batch))
             calls.append([spy.call_count for spy in spies])
@@ -74,10 +80,15 @@ def test_two_laps_bound_the_ate_and_the_accel_bias_error():
     # (linearize_from_terms calls) per scan, mean 3.16, and 144 match_terms
     # calls per scan, mean 88.6; the bounds add a margin of 10 %
     first = next(e["frame_index"] for e in est.keyframe_events if e["removed_by_score"])
-    match, assemblies, overlaps = calls[first:].T
+    match, assemblies, overlaps, look_ups = calls[first:].T
     assert factors[first:].max() <= 90 * 1.1
     assert assemblies.max() <= 4 * 1.1
     assert match.max() <= 144 * 1.1
+    # voxel look-ups (GaussianVoxelMap.look_up, for matching and the
+    # overlap alike) per scan: at most 698, mean 605.4, measured once a
+    # matching factor skips the look-up at the pose of its last one (718,
+    # mean 629.7, before); the bound adds a margin of 10 %
+    assert look_ups.max() <= 698 * 1.1
     # one insertion test, one overlap per keyframe for rule 1 and the
     # ordered pairs of inner keyframes for rule 2: 363 with 20 keyframes
     k = est.config.odometry.max_keyframes

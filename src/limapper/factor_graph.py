@@ -3,8 +3,7 @@ marginalization.
 
 On linearization every factor returns one dense block: the gradient and
 Gauss-Newton Hessian of its cost over its own tangent space, the leading
-``dims[a]`` components of each key stacked in key order.  ``_accumulate``
-alone scatters these blocks into a system's key slices.  The optimizer
+``dims[a]`` components of each key stacked in key order.  The optimizer
 assembles damped normal equations at the current estimate each iteration
 and holds the last undamped system, which ``marginal_covariance`` reads.
 A matching-cost factor looks its correspondences up again only when it is
@@ -16,14 +15,26 @@ in O(1).  So the cost the optimizer compares is smooth within an
 iteration, and it is the cost of the Gauss-Newton model's own weights.
 Priors are fixed-form quadratics.
 
-The matching factors of a graph are linearized and costed together: one
-stacked pass forms the relative poses of all of them, each factor then has
-its target map look its points up at its pose (``GaussianVoxelMap.look_up``,
-which moves, packs and searches them), and one stacked call takes the
-blocks (or the costs) of all held quadratics.  Each slice of a stacked
-product is the 2-D product of that slice, so H, g and the cost are the
-same bits as with every factor taken alone; a single factor's
-``linearize`` and ``cost`` are that path with one factor.
+An assembly (``_accumulate``) takes one pass per factor kind.  One stacked
+pass forms the relative poses of all matching factors, each factor then
+has its target map look its points up at its pose
+(``GaussianVoxelMap.look_up``, which moves, packs and searches them), and
+one stacked call takes the blocks (or the costs) of all held quadratics.
+One stacked pass forms the residuals, Jacobians and blocks of all IMU
+factors (``imu_residuals``, ``imu_jacobians``).  The priors linearize
+alone.  One scatter then adds every block into H and one into g, at flat
+positions built once per solve (``_Placement``): the terms reach each
+entry in factor order, from zero, so H and g are the bits that placing
+the blocks one key pair at a time gives.  Each slice of a stacked product
+is the 2-D product of that slice, so every block and cost is the same bits
+as with the factor taken alone; a single factor's ``linearize`` and
+``cost`` are the stacked path with one factor.
+
+No factor repeats an evaluation whose inputs did not change: a matching
+factor does not look up again at the bits of its last look-up's pose; the
+graph keeps the residual stage of its last IMU pass, so the linearization
+at an accepted candidate, whose cost formed that stage, forms only the
+Jacobians; and a marginal prior keeps its last offset.
 
 Every variable is the SensorState of one frame, keyed by the frame's index,
 with a 15-dof tangent (rot, trans, vel, accel bias, gyro bias).
@@ -52,7 +63,15 @@ from .geometry import (
     state_local,
     state_retract,
 )
-from .imu import GRAVITY, PreintegratedImu, imu_factor_residual
+from .imu import (
+    GRAVITY,
+    ImuResiduals,
+    PreintegratedImu,
+    PreintegratedStack,
+    imu_jacobians,
+    imu_residuals,
+    stack_preintegrated,
+)
 from .registration import (
     GaussianVoxelMap,
     freeze_terms,
@@ -145,7 +164,13 @@ class PriorFactor(Factor):
 
 
 class ImuFactor(Factor):
-    """Preintegrated relative-motion constraint plus bias random walk."""
+    """Preintegrated relative-motion constraint plus bias random walk.
+
+    All the IMU factors of a graph are costed and linearized together, in
+    one stacked pass over their K residuals (``imu_residuals``) and
+    Jacobians (``imu_jacobians``); a single factor's ``cost`` and
+    ``linearize`` are that pass with K = 1.
+    """
 
     kind = "imu-preintegration"
 
@@ -162,22 +187,73 @@ class ImuFactor(Factor):
         self.information[:9, :9] = info9
         self.information[9:, 9:] = np.diag(walk)
 
-    def _states(self, values):
-        return values[self.keys[0]], values[self.keys[1]]
-
     def cost(self, values) -> float:
-        si, sj = self._states(values)
-        r, _, _ = imu_factor_residual(si, sj, self.pre, self.gravity,
-                                      with_jacobians=False)
-        return float(r @ self.information @ r)
+        return _imu_stage([self], values).costs[0]
 
     def linearize(self, values) -> FactorLinearization:
-        si, sj = self._states(values)
-        r, j_i, j_j = imu_factor_residual(si, sj, self.pre, self.gravity)
-        jac = np.hstack([j_i, j_j])
-        w = 2.0 * jac.T @ self.information
-        return FactorLinearization(w @ r, w @ jac,
-                                   float(r @ self.information @ r))
+        stage = _imu_stage([self], values)
+        grad, hess = _imu_blocks(stage)
+        return FactorLinearization(grad[0], hess[0], stage.costs[0])
+
+
+class _ImuStage(NamedTuple):
+    """The stacked residual stage of K IMU factors at 2K states: state i
+    then state j of each factor, in factor order."""
+
+    factors: tuple
+    states: tuple
+    pre: PreintegratedStack
+    information: np.ndarray  # (K, 15, 15)
+    residuals: ImuResiduals
+    costs: list  # r.W r per factor, as Python floats
+
+
+def _same(a: tuple, b: tuple) -> bool:
+    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
+
+
+def _imu_stage(factors, values, last: _ImuStage | None = None) -> _ImuStage:
+    """The residual stage of the IMU factors at the values.  It is ``last``
+    itself when that holds the same factors at the same state objects,
+    compared with ``is``: the states are immutable and the stage holds
+    them, so an equal identity is an equal input.  With the same factors
+    only, it reuses last's stacked preintegrations and informations."""
+    factors = tuple(factors)
+    states = tuple(values[k] for f in factors for k in f.keys)
+    if last is not None and _same(last.factors, factors):
+        if _same(last.states, states):
+            return last
+        pre, info = last.pre, last.information
+    else:
+        pre = stack_preintegrated([f.pre for f in factors],
+                                  [f.gravity for f in factors])
+        info = np.array([f.information for f in factors])
+    res = imu_residuals(states[0::2], states[1::2], pre)
+    r = res.residual
+    costs = np.matmul(np.matmul(r[:, None, :], info), r[:, :, None])[:, 0, 0]
+    return _ImuStage(factors, states, pre, info, res, costs.tolist())
+
+
+def _imu_blocks(stage: _ImuStage) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients (K, 30) and Gauss-Newton Hessians (K, 30, 30) of the
+    stage's factors, 2 J^T W r and 2 J^T W J, over state i then state j."""
+    jac = imu_jacobians(stage.residuals, stage.pre)
+    w = np.matmul(2.0 * jac.transpose(0, 2, 1), stage.information)
+    return (np.matmul(w, stage.residuals.residual[:, :, None])[:, :, 0],
+            np.matmul(w, jac))
+
+
+class _ImuMemo:
+    """The last residual stage of a graph's stacked IMU pass, so that a
+    linearization at the states of the last cost forms only the
+    Jacobians."""
+
+    def __init__(self):
+        self.last: _ImuStage | None = None
+
+    def stage(self, factors, values) -> _ImuStage:
+        self.last = _imu_stage(factors, values, self.last)
+        return self.last
 
 
 class MatchingCostFactor(Factor):
@@ -214,8 +290,8 @@ class MatchingCostFactor(Factor):
         self.min_inliers = min_inliers
         self._empty = (len(source) == 0 or len(target_map) == 0
                        or source.covs is None)
-        # (keys, rows): packed voxel key and voxel row per source point from
-        # the last lookup
+        # (pose, keys, rows) of the last lookup: the bytes of its relative
+        # pose, and the packed voxel key and voxel row per source point
         self._lookup = None
         self._inliers = 0
         # FrozenTerms on the rows of self._lookup; None below min_inliers
@@ -244,12 +320,18 @@ class MatchingCostFactor(Factor):
 
     def _look_up(self, rot: np.ndarray, trans: np.ndarray) -> None:
         """Find every source point's voxel row at the relative pose
-        (rot, trans); re-form the held terms there when a row changed."""
+        (rot, trans); re-form the held terms there when a row changed.  At
+        the bits of the last look-up's pose nothing is searched: the rows
+        depend only on the pose, the points and the immutable map."""
+        pose = rot.tobytes() + trans.tobytes()
+        if self._lookup is not None and self._lookup[0] == pose:
+            return
+        known = None if self._lookup is None else self._lookup[1:]
         keys, rows = self.target_map.look_up(self.source.point_rows, rot, trans,
-                                             self._lookup)
-        same = self._lookup is not None and (
-            rows is self._lookup[1] or np.array_equal(rows, self._lookup[1]))
-        self._lookup = (keys, rows)
+                                             known)
+        same = known is not None and (
+            rows is known[1] or np.array_equal(rows, known[1]))
+        self._lookup = (pose, keys, rows)
         if same:
             return
         self._inliers = int(np.count_nonzero(rows >= 0))
@@ -265,7 +347,11 @@ class MatchingCostFactor(Factor):
         return _matching_costs([self], values)[0]
 
     def linearize(self, values) -> FactorLinearization:
-        return _matching_linearizations([self], values)[0]
+        grad, hess, cost = _matching_blocks([self], values)
+        if self._held is None:
+            return FactorLinearization(None, None, 0.0)
+        n = 6 * len(self.keys)
+        return FactorLinearization(grad[0, :n], hess[0, :n, :n], cost[0])
 
 
 def _relative_poses(factors, values) -> tuple[np.ndarray, np.ndarray]:
@@ -301,19 +387,20 @@ def _held_terms(factors, values, relook: bool):
     hold terms after their look-ups.  The relative poses come from one
     stacked pass; each factor with a source and a map is looked up there,
     in factor order, if ``relook`` or if it has no look-up yet."""
-    poses = zip(*_relative_poses(factors, values)) if factors else ()
-    at, held, rots, trans = [], [], [], []
-    for f, (rot, t) in zip(factors, poses):
+    if not factors:
+        return [], [], np.empty((0, 3, 3)), np.empty((0, 3))
+    rots, trans = _relative_poses(factors, values)
+    at, held, kept = [], [], []
+    for k, f in enumerate(factors):
         if not f._empty and (relook or f._lookup is None):
-            f._look_up(rot, t)
+            f._look_up(rots[k], trans[k])
         if f._held is None:
             at.append(None)
             continue
         at.append(len(held))
         held.append(f._held)
-        rots.append(rot)
-        trans.append(t)
-    return at, held, np.array(rots), np.array(trans)
+        kept.append(k)
+    return at, held, rots[kept], trans[kept]
 
 
 def _matching_costs(factors, values) -> list[float]:
@@ -324,23 +411,21 @@ def _matching_costs(factors, values) -> list[float]:
     return [0.0 if k is None else costs[k] for k in at]
 
 
-def _matching_linearizations(factors, values) -> list[FactorLinearization]:
+def _matching_blocks(factors, values):
     """``linearize`` of every matching factor: each looks up, in order, and
     one stacked ``linearize_from_terms`` takes the blocks of all held
-    terms; a factor with a fixed target keeps the source pose's blocks."""
+    terms.  Returns the gradients (K, 12), the Hessians (K, 12, 12) and the
+    costs as Python floats, zero for a factor without terms; a factor with
+    a fixed target takes the source pose's leading 6 and 6x6."""
     at, held, rots, trans = _held_terms(factors, values, relook=True)
+    grad, hess = np.zeros((len(at), 12)), np.zeros((len(at), 12, 12))
+    costs = [0.0] * len(at)
     if held:
-        grad, hess, cost = linearize_from_terms(held, rots, trans)
-        cost = cost.tolist()
-    out = []
-    for f, k in zip(factors, at):
-        if k is None:
-            out.append(FactorLinearization(None, None, 0.0))
-        elif f.unary:
-            out.append(FactorLinearization(grad[k, :6], hess[k, :6, :6], cost[k]))
-        else:
-            out.append(FactorLinearization(grad[k], hess[k], cost[k]))
-    return out
+        rows = [k for k, a in enumerate(at) if a is not None]
+        grad[rows], hess[rows], cost = linearize_from_terms(held, rots, trans)
+        for k, c in zip(rows, cost.tolist()):
+            costs[k] = c
+    return grad, hess, costs
 
 
 class MarginalPriorFactor(Factor):
@@ -352,7 +437,9 @@ class MarginalPriorFactor(Factor):
     ``constant`` is the cost the marginalized factors keep at that point
     once the removed variables take their conditional optimum, so the
     prior's cost is that of the factors it replaces, offset included, and
-    a window's total cost stays a sum of nonnegative terms.
+    a window's total cost stays a sum of nonnegative terms.  The factor
+    keeps its last offset with the state objects it was formed at, and
+    forms it again only at other ones.
     """
 
     grounding = True
@@ -366,11 +453,16 @@ class MarginalPriorFactor(Factor):
         self.gradient = gradient
         self.constant = constant
         self._slices, self.dim = _layout(self.keys)
+        self._last: tuple[tuple, np.ndarray] | None = None  # (states, delta)
 
     def _delta(self, values) -> np.ndarray:
+        states = tuple(values[k] for k in self.keys)
+        if self._last is not None and _same(self._last[0], states):
+            return self._last[1]
         delta = np.empty(self.dim)
-        for k, sl in self._slices.items():
-            delta[sl] = state_local(values[k], self.lin_values[k])
+        for (k, sl), state in zip(self._slices.items(), states):
+            delta[sl] = state_local(state, self.lin_values[k])
+        self._last = (states, delta)
         return delta
 
     def _cost_at(self, d) -> float:
@@ -417,42 +509,119 @@ def _layout(keys):
     return slices, off
 
 
-def _by_factor(factors, values, matching, other) -> list:
-    """``matching(ms, values)`` for the matching factors ms, taken in one
+def _by_factor(factors, values, matching, imu, other) -> list:
+    """``matching(ms, values)`` for the matching factors ms and
+    ``imu(fs, values)`` for the IMU factors fs, each kind taken in one
     stacked call, and ``other(f)`` for every other factor, in factor
     order."""
     ms = [f for f in factors if isinstance(f, MatchingCostFactor)]
-    stacked = iter(matching(ms, values) if ms else ())
-    return [next(stacked) if isinstance(f, MatchingCostFactor) else other(f)
+    fs = [f for f in factors if isinstance(f, ImuFactor)]
+    stacked_m = iter(matching(ms, values) if ms else ())
+    stacked_i = iter(imu(fs, values) if fs else ())
+    return [next(stacked_m) if isinstance(f, MatchingCostFactor)
+            else next(stacked_i) if isinstance(f, ImuFactor) else other(f)
             for f in factors]
 
 
-def _accumulate(factors, values, slices, dim):
+def _starts(sizes: np.ndarray) -> np.ndarray:
+    """Start of each of consecutive runs of the given sizes."""
+    return np.cumsum(sizes) - sizes
+
+
+class _Placement:
+    """Where the block entries of a factor list land in the normal
+    equations of one layout, built once for the list and the layout.
+
+    The entries go factor after factor, each block row-major, so that one
+    scatter adds the terms of every entry of H and g in factor order,
+    starting from zero, as placing the blocks one key pair at a time does.
+    ``h_index`` holds their flat positions in the row-major dim x dim H and
+    ``g_index`` those in g.  The blocks come from three passes, laid out in
+    one raw row: the blocks of the factors linearized alone (``alone``),
+    the stacked IMU blocks (rows of 30), then the stacked matching blocks
+    (rows of 12, of which a unary factor reads the leading 6x6).
+    ``h_gather``, ``g_gather`` and ``cost_gather`` hold the raw position of
+    every entry and of every factor's cost.  Every index is formed per
+    block row, with no loop over the factors.
+    """
+
+    def __init__(self, factors, slices, dim):
+        self.dim = dim
+        self.matching = [f for f in factors if isinstance(f, MatchingCostFactor)]
+        self.imu = [f for f in factors if isinstance(f, ImuFactor)]
+        self.alone = [f for f in factors
+                      if not isinstance(f, (MatchingCostFactor, ImuFactor))]
+        first_column = {k.index: sl.start for k, sl in slices.items()}
+        starts, sizes, side, stack = [], [], [], []
+        for f in factors:
+            dims = f.dims
+            starts += [first_column[k.index] for k in f.keys]
+            sizes += dims
+            side.append(sum(dims))
+            # the pass that forms its block: alone, IMU or matching
+            stack.append(2 if isinstance(f, MatchingCostFactor)
+                         else 1 if isinstance(f, ImuFactor) else 0)
+        sizes = np.array(sizes, dtype=np.intp)
+        side = np.array(side, dtype=np.intp)
+        stack = np.array(stack, dtype=np.intp)
+        # per block row, factor after factor: its system index, its factor,
+        # its index in the block and the length of its run of entries
+        rows = np.repeat(np.array(starts, dtype=np.intp) - _starts(sizes), sizes)
+        rows += np.arange(rows.size)
+        factor = np.repeat(np.arange(side.size), side)
+        length = side[factor]
+        first = _starts(side)[factor]
+        local = np.arange(rows.size) - first
+        # per entry: the block row of its column, counted over all blocks
+        column = np.arange(length.sum()) - np.repeat(_starts(length) - first, length)
+        self.h_index = np.repeat(rows * dim, length) + rows[column]
+        self.g_index = rows
+        # each factor's start in the raw rows of H blocks, g blocks and costs
+        raw_order = np.argsort(stack, kind="stable")
+        row_len = np.where(stack == 2, 12, np.where(stack == 1, 30, side))
+        h_base, g_base, c_base = (np.empty_like(side) for _ in range(3))
+        h_base[raw_order] = _starts((row_len * row_len)[raw_order])
+        g_base[raw_order] = _starts(row_len[raw_order])
+        c_base[raw_order] = np.arange(side.size)
+        self.h_gather = (np.repeat(h_base[factor] + local * row_len[factor] - first,
+                                   length) + column)
+        self.g_gather = g_base[factor] + local
+        self.cost_gather = c_base.tolist()
+
+
+def _accumulate(factors, values, slices, dim, placement: _Placement | None = None,
+                imu: _ImuMemo | None = None):
     """Dense normal equations (H, g) and total cost of the factors at values.
 
-    The matching factors' blocks come from one stacked linearization; every
-    other factor linearizes alone.  The blocks are then placed, and the
-    costs summed, in factor order, each block landing, one key pair at a
-    time, in the leading dims[a] entries of its keys' slices."""
-    h = np.zeros((dim, dim))
+    Each kind takes one pass: the matching factors' blocks come from one
+    stacked linearization, the IMU factors' from one stacked pass (whose
+    residual stage ``imu`` keeps), and every other factor linearizes alone.
+    Every block is then placed by one scatter into H and one into g, at the
+    positions of ``placement`` (built here when not given), and the costs
+    are summed in factor order."""
+    placement = placement or _Placement(factors, slices, dim)
+    lins = [f.linearize(values) for f in placement.alone]
+    grad_m, hess_m, cost_m = _matching_blocks(placement.matching, values)
+    if placement.imu:
+        stage = (imu or _ImuMemo()).stage(placement.imu, values)
+        grad_i, hess_i = _imu_blocks(stage)
+        cost_i = stage.costs
+    else:
+        grad_i, hess_i, cost_i = np.zeros(0), np.zeros(0), []
+    raw_h = np.concatenate([*(lin.h.ravel() for lin in lins), hess_i.ravel(),
+                            hess_m.ravel()])
+    raw_g = np.concatenate([*(lin.g for lin in lins), grad_i.ravel(),
+                            grad_m.ravel()])
+    dim = placement.dim
+    h = np.zeros(dim * dim)
+    np.add.at(h, placement.h_index, raw_h[placement.h_gather])
     g = np.zeros(dim)
+    np.add.at(g, placement.g_index, raw_g[placement.g_gather])
+    raw_c = [*(lin.cost for lin in lins), *cost_i, *cost_m]
     cost = 0.0
-    lins = _by_factor(factors, values, _matching_linearizations,
-                      lambda f: f.linearize(values))
-    for f, lin in zip(factors, lins):
-        cost += lin.cost
-        if lin.h is None:
-            continue
-        places, off = [], 0  # (system slice, block slice) per key
-        for k, n in zip(f.keys, f.dims):
-            start = slices[k].start
-            places.append((slice(start, start + n), slice(off, off + n)))
-            off += n
-        for sys_a, blk_a in places:
-            g[sys_a] += lin.g[blk_a]
-            for sys_b, blk_b in places:
-                h[sys_a, sys_b] += lin.h[blk_a, blk_b]
-    return h, g, cost
+    for k in placement.cost_gather:
+        cost += raw_c[k]
+    return h.reshape(dim, dim), g, cost
 
 
 def _cholesky(h):
@@ -513,6 +682,7 @@ class FactorGraph:
         self.factors: list[Factor] = []
         # (H, slices) of the last assembly of optimize_lm
         self._normal: tuple[np.ndarray, dict] | None = None
+        self._imu = _ImuMemo()
 
     def add_variable(self, key: Key, initial_value) -> None:
         if key in self.values:
@@ -530,10 +700,13 @@ class FactorGraph:
     def total_cost(self, values=None) -> float:
         """Sum of the factor costs at the values (the graph's own by
         default), in factor order; the matching factors' costs come from one
-        stacked evaluation."""
+        stacked evaluation and the IMU factors' from another, whose residual
+        stage the graph keeps for the next linearization."""
         values = self.values if values is None else values
-        return float(sum(_by_factor(self.factors, values, _matching_costs,
-                                    lambda f: f.cost(values))))
+        return float(sum(_by_factor(
+            self.factors, values, _matching_costs,
+            lambda fs, at: self._imu.stage(fs, at).costs,
+            lambda f: f.cost(values))))
 
     # -- structural checks -------------------------------------------------
 
@@ -582,6 +755,7 @@ class FactorGraph:
         settings = settings or LmSettings()
         self.check_structure()
         slices, dim = _layout(self.values)
+        placement = _Placement(self.factors, slices, dim)
         values = dict(self.values)
         initial_cost = cost = self.total_cost(values)
         lam, nu = settings.lambda_init, 2.0
@@ -594,7 +768,8 @@ class FactorGraph:
         best = None  # lowest cost at a linearization so far
         stalled = 0  # linearizations since best was last lowered
         while not converged and iterations < settings.max_iterations:
-            h, g, cost = _accumulate(self.factors, values, slices, dim)
+            h, g, cost = _accumulate(self.factors, values, slices, dim, placement,
+                                     self._imu)
             self._normal = (h, slices)
             iterations += 1
             if best is None or (cost < best and not negligible(best - cost, best)):

@@ -22,6 +22,11 @@ from a prefix product in log2(m) rounds of batched 3x3 products, and v and p
 from cumulative sums.  ``preintegrate``
 takes the bias Jacobians and the covariance from the same sums, in closed
 form over the steps.
+
+The factor residual and its Jacobians are formed for K factors at once
+(``imu_residuals``, ``imu_jacobians``), with every product one stacked
+``np.matmul``; one factor (``imu_factor_residual``) is that path with
+K = 1, and its result is the same bits in any stack.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from .geometry import (
     Se3Pose,
     so3_exp,
     so3_exp_jacobian_batch,
-    so3_hat,
     so3_hat_batch,
     so3_log,
     so3_right_jacobian,
@@ -303,64 +307,128 @@ def predict_state(state: SensorState, pre: PreintegratedImu,
     )
 
 
+class PreintegratedStack(NamedTuple):
+    """K preintegrations, each with the gravity of its factor, as arrays
+    with a leading axis of length K."""
+
+    delta_r: np.ndarray  # (K, 3, 3)
+    delta_v: np.ndarray  # (K, 3)
+    delta_p: np.ndarray  # (K, 3)
+    dt: np.ndarray  # (K, 1) dt_total
+    bias_lin: np.ndarray  # (K, 6)
+    jac_bias: np.ndarray  # (K, 9, 6)
+    gravity: np.ndarray  # (K, 3)
+
+
+def stack_preintegrated(pres, gravities) -> PreintegratedStack:
+    """The K preintegrations and their K gravity vectors as one stack."""
+    return PreintegratedStack(
+        np.array([p.delta_r.matrix() for p in pres]),
+        np.array([p.delta_v for p in pres]),
+        np.array([p.delta_p for p in pres]),
+        np.array([[p.dt_total] for p in pres]),
+        np.array([p.bias_lin for p in pres]),
+        np.array([p.jac_bias for p in pres]),
+        np.array(gravities, dtype=float).reshape(-1, 3))
+
+
+class ImuResiduals(NamedTuple):
+    """The residuals of K IMU factors at K state pairs, with the products
+    that their Jacobians read again."""
+
+    residual: np.ndarray  # (K, 15)
+    rot_i: np.ndarray  # (K, 3, 3) R_i
+    rot_j: np.ndarray  # (K, 3, 3) R_j
+    err_rot: np.ndarray  # (K, 3, 3) dR^T R_i^T R_j
+    rot_u_v: np.ndarray  # (K, 3, 1) R_i^T u_v
+    rot_u_p: np.ndarray  # (K, 3, 1) R_i^T u_p
+    theta: np.ndarray  # (K, 3, 1) gyro-bias correction of the rotation
+
+
+def imu_residuals(states_i, states_j, pre: PreintegratedStack) -> ImuResiduals:
+    """15-dof residuals (rot, vel, pos, accel-bias walk, gyro-bias walk) of
+    K factors, factor k between states_i[k] and states_j[k].
+
+    The motion rows compare the preintegrated deltas, corrected to the
+    bias of state i to first order, against the state pair; the bias rows
+    are the random-walk residual b_j - b_i.  Every product is one stacked
+    ``np.matmul``, with vectors as (K, 3, 1) columns: it forms each slice
+    with the BLAS call of the 2-D product of that factor alone, so a
+    factor's residual is the same bits in any stack.  so3_exp and so3_log
+    run per factor, on Python floats.
+    """
+    rot_i = np.array([s.pose.rotation.matrix() for s in states_i])
+    rot_j = np.array([s.pose.rotation.matrix() for s in states_j])
+    vel_i = np.array([s.velocity for s in states_i])
+    vel_j = np.array([s.velocity for s in states_j])
+    bias_i = np.array([s.bias for s in states_i])
+    bias_j = np.array([s.bias for s in states_j])
+    dt, gravity = pre.dt, pre.gravity
+    # the deltas corrected to the bias of state i (correct_for_bias)
+    db = bias_i - pre.bias_lin
+    theta = np.matmul(pre.jac_bias[:, 0:3, 3:6], db[:, 3:, None])
+    delta_r = np.matmul(pre.delta_r,
+                        np.array([so3_exp(t).matrix() for t in theta[:, :, 0]]))
+    delta_v = pre.delta_v + np.matmul(pre.jac_bias[:, 3:6, :], db[:, :, None])[:, :, 0]
+    delta_p = pre.delta_p + np.matmul(pre.jac_bias[:, 6:9, :], db[:, :, None])[:, :, 0]
+
+    ri_t = rot_i.transpose(0, 2, 1)
+    err_rot = np.matmul(delta_r.transpose(0, 2, 1), np.matmul(ri_t, rot_j))
+    u_v = vel_j - vel_i - gravity * dt
+    u_p = (np.array([s.pose.translation for s in states_j])
+           - np.array([s.pose.translation for s in states_i])
+           - vel_i * dt - 0.5 * gravity * dt * dt)
+    rot_u_v = np.matmul(ri_t, u_v[:, :, None])
+    rot_u_p = np.matmul(ri_t, u_p[:, :, None])
+    residual = np.empty((rot_i.shape[0], 15))
+    residual[:, 0:3] = [so3_log(Rotation.from_matrix(e)) for e in err_rot]
+    residual[:, 3:6] = rot_u_v[:, :, 0] - delta_v
+    residual[:, 6:9] = rot_u_p[:, :, 0] - delta_p
+    residual[:, 9:15] = bias_j - bias_i
+    return ImuResiduals(residual, rot_i, rot_j, err_rot, rot_u_v, rot_u_p, theta)
+
+
+def imu_jacobians(res: ImuResiduals, pre: PreintegratedStack) -> np.ndarray:
+    """(K, 15, 30) Jacobians of the K residuals with respect to the
+    right-multiplicative retraction of state i (columns 0-14), then of
+    state j (15-29); stacked products as in ``imu_residuals``."""
+    k = res.residual.shape[0]
+    jr_inv = np.array([so3_right_jacobian_inv(r) for r in res.residual[:, 0:3]])
+    ri_t = res.rot_i.transpose(0, 2, 1)
+    j_phi_g = pre.jac_bias[:, 0:3, 3:6]
+    jac = np.zeros((k, 15, 30))
+    # rotation rows
+    jac[:, 0:3, 0:3] = np.matmul(-jr_inv, np.matmul(res.rot_j.transpose(0, 2, 1),
+                                                    res.rot_i))
+    jr_theta = np.array([so3_right_jacobian(t) for t in res.theta[:, :, 0]])
+    jac[:, 0:3, 12:15] = np.matmul(np.matmul(np.matmul(
+        -jr_inv, res.err_rot.transpose(0, 2, 1)), jr_theta), j_phi_g)
+    jac[:, 0:3, 15:18] = jr_inv
+    # velocity rows
+    jac[:, 3:6, 0:3] = so3_hat_batch(res.rot_u_v[:, :, 0])
+    jac[:, 3:6, 6:9] = -ri_t
+    jac[:, 3:6, 9:15] = -pre.jac_bias[:, 3:6, :]
+    jac[:, 3:6, 21:24] = ri_t
+    # position rows
+    jac[:, 6:9, 0:3] = so3_hat_batch(res.rot_u_p[:, :, 0])
+    jac[:, 6:9, 3:6] = -np.eye(3)
+    jac[:, 6:9, 6:9] = -ri_t * pre.dt[:, :, None]
+    jac[:, 6:9, 9:15] = -pre.jac_bias[:, 6:9, :]
+    jac[:, 6:9, 18:21] = np.matmul(ri_t, res.rot_j)
+    # bias random-walk rows
+    jac[:, 9:15, 9:15] = -np.eye(6)
+    jac[:, 9:15, 24:30] = np.eye(6)
+    return jac
+
+
 def imu_factor_residual(state_i: SensorState, state_j: SensorState,
                         pre: PreintegratedImu, gravity=GRAVITY,
                         with_jacobians: bool = True):
-    """15-dof residual (rot, vel, pos, accel-bias walk, gyro-bias walk).
-
-    The motion rows compare the preintegrated deltas (corrected to state_i's
-    bias) against the state pair; the bias rows are the random-walk residual
-    b_j - b_i.  Jacobians are with respect to the right-multiplicative state
-    retraction of both states.
-    """
-    gravity = np.asarray(gravity, dtype=float)
-    dt = pre.dt_total
-    delta_r, delta_v, delta_p = correct_for_bias(pre, state_i.bias)
-
-    r_i = state_i.pose.rotation
-    r_j = state_j.pose.rotation
-    ri_t = r_i.matrix().T
-    err_rot = delta_r.inverse() * (r_i.inverse() * r_j)
-    r_r = so3_log(err_rot)
-    u_v = state_j.velocity - state_i.velocity - gravity * dt
-    u_p = (state_j.pose.translation - state_i.pose.translation
-           - state_i.velocity * dt - 0.5 * gravity * dt * dt)
-    r_v = ri_t @ u_v - delta_v
-    r_p = ri_t @ u_p - delta_p
-
-    residual = np.concatenate([
-        r_r, r_v, r_p,
-        state_j.bias_accel - state_i.bias_accel,
-        state_j.bias_gyro - state_i.bias_gyro,
-    ])
+    """Residual of one factor and, if asked, its Jacobians j_i and j_j for
+    the two states: ``imu_residuals`` and ``imu_jacobians`` with K = 1."""
+    stack = stack_preintegrated([pre], [gravity])
+    res = imu_residuals([state_i], [state_j], stack)
     if not with_jacobians:
-        return residual, None, None
-
-    jr_inv = so3_right_jacobian_inv(r_r)
-    e_mat = err_rot.matrix()
-    j_i = np.zeros((15, 15))
-    j_j = np.zeros((15, 15))
-
-    # rotation rows
-    j_i[0:3, 0:3] = -jr_inv @ (r_j.matrix().T @ r_i.matrix())
-    j_phi_g = pre.jac_bias[0:3, 3:6]
-    theta = j_phi_g @ (state_i.bias - pre.bias_lin)[3:]
-    j_i[0:3, 12:15] = -jr_inv @ e_mat.T @ so3_right_jacobian(theta) @ j_phi_g
-    j_j[0:3, 0:3] = jr_inv
-    # velocity rows
-    j_i[3:6, 0:3] = so3_hat(ri_t @ u_v)
-    j_i[3:6, 6:9] = -ri_t
-    j_i[3:6, 9:12] = -pre.jac_bias[3:6, 0:3]
-    j_i[3:6, 12:15] = -pre.jac_bias[3:6, 3:6]
-    j_j[3:6, 6:9] = ri_t
-    # position rows
-    j_i[6:9, 0:3] = so3_hat(ri_t @ u_p)
-    j_i[6:9, 3:6] = -np.eye(3)
-    j_i[6:9, 6:9] = -ri_t * dt
-    j_i[6:9, 9:12] = -pre.jac_bias[6:9, 0:3]
-    j_i[6:9, 12:15] = -pre.jac_bias[6:9, 3:6]
-    j_j[6:9, 3:6] = ri_t @ r_j.matrix()
-    # bias random-walk rows
-    j_i[9:15, 9:15] = -np.eye(6)
-    j_j[9:15, 9:15] = np.eye(6)
-    return residual, j_i, j_j
+        return res.residual[0], None, None
+    jac = imu_jacobians(res, stack)[0]
+    return res.residual[0], jac[:, :15], jac[:, 15:]

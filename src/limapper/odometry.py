@@ -143,13 +143,15 @@ class WindowFrame:
 
     A keyframe is a window frame that stays on as a matching target after
     it is marginalized; the keyframe set holds the same objects as the
-    window, so membership tests go by identity.  The scan span is read from
-    ``frame``, and an empty frame has an empty voxel map.
+    window, so membership tests go by identity.  Once marginalized, a frame
+    keeps only its voxel map and the points, stamps and span of ``frame``.
+    The scan span is read from ``frame``, and an empty frame has an empty
+    voxel map.
     """
 
     index: int
     pre_frame: Frame | None  # pre-deskew cloud; None once handed downstream
-    frame: Frame  # deskewed, covariances attached
+    frame: Frame  # deskewed, covariances attached until marginalized
     voxelmap: GaussianVoxelMap
     state: SensorState  # window estimate; final once marginalized
     marginalized: bool = False
@@ -457,5 +459,8 @@ class OdometryEstimator:
         out = MarginalizedFrame(
             frame_index=rec.index, frame=rec.pre_frame, state=rec.state,
             vel_bias_sigma=sigmas)
-        rec.pre_frame = None  # a keyframe keeps only what matching reads
+        # a keyframe is only a target map, and the overlap reads its points:
+        # it keeps the points, stamps and span, and drops the rest
+        rec.pre_frame = None
+        rec.frame = replace(rec.frame, neighbors=None, covs=None, degenerate=None)
         return out

@@ -1,4 +1,6 @@
+import copy
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,10 +39,10 @@ from limapper.geometry import (
     state_retract,
 )
 from limapper.imu import GRAVITY, ImuNoiseParams, ImuSample, preintegrate
-from limapper.registration import build_voxelmap
+from limapper.registration import GaussianVoxelMap, build_voxelmap
 from limapper.synthetic import generate_synthetic_scene
 
-from test_imu import propagate_state
+from test_imu import per_factor_imu_residual, propagate_state
 from test_odometry import loop_spec, run
 from test_registration import (
     at_pose,
@@ -632,10 +634,23 @@ class TestMarginalizationProperties:
             assert np.linalg.norm(err) < 1e-8
 
 
+def reference_imu_lin(f, values):
+    """(g, h, cost) of one IMU factor from the per-factor oracle, weighted
+    with 2-D products."""
+    r, j_i, j_j = per_factor_imu_residual(values[f.keys[0]], values[f.keys[1]],
+                                          f.pre, f.gravity)
+    jac = np.hstack([j_i, j_j])
+    w = 2.0 * jac.T @ f.information
+    return w @ r, w @ jac, float(r @ f.information @ r)
+
+
 def reference_lin(f, values):
-    """(g, h, cost) of one factor linearized alone; a matching factor by
-    the 2-D per-factor kernel on the terms it holds, at the relative pose
-    that ``pose_compose`` forms, and (None, None, 0.0) without terms."""
+    """(g, h, cost) of one factor linearized alone; an IMU factor by the
+    per-factor oracle, a matching factor by the 2-D per-factor kernel on
+    the terms it holds, at the relative pose that ``pose_compose`` forms,
+    and (None, None, 0.0) without terms."""
+    if isinstance(f, ImuFactor):
+        return reference_imu_lin(f, values)
     if not isinstance(f, MatchingCostFactor):
         return f.linearize(values)
     if f._held is None:
@@ -646,8 +661,8 @@ def reference_lin(f, values):
 
 
 def reference_assembly(factors, values, slices, dim):
-    """(H, g, cost) with every factor linearized alone, its block placed and
-    its cost summed in factor order."""
+    """Oracle: (H, g, cost) with every factor linearized alone, its block
+    placed one key pair at a time and its cost summed in factor order."""
     h, g, cost = np.zeros((dim, dim)), np.zeros(dim), 0.0
     for f in factors:
         g_f, h_f, c_f = reference_lin(f, values)
@@ -713,3 +728,82 @@ class TestStackedAssembly:
         for at in (values, step):
             assert window.total_cost(at) == sum(
                 reference_cost(f, at) for f in window.factors)
+
+    def test_marginalization_assembles_as_the_per_key_pair_loop(
+            self, window, monkeypatch):
+        graph = copy.deepcopy(window)
+        assembled = factor_graph._accumulate
+        checked = []
+
+        def compare(factors, values, slices, dim, *rest):
+            h, g, cost = assembled(factors, values, slices, dim, *rest)
+            h_ref, g_ref, cost_ref = reference_assembly(factors, values, slices, dim)
+            checked.append((h.tobytes() == h_ref.tobytes(),
+                            g.tobytes() == g_ref.tobytes(), cost == cost_ref))
+            return h, g, cost
+
+        monkeypatch.setattr(factor_graph, "_accumulate", compare)
+        oldest = next(iter(graph.values))
+        involved = [f for f in graph.factors if oldest in f.keys]
+        assert {f.kind for f in involved} >= {"imu-preintegration",
+                                              "marginal-prior"}
+        graph.marginalize([oldest])
+        assert checked == [(True, True, True)]
+
+    def test_stacked_imu_pass_equals_each_factor_alone(self, window):
+        imu = [f for f in window.factors if isinstance(f, ImuFactor)]
+        assert len(imu) > 1
+        rng = np.random.default_rng(5)
+        step = {k: state_retract(v, rng.normal(scale=1e-3, size=15))
+                for k, v in window.values.items()}
+        for at in (window.values, step):
+            stage = factor_graph._imu_stage(imu, at)
+            grad, hess = factor_graph._imu_blocks(stage)
+            for k, f in enumerate(imu):
+                g_ref, h_ref, cost_ref = reference_imu_lin(f, at)
+                alone = f.linearize(at)  # the stacked pass with K = 1
+                for got in (grad[k], alone.g):
+                    assert got.tobytes() == g_ref.tobytes()
+                for got in (hess[k], alone.h):
+                    assert got.tobytes() == h_ref.tobytes()
+                assert stage.costs[k] == alone.cost == f.cost(at) == cost_ref
+
+    def test_linearization_at_an_accepted_candidate_forms_only_the_jacobians(
+            self, window):
+        graph = copy.deepcopy(window)
+        slices, dim = _layout(graph.values)
+        rng = np.random.default_rng(6)
+        candidate = {k: state_retract(v, rng.normal(scale=1e-4, size=15))
+                     for k, v in graph.values.items()}
+        placement = factor_graph._Placement(graph.factors, slices, dim)
+        graph.total_cost(candidate)  # the candidate's cost fills the memo
+        stage = graph._imu.last
+        with mock.patch.object(factor_graph, "imu_residuals",
+                               wraps=factor_graph.imu_residuals) as residuals:
+            kept = _accumulate(graph.factors, candidate, slices, dim, placement,
+                               graph._imu)
+            assert residuals.call_count == 0 and graph._imu.last is stage
+            for f in graph.factors:
+                if isinstance(f, MarginalPriorFactor):
+                    f._last = None
+            fresh = _accumulate(graph.factors, candidate, slices, dim)
+            assert residuals.call_count == 1
+        for a, b in zip(kept, fresh):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    def test_no_second_look_up_at_the_pose_of_the_last(self, window):
+        f = copy.deepcopy(next(f for f in window.factors
+                               if isinstance(f, MatchingCostFactor)
+                               and not f.unary and f.inliers > 0))
+        f._lookup = None
+        values = window.values
+        with mock.patch.object(GaussianVoxelMap, "look_up", autospec=True,
+                               side_effect=GaussianVoxelMap.look_up) as look_up:
+            first = f.linearize(values)
+            again = f.linearize(values)
+            assert look_up.call_count == 1
+            moved = dict(values)
+            moved[f.keys[0]] = state_retract(values[f.keys[0]], np.full(15, 1e-3))
+            f.linearize(moved)
+            assert look_up.call_count == 2
+        assert first.h.tobytes() == again.h.tobytes() and first.cost == again.cost

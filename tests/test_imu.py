@@ -14,6 +14,7 @@ from limapper.geometry import (
     so3_hat,
     so3_log,
     so3_right_jacobian,
+    so3_right_jacobian_inv,
     state_retract,
 )
 from limapper.imu import (
@@ -454,7 +455,74 @@ class TestBiasCorrection:
             assert np.max(np.abs(fd - pre.jac_bias)) < 1e-7 * max(1.0, np.max(np.abs(fd)))
 
 
+def per_factor_imu_residual(state_i, state_j, pre, gravity=GRAVITY):
+    """Oracle: the residual and Jacobians of one IMU factor, formed alone
+    with 2-D products, as the factor formed them before the stacked pass."""
+    gravity = np.asarray(gravity, dtype=float)
+    dt = pre.dt_total
+    delta_r, delta_v, delta_p = correct_for_bias(pre, state_i.bias)
+    r_i = state_i.pose.rotation
+    r_j = state_j.pose.rotation
+    ri_t = r_i.matrix().T
+    err_rot = delta_r.inverse() * (r_i.inverse() * r_j)
+    r_r = so3_log(err_rot)
+    u_v = state_j.velocity - state_i.velocity - gravity * dt
+    u_p = (state_j.pose.translation - state_i.pose.translation
+           - state_i.velocity * dt - 0.5 * gravity * dt * dt)
+    residual = np.concatenate([
+        r_r, ri_t @ u_v - delta_v, ri_t @ u_p - delta_p,
+        state_j.bias_accel - state_i.bias_accel,
+        state_j.bias_gyro - state_i.bias_gyro,
+    ])
+    jr_inv = so3_right_jacobian_inv(r_r)
+    j_i = np.zeros((15, 15))
+    j_j = np.zeros((15, 15))
+    j_i[0:3, 0:3] = -jr_inv @ (r_j.matrix().T @ r_i.matrix())
+    j_phi_g = pre.jac_bias[0:3, 3:6]
+    theta = j_phi_g @ (state_i.bias - pre.bias_lin)[3:]
+    j_i[0:3, 12:15] = (-jr_inv @ err_rot.matrix().T @ so3_right_jacobian(theta)
+                       @ j_phi_g)
+    j_j[0:3, 0:3] = jr_inv
+    j_i[3:6, 0:3] = so3_hat(ri_t @ u_v)
+    j_i[3:6, 6:9] = -ri_t
+    j_i[3:6, 9:12] = -pre.jac_bias[3:6, 0:3]
+    j_i[3:6, 12:15] = -pre.jac_bias[3:6, 3:6]
+    j_j[3:6, 6:9] = ri_t
+    j_i[6:9, 0:3] = so3_hat(ri_t @ u_p)
+    j_i[6:9, 3:6] = -np.eye(3)
+    j_i[6:9, 6:9] = -ri_t * dt
+    j_i[6:9, 9:12] = -pre.jac_bias[6:9, 0:3]
+    j_i[6:9, 12:15] = -pre.jac_bias[6:9, 3:6]
+    j_j[6:9, 3:6] = ri_t @ r_j.matrix()
+    j_i[9:15, 9:15] = -np.eye(6)
+    j_j[9:15, 9:15] = np.eye(6)
+    return residual, j_i, j_j
+
+
 class TestImuFactor:
+    def test_one_factor_equals_the_per_factor_oracle(self):
+        # imu_factor_residual is the stacked kernel with K = 1; it forms
+        # every product with the BLAS call of the 2-D product, so it
+        # matches the factor formed alone bit for bit
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            samples = make_samples(rng, 60)
+            bias = rng.uniform(-0.03, 0.03, 6)
+            pre = preintegrate(samples, samples[0].stamp, samples[-1].stamp,
+                               bias, NOISE)
+            state_i, state_j = random_state(rng), random_state(rng)
+            state_i = SensorState(state_i.pose, state_i.velocity,
+                                  bias[:3] + rng.uniform(-0.01, 0.01, 3),
+                                  bias[3:] + rng.uniform(-0.01, 0.01, 3), 0.0)
+            got = imu_factor_residual(state_i, state_j, pre)
+            want = per_factor_imu_residual(state_i, state_j, pre)
+            for a, b in zip(got, want):
+                assert np.ascontiguousarray(a).tobytes() == b.tobytes()
+            r, none_i, none_j = imu_factor_residual(state_i, state_j, pre,
+                                                    with_jacobians=False)
+            assert r.tobytes() == want[0].tobytes()
+            assert none_i is None and none_j is None
+
     def _consistent_pair(self, rng, bias=None):
         samples = make_samples(rng, 100)
         bias = np.zeros(6) if bias is None else bias

@@ -134,6 +134,25 @@ class TestGoldenLoop:
             "aac86da09e12bdfb4e559a1b5645f56ff336feeddcb21f7e152197c0d794c035")
 
 
+class TestMarginalizedKeyframes:
+    def test_keep_only_points_stamps_and_span(self, loop_scene):
+        # a keyframe is only a target map once marginalized, and the overlap
+        # reads its points; the neighbours and covariances go with the state
+        est, _ = run(loop_scene)
+        marginalized = [kf for kf in est.keyframes if kf.marginalized]
+        assert marginalized and any(not kf.marginalized for kf in est.keyframes)
+        for kf in est.keyframes:
+            frame = kf.frame
+            if kf.marginalized:
+                assert frame.covs is None and frame.neighbors is None
+                assert frame.degenerate is None and kf.pre_frame is None
+                assert_row_storage(frame)
+            else:
+                assert frame.covs is not None and frame.neighbors is not None
+            assert len(frame) == len(frame.stamps) > 0
+            assert frame.scan_start < frame.scan_end
+
+
 class TestKeyframeScoring:
     def test_scored_removal_forms_only_the_overlaps_it_reads(
             self, loop_scene, monkeypatch):
