@@ -10,8 +10,9 @@ The two per-point kernels take a general algorithm only where it is needed:
 
 - ``knn_search`` keeps the tree's order on rows whose distances are clearly
   distinct and re-sorts only rows with a near-tie, because the tree does not
-  break equal distances by index.  The result is the same bit for bit as a
-  re-sort of every row.
+  break equal distances by index; a row tied at its k-th neighbour takes
+  every point within that distance.  The result is the same bit for bit as
+  a brute-force sort of every row by (squared distance, index).
 - ``estimate_covariances`` takes each plane normal in closed form, within
   about 3e-12 of ``np.linalg.eigh``, and hands neighborhoods without a
   well-defined normal (lines, duplicates, near-isotropic clusters; the rule
@@ -265,19 +266,31 @@ def knn_search(frame: Frame, k: int) -> np.ndarray:
 
     Rows come in (squared distance, index) order, so the result matches a
     brute-force stable sort bit for bit: equal distances are broken toward
-    the lower index.  The tree returns each row sorted by its own distances;
-    a row whose distances rise by more than ``_KNN_TIE_REL`` at every step is
-    in that order already.  Only rows with a near-tie (duplicates, grid
-    points, the self point beside a coincident one) have their squared
-    distances recomputed and are re-sorted, because the tree does not order
-    equal distances by index.
+    the lower index, also at the k-th neighbour.  The tree is asked for
+    k + 1 neighbours.  A row whose (k+1)-th distance ties the k-th within
+    ``_KNN_TIE_REL`` may have been cut at either of them, so it takes every
+    point within that distance (``query_ball_point``) and keeps the k
+    lowest by (d^2, index).  Of the other rows, the tree returns each sorted
+    by its own distances; one whose distances rise by more than
+    ``_KNN_TIE_REL`` at every step is in that order already.  Only rows
+    with a near-tie (duplicates, grid points, the self point beside a
+    coincident one) have their squared distances recomputed and are
+    re-sorted, because the tree does not order equal distances by index.
     """
     n = len(frame)
     if n < k:
         raise FrameTooSparse(f"frame has {n} points, need at least {k}")
     points = np.ascontiguousarray(frame.points)  # the tree's own layout
-    dist, idx = cKDTree(points).query(points, k=k)
-    dist, idx = dist.reshape(n, k), idx.reshape(n, k)
+    # the result does not depend on the tree, so it is split at sliding
+    # midpoints: on the benchmark's scans that builds and queries about 10 %
+    # faster than at medians
+    tree = cKDTree(points, balanced_tree=False)
+    m = min(k + 1, n)
+    dist, idx = tree.query(points, k=m)
+    dist, idx = dist.reshape(n, m), idx.reshape(n, m)
+    cut = np.flatnonzero(~(dist[:, -1] > dist[:, k - 1] * (1.0 + _KNN_TIE_REL))
+                         if m > k else np.zeros(0, dtype=np.intp))
+    dist, idx = dist[:, :k], np.ascontiguousarray(idx[:, :k])
     tied = np.flatnonzero(
         ~(dist[:, 1:] > dist[:, :-1] * (1.0 + _KNN_TIE_REL)).all(axis=1))
     if tied.size:
@@ -288,6 +301,17 @@ def knn_search(frame: Frame, k: int) -> np.ndarray:
         d2 = np.einsum("nkd,nkd->nk", diff, diff)
         order = np.lexsort((rows, d2), axis=1)
         idx[tied] = np.take_along_axis(rows, order, axis=1)
+    if cut.size:
+        near = tree.query_ball_point(points[cut], dist[cut, k - 1] * (1.0 + _KNN_TIE_REL))
+        counts = np.array([len(c) for c in near])
+        rows = np.repeat(cut, counts)
+        cols = np.concatenate(near).astype(idx.dtype)
+        diff = points[cols] - points[rows]
+        d2 = np.einsum("nd,nd->n", diff, diff)
+        # grouped by row, each group by (distance, index)
+        order = np.lexsort((cols, d2, rows))
+        first = np.cumsum(counts) - counts
+        idx[cut] = cols[order[first[:, None] + np.arange(k)]]
     return idx
 
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import cKDTree
 
 from limapper.errors import (
     FrameTooSparse,
@@ -298,16 +297,24 @@ class TestKnn:
         with pytest.raises(FrameTooSparse):
             knn_search(frame, 2)
 
+    def test_tie_at_the_kth_neighbour_matches_brute_force(self):
+        # on a grid the k-th and (k+1)-th neighbours are often equidistant,
+        # and the tree keeps either; the lower index must win, as in a
+        # stable sort of every distance
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            pts = 0.25 * rng.integers(-3, 4, (300, 3))
+            nbr = knn_search(frame_from_scan(scan_of(pts, np.zeros(300))), 10)
+            assert np.array_equal(nbr, reference_knn(pts, 10))
+
 
 def reference_knn(points, k):
-    """Tree query, then every row re-sorted by recomputed (d^2, index)."""
-    n = len(points)
-    _, idx = cKDTree(points).query(points, k=k)
-    idx = idx.reshape(n, k)
-    diff = points[idx] - points[:, None, :]
-    d2 = np.einsum("nkd,nkd->nk", diff, diff)
-    order = np.lexsort((idx, d2), axis=1)
-    return np.take_along_axis(idx, order, axis=1)
+    """Oracle: every row of the pairwise squared distances sorted stably,
+    that is by (d^2, index)."""
+    points = np.asarray(points, dtype=float)
+    diff = points[None, :, :] - points[:, None, :]
+    d2 = np.einsum("nmd,nmd->nm", diff, diff)
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
 
 
 class TestKnnProperties:
