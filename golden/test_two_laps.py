@@ -2,64 +2,24 @@
 
 About 270 scans of the benchmark's ``loop`` scene, with its noisy and biased
 IMU: the keyframe set turns over many times and the accelerometer bias has
-time to settle.  It takes about 40 s, so it lies outside the tier-1 test
-paths and runs as a step of its own:
+time to settle.  The run (``two_laps`` in conftest.py) takes about 40 s, so
+it lies outside the tier-1 test paths and runs as a step of its own:
 
     PYTHONPATH=src python3 -m pytest -q golden
 """
 
-import sys
-from contextlib import ExitStack
-from pathlib import Path
-from unittest import mock
-
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-
-from limapper import factor_graph, odometry  # noqa: E402
-from limapper.dataset_io import record_from_pose  # noqa: E402
-from limapper.evaluation import compute_ate  # noqa: E402
-from limapper.odometry import OdometryEstimator  # noqa: E402
-from limapper.registration import GaussianVoxelMap  # noqa: E402
-from limapper.synthetic import generate_synthetic_scene  # noqa: E402
-from test_odometry import imu_batches, keyframe_digest, loop_spec  # noqa: E402
-
-# the bindings whose calls per scan are counted, in the columns of `calls`;
-# a method is counted through an autospec, which passes its instance on
-COUNTED = ((factor_graph, "match_terms"), (factor_graph, "linearize_from_terms"),
-           (odometry, "overlap_rate"))
-COUNTED_METHODS = ((GaussianVoxelMap, "look_up"),)
+from limapper.dataset_io import record_from_pose
+from limapper.evaluation import compute_ate
+from test_odometry import keyframe_digest
 
 
-def counted_run(scene):
-    """(estimator, results, calls, factors) of a run over the scene: per
-    scan, the calls of each COUNTED binding and the factors in the window
-    after the scan."""
-    est = OdometryEstimator()
-    batches = imu_batches(scene, est.config.odometry.init_window)
-    results, calls, factors = [], [], []
-    with ExitStack() as stack:
-        spies = [stack.enter_context(mock.patch.object(m, name, wraps=getattr(m, name)))
-                 for m, name in COUNTED]
-        spies += [stack.enter_context(mock.patch.object(
-            cls, name, autospec=True, side_effect=getattr(cls, name)))
-            for cls, name in COUNTED_METHODS]
-        for scan, batch in zip(scene.scans, batches):
-            results.append(est.process_frame(scan, batch))
-            calls.append([spy.call_count for spy in spies])
-            factors.append(len(est.graph.factors))
-            for spy in spies:
-                spy.reset_mock()  # and drop the recorded arguments
-    return est, results, np.array(calls), np.array(factors)
-
-
-def test_two_laps_bound_the_ate_and_the_accel_bias_error():
+def test_two_laps_bound_the_ate_and_the_accel_bias_error(two_laps):
     # measured before frozen matching weights: ATE 8.283 mm and an
     # accelerometer bias error of 0.01698 m/s^2 against a 0.0616 m/s^2 bias
     # at the last scan; the bounds are those plus 15 %
-    scene = generate_synthetic_scene(loop_spec(1, 270))
-    est, results, calls, factors = counted_run(scene)
+    scene, est, results, calls, factors = two_laps
     assert len(results) == 272
     assert all(r.warning is None for r in results)
     records = [record_from_pose(r.state.stamp, r.state.pose) for r in results]

@@ -84,18 +84,6 @@ from .preprocess import Frame
 STATE_DIM = 15  # tangent dimension of every variable
 
 
-@dataclass(frozen=True, order=True)
-class Key:
-    index: int
-
-    def __repr__(self) -> str:
-        return f"frame-state:{self.index}"
-
-
-def frame_key(index: int) -> Key:
-    return Key(index)
-
-
 class FactorLinearization(NamedTuple):
     """Gradient and Gauss-Newton Hessian of one factor's cost over its own
     tangent space (see ``Factor.dims``); both None when the factor adds only
@@ -137,7 +125,7 @@ class PriorFactor(Factor):
     grounding = True
     kind = "prior"
 
-    def __init__(self, key: Key, prior_value: SensorState, information):
+    def __init__(self, key: int, prior_value: SensorState, information):
         self.keys = (key,)
         self.prior = prior_value
         info = np.asarray(information, dtype=float)
@@ -174,7 +162,7 @@ class ImuFactor(Factor):
 
     kind = "imu-preintegration"
 
-    def __init__(self, key_i: Key, key_j: Key, pre: PreintegratedImu,
+    def __init__(self, key_i: int, key_j: int, pre: PreintegratedImu,
                  gravity=GRAVITY, walk_information=None):
         self.keys = (key_i, key_j)
         self.pre = pre
@@ -277,8 +265,8 @@ class MatchingCostFactor(Factor):
     forms no terms.
     """
 
-    def __init__(self, key_source: Key, source: Frame, target_map: GaussianVoxelMap,
-                 key_target: Key | None = None,
+    def __init__(self, key_source: int, source: Frame, target_map: GaussianVoxelMap,
+                 key_target: int | None = None,
                  fixed_target_pose: Se3Pose | None = None,
                  min_inliers: int = 10):
         if (key_target is None) == (fixed_target_pose is None):
@@ -551,11 +539,10 @@ class _Placement:
         self.imu = [f for f in factors if isinstance(f, ImuFactor)]
         self.alone = [f for f in factors
                       if not isinstance(f, (MatchingCostFactor, ImuFactor))]
-        first_column = {k.index: sl.start for k, sl in slices.items()}
         starts, sizes, side, stack = [], [], [], []
         for f in factors:
             dims = f.dims
-            starts += [first_column[k.index] for k in f.keys]
+            starts += [slices[k].start for k in f.keys]
             sizes += dims
             side.append(sum(dims))
             # the pass that forms its block: alone, IMU or matching
@@ -671,22 +658,22 @@ def _check_anchored(variables, links) -> None:
     for k in variables:
         if find(k) not in grounded:
             raise UnderConstrainedGraph(
-                f"component containing {k} has no anchoring factor")
+                f"component containing variable {k} has no anchoring factor")
 
 
 class FactorGraph:
     """Variables plus factors; a multigraph (parallel factors allowed)."""
 
     def __init__(self):
-        self.values: dict[Key, SensorState] = {}
+        self.values: dict[int, SensorState] = {}
         self.factors: list[Factor] = []
         # (H, slices) of the last assembly of optimize_lm
         self._normal: tuple[np.ndarray, dict] | None = None
         self._imu = _ImuMemo()
 
-    def add_variable(self, key: Key, initial_value) -> None:
+    def add_variable(self, key: int, initial_value) -> None:
         if key in self.values:
-            raise DuplicateVariable(f"{key} already in graph")
+            raise DuplicateVariable(f"variable {key} already in graph")
         self.values[key] = initial_value
 
     def add_factor(self, factor: Factor) -> None:
@@ -694,7 +681,7 @@ class FactorGraph:
             return  # fully folded (e.g. empty marginal prior)
         for k in factor.keys:
             if k not in self.values:
-                raise UnknownVariable(f"factor references missing {k}")
+                raise UnknownVariable(f"factor references missing variable {k}")
         self.factors.append(factor)
 
     def total_cost(self, values=None) -> float:
@@ -825,7 +812,7 @@ class FactorGraph:
         removed = list(keys_to_remove)
         for k in removed:
             if k not in self.values:
-                raise UnknownVariable(f"{k} not in graph")
+                raise UnknownVariable(f"variable {k} not in graph")
         removed_set = set(removed)
         involved, remaining = [], []
         for f in self.factors:
@@ -872,7 +859,7 @@ class FactorGraph:
             self.add_factor(prior)
         return prior
 
-    def marginal_covariance(self, key: Key) -> np.ndarray:
+    def marginal_covariance(self, key: int) -> np.ndarray:
         """Covariance block of one variable: the key's block of the inverse
         of the system H that the last optimize_lm assembled.
 
@@ -882,7 +869,7 @@ class FactorGraph:
         Raises UnknownVariable for a key that was not in the held system.
         """
         if self._normal is None or key not in self._normal[1]:
-            raise UnknownVariable(f"{key} was not in the last solve's system")
+            raise UnknownVariable(f"variable {key} was not in the last solve's system")
         h, slices = self._normal
         sl = slices[key]
         rhs = np.zeros((len(h), STATE_DIM))

@@ -274,11 +274,6 @@ def pose_inverse(a: Se3Pose) -> Se3Pose:
     return Se3Pose(rinv, -rinv.apply(a.translation))
 
 
-def pose_apply(a: Se3Pose, p) -> np.ndarray:
-    """Transform one point or an (n, 3) array of points."""
-    return a.rotation.apply(p) + a.translation
-
-
 def pose_retract(pose: Se3Pose, xi) -> Se3Pose:
     """Right-multiplicative update by the tangent vector xi = (phi, rho)."""
     xi = np.asarray(xi, dtype=float)
@@ -304,10 +299,6 @@ class SensorState:
     bias_accel: np.ndarray
     bias_gyro: np.ndarray
     stamp: float
-
-    @staticmethod
-    def zero(stamp: float = 0.0) -> "SensorState":
-        return SensorState(Se3Pose.identity(), np.zeros(3), np.zeros(3), np.zeros(3), stamp)
 
     @property
     def bias(self) -> np.ndarray:

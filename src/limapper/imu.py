@@ -25,8 +25,7 @@ form over the steps.
 
 The factor residual and its Jacobians are formed for K factors at once
 (``imu_residuals``, ``imu_jacobians``), with every product one stacked
-``np.matmul``; one factor (``imu_factor_residual``) is that path with
-K = 1, and its result is the same bits in any stack.
+``np.matmul``; one factor's result is the same bits in any stack.
 """
 
 from __future__ import annotations
@@ -419,16 +418,3 @@ def imu_jacobians(res: ImuResiduals, pre: PreintegratedStack) -> np.ndarray:
     jac[:, 9:15, 9:15] = -np.eye(6)
     jac[:, 9:15, 24:30] = np.eye(6)
     return jac
-
-
-def imu_factor_residual(state_i: SensorState, state_j: SensorState,
-                        pre: PreintegratedImu, gravity=GRAVITY,
-                        with_jacobians: bool = True):
-    """Residual of one factor and, if asked, its Jacobians j_i and j_j for
-    the two states: ``imu_residuals`` and ``imu_jacobians`` with K = 1."""
-    stack = stack_preintegrated([pre], [gravity])
-    res = imu_residuals([state_i], [state_j], stack)
-    if not with_jacobians:
-        return res.residual[0], None, None
-    jac = imu_jacobians(res, stack)[0]
-    return res.residual[0], jac[:, :15], jac[:, 15:]

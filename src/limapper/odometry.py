@@ -27,10 +27,8 @@ from .errors import (
 from .factor_graph import (
     FactorGraph,
     ImuFactor,
-    Key,
     MatchingCostFactor,
     PriorFactor,
-    frame_key,
     matching_hits,
 )
 from .geometry import (
@@ -145,8 +143,8 @@ class WindowFrame:
     it is marginalized; the keyframe set holds the same objects as the
     window, so membership tests go by identity.  Once marginalized, a frame
     keeps only its voxel map and the points, stamps and span of ``frame``.
-    The scan span is read from ``frame``, and an empty frame has an empty
-    voxel map.
+    The index keys the frame's state in the window graph, the scan span is
+    read from ``frame``, and an empty frame has an empty voxel map.
     """
 
     index: int
@@ -155,10 +153,6 @@ class WindowFrame:
     voxelmap: GaussianVoxelMap
     state: SensorState  # window estimate; final once marginalized
     marginalized: bool = False
-
-    @property
-    def key(self) -> Key:
-        return frame_key(self.index)
 
 
 @dataclass
@@ -191,9 +185,6 @@ class OdometryEstimator:
         self.keyframe_events: list[dict] = []
         self._window: list[WindowFrame] = []  # oldest first
         self._imu: list[ImuSample] = []
-        self._next_index = 0
-        self._last_scan_start = -math.inf
-        self._initialized = False
         self._finished = False
 
     # -- helpers ---------------------------------------------------------------
@@ -204,13 +195,13 @@ class OdometryEstimator:
         with any non-finite value; return the count left out.  Before the
         bootstrap, a sample with a non-finite accel or gyro value is
         buffered, so that the bootstrap names its window unusable."""
-        samples, dropped = finite_samples(samples, stamp_only=not self._initialized)
+        samples, dropped = finite_samples(samples, stamp_only=not self._window)
         for s in samples:
             if not self._imu or s.stamp > self._imu[-1].stamp:
                 self._imu.append(s)
         # keep the buffer bounded: only the current inter-frame span and the
         # initialization window are ever read back
-        if self._initialized and self._window:
+        if self._window:
             horizon = self._window[-1].frame.scan_start - 1.0
             drop = 0
             while drop < len(self._imu) - 1 and self._imu[drop + 1].stamp < horizon:
@@ -222,13 +213,6 @@ class OdometryEstimator:
     def _imu_between(self, t0: float, t1: float):
         pad = 2.0 * self.config.preprocess.max_imu_gap
         return [s for s in self._imu if t0 - pad <= s.stamp <= t1 + pad]
-
-    def _prepare(self, scan: RawScan) -> Frame:
-        cfg = self.config.preprocess
-        frame = frame_from_scan(voxel_downsample(scan, cfg.downsample_resolution))
-        if len(frame) >= cfg.knn:
-            frame = replace(frame, neighbors=knn_search(frame, cfg.knn))
-        return frame
 
     def _finish_frame(self, pre_frame: Frame, state: SensorState) -> Frame:
         """Deskew with the predicted state and attach covariances."""
@@ -254,27 +238,65 @@ class OdometryEstimator:
     def process_frame(self, scan: RawScan, imu_samples) -> OdometryResult:
         """Add one scan to the window and re-optimize it.
 
-        A scan that raises before it enters the graph leaves the estimator
-        as it was, apart from buffering its IMU samples, so it can be sent
-        again with more IMU data.  A bootstrap that finds its samples
-        unusable drops every buffered sample instead, so that the scan can
-        be sent again with new samples, also ones of the same stamps.
-        IMU samples with a non-finite stamp are left out, and after the
-        bootstrap so are those with a non-finite value; the scan's warning
-        gives their count.
+        The scan is prepared, then committed.  Preparing builds its window
+        frame, voxel map, anchoring factor and matching links, and touches
+        nothing but the IMU buffer; the commit adds the variable, the
+        factors and the window entry, and raises no PipelineError.  So a
+        scan that raises before its commit leaves the estimator as it was,
+        apart from buffering its IMU samples, and can be sent again with
+        more IMU data.  The solve, the keyframe update and the
+        marginalization of the frames past the lag follow the commit.  A
+        bootstrap that finds its samples unusable drops every buffered
+        sample instead, so that the scan can be sent again with new
+        samples, also ones of the same stamps.  IMU samples with a
+        non-finite stamp are left out, and after the bootstrap so are those
+        with a non-finite value; the scan's warning gives their count.
         """
         if self._finished:
             raise RunFinished("finish() ended this run; use a new estimator")
         check_stamps(scan)
-        if scan.scan_start <= self._last_scan_start:
+        last = self._window[-1].frame.scan_start if self._window else -math.inf
+        if scan.scan_start <= last:
             raise OutOfOrder(
-                f"scan at {scan.scan_start:.6f} does not follow "
-                f"{self._last_scan_start:.6f}")
+                f"scan at {scan.scan_start:.6f} does not follow {last:.6f}")
+        rec, factors, dropped = self._prepare(scan, imu_samples)
+
+        self.graph.add_variable(rec.index, rec.state)
+        for factor in factors:
+            self.graph.add_factor(factor)
+        self._window.append(rec)
+
+        snapshot = dict(self.graph.values)
+        warnings = []
+        if dropped:
+            warnings.append(f"left out {dropped} IMU sample(s) with a non-finite value")
+        try:
+            self.graph.optimize_lm(self.config.optimizer)
+        except NotConverged:
+            warnings.append("optimizer did not converge; prediction retained")
+            self.graph.values = snapshot
+        for f in self._window:
+            f.state = self.graph.values[f.index]
+
+        if len(rec.frame):
+            self._keyframe_update(rec)
+
+        marginalized = self._marginalize_old_frames()
+        return OdometryResult(state=rec.state, marginalized=marginalized,
+                              warning="; ".join(warnings) or None)
+
+    def _prepare(self, scan: RawScan, imu_samples) -> tuple[WindowFrame, list, int]:
+        """The scan's window frame, the factors that tie it in (a prior at
+        the bootstrap or an IMU factor to the newest frame, then the
+        matching links) and the count of IMU samples left out.  It buffers
+        the samples and touches nothing else of the estimator."""
         dropped = self._push_imu(imu_samples)
         cfg = self.config.odometry
-
-        pre_frame = self._prepare(scan)
-        if not self._initialized:
+        pre_cfg = self.config.preprocess
+        pre_frame = frame_from_scan(voxel_downsample(scan, pre_cfg.downsample_resolution))
+        if len(pre_frame) >= pre_cfg.knn:
+            pre_frame = replace(pre_frame, neighbors=knn_search(pre_frame, pre_cfg.knn))
+        if not self._window:
             try:
                 state = initialize_from_rest(
                     self._imu, self.config.imu.gravity, window=cfg.init_window,
@@ -286,56 +308,27 @@ class OdometryEstimator:
             # the window is finite; samples after it may not be
             self._imu, late = finite_samples(self._imu)
             dropped += late
-            pre = None
+            # bootstrap: anchor the first state completely
+            index = 0
+            anchor = PriorFactor(index, state, np.concatenate(
+                [np.full(6, 1e6), np.full(3, 1e4), np.full(6, 1e4)]))
         else:
             prev = self._window[-1]
+            index = prev.index + 1
             t_prev = prev.frame.scan_start
             pre = preintegrate(self._imu_between(t_prev, scan.scan_start),
                                t_prev, scan.scan_start,
                                prev.state.bias, self.config.imu,
-                               max_gap=self.config.preprocess.max_imu_gap)
+                               max_gap=pre_cfg.max_imu_gap)
             state = predict_state(prev.state, pre, self.config.imu.gravity)
+            anchor = ImuFactor(prev.index, index, pre, self.config.imu.gravity,
+                               walk_information=self._walk_information(pre.dt_total))
 
         frame = self._finish_frame(pre_frame, state)
-        rec = WindowFrame(index=self._next_index, pre_frame=pre_frame, frame=frame,
+        rec = WindowFrame(index=index, pre_frame=pre_frame, frame=frame,
                           voxelmap=build_voxelmap(frame, cfg.voxel_resolution),
                           state=state)
-        self._next_index += 1
-        self._last_scan_start = scan.scan_start
-        self._initialized = True
-        self.graph.add_variable(rec.key, state)
-
-        if pre is None:
-            # bootstrap: anchor the first state completely
-            info = np.concatenate([np.full(6, 1e6), np.full(3, 1e4),
-                                   np.full(6, 1e4)])
-            self.graph.add_factor(PriorFactor(rec.key, state, info))
-        else:
-            self.graph.add_factor(ImuFactor(
-                self._window[-1].key, rec.key, pre, self.config.imu.gravity,
-                walk_information=self._walk_information(pre.dt_total)))
-
-        self._add_matching_factors(rec)
-
-        snapshot = dict(self.graph.values)
-        warnings = []
-        if dropped:
-            warnings.append(f"left out {dropped} IMU sample(s) with a non-finite value")
-        try:
-            self.graph.optimize_lm(self.config.optimizer)
-        except NotConverged:
-            warnings.append("optimizer did not converge; prediction retained")
-            self.graph.values = snapshot
-        self._window.append(rec)
-        for f in self._window:
-            f.state = self.graph.values[f.key]
-
-        if len(frame):
-            self._keyframe_update(rec)
-
-        marginalized = self._marginalize_old_frames()
-        return OdometryResult(state=rec.state, marginalized=marginalized,
-                              warning="; ".join(warnings) or None)
+        return rec, [anchor, *self._matching_links(rec)], dropped
 
     def finish(self) -> list:
         """Flush: marginalize and emit every frame still in the window.
@@ -355,9 +348,9 @@ class OdometryEstimator:
             np.full(3, 1.0 / (self.config.imu.gyro_bias_walk**2 * dt)),
         ])
 
-    def _add_matching_factors(self, rec: WindowFrame) -> None:
-        """Link rec to the recent frames (newest first), then to the
-        keyframes not linked already.
+    def _matching_links(self, rec: WindowFrame) -> list:
+        """The matching factors that link rec to the recent frames (newest
+        first), then to the keyframes not linked already.
 
         A marginalized keyframe that any point of rec hits gets a unary
         factor; a window frame with at least min_inliers hits gets a binary
@@ -372,19 +365,18 @@ class OdometryEstimator:
         for target in targets:
             if target.marginalized:
                 candidates.append(MatchingCostFactor(
-                    rec.key, rec.frame, target.voxelmap,
+                    rec.index, rec.frame, target.voxelmap,
                     fixed_target_pose=target.state.pose,
                     min_inliers=cfg.min_inliers))
                 needed.append(1)
             else:
                 candidates.append(MatchingCostFactor(
-                    rec.key, rec.frame, target.voxelmap, key_target=target.key,
+                    rec.index, rec.frame, target.voxelmap, key_target=target.index,
                     min_inliers=cfg.min_inliers))
                 needed.append(cfg.min_inliers)
-        hits = matching_hits(candidates, self.graph.values)
-        for factor, need, found in zip(candidates, needed, hits):
-            if found >= need:
-                self.graph.add_factor(factor)
+        hits = matching_hits(candidates, {**self.graph.values, rec.index: rec.state})
+        return [factor for factor, need, found in zip(candidates, needed, hits)
+                if found >= need]
 
     # -- keyframes --------------------------------------------------------------------
 
@@ -449,11 +441,11 @@ class OdometryEstimator:
         marginalize succeeded, so a failure keeps window and graph in step."""
         rec = self._window[0]
         try:
-            cov = self.graph.marginal_covariance(rec.key)
+            cov = self.graph.marginal_covariance(rec.index)
             sigmas = np.sqrt(np.clip(np.diag(cov)[6:15], 1e-12, None))
         except np.linalg.LinAlgError:
             sigmas = FALLBACK_VEL_BIAS_SIGMA.copy()
-        self.graph.marginalize([rec.key])
+        self.graph.marginalize([rec.index])
         del self._window[0]
         rec.marginalized = True
         out = MarginalizedFrame(

@@ -134,23 +134,6 @@ class Trajectory:
         raise NotImplementedError
 
 
-class StationaryTrajectory(Trajectory):
-    def __init__(self, pose: Se3Pose | None = None):
-        self._pose = pose or Se3Pose.identity()
-
-    def pose(self, t):
-        return self._pose
-
-    def velocity(self, t):
-        return np.zeros(3)
-
-    def accel(self, t):
-        return np.zeros(3)
-
-    def omega_body(self, t):
-        return np.zeros(3)
-
-
 class Path:
     """Arc-length parameterized planar path at a fixed height."""
 
@@ -171,21 +154,6 @@ class LinePath(Path):
 
     def eval(self, s):
         return self.start + s * self.direction, self.yaw, 0.0
-
-
-class CirclePath(Path):
-    """Counterclockwise circle starting at the origin heading +x."""
-
-    def __init__(self, radius: float, laps: float = 1.0, height: float = 0.0):
-        self.radius = float(radius)
-        self.center = np.array([0.0, radius, height])
-        self.length = float(2 * math.pi * radius * laps)
-
-    def eval(self, s):
-        theta = -math.pi / 2 + s / self.radius
-        pos = self.center + self.radius * np.array(
-            [math.cos(theta), math.sin(theta), 0.0])
-        return pos, theta + math.pi / 2, 1.0 / self.radius
 
 
 class SquareLoopPath(Path):

@@ -8,7 +8,6 @@ from limapper.geometry import (
     Rotation,
     Se3Pose,
     SensorState,
-    pose_apply,
     pose_compose,
     pose_inverse,
     pose_local,
@@ -28,6 +27,16 @@ def slerp(a: Rotation, b: Rotation, alpha: float) -> Rotation:
     """Geodesic interpolation ``a exp(alpha log(a^-1 b))``: a at alpha 0,
     b at alpha 1, along the shorter arc.  An oracle of the tests."""
     return a * so3_exp(alpha * so3_log(a.inverse() * b))
+
+
+def pose_apply(a: Se3Pose, p) -> np.ndarray:
+    """Transform one point or an (n, 3) array of points."""
+    return a.rotation.apply(p) + a.translation
+
+
+def zero_state(stamp: float = 0.0) -> SensorState:
+    """The state at the identity pose, at rest and without bias."""
+    return SensorState(Se3Pose.identity(), np.zeros(3), np.zeros(3), np.zeros(3), stamp)
 
 
 def rotation_angle(a: Rotation, b: Rotation) -> float:

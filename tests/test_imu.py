@@ -21,17 +21,33 @@ from limapper.imu import (
     GRAVITY,
     ImuNoiseParams,
     ImuSample,
+    PreintegratedImu,
     correct_for_bias,
-    imu_factor_residual,
+    imu_jacobians,
+    imu_residuals,
     integration_nodes,
     preintegrate,
     predict_state,
     samples_to_arrays,
+    stack_preintegrated,
 )
 
-from test_geometry import rotation_angle
+from test_geometry import rotation_angle, zero_state
 
 NOISE = ImuNoiseParams()
+
+
+def imu_factor_residual(state_i: SensorState, state_j: SensorState,
+                        pre: PreintegratedImu, gravity=GRAVITY,
+                        with_jacobians: bool = True):
+    """Residual of one factor and, if asked, its Jacobians j_i and j_j for
+    the two states: ``imu_residuals`` and ``imu_jacobians`` with K = 1."""
+    stack = stack_preintegrated([pre], [gravity])
+    res = imu_residuals([state_i], [state_j], stack)
+    if not with_jacobians:
+        return res.residual[0], None, None
+    jac = imu_jacobians(res, stack)[0]
+    return res.residual[0], jac[:, :15], jac[:, 15:]
 
 
 def propagate_state(state: SensorState, sample: ImuSample, dt: float,
@@ -229,21 +245,21 @@ class TestImuSample:
 
 class TestPropagateState:
     def test_level_stationary_gravity_cancels(self):
-        state = SensorState.zero()
+        state = zero_state()
         sample = ImuSample(0.0, np.array([0.0, 0.0, 9.80665]), np.zeros(3))
         out = propagate_state(state, sample, 0.01)
         assert np.allclose(out.velocity, 0.0, atol=1e-12)
         assert np.allclose(out.pose.translation, 0.0, atol=1e-12)
 
     def test_free_fall(self):
-        state = SensorState.zero()
+        state = zero_state()
         sample = ImuSample(0.0, np.zeros(3), np.zeros(3))
         out = propagate_state(state, sample, 1.0)
         assert np.allclose(out.velocity, GRAVITY)
         assert np.allclose(out.pose.translation, 0.5 * GRAVITY)
 
     def test_constant_yaw_rate(self):
-        state = SensorState.zero()
+        state = zero_state()
         sample = ImuSample(0.0, np.zeros(3), np.array([0.0, 0.0, np.pi / 2]))
         out = propagate_state(state, sample, 1.0, gravity=np.zeros(3))
         assert np.allclose(out.pose.rotation.apply([1, 0, 0]), [0, 1, 0], atol=1e-12)
@@ -258,7 +274,7 @@ class TestPropagateState:
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(InvalidInterval):
-            propagate_state(SensorState.zero(), ImuSample(0.0, np.zeros(3), np.zeros(3)), 0.0)
+            propagate_state(zero_state(), ImuSample(0.0, np.zeros(3), np.zeros(3)), 0.0)
 
 
 class TestPreintegrate:
@@ -600,7 +616,7 @@ class TestImuFactor:
                 )
                 for s in clean
             ]
-            state_i = SensorState.zero()
+            state_i = zero_state()
             state_j = propagate_through(state_i, clean)
             pre = preintegrate(noisy, clean[0].stamp, clean[-1].stamp, np.zeros(6), NOISE)
             r, _, _ = imu_factor_residual(state_i, state_j, pre)

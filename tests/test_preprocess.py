@@ -34,7 +34,7 @@ from limapper.preprocess import (
 )
 from limapper.synthetic import generate_synthetic_scene, square_loop_scene
 
-from test_geometry import slerp
+from test_geometry import slerp, zero_state
 from test_imu import propagate_state
 
 
@@ -489,7 +489,7 @@ class TestDeskew:
         pts = rng.uniform(-5, 5, (100, 3))
         stamps = rng.uniform(0.0, 0.1, 100)
         frame = Frame(points=pts, stamps=stamps, scan_start=0.0, scan_end=0.1)
-        out = deskew(frame, stationary_imu(-0.01, 0.12), SensorState.zero())
+        out = deskew(frame, stationary_imu(-0.01, 0.12), zero_state())
         assert out.deskewed
         assert np.max(np.abs(out.points - pts)) < 1e-9
 
@@ -502,7 +502,7 @@ class TestDeskew:
         pts = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
         stamps = np.array([0.05, 0.08])
         frame = Frame(points=pts, stamps=stamps, scan_start=0.0, scan_end=0.1)
-        out = deskew(frame, samples, SensorState.zero())
+        out = deskew(frame, samples, zero_state())
         for i, t in enumerate(stamps):
             expected = so3_exp(omega * t).apply(pts[i])
             assert np.allclose(out.points[i], expected, atol=1e-6)
@@ -512,7 +512,7 @@ class TestDeskew:
         frame = Frame(points=pts, stamps=np.zeros(2), scan_start=0.0, scan_end=0.1)
         samples = [ImuSample(float(t), -GRAVITY + [0.5, 0, 0], [0, 0, 0.3])
                    for t in np.arange(-0.01, 0.12, 0.005)]
-        out = deskew(frame, samples, SensorState.zero())
+        out = deskew(frame, samples, zero_state())
         assert np.allclose(out.points, pts, atol=1e-9)
 
     def test_nonidentity_reference_state_is_relative(self):
@@ -523,7 +523,7 @@ class TestDeskew:
         samples = [ImuSample(float(t), -GRAVITY + [0.3, -0.2, 0.1], [0.1, 0.2, -0.3])
                    for t in np.arange(-0.01, 0.12, 0.005)]
         frame = Frame(points=pts, stamps=stamps, scan_start=0.0, scan_end=0.1)
-        out_id = deskew(frame, samples, SensorState.zero())
+        out_id = deskew(frame, samples, zero_state())
         state = SensorState(
             pose=Se3Pose(so3_exp([0.4, -0.1, 1.2]), np.array([10.0, -3.0, 2.0])),
             velocity=np.array([1.0, 0.5, -0.2]),
@@ -582,7 +582,7 @@ class TestDeskew:
         samples = [ImuSample(0.0, -GRAVITY, np.zeros(3)),
                    ImuSample(0.1, -GRAVITY, np.zeros(3))]
         with pytest.raises(ImuCoverageGap):
-            deskew(frame, samples, SensorState.zero())
+            deskew(frame, samples, zero_state())
 
     def test_row_cross_products_equal_np_cross(self):
         # deskew rotates the (3, n) point rows with _cross_rows, which must
@@ -596,7 +596,7 @@ class TestDeskew:
         frame = Frame(points=np.zeros((1, 3)), stamps=np.zeros(1), scan_start=0.0,
                       scan_end=0.1, deskewed=True)
         with pytest.raises(ValueError):
-            deskew(frame, stationary_imu(0, 0.1), SensorState.zero())
+            deskew(frame, stationary_imu(0, 0.1), zero_state())
 
 
 def assert_row_storage(frame):
@@ -666,7 +666,7 @@ class TestRowStorage:
                       stamps=rng.uniform(0.0, 0.1, 50), scan_start=0.0, scan_end=0.1)
         samples = [ImuSample(float(t), -GRAVITY + [0.3, -0.2, 0.1], [0.1, 0.2, -0.3])
                    for t in np.arange(-0.01, 0.12, 0.005)]
-        assert_row_storage(deskew(frame, samples, SensorState.zero()))
+        assert_row_storage(deskew(frame, samples, zero_state()))
 
     def test_estimate_covariances_with_eigh_and_degenerate_rows(self):
         # a plane (closed form), a line (eigh fallback) and ten copies of one

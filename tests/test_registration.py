@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 from limapper import factor_graph
 from limapper.errors import VoxelKeyOutOfRange
-from limapper.factor_graph import MatchingCostFactor, frame_key
+from limapper.factor_graph import MatchingCostFactor
 from limapper.geometry import (
     Se3Pose,
     SensorState,
-    pose_apply,
     pose_compose,
     pose_inverse,
     pose_retract,
@@ -31,6 +30,8 @@ from limapper.registration import (
     match_terms,
     overlap_rate,
 )
+
+from test_geometry import pose_apply
 
 
 def make_frame(points, covs=None, rng=None, iso=0.01):
@@ -813,10 +814,10 @@ class TestRowKernelOracle:
         if np.isinf(translation).any():
             return  # composing poses with it would already warn (inf * 0)
         # also on a factor's key-diff lookup, after a lookup that succeeded
-        f = MatchingCostFactor(frame_key(0), source, vmap,
+        f = MatchingCostFactor(0, source, vmap,
                                fixed_target_pose=Se3Pose.identity())
-        f.linearize({frame_key(0): at_pose(Se3Pose.identity())})
-        values = {frame_key(0): at_pose(far)}
+        f.linearize({0: at_pose(Se3Pose.identity())})
+        values = {0: at_pose(far)}
         f.cost(values)  # held rows: no lookup
         with pytest.raises(VoxelKeyOutOfRange):
             f.linearize(values)
@@ -899,7 +900,7 @@ class TestFrozenTerms:
         # equals a factor built at that pose bit for bit; between changes
         # it keeps the weights of the last change and moves only the points
         source, vmap = conditioned_pair(seed)
-        key_i, key_j = frame_key(0), frame_key(1)
+        key_i, key_j = 0, 1
         t_j = Se3Pose(so3_exp([0.2, -0.1, 0.3]), np.array([1.0, -2.0, 0.5]))
 
         def build():

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from limapper.errors import GenerationError
-from limapper.geometry import SensorState
+from limapper.geometry import Se3Pose, SensorState
 from limapper.imu import GRAVITY, preintegrate, ImuNoiseParams, predict_state
 from limapper.synthetic import (
-    CirclePath,
     LinePath,
+    Path,
     PathTrajectory,
     SceneSpec,
     SquareLoopPath,
-    StationaryTrajectory,
+    Trajectory,
     box_room,
     cast_rays,
     generate_synthetic_scene,
@@ -21,6 +21,37 @@ from limapper.synthetic import (
 )
 
 from test_geometry import rotation_angle
+
+
+class StationaryTrajectory(Trajectory):
+    """At rest at the identity pose."""
+
+    def pose(self, t):
+        return Se3Pose.identity()
+
+    def velocity(self, t):
+        return np.zeros(3)
+
+    def accel(self, t):
+        return np.zeros(3)
+
+    def omega_body(self, t):
+        return np.zeros(3)
+
+
+class CirclePath(Path):
+    """Counterclockwise circle starting at the origin heading +x."""
+
+    def __init__(self, radius: float, laps: float = 1.0, height: float = 0.0):
+        self.radius = float(radius)
+        self.center = np.array([0.0, radius, height])
+        self.length = float(2 * math.pi * radius * laps)
+
+    def eval(self, s):
+        theta = -math.pi / 2 + s / self.radius
+        pos = self.center + self.radius * np.array(
+            [math.cos(theta), math.sin(theta), 0.0])
+        return pos, theta + math.pi / 2, 1.0 / self.radius
 
 
 class TestRayCasting:
