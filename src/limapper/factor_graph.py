@@ -7,13 +7,12 @@ Gauss-Newton Hessian of its cost over its own tangent space, the leading
 assembles damped normal equations at the current estimate each iteration
 and holds the last undamped system, which ``marginal_covariance`` reads.
 A matching-cost factor looks its correspondences up again only when it is
-linearized.  It forms their weights (``match_terms``) only when a voxel
-row changed, and holds them as a quadratic in the relative pose
-(``freeze_terms``), from which it takes its block
-(``linearize_from_terms``) and costs the candidate steps of an iteration
-in O(1).  So the cost the optimizer compares is smooth within an
-iteration, and it is the cost of the Gauss-Newton model's own weights.
-Priors are fixed-form quadratics.
+linearized.  Only when a voxel row changed does it form their weights and
+fold them, in one step (``match_terms``), into a quadratic in the relative
+pose, from which it takes its block (``linearize_from_terms``) and costs
+the candidate steps of an iteration in O(1).  So the cost the optimizer
+compares is smooth within an iteration, and it is the cost of the
+Gauss-Newton model's own weights.  Priors are fixed-form quadratics.
 
 An assembly (``_accumulate``) takes one pass per factor kind.  One stacked
 pass forms the relative poses of all matching factors, each factor then
@@ -56,7 +55,6 @@ from .errors import (
     UnknownVariable,
 )
 from .geometry import (
-    Rotation,
     Se3Pose,
     SensorState,
     so3_right_jacobian_inv,
@@ -74,7 +72,6 @@ from .imu import (
 )
 from .registration import (
     GaussianVoxelMap,
-    freeze_terms,
     frozen_cost,
     linearize_from_terms,
     match_terms,
@@ -325,9 +322,7 @@ class MatchingCostFactor(Factor):
         self._inliers = int(np.count_nonzero(rows >= 0))
         self._held = None
         if self._inliers >= self.min_inliers:
-            t_ij = Se3Pose(Rotation.from_matrix(rot), trans)
-            self._held = freeze_terms(
-                match_terms(self.source, self.target_map, t_ij, rows), t_ij)
+            self._held = match_terms(self.source, self.target_map, rot, trans, rows)
 
     # one factor is the stacked path of all matching factors with K=1
 

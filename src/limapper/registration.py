@@ -8,46 +8,47 @@ voxel Gaussian under the combined covariance.  Points that miss contribute
 nothing; low-overlap pairs are rejected up front by the overlap gate.
 
 A matching-cost factor has one path, and all the matching factors of a
-window take it together.  ``match_terms`` finds the correspondences at the
-linearization point and forms their weights W = (C_voxel + R C_point R^T)^-1
-there.  ``freeze_terms`` folds them into a 12-parameter quadratic: with the
-rows and weights fixed, every residual is linear in g = vec([dt | dR - I]),
-the change of the relative pose since the terms were formed, so the cost is
-exactly c0 - 2 s.g + g.Q g, with Q and s gathered from a few weighted
-moment sums over the inliers.  No per-point pass is made until a voxel row
-changes.  ``frozen_cost`` and ``linearize_from_terms`` take K held
-quadratics, each at its own relative pose, in one pass of stacked
-``np.matmul`` products.  The first costs candidate poses in O(1) per
-quadratic; the second takes each factor's gradient and Gauss-Newton
-Hessian for right-multiplicative perturbations of the source pose and the
-target pose: the target pose's blocks come through the derivative of g,
-the source pose's through the SE(3) adjoint of the relative pose, and a
-factor whose target pose is fixed keeps the source pose's.  A stacked
-product forms each slice with the BLAS call of the 2-D product of that
-slice alone, so a quadratic's result is the same bits in any stack.
+window take it together.  ``match_terms`` takes the correspondences that a
+look-up found at the linearization point, forms their weights
+W = (C_voxel + R C_point R^T)^-1 there, and folds them in the same step
+into a 12-parameter quadratic (``FrozenTerms``): with the rows and weights
+fixed, every residual is linear in g = vec([dt | dR - I]), the change of
+the relative pose since the terms were formed, so the cost is exactly
+c0 - 2 s.g + g.Q g, with Q and s gathered from a few weighted moment sums
+over the inliers.  No per-point pass is made until a voxel row changes.
+``frozen_cost`` and ``linearize_from_terms`` take K held quadratics, each
+at its own relative pose, in one pass of stacked ``np.matmul`` products.
+The first costs candidate poses in O(1) per quadratic; the second takes
+each factor's gradient and Gauss-Newton Hessian for right-multiplicative
+perturbations of the source pose and the target pose: the target pose's
+blocks come through the derivative of g, the source pose's through the
+SE(3) adjoint of the relative pose, and a factor whose target pose is fixed
+keeps the source pose's.  A stacked product forms each slice with the BLAS
+call of the 2-D product of that slice alone, so a quadratic's result is the
+same bits in any stack.
 
 Every per-point array is stored in component rows: a frame keeps its
 points as one C-contiguous (3, n) array and its covariances as one (9, n)
 array (``Frame.point_rows``, ``Frame.cov_rows``), and a voxel map keeps its
 means as (3, M) rows and its covariances as the (6, M) rows of their unique
-entries (xx, xy, xz, yy, yz, zz).  The per-inlier terms keep each
-symmetric 3x3 weight as those six entries and every per-inlier quantity as
-rows too, so the kernels are whole-row numpy operations, contiguous
-``take`` gathers and small BLAS products with no per-inlier matrix; moving
-the points is one (3x3)·(3xn) product.
+entries (xx, xy, xz, yy, yz, zz).  ``match_terms`` forms each symmetric
+3x3 weight as those six entries and every per-inlier quantity as rows too,
+so the kernel is whole-row numpy operations, contiguous ``take`` gathers
+and small BLAS products with no per-inlier matrix; moving the inliers is
+one (3x3)·(3xm) product.
 
 A look-up (``GaussianVoxelMap.look_up``) moves the points, packs each
 one's voxel index into one int64 key and finds the key among the map's
 sorted keys.  Handed the keys and rows of an earlier look-up, it searches
 only the points whose key changed; a row depends only on the key and the
 immutable map, so the result is the same as a full search.
-``MatchingCostFactor`` keeps its last look-up for this, and forms new terms
-only when a row changed; ``overlap_rate`` takes the same path.
+``MatchingCostFactor`` keeps its last look-up for this, and hands its rows
+to ``match_terms`` only when a row changed; ``overlap_rate`` takes the same
+look-up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -63,38 +64,18 @@ class GaussianVoxelMap:
     searchsorted; ``look_up`` moves, packs and searches a frame's points
     for matching and the overlap alike.  Values are stored as C-contiguous
     rows: ``mean_rows`` (3, M) and ``cov_rows`` (6, M), the unique entries
-    (xx, xy, xz, yy, yz, zz), the only ones matching reads.  ``means`` is a
-    view of ``mean_rows``; ``covs`` is assembled on access, with each entry
-    below the diagonal a copy of the one above it.
+    (xx, xy, xz, yy, yz, zz), the only ones matching reads.
     """
 
     def __init__(self, resolution: float, keys: np.ndarray,
-                 mean_rows: np.ndarray, cov_rows: np.ndarray,
-                 counts: np.ndarray):
+                 mean_rows: np.ndarray, cov_rows: np.ndarray):
         self.resolution = float(resolution)
         self.keys = keys
         self.mean_rows = mean_rows
         self.cov_rows = cov_rows
-        self.counts = counts
 
     def __len__(self) -> int:
         return self.keys.shape[0]
-
-    @property
-    def means(self) -> np.ndarray:
-        """(M, 3) cell means, a view of ``mean_rows``."""
-        return self.mean_rows.T
-
-    @property
-    def covs(self) -> np.ndarray:
-        """(M, 3, 3) cell covariances, assembled from ``cov_rows``."""
-        return self.cov_rows[_FULL].transpose(2, 0, 1)
-
-    def lookup(self, points: np.ndarray) -> np.ndarray:
-        """Row index of the containing cell per (n, 3) point, -1 on a miss."""
-        if len(self) == 0 or points.shape[0] == 0:
-            return np.full(points.shape[0], -1, dtype=np.int64)
-        return self._search(pack_voxel_keys(points, self.resolution))
 
     def look_up(self, point_rows: np.ndarray, rot: np.ndarray, trans: np.ndarray,
                 known: tuple[np.ndarray, np.ndarray] | None = None
@@ -120,7 +101,7 @@ class GaussianVoxelMap:
         if len(self) == 0 or keys.shape[0] == 0:
             return np.full(keys.shape[0], -1, dtype=np.int64)
         pos = np.searchsorted(self.keys, keys)
-        pos = np.clip(pos, 0, len(self) - 1)
+        np.minimum(pos, len(self) - 1, out=pos)  # searchsorted is never negative
         hit = self.keys[pos] == keys
         return np.where(hit, pos, -1)
 
@@ -137,9 +118,8 @@ def build_voxelmap(frame: Frame, resolution: float) -> GaussianVoxelMap:
     if frame.covs is None and len(frame) > 0:
         raise ValueError("frame needs covariances before voxelization")
     if len(frame) == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return GaussianVoxelMap(resolution, empty, np.zeros((3, 0)),
-                                np.zeros((6, 0)), empty)
+        return GaussianVoxelMap(resolution, np.zeros(0, dtype=np.int64),
+                                np.zeros((3, 0)), np.zeros((6, 0)))
     keys = pack_voxel_keys(frame.points, resolution)
     order, starts, counts = group_by_key(keys)
     points = frame.point_rows.take(order, axis=1)
@@ -150,7 +130,7 @@ def build_voxelmap(frame: Frame, resolution: float) -> GaussianVoxelMap:
     covs = segment_sums(scatter.T, starts, counts) / counts[:, None]
     return GaussianVoxelMap(resolution, keys[order[starts]],
                             np.ascontiguousarray(means.T),
-                            np.ascontiguousarray(covs.T), counts.astype(np.int64))
+                            np.ascontiguousarray(covs.T))
 
 
 # a symmetric 3x3 matrix is kept as the row of its unique entries (xx, xy,
@@ -166,63 +146,6 @@ _FULL = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 # the determinant xx adj_xx + xy adj_xy + xz adj_xz, inverse = adj / det
 _ADJ = np.array([[3, 2, 1, 0, 1, 0], [5, 4, 4, 5, 2, 3],
                  [4, 1, 2, 2, 0, 1], [4, 5, 3, 2, 4, 1]])
-
-
-@dataclass
-class MatchTerms:
-    """Correspondences and fixed weights of one frame/map pair at one pose."""
-
-    rows: np.ndarray  # (n,) voxel row per source point, -1 on a miss
-    hit: np.ndarray  # (n,) bool, per source point
-    moved: np.ndarray  # (n, 3) transformed source means, a view of (3, n)
-    d: np.ndarray  # (m, 3) residuals of the matched subset, a view of (3, m)
-    weight: np.ndarray  # (6, m) unique entries of the inverse combined covariances
-    wd: np.ndarray  # (m, 3) weight @ d, a view of (3, m)
-    cost: float
-    inliers: int
-
-
-def match_terms(frame: Frame, vmap: GaussianVoxelMap, t_ij: Se3Pose,
-                rows: np.ndarray | None = None) -> MatchTerms:
-    """Residuals and weights of frame against the map at relative pose t_ij.
-
-    Each source point is matched to the voxel that contains it, unless
-    ``rows`` fixes the voxel row of every source point (-1 for none).
-
-    The kernel works on the frame's component rows: the points move as one
-    (3x3)·(3xn) product, and every gather is a ``take`` along contiguous
-    rows.  The six unique entries of R C R^T come from one (6x9)·(9xm)
-    product of the rows of R (x) R at those entries with the covariance
-    rows; reading all nine entries of C, it does not rely on C being exactly
-    symmetric.  The voxel covariance's entries are added, and the sum is
-    inverted in closed form, adjugate over determinant, on the six rows.
-    """
-    rmat = t_ij.rotation.matrix()
-    moved = rmat @ frame.point_rows
-    moved += t_ij.translation[:, None]
-    if rows is None:
-        rows = vmap.lookup(moved.T)
-    hit = rows >= 0
-    inliers = int(np.count_nonzero(hit))
-    covs = frame.cov_rows
-    if inliers == rows.shape[0]:
-        idx, x0 = rows, moved
-    else:
-        sel = np.flatnonzero(hit)
-        idx, covs, x0 = rows[sel], covs.take(sel, axis=1), moved.take(sel, axis=1)
-    rr = (rmat[_SYM_I, :, None] * rmat[_SYM_J, None, :]).reshape(6, 9)
-    cov = rr @ covs
-    cov += vmap.cov_rows.take(idx, axis=1)
-    weight = cov[_ADJ[0]] * cov[_ADJ[1]]
-    weight -= cov[_ADJ[2]] * cov[_ADJ[3]]
-    weight /= np.einsum("sm,sm->m", cov[:3], weight[:3])
-    d = vmap.mean_rows.take(idx, axis=1)
-    d -= x0
-    wd = weight[_FULL[0]] * d[0]  # W d, column by column of the symmetric W
-    wd += weight[_FULL[1]] * d[1]
-    wd += weight[_FULL[2]] * d[2]
-    cost = float(np.vdot(d, wd))
-    return MatchTerms(rows, hit, moved.T, d.T, weight, wd.T, cost, inliers)
 
 
 def overlap_rate(frame: Frame, vmap: GaussianVoxelMap, t_ij: Se3Pose) -> float:
@@ -287,41 +210,64 @@ class FrozenTerms(NamedTuple):
     cost: float  # at (R0, t0)
     s: np.ndarray  # (12,) sum (W d) f^T, row-major in (component, monomial)
     q: np.ndarray  # (12, 12) sum of W_ab f_k f_l
+    inliers: int  # source points with a voxel row
 
 
-def freeze_terms(terms: MatchTerms, t_ij: Se3Pose) -> FrozenTerms:
-    """The quadratic of the terms that ``match_terms`` formed at t_ij.
+def match_terms(frame: Frame, vmap: GaussianVoxelMap, rot: np.ndarray,
+                trans: np.ndarray, rows: np.ndarray) -> FrozenTerms:
+    """The matching cost of frame against the map on the voxel rows
+    ``rows`` (one per source point, -1 for none), with the weights formed
+    at the relative pose (rot, trans), as a quadratic in the change of the
+    relative pose since then.
 
-    Q is an index gather of the 6x10 moment matrix W_6 F^T, where W_6
-    holds the six unique weight entries per inlier and F the ten monomials
-    (1, x, y, z, xx, xy, xz, yy, yz, zz) of the moved point; s is the 3x4
-    matrix (W d) F[:4]^T.  No per-inlier quantity is kept.
+    The kernel works on the frame's component rows: it takes the inliers'
+    points and covariance rows with one ``take`` each, and moves the points
+    as one (3x3)·(3xm) product.  The six unique entries of R C R^T come from
+    one (6x9)·(9xm) product of the rows of R (x) R at those entries with the
+    covariance rows; reading all nine entries of C, it does not rely on C
+    being exactly symmetric.  The voxel covariance's entries are added, and
+    the sum is inverted in closed form, adjugate over determinant, on the
+    six rows.  Q is then an index gather of the 6x10 moment matrix W_6 F^T,
+    where W_6 holds the six unique weight entries per inlier and F the ten
+    monomials (1, x, y, z, xx, xy, xz, yy, yz, zz) of the moved point; s is
+    the 3x4 matrix (W d) F[:4]^T.  No per-inlier quantity is kept.
     """
-    x0 = terms.moved.T  # (3, n) rows
-    if terms.inliers < x0.shape[1]:
-        x0 = x0.take(np.flatnonzero(terms.hit), axis=1)
-    mono = np.empty((10, terms.inliers))
+    hit = rows >= 0
+    inliers = int(np.count_nonzero(hit))
+    idx, points, covs = rows, frame.point_rows, frame.cov_rows
+    if inliers < rows.shape[0]:
+        sel = np.flatnonzero(hit)
+        idx, points, covs = rows[sel], points.take(sel, axis=1), covs.take(sel, axis=1)
+    x0 = rot @ points
+    x0 += trans[:, None]
+    rr = (rot[_SYM_I, :, None] * rot[_SYM_J, None, :]).reshape(6, 9)
+    cov = rr @ covs
+    cov += vmap.cov_rows.take(idx, axis=1)
+    weight = cov[_ADJ[0]] * cov[_ADJ[1]]
+    weight -= cov[_ADJ[2]] * cov[_ADJ[3]]
+    weight /= np.einsum("sm,sm->m", cov[:3], weight[:3])
+    d = vmap.mean_rows.take(idx, axis=1)
+    d -= x0
+    wd = weight[_FULL[0]] * d[0]  # W d, column by column of the symmetric W
+    wd += weight[_FULL[1]] * d[1]
+    wd += weight[_FULL[2]] * d[2]
+    cost = float(np.vdot(d, wd))
+    mono = np.empty((10, inliers))
     mono[0] = 1.0
     mono[1:4] = x0
     mono[4:7] = mono[1] * mono[1:4]
     mono[7:9] = mono[2] * mono[2:4]
     mono[9] = mono[3] * mono[3]
-    q = (terms.weight @ mono.T).reshape(60)[_Q_INDEX]
-    s = (terms.wd.T @ mono[:4].T).reshape(12)
-    r0, t0 = t_ij.rotation.matrix(), t_ij.translation
+    q = (weight @ mono.T).reshape(60)[_Q_INDEX]
+    s = (wd @ mono[:4].T).reshape(12)
+    pose = np.empty((3, 4))
+    pose[:, 0] = trans
+    pose[:, 1:] = rot
     to_change = np.zeros((4, 4))
     to_change[0, 0] = 1.0
-    to_change[1:, 0] = -(r0.T @ t0)
-    to_change[1:, 1:] = r0.T
-    return FrozenTerms(_pose_columns(t_ij), to_change, terms.cost, s, q)
-
-
-def _pose_columns(t_ij: Se3Pose) -> np.ndarray:
-    """[t | R] of a pose as one (3, 4) array."""
-    out = np.empty((3, 4))
-    out[:, 0] = t_ij.translation
-    out[:, 1:] = t_ij.rotation.matrix()
-    return out
+    to_change[1:, 0] = -(rot.T @ trans)
+    to_change[1:, 1:] = rot.T
+    return FrozenTerms(pose, to_change, cost, s, q, inliers)
 
 
 def _stack(held: Sequence[FrozenTerms]) -> FrozenTerms:

@@ -195,6 +195,12 @@ def loaded_names(nodes) -> set:
     return names
 
 
+def read_attributes(nodes) -> set:
+    """Every attribute name read (``x.name``) within the nodes."""
+    return {n.attr for node in nodes for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
 def public_definitions(tree: ast.Module):
     """(dotted name, node, the module-level node holding it) of every
     public module-level function and class, and every public method of
@@ -214,18 +220,24 @@ def test_every_definition_has_a_caller_outside_the_tests():
     # that uses it, or it waits on this list for the caller named there.
     # A definition counts as called when its name is read, by name only,
     # in another module under src, perfbench or golden, or elsewhere in its
-    # own module
+    # own module; a class member only when it is read as an attribute
+    # (``x.name``) there, since a bare name of the same spelling (a local
+    # variable, say) does not reach it
     callers = {p: ast.parse(p.read_text(), filename=str(p))
                for d in ("src", "perfbench", "golden") for p in (ROOT / d).rglob("*.py")}
     uncalled = []
     for path in MODULES:
         tree = callers[path]
-        elsewhere = loaded_names(t for p, t in callers.items() if p != path)
+        others = [t for p, t in callers.items() if p != path]
+        elsewhere, attributes = loaded_names(others), read_attributes(others)
         for name, node, outer in public_definitions(tree):
             rest = [n for n in tree.body if n is not outer]
-            if node is not outer:
+            if node is outer:
+                called = elsewhere | loaded_names(rest)
+            else:
                 rest += [n for n in outer.body if n is not node]
-            if node.name not in elsewhere | loaded_names(rest):
+                called = attributes | read_attributes(rest)
+            if node.name not in called:
                 uncalled.append(f"{path.stem}.{name}")
     assert sorted(uncalled) == sorted(UNCALLED_API), (
         "called only by the tests: "

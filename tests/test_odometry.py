@@ -20,7 +20,6 @@ from limapper.errors import (
 )
 from limapper.evaluation import compute_ate
 from limapper.factor_graph import FactorGraph, _accumulate, _layout
-from limapper.geometry import Se3Pose
 from limapper.imu import ImuSample
 from limapper.odometry import FALLBACK_VEL_BIAS_SIGMA, OdometryEstimator
 from limapper.preprocess import RawScan
@@ -516,9 +515,12 @@ class TestSparseFrame:
         assert np.array_equal(rec.frame.covs, np.tile(eps * np.eye(3), (5, 1, 1)))
         assert_row_storage(rec.frame)
         assert rec.frame.degenerate.tolist() == [True] * 5
-        terms = match_terms(rec.frame, rec.voxelmap, Se3Pose.identity())
+        rot, trans = np.eye(3), np.zeros(3)
+        _, rows = rec.voxelmap.look_up(rec.frame.point_rows, rot, trans)
+        terms = match_terms(rec.frame, rec.voxelmap, rot, trans, rows)
         assert terms.inliers == 5
-        assert np.all(np.isfinite(terms.weight)) and np.isfinite(terms.cost)
+        assert np.all(np.isfinite(terms.q)) and np.all(np.isfinite(terms.s))
+        assert np.isfinite(terms.cost)
 
     def test_matching_links_need_hits(self, loop_scene):
         # five points hit the marginalized keyframe five times: a unary

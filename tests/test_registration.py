@@ -1,4 +1,5 @@
 from dataclasses import dataclass
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -22,9 +23,9 @@ from limapper.preprocess import Frame, pack_voxel_keys
 from limapper.registration import (
     _JAC_MAP,
     _JAC_OFFSET,
-    MatchTerms,
+    _Q_INDEX,
+    FrozenTerms,
     build_voxelmap,
-    freeze_terms,
     frozen_cost,
     linearize_from_terms,
     match_terms,
@@ -74,12 +75,35 @@ def d2d_error(point: Gaussian3, voxel: Gaussian3, t_ij: Se3Pose):
     return float(d @ weight @ d), d, weight
 
 
-def cell(vmap, index3):
-    """(mean, cov, count) of the map's voxel at an integer 3-index."""
+_FULL = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+
+
+def cell_means(vmap):
+    """(M, 3) cell means, a view of the map's mean rows."""
+    return vmap.mean_rows.T
+
+
+def cell_covs(vmap):
+    """(M, 3, 3) cell covariances, assembled from the map's six rows of
+    unique entries (xx, xy, xz, yy, yz, zz)."""
+    return vmap.cov_rows[_FULL].transpose(2, 0, 1)
+
+
+def rows_of(vmap, points):
+    """Voxel row of each (n, 3) point in the map, -1 on a miss: a look-up
+    of the points where they are."""
+    return vmap.look_up(np.ascontiguousarray(points.T), np.eye(3), np.zeros(3))[1]
+
+
+def cell(vmap, frame, index3):
+    """(mean, cov, count) of the map's voxel at an integer 3-index, built
+    from the frame; the count is of the frame's points in the voxel."""
     center = (np.asarray(index3, dtype=float) + 0.5) * vmap.resolution
-    row = int(vmap.lookup(center.reshape(1, 3))[0])
+    row = int(rows_of(vmap, center.reshape(1, 3))[0])
     assert row >= 0, f"voxel {tuple(index3)} is empty"
-    return vmap.means[row], vmap.covs[row], int(vmap.counts[row])
+    count = np.count_nonzero(pack_voxel_keys(frame.points, vmap.resolution)
+                             == vmap.keys[row])
+    return cell_means(vmap)[row], cell_covs(vmap)[row], int(count)
 
 
 def voxel_indices(vmap):
@@ -90,9 +114,18 @@ def voxel_indices(vmap):
                             (vmap.keys & mask) - off])
 
 
+def terms_at(frame, vmap, t_ij, rows=None):
+    """``match_terms`` of frame against the map at relative pose t_ij, on
+    the rows that a look-up finds there unless ``rows`` fixes them."""
+    rot, trans = t_ij.rotation.matrix(), t_ij.translation
+    if rows is None:
+        rows = vmap.look_up(frame.point_rows, rot, trans)[1]
+    return match_terms(frame, vmap, rot, trans, rows)
+
+
 def matching_cost(frame, vmap, t_ij):
     """(cost, inliers) of frame against the map at relative pose t_ij."""
-    terms = match_terms(frame, vmap, t_ij)
+    terms = terms_at(frame, vmap, t_ij)
     return terms.cost, terms.inliers
 
 
@@ -105,18 +138,23 @@ def linearize_held(held, t_ij, target_fixed=False):
     return g[0, :n], h[0, :n, :n], float(cost[0])
 
 
-def linearize_terms(terms, t_ij, target_fixed=False):
-    """(g, h) of the terms formed at t_ij, taken there."""
-    g, h, _ = linearize_held(freeze_terms(terms, t_ij), t_ij, target_fixed)
-    return g, h
-
-
 def linearize_pair(frame, vmap, t_i, t_j, target_fixed=False):
     """(g, h, terms) of the matching cost of frame against the map at the
     poses (t_i, t_j), correspondences looked up there."""
     t_ij = pose_compose(pose_inverse(t_j), t_i)
-    terms = match_terms(frame, vmap, t_ij)
-    return *linearize_terms(terms, t_ij, target_fixed), terms
+    terms = terms_at(frame, vmap, t_ij)
+    return *linearize_held(terms, t_ij, target_fixed)[:2], terms
+
+
+def per_point_quadratic(moved, weights, residuals):
+    """(s, q) of a held quadratic summed point by point: s = sum (W d) f^T
+    and q = sum W (x) f f^T, with f = (1, x, y, z) of each moved point."""
+    s, q = np.zeros((3, 4)), np.zeros((12, 12))
+    for x0, w, d in zip(moved, weights, residuals):
+        f = np.concatenate([[1.0], x0])
+        s += np.outer(w @ d, f)
+        q += np.kron(w, np.outer(f, f))
+    return s.reshape(12), q
 
 
 def blocks(g, h):
@@ -143,7 +181,7 @@ class TestBuildVoxelmap:
                            covs=[cov, cov])
         vmap = build_voxelmap(frame, 1.0)
         assert len(vmap) == 2
-        mean, c, count = cell(vmap, [0, 0, 0])
+        mean, c, count = cell(vmap, frame, [0, 0, 0])
         assert np.allclose(mean, [0.5, 0.5, 0.5])
         assert np.allclose(c, cov)
         assert count == 1
@@ -152,7 +190,7 @@ class TestBuildVoxelmap:
         cov = np.eye(3) * 0.05
         frame = make_frame([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]], covs=[cov, cov])
         vmap = build_voxelmap(frame, 1.0)
-        mean, c, count = cell(vmap, [0, 0, 0])
+        mean, c, count = cell(vmap, frame, [0, 0, 0])
         assert count == 2
         assert np.allclose(mean, [0.05, 0.0, 0.0])
         expected = cov + 0.0025 * np.diag([1.0, 0.0, 0.0])
@@ -166,18 +204,18 @@ class TestBuildVoxelmap:
         a = build_voxelmap(frame, 1.0)
         b = build_voxelmap(moved, 1.0)
         assert len(a) == len(b)
-        ia = np.lexsort(a.means.T)
-        ib = np.lexsort(b.means.T)
-        assert np.allclose(a.means[ia] + [1, 0, 0], b.means[ib], atol=1e-12)
-        assert np.allclose(a.covs[ia], b.covs[ib], atol=1e-12)
+        ia = np.lexsort(a.mean_rows)
+        ib = np.lexsort(b.mean_rows)
+        assert np.allclose(cell_means(a)[ia] + [1, 0, 0], cell_means(b)[ib], atol=1e-12)
+        assert np.allclose(cell_covs(a)[ia], cell_covs(b)[ib], atol=1e-12)
 
     def test_cell_mean_inside_voxel_bounds(self):
         rng = np.random.default_rng(1)
         frame = make_frame(rng.uniform(-3, 3, (200, 3)))
         vmap = build_voxelmap(frame, 0.5)
         lows = voxel_indices(vmap) * 0.5
-        assert np.all(vmap.means >= lows - 1e-12)
-        assert np.all(vmap.means <= lows + 0.5 + 1e-12)
+        assert np.all(cell_means(vmap) >= lows - 1e-12)
+        assert np.all(cell_means(vmap) <= lows + 0.5 + 1e-12)
 
     def test_empty_frame(self):
         vmap = build_voxelmap(make_frame(np.zeros((0, 3)), covs=np.zeros((0, 3, 3))), 1.0)
@@ -245,14 +283,12 @@ class TestBuildVoxelmapOracle:
         keys, means, cell_covs, counts = reference_build_voxelmap(frame, resolution)
         assert counts.max() >= 8
         # the map keeps the six unique covariance entries (xx, xy, xz, yy, yz,
-        # zz); those below the diagonal are copies of the ones above
+        # zz), the ones on and above the diagonal
         upper = np.triu_indices(3)
-        for got, want in ((vmap.keys, keys), (vmap.means, means),
-                          (vmap.covs[:, upper[0], upper[1]], cell_covs[:, upper[0], upper[1]]),
-                          (vmap.counts, counts)):
+        for got, want in ((vmap.keys, keys), (vmap.mean_rows.T, means),
+                          (vmap.cov_rows.T, cell_covs[:, upper[0], upper[1]])):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
-        assert np.array_equal(vmap.covs, vmap.covs.transpose(0, 2, 1))
 
 
 class TestMatchingCost:
@@ -278,7 +314,7 @@ class TestMatchingCost:
         source = make_frame([[0.2, 0.1, 0.0]], covs=[cov])
         cost, inliers = matching_cost(source, vmap, Se3Pose.identity())
         assert inliers == 1
-        mean, c, _ = cell(vmap, [0, 0, 0])
+        mean, c, _ = cell(vmap, target, [0, 0, 0])
         expected, _, _ = d2d_error(Gaussian3(source.points[0], cov),
                                    Gaussian3(mean, c), Se3Pose.identity())
         assert cost == pytest.approx(expected)
@@ -292,13 +328,13 @@ class TestMatchingCost:
         cost, inliers = matching_cost(source, vmap, t_ij)
         total = 0.0
         count = 0
-        moved = pose_apply(t_ij, source.points)
-        rows = vmap.lookup(moved)
+        rows = rows_of(vmap, pose_apply(t_ij, source.points))
+        means, covs = cell_means(vmap), cell_covs(vmap)
         for i, row in enumerate(rows):
             if row < 0:
                 continue
             err, _, _ = d2d_error(Gaussian3(source.points[i], source.covs[i]),
-                                  Gaussian3(vmap.means[row], vmap.covs[row]), t_ij)
+                                  Gaussian3(means[row], covs[row]), t_ij)
             total += err
             count += 1
         assert inliers == count
@@ -316,28 +352,29 @@ class TestMatchingCost:
             random_plane_cov(rng, rng.normal(size=3)) for _ in range(200)])
         vmap = build_voxelmap(target, 0.5)
         t_ij = Se3Pose(so3_exp([0.3, -0.2, 0.25]), np.array([0.1, -0.05, 0.07]))
-        rows = vmap.lookup(pose_apply(t_ij, source.points))
+        rows = rows_of(vmap, pose_apply(t_ij, source.points))
         if fixed_rows:
             # hold the rows found at t_ij and evaluate at a second pose
             t_ij = Se3Pose(so3_exp([0.32, -0.17, 0.2]), np.array([0.13, -0.02, 0.05]))
-            assert not np.array_equal(rows, vmap.lookup(pose_apply(t_ij, source.points)))
-            terms = match_terms(source, vmap, t_ij, rows)
+            assert not np.array_equal(rows, rows_of(vmap, pose_apply(t_ij, source.points)))
+            terms = terms_at(source, vmap, t_ij, rows)
         else:
-            terms = match_terms(source, vmap, t_ij)
-        assert np.array_equal(terms.rows, rows)
+            terms = terms_at(source, vmap, t_ij)
         hits = np.flatnonzero(rows >= 0)
         assert terms.inliers == hits.size > 50
-        total = 0.0
-        for k, i in enumerate(hits):
+        means, covs = cell_means(vmap), cell_covs(vmap)
+        total, moved, weights, residuals = 0.0, [], [], []
+        for i in hits:
             err, d, weight = d2d_error(
                 Gaussian3(source.points[i], source.covs[i]),
-                Gaussian3(vmap.means[rows[i]], vmap.covs[rows[i]]), t_ij)
-            assert np.allclose(terms.d[k], d, rtol=1e-12, atol=0.0)
-            assert np.allclose(symmetric(terms.weight[:, k]), weight, rtol=1e-12,
-                               atol=1e-12 * np.abs(weight).max())
-            assert np.allclose(terms.wd[k], weight @ d, rtol=1e-12,
-                               atol=1e-12 * np.abs(weight @ d).max())
+                Gaussian3(means[rows[i]], covs[rows[i]]), t_ij)
+            moved.append(pose_apply(t_ij, source.points[i]))
+            weights.append(weight)
+            residuals.append(d)
             total += err
+        s, q = per_point_quadratic(moved, weights, residuals)
+        assert np.abs(terms.s - s).max() <= 1e-12 * np.abs(s).max()
+        assert np.abs(terms.q - q).max() <= 1e-12 * np.abs(q).max()
         assert terms.cost == pytest.approx(total, rel=1e-12)
 
 
@@ -487,11 +524,11 @@ class TestLinearization:
             def residuals(ti, tj):
                 tij = pose_compose(pose_inverse(tj), ti)
                 moved = pose_apply(tij, source.points)
-                rows = vmap.lookup(moved)
+                rows = rows_of(vmap, moved)
                 out = []
                 for p, row in zip(moved, rows):
                     if row >= 0:
-                        out.append(vmap.means[row] - p)
+                        out.append(cell_means(vmap)[row] - p)
                 return np.concatenate(out) if out else np.zeros(0)
 
             r0 = residuals(t_i, t_j)
@@ -502,7 +539,7 @@ class TestLinearization:
             tij = pose_compose(pose_inverse(t_j), t_i)
             rmat = tij.rotation.matrix()
             moved = pose_apply(tij, source.points)
-            rows = vmap.lookup(moved)
+            rows = rows_of(vmap, moved)
             sel = rows >= 0
             mu = source.points[sel]
             x0 = moved[sel]
@@ -547,6 +584,7 @@ class TestLinearization:
         rng = np.random.default_rng(12)
         frame = box_room_frame_plane_covs(rng, n_per_wall=20)
         vmap = build_voxelmap(frame, 0.5)
+        means, covs = cell_means(vmap), cell_covs(vmap)
         pairs = 0
         while pairs < 10:
             t_i = Se3Pose(so3_exp(rng.uniform(-0.3, 0.3, 3)), rng.uniform(-1, 1, 3))
@@ -556,11 +594,11 @@ class TestLinearization:
             moved = pose_apply(t_ij, frame.points)
             want = {k: 0.0 for k in ("h_ii", "h_ij", "h_jj", "b_i", "b_j")}
             for mu, cov, x0, row in zip(frame.points, frame.covs, moved,
-                                        vmap.lookup(moved)):
+                                        rows_of(vmap, moved)):
                 if row < 0:
                     continue
                 _, d, w = d2d_error(Gaussian3(mu, cov),
-                                    Gaussian3(vmap.means[row], vmap.covs[row]),
+                                    Gaussian3(means[row], covs[row]),
                                     t_ij)
                 j_i = np.hstack([rmat @ so3_hat(mu), -rmat])
                 j_j = np.hstack([-so3_hat(x0), np.eye(3)])
@@ -630,12 +668,17 @@ class TestProperties:
         covs = basis @ (vals[:, :, None] * np.eye(3)) @ basis.transpose(0, 2, 1)
         centers = (np.arange(n)[:, None] * [2.0, 0.0, 0.0]) + 0.5
         vmap = build_voxelmap(make_frame(centers, covs=covs), 1.0)
-        terms = match_terms(make_frame(centers, covs=np.zeros((n, 3, 3))),
-                            vmap, Se3Pose.identity())
-        assert terms.inliers == n
+        source = make_frame(centers, covs=np.zeros((n, 3, 3)))
+        rows = rows_of(vmap, centers)
+        assert terms_at(source, vmap, Se3Pose.identity()).inliers == n
         for k in range(n):
+            # the k-th match alone: its monomials f = (1, x, y, z) start
+            # with 1, so the entries (4a, 4b) of Q are its weight W_ab
+            alone = np.where(np.arange(n) == k, rows, -1)
+            terms = match_terms(source, vmap, np.eye(3), np.zeros(3), alone)
+            assert terms.inliers == 1
             want = np.linalg.inv(covs[k])
-            err = np.abs(symmetric(terms.weight[:, k]) - want).max()
+            err = np.abs(terms.q[::4, ::4] - want).max()
             cond = vals[k].max() / vals[k].min()
             assert err <= 1e-12 * cond * np.abs(want).max()
 
@@ -651,16 +694,22 @@ class TestProperties:
         moved = make_frame(pose_apply(tf, source.points),
                            covs=rmat @ source.covs @ rmat.T)
         t_moved = pose_compose(t_ij, pose_inverse(tf))
-        a = match_terms(source, vmap, t_ij)
-        b = match_terms(moved, vmap, t_moved)
+        a = terms_at(source, vmap, t_ij)
+        b = terms_at(moved, vmap, t_moved)
         assert a.inliers >= 10
-        assert np.array_equal(a.rows, b.rows)
+        rows = rows_of(vmap, pose_apply(t_ij, source.points))
+        assert np.array_equal(rows, rows_of(vmap, pose_apply(t_moved, moved.points)))
+        # the per-point terms from the reference kernel, which equals
+        # match_terms bit for bit (TestRowKernelOracle)
+        ref_a = reference_match_terms(source, vmap, t_ij, rows)
+        ref_b = reference_match_terms(moved, vmap, t_moved, rows)
         for name in ("d", "wd", "weight"):
-            x, y = getattr(a, name), getattr(b, name)
+            x, y = getattr(ref_a, name), getattr(ref_b, name)
             assert np.abs(x - y).max() <= 1e-12 * np.abs(x).max(), name
+        assert b.inliers == a.inliers
         assert b.cost == pytest.approx(a.cost, rel=1e-12)
-        lin_a = blocks(*linearize_terms(a, t_ij))
-        lin_b = blocks(*linearize_terms(b, t_moved))
+        lin_a = blocks(*linearize_held(a, t_ij)[:2])
+        lin_b = blocks(*linearize_held(b, t_moved)[:2])
         for name in ("h_jj", "b_j"):
             x, y = lin_a[name], lin_b[name]
             assert np.abs(x - y).max() <= 1e-12 * np.abs(x).max(), name
@@ -679,14 +728,18 @@ class TestProperties:
         rmat = tf.rotation.matrix()
         source = make_frame(pose_apply(tf, source.points),
                             covs=rmat @ source.covs @ rmat.T)
-        terms = match_terms(source, vmap, t_ij)
-        lin = blocks(*linearize_terms(terms, t_ij))
+        terms = terms_at(source, vmap, t_ij)
+        lin = blocks(*linearize_held(terms, t_ij)[:2])
+        # each inlier's weight and residual from the reference kernel, which
+        # equals match_terms bit for bit (TestRowKernelOracle)
+        ref = reference_match_terms(source, vmap, t_ij,
+                                    rows_of(vmap, pose_apply(t_ij, source.points)))
         h, b = np.zeros((6, 6)), np.zeros(6)
-        for k, x0 in enumerate(terms.moved[terms.hit]):
-            w = symmetric(terms.weight[:, k])
+        for k, x0 in enumerate(ref.moved[ref.hit]):
+            w = symmetric(ref.weight[:, k])
             jac = np.hstack([-so3_hat(x0), np.eye(3)])
             h += 2 * jac.T @ w @ jac
-            b += 2 * jac.T @ w @ terms.d[k]
+            b += 2 * jac.T @ w @ ref.d[k]
         assert np.abs(lin["h_jj"] - h).max() <= 1e-12 * np.abs(h).max()
         assert np.abs(lin["b_j"] - b).max() <= 1e-12 * np.abs(b).max()
 
@@ -697,21 +750,31 @@ _REF_SYM_I = np.array([0, 0, 0, 1, 1, 2])
 _REF_SYM_J = np.array([0, 1, 2, 1, 2, 2])
 _REF_ADJ = np.array([[3, 2, 1, 0, 1, 0], [5, 4, 4, 5, 2, 3],
                      [4, 1, 2, 2, 0, 1], [4, 5, 3, 2, 4, 1]])
-_REF_FULL = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
-def reference_match_terms(frame, vmap, t_ij, rows=None):
-    """``match_terms`` on C-contiguous (n, 3) points and (n, 3, 3)
-    covariances, as it was before frames and maps stored component rows:
-    the oracle the row kernel must equal bit for bit.  Returns (rows, hit,
-    moved, d, weight, wd, cost, inliers) with moved, d and wd as (n, 3)."""
+class PointTerms(NamedTuple):
+    """Correspondences and fixed weights of one frame/map pair at one pose."""
+
+    rows: np.ndarray  # (n,) voxel row per source point, -1 on a miss
+    hit: np.ndarray  # (n,) bool, per source point
+    moved: np.ndarray  # (n, 3) transformed source means
+    d: np.ndarray  # (m, 3) residuals of the matched subset
+    weight: np.ndarray  # (6, m) unique entries of the inverse combined covariances
+    wd: np.ndarray  # (m, 3) weight @ d
+    cost: float
+    inliers: int
+
+
+def reference_match_terms(frame, vmap, t_ij, rows) -> PointTerms:
+    """The per-point terms of ``match_terms`` on C-contiguous (n, 3) points
+    and (n, 3, 3) covariances, as they were formed before frames and maps
+    stored component rows, every point moved: with ``reference_freeze``,
+    the oracle the row kernel must equal bit for bit."""
     points = np.ascontiguousarray(frame.points)
-    map_covs = np.ascontiguousarray(vmap.covs)
-    map_means = np.ascontiguousarray(vmap.means)
+    map_covs = np.ascontiguousarray(cell_covs(vmap))
+    map_means = np.ascontiguousarray(cell_means(vmap))
     rmat = t_ij.rotation.matrix()
     moved = points @ rmat.T + t_ij.translation
-    if rows is None:
-        rows = vmap.lookup(moved)
     hit = rows >= 0
     inliers = int(np.count_nonzero(hit))
     covs = np.ascontiguousarray(frame.covs).reshape(-1, 9)
@@ -728,22 +791,44 @@ def reference_match_terms(frame, vmap, t_ij, rows=None):
     weight /= np.einsum("sm,sm->m", cov[:3], weight[:3])
     d = map_means.T.take(idx, axis=1)
     d -= x0.T
-    wd = weight[_REF_FULL[0]] * d[0]
-    wd += weight[_REF_FULL[1]] * d[1]
-    wd += weight[_REF_FULL[2]] * d[2]
+    wd = weight[_FULL[0]] * d[0]
+    wd += weight[_FULL[1]] * d[1]
+    wd += weight[_FULL[2]] * d[2]
     cost = float(np.vdot(d, wd))
-    return rows, hit, moved, d.T, weight, wd.T, cost, inliers
+    return PointTerms(rows, hit, moved, d.T, weight, wd.T, cost, inliers)
 
 
-def assert_terms_equal(terms, ref):
-    rows, hit, moved, d, weight, wd, cost, inliers = ref
-    for name, want in (("rows", rows), ("hit", hit), ("moved", moved),
-                       ("d", d), ("weight", weight), ("wd", wd)):
-        got = getattr(terms, name)
-        assert got.shape == want.shape and got.dtype == want.dtype, name
-        assert got.tobytes() == np.ascontiguousarray(want).tobytes(), name
-    assert terms.inliers == inliers
-    assert terms.cost == cost
+def reference_freeze(ref: PointTerms, t_ij) -> FrozenTerms:
+    """The FrozenTerms of the reference terms formed at t_ij, folded in a
+    step of its own: Q an index gather of the 6x10 moment matrix W_6 F^T of
+    the moved inliers, s the 3x4 matrix (W d) F[:4]^T."""
+    x0 = ref.moved.T
+    if ref.inliers < x0.shape[1]:
+        x0 = x0.take(np.flatnonzero(ref.hit), axis=1)
+    mono = np.empty((10, ref.inliers))
+    mono[0] = 1.0
+    mono[1:4] = x0
+    mono[4:7] = mono[1] * mono[1:4]
+    mono[7:9] = mono[2] * mono[2:4]
+    mono[9] = mono[3] * mono[3]
+    q = (ref.weight @ mono.T).reshape(60)[_Q_INDEX]
+    s = (ref.wd.T @ mono[:4].T).reshape(12)
+    r0, t0 = t_ij.rotation.matrix(), t_ij.translation
+    pose = np.empty((3, 4))
+    pose[:, 0] = t0
+    pose[:, 1:] = r0
+    to_change = np.zeros((4, 4))
+    to_change[0, 0] = 1.0
+    to_change[1:, 0] = -(r0.T @ t0)
+    to_change[1:, 1:] = r0.T
+    return FrozenTerms(pose, to_change, ref.cost, s, q, ref.inliers)
+
+
+def searched_rows(vmap, keys):
+    """The map's row of each packed key, -1 for a key it lacks, found in a
+    dict of its keys."""
+    row = {int(k): i for i, k in enumerate(vmap.keys)}
+    return np.array([row.get(int(k), -1) for k in keys], dtype=np.int64)
 
 
 class TestRowKernelOracle:
@@ -758,25 +843,25 @@ class TestRowKernelOracle:
         rng = np.random.default_rng(seed)
         source, vmap = matched_pair(seed, source_kind, target_kind)
         if full:
-            source = make_frame(vmap.means, covs=random_covs(rng, source_kind, len(vmap)))
+            source = make_frame(cell_means(vmap), covs=random_covs(rng, source_kind, len(vmap)))
         t_ij = Se3Pose(so3_exp(np.asarray(rot)), np.asarray(trans))
         tf = pose_inverse(t_ij)
         rmat = tf.rotation.matrix()
         source = make_frame(pose_apply(tf, source.points),
                             covs=rmat @ source.covs @ rmat.T)
-        rows = None
+        at = t_ij
         if fixed:
-            nudged = pose_retract(t_ij, rng.normal(scale=0.05, size=6))
-            rows = vmap.lookup(pose_apply(nudged, source.points))
-        terms = match_terms(source, vmap, t_ij, rows)
-        ref = reference_match_terms(source, vmap, t_ij, rows)
-        assert_terms_equal(terms, ref)
+            at = pose_retract(t_ij, rng.normal(scale=0.05, size=6))
+        rows = vmap.look_up(source.point_rows, at.rotation.matrix(), at.translation)[1]
+        held = terms_at(source, vmap, t_ij, rows)
+        ref_held = reference_freeze(reference_match_terms(source, vmap, t_ij, rows), t_ij)
         if full and not fixed:
-            assert terms.inliers == len(source)
-        held = freeze_terms(terms, t_ij)
-        ref_held = freeze_terms(MatchTerms(*ref), t_ij)
-        for got, want in zip(held + linearize_held(held, t_ij),
-                             ref_held + linearize_held(ref_held, t_ij)):
+            assert held.inliers == len(source)
+        for name, got, want in zip(FrozenTerms._fields, held, ref_held):
+            got, want = np.asarray(got), np.asarray(want)
+            assert got.shape == want.shape and got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), name
+        for got, want in zip(linearize_held(held, t_ij), linearize_held(ref_held, t_ij)):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     def test_known_lookup_searches_only_changed_keys(self):
@@ -785,14 +870,13 @@ class TestRowKernelOracle:
         rot, trans = at.rotation.matrix(), at.translation
         still = (source.point_rows, np.eye(3), np.zeros(3))
         first_keys, first_rows = vmap.look_up(*still)
-        assert np.array_equal(first_rows,
-                              match_terms(source, vmap, Se3Pose.identity()).rows)
+        assert np.array_equal(first_rows, searched_rows(vmap, first_keys))
         keys, rows = vmap.look_up(source.point_rows, rot, trans, (first_keys, first_rows))
         moved = (rot @ source.point_rows + trans[:, None]).T
         assert np.array_equal(keys, pack_voxel_keys(moved, vmap.resolution))
         changed = first_keys != keys
         assert 0 < np.count_nonzero(changed) < len(source)
-        assert np.array_equal(rows, vmap.lookup(moved))
+        assert np.array_equal(rows, searched_rows(vmap, keys))
         # a stale row where the key is unchanged is kept: nothing re-searches it
         stale = first_rows.copy()
         stale[~changed] = -1
@@ -808,7 +892,7 @@ class TestRowKernelOracle:
         source, vmap = matched_pair(6)
         far = Se3Pose(so3_exp([0.0, 0.0, 0.0]), np.array(translation))
         with pytest.raises(VoxelKeyOutOfRange):
-            match_terms(source, vmap, far)
+            terms_at(source, vmap, far)
         with pytest.raises(VoxelKeyOutOfRange):
             overlap_rate(source, vmap, far)
         if np.isinf(translation).any():
@@ -831,16 +915,15 @@ class TestMapRowStorage:
         vmap = build_voxelmap(frame, 0.5)
         m = len(vmap)
         assert vmap.mean_rows.shape == (3, m) and vmap.mean_rows.flags.c_contiguous
-        assert np.shares_memory(vmap.mean_rows, vmap.means)
         assert vmap.cov_rows.shape == (6, m) and vmap.cov_rows.flags.c_contiguous
-        flat = vmap.covs.reshape(m, 9)
-        assert np.array_equal(vmap.cov_rows, flat[:, [0, 1, 2, 4, 5, 8]].T)
-        assert np.array_equal(flat[:, [3, 6, 7]], flat[:, [1, 2, 5]])
+        _, means, covs, _ = reference_build_voxelmap(frame, 0.5)
+        assert np.array_equal(vmap.mean_rows, means.T)
+        assert np.array_equal(vmap.cov_rows, covs.reshape(m, 9)[:, [0, 1, 2, 4, 5, 8]].T)
 
     def test_empty_map(self):
         vmap = build_voxelmap(make_frame(np.zeros((0, 3)), covs=np.zeros((0, 3, 3))), 1.0)
         assert vmap.mean_rows.shape == (3, 0) and vmap.cov_rows.shape == (6, 0)
-        assert vmap.covs.shape == (0, 3, 3) and vmap.means.shape == (0, 3)
+        assert vmap.keys.shape == (0,) and vmap.keys.dtype == np.int64
 
 
 # pose steps: each a direction, a scale and whether the cost is taken
@@ -877,13 +960,14 @@ def frozen_reference(source, vmap, rows, held_at, t_ij, target_fixed):
     the target Jacobian [ -hat(x) | I ] at the moved point x."""
     r0 = held_at.rotation.matrix()
     rmat = t_ij.rotation.matrix()
+    means, covs = cell_means(vmap), cell_covs(vmap)
     cost, g, h = 0.0, np.zeros(12), np.zeros((12, 12))
     for mu, cov, row in zip(source.points, source.covs, rows):
         if row < 0:
             continue
-        w = np.linalg.inv(vmap.covs[row] + r0 @ cov @ r0.T)
+        w = np.linalg.inv(covs[row] + r0 @ cov @ r0.T)
         x = rmat @ mu + t_ij.translation
-        d = vmap.means[row] - x
+        d = means[row] - x
         jac = np.hstack([rmat @ so3_hat(mu), -rmat, -so3_hat(x), np.eye(3)])
         cost += d @ w @ d
         g += 2 * jac.T @ w @ d
@@ -924,7 +1008,7 @@ class TestFrozenTerms:
                     factor.cost(values)  # on the held quadratic
                     assert spy.call_count == calls
                 moved = (t_ij.rotation.matrix() @ source.point_rows).T + t_ij.translation
-                found = vmap.lookup(moved)
+                found = rows_of(vmap, moved)
                 changed = rows is None or not np.array_equal(found, rows)
                 if changed:
                     rows, held_at = found, t_ij
@@ -990,7 +1074,7 @@ class TestStackedKernel:
             source, vmap = conditioned_pair(seed)
             at = Se3Pose(so3_exp(rng.normal(scale=0.05, size=3)),
                          rng.normal(scale=0.05, size=3))
-            held.append(freeze_terms(match_terms(source, vmap, at), at))
+            held.append(terms_at(source, vmap, at))
             poses.append(pose_retract(at, rng.normal(scale=0.02, size=6)))
         fixed = [True, False, True, False, False]
         rots = np.stack([p.rotation.matrix() for p in poses])
