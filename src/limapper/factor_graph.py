@@ -26,8 +26,9 @@ positions built once per solve (``_Placement``): the terms reach each
 entry in factor order, from zero, so H and g are the bits that placing
 the blocks one key pair at a time gives.  Each slice of a stacked product
 is the 2-D product of that slice, so every block and cost is the same bits
-as with the factor taken alone; a single factor's ``linearize`` and
-``cost`` are the stacked path with one factor.
+as with the factor taken alone.  The stacked passes are the only way a
+matching or IMU factor is costed or linearized; only the priors have their
+own ``cost`` and ``linearize``.
 
 No factor repeats an evaluation whose inputs did not change: a matching
 factor does not look up again at the bits of its last look-up's pose; the
@@ -82,33 +83,23 @@ STATE_DIM = 15  # tangent dimension of every variable
 
 
 class FactorLinearization(NamedTuple):
-    """Gradient and Gauss-Newton Hessian of one factor's cost over its own
-    tangent space (see ``Factor.dims``); both None when the factor adds only
-    a cost."""
+    """Gradient and Gauss-Newton Hessian of a prior's cost over its own
+    tangent space (see ``Factor.dims``), and the cost."""
 
-    g: np.ndarray | None
-    h: np.ndarray | None
+    g: np.ndarray
+    h: np.ndarray
     cost: float
 
 
 class Factor:
     keys: tuple
+    kind: str  # the type of factor, as a run reports it
     grounding = False  # anchors its component absolutely
 
     @property
     def dims(self) -> tuple:
         """Leading tangent components of each key that the block covers."""
         return (STATE_DIM,) * len(self.keys)
-
-    def cost(self, values) -> float:
-        raise NotImplementedError
-
-    def linearize(self, values) -> FactorLinearization:
-        raise NotImplementedError
-
-    @property
-    def kind(self) -> str:
-        raise NotImplementedError
 
 
 class PriorFactor(Factor):
@@ -151,10 +142,9 @@ class PriorFactor(Factor):
 class ImuFactor(Factor):
     """Preintegrated relative-motion constraint plus bias random walk.
 
-    All the IMU factors of a graph are costed and linearized together, in
-    one stacked pass over their K residuals (``imu_residuals``) and
-    Jacobians (``imu_jacobians``); a single factor's ``cost`` and
-    ``linearize`` are that pass with K = 1.
+    The factor holds only its inputs.  All the IMU factors of a graph are
+    costed and linearized together, in one stacked pass over their K
+    residuals (``_imu_stage``) and Jacobians (``_imu_blocks``).
     """
 
     kind = "imu-preintegration"
@@ -171,14 +161,6 @@ class ImuFactor(Factor):
         self.information = np.zeros((15, 15))
         self.information[:9, :9] = info9
         self.information[9:, 9:] = np.diag(walk)
-
-    def cost(self, values) -> float:
-        return _imu_stage([self], values).costs[0]
-
-    def linearize(self, values) -> FactorLinearization:
-        stage = _imu_stage([self], values)
-        grad, hess = _imu_blocks(stage)
-        return FactorLinearization(grad[0], hess[0], stage.costs[0])
 
 
 class _ImuStage(NamedTuple):
@@ -249,17 +231,18 @@ class MatchingCostFactor(Factor):
     states.  The factor holds one record: the keys and voxel rows of its
     last lookup, and the cost on those rows with the weights frozen where
     the rows were last found, as a quadratic in the change of the relative
-    pose (``FrozenTerms``).  ``cost`` evaluates the
-    held quadratic in O(1); it looks up only if there was no lookup yet.
-    ``linearize`` looks the voxel of every source point up at the given
-    estimate, searching the map only for the points whose packed voxel key
-    changed, and forms new terms at that estimate only when a row changed;
-    it then takes its block from the held quadratic.  So a point crossing a
-    voxel boundary does not make the cost jump between two linearizations,
-    and a linearization that finds the same rows keeps the weights of the
-    one that found them.  With an empty source or map, or fewer than
-    ``min_inliers`` correspondences, the factor contributes nothing and
-    forms no terms.
+    pose (``FrozenTerms``).  The graph costs and linearizes all its
+    matching factors together.  A cost (``_matching_costs``) evaluates the
+    held quadratic in O(1); it looks up only if there was no lookup yet.  A
+    linearization (``_matching_blocks``) looks the voxel of every source
+    point up at the given estimate, searching the map only for the points
+    whose packed voxel key changed, and forms new terms at that estimate
+    only when a row changed; it then takes the block from the held
+    quadratic.  So a point crossing a voxel boundary does not make the cost
+    jump between two linearizations, and a linearization that finds the
+    same rows keeps the weights of the one that found them.  With an empty
+    source or map, or fewer than ``min_inliers`` correspondences, the
+    factor contributes nothing and forms no terms.
     """
 
     def __init__(self, key_source: int, source: Frame, target_map: GaussianVoxelMap,
@@ -324,18 +307,6 @@ class MatchingCostFactor(Factor):
         if self._inliers >= self.min_inliers:
             self._held = match_terms(self.source, self.target_map, rot, trans, rows)
 
-    # one factor is the stacked path of all matching factors with K=1
-
-    def cost(self, values) -> float:
-        return _matching_costs([self], values)[0]
-
-    def linearize(self, values) -> FactorLinearization:
-        grad, hess, cost = _matching_blocks([self], values)
-        if self._held is None:
-            return FactorLinearization(None, None, 0.0)
-        n = 6 * len(self.keys)
-        return FactorLinearization(grad[0, :n], hess[0, :n, :n], cost[0])
-
 
 def _relative_poses(factors, values) -> tuple[np.ndarray, np.ndarray]:
     """Rotations (K, 3, 3) and translations (K, 3) of the relative poses
@@ -359,7 +330,7 @@ def _relative_poses(factors, values) -> tuple[np.ndarray, np.ndarray]:
 def matching_hits(factors, values) -> list[int]:
     """The source points of each matching factor that land in an occupied
     voxel of its target map at the values; the terms of these look-ups
-    serve each factor's next ``cost`` and ``linearize``."""
+    serve each factor's next cost and linearization."""
     _held_terms(factors, values, relook=True)
     return [f.inliers for f in factors]
 
@@ -387,7 +358,7 @@ def _held_terms(factors, values, relook: bool):
 
 
 def _matching_costs(factors, values) -> list[float]:
-    """``cost`` of every matching factor: each looks up only if it has not
+    """The cost of every matching factor: each looks up only if it has not
     yet, and one stacked ``frozen_cost`` evaluates all held terms."""
     at, held, rots, trans = _held_terms(factors, values, relook=False)
     costs = frozen_cost(held, rots, trans).tolist() if held else []
@@ -395,11 +366,12 @@ def _matching_costs(factors, values) -> list[float]:
 
 
 def _matching_blocks(factors, values):
-    """``linearize`` of every matching factor: each looks up, in order, and
-    one stacked ``linearize_from_terms`` takes the blocks of all held
-    terms.  Returns the gradients (K, 12), the Hessians (K, 12, 12) and the
-    costs as Python floats, zero for a factor without terms; a factor with
-    a fixed target takes the source pose's leading 6 and 6x6."""
+    """The linearization of every matching factor: each looks up, in
+    order, and one stacked ``linearize_from_terms`` takes the blocks of all
+    held terms.  Returns the gradients (K, 12), the Hessians (K, 12, 12)
+    and the costs as Python floats, zero for a factor without terms; a
+    factor with a fixed target takes the source pose's leading 6 and
+    6x6."""
     at, held, rots, trans = _held_terms(factors, values, relook=True)
     grad, hess = np.zeros((len(at), 12)), np.zeros((len(at), 12, 12))
     costs = [0.0] * len(at)
@@ -672,8 +644,6 @@ class FactorGraph:
         self.values[key] = initial_value
 
     def add_factor(self, factor: Factor) -> None:
-        if not factor.keys:
-            return  # fully folded (e.g. empty marginal prior)
         for k in factor.keys:
             if k not in self.values:
                 raise UnknownVariable(f"factor references missing variable {k}")

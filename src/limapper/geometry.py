@@ -251,16 +251,6 @@ class Se3Pose:
         self.rotation = rotation
         self.translation = np.asarray(translation, dtype=float)
 
-    @staticmethod
-    def identity() -> "Se3Pose":
-        return Se3Pose(Rotation.identity(), np.zeros(3))
-
-    def matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.rotation.matrix()
-        m[:3, 3] = self.translation
-        return m
-
     def __repr__(self) -> str:
         return f"Se3Pose(t={np.array2string(self.translation, precision=4)}, {self.rotation})"
 

@@ -120,8 +120,7 @@ def integration_nodes(samples, t0: float, t1: float, max_gap: float = 0.02):
     """
     if t1 <= t0:
         raise InvalidInterval(f"window [{t0}, {t1}] is empty")
-    stamps, accel, gyro = (samples if isinstance(samples, tuple)
-                           else samples_to_arrays(samples))
+    stamps, accel, gyro = samples_to_arrays(samples)
     n = stamps.size
     if n == 0:
         raise ImuCoverageGap("no IMU samples supplied")

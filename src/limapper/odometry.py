@@ -224,8 +224,7 @@ class OdometryEstimator:
             # fewer points than knn: no neighbourhood to fit, so take the
             # flat-neighbourhood fallback of estimate_covariances
             n = len(frame)
-            return replace(frame, covs=np.tile(cfg.plane_eps * np.eye(3), (n, 1, 1)),
-                           degenerate=np.ones(n, dtype=bool))
+            return replace(frame, covs=np.tile(cfg.plane_eps * np.eye(3), (n, 1, 1)))
         return estimate_covariances(frame, cfg.plane_eps)
 
     def _overlap(self, a: WindowFrame, b: WindowFrame) -> float:
@@ -454,5 +453,5 @@ class OdometryEstimator:
         # a keyframe is only a target map, and the overlap reads its points:
         # it keeps the points, stamps and span, and drops the rest
         rec.pre_frame = None
-        rec.frame = replace(rec.frame, neighbors=None, covs=None, degenerate=None)
+        rec.frame = replace(rec.frame, neighbors=None, covs=None)
         return out

@@ -105,7 +105,6 @@ class Frame:
     scan_end: float = 0.0
     neighbors: np.ndarray | None = None  # (n, k) indices, self included
     covs: np.ndarray | None = None  # (n, 3, 3) regularized, a view of cov_rows
-    degenerate: np.ndarray | None = None  # (n,) flat-neighborhood flags
     deskewed: bool = False
 
     def __post_init__(self):
@@ -317,8 +316,8 @@ def knn_search(frame: Frame, k: int) -> np.ndarray:
 
 def _eigh_covariances(points: np.ndarray, neighbors: np.ndarray,
                       plane_eps: float):
-    """(covs, degenerate) by eigen-decomposing each sample covariance; the
-    rows of ``estimate_covariances`` that have no well-defined normal."""
+    """Covariances by eigen-decomposing each sample covariance; the rows of
+    ``estimate_covariances`` that have no well-defined normal."""
     nbr = points[neighbors]  # (n, k, 3)
     centered = nbr - nbr.mean(axis=1, keepdims=True)
     cov = np.einsum("nki,nkj->nij", centered, centered) / nbr.shape[1]
@@ -327,7 +326,7 @@ def _eigh_covariances(points: np.ndarray, neighbors: np.ndarray,
     target = np.array([plane_eps, 1.0, 1.0])
     covs = np.einsum("nij,j,nkj->nik", evecs, target, evecs)
     covs[degenerate] = np.eye(3) * plane_eps
-    return covs, degenerate
+    return covs
 
 
 def estimate_covariances(frame: Frame, plane_eps: float = 1e-3) -> Frame:
@@ -337,7 +336,7 @@ def estimate_covariances(frame: Frame, plane_eps: float = 1e-3) -> Frame:
     (plane_eps, 1, 1) in place of its own, keeping the eigenvectors.  That
     is C = I - (1 - plane_eps) * n n^T, with n the normal: the eigenvector of
     the smallest eigenvalue lambda0.  Fully degenerate neighborhoods
-    (largest eigenvalue below 1e-12) get plane_eps * I and are flagged.
+    (largest eigenvalue below 1e-12) get plane_eps * I.
 
     The eigenvalues come in closed form (the trigonometric method for a
     symmetric 3x3 matrix).  The normal is the longest column of
@@ -359,7 +358,7 @@ def estimate_covariances(frame: Frame, plane_eps: float = 1e-3) -> Frame:
         raise ValueError("neighbors must be computed before covariances")
     n = len(frame)
     if n == 0:
-        return replace(frame, covs=np.zeros((0, 3, 3)), degenerate=np.zeros(0, dtype=bool))
+        return replace(frame, covs=np.zeros((0, 3, 3)))
     k = frame.neighbors.shape[1]
     nbr = np.take(frame.point_rows, frame.neighbors, axis=1)  # (3, n, k)
     nbr -= np.einsum("cnk->cn", nbr)[:, :, None] / k
@@ -386,10 +385,9 @@ def estimate_covariances(frame: Frame, plane_eps: float = 1e-3) -> Frame:
     covs[:, degenerate] = plane_eps * np.eye(3).reshape(9, 1)
     if fallback.any():
         rows = np.flatnonzero(fallback)
-        eigh_covs, degenerate[rows] = _eigh_covariances(
-            frame.points, frame.neighbors[rows], plane_eps)
+        eigh_covs = _eigh_covariances(frame.points, frame.neighbors[rows], plane_eps)
         covs[:, rows] = eigh_covs.reshape(-1, 9).T
-    return replace(frame, covs=covs.T.reshape(n, 3, 3), degenerate=degenerate)
+    return replace(frame, covs=covs.T.reshape(n, 3, 3))
 
 
 def _symmetric_eigenvalues(a: np.ndarray):

@@ -119,12 +119,10 @@ def cast_rays(world: World, origins: np.ndarray, dirs: np.ndarray,
 
 
 class Trajectory:
-    """Analytic trajectory: pose, world velocity/acceleration, body rates."""
+    """Analytic trajectory: pose, world acceleration and body rates, which
+    the scene generator samples."""
 
     def pose(self, t: float) -> Se3Pose:
-        raise NotImplementedError
-
-    def velocity(self, t: float) -> np.ndarray:
         raise NotImplementedError
 
     def accel(self, t: float) -> np.ndarray:
@@ -240,11 +238,6 @@ class PathTrajectory(Trajectory):
         s, _, _ = self._profile(t)
         pos, yaw, _ = self.path.eval(s)
         return Se3Pose(so3_exp([0.0, 0.0, yaw]), pos)
-
-    def velocity(self, t):
-        s, v, _ = self._profile(t)
-        _, yaw, _ = self.path.eval(s)
-        return v * np.array([math.cos(yaw), math.sin(yaw), 0.0])
 
     def accel(self, t):
         s, v, a = self._profile(t)

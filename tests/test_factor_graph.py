@@ -17,6 +17,7 @@ from limapper.errors import (
 from limapper import factor_graph
 from limapper.factor_graph import (
     FactorGraph,
+    FactorLinearization,
     ImuFactor,
     LmSettings,
     MarginalPriorFactor,
@@ -40,14 +41,16 @@ from limapper.imu import GRAVITY, ImuNoiseParams, ImuSample, preintegrate
 from limapper.registration import GaussianVoxelMap, build_voxelmap
 from limapper.synthetic import generate_synthetic_scene
 
-from test_geometry import pose_apply, zero_state
+from test_geometry import identity_pose, pose_apply, zero_state
 from test_imu import per_factor_imu_residual, propagate_state
 from test_odometry import loop_spec, run
 from test_registration import (
     at_pose,
     box_room_frame_plane_covs,
+    linearize_matching,
     make_frame,
     matching_cost,
+    matching_factor_cost,
     reference_linearize,
 )
 
@@ -306,24 +309,24 @@ class TestMatchingCostFactor:
         source = make_frame(np.vstack(
             [centers + rng.uniform(-0.1, 0.1, centers.shape), on_face]))
         f = MatchingCostFactor(0, source, vmap,
-                               fixed_target_pose=Se3Pose.identity())
+                               fixed_target_pose=identity_pose())
         at = {0: zero_state()}
-        nudged = Se3Pose(Se3Pose.identity().rotation, np.array([-1e-7, 0.0, 0.0]))
+        nudged = Se3Pose(identity_pose().rotation, np.array([-1e-7, 0.0, 0.0]))
         at_nudged = {0: at_pose(nudged)}
 
-        f.linearize(at)
+        linearize_matching(f, at)
         assert f.inliers == len(source)
-        c0 = f.cost(at)
-        assert abs(f.cost(at_nudged) - c0) < 1e-6 * c0
+        c0 = matching_factor_cost(f, at)
+        assert abs(matching_factor_cost(f, at_nudged) - c0) < 1e-6 * c0
         # a fresh lookup at the nudged pose loses the point on the face
         fresh, inliers = matching_cost(source, vmap, nudged)
         assert inliers == len(source) - 1
         assert abs(fresh - c0) > 1e-3 * c0
 
-        lin = f.linearize(at_nudged)
+        lin = linearize_matching(f, at_nudged)
         assert f.inliers == len(source) - 1
         assert lin.cost == pytest.approx(fresh, rel=1e-12)
-        assert f.cost(at_nudged) == pytest.approx(fresh, rel=1e-12)
+        assert matching_factor_cost(f, at_nudged) == pytest.approx(fresh, rel=1e-12)
 
     def test_below_min_inliers_contributes_nothing(self, monkeypatch):
         # every lookup or evaluation the factors make goes through this
@@ -342,32 +345,32 @@ class TestMatchingCostFactor:
         source = make_frame(np.vstack([rng.uniform(0.1, 0.4, (3, 3)),
                                        rng.uniform(5.0, 6.0, (8, 3))]))
         f = MatchingCostFactor(0, source, vmap,
-                               fixed_target_pose=Se3Pose.identity())
+                               fixed_target_pose=identity_pose())
         assert f.min_inliers == 10
         at = {0: zero_state()}
-        assert f.linearize(at) == (None, None, 0.0)
-        assert f.inliers == 3
+        assert linearize_matching(f, at).cost == 0.0
+        assert f._held is None and f.inliers == 3
         # the count of the lookup says that the factor is below its minimum,
         # so no terms are formed, and no cost makes a pass over the points:
         # neither at the lookup's pose nor at one where a lookup would find
         # no point
         assert calls == []
-        assert f.cost(at) == 0.0
-        away = {0: at_pose(Se3Pose(Se3Pose.identity().rotation,
+        assert matching_factor_cost(f, at) == 0.0
+        away = {0: at_pose(Se3Pose(identity_pose().rotation,
                                               np.array([2.0, 0.0, 0.0])))}
         assert matching_cost(source, vmap, away[0].pose)[1] == 0
         calls.clear()
-        assert f.cost(away) == 0.0
+        assert matching_factor_cost(f, away) == 0.0
         assert calls == [] and f.inliers == 3
 
         calls.clear()
         empty = make_frame(np.zeros((0, 3)), covs=np.zeros((0, 3, 3)))
         for g in (MatchingCostFactor(0, empty, vmap,
-                                     fixed_target_pose=Se3Pose.identity()),
+                                     fixed_target_pose=identity_pose()),
                   MatchingCostFactor(0, source, build_voxelmap(empty, 0.5),
-                                     fixed_target_pose=Se3Pose.identity())):
-            assert g.linearize(at) == (None, None, 0.0)
-            assert g.cost(at) == 0.0 and g.inliers == 0
+                                     fixed_target_pose=identity_pose())):
+            assert linearize_matching(g, at).cost == 0.0 and g._held is None
+            assert matching_factor_cost(g, at) == 0.0 and g.inliers == 0
         assert calls == []
 
 
@@ -633,6 +636,14 @@ class TestMarginalizationProperties:
             assert np.linalg.norm(err) < 1e-8
 
 
+def linearize_imu(f, values) -> FactorLinearization:
+    """One IMU factor linearized by the graph's stacked pass with that
+    factor alone."""
+    stage = factor_graph._imu_stage([f], values)
+    grad, hess = factor_graph._imu_blocks(stage)
+    return FactorLinearization(grad[0], hess[0], stage.costs[0])
+
+
 def reference_imu_lin(f, values):
     """(g, h, cost) of one IMU factor from the per-factor oracle, weighted
     with 2-D products."""
@@ -681,7 +692,7 @@ def reference_assembly(factors, values, slices, dim):
 
 
 def reference_cost(f, values):
-    if isinstance(f, MatchingCostFactor):
+    if isinstance(f, (ImuFactor, MatchingCostFactor)):
         return reference_lin(f, values)[2]
     return f.cost(values)
 
@@ -760,12 +771,12 @@ class TestStackedAssembly:
             grad, hess = factor_graph._imu_blocks(stage)
             for k, f in enumerate(imu):
                 g_ref, h_ref, cost_ref = reference_imu_lin(f, at)
-                alone = f.linearize(at)  # the stacked pass with K = 1
+                alone = linearize_imu(f, at)
                 for got in (grad[k], alone.g):
                     assert got.tobytes() == g_ref.tobytes()
                 for got in (hess[k], alone.h):
                     assert got.tobytes() == h_ref.tobytes()
-                assert stage.costs[k] == alone.cost == f.cost(at) == cost_ref
+                assert stage.costs[k] == alone.cost == cost_ref
 
     def test_linearization_at_an_accepted_candidate_forms_only_the_jacobians(
             self, window):
@@ -798,11 +809,11 @@ class TestStackedAssembly:
         values = window.values
         with mock.patch.object(GaussianVoxelMap, "look_up", autospec=True,
                                side_effect=GaussianVoxelMap.look_up) as look_up:
-            first = f.linearize(values)
-            again = f.linearize(values)
+            first = linearize_matching(f, values)
+            again = linearize_matching(f, values)
             assert look_up.call_count == 1
             moved = dict(values)
             moved[f.keys[0]] = state_retract(values[f.keys[0]], np.full(15, 1e-3))
-            f.linearize(moved)
+            linearize_matching(f, moved)
             assert look_up.call_count == 2
         assert first.h.tobytes() == again.h.tobytes() and first.cost == again.cost

@@ -1,7 +1,11 @@
 """Source hygiene of the package and its tests, checked with the
-standard-library parser."""
+standard-library parser and, for what the package must keep, with a
+profiled replay of the benchmark's workloads."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -140,18 +144,39 @@ def record_fields(tree: ast.Module):
                 yield node.name, item.target.id, item.lineno
 
 
+# record fields that only the tests read today, each with its reason
+UNREAD_FIELDS = {
+    **dict.fromkeys(
+        [f"factor_graph.OptimizeResult.{name}" for name in (
+            "estimates", "final_cost", "converged", "initial_cost",
+            "cost_evaluations", "rejected_steps")],
+        "outcome of a solve, read by the coming per-scan stats record"),
+    **dict.fromkeys(
+        ["odometry.MarginalizedFrame.frame_index",
+         "odometry.MarginalizedFrame.vel_bias_sigma"],
+        "hand-off, read by the coming local mapping"),
+}
+
+
 def test_every_record_field_is_read():
-    # a field that no code reads is state that only its writers keep alive
-    readers = [p for d in ("src", "tests", "golden", "perfbench")
-               for p in (ROOT / d).rglob("*.py")]
+    # a field that no code reads is state that only its writers keep alive;
+    # a read in the tests alone keeps nothing alive
+    readers = [p for d in ("src", "golden", "perfbench") for p in (ROOT / d).rglob("*.py")]
     read = {n.attr for path in readers
             for n in ast.walk(ast.parse(path.read_text(), filename=str(path)))
             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
-    unread = [f"{path.name}:{line} {cls}.{name}"
-              for path in MODULES
-              for cls, name, line in record_fields(ast.parse(path.read_text()))
-              if name not in read]
-    assert not unread, "record fields nothing reads: " + ", ".join(unread)
+    unread, listed = [], set()
+    for path in MODULES:
+        for cls, name, line in record_fields(ast.parse(path.read_text())):
+            if name in read:
+                continue
+            if f"{path.stem}.{cls}.{name}" in UNREAD_FIELDS:
+                listed.add(f"{path.stem}.{cls}.{name}")
+            else:
+                unread.append(f"{path.name}:{line} {cls}.{name}")
+    assert not unread, "record fields only the tests read: " + ", ".join(unread)
+    assert listed == set(UNREAD_FIELDS), (
+        "listed but read: " + ", ".join(sorted(set(UNREAD_FIELDS) - listed)))
 
 
 def test_every_config_key_reaches_the_pipeline():
@@ -244,3 +269,89 @@ def test_every_definition_has_a_caller_outside_the_tests():
         + ", ".join(sorted(set(uncalled) - set(UNCALLED_API)))
         + "; listed but called: "
         + ", ".join(sorted(set(UNCALLED_API) - set(uncalled))))
+
+
+# definitions that a replay does not enter, beyond UNCALLED_API, each with
+# its reason
+UNENTERED_API = {
+    **UNCALLED_API,
+    "config.PipelineConfig.apply": "reached only through from_file",
+    "config.PipelineConfig.items": "reached only through to_file",
+    "dataset_io.TrajectoryRecord.pose": "dataset format, for the coming CLI",
+}
+
+# Replays the scans of a 6-frame `loop` scene and of a 4-frame `gap` scene
+# through the benchmark's `replay` and `ate`, in a fresh interpreter whose
+# profile hook is in place before anything is imported, so that every call
+# into the package is seen.  It prints, one per line, the file and first
+# line of every code object of the package (the directory in argv[1]) that
+# was entered.
+REPLAY = """
+import sys
+
+entered = set()
+
+def hook(frame, event, arg):
+    if event == "call":
+        entered.add(frame.f_code)
+
+sys.setprofile(hook)
+
+from limapper.config import PipelineConfig
+from limapper.synthetic import generate_synthetic_scene
+import run
+from workloads import WORKLOADS, imu_batches
+
+for name, frames in (("loop", 6), ("gap", 4)):
+    scene = generate_synthetic_scene(WORKLOADS[name].spec(1, frames))
+    batches = imu_batches(scene, PipelineConfig().odometry.init_window)
+    run.ate(run.replay(scene, batches, len(scene.scans)), scene)
+sys.setprofile(None)
+for code in entered:
+    if code.co_filename.startswith(sys.argv[1]):
+        print(code.co_filename, code.co_firstlineno)
+"""
+
+
+def declares_interface(node: ast.FunctionDef) -> bool:
+    """The whole body, a docstring aside, is ``raise NotImplementedError``."""
+    body = node.body
+    if (body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)
+            and isinstance(body[0].value.value, str)):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Raise):
+        return False
+    exc = body[0].exc
+    exc = exc.func if isinstance(exc, ast.Call) else exc
+    return isinstance(exc, ast.Name) and exc.id == "NotImplementedError"
+
+
+def test_every_definition_is_entered_by_a_replay():
+    # what no workload runs is scaffolding: it moves into the tests, or it
+    # waits on UNENTERED_API for its caller.  A method whose whole body is
+    # ``raise NotImplementedError`` declares an interface and is exempt.  A
+    # code object starts at its def line, or at its first decorator's line
+    # when it has decorators
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
+    child = subprocess.run([sys.executable, "-c", REPLAY, str(PACKAGE) + os.sep],
+                           env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    entered = {(Path(f).name, int(line))
+               for f, line in (row.rsplit(" ", 1) for row in child.stdout.splitlines())}
+    assert entered
+    never, listed = [], set()
+    for path in MODULES:
+        for name, node, _ in public_definitions(ast.parse(path.read_text())):
+            if not isinstance(node, ast.FunctionDef) or declares_interface(node):
+                continue
+            starts = {node.lineno, *(d.lineno for d in node.decorator_list)}
+            if any((path.name, line) in entered for line in starts):
+                continue
+            if f"{path.stem}.{name}" in UNENTERED_API:
+                listed.add(f"{path.stem}.{name}")
+            else:
+                never.append(f"{path.name}:{node.lineno} {name}")
+    assert not never, "never entered by a replay: " + ", ".join(never)
+    assert listed == set(UNENTERED_API), (
+        "listed but entered: " + ", ".join(sorted(set(UNENTERED_API) - listed)))

@@ -32,7 +32,7 @@ from limapper.imu import (
     stack_preintegrated,
 )
 
-from test_geometry import rotation_angle, zero_state
+from test_geometry import identity_pose, rotation_angle, zero_state
 
 NOISE = ImuNoiseParams()
 
@@ -157,7 +157,7 @@ def stepwise_deltas(samples, t_i, t_j, bias):
     from the identity without gravity (rotation vector, velocity, position
     are then the deltas)."""
     node_t, node_a, node_g = integration_nodes(samples, t_i, t_j)
-    state = SensorState(Se3Pose.identity(), np.zeros(3), bias[:3], bias[3:], t_i)
+    state = SensorState(identity_pose(), np.zeros(3), bias[:3], bias[3:], t_i)
     for k in range(node_t.size - 1):
         state = propagate_state(state, ImuSample(node_t[k], node_a[k], node_g[k]),
                                 node_t[k + 1] - node_t[k], gravity=np.zeros(3))
@@ -265,7 +265,7 @@ class TestPropagateState:
         assert np.allclose(out.pose.rotation.apply([1, 0, 0]), [0, 1, 0], atol=1e-12)
 
     def test_bias_subtracted(self):
-        state = SensorState(Se3Pose.identity(), np.zeros(3),
+        state = SensorState(identity_pose(), np.zeros(3),
                             np.array([0.1, 0, 0]), np.array([0, 0, 0.2]), 0.0)
         sample = ImuSample(0.0, np.array([0.1, 0.0, 9.80665]), np.array([0.0, 0.0, 0.2]))
         out = propagate_state(state, sample, 0.5)

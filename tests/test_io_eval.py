@@ -24,6 +24,8 @@ from limapper.geometry import Se3Pose, pose_compose, so3_exp
 from limapper.imu import ImuSample
 from limapper.preprocess import RawScan
 
+from test_geometry import identity_pose
+
 
 class TestScanIo:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -88,7 +90,7 @@ class TestImuIo:
 class TestTrajectoryIo:
     def test_identity_line_format(self, tmp_path):
         path = str(tmp_path / "traj.txt")
-        write_trajectory([record_from_pose(0.0, Se3Pose.identity())], path)
+        write_trajectory([record_from_pose(0.0, identity_pose())], path)
         line = Path(path).read_text().strip()
         assert line == "0.00000000 0 0 0 0 0 0 1"
 
@@ -108,7 +110,7 @@ class TestTrajectoryIo:
             assert np.allclose(a.orientation, b.orientation, atol=1e-8)
 
     def test_thousand_records_in_order(self, tmp_path):
-        records = [record_from_pose(0.01 * i, Se3Pose.identity()) for i in range(1000)]
+        records = [record_from_pose(0.01 * i, identity_pose()) for i in range(1000)]
         path = str(tmp_path / "traj.txt")
         write_trajectory(records, path)
         back = read_trajectory(path)

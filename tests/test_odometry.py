@@ -156,7 +156,7 @@ class TestMarginalizedKeyframes:
             frame = kf.frame
             if kf.marginalized:
                 assert frame.covs is None and frame.neighbors is None
-                assert frame.degenerate is None and kf.pre_frame is None
+                assert kf.pre_frame is None
                 assert_row_storage(frame)
             else:
                 assert frame.covs is not None and frame.neighbors is not None
@@ -514,7 +514,6 @@ class TestSparseFrame:
         assert len(rec.frame) == 5 < est.config.preprocess.knn
         assert np.array_equal(rec.frame.covs, np.tile(eps * np.eye(3), (5, 1, 1)))
         assert_row_storage(rec.frame)
-        assert rec.frame.degenerate.tolist() == [True] * 5
         rot, trans = np.eye(3), np.zeros(3)
         _, rows = rec.voxelmap.look_up(rec.frame.point_rows, rot, trans)
         terms = match_terms(rec.frame, rec.voxelmap, rot, trans, rows)

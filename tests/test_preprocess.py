@@ -34,7 +34,7 @@ from limapper.preprocess import (
 )
 from limapper.synthetic import generate_synthetic_scene, square_loop_scene
 
-from test_geometry import slerp, zero_state
+from test_geometry import identity_pose, slerp, zero_state
 from test_imu import propagate_state
 
 
@@ -406,7 +406,8 @@ class TestCovarianceProperties:
         frame = frame_of_neighborhoods(clouds)
         out = estimate_covariances(frame)
         covs, degenerate, evals = reference_covariances(frame.points, frame.neighbors)
-        assert np.array_equal(out.degenerate, degenerate)
+        # a flat neighbourhood's covariance is plane_eps * I
+        assert (out.covs[degenerate] == 1e-3 * np.eye(3)).all()
         assert np.abs(out.covs - covs).max() <= 1e-9
         # rows well inside the fallback rule are eigh's, bit for bit
         fallback = (evals[:, 1] - evals[:, 0]) <= 0.5e-4 * evals[:, 2]
@@ -438,7 +439,7 @@ class TestCovarianceProperties:
         out = estimate_covariances(frame)
         covs, degenerate, _ = reference_covariances(frame.points, frame.neighbors)
         assert out.covs[10:].tobytes() == covs[10:].tobytes()
-        assert not out.degenerate.any() and not degenerate.any()
+        assert not degenerate.any()
         assert np.abs(out.covs[:10] - covs[:10]).max() <= 1e-14
 
 
@@ -462,8 +463,7 @@ class TestCovariances:
     def test_degenerate_neighborhood(self):
         pts = np.tile([[1.0, 2.0, 3.0]], (5, 1))
         out = estimate_covariances(self._frame_with_neighbors(pts))
-        assert np.allclose(out.covs[0], 1e-3 * np.eye(3))
-        assert out.degenerate[0]
+        assert np.array_equal(out.covs, np.tile(1e-3 * np.eye(3), (5, 1, 1)))
 
     def test_eigenvalues_fixed_regardless_of_spread(self):
         rng = np.random.default_rng(5)
@@ -531,7 +531,7 @@ class TestDeskew:
         out_posed = deskew(frame, samples, state)
         # velocity enters the relative motion, so integrate with the same
         # velocity but identity pose for the reference comparison
-        ref = SensorState(Se3Pose.identity(), state.pose.rotation.inverse().apply(
+        ref = SensorState(identity_pose(), state.pose.rotation.inverse().apply(
             state.velocity), np.zeros(3), np.zeros(3), 0.0)
         # gravity must also be expressed consistently; rotate it into the
         # reference frame used above
@@ -640,7 +640,7 @@ class TestRowStorage:
         assert_row_storage(with_neighbors)
         assert np.shares_memory(with_neighbors.points, frame.points)
         covs = estimate_covariances(with_neighbors)
-        again = replace(covs, degenerate=None)
+        again = replace(covs, deskewed=True)
         assert np.shares_memory(again.covs, covs.covs)
         assert np.shares_memory(again.points, frame.points)
 
@@ -680,7 +680,8 @@ class TestRowStorage:
         out = estimate_covariances(frame)
         assert_row_storage(out)
         covs, degenerate, _ = reference_covariances(frame.points, frame.neighbors)
-        assert out.degenerate.tolist() == degenerate.tolist() == [False] * 20 + [True] * 10
+        assert degenerate.tolist() == [False] * 20 + [True] * 10
+        assert np.array_equal(out.covs[20:], np.tile(1e-3 * np.eye(3), (10, 1, 1)))
         assert out.covs[10:].tobytes() == covs[10:].tobytes()
 
     def test_empty_frame(self):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from limapper import factor_graph
 from limapper.errors import VoxelKeyOutOfRange
-from limapper.factor_graph import MatchingCostFactor
+from limapper.factor_graph import FactorLinearization, MatchingCostFactor
 from limapper.geometry import (
     Se3Pose,
     SensorState,
@@ -32,7 +32,7 @@ from limapper.registration import (
     overlap_rate,
 )
 
-from test_geometry import pose_apply
+from test_geometry import identity_pose, pose_apply
 
 
 def make_frame(points, covs=None, rng=None, iso=0.01):
@@ -46,6 +46,21 @@ def make_frame(points, covs=None, rng=None, iso=0.01):
 def at_pose(pose):
     """A state at the pose, at rest and without bias."""
     return SensorState(pose, np.zeros(3), np.zeros(3), np.zeros(3), 0.0)
+
+
+def linearize_matching(f, values) -> FactorLinearization:
+    """One matching factor linearized by the graph's stacked pass with that
+    factor alone: the block over the pose part of each key, zero when the
+    factor holds no terms, and the cost."""
+    grad, hess, costs = factor_graph._matching_blocks([f], values)
+    n = 6 * len(f.keys)
+    return FactorLinearization(grad[0, :n], hess[0, :n, :n], costs[0])
+
+
+def matching_factor_cost(f, values) -> float:
+    """One matching factor's cost by the graph's stacked pass with that
+    factor alone."""
+    return factor_graph._matching_costs([f], values)[0]
 
 
 def symmetric(entries):
@@ -225,14 +240,14 @@ class TestBuildVoxelmap:
 class TestD2dError:
     def test_zero_at_coincident_means(self):
         g = Gaussian3(np.array([1.0, 2.0, 3.0]), np.eye(3))
-        err, d, _ = d2d_error(g, g, Se3Pose.identity())
+        err, d, _ = d2d_error(g, g, identity_pose())
         assert err == pytest.approx(0.0)
         assert np.allclose(d, 0.0)
 
     def test_hand_example(self):
         p = Gaussian3(np.array([1.0, 0.0, 0.0]), np.eye(3))
         v = Gaussian3(np.array([1.1, 0.0, 0.0]), np.eye(3))
-        err, d, w = d2d_error(p, v, Se3Pose.identity())
+        err, d, w = d2d_error(p, v, identity_pose())
         assert np.allclose(d, [0.1, 0.0, 0.0])
         assert np.allclose(w, 0.5 * np.eye(3))
         assert err == pytest.approx(0.005)
@@ -296,7 +311,7 @@ class TestMatchingCost:
         rng = np.random.default_rng(3)
         frame = make_frame(rng.uniform(-2, 2, (100, 3)))
         vmap = build_voxelmap(frame, 0.5)
-        cost, inliers = matching_cost(frame, vmap, Se3Pose.identity())
+        cost, inliers = matching_cost(frame, vmap, identity_pose())
         assert inliers == 100
         assert cost < 100 * 3  # bounded; aggregates absorb the scatter
 
@@ -304,7 +319,7 @@ class TestMatchingCost:
         a = make_frame([[0, 0, 0], [0.1, 0, 0]])
         b = make_frame([[100, 100, 100], [100.1, 100, 100]])
         vmap = build_voxelmap(b, 0.5)
-        cost, inliers = matching_cost(a, vmap, Se3Pose.identity())
+        cost, inliers = matching_cost(a, vmap, identity_pose())
         assert (cost, inliers) == (0.0, 0)
 
     def test_single_pair_equals_d2d(self):
@@ -312,11 +327,11 @@ class TestMatchingCost:
         target = make_frame([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]], covs=[cov, cov])
         vmap = build_voxelmap(target, 1.0)
         source = make_frame([[0.2, 0.1, 0.0]], covs=[cov])
-        cost, inliers = matching_cost(source, vmap, Se3Pose.identity())
+        cost, inliers = matching_cost(source, vmap, identity_pose())
         assert inliers == 1
         mean, c, _ = cell(vmap, target, [0, 0, 0])
         expected, _, _ = d2d_error(Gaussian3(source.points[0], cov),
-                                   Gaussian3(mean, c), Se3Pose.identity())
+                                   Gaussian3(mean, c), identity_pose())
         assert cost == pytest.approx(expected)
 
     def test_sum_matches_per_point_terms(self):
@@ -383,12 +398,12 @@ class TestOverlap:
         rng = np.random.default_rng(5)
         frame = make_frame(rng.uniform(-2, 2, (50, 3)))
         vmap = build_voxelmap(frame, 0.5)
-        assert overlap_rate(frame, vmap, Se3Pose.identity()) == 1.0
+        assert overlap_rate(frame, vmap, identity_pose()) == 1.0
 
     def test_disjoint_overlap_zero(self):
         a = make_frame([[0, 0, 0]])
         b = make_frame([[50, 0, 0]])
-        assert overlap_rate(a, build_voxelmap(b, 0.5), Se3Pose.identity()) == 0.0
+        assert overlap_rate(a, build_voxelmap(b, 0.5), identity_pose()) == 0.0
 
     def test_counting_construction(self):
         target = make_frame([[float(i) + 0.5, 0.5, 0.5] for i in range(4)])
@@ -396,7 +411,7 @@ class TestOverlap:
         pts = [[float(i) + 0.5, 0.5, 0.5] for i in range(4)] + \
               [[float(i) + 0.5, 10.5, 0.5] for i in range(6)]
         source = make_frame(pts)
-        assert overlap_rate(source, vmap, Se3Pose.identity()) == pytest.approx(0.4)
+        assert overlap_rate(source, vmap, identity_pose()) == pytest.approx(0.4)
 
     def test_monotone_under_map_union(self):
         rng = np.random.default_rng(6)
@@ -404,14 +419,14 @@ class TestOverlap:
         small = make_frame(pts[:40])
         big = make_frame(pts)
         query = make_frame(rng.uniform(-3, 3, (80, 3)))
-        r_small = overlap_rate(query, build_voxelmap(small, 0.5), Se3Pose.identity())
-        r_big = overlap_rate(query, build_voxelmap(big, 0.5), Se3Pose.identity())
+        r_small = overlap_rate(query, build_voxelmap(small, 0.5), identity_pose())
+        r_big = overlap_rate(query, build_voxelmap(big, 0.5), identity_pose())
         assert r_big >= r_small
 
     def test_empty_frame_zero(self):
         empty = make_frame(np.zeros((0, 3)), covs=np.zeros((0, 3, 3)))
         target = make_frame([[0, 0, 0]])
-        assert overlap_rate(empty, build_voxelmap(target, 0.5), Se3Pose.identity()) == 0.0
+        assert overlap_rate(empty, build_voxelmap(target, 0.5), identity_pose()) == 0.0
 
 
 def box_room_frame(rng, n_per_wall=120, size=(6.0, 5.0, 3.0), jitter=0.0,
@@ -456,7 +471,7 @@ class TestLinearization:
         frame = box_room_frame(rng)
         vmap = build_voxelmap(frame, 0.5)
         # self-match at identity: gradient balance at the aggregate means
-        g, _, _ = linearize_pair(frame, vmap, Se3Pose.identity(), Se3Pose.identity())
+        g, _, _ = linearize_pair(frame, vmap, identity_pose(), identity_pose())
         # the full 12-dim gradient of a self-consistent pair is equal and
         # opposite between the two poses
         assert np.allclose(g[3:6], -g[9:], atol=1e-8)
@@ -468,7 +483,7 @@ class TestLinearization:
         frame = box_room_frame(rng)
         vmap = build_voxelmap(frame, 0.5)
         t_i = Se3Pose(so3_exp([0.01, -0.02, 0.03]), np.array([0.05, 0.02, -0.01]))
-        t_j = Se3Pose.identity()
+        t_j = identity_pose()
         # keep only source points whose transformed coordinates sit safely
         # inside their voxel, so tiny test perturbations cannot flip cells
         moved = pose_apply(t_i, frame.points)
@@ -491,8 +506,8 @@ class TestLinearization:
         rng = np.random.default_rng(9)
         frame = box_room_frame(rng)
         vmap = build_voxelmap(frame, 0.5)
-        g, h, _ = linearize_pair(frame, vmap, Se3Pose.identity(),
-                                 Se3Pose.identity(), target_fixed=True)
+        g, h, _ = linearize_pair(frame, vmap, identity_pose(),
+                                 identity_pose(), target_fixed=True)
         assert g.shape == (6,) and h.shape == (6, 6)
         evals = np.linalg.eigvalsh(0.5 * (h + h.T))
         assert evals.min() >= -1e-8 * max(1.0, evals.max())
@@ -503,7 +518,7 @@ class TestLinearization:
             frame = box_room_frame(rng, n_per_wall=40)
             vmap = build_voxelmap(frame, 0.5)
             t_i = Se3Pose(so3_exp(rng.uniform(-0.05, 0.05, 3)), rng.uniform(-0.1, 0.1, 3))
-            _, h, _ = linearize_pair(frame, vmap, t_i, Se3Pose.identity())
+            _, h, _ = linearize_pair(frame, vmap, t_i, identity_pose())
             assert h.shape == (12, 12)
             h = 0.5 * (h + h.T)
             evals = np.linalg.eigvalsh(h)
@@ -670,7 +685,7 @@ class TestProperties:
         vmap = build_voxelmap(make_frame(centers, covs=covs), 1.0)
         source = make_frame(centers, covs=np.zeros((n, 3, 3)))
         rows = rows_of(vmap, centers)
-        assert terms_at(source, vmap, Se3Pose.identity()).inliers == n
+        assert terms_at(source, vmap, identity_pose()).inliers == n
         for k in range(n):
             # the k-th match alone: its monomials f = (1, x, y, z) start
             # with 1, so the entries (4a, 4b) of Q are its weight W_ab
@@ -899,12 +914,12 @@ class TestRowKernelOracle:
             return  # composing poses with it would already warn (inf * 0)
         # also on a factor's key-diff lookup, after a lookup that succeeded
         f = MatchingCostFactor(0, source, vmap,
-                               fixed_target_pose=Se3Pose.identity())
-        f.linearize({0: at_pose(Se3Pose.identity())})
+                               fixed_target_pose=identity_pose())
+        linearize_matching(f, {0: at_pose(identity_pose())})
         values = {0: at_pose(far)}
-        f.cost(values)  # held rows: no lookup
+        matching_factor_cost(f, values)  # held rows: no lookup
         with pytest.raises(VoxelKeyOutOfRange):
-            f.linearize(values)
+            linearize_matching(f, values)
 
 
 class TestMapRowStorage:
@@ -1005,7 +1020,7 @@ class TestFrozenTerms:
                 t_ij = pose_compose(pose_inverse(t_j), t_i)
                 if cost_first and rows is not None:
                     calls = spy.call_count
-                    factor.cost(values)  # on the held quadratic
+                    matching_factor_cost(factor, values)  # on the held quadratic
                     assert spy.call_count == calls
                 moved = (t_ij.rotation.matrix() @ source.point_rows).T + t_ij.translation
                 found = rows_of(vmap, moved)
@@ -1013,13 +1028,13 @@ class TestFrozenTerms:
                 if changed:
                     rows, held_at = found, t_ij
                 calls = spy.call_count
-                lin = factor.linearize(values)
+                lin = linearize_matching(factor, values)
                 inliers = int(np.count_nonzero(rows >= 0))
                 assert factor.inliers == inliers
                 assert spy.call_count == calls + (changed and inliers >= 5)
-                assert factor.cost(values) == lin.cost
+                assert matching_factor_cost(factor, values) == lin.cost
                 if inliers < 5:
-                    assert lin == (None, None, 0.0)
+                    assert factor._held is None and lin.cost == 0.0
                     continue
                 cost, g, h = frozen_reference(source, vmap, rows, held_at, t_ij,
                                               unary)
@@ -1027,7 +1042,7 @@ class TestFrozenTerms:
                 assert np.abs(lin.g - g).max() <= 1e-12 * np.abs(g).max()
                 assert np.abs(lin.h - h).max() <= 1e-12 * np.abs(h).max()
                 if changed:
-                    want = build().linearize(values)
+                    want = linearize_matching(build(), values)
                     assert lin.cost == want.cost
                     assert lin.g.tobytes() == want.g.tobytes()
                     assert lin.h.tobytes() == want.h.tobytes()
