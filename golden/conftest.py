@@ -13,13 +13,15 @@ from unittest import mock
 import numpy as np
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+# the benchmark's scene helpers, and the odometry tests' run helpers
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 from limapper import factor_graph, odometry  # noqa: E402
 from limapper.odometry import OdometryEstimator  # noqa: E402
 from limapper.registration import GaussianVoxelMap  # noqa: E402
 from limapper.synthetic import generate_synthetic_scene  # noqa: E402
-from test_odometry import imu_batches, loop_spec  # noqa: E402
+from workloads import imu_batches, loop_spec  # noqa: E402
 
 # the bindings whose calls per scan are counted, in the columns of `calls`;
 # a method is counted through an autospec, which passes its instance on

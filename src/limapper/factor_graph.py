@@ -1,11 +1,12 @@
 """Factor graph container, on-manifold Levenberg-Marquardt, and fixed-lag
 marginalization.
 
-On linearization every factor returns one dense block: the gradient and
+On linearization every factor gives one dense block: the gradient and
 Gauss-Newton Hessian of its cost over its own tangent space, the leading
-``dims[a]`` components of each key stacked in key order.  The optimizer
-assembles damped normal equations at the current estimate each iteration
-and holds the last undamped system, which ``marginal_covariance`` reads.
+components of each key stacked in key order (all 15 of a state, or the 6 of
+its pose for a matching factor).  The optimizer assembles damped normal
+equations at the current estimate each iteration and holds the last
+undamped system, which ``marginal_covariance`` reads.
 A matching-cost factor looks its correspondences up again only when it is
 linearized.  Only when a voxel row changed does it form their weights and
 fold them, in one step (``match_terms``), into a quadratic in the relative
@@ -14,21 +15,22 @@ the candidate steps of an iteration in O(1).  So the cost the optimizer
 compares is smooth within an iteration, and it is the cost of the
 Gauss-Newton model's own weights.  Priors are fixed-form quadratics.
 
-An assembly (``_accumulate``) takes one pass per factor kind.  One stacked
-pass forms the relative poses of all matching factors, each factor then
-has its target map look its points up at its pose
-(``GaussianVoxelMap.look_up``, which moves, packs and searches them), and
-one stacked call takes the blocks (or the costs) of all held quadratics.
-One stacked pass forms the residuals, Jacobians and blocks of all IMU
-factors (``imu_residuals``, ``imu_jacobians``).  The priors linearize
-alone.  One scatter then adds every block into H and one into g, at flat
-positions built once per solve (``_Placement``): the terms reach each
-entry in factor order, from zero, so H and g are the bits that placing
-the blocks one key pair at a time gives.  Each slice of a stacked product
-is the 2-D product of that slice, so every block and cost is the same bits
-as with the factor taken alone.  The stacked passes are the only way a
-matching or IMU factor is costed or linearized; only the priors have their
-own ``cost`` and ``linearize``.
+An assembly (``_accumulate``) takes one pass per factor kind, kind after
+kind: the priors linearize alone; one stacked pass forms the residuals,
+Jacobians and blocks of all IMU factors (``imu_residuals``,
+``imu_jacobians``); and one stacked pass forms the relative poses of all
+matching factors, binary then unary, each factor then has its target map
+look its points up at its pose (``GaussianVoxelMap.look_up``, which moves,
+packs and searches them), and one stacked call takes the blocks (or the
+costs) of all held quadratics.  Each pass scatters its blocks into H and g
+right after it, at flat positions built once per solve (``_Placement``).
+So the terms reach each entry of H and g from zero, kind after kind and in
+factor order within a kind, whatever order the graph holds its factors in,
+and the costs are summed in that order too.  Each slice of a stacked
+product is the 2-D product of that slice, so every block and cost is the
+same bits as with the factor taken alone.  The stacked passes are the only
+way a matching or IMU factor is costed or linearized; only the priors have
+their own ``cost`` and ``linearize``.
 
 No factor repeats an evaluation whose inputs did not change: a matching
 factor does not look up again at the bits of its last look-up's pose; the
@@ -84,7 +86,8 @@ STATE_DIM = 15  # tangent dimension of every variable
 
 class FactorLinearization(NamedTuple):
     """Gradient and Gauss-Newton Hessian of a prior's cost over its own
-    tangent space (see ``Factor.dims``), and the cost."""
+    tangent space, all 15 components of each key in key order, and the
+    cost."""
 
     g: np.ndarray
     h: np.ndarray
@@ -95,11 +98,6 @@ class Factor:
     keys: tuple
     kind: str  # the type of factor, as a run reports it
     grounding = False  # anchors its component absolutely
-
-    @property
-    def dims(self) -> tuple:
-        """Leading tangent components of each key that the block covers."""
-        return (STATE_DIM,) * len(self.keys)
 
 
 class PriorFactor(Factor):
@@ -276,10 +274,6 @@ class MatchingCostFactor(Factor):
     @property
     def kind(self) -> str:
         return "matching-cost-unary" if self.unary else "matching-cost-binary"
-
-    @property
-    def dims(self) -> tuple:
-        return (6,) * len(self.keys)  # the pose part of each key
 
     @property
     def inliers(self) -> int:
@@ -464,118 +458,82 @@ def _layout(keys):
     return slices, off
 
 
-def _by_factor(factors, values, matching, imu, other) -> list:
-    """``matching(ms, values)`` for the matching factors ms and
-    ``imu(fs, values)`` for the IMU factors fs, each kind taken in one
-    stacked call, and ``other(f)`` for every other factor, in factor
-    order."""
-    ms = [f for f in factors if isinstance(f, MatchingCostFactor)]
-    fs = [f for f in factors if isinstance(f, ImuFactor)]
-    stacked_m = iter(matching(ms, values) if ms else ())
-    stacked_i = iter(imu(fs, values) if fs else ())
-    return [next(stacked_m) if isinstance(f, MatchingCostFactor)
-            else next(stacked_i) if isinstance(f, ImuFactor) else other(f)
-            for f in factors]
-
-
-def _starts(sizes: np.ndarray) -> np.ndarray:
-    """Start of each of consecutive runs of the given sizes."""
-    return np.cumsum(sizes) - sizes
+def _by_kind(factors) -> tuple[list, list, list]:
+    """The factors that linearize alone, the IMU factors, and the matching
+    factors, binary then unary; each list in factor order."""
+    alone, imu, binary, unary = [], [], [], []
+    for f in factors:
+        if isinstance(f, MatchingCostFactor):
+            (unary if f.unary else binary).append(f)
+        else:
+            (imu if isinstance(f, ImuFactor) else alone).append(f)
+    return alone, imu, binary + unary
 
 
 class _Placement:
-    """Where the block entries of a factor list land in the normal
-    equations of one layout, built once for the list and the layout.
-
-    The entries go factor after factor, each block row-major, so that one
-    scatter adds the terms of every entry of H and g in factor order,
-    starting from zero, as placing the blocks one key pair at a time does.
-    ``h_index`` holds their flat positions in the row-major dim x dim H and
-    ``g_index`` those in g.  The blocks come from three passes, laid out in
-    one raw row: the blocks of the factors linearized alone (``alone``),
-    the stacked IMU blocks (rows of 30), then the stacked matching blocks
-    (rows of 12, of which a unary factor reads the leading 6x6).
-    ``h_gather``, ``g_gather`` and ``cost_gather`` hold the raw position of
-    every entry and of every factor's cost.  Every index is formed per
-    block row, with no loop over the factors.
-    """
+    """The factors of one list by kind (``_by_kind``), and where the blocks
+    of each kind land in the normal equations of one layout, built once for
+    the list and the layout: per factor that linearizes alone
+    (``alone_at``), for the IMU stack (``imu_at``), and for the binary and
+    the unary matching factors (``binary_at``, ``unary_at``; a matching
+    block covers the pose of each key, so a unary one only its source's).
+    Each is the pair of flat positions in the row-major H and in g of its
+    blocks' entries, factor after factor and each block row-major, so that
+    one scatter per kind adds each entry's terms in factor order."""
 
     def __init__(self, factors, slices, dim):
         self.dim = dim
-        self.matching = [f for f in factors if isinstance(f, MatchingCostFactor)]
-        self.imu = [f for f in factors if isinstance(f, ImuFactor)]
-        self.alone = [f for f in factors
-                      if not isinstance(f, (MatchingCostFactor, ImuFactor))]
-        starts, sizes, side, stack = [], [], [], []
-        for f in factors:
-            dims = f.dims
-            starts += [slices[k].start for k in f.keys]
-            sizes += dims
-            side.append(sum(dims))
-            # the pass that forms its block: alone, IMU or matching
-            stack.append(2 if isinstance(f, MatchingCostFactor)
-                         else 1 if isinstance(f, ImuFactor) else 0)
-        sizes = np.array(sizes, dtype=np.intp)
-        side = np.array(side, dtype=np.intp)
-        stack = np.array(stack, dtype=np.intp)
-        # per block row, factor after factor: its system index, its factor,
-        # its index in the block and the length of its run of entries
-        rows = np.repeat(np.array(starts, dtype=np.intp) - _starts(sizes), sizes)
-        rows += np.arange(rows.size)
-        factor = np.repeat(np.arange(side.size), side)
-        length = side[factor]
-        first = _starts(side)[factor]
-        local = np.arange(rows.size) - first
-        # per entry: the block row of its column, counted over all blocks
-        column = np.arange(length.sum()) - np.repeat(_starts(length) - first, length)
-        self.h_index = np.repeat(rows * dim, length) + rows[column]
-        self.g_index = rows
-        # each factor's start in the raw rows of H blocks, g blocks and costs
-        raw_order = np.argsort(stack, kind="stable")
-        row_len = np.where(stack == 2, 12, np.where(stack == 1, 30, side))
-        h_base, g_base, c_base = (np.empty_like(side) for _ in range(3))
-        h_base[raw_order] = _starts((row_len * row_len)[raw_order])
-        g_base[raw_order] = _starts(row_len[raw_order])
-        c_base[raw_order] = np.arange(side.size)
-        self.h_gather = (np.repeat(h_base[factor] + local * row_len[factor] - first,
-                                   length) + column)
-        self.g_gather = g_base[factor] + local
-        self.cost_gather = c_base.tolist()
+        self.alone, self.imu, self.matching = _by_kind(factors)
+        self.binary = sum(not f.unary for f in self.matching)
+
+        def at(fs, keys, width):
+            # (H, g) positions of the leading `width` components of each key
+            starts = np.array([[slices[k].start for k in f.keys] for f in fs],
+                              dtype=np.intp).reshape(len(fs), keys, 1)
+            rows = (starts + np.arange(width)).reshape(len(fs), keys * width)
+            # 1-D, as np.add.at leaves its fast path for an index of more
+            # dimensions
+            return (rows[:, :, None] * dim + rows[:, None, :]).ravel(), rows.ravel()
+
+        self.alone_at = [at([f], len(f.keys), STATE_DIM) for f in self.alone]
+        self.imu_at = at(self.imu, 2, STATE_DIM)
+        self.binary_at = at(self.matching[:self.binary], 2, 6)
+        self.unary_at = at(self.matching[self.binary:], 1, 6)
 
 
 def _accumulate(factors, values, slices, dim, placement: _Placement | None = None,
                 imu: _ImuMemo | None = None):
     """Dense normal equations (H, g) and total cost of the factors at values.
 
-    Each kind takes one pass: the matching factors' blocks come from one
-    stacked linearization, the IMU factors' from one stacked pass (whose
-    residual stage ``imu`` keeps), and every other factor linearizes alone.
-    Every block is then placed by one scatter into H and one into g, at the
-    positions of ``placement`` (built here when not given), and the costs
-    are summed in factor order."""
-    placement = placement or _Placement(factors, slices, dim)
-    lins = [f.linearize(values) for f in placement.alone]
-    grad_m, hess_m, cost_m = _matching_blocks(placement.matching, values)
-    if placement.imu:
-        stage = (imu or _ImuMemo()).stage(placement.imu, values)
-        grad_i, hess_i = _imu_blocks(stage)
-        cost_i = stage.costs
-    else:
-        grad_i, hess_i, cost_i = np.zeros(0), np.zeros(0), []
-    raw_h = np.concatenate([*(lin.h.ravel() for lin in lins), hess_i.ravel(),
-                            hess_m.ravel()])
-    raw_g = np.concatenate([*(lin.g for lin in lins), grad_i.ravel(),
-                            grad_m.ravel()])
-    dim = placement.dim
-    h = np.zeros(dim * dim)
-    np.add.at(h, placement.h_index, raw_h[placement.h_gather])
-    g = np.zeros(dim)
-    np.add.at(g, placement.g_index, raw_g[placement.g_gather])
-    raw_c = [*(lin.cost for lin in lins), *cost_i, *cost_m]
-    cost = 0.0
-    for k in placement.cost_gather:
-        cost += raw_c[k]
-    return h.reshape(dim, dim), g, cost
+    Each kind takes one pass, and its blocks are scattered into H and g at
+    the positions of ``placement`` (built here when not given) right after
+    it: every factor that linearizes alone, then the IMU factors in one
+    stacked pass (whose residual stage ``imu`` keeps), then the matching
+    factors in one stacked linearization.  The costs are summed from zero
+    in the same order, as ``FactorGraph.total_cost`` sums them."""
+    p = placement or _Placement(factors, slices, dim)
+    h, g, cost = np.zeros(p.dim * p.dim), np.zeros(p.dim), 0.0
+    for f, (h_at, g_at) in zip(p.alone, p.alone_at):
+        lin = f.linearize(values)
+        np.add.at(h, h_at, lin.h.ravel())
+        np.add.at(g, g_at, lin.g)
+        cost += lin.cost
+    if p.imu:
+        stage = (imu or _ImuMemo()).stage(p.imu, values)
+        grad, hess = _imu_blocks(stage)
+        np.add.at(h, p.imu_at[0], hess.ravel())
+        np.add.at(g, p.imu_at[1], grad.ravel())
+        for c in stage.costs:
+            cost += c
+    grad, hess, costs = _matching_blocks(p.matching, values)
+    b = p.binary
+    np.add.at(h, p.binary_at[0], hess[:b].ravel())
+    np.add.at(g, p.binary_at[1], grad[:b].ravel())
+    np.add.at(h, p.unary_at[0], hess[b:, :6, :6].ravel())
+    np.add.at(g, p.unary_at[1], grad[b:, :6].ravel())
+    for c in costs:
+        cost += c
+    return h.reshape(p.dim, p.dim), g, cost
 
 
 def _cholesky(h):
@@ -651,14 +609,20 @@ class FactorGraph:
 
     def total_cost(self, values=None) -> float:
         """Sum of the factor costs at the values (the graph's own by
-        default), in factor order; the matching factors' costs come from one
-        stacked evaluation and the IMU factors' from another, whose residual
-        stage the graph keeps for the next linearization."""
+        default), from zero in the order of ``_accumulate``: every factor
+        that is costed alone, then the IMU factors from one stacked
+        evaluation, whose residual stage the graph keeps for the next
+        linearization, then the matching factors from another."""
         values = self.values if values is None else values
-        return float(sum(_by_factor(
-            self.factors, values, _matching_costs,
-            lambda fs, at: self._imu.stage(fs, at).costs,
-            lambda f: f.cost(values))))
+        alone, imu, matching = _by_kind(self.factors)
+        cost = 0.0
+        for f in alone:
+            cost += f.cost(values)
+        for c in (self._imu.stage(imu, values).costs if imu else ()):
+            cost += c
+        for c in _matching_costs(matching, values):
+            cost += c
+        return cost
 
     # -- structural checks -------------------------------------------------
 

@@ -43,7 +43,7 @@ from limapper.synthetic import generate_synthetic_scene
 
 from test_geometry import identity_pose, pose_apply, zero_state
 from test_imu import per_factor_imu_residual, propagate_state
-from test_odometry import loop_spec, run
+from test_odometry import run
 from test_registration import (
     at_pose,
     box_room_frame_plane_covs,
@@ -53,6 +53,7 @@ from test_registration import (
     matching_factor_cost,
     reference_linearize,
 )
+from workloads import loop_spec
 
 NOISE = ImuNoiseParams()
 # a stationary IMU long enough for the longest chain below
@@ -670,20 +671,30 @@ def reference_lin(f, values):
     return reference_linearize(f._held, t_ij, f.unary)
 
 
+def kind_order(f) -> int:
+    """Where the assembly takes a factor's kind: the factors that linearize
+    alone (the priors), then the IMU factors, then the binary and the unary
+    matching factors."""
+    if isinstance(f, MatchingCostFactor):
+        return 3 if f.unary else 2
+    return 1 if isinstance(f, ImuFactor) else 0
+
+
 def reference_assembly(factors, values, slices, dim):
-    """Oracle: (H, g, cost) with every factor linearized alone, its block
-    placed one key pair at a time and its cost summed in factor order."""
+    """Oracle: (H, g, cost) with every factor linearized alone, visited in
+    kind order (factor order within a kind), its block placed one key pair
+    at a time and its cost summed in that order.  A matching block covers
+    the pose, the leading 6 components, of each key; every other block all
+    15."""
     h, g, cost = np.zeros((dim, dim)), np.zeros(dim), 0.0
-    for f in factors:
+    for f in sorted(factors, key=kind_order):
         g_f, h_f, c_f = reference_lin(f, values)
         cost += c_f
         if h_f is None:
             continue
-        places, off = [], 0
-        for k, n in zip(f.keys, f.dims):
-            places.append((slice(slices[k].start, slices[k].start + n),
-                           slice(off, off + n)))
-            off += n
+        n = 6 if isinstance(f, MatchingCostFactor) else 15
+        places = [(slice(slices[k].start, slices[k].start + n), slice(a * n, a * n + n))
+                  for a, k in enumerate(f.keys)]
         for sys_a, blk_a in places:
             g[sys_a] += g_f[blk_a]
             for sys_b, blk_b in places:
@@ -737,7 +748,27 @@ class TestStackedAssembly:
                 for k, v in values.items()}
         for at in (values, step):
             assert window.total_cost(at) == sum(
-                reference_cost(f, at) for f in window.factors)
+                (reference_cost(f, at) for f in sorted(window.factors, key=kind_order)),
+                0.0)
+
+    def test_assembly_ignores_how_the_kinds_are_interleaved(self, window):
+        # every factor that is not a matching one moved behind the matching
+        # ones, the factors of each kind in their own order
+        moved = FactorGraph()
+        for k, v in window.values.items():
+            moved.add_variable(k, v)
+        for f in sorted(window.factors,
+                        key=lambda f: not isinstance(f, MatchingCostFactor)):
+            moved.add_factor(f)
+        assert moved.factors != window.factors
+        slices, dim = _layout(window.values)
+        h, g, cost = _accumulate(window.factors, window.values, slices, dim)
+        h_moved, g_moved, cost_moved = _accumulate(moved.factors, window.values,
+                                                   slices, dim)
+        assert h.tobytes() == h_moved.tobytes()
+        assert g.tobytes() == g_moved.tobytes()
+        assert cost == cost_moved
+        assert window.total_cost() == moved.total_cost()
 
     def test_marginalization_assembles_as_the_per_key_pair_loop(
             self, window, monkeypatch):

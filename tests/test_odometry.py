@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -25,7 +26,9 @@ from limapper.odometry import FALLBACK_VEL_BIAS_SIGMA, OdometryEstimator
 from limapper.preprocess import RawScan
 from limapper.registration import match_terms, overlap_rate
 from limapper.synthetic import generate_synthetic_scene, square_loop_scene
+from run import state_vector
 from test_preprocess import assert_row_storage
+from workloads import imu_batches, loop_spec
 
 
 @pytest.fixture(scope="module")
@@ -37,30 +40,12 @@ def loop_scene():
         ramp_time=0.5))
 
 
-def imu_batches(scene, init_window, scans=None):
-    """IMU samples up to each scan's end; the first batch also covers the
-    stationary window the bootstrap needs."""
-    batches, j = [], 0
-    for k, scan in enumerate(scene.scans if scans is None else scans):
-        horizon = scan.scan_end + (init_window if k == 0 else 0.0)
-        start = j
-        while j < len(scene.imu) and scene.imu[j].stamp <= horizon:
-            j += 1
-        batches.append(scene.imu[start:j])
-    return batches
-
-
 def run(scene, config=None, n_scans=None):
     est = OdometryEstimator(config)
     batches = imu_batches(scene, est.config.odometry.init_window)
     results = [est.process_frame(scan, batch)
                for scan, batch in zip(scene.scans[:n_scans], batches)]
     return est, results
-
-
-def state_vector(state):
-    return np.concatenate([state.pose.rotation.quat, state.pose.translation,
-                           state.velocity, state.bias_accel, state.bias_gyro])
 
 
 def outputs(est, results):
@@ -97,19 +82,6 @@ class TestSquareLoop:
         assert compute_ate(records, loop_scene.ground_truth).rmse < 0.010
         for a, b in zip(first, second):
             assert np.array_equal(state_vector(a.state), state_vector(b.state))
-
-
-def loop_spec(seed, n_frames):
-    """The benchmark's ``loop`` scene: a 40 m square loop at 3 m/s with
-    IMU noise at the configured densities, constant IMU biases and 1 cm
-    range noise."""
-    imu = PipelineConfig().imu
-    return square_loop_scene(
-        perimeter=40.0, speed=3.0, n_frames=n_frames, seed=seed, settle=0.6,
-        ramp_time=0.5, accel_noise_density=imu.accel_noise_density,
-        gyro_noise_density=imu.gyro_noise_density, range_noise=0.01,
-        accel_bias=np.array([0.05, -0.03, 0.02]),
-        gyro_bias=np.array([0.002, -0.001, 0.003]))
 
 
 def keyframe_digest(events):
@@ -368,9 +340,10 @@ class TestRetryAfterFailure:
         # scan 5 is still at rest; the IMU from 0 s covers the bootstrap
         # window, and the first try stops at the scan's start, so the
         # bootstrap succeeds and the deskew fails
-        scans = loop_scene.scans[5:]
-        batches = imu_batches(loop_scene, PipelineConfig().odometry.init_window,
-                              scans)
+        # the scene from scan 5 on, with all its IMU samples
+        later = replace(loop_scene, scans=loop_scene.scans[5:])
+        scans = later.scans
+        batches = imu_batches(later, PipelineConfig().odometry.init_window)
         clean_est = OdometryEstimator()
         clean = [clean_est.process_frame(scan, batch)
                  for scan, batch in zip(scans, batches)]
