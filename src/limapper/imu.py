@@ -23,9 +23,11 @@ from cumulative sums.  ``preintegrate``
 takes the bias Jacobians and the covariance from the same sums, in closed
 form over the steps.
 
-The factor residual and its Jacobians are formed for K factors at once
+The first-order bias correction of the deltas (``correct_deltas``), the
+factor residual and its Jacobians are formed for K factors at once
 (``imu_residuals``, ``imu_jacobians``), with every product one stacked
 ``np.matmul``; one factor's result is the same bits in any stack.
+``predict_state`` corrects its one preintegration as a stack of one.
 """
 
 from __future__ import annotations
@@ -275,36 +277,6 @@ def preintegrate(samples, t_i: float, t_j: float, bias_lin,
     )
 
 
-def correct_for_bias(pre: PreintegratedImu, new_bias):
-    """First-order update of the deltas for a bias away from bias_lin.
-
-    Returns (delta_r, delta_v, delta_p).
-    """
-    db = np.asarray(new_bias, dtype=float) - pre.bias_lin
-    delta_r = pre.delta_r * so3_exp(pre.jac_bias[0:3, 3:6] @ db[3:])
-    delta_v = pre.delta_v + pre.jac_bias[3:6, :] @ db
-    delta_p = pre.delta_p + pre.jac_bias[6:9, :] @ db
-    return delta_r, delta_v, delta_p
-
-
-def predict_state(state: SensorState, pre: PreintegratedImu,
-                  gravity=GRAVITY) -> SensorState:
-    """Compose preintegrated deltas onto a state, re-injecting gravity."""
-    gravity = np.asarray(gravity, dtype=float)
-    dr, dv, dp = correct_for_bias(pre, state.bias)
-    dt = pre.dt_total
-    r_i = state.pose.rotation
-    return SensorState(
-        pose=Se3Pose(r_i * dr,
-                     state.pose.translation + state.velocity * dt
-                     + 0.5 * gravity * dt * dt + r_i.apply(dp)),
-        velocity=state.velocity + gravity * dt + r_i.apply(dv),
-        bias_accel=state.bias_accel,
-        bias_gyro=state.bias_gyro,
-        stamp=state.stamp + dt,
-    )
-
-
 class PreintegratedStack(NamedTuple):
     """K preintegrations, each with the gravity of its factor, as arrays
     with a leading axis of length K."""
@@ -328,6 +300,45 @@ def stack_preintegrated(pres, gravities) -> PreintegratedStack:
         np.array([p.bias_lin for p in pres]),
         np.array([p.jac_bias for p in pres]),
         np.array(gravities, dtype=float).reshape(-1, 3))
+
+
+def correct_deltas(pre: PreintegratedStack, bias: np.ndarray):
+    """The deltas of K preintegrations corrected to first order from their
+    linearization-point bias to the biases (K, 6), as Forster et al. do:
+
+        dR exp(J_R^g db_g),    dv + J_v db,    dp + J_p db,
+
+    with db = bias - bias_lin.  Returns delta_r (K, 3, 3), delta_v (K, 3),
+    delta_p (K, 3) and theta = J_R^g db_g (K, 3, 1), every product one
+    stacked ``np.matmul`` as in ``imu_residuals``; so3_exp runs per
+    preintegration, on Python floats."""
+    db = bias - pre.bias_lin
+    theta = np.matmul(pre.jac_bias[:, 0:3, 3:6], db[:, 3:, None])
+    delta_r = np.matmul(pre.delta_r,
+                        np.array([so3_exp(t).matrix() for t in theta[:, :, 0]]))
+    delta_v = pre.delta_v + np.matmul(pre.jac_bias[:, 3:6, :], db[:, :, None])[:, :, 0]
+    delta_p = pre.delta_p + np.matmul(pre.jac_bias[:, 6:9, :], db[:, :, None])[:, :, 0]
+    return delta_r, delta_v, delta_p, theta
+
+
+def predict_state(state: SensorState, pre: PreintegratedImu,
+                  gravity=GRAVITY) -> SensorState:
+    """Compose preintegrated deltas, corrected to the state's bias, onto a
+    state, re-injecting gravity."""
+    gravity = np.asarray(gravity, dtype=float)
+    dr, dv, dp, _ = correct_deltas(stack_preintegrated([pre], [gravity]),
+                                   state.bias[None])
+    dt = pre.dt_total
+    r_i = state.pose.rotation
+    return SensorState(
+        pose=Se3Pose(r_i * Rotation.from_matrix(dr[0]),
+                     state.pose.translation + state.velocity * dt
+                     + 0.5 * gravity * dt * dt + r_i.apply(dp[0])),
+        velocity=state.velocity + gravity * dt + r_i.apply(dv[0]),
+        bias_accel=state.bias_accel,
+        bias_gyro=state.bias_gyro,
+        stamp=state.stamp + dt,
+    )
 
 
 class ImuResiduals(NamedTuple):
@@ -362,13 +373,7 @@ def imu_residuals(states_i, states_j, pre: PreintegratedStack) -> ImuResiduals:
     bias_i = np.array([s.bias for s in states_i])
     bias_j = np.array([s.bias for s in states_j])
     dt, gravity = pre.dt, pre.gravity
-    # the deltas corrected to the bias of state i (correct_for_bias)
-    db = bias_i - pre.bias_lin
-    theta = np.matmul(pre.jac_bias[:, 0:3, 3:6], db[:, 3:, None])
-    delta_r = np.matmul(pre.delta_r,
-                        np.array([so3_exp(t).matrix() for t in theta[:, :, 0]]))
-    delta_v = pre.delta_v + np.matmul(pre.jac_bias[:, 3:6, :], db[:, :, None])[:, :, 0]
-    delta_p = pre.delta_p + np.matmul(pre.jac_bias[:, 6:9, :], db[:, :, None])[:, :, 0]
+    delta_r, delta_v, delta_p, theta = correct_deltas(pre, bias_i)
 
     ri_t = rot_i.transpose(0, 2, 1)
     err_rot = np.matmul(delta_r.transpose(0, 2, 1), np.matmul(ri_t, rot_j))

@@ -22,7 +22,7 @@ from limapper.imu import (
     ImuNoiseParams,
     ImuSample,
     PreintegratedImu,
-    correct_for_bias,
+    correct_deltas,
     imu_jacobians,
     imu_residuals,
     integration_nodes,
@@ -396,7 +396,38 @@ class TestPreintegrate:
         assert np.min(np.linalg.eigvalsh(pre.cov)) > -1e-16
 
 
+def correct_for_bias(pre: PreintegratedImu, new_bias):
+    """Oracle: the first-order update of one preintegration's deltas for a
+    bias away from bias_lin, formed alone with 2-D products; returns
+    (delta_r, delta_v, delta_p)."""
+    db = np.asarray(new_bias, dtype=float) - pre.bias_lin
+    delta_r = pre.delta_r * so3_exp(pre.jac_bias[0:3, 3:6] @ db[3:])
+    delta_v = pre.delta_v + pre.jac_bias[3:6, :] @ db
+    delta_p = pre.delta_p + pre.jac_bias[6:9, :] @ db
+    return delta_r, delta_v, delta_p
+
+
 class TestBiasCorrection:
+    def test_stacked_correction_equals_the_oracle(self):
+        # correct_deltas forms every product with the BLAS call of the 2-D
+        # product, so each preintegration's deltas are the oracle's bits,
+        # alone (as predict_state corrects them) or in a stack
+        rng = np.random.default_rng(24)
+        pres, biases = [], []
+        for _ in range(60):
+            samples = make_samples(rng, 40)
+            pres.append(preintegrate(samples, samples[0].stamp, samples[-1].stamp,
+                                     rng.uniform(-0.03, 0.03, 6), NOISE))
+            biases.append(pres[-1].bias_lin + rng.uniform(-0.02, 0.02, 6))
+        stacked = correct_deltas(stack_preintegrated(pres, [GRAVITY] * len(pres)),
+                                 np.array(biases))
+        for k, (pre, bias) in enumerate(zip(pres, biases)):
+            alone = correct_deltas(stack_preintegrated([pre], [GRAVITY]), bias[None])
+            dr, dv, dp = correct_for_bias(pre, bias)
+            want = [dr.matrix().tobytes(), dv.tobytes(), dp.tobytes()]
+            for got in (alone, [a[k:k + 1] for a in stacked]):
+                assert [np.ascontiguousarray(d[0]).tobytes() for d in got[:3]] == want
+
     def test_same_bias_no_change(self):
         rng = np.random.default_rng(1)
         samples = make_samples(rng, 100)
