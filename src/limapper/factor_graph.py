@@ -13,10 +13,11 @@ fold them, in one step (``match_terms``), into a quadratic in the relative
 pose, from which it takes its block (``linearize_from_terms``) and costs
 the candidate steps of an iteration in O(1).  So the cost the optimizer
 compares is smooth within an iteration, and it is the cost of the
-Gauss-Newton model's own weights.  Priors are fixed-form quadratics.
+Gauss-Newton model's own weights.  A prior (``MarginalPriorFactor``) is a
+fixed quadratic in the offset from its linearization point.
 
 An assembly (``_accumulate``) takes one pass per factor kind, kind after
-kind: the priors linearize alone; one stacked pass forms the residuals,
+kind: each prior linearizes alone; one stacked pass forms the residuals,
 Jacobians and blocks of all IMU factors (``imu_residuals``,
 ``imu_jacobians``); and one stacked pass forms the relative poses of all
 matching factors, binary then unary, each factor then has its target map
@@ -29,8 +30,8 @@ factor order within a kind, whatever order the graph holds its factors in,
 and the costs are summed in that order too.  Each slice of a stacked
 product is the 2-D product of that slice, so every block and cost is the
 same bits as with the factor taken alone.  The stacked passes are the only
-way a matching or IMU factor is costed or linearized; only the priors have
-their own ``cost`` and ``linearize``.
+way a matching or IMU factor is costed or linearized; only the prior has
+its own ``cost`` and ``linearize``.
 
 No factor repeats an evaluation whose inputs did not change: a matching
 factor does not look up again at the bits of its last look-up's pose; the
@@ -60,7 +61,6 @@ from .errors import (
 from .geometry import (
     Se3Pose,
     SensorState,
-    so3_right_jacobian_inv,
     state_local,
     state_retract,
 )
@@ -98,43 +98,6 @@ class Factor:
     keys: tuple
     kind: str  # the type of factor, as a run reports it
     grounding = False  # anchors its component absolutely
-
-
-class PriorFactor(Factor):
-    """Quadratic prior on a variable's tangent offset from a fixed value.
-
-    ``information`` is a per-dimension diagonal; zero entries leave the
-    corresponding dimension unconstrained (partial priors on velocity or
-    bias only).
-    """
-
-    grounding = True
-    kind = "prior"
-
-    def __init__(self, key: int, prior_value: SensorState, information):
-        self.keys = (key,)
-        self.prior = prior_value
-        info = np.asarray(information, dtype=float)
-        if info.ndim == 1:
-            info = np.diag(info)
-        self.information = info
-
-    def _residual(self, values):
-        return state_local(values[self.keys[0]], self.prior)
-
-    def cost(self, values) -> float:
-        r = self._residual(values)
-        return float(r @ self.information @ r)
-
-    def linearize(self, values) -> FactorLinearization:
-        r = self._residual(values)
-        jac = np.eye(STATE_DIM)
-        cur_r = values[self.keys[0]].pose
-        jac[0:3, 0:3] = so3_right_jacobian_inv(r[:3])
-        jac[3:6, 3:6] = self.prior.pose.rotation.matrix().T @ cur_r.rotation.matrix()
-        jtw = 2.0 * jac.T @ self.information
-        return FactorLinearization(jtw @ r, jtw @ jac,
-                                   float(r @ self.information @ r))
 
 
 class ImuFactor(Factor):
@@ -389,6 +352,11 @@ class MarginalPriorFactor(Factor):
     a window's total cost stays a sum of nonnegative terms.  The factor
     keeps its last offset with the state objects it was formed at, and
     forms it again only at other ones.
+
+    The anchor of the first state is the marginal prior of an empty past:
+    ``MarginalPriorFactor([k], {k: state}, diag(2 w), zeros(15))`` costs
+    r.diag(w).r at the offset r from the state, bit for bit, since scaling
+    by 2 and by 0.5 is exact.
     """
 
     grounding = True
@@ -459,7 +427,7 @@ def _layout(keys):
 
 
 def _by_kind(factors) -> tuple[list, list, list]:
-    """The factors that linearize alone, the IMU factors, and the matching
+    """The priors, which linearize alone, the IMU factors, and the matching
     factors, binary then unary; each list in factor order."""
     alone, imu, binary, unary = [], [], [], []
     for f in factors:

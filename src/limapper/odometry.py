@@ -27,8 +27,8 @@ from .errors import (
 from .factor_graph import (
     FactorGraph,
     ImuFactor,
+    MarginalPriorFactor,
     MatchingCostFactor,
-    PriorFactor,
     matching_hits,
 )
 from .geometry import (
@@ -307,10 +307,12 @@ class OdometryEstimator:
             # the window is finite; samples after it may not be
             self._imu, late = finite_samples(self._imu)
             dropped += late
-            # bootstrap: anchor the first state completely
+            # bootstrap: anchor the first state completely, with the
+            # marginal prior of an empty past
             index = 0
-            anchor = PriorFactor(index, state, np.concatenate(
-                [np.full(6, 1e6), np.full(3, 1e4), np.full(6, 1e4)]))
+            info = np.concatenate([np.full(6, 1e6), np.full(3, 1e4), np.full(6, 1e4)])
+            anchor = MarginalPriorFactor([index], {index: state}, np.diag(2 * info),
+                                         np.zeros(15))
         else:
             prev = self._window[-1]
             index = prev.index + 1

@@ -22,7 +22,6 @@ from limapper.factor_graph import (
     LmSettings,
     MarginalPriorFactor,
     MatchingCostFactor,
-    PriorFactor,
     _accumulate,
     _layout,
 )
@@ -83,11 +82,18 @@ def record_costs(graph):
     return costs
 
 
+def state_prior(key, value, information):
+    """A prior r.diag(information).r on the variable's offset r from value:
+    the marginal prior of an empty past, as the odometry anchors its first
+    state."""
+    info = np.asarray(information, dtype=float)
+    return MarginalPriorFactor([key], {key: value}, np.diag(2.0 * info), np.zeros(15))
+
+
 def hold_motion(graph, key):
     """Anchor a variable's velocity and bias at their values with a prior
     that has zero information on its pose."""
-    graph.add_factor(PriorFactor(key, graph.values[key],
-                                 np.r_[np.zeros(6), np.ones(9)]))
+    graph.add_factor(state_prior(key, graph.values[key], np.r_[np.zeros(6), np.ones(9)]))
 
 
 def prior_bowl():
@@ -95,7 +101,7 @@ def prior_bowl():
     target = random_state(rng)
     g = FactorGraph()
     g.add_variable(0, state_retract(target, rng.uniform(-0.3, 0.3, 15)))
-    g.add_factor(PriorFactor(0, target, np.full(15, 100.0)))
+    g.add_factor(state_prior(0, target, np.full(15, 100.0)))
     return g, target
 
 
@@ -112,7 +118,7 @@ def two_pose_registration():
     perturb = np.concatenate([rng.normal(size=3) * (5 * np.pi / 180 / np.sqrt(3)),
                               rng.normal(size=3) * (0.1 / np.sqrt(3))])
     g.add_variable(1, at_pose(pose_retract(true_rel, perturb)))
-    g.add_factor(PriorFactor(0, zero_state(), np.full(15, 1e6)))
+    g.add_factor(state_prior(0, zero_state(), np.full(15, 1e6)))
     g.add_factor(MatchingCostFactor(1, moved, vmap,
                                     key_target=0))
     hold_motion(g, 1)
@@ -137,20 +143,20 @@ class TestContainer:
         g = FactorGraph()
         g.add_variable(0, zero_state())
         with pytest.raises(UnknownVariable):
-            g.add_factor(PriorFactor(1, zero_state(), np.ones(15)))
+            g.add_factor(state_prior(1, zero_state(), np.ones(15)))
 
     def test_parallel_factors_both_retained(self):
         g = FactorGraph()
         g.add_variable(0, zero_state())
-        g.add_factor(PriorFactor(0, zero_state(), np.ones(15)))
-        g.add_factor(PriorFactor(0, zero_state(), np.ones(15)))
+        g.add_factor(state_prior(0, zero_state(), np.ones(15)))
+        g.add_factor(state_prior(0, zero_state(), np.ones(15)))
         assert len(g.factors) == 2
 
     def test_unconstrained_variable_rejected(self):
         g = FactorGraph()
         g.add_variable(0, zero_state())
         g.add_variable(1, zero_state())
-        g.add_factor(PriorFactor(0, zero_state(), np.ones(15)))
+        g.add_factor(state_prior(0, zero_state(), np.ones(15)))
         with pytest.raises(UnderConstrainedGraph):
             g.optimize_lm()
 
@@ -212,14 +218,16 @@ class TestOptimize:
         # the target flips at every linearization and holds in between, like
         # a point crossing back and forth between two voxels: every step is
         # accepted, but no linearization finds a lower cost than the first
-        class FlippingPrior(PriorFactor):
+        class FlippingPrior(MarginalPriorFactor):
             def __init__(self, key, a, b, information):
-                super().__init__(key, a, information)
+                super().__init__([key], {key: a}, np.diag(2.0 * information),
+                                 np.zeros(15))
                 self.targets = (a, b)
                 self.flips = 0
 
             def linearize(self, values):
-                self.prior = self.targets[self.flips % 2]
+                self.lin_values = {self.keys[0]: self.targets[self.flips % 2]}
+                self._last = None  # its offset was from the other target
                 self.flips += 1
                 return super().linearize(values)
 
@@ -263,7 +271,7 @@ class TestOptimize:
 
         g = FactorGraph()
         g.add_variable(0, state0)
-        g.add_factor(PriorFactor(0, state0, np.full(15, 1e8)))
+        g.add_factor(state_prior(0, state0, np.full(15, 1e8)))
         for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
             pre = preintegrate(samples, lo, hi, np.zeros(6), NOISE)
             init = state_retract(states[i + 1], rng.uniform(-0.05, 0.05, 15))
@@ -280,9 +288,9 @@ class TestOptimize:
             target = random_state(rng)
             g = FactorGraph()
             g.add_variable(0, state_retract(target, rng.uniform(-1, 1, 15)))
-            g.add_factor(PriorFactor(0, target, np.full(15, 10.0)))
+            g.add_factor(state_prior(0, target, np.full(15, 10.0)))
             g.add_variable(1, random_state(rng))
-            g.add_factor(PriorFactor(1, target, np.full(15, 5.0)))
+            g.add_factor(state_prior(1, target, np.full(15, 5.0)))
             return g
 
         a = build().optimize_lm()
@@ -396,14 +404,14 @@ def translation_chain(n, rng, prior_translation, prior_velocity, prior_info):
             velocity=rng.uniform(-1, 1, 3),
             bias_accel=np.zeros(3), bias_gyro=np.zeros(3), stamp=float(i))
         g.add_variable(i, s)
-        g.add_factor(PriorFactor(i, zero_state(float(i)), pin))
+        g.add_factor(state_prior(i, zero_state(float(i)), pin))
     info = np.zeros(15)
     info[3:9] = prior_info
     prior_target = SensorState(
         pose=Se3Pose(so3_exp(np.zeros(3)), np.asarray(prior_translation, dtype=float)),
         velocity=np.asarray(prior_velocity, dtype=float),
         bias_accel=np.zeros(3), bias_gyro=np.zeros(3), stamp=0.0)
-    g.add_factor(PriorFactor(0, prior_target, info))
+    g.add_factor(state_prior(0, prior_target, info))
     for i in range(n - 1):
         g.add_factor(ImuFactor(i, i + 1, still_link(i)))
     return g
@@ -442,7 +450,7 @@ class TestMarginalization:
             info[3:9] = [30.0] * 3 + [5.0] * 3
             target = SensorState(Se3Pose(so3_exp(np.zeros(3)), np.array([0.5, -1.0, 2.0])),
                                  np.array([0.3, 0.2, 0.0]), np.zeros(3), np.zeros(3), 2.0)
-            g.add_factor(PriorFactor(2, target, info))
+            g.add_factor(state_prior(2, target, info))
             return g
 
         full_res = conflicting_chain().optimize_lm()
@@ -476,9 +484,9 @@ class TestMarginalization:
         g = FactorGraph()
         g.add_variable(0, zero_state())
         g.add_variable(1, zero_state(1.0))
-        g.add_factor(PriorFactor(0, zero_state(), np.full(15, 10.0)))
+        g.add_factor(state_prior(0, zero_state(), np.full(15, 10.0)))
         target = state_retract(zero_state(1.0), np.full(15, 0.1))
-        g.add_factor(PriorFactor(1, target, np.full(15, 10.0)))
+        g.add_factor(state_prior(1, target, np.full(15, 10.0)))
         before = g.optimize_lm()
         prior = g.marginalize([0])
         assert prior.keys == ()
@@ -503,14 +511,14 @@ class TestMarginalization:
         g = FactorGraph()
         states = [random_state(rng, 0.0)]
         g.add_variable(0, states[0])
-        g.add_factor(PriorFactor(0, states[0], np.full(15, 1e6)))
+        g.add_factor(state_prior(0, states[0], np.full(15, 1e6)))
         samples = [ImuSample(t, -GRAVITY + [0.1, 0, 0], [0, 0, 0.2])
                    for t in np.arange(0, 1.01, 0.005)]
         pre = preintegrate(samples, 0.0, 1.0, np.zeros(6), NOISE)
         nxt = state_retract(states[0], rng.uniform(-0.1, 0.1, 15))
         g.add_variable(1, nxt)
         g.add_factor(ImuFactor(0, 1, pre))
-        g.add_factor(PriorFactor(1, nxt, np.r_[np.zeros(9), np.full(6, 100.0)]))
+        g.add_factor(state_prior(1, nxt, np.r_[np.zeros(9), np.full(6, 100.0)]))
         first = g.optimize_lm()
         g.marginalize([0])
         second = g.optimize_lm()
@@ -583,8 +591,7 @@ class TestMarginalizationEdges:
         # frame 0 keeps its pose prior and its matching factor, but nothing
         # informs its velocity or biases, so their block of H is zero
         g, _ = two_pose_registration()
-        g.factors[0] = PriorFactor(0, zero_state(),
-                                   np.r_[np.full(6, 1e6), np.zeros(9)])
+        g.factors[0] = state_prior(0, zero_state(), np.r_[np.full(6, 1e6), np.zeros(9)])
         raised = record_cholesky(monkeypatch)
         prior = g.marginalize([0])
         assert raised == [True, False]

@@ -20,7 +20,13 @@ from limapper.errors import (
     VoxelKeyOutOfRange,
 )
 from limapper.evaluation import compute_ate
-from limapper.factor_graph import FactorGraph, _accumulate, _layout
+from limapper.factor_graph import (
+    FactorGraph,
+    MarginalPriorFactor,
+    _accumulate,
+    _layout,
+)
+from limapper.geometry import state_local, state_retract
 from limapper.imu import ImuSample
 from limapper.odometry import FALLBACK_VEL_BIAS_SIGMA, OdometryEstimator
 from limapper.preprocess import RawScan
@@ -115,6 +121,32 @@ class TestGoldenLoop:
         assert len(removals) == 10
         assert keyframe_digest(est.keyframe_events) == (
             "aac86da09e12bdfb4e559a1b5645f56ff336feeddcb21f7e152197c0d794c035")
+
+
+class TestBootstrapAnchor:
+    def test_costs_the_weighted_offset_bit_for_bit(self, loop_scene):
+        # the first state is anchored by the marginal prior of an empty
+        # past, whose cost is r.diag(info).r at the offset r, to the bit
+        est, _ = run(loop_scene, n_scans=1)
+        (anchor,) = est.graph.factors
+        assert isinstance(anchor, MarginalPriorFactor) and anchor.keys == (0,)
+        info = np.r_[np.full(6, 1e6), np.full(9, 1e4)]
+        state = anchor.lin_values[0]
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            moved = state_retract(state, rng.normal(size=15) * 10.0 ** rng.uniform(-8, -1))
+            r = state_local(moved, state)
+            assert anchor.cost({0: moved}) == float(r @ np.diag(info) @ r)
+
+    def test_the_graph_holds_one_prior_after_every_scan(self):
+        # the anchor is consumed by the first marginalization, and each
+        # marginal prior by the next one
+        scene = generate_synthetic_scene(loop_spec(1, 20))
+        est = OdometryEstimator()
+        batches = imu_batches(scene, est.config.odometry.init_window)
+        for scan, batch in zip(scene.scans, batches):
+            est.process_frame(scan, batch)
+            assert sum(isinstance(f, MarginalPriorFactor) for f in est.graph.factors) == 1
 
 
 class TestMarginalizedKeyframes:
