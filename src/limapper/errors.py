@@ -38,12 +38,7 @@ class DisconnectedGraph(PipelineError):
 
 
 class NotConverged(PipelineError):
-    """Optimizer gave up; carries the best estimates found so far."""
-
-    def __init__(self, message, estimates=None, cost=None):
-        super().__init__(message)
-        self.estimates = estimates
-        self.cost = cost
+    """Optimizer gave up; the graph keeps its values from before the solve."""
 
 
 class RunFinished(PipelineError):

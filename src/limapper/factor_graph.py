@@ -355,8 +355,7 @@ class MarginalPriorFactor(Factor):
 
     The anchor of the first state is the marginal prior of an empty past:
     ``MarginalPriorFactor([k], {k: state}, diag(2 w), zeros(15))`` costs
-    r.diag(w).r at the offset r from the state, bit for bit, since scaling
-    by 2 and by 0.5 is exact.
+    r.diag(w).r at the offset r from the state, to the bit.
     """
 
     grounding = True
@@ -407,7 +406,6 @@ class LmSettings:
 
 @dataclass
 class OptimizeResult:
-    estimates: dict
     final_cost: float  # on the correspondences the solve used last
     iterations: int  # linearizations of the whole graph
     converged: bool  # False when max_iterations ended the solve
@@ -629,7 +627,8 @@ class FactorGraph:
         looked up at each linearization then move the cost more than the
         steps do, and the iterates wander or cycle between correspondence
         sets.  Ending at max_iterations is not converging.  NotConverged is
-        raised when lambda passes lambda_max.
+        raised when lambda passes lambda_max, and the graph's values are
+        then those it had before the solve.
 
         The undamped system H of the last assembly, with its key slices, is
         held for marginal_covariance until the next solve, also when
@@ -689,13 +688,11 @@ class FactorGraph:
                         break
                 lam, nu = lam * nu, 2.0 * nu
                 if lam > settings.lambda_max:
-                    self.values = values
-                    reason = ("no cost-reducing step found" if delta is not None
-                              else "damping exhausted on singular system")
-                    raise NotConverged(reason, estimates=values, cost=cost)
+                    raise NotConverged("no cost-reducing step found" if delta is not None
+                                       else "damping exhausted on singular system")
         self.values = values
-        return OptimizeResult(values, cost, iterations, converged, initial_cost,
-                              evaluations, rejected)
+        return OptimizeResult(cost, iterations, converged, initial_cost, evaluations,
+                              rejected)
 
     # -- marginalization -----------------------------------------------------
 

@@ -23,11 +23,10 @@ from cumulative sums.  ``preintegrate``
 takes the bias Jacobians and the covariance from the same sums, in closed
 form over the steps.
 
-The first-order bias correction of the deltas (``correct_deltas``), the
-factor residual and its Jacobians are formed for K factors at once
-(``imu_residuals``, ``imu_jacobians``), with every product one stacked
-``np.matmul``; one factor's result is the same bits in any stack.
-``predict_state`` corrects its one preintegration as a stack of one.
+The deltas corrected for bias (``correct_deltas``; ``predict_state`` uses a
+stack of one), the factor residual and its Jacobians are formed for K
+factors at once (``imu_residuals``, ``imu_jacobians``), with every product
+one stacked ``np.matmul``; one factor's result is the same bits in any stack.
 """
 
 from __future__ import annotations
@@ -303,15 +302,10 @@ def stack_preintegrated(pres, gravities) -> PreintegratedStack:
 
 
 def correct_deltas(pre: PreintegratedStack, bias: np.ndarray):
-    """The deltas of K preintegrations corrected to first order from their
-    linearization-point bias to the biases (K, 6), as Forster et al. do:
-
-        dR exp(J_R^g db_g),    dv + J_v db,    dp + J_p db,
-
-    with db = bias - bias_lin.  Returns delta_r (K, 3, 3), delta_v (K, 3),
-    delta_p (K, 3) and theta = J_R^g db_g (K, 3, 1), every product one
-    stacked ``np.matmul`` as in ``imu_residuals``; so3_exp runs per
-    preintegration, on Python floats."""
+    """The deltas of K preintegrations corrected to first order for the
+    biases (K, 6), with db = bias - bias_lin: dR exp(theta), dv + J_v db and
+    dp + J_p db, where theta = J_R^g db_g (K, 3, 1).  Returns (delta_r,
+    delta_v, delta_p, theta); stacked products as in ``imu_residuals``."""
     db = bias - pre.bias_lin
     theta = np.matmul(pre.jac_bias[:, 0:3, 3:6], db[:, 3:, None])
     delta_r = np.matmul(pre.delta_r,

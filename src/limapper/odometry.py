@@ -11,6 +11,7 @@ window are folded into a dense marginal prior and handed downstream.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 
@@ -192,13 +193,19 @@ class OdometryEstimator:
     def _push_imu(self, samples) -> int:
         """Buffer the samples newer than the last buffered one, leaving out
         those with a non-finite stamp and, once the run has started, those
-        with any non-finite value; return the count left out.  Before the
-        bootstrap, a sample with a non-finite accel or gyro value is
-        buffered, so that the bootstrap names its window unusable."""
+        with any non-finite value; return the count left out.  An older
+        sample replaces the buffered one of its stamp, if any, so that a
+        scan sent again with clean samples mends what it buffered before.
+        Before the bootstrap, a sample with a non-finite accel or gyro value
+        is buffered, so that the bootstrap names its window unusable."""
         samples, dropped = finite_samples(samples, stamp_only=not self._window)
         for s in samples:
             if not self._imu or s.stamp > self._imu[-1].stamp:
                 self._imu.append(s)
+                continue
+            i = bisect.bisect_left(self._imu, s.stamp, key=lambda b: b.stamp)
+            if self._imu[i].stamp == s.stamp:
+                self._imu[i] = s
         # keep the buffer bounded: only the current inter-frame span and the
         # initialization window are ever read back
         if self._window:
@@ -243,13 +250,15 @@ class OdometryEstimator:
         factors and the window entry, and raises no PipelineError.  So a
         scan that raises before its commit leaves the estimator as it was,
         apart from buffering its IMU samples, and can be sent again with
-        more IMU data.  The solve, the keyframe update and the
-        marginalization of the frames past the lag follow the commit.  A
-        bootstrap that finds its samples unusable drops every buffered
-        sample instead, so that the scan can be sent again with new
-        samples, also ones of the same stamps.  IMU samples with a
-        non-finite stamp are left out, and after the bootstrap so are those
-        with a non-finite value; the scan's warning gives their count.
+        more IMU data or with clean copies of its samples.  The solve, the
+        keyframe update and the marginalization of the frames past the lag
+        follow the commit; a solve that does not converge changes no
+        estimate, and the warning says so.  A bootstrap that finds its
+        samples unusable drops every buffered sample instead, so that the
+        scan can be sent again with new samples, also ones of the same
+        stamps.  IMU samples with a non-finite stamp are left out, and after
+        the bootstrap so are those with a non-finite value; the scan's
+        warning gives their count.
         """
         if self._finished:
             raise RunFinished("finish() ended this run; use a new estimator")
@@ -265,15 +274,14 @@ class OdometryEstimator:
             self.graph.add_factor(factor)
         self._window.append(rec)
 
-        snapshot = dict(self.graph.values)
         warnings = []
         if dropped:
             warnings.append(f"left out {dropped} IMU sample(s) with a non-finite value")
         try:
             self.graph.optimize_lm(self.config.optimizer)
         except NotConverged:
+            # a failed solve leaves the graph's values as they were
             warnings.append("optimizer did not converge; prediction retained")
-            self.graph.values = snapshot
         for f in self._window:
             f.state = self.graph.values[f.index]
 
@@ -307,10 +315,9 @@ class OdometryEstimator:
             # the window is finite; samples after it may not be
             self._imu, late = finite_samples(self._imu)
             dropped += late
-            # bootstrap: anchor the first state completely, with the
-            # marginal prior of an empty past
+            # bootstrap: the marginal prior of an empty past pins the first state
             index = 0
-            info = np.concatenate([np.full(6, 1e6), np.full(3, 1e4), np.full(6, 1e4)])
+            info = np.r_[np.full(6, 1e6), np.full(9, 1e4)]
             anchor = MarginalPriorFactor([index], {index: state}, np.diag(2 * info),
                                          np.zeros(15))
         else:

@@ -144,37 +144,73 @@ def record_fields(tree: ast.Module):
                 yield node.name, item.target.id, item.lineno
 
 
-# record fields that only the tests read today, each with its reason
+def error_fields(tree: ast.Module):
+    """(class, attribute, line) of every attribute that the ``__init__`` of
+    a PipelineError subclass defined at the module's top level assigns on
+    ``self``."""
+    errors = {"PipelineError"}
+    for node in tree.body:
+        if not (isinstance(node, ast.ClassDef) and any(
+                isinstance(b, ast.Name) and b.id in errors for b in node.bases)):
+            continue
+        errors.add(node.name)
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                for n in ast.walk(item):
+                    if (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                            and isinstance(n.value, ast.Name) and n.value.id == "self"):
+                        yield node.name, n.attr, n.lineno
+
+
+# record fields and error attributes that only the tests read today, each
+# with its reason
 UNREAD_FIELDS = {
     **dict.fromkeys(
         [f"factor_graph.OptimizeResult.{name}" for name in (
-            "estimates", "final_cost", "converged", "initial_cost",
+            "final_cost", "converged", "initial_cost",
             "cost_evaluations", "rejected_steps")],
         "outcome of a solve, read by the coming per-scan stats record"),
     **dict.fromkeys(
         ["odometry.MarginalizedFrame.frame_index",
          "odometry.MarginalizedFrame.vel_bias_sigma"],
         "hand-off, read by the coming local mapping"),
+    # ParseError.path is unread too, but the check goes by attribute name,
+    # and synthetic.PathTrajectory reads its own ``path``
+    "errors.ParseError.offset": "where a dataset file is malformed, for its reader's caller",
+    "errors.InvalidConfig.key": "the offending key, for the caller of validate",
+    "evaluation.AteResult.median": "trajectory statistic, reported by the coming CLI",
 }
+
+
+def field_reads(tree: ast.Module) -> set:
+    """Every attribute name the module reads (``x.name``), apart from those
+    read off a module it imports whole (``os.path``), which are no field."""
+    modules = {alias.asname or alias.name.split(".")[0]
+               for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    return {n.attr for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+            and not (isinstance(n.value, ast.Name) and n.value.id in modules)}
 
 
 def test_every_record_field_is_read():
     # a field that no code reads is state that only its writers keep alive;
-    # a read in the tests alone keeps nothing alive
+    # a read in the tests alone keeps nothing alive.  An error's attributes
+    # are the record that its raiser hands to the caller
     readers = [p for d in ("src", "golden", "perfbench") for p in (ROOT / d).rglob("*.py")]
-    read = {n.attr for path in readers
-            for n in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    read = set().union(*(field_reads(ast.parse(path.read_text(), filename=str(path)))
+                         for path in readers))
     unread, listed = [], set()
     for path in MODULES:
-        for cls, name, line in record_fields(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        for cls, name, line in [*record_fields(tree), *error_fields(tree)]:
             if name in read:
                 continue
             if f"{path.stem}.{cls}.{name}" in UNREAD_FIELDS:
                 listed.add(f"{path.stem}.{cls}.{name}")
             else:
                 unread.append(f"{path.name}:{line} {cls}.{name}")
-    assert not unread, "record fields only the tests read: " + ", ".join(unread)
+    assert not unread, "fields only the tests read: " + ", ".join(unread)
     assert listed == set(UNREAD_FIELDS), (
         "listed but read: " + ", ".join(sorted(set(UNREAD_FIELDS) - listed)))
 

@@ -457,14 +457,48 @@ class TestFaultLeavesNoTrace:
         "stamps at start, accel before x1e11",
     ])
     def test_raises_and_leaves_the_estimator_as_it_was(self, loop_scene, fault):
-        # a re-send is not asserted: the samples of the faulty batch stay
-        # buffered
-        est, _ = run(loop_scene, n_scans=8)
-        batch = imu_batches(loop_scene, est.config.odometry.init_window)[8]
+        # the faulty batch's samples stay buffered until the scan is sent
+        # again with its clean batch, whose samples replace them
+        clean_est, clean = run(loop_scene)
+        est, results = run(loop_scene, n_scans=8)
+        batches = imu_batches(loop_scene, est.config.odometry.init_window)
         before = fingerprint(est)
         with pytest.raises(PipelineError):
-            est.process_frame(*faulty_scan(loop_scene, 8, batch, fault))
+            est.process_frame(*faulty_scan(loop_scene, 8, batches[8], fault))
         assert fingerprint(est) == before
+        results += [est.process_frame(scan, batch)
+                    for scan, batch in zip(loop_scene.scans[8:], batches[8:])]
+        assert outputs(est, results) == outputs(clean_est, clean)
+
+
+class TestFailedSolve:
+    def test_keeps_the_prediction_and_every_other_state(self, loop_scene):
+        est, _ = run(loop_scene, n_scans=8)
+        batches = imu_batches(loop_scene, est.config.odometry.init_window)
+        before = [(f, f.state) for f in est._window]
+        predicted, predict_state = [], odometry.predict_state
+
+        def predict(*args):
+            predicted.append(predict_state(*args))
+            return predicted[-1]
+
+        steps, damped_step = [], factor_graph._damped_step
+
+        def first_step_only(*args):
+            # the solve takes its first step, then every damped step fails,
+            # so the damping passes its limit after the estimate has moved
+            steps.append(damped_step(*args) if not steps else None)
+            return steps[-1]
+
+        with mock.patch.object(factor_graph, "_damped_step", first_step_only), \
+                mock.patch.object(odometry, "predict_state", predict):
+            result = est.process_frame(loop_scene.scans[8], batches[8])
+        assert result.warning == "optimizer did not converge; prediction retained"
+        assert state_vector(result.state).tobytes() == state_vector(predicted[0]).tobytes()
+        assert all(f.state is state for f, state in before)
+        assert all(est.graph.values[f.index] is f.state for f in est._window)
+        after = est.process_frame(loop_scene.scans[9], batches[9])
+        assert after.warning is None and np.isfinite(state_vector(after.state)).all()
 
 
 class TestFinish:
