@@ -1,18 +1,20 @@
-"""Pipeline configuration: one flat key-value document covering every stage.
+"""Pipeline configuration: one dataclass per stage, gathered in
+``PipelineConfig``.
 
-Keys use dotted section prefixes, the field names of ``PipelineConfig``
-(``odometry.max_keyframes = 20``).  The ``imu`` section is the estimator's
-one noise record, ``imu.ImuNoiseParams``, and the ``optimizer`` section is
-``factor_graph.LmSettings``.  Unknown keys are rejected and all thresholds
-validated against their documented ranges.
+A key names a field by its section, a field of ``PipelineConfig``, and its
+name within it (``odometry.max_keyframes``); ``InvalidConfig`` carries one.
+The ``imu`` section is the estimator's one noise record,
+``imu.ImuNoiseParams``, and the ``optimizer`` section is
+``factor_graph.LmSettings``.  ``validate`` checks every threshold against
+its documented range.  There is no file format: a configuration file comes
+with the entry point that reads it.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
-from .errors import InvalidConfig, ParseError
+from .errors import InvalidConfig
 from .factor_graph import LmSettings
 from .imu import ImuNoiseParams
 
@@ -80,67 +82,8 @@ class PipelineConfig:
                      "accel_bias_walk", "gyro_bias_walk"):
             _require(getattr(self.imu, name) > 0, f"imu.{name}", "must be positive")
 
-    # -- flat key-value mapping ------------------------------------------------
-
-    def apply(self, key: str, raw_value: str) -> None:
-        if "." not in key:
-            raise ParseError(f"key {key!r} is missing its section prefix")
-        section_name, _, field_name = key.partition(".")
-        if section_name not in {f.name for f in fields(self)}:
-            raise ParseError(f"unknown section {section_name!r}")
-        section = getattr(self, section_name)
-        matching = {f.name: f for f in fields(section)}
-        if field_name not in matching:
-            raise ParseError(f"unknown key {key!r}")
-        ftype = matching[field_name].type
-        value = _convert(raw_value, ftype, key)
-        setattr(section, field_name, value)
-
-    def items(self):
-        for sec in fields(self):
-            section = getattr(self, sec.name)
-            for f in fields(section):
-                yield f"{sec.name}.{f.name}", getattr(section, f.name)
-
-    @classmethod
-    def from_file(cls, path: str) -> "PipelineConfig":
-        cfg = cls()
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ParseError(f"line {lineno}: expected 'key = value'",
-                                     path=path, offset=lineno)
-                key, _, raw = line.partition("=")
-                try:
-                    cfg.apply(key.strip(), raw.strip())
-                except ParseError as exc:
-                    raise ParseError(f"line {lineno}: {exc}", path=path,
-                                     offset=lineno)
-        cfg.validate()
-        return cfg
-
-    def to_file(self, path: str) -> None:
-        with open(path, "w") as fh:
-            for key, value in self.items():
-                fh.write(f"{key} = {value}\n")
-
 
 def _require(ok: bool, key: str, message: str) -> None:
     if not ok:
         raise InvalidConfig(key, message)
 
-
-def _convert(raw: str, ftype: str, key: str):
-    ftype = str(ftype)
-    try:
-        if "int" in ftype:
-            return int(raw)
-        value = float(raw)
-    except ValueError:
-        raise ParseError(f"{key}: cannot parse {raw!r} as {ftype}")
-    if not math.isfinite(value):
-        raise ParseError(f"{key}: {raw!r} is not a finite number")
-    return value

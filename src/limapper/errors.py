@@ -41,10 +41,6 @@ class NotConverged(PipelineError):
     """Optimizer gave up; the graph keeps its values from before the solve."""
 
 
-class RunFinished(PipelineError):
-    """Estimator was flushed with finish() and takes no further scans."""
-
-
 class MalformedScan(PipelineError):
     """A scan's points are not (n, 3) or its stamps are not (n,)."""
 
@@ -59,15 +55,6 @@ class NonFiniteStamp(PipelineError):
 
 class OutOfOrder(PipelineError):
     """Records arrived with non-increasing timestamps."""
-
-
-class ParseError(PipelineError):
-    """Malformed input file; carries path and byte offset where known."""
-
-    def __init__(self, message, path=None, offset=None):
-        super().__init__(message)
-        self.path = path
-        self.offset = offset
 
 
 class InvalidConfig(PipelineError, ValueError):

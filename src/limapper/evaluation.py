@@ -45,8 +45,6 @@ def umeyama_alignment(src: np.ndarray, dst: np.ndarray):
 @dataclass(frozen=True)
 class AteResult:
     rmse: float
-    mean: float
-    median: float
 
 
 def compute_ate(estimate, ground_truth, align: bool = True,
@@ -66,8 +64,4 @@ def compute_ate(estimate, ground_truth, align: bool = True,
         rot, t = umeyama_alignment(est, gt)
         est = est @ rot.T + t
     errors = np.linalg.norm(est - gt, axis=1)
-    return AteResult(
-        rmse=float(np.sqrt(np.mean(errors**2))),
-        mean=float(np.mean(errors)),
-        median=float(np.median(errors)),
-    )
+    return AteResult(rmse=float(np.sqrt(np.mean(errors**2))))

@@ -4,9 +4,10 @@ Conventions used throughout the package:
 
 * A rotation is stored as its 3x3 matrix.  Composition is a matrix product
   and the inverse a transpose; nothing renormalizes the product.
-  Quaternions ``(x, y, z, w)`` appear only at the boundary: ``Rotation``
-  is constructed from one, and ``Rotation.quat`` gives one back for file
-  output and ``so3_log``.
+  A quaternion ``(x, y, z, w)`` leaves only through ``Rotation.quat``,
+  which ``so3_log`` reads.  The quaternion constructor ``Rotation(q)`` is
+  no caller's input: it stays as the tests' reference for the matrix
+  arithmetic.
 * Poses map body-frame vectors into the world frame: ``p_w = R p_b + t``.
 * Tangent vectors are ordered rotation-first.  A pose perturbation
   ``xi = (phi, rho)`` is applied right-multiplicatively,
@@ -37,8 +38,9 @@ def so3_hat(v) -> np.ndarray:
 class Rotation:
     """Rotation in SO(3), held as its 3x3 matrix and nothing else.
 
-    ``Rotation(quat_xyzw)`` builds the matrix of a finite, nonzero
-    quaternion, normalized first; ``from_matrix`` keeps a matrix as given.
+    ``from_matrix`` keeps a matrix as given.  ``Rotation(quat_xyzw)``
+    builds the matrix of a finite, nonzero quaternion, normalized first;
+    only the tests construct one so, as the reference of the products.
     """
 
     __slots__ = ("_m",)

@@ -20,10 +20,10 @@ import numpy as np
 from .config import PipelineConfig
 from .errors import (
     InitializationMotion,
+    MalformedScan,
     NonFiniteStamp,
     NotConverged,
     OutOfOrder,
-    RunFinished,
 )
 from .factor_graph import (
     FactorGraph,
@@ -125,10 +125,13 @@ def finite_samples(samples, stamp_only: bool = False) -> tuple[list, int]:
 
 def check_stamps(scan: RawScan) -> None:
     """Raise NonFiniteStamp unless the scan's span and point stamps are
-    finite."""
+    finite, and MalformedScan if its span ends before it starts."""
     for name, value in (("scan_start", scan.scan_start), ("scan_end", scan.scan_end)):
         if not math.isfinite(value):
             raise NonFiniteStamp(f"{name} is {value}")
+    if scan.scan_end < scan.scan_start:
+        raise MalformedScan(f"scan_end {scan.scan_end} comes before "
+                            f"scan_start {scan.scan_start}")
     bad = np.flatnonzero(~np.isfinite(scan.stamps))
     if bad.size:
         raise NonFiniteStamp(
@@ -149,7 +152,6 @@ class WindowFrame:
     """
 
     index: int
-    pre_frame: Frame | None  # pre-deskew cloud; None once handed downstream
     frame: Frame  # deskewed, covariances attached until marginalized
     voxelmap: GaussianVoxelMap
     state: SensorState  # window estimate; final once marginalized
@@ -158,14 +160,13 @@ class WindowFrame:
 
 @dataclass
 class MarginalizedFrame:
-    """Frame leaving the odometry window, handed to local mapping.
-
-    Keeps the pre-deskew cloud (with neighbor lists) so the receiving stage
-    can re-deskew against the refined state estimate.
+    """Frame leaving the odometry window: its index, its final state and
+    the prior strengths of its velocity and biases, from the window's
+    marginal covariance.  A local mapping stage that re-deskews against the
+    final state brings the pre-deskew cloud back with it.
     """
 
     frame_index: int
-    frame: Frame  # pre-deskew, downsampled, neighbors attached
     state: SensorState
     vel_bias_sigma: np.ndarray  # (9,) prior strengths for velocity and bias
 
@@ -186,7 +187,6 @@ class OdometryEstimator:
         self.keyframe_events: list[dict] = []
         self._window: list[WindowFrame] = []  # oldest first
         self._imu: list[ImuSample] = []
-        self._finished = False
 
     # -- helpers ---------------------------------------------------------------
 
@@ -260,8 +260,6 @@ class OdometryEstimator:
         the bootstrap so are those with a non-finite value; the scan's
         warning gives their count.
         """
-        if self._finished:
-            raise RunFinished("finish() ended this run; use a new estimator")
         check_stamps(scan)
         last = self._window[-1].frame.scan_start if self._window else -math.inf
         if scan.scan_start <= last:
@@ -333,19 +331,10 @@ class OdometryEstimator:
                                walk_information=self._walk_information(pre.dt_total))
 
         frame = self._finish_frame(pre_frame, state)
-        rec = WindowFrame(index=index, pre_frame=pre_frame, frame=frame,
+        rec = WindowFrame(index=index, frame=frame,
                           voxelmap=build_voxelmap(frame, cfg.voxel_resolution),
                           state=state)
         return rec, [anchor, *self._matching_links(rec)], dropped
-
-    def finish(self) -> list:
-        """Flush: marginalize and emit every frame still in the window.
-        This ends the run: process_frame raises RunFinished afterwards."""
-        self._finished = True
-        out = []
-        while self._window:
-            out.append(self._emit_oldest())
-        return out
 
     # -- factors -------------------------------------------------------------------
 
@@ -456,11 +445,8 @@ class OdometryEstimator:
         self.graph.marginalize([rec.index])
         del self._window[0]
         rec.marginalized = True
-        out = MarginalizedFrame(
-            frame_index=rec.index, frame=rec.pre_frame, state=rec.state,
-            vel_bias_sigma=sigmas)
         # a keyframe is only a target map, and the overlap reads its points:
         # it keeps the points, stamps and span, and drops the rest
-        rec.pre_frame = None
         rec.frame = replace(rec.frame, neighbors=None, covs=None)
-        return out
+        return MarginalizedFrame(frame_index=rec.index, state=rec.state,
+                                 vel_bias_sigma=sigmas)

@@ -1,75 +1,16 @@
 import pytest
 
 from limapper.config import PipelineConfig
-from limapper.errors import InvalidConfig, ParseError, PipelineError
-from limapper.factor_graph import LmSettings
+from limapper.errors import InvalidConfig, PipelineError
 from limapper.odometry import OdometryEstimator
 
 
-def write(tmp_path, text):
-    path = tmp_path / "pipeline.cfg"
-    path.write_text(text)
-    return str(path)
-
-
-class TestFileRoundTrip:
-    def test_every_key_survives(self, tmp_path):
-        config = PipelineConfig()
-        config.preprocess.knn = 12
-        config.odometry.keyframe_insert_overlap = 0.85
-        config.imu.gravity_z = -9.81
-        config.optimizer.rel_cost_tol = 2.5e-7
-        path = str(tmp_path / "pipeline.cfg")
-        config.to_file(path)
-        loaded = PipelineConfig.from_file(path)
-        assert loaded == config
-        assert isinstance(loaded.optimizer, LmSettings)
-        assert isinstance(loaded.preprocess.knn, int)
-
-    def test_comments_and_blank_lines(self, tmp_path):
-        path = write(tmp_path, "# window\n\nodometry.smoothing_lag = 7  # frames\n")
-        assert PipelineConfig.from_file(path).odometry.smoothing_lag == 7
-
-
 class TestRejection:
-    @pytest.mark.parametrize("line", [
-        "odometry.no_such_key = 1",  # unknown key
-        "mapping.voxel_resolution = 1.0",  # unknown section
-        "max_keyframes = 20",  # missing section prefix
-        "preprocess.knn = ten",  # not an integer
-        "odometry.smoothing_lag",  # no '='
-    ])
-    def test_parse_errors_name_the_line(self, tmp_path, line):
-        path = write(tmp_path, "odometry.max_keyframes = 20\n" + line + "\n")
-        with pytest.raises(ParseError) as info:
-            PipelineConfig.from_file(path)
-        assert info.value.path == path
-        assert info.value.offset == 2
-
-    @pytest.mark.parametrize("line, section", [
-        ("local.max_frames = 15", "local"),
-        ("global.optimize_every = 5", "global"),
-    ])
-    def test_removed_sections_are_unknown(self, tmp_path, line, section):
-        path = write(tmp_path, "odometry.max_keyframes = 20\n" + line + "\n")
-        with pytest.raises(ParseError,
-                           match=f"^line 2: unknown section '{section}'$") as info:
-            PipelineConfig.from_file(path)
-        assert info.value.offset == 2
-
-    @pytest.mark.parametrize("key", [
-        "optimizer.dense_threshold",
-        "odometry.imu_factors_enabled",
-        "odometry.matching_factors_enabled",
-    ])
-    def test_removed_keys_are_unknown(self, tmp_path, key):
-        with pytest.raises(ParseError, match="unknown key"):
-            PipelineConfig.from_file(write(tmp_path, f"{key} = 1\n"))
-
-    def test_validate_rejects_crossed_overlaps(self, tmp_path):
-        path = write(tmp_path, "odometry.keyframe_drop_overlap = 0.95\n")
+    def test_validate_rejects_crossed_overlaps(self):
+        config = PipelineConfig()
+        config.odometry.keyframe_drop_overlap = 0.95
         with pytest.raises(ValueError, match="drop overlap"):
-            PipelineConfig.from_file(path)
+            config.validate()
         config = PipelineConfig()
         config.odometry.max_keyframes = 1
         with pytest.raises(ValueError, match="max_keyframes"):
@@ -85,17 +26,10 @@ class TestRejection:
 
 
 class TestBadValues:
-    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN"])
-    def test_non_finite_floats_are_parse_errors(self, tmp_path, raw):
-        # a NaN lambda_init used to make optimize_lm loop forever
-        path = write(tmp_path, f"odometry.smoothing_lag = 5\noptimizer.lambda_init = {raw}\n")
-        with pytest.raises(ParseError, match="finite") as info:
-            PipelineConfig.from_file(path)
-        assert info.value.offset == 2
-
     @pytest.mark.parametrize("section, name, value, match", [
         ("optimizer", "max_iterations", 0, "iteration caps"),
         ("optimizer", "lambda_init", 0.0, "lambda_init"),
+        # a NaN lambda_init used to make optimize_lm loop forever
         ("optimizer", "lambda_init", float("nan"), "lambda_init"),
         ("optimizer", "lambda_init", 1e13, "lambda_init"),  # above lambda_max
         ("optimizer", "lambda_max", float("nan"), "lambda_init"),
@@ -159,10 +93,7 @@ class TestInvalidConfig:
         assert info.value.key == key
         assert str(info.value).startswith(key + ": ")
 
-    def test_from_file_and_estimator(self, tmp_path):
-        path = write(tmp_path, "odometry.smoothing_lag = 0\n")
-        with pytest.raises(InvalidConfig, match="odometry.smoothing_lag"):
-            PipelineConfig.from_file(path)
+    def test_raised_by_the_estimator(self):
         config = PipelineConfig()
         config.imu.accel_noise_density = -0.02
         with pytest.raises(InvalidConfig, match="imu.accel_noise_density"):

@@ -6,6 +6,7 @@ import ast
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -60,9 +61,9 @@ def test_no_unused_module_level_import(path):
     assert not unused, "unused imports: " + ", ".join(unused)
 
 
-# a rotation is stored as its matrix; only these modules turn one into a
-# quaternion: geometry itself and file output
-QUAT_READERS = {"geometry.py", "dataset_io.py"}
+# a rotation is stored as its matrix; only geometry turns one into a
+# quaternion, for so3_log
+QUAT_READERS = {"geometry.py"}
 
 
 def test_only_boundary_modules_read_quaternions():
@@ -174,11 +175,7 @@ UNREAD_FIELDS = {
         ["odometry.MarginalizedFrame.frame_index",
          "odometry.MarginalizedFrame.vel_bias_sigma"],
         "hand-off, read by the coming local mapping"),
-    # ParseError.path is unread too, but the check goes by attribute name,
-    # and synthetic.PathTrajectory reads its own ``path``
-    "errors.ParseError.offset": "where a dataset file is malformed, for its reader's caller",
     "errors.InvalidConfig.key": "the offending key, for the caller of validate",
-    "evaluation.AteResult.median": "trajectory statistic, reported by the coming CLI",
 }
 
 
@@ -220,26 +217,16 @@ def test_every_config_key_reaches_the_pipeline():
     read = {n.attr for path in MODULES if path.name != "config.py"
             for n in ast.walk(ast.parse(path.read_text(), filename=str(path)))
             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
-    unread = [key for key, _ in PipelineConfig().items()
-              if key.partition(".")[2] not in read]
+    config = PipelineConfig()
+    unread = [f"{section.name}.{key.name}" for section in fields(config)
+              for key in fields(getattr(config, section.name))
+              if key.name not in read]
     assert not unread, "config keys no pipeline module reads: " + ", ".join(unread)
 
 
-# definitions whose only callers are the tests today, each with its reason
-UNCALLED_API = {
-    # the dataset formats; their caller is the command-line entry point
-    # that comes with local mapping
-    "dataset_io.read_scan": "dataset format, read by the coming CLI",
-    "dataset_io.write_scan": "dataset format, written by the coming CLI",
-    "dataset_io.read_imu_csv": "dataset format, read by the coming CLI",
-    "dataset_io.write_imu_csv": "dataset format, written by the coming CLI",
-    "dataset_io.read_trajectory": "dataset format, read by the coming CLI",
-    "dataset_io.write_trajectory": "dataset format, written by the coming CLI",
-    "config.PipelineConfig.from_file": "configuration file, read by the coming CLI",
-    "config.PipelineConfig.to_file": "configuration file, written by the coming CLI",
-    # the end of a run: it hands the frames still in the window downstream
-    "odometry.OdometryEstimator.finish": "end-of-run flush, called by the coming CLI",
-}
+# definitions whose only callers are the tests today, each with its reason;
+# none: a definition lands with its caller
+UNCALLED_API: dict[str, str] = {}
 
 
 def loaded_names(nodes) -> set:
@@ -307,14 +294,9 @@ def test_every_definition_has_a_caller_outside_the_tests():
         + ", ".join(sorted(set(UNCALLED_API) - set(uncalled))))
 
 
-# definitions that a replay does not enter, beyond UNCALLED_API, each with
-# its reason
-UNENTERED_API = {
-    **UNCALLED_API,
-    "config.PipelineConfig.apply": "reached only through from_file",
-    "config.PipelineConfig.items": "reached only through to_file",
-    "dataset_io.TrajectoryRecord.pose": "dataset format, for the coming CLI",
-}
+# definitions that a replay does not enter, each with its reason: those of
+# UNCALLED_API and nothing beyond them
+UNENTERED_API = dict(UNCALLED_API)
 
 # Replays the scans of a 6-frame `loop` scene and of a 4-frame `gap` scene
 # through the benchmark's `replay` and `ate`, in a fresh interpreter whose

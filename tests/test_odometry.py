@@ -14,9 +14,9 @@ from limapper.errors import (
     DisconnectedGraph,
     ImuCoverageGap,
     InitializationMotion,
+    MalformedScan,
     NonFiniteStamp,
     PipelineError,
-    RunFinished,
     VoxelKeyOutOfRange,
 )
 from limapper.evaluation import compute_ate
@@ -160,7 +160,6 @@ class TestMarginalizedKeyframes:
             frame = kf.frame
             if kf.marginalized:
                 assert frame.covs is None and frame.neighbors is None
-                assert kf.pre_frame is None
                 assert_row_storage(frame)
             else:
                 assert frame.covs is not None and frame.neighbors is not None
@@ -243,6 +242,14 @@ class TestFailedMarginalization:
         assert not est._window[0].marginalized
 
 
+class TestHandOff:
+    def test_every_frame_past_the_lag_is_emitted_once_in_order(self, loop_scene):
+        est, results = run(loop_scene)
+        emitted = [m.frame_index for r in results for m in r.marginalized]
+        lag = est.config.odometry.smoothing_lag
+        assert emitted == list(range(len(loop_scene.scans) - lag))
+
+
 class TestEmittedSigmas:
     def test_close_to_a_fresh_assembly(self, loop_scene, monkeypatch):
         # the sigmas come from the last solve's system, which an accepted
@@ -265,9 +272,8 @@ class TestEmittedSigmas:
             return cov
 
         monkeypatch.setattr(FactorGraph, "marginal_covariance", compare)
-        est, _ = run(loop_scene)
-        est.finish()
-        assert len(worst) == 14
+        run(loop_scene)
+        assert len(worst) == 14 - 5
         assert max(worst) < 5.2e-4
 
 
@@ -446,6 +452,8 @@ def faulty_scan(scene, k, batch, fault):
         stamps = np.full_like(stamps, scan.scan_start)
         batch = [ImuSample(s.stamp, s.accel * 1e11 if s.stamp < scan.scan_start
                            else s.accel, s.gyro) for s in batch]
+    elif fault == "span reversed":
+        return RawScan(points, stamps, scan.scan_end, scan.scan_start), batch
     return RawScan(points, stamps, scan.scan_start, scan.scan_end), batch
 
 
@@ -455,6 +463,8 @@ class TestFaultLeavesNoTrace:
         # it raises VoxelKeyOutOfRange from the look-ups of its matching
         # links, the last step before the commit
         "stamps at start, accel before x1e11",
+        # the scan is at fault, not its IMU batch
+        "span reversed",
     ])
     def test_raises_and_leaves_the_estimator_as_it_was(self, loop_scene, fault):
         # the faulty batch's samples stay buffered until the scan is sent
@@ -462,10 +472,17 @@ class TestFaultLeavesNoTrace:
         clean_est, clean = run(loop_scene)
         est, results = run(loop_scene, n_scans=8)
         batches = imu_batches(loop_scene, est.config.odometry.init_window)
-        before = fingerprint(est)
-        with pytest.raises(PipelineError):
+        before, imu = fingerprint(est), list(est._imu)
+        with pytest.raises(PipelineError) as info:
             est.process_frame(*faulty_scan(loop_scene, 8, batches[8], fault))
         assert fingerprint(est) == before
+        if fault == "span reversed":
+            # the stamps are checked before any sample is buffered
+            scan = loop_scene.scans[8]
+            assert isinstance(info.value, MalformedScan)
+            assert str(info.value) == (f"scan_end {scan.scan_start} comes before "
+                                       f"scan_start {scan.scan_end}")
+            assert [id(s) for s in est._imu] == [id(s) for s in imu]
         results += [est.process_frame(scan, batch)
                     for scan, batch in zip(loop_scene.scans[8:], batches[8:])]
         assert outputs(est, results) == outputs(clean_est, clean)
@@ -499,19 +516,6 @@ class TestFailedSolve:
         assert all(est.graph.values[f.index] is f.state for f in est._window)
         after = est.process_frame(loop_scene.scans[9], batches[9])
         assert after.warning is None and np.isfinite(state_vector(after.state)).all()
-
-
-class TestFinish:
-    def test_scan_after_finish_raises_and_changes_nothing(self, loop_scene):
-        est, _ = run(loop_scene, n_scans=8)
-        flushed = est.finish()
-        assert [m.frame_index for m in flushed] == [3, 4, 5, 6, 7]
-        before = fingerprint(est), list(est._imu)
-        batch = imu_batches(loop_scene, est.config.odometry.init_window)[8]
-        with pytest.raises(RunFinished):
-            est.process_frame(loop_scene.scans[8], batch)
-        assert (fingerprint(est), list(est._imu)) == before
-        assert est.finish() == []
 
 
 class TestRecentFrameLinks:
