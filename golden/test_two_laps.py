@@ -31,24 +31,23 @@ def test_two_laps_bound_the_ate_and_the_accel_bias_error(two_laps):
     removals = [e for e in est.keyframe_events if e["removed_by_score"]]
     assert len(removals) == 245
     assert keyframe_digest(est.keyframe_events) == (
-        "8ad649a45a486cb1ff3baaefaf1ec5ae969e4a1a63bbfcff87a3221d1a8917b6")
+        "8d584d3971e520c6ae7bb2d91a94bee8d2ae9aa91635fb87b047dc4b65ca8ab1")
 
     # bounded cost once the keyframe set is full (the paper's claim), on
     # counters that do not depend on the hardware, from the first removal
     # by score on (scans 27-271).  Measured there: at most 90 factors in
     # the window (75 unary and 10 binary matching ones), 4 assemblies
-    # (linearize_from_terms calls) per scan, mean 3.16, and 144 match_terms
-    # calls per scan, mean 88.6; the bounds add a margin of 10 %
+    # (linearize_from_terms calls) per scan, mean 3.16, and 107 match_terms
+    # calls per scan, mean 54.2; the bounds add a margin of 10 %
     first = next(e["frame_index"] for e in est.keyframe_events if e["removed_by_score"])
     match, assemblies, overlaps, look_ups = calls[first:].T
     assert factors[first:].max() <= 90 * 1.1
     assert assemblies.max() <= 4 * 1.1
-    assert match.max() <= 144 * 1.1
+    assert match.max() <= 107 * 1.1
     # voxel look-ups (GaussianVoxelMap.look_up, for matching and the
-    # overlap alike) per scan: at most 698, mean 605.4, measured once a
-    # matching factor skips the look-up at the pose of its last one (718,
-    # mean 629.7, before); the bound adds a margin of 10 %
-    assert look_ups.max() <= 698 * 1.1
+    # overlap alike) per scan: at most 480, mean 421.6, 363 of them for the
+    # overlaps; the bound adds a margin of 10 %
+    assert look_ups.max() <= 480 * 1.1
     # one insertion test, one overlap per keyframe for rule 1 and the
     # ordered pairs of inner keyframes for rule 2: 363 with 20 keyframes
     k = est.config.odometry.max_keyframes

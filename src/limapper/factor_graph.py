@@ -8,13 +8,15 @@ its pose for a matching factor).  The optimizer assembles damped normal
 equations at the current estimate each iteration and holds the last
 undamped system, which ``marginal_covariance`` reads.
 A matching-cost factor looks its correspondences up again only when it is
-linearized.  Only when a voxel row changed does it form their weights and
-fold them, in one step (``match_terms``), into a quadratic in the relative
-pose, from which it takes its block (``linearize_from_terms``) and costs
-the candidate steps of an iteration in O(1).  So the cost the optimizer
-compares is smooth within an iteration, and it is the cost of the
-Gauss-Newton model's own weights.  A prior (``MarginalPriorFactor``) is a
-fixed quadratic in the offset from its linearization point.
+linearized, and then only once a source point can have moved
+``RELOOK_FRACTION`` of a voxel since its last look-up.  Only when a voxel
+row changed does it form their weights and fold them, in one step
+(``match_terms``), into a quadratic in the relative pose, from which it
+takes its block (``linearize_from_terms``) and costs the candidate steps of
+an iteration in O(1).  So the cost the optimizer compares is smooth within
+an iteration, and it is the cost of the Gauss-Newton model's own weights.
+A prior (``MarginalPriorFactor``) is a fixed quadratic in the offset from
+its linearization point.
 
 An assembly (``_accumulate``) takes one pass per factor kind, kind after
 kind: each prior linearizes alone; one stacked pass forms the residuals,
@@ -33,11 +35,13 @@ same bits as with the factor taken alone.  The stacked passes are the only
 way a matching or IMU factor is costed or linearized; only the prior has
 its own ``cost`` and ``linearize``.
 
-No factor repeats an evaluation whose inputs did not change: a matching
-factor does not look up again at the bits of its last look-up's pose; the
-graph keeps the residual stage of its last IMU pass, so the linearization
-at an accepted candidate, whose cost formed that stage, forms only the
-Jacobians; and a marginal prior keeps its last offset.
+No factor repeats an evaluation whose inputs did not change: the graph
+keeps the residual stage of its last IMU pass, so the linearization at an
+accepted candidate, whose cost formed that stage, forms only the
+Jacobians, and a marginal prior keeps its last offset.  A matching factor
+goes further and keeps its rows and terms while its source points stay
+within ``RELOOK_FRACTION`` of a voxel of where its last look-up found them;
+its held quadratic is exact at any pose for those rows and weights.
 
 Every variable is the SensorState of one frame, keyed by the frame's index,
 with a 15-dof tangent (rot, trans, vel, accel bias, gyro bias).
@@ -82,6 +86,9 @@ from .registration import (
 from .preprocess import Frame
 
 STATE_DIM = 15  # tangent dimension of every variable
+# a matching factor looks up again once a source point can have moved this
+# fraction of a voxel since its last look-up
+RELOOK_FRACTION = 0.01
 
 
 class FactorLinearization(NamedTuple):
@@ -189,21 +196,24 @@ class MatchingCostFactor(Factor):
     target voxel map; unary when the target pose is fixed.
 
     The source/target poses are the pose components of the connected
-    states.  The factor holds one record: the keys and voxel rows of its
-    last lookup, and the cost on those rows with the weights frozen where
-    the rows were last found, as a quadratic in the change of the relative
-    pose (``FrozenTerms``).  The graph costs and linearizes all its
-    matching factors together.  A cost (``_matching_costs``) evaluates the
-    held quadratic in O(1); it looks up only if there was no lookup yet.  A
-    linearization (``_matching_blocks``) looks the voxel of every source
-    point up at the given estimate, searching the map only for the points
-    whose packed voxel key changed, and forms new terms at that estimate
-    only when a row changed; it then takes the block from the held
-    quadratic.  So a point crossing a voxel boundary does not make the cost
-    jump between two linearizations, and a linearization that finds the
-    same rows keeps the weights of the one that found them.  With an empty
-    source or map, or fewer than ``min_inliers`` correspondences, the
-    factor contributes nothing and forms no terms.
+    states.  The factor holds one record: the relative pose, keys and
+    voxel rows of its last lookup, and the cost on those rows with the
+    weights frozen where the rows were last found, as a quadratic in the
+    change of the relative pose (``FrozenTerms``).  The graph costs and
+    linearizes all its matching factors together.  A cost
+    (``_matching_costs``) evaluates the held quadratic in O(1); it looks up
+    only if there was no lookup yet.  A linearization (``_matching_blocks``)
+    looks the voxel of every source point up at the given estimate once a
+    point can have moved ``RELOOK_FRACTION`` of a voxel since the last
+    lookup (the source frame's ``reach`` bounds the move), searching the
+    map only for the points whose packed voxel key changed, and forms new
+    terms at that estimate only when a row changed; it then takes the block
+    from the held quadratic.  So a point crossing a voxel boundary does not
+    make the cost jump between two linearizations, a point that left its
+    voxel by less than that fraction may keep its row, and a linearization
+    that finds the same rows keeps the weights of the one that found them.
+    With an empty source or map, or fewer than ``min_inliers``
+    correspondences, the factor contributes nothing and forms no terms.
     """
 
     def __init__(self, key_source: int, source: Frame, target_map: GaussianVoxelMap,
@@ -219,8 +229,8 @@ class MatchingCostFactor(Factor):
         self.min_inliers = min_inliers
         self._empty = (len(source) == 0 or len(target_map) == 0
                        or source.covs is None)
-        # (pose, keys, rows) of the last lookup: the bytes of its relative
-        # pose, and the packed voxel key and voxel row per source point
+        # (rot, trans, keys, rows) of the last look-up: its relative pose,
+        # and the packed voxel key and voxel row per source point
         self._lookup = None
         self._inliers = 0
         # FrozenTerms on the rows of self._lookup; None below min_inliers
@@ -245,18 +255,26 @@ class MatchingCostFactor(Factor):
 
     def _look_up(self, rot: np.ndarray, trans: np.ndarray) -> None:
         """Find every source point's voxel row at the relative pose
-        (rot, trans); re-form the held terms there when a row changed.  At
-        the bits of the last look-up's pose nothing is searched: the rows
-        depend only on the pose, the points and the immutable map."""
-        pose = rot.tobytes() + trans.tobytes()
-        if self._lookup is not None and self._lookup[0] == pose:
-            return
-        known = None if self._lookup is None else self._lookup[1:]
+        (rot, trans); re-form the held terms there when a row changed.
+        Nothing is searched while no source point can have moved more than
+        RELOOK_FRACTION of a voxel since the last look-up: a point p moves
+        by (R - R0) p + (t - t0), whose norm is at most
+        ||R - R0|| reach + ||t - t0||, and for rotations ||R - R0||, the
+        spectral norm, is sqrt(3 - tr(R0^T R)) exactly."""
+        if self._lookup is not None:
+            rot0, trans0, keys, rows = self._lookup
+            spin = np.sqrt(max(0.0, 3.0 - float(np.vdot(rot0, rot))))
+            move = spin * self.source.reach + float(np.linalg.norm(trans - trans0))
+            if move <= RELOOK_FRACTION * self.target_map.resolution:
+                return
+            known = (keys, rows)
+        else:
+            known = None
         keys, rows = self.target_map.look_up(self.source.point_rows, rot, trans,
                                              known)
         same = known is not None and (
             rows is known[1] or np.array_equal(rows, known[1]))
-        self._lookup = (pose, keys, rows)
+        self._lookup = (rot, trans, keys, rows)
         if same:
             return
         self._inliers = int(np.count_nonzero(rows >= 0))
@@ -297,7 +315,8 @@ def _held_terms(factors, values, relook: bool):
     FrozenTerms, rotations and translations) of the matching factors that
     hold terms after their look-ups.  The relative poses come from one
     stacked pass; each factor with a source and a map is looked up there,
-    in factor order, if ``relook`` or if it has no look-up yet."""
+    in factor order, if it has no look-up yet, or if ``relook`` and its
+    points can have moved past its bound (``MatchingCostFactor._look_up``)."""
     if not factors:
         return [], [], np.empty((0, 3, 3)), np.empty((0, 3))
     rots, trans = _relative_poses(factors, values)
@@ -324,11 +343,11 @@ def _matching_costs(factors, values) -> list[float]:
 
 def _matching_blocks(factors, values):
     """The linearization of every matching factor: each looks up, in
-    order, and one stacked ``linearize_from_terms`` takes the blocks of all
-    held terms.  Returns the gradients (K, 12), the Hessians (K, 12, 12)
-    and the costs as Python floats, zero for a factor without terms; a
-    factor with a fixed target takes the source pose's leading 6 and
-    6x6."""
+    order, if its points can have moved past its bound, and one stacked
+    ``linearize_from_terms`` takes the blocks of all held terms.  Returns
+    the gradients (K, 12), the Hessians (K, 12, 12) and the costs as Python
+    floats, zero for a factor without terms; a factor with a fixed target
+    takes the source pose's leading 6 and 6x6."""
     at, held, rots, trans = _held_terms(factors, values, relook=True)
     grad, hess = np.zeros((len(at), 12)), np.zeros((len(at), 12, 12))
     costs = [0.0] * len(at)

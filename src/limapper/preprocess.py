@@ -22,6 +22,7 @@ The two per-point kernels take a general algorithm only where it is needed:
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -127,6 +128,13 @@ class Frame:
     def cov_rows(self) -> np.ndarray:
         """(9, n) C-contiguous storage of ``covs``, entries in row-major order."""
         return self.covs.reshape(-1, 9).T
+
+    @cached_property
+    def reach(self) -> float:
+        """The largest distance of a point from the frame's origin, 0 for an
+        empty frame; formed once per frame."""
+        rows = self.point_rows
+        return float(np.sqrt(np.max(np.einsum("cn,cn->n", rows, rows), initial=0.0)))
 
     def __len__(self) -> int:
         return self.points.shape[0]

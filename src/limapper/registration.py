@@ -42,9 +42,10 @@ one's voxel index into one int64 key and finds the key among the map's
 sorted keys.  Handed the keys and rows of an earlier look-up, it searches
 only the points whose key changed; a row depends only on the key and the
 immutable map, so the result is the same as a full search.
-``MatchingCostFactor`` keeps its last look-up for this, and hands its rows
-to ``match_terms`` only when a row changed; ``overlap_rate`` takes the same
-look-up.
+``MatchingCostFactor`` keeps its last look-up for this.  It looks up again
+only once a source point can have moved ``RELOOK_FRACTION`` of a voxel
+since then, and hands its rows to ``match_terms`` only when a row changed;
+``overlap_rate`` takes the same look-up, every time.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ from limapper.factor_graph import (
     LmSettings,
     MarginalPriorFactor,
     MatchingCostFactor,
+    RELOOK_FRACTION,
     _accumulate,
     _layout,
 )
@@ -46,11 +47,14 @@ from test_odometry import run
 from test_registration import (
     at_pose,
     box_room_frame_plane_covs,
+    conditioned_pair,
     linearize_matching,
     make_frame,
     matching_cost,
     matching_factor_cost,
     reference_linearize,
+    rows_of,
+    terms_at,
 )
 from workloads import loop_spec
 
@@ -302,40 +306,133 @@ class TestOptimize:
                                   graph_b.values[k].pose.translation)
 
 
+def face_pair():
+    """(source, map) on 0.5 m voxels: twelve occupied voxels, one source
+    point near the middle of each, and one source point on the x = 0 face
+    of voxel (0, 0, 0), whose neighbour across that face is empty."""
+    rng = np.random.default_rng(13)
+    cells = np.array([[i, j, k] for i in range(3) for j in range(2)
+                      for k in range(2)], dtype=float)
+    centers = (cells + 0.5) * 0.5
+    target = make_frame(np.repeat(centers, 8, axis=0)
+                        + rng.uniform(-0.2, 0.2, (8 * len(centers), 3)))
+    on_face = np.array([[0.0, 0.2, 0.3]])
+    source = make_frame(np.vstack(
+        [centers + rng.uniform(-0.1, 0.1, centers.shape), on_face]))
+    return source, build_voxelmap(target, 0.5)
+
+
+def shifted(x, y=0.0):
+    """A state at the translation (x, y, 0), unrotated."""
+    return {0: at_pose(Se3Pose(identity_pose().rotation, np.array([x, y, 0.0])))}
+
+
 class TestMatchingCostFactor:
     def test_cost_keeps_correspondences_of_last_linearization(self):
-        rng = np.random.default_rng(13)
-        res = 0.5
-        cells = np.array([[i, j, k] for i in range(3) for j in range(2)
-                          for k in range(2)], dtype=float)
-        centers = (cells + 0.5) * res
-        target = make_frame(np.repeat(centers, 8, axis=0)
-                            + rng.uniform(-0.2, 0.2, (8 * len(centers), 3)))
-        vmap = build_voxelmap(target, res)
-        # one source point per occupied voxel, and one on the x = 0 face of
-        # voxel (0, 0, 0), whose neighbour across that face is empty
-        on_face = np.array([[0.0, 0.2, 0.3]])
-        source = make_frame(np.vstack(
-            [centers + rng.uniform(-0.1, 0.1, centers.shape), on_face]))
+        source, vmap = face_pair()
         f = MatchingCostFactor(0, source, vmap,
                                fixed_target_pose=identity_pose())
         at = {0: zero_state()}
-        nudged = Se3Pose(identity_pose().rotation, np.array([-1e-7, 0.0, 0.0]))
-        at_nudged = {0: at_pose(nudged)}
+        # a nudge far inside the look-up bound and one just past it; each
+        # moves the point on the face out of its voxel
+        bound = RELOOK_FRACTION * vmap.resolution
+        near, far = shifted(-1e-7), shifted(-1.2 * bound)
 
         linearize_matching(f, at)
         assert f.inliers == len(source)
+        rows = rows_of(vmap, source.points)
         c0 = matching_factor_cost(f, at)
-        assert abs(matching_factor_cost(f, at_nudged) - c0) < 1e-6 * c0
-        # a fresh lookup at the nudged pose loses the point on the face
-        fresh, inliers = matching_cost(source, vmap, nudged)
-        assert inliers == len(source) - 1
-        assert abs(fresh - c0) > 1e-3 * c0
+        assert abs(matching_factor_cost(f, near) - c0) < 1e-6 * c0
+        for nudged in (near, far):
+            pose = nudged[0].pose
+            # the cost stays on the rows of the last linearization, where
+            # the weights of an unrotated pose are those it formed
+            kept = terms_at(source, vmap, pose, rows).cost
+            assert matching_factor_cost(f, nudged) == pytest.approx(kept, rel=1e-12)
+            # a fresh lookup at the nudged pose loses the point on the face
+            fresh, inliers = matching_cost(source, vmap, pose)
+            assert inliers == len(source) - 1
+            assert abs(fresh - kept) > 1e-3 * kept
 
-        lin = linearize_matching(f, at_nudged)
+        # inside the bound a linearization keeps the rows
+        lin = linearize_matching(f, near)
+        assert f.inliers == len(source)
+        assert lin.cost == pytest.approx(
+            terms_at(source, vmap, near[0].pose, rows).cost, rel=1e-12)
+        # past it, it looks up again and the point on the face is lost
+        fresh = matching_cost(source, vmap, far[0].pose)[0]
+        lin = linearize_matching(f, far)
         assert f.inliers == len(source) - 1
         assert lin.cost == pytest.approx(fresh, rel=1e-12)
-        assert matching_factor_cost(f, at_nudged) == pytest.approx(fresh, rel=1e-12)
+        assert matching_factor_cost(f, far) == pytest.approx(fresh, rel=1e-12)
+
+    def test_looks_up_again_only_past_the_bound(self):
+        # a move inside the bound since the last look-up makes none and
+        # keeps the held terms; a move past it looks up, and forms new
+        # terms only when a row changed
+        source, vmap = face_pair()
+        f = MatchingCostFactor(0, source, vmap,
+                               fixed_target_pose=identity_pose())
+        bound = RELOOK_FRACTION * vmap.resolution
+        with mock.patch.object(vmap, "look_up", wraps=vmap.look_up) as look_up, \
+                mock.patch.object(factor_graph, "match_terms",
+                                  wraps=factor_graph.match_terms) as terms:
+
+            def linearize_at(values, looks, forms):
+                linearize_matching(f, values)
+                assert (look_up.call_count, terms.call_count) == (looks, forms)
+
+            linearize_at({0: zero_state()}, 1, 1)
+            held = f._held
+            # inside the bound the point on the face keeps its row, which a
+            # look-up there would not find
+            linearize_at(shifted(-0.9 * bound), 1, 1)
+            assert f._held is held and f.inliers == len(source)
+            # past the bound, along the face: every row stays
+            linearize_at(shifted(0.0, 1.1 * bound), 2, 1)
+            assert f._held is held and f.inliers == len(source)
+            # the bound counts from that last look-up
+            linearize_at(shifted(-0.9 * bound, 1.1 * bound), 2, 1)
+            assert f._held is held
+            linearize_at(shifted(-1.2 * bound, 1.1 * bound), 3, 2)
+            assert f._held is not held and f.inliers == len(source) - 1
+            # a turn about the origin by an angle a moves a point at the
+            # frame's reach by up to 2 sin(a / 2) reach
+            for ratio, looks in ((0.9, 3), (1.1, 4)):
+                angle = 2.0 * np.arcsin(ratio * bound / (2.0 * source.reach))
+                turned = Se3Pose(so3_exp([0.0, 0.0, angle]),
+                                 np.array([-1.2 * bound, 1.1 * bound, 0.0]))
+                linearize_matching(f, {0: at_pose(turned)})
+                assert look_up.call_count == looks
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           moves=st.lists(st.tuples(
+               st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+               st.sampled_from([0.1, 0.3, 1.0])), min_size=1, max_size=8))
+    def test_skipped_look_up_moves_no_point_past_the_bound(self, seed, moves):
+        # whenever a linearization makes no look-up, no source point moved
+        # more than RELOOK_FRACTION of a voxel since the last look-up; each
+        # move turns the frame by up to sqrt(3) s bound / reach and shifts
+        # it by up to sqrt(3) s bound, for s = 0.1, 0.3 or 1
+        source, vmap = conditioned_pair(seed)
+        f = MatchingCostFactor(0, source, vmap,
+                               fixed_target_pose=identity_pose(), min_inliers=5)
+        bound = RELOOK_FRACTION * vmap.resolution
+        scale = np.array([bound / source.reach] * 3 + [bound] * 3)
+        pose = looked_at = identity_pose()
+        with mock.patch.object(vmap, "look_up", wraps=vmap.look_up) as look_up:
+            linearize_matching(f, {0: at_pose(pose)})
+            for step, size in moves:
+                pose = pose_retract(pose, np.asarray(step) * size * scale)
+                calls = look_up.call_count
+                linearize_matching(f, {0: at_pose(pose)})
+                if look_up.call_count > calls:
+                    looked_at = pose
+                    continue
+                moved = ((pose.rotation.matrix() - looked_at.rotation.matrix())
+                         @ source.point_rows).T + (pose.translation
+                                                   - looked_at.translation)
+                assert np.linalg.norm(moved, axis=1).max() <= bound * (1 + 1e-9)
 
     def test_below_min_inliers_contributes_nothing(self, monkeypatch):
         # every lookup or evaluation the factors make goes through this

@@ -9,7 +9,11 @@ from hypothesis import strategies as st
 
 from limapper import factor_graph
 from limapper.errors import VoxelKeyOutOfRange
-from limapper.factor_graph import FactorLinearization, MatchingCostFactor
+from limapper.factor_graph import (
+    RELOOK_FRACTION,
+    FactorLinearization,
+    MatchingCostFactor,
+)
 from limapper.geometry import (
     Se3Pose,
     SensorState,
@@ -32,7 +36,7 @@ from limapper.registration import (
     overlap_rate,
 )
 
-from test_geometry import identity_pose, pose_apply
+from test_geometry import identity_pose, pose_apply, rotation_angle
 
 
 def make_frame(points, covs=None, rng=None, iso=0.01):
@@ -944,9 +948,10 @@ class TestMapRowStorage:
 # pose steps: each a direction, a scale and whether the cost is taken
 # before the linearization; the large scale turns the source by up to 0.1
 # rad and moves it by up to 0.2 m per axis, so points cross faces of the
-# 0.5 m voxels, and the small one mostly keeps every row
+# 0.5 m voxels, the middle one moves a point by about the look-up bound
+# (RELOOK_FRACTION of a voxel), and the small one stays well inside it
 steps = st.lists(st.tuples(st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
-                           st.sampled_from([1e-3, 1.0]), st.booleans()),
+                           st.sampled_from([1e-3, 1e-2, 1.0]), st.booleans()),
                  min_size=2, max_size=8)
 
 
@@ -995,12 +1000,17 @@ def frozen_reference(source, vmap, rows, held_at, t_ij, target_fixed):
 class TestFrozenTerms:
     @given(seed=seeds, path=steps, unary=st.booleans())
     def test_factor_equals_frozen_reference_and_fresh_factor(self, seed, path, unary):
-        # the factor re-forms its terms only when a row changed, and then
-        # equals a factor built at that pose bit for bit; between changes
-        # it keeps the weights of the last change and moves only the points
+        # the factor looks up again only once a source point can have moved
+        # RELOOK_FRACTION of a voxel since its last look-up, by the bound
+        # 2 sin(angle / 2) reach + |shift| of that move; it re-forms its
+        # terms only when a look-up changed a row, and then equals a factor
+        # built at that pose bit for bit; between changes it keeps the
+        # weights of the last change and moves only the points
         source, vmap = conditioned_pair(seed)
         key_i, key_j = 0, 1
         t_j = Se3Pose(so3_exp([0.2, -0.1, 0.3]), np.array([1.0, -2.0, 0.5]))
+        reach = np.linalg.norm(source.points, axis=1).max()
+        bound = RELOOK_FRACTION * vmap.resolution
 
         def build():
             if unary:
@@ -1010,28 +1020,38 @@ class TestFrozenTerms:
                                       min_inliers=5)
 
         factor = build()
-        t_i, rows, held_at = t_j, None, None
+        t_i, rows, held_at, looked_at = t_j, None, None, None
         with mock.patch.object(factor_graph, "match_terms",
-                               wraps=factor_graph.match_terms) as spy:
+                               wraps=factor_graph.match_terms) as spy, \
+                mock.patch.object(vmap, "look_up", wraps=vmap.look_up) as look_up:
             for step, scale, cost_first in path:
                 t_i = pose_retract(t_i, np.asarray(step) * scale
                                    * [0.1, 0.1, 0.1, 0.2, 0.2, 0.2])
                 values = {key_i: at_pose(t_i), key_j: at_pose(t_j)}
                 t_ij = pose_compose(pose_inverse(t_j), t_i)
                 if cost_first and rows is not None:
-                    calls = spy.call_count
+                    calls = spy.call_count, look_up.call_count
                     matching_factor_cost(factor, values)  # on the held quadratic
-                    assert spy.call_count == calls
-                moved = (t_ij.rotation.matrix() @ source.point_rows).T + t_ij.translation
-                found = rows_of(vmap, moved)
-                changed = rows is None or not np.array_equal(found, rows)
-                if changed:
-                    rows, held_at = found, t_ij
-                calls = spy.call_count
+                    assert (spy.call_count, look_up.call_count) == calls
+                relook = looked_at is None or (
+                    2.0 * np.sin(0.5 * rotation_angle(looked_at.rotation,
+                                                      t_ij.rotation)) * reach
+                    + np.linalg.norm(t_ij.translation - looked_at.translation)
+                    > bound)
+                changed = False
+                if relook:
+                    looked_at = t_ij
+                    found = rows_of(vmap, (t_ij.rotation.matrix() @ source.point_rows).T
+                                    + t_ij.translation)
+                    changed = rows is None or not np.array_equal(found, rows)
+                    if changed:
+                        rows, held_at = found, t_ij
+                calls = spy.call_count, look_up.call_count
                 lin = linearize_matching(factor, values)
                 inliers = int(np.count_nonzero(rows >= 0))
                 assert factor.inliers == inliers
-                assert spy.call_count == calls + (changed and inliers >= 5)
+                assert spy.call_count == calls[0] + (changed and inliers >= 5)
+                assert look_up.call_count == calls[1] + relook
                 assert matching_factor_cost(factor, values) == lin.cost
                 if inliers < 5:
                     assert factor._held is None and lin.cost == 0.0
