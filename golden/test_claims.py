@@ -21,9 +21,9 @@ def ate_rmse(scene, results) -> float:
 
 
 def test_keyframe_factors_keep_the_drift_low(two_laps, monkeypatch):
-    # measured on two laps at seed 1: ATE 8.25 mm with the keyframe factors
-    # and 27.91 mm without them (ratio 0.295), in runs of about 19 s and
-    # 14 s; the bound on the ratio is 0.5
+    # measured on two laps at seed 1: ATE 4.19 mm with the keyframe factors
+    # and 30.89 mm without them (ratio 0.136), in runs of about 12 s and
+    # 9 s; the bound on the ratio is 0.5
     scene, _, kept, _, _ = two_laps
     hits = odometry.matching_hits
 

@@ -235,7 +235,8 @@ class OdometryEstimator:
         return estimate_covariances(frame, cfg.plane_eps)
 
     def _overlap(self, a: WindowFrame, b: WindowFrame) -> float:
-        """Fraction of a's points in occupied voxels of b's map."""
+        """Fraction of a's points in occupied voxels of b's map or in their
+        face neighbours."""
         rel = pose_compose(pose_inverse(b.state.pose), a.state.pose)
         return overlap_rate(a.frame, b.voxelmap, rel)
 
@@ -379,7 +380,15 @@ class OdometryEstimator:
 
     def _keyframe_update(self, rec: WindowFrame) -> None:
         """Apply the three keyframe rules to rec, forming each overlap
-        o(a, b) (the fraction of a's points in b's occupied voxels) once.
+        o(a, b) once: the fraction of a's points whose voxel, or one of its
+        six face neighbours, is occupied in b's map.  On sparse scans the
+        points of a wall lie about a voxel apart, so counting only the
+        points in occupied voxels would read below the insert threshold on
+        nearly every scan and fill the set with the last few scans.
+
+        Every target b is a keyframe, or rec as it joins the set, so only
+        keyframes' maps form the near-key table that the overlap searches;
+        each forms it once, on its first overlap, and drops it with the map.
 
         Insertion: rec becomes a keyframe if the set is empty or
         o(rec, newest keyframe), one overlap, is below

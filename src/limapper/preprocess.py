@@ -33,6 +33,7 @@ from .imu import GRAVITY, integrate
 
 # voxel indices are packed into a single int64, 21 bits per axis
 _KEY_OFFSET = 1 << 20
+_KEY_FIELD = (1 << 21) - 1
 
 # Relative step between consecutive kNN distances below which a row counts as
 # tied.  The tree and the re-sort each form a squared distance from rounded
@@ -170,6 +171,20 @@ def pack_voxel_keys(points: np.ndarray, resolution: float) -> np.ndarray:
             f"voxel index outside [-2^20, 2^20) at {resolution} m")
     idx = cells.astype(np.int64) + _KEY_OFFSET
     return (idx[:, 0] << 42) | (idx[:, 1] << 21) | idx[:, 2]
+
+
+def face_neighbour_keys(keys: np.ndarray) -> np.ndarray:
+    """The packed keys of the six face neighbours of each packed voxel key,
+    axis by axis.  A neighbour whose index leaves [-2^20, 2^20) on its axis
+    is left out: its field would carry into, or borrow from, the next
+    axis's bits and name another cell."""
+    out = []
+    for shift in (42, 21, 0):
+        field = (keys >> shift) & _KEY_FIELD
+        step = 1 << shift
+        out.append(keys[field < _KEY_FIELD] + step)
+        out.append(keys[field > 0] - step)
+    return np.concatenate(out)
 
 
 def group_by_key(keys: np.ndarray):

@@ -44,18 +44,33 @@ only the points whose key changed; a row depends only on the key and the
 immutable map, so the result is the same as a full search.
 ``MatchingCostFactor`` keeps its last look-up for this.  It looks up again
 only once a source point can have moved ``RELOOK_FRACTION`` of a voxel
-since then, and hands its rows to ``match_terms`` only when a row changed;
-``overlap_rate`` takes the same look-up, every time.
+since then, and hands its rows to ``match_terms`` only when a row changed.
+
+``overlap_rate``, the keyframe rules' measure, needs no rows: it counts
+the points whose voxel or one of its six face neighbours is occupied.  On
+sparse scans the points of a surface lie about a voxel apart, so a point
+of a surface the map saw often lands one cell beside its occupied cells.
+It moves and packs the points as a look-up does and searches the packed
+keys in the map's near-key table (``GaussianVoxelMap.near_keys``): the
+occupied cells and their face neighbours, sorted, formed on the first
+overlap against the map and dropped with it.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .geometry import Se3Pose, so3_hat, so3_hat_batch
-from .preprocess import Frame, group_by_key, pack_voxel_keys, segment_sums
+from .preprocess import (
+    Frame,
+    face_neighbour_keys,
+    group_by_key,
+    pack_voxel_keys,
+    segment_sums,
+)
 
 
 class GaussianVoxelMap:
@@ -63,9 +78,9 @@ class GaussianVoxelMap:
 
     Cells are sorted by packed voxel key, so that a batched lookup is one
     searchsorted; ``look_up`` moves, packs and searches a frame's points
-    for matching and the overlap alike.  Values are stored as C-contiguous
-    rows: ``mean_rows`` (3, M) and ``cov_rows`` (6, M), the unique entries
-    (xx, xy, xz, yy, yz, zz), the only ones matching reads.
+    for matching.  Values are stored as C-contiguous rows: ``mean_rows``
+    (3, M) and ``cov_rows`` (6, M), the unique entries (xx, xy, xz, yy, yz,
+    zz), the only ones matching reads.
     """
 
     def __init__(self, resolution: float, keys: np.ndarray,
@@ -86,9 +101,7 @@ class GaussianVoxelMap:
         of an earlier look-up of the same points in this map: only the keys
         that differ from it are searched, and its rows come back as they are
         when none does."""
-        moved = rot @ point_rows
-        moved += trans[:, None]
-        keys = pack_voxel_keys(moved.T, self.resolution)
+        keys = _moved_keys(point_rows, rot, trans, self.resolution)
         if known is None:
             return keys, self._search(keys)
         old_keys, rows = known
@@ -98,14 +111,32 @@ class GaussianVoxelMap:
             rows[changed] = self._search(keys[changed])
         return keys, rows
 
+    @cached_property
+    def near_keys(self) -> np.ndarray:
+        """The sorted keys of the occupied cells and of their face
+        neighbours, at most 7 per cell; formed once, on first use."""
+        return np.unique(np.concatenate([self.keys, face_neighbour_keys(self.keys)]))
+
     def _search(self, keys: np.ndarray) -> np.ndarray:
         if len(self) == 0 or keys.shape[0] == 0:
             return np.full(keys.shape[0], -1, dtype=np.int64)
-        pos = np.searchsorted(self.keys, keys)
-        np.minimum(pos, len(self) - 1, out=pos)  # searchsorted is never negative
-        hit = self.keys[pos] == keys
+        pos, hit = _find(self.keys, keys)
         return np.where(hit, pos, -1)
 
+
+def _moved_keys(point_rows: np.ndarray, rot: np.ndarray, trans: np.ndarray,
+                resolution: float) -> np.ndarray:
+    """Packed voxel key of each point of the (3, n) rows moved by (rot, trans)."""
+    moved = rot @ point_rows
+    moved += trans[:, None]
+    return pack_voxel_keys(moved.T, resolution)
+
+
+def _find(table: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(position, found) of each key in the sorted, non-empty table."""
+    pos = np.searchsorted(table, keys)
+    np.minimum(pos, table.shape[0] - 1, out=pos)  # searchsorted is never negative
+    return pos, table[pos] == keys
 
 
 def build_voxelmap(frame: Frame, resolution: float) -> GaussianVoxelMap:
@@ -150,11 +181,13 @@ _ADJ = np.array([[3, 2, 1, 0, 1, 0], [5, 4, 4, 5, 2, 3],
 
 
 def overlap_rate(frame: Frame, vmap: GaussianVoxelMap, t_ij: Se3Pose) -> float:
-    """Fraction of frame points landing in occupied voxels of the map."""
+    """Fraction of frame points, moved by t_ij, whose voxel or one of its
+    six face neighbours is occupied in the map."""
     if len(frame) == 0 or len(vmap) == 0:
         return 0.0
-    _, rows = vmap.look_up(frame.point_rows, t_ij.rotation.matrix(), t_ij.translation)
-    return float(np.count_nonzero(rows >= 0)) / len(frame)
+    keys = _moved_keys(frame.point_rows, t_ij.rotation.matrix(), t_ij.translation,
+                       vmap.resolution)
+    return float(np.count_nonzero(_find(vmap.near_keys, keys)[1])) / len(frame)
 
 
 def _change_jacobian(change: np.ndarray) -> np.ndarray:

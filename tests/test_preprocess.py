@@ -27,6 +27,7 @@ from limapper.preprocess import (
     _cross_rows,
     deskew,
     estimate_covariances,
+    face_neighbour_keys,
     frame_from_scan,
     knn_search,
     pack_voxel_keys,
@@ -257,6 +258,25 @@ class TestPackVoxelKeys:
             pack_voxel_keys(points, 0.25)
         with pytest.raises(VoxelKeyOutOfRange):
             voxel_downsample(scan_of(points, [0.0, 0.0]), 0.25)
+
+
+class TestFaceNeighbourKeys:
+    def test_keys_of_the_in_range_face_neighbours(self):
+        # each neighbour's key is the key of a point at its centre; one
+        # outside [-2^20, 2^20) on its axis is left out, so that its field
+        # does not carry into, or borrow from, the next axis's bits
+        top, bottom = 2**20 - 1, -2**20
+        rng = np.random.default_rng(4)
+        cells = np.vstack([[[0, 0, 0], [bottom, 5, top], [top, top, bottom],
+                            [bottom, bottom, bottom], [top, top, top]],
+                           rng.integers(-50, 50, (20, 3))])
+        steps = np.vstack([np.eye(3, dtype=np.int64), -np.eye(3, dtype=np.int64)])
+        near = (cells[:, None, :] + steps[None]).reshape(-1, 3)
+        near = near[((near >= bottom) & (near <= top)).all(axis=1)]
+        assert near.shape[0] == 6 * cells.shape[0] - 11
+        expected = pack_voxel_keys((near + 0.5) * 0.25, 0.25)
+        keys = face_neighbour_keys(pack_voxel_keys((cells + 0.5) * 0.25, 0.25))
+        assert np.array_equal(np.sort(keys), np.sort(expected))
 
 
 class TestKnn:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from limapper import factor_graph
+from limapper import factor_graph, registration
 from limapper.errors import VoxelKeyOutOfRange
 from limapper.factor_graph import (
     RELOOK_FRACTION,
@@ -29,6 +29,7 @@ from limapper.registration import (
     _JAC_OFFSET,
     _Q_INDEX,
     FrozenTerms,
+    GaussianVoxelMap,
     build_voxelmap,
     frozen_cost,
     linearize_from_terms,
@@ -431,6 +432,67 @@ class TestOverlap:
         empty = make_frame(np.zeros((0, 3)), covs=np.zeros((0, 3, 3)))
         target = make_frame([[0, 0, 0]])
         assert overlap_rate(empty, build_voxelmap(target, 0.5), identity_pose()) == 0.0
+
+
+    def test_empty_map_zero(self):
+        source = make_frame([[0.1, 0.2, 0.3]])
+        empty = build_voxelmap(make_frame(np.zeros((0, 3)), covs=np.zeros((0, 3, 3))), 0.5)
+        assert overlap_rate(source, empty, identity_pose()) == 0.0
+
+    @pytest.mark.parametrize("offset, counts", [
+        ([1, 0, 0], True), ([0, -1, 0], True), ([0, 0, 1], True),
+        ([1, 1, 0], False), ([1, -1, 1], False), ([2, 0, 0], False),
+        ([0, 0, -2], False)])
+    def test_a_face_neighbour_counts_and_no_other_cell(self, offset, counts):
+        vmap = build_voxelmap(make_frame([[0.5, 0.5, 0.5]]), 1.0)
+        source = make_frame([np.add([0.5, 0.5, 0.5], offset)])
+        assert overlap_rate(source, vmap, identity_pose()) == float(counts)
+
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_no_alias_across_the_key_range_edge(self, axis):
+        # a cell at the top of the range on an axis would, one step up, carry
+        # into the previous axis: (.., y, top) + 1 on z packs as (.., y + 1,
+        # bottom); likewise one step down from the bottom borrows
+        top, bottom = 2**20 - 0.5, -2**20 + 0.5
+        for edge, other, step in ((top, bottom, 1), (bottom, top, -1)):
+            cell = np.array([3.5, 3.5, 3.5])
+            cell[axis] = edge
+            alias = cell.copy()
+            alias[axis] = other
+            alias[axis - 1] += step
+            vmap = build_voxelmap(make_frame([cell]), 1.0)
+            assert overlap_rate(make_frame([alias]), vmap, identity_pose()) == 0.0
+            inside = cell.copy()
+            inside[axis] -= step
+            assert overlap_rate(make_frame([inside]), vmap, identity_pose()) == 1.0
+
+    def test_counts_the_points_within_one_face_step_of_an_occupied_cell(self):
+        rng = np.random.default_rng(8)
+        target = make_frame(rng.uniform(-3, 3, (60, 3)))
+        source = make_frame(rng.uniform(-3, 3, (200, 3)))
+        occupied = np.floor(target.points / 0.5)
+        cells = np.floor(source.points / 0.5)
+        steps = np.abs(cells[:, None, :] - occupied[None]).sum(axis=2)
+        expected = np.count_nonzero(steps.min(axis=1) <= 1) / 200
+        vmap = build_voxelmap(target, 0.5)
+        assert overlap_rate(source, vmap, identity_pose()) == expected
+        assert 0.0 < expected < 1.0
+
+    def test_near_key_table_is_formed_once_per_map_without_a_look_up(self):
+        rng = np.random.default_rng(9)
+        maps = [build_voxelmap(make_frame(rng.uniform(-3, 3, (80, 3))), 0.5)
+                for _ in range(2)]
+        source = make_frame(rng.uniform(-3, 3, (50, 3)))
+        with mock.patch.object(registration, "face_neighbour_keys",
+                               wraps=registration.face_neighbour_keys) as formed, \
+                mock.patch.object(GaussianVoxelMap, "look_up") as look_up:
+            for k in range(3):
+                pose = Se3Pose(so3_exp([0.0, 0.0, 0.1 * k]), np.array([0.1 * k, 0.0, 0.0]))
+                for vmap in maps:
+                    overlap_rate(source, vmap, pose)
+        assert formed.call_count == 2
+        assert all(c.args[0] is m.keys for c, m in zip(formed.call_args_list, maps))
+        assert look_up.call_count == 0
 
 
 def box_room_frame(rng, n_per_wall=120, size=(6.0, 5.0, 3.0), jitter=0.0,
