@@ -65,6 +65,8 @@ class PipelineConfig:
                  "recent_frame_links must not be negative")
         _require(odo.min_inliers >= 1, "odometry.min_inliers",
                  "a matching factor needs at least 1 inlier")
+        for name in ("init_window", "init_gyro_limit"):
+            _require(getattr(odo, name) > 0, f"odometry.{name}", "must be positive")
         # a plane through a point's neighbourhood needs 3 points to be defined
         _require(pre.knn >= 3, "preprocess.knn", "knn must be at least 3")
         for name in ("downsample_resolution", "plane_eps", "max_imu_gap"):
@@ -81,6 +83,8 @@ class PipelineConfig:
         for name in ("accel_noise_density", "gyro_noise_density",
                      "accel_bias_walk", "gyro_bias_walk"):
             _require(getattr(self.imu, name) > 0, f"imu.{name}", "must be positive")
+        # the bootstrap aligns the specific force with +z, so gravity points down
+        _require(self.imu.gravity_z < 0, "imu.gravity_z", "gravity must point along -z")
 
 
 def _require(ok: bool, key: str, message: str) -> None:

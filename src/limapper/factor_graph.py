@@ -652,7 +652,9 @@ class FactorGraph:
         The undamped system H of the last assembly, with its key slices, is
         held for marginal_covariance until the next solve, also when
         NotConverged ends this one.  It is linearized at the estimate of
-        that iteration, which an accepted step may have moved since.
+        that iteration, which an accepted step may have moved since.  The
+        odometry reads no covariance; only a caller of marginal_covariance,
+        such as a local mapping stage, pays for factorizing H.
         """
         settings = settings or LmSettings()
         self.check_structure()

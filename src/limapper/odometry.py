@@ -6,7 +6,9 @@ with covariances, and tied into the window graph with a preintegrated-motion
 factor to the previous frame, matching-cost factors to the last few frames
 and to every keyframe (unary against keyframes whose states have been
 marginalized out), then the window is re-optimized.  Frames leaving the lag
-window are folded into a dense marginal prior and handed downstream.
+window are folded into a dense marginal prior; a keyframe among them stays
+on as a matching target.  Nothing is handed downstream until a local mapping
+stage exists to read it.
 """
 
 from __future__ import annotations
@@ -51,10 +53,6 @@ from .preprocess import (
     voxel_downsample,
 )
 from .registration import GaussianVoxelMap, build_voxelmap, overlap_rate
-
-# velocity and bias prior strengths handed downstream when the window's
-# normal equations cannot be factorized
-FALLBACK_VEL_BIAS_SIGMA = np.concatenate([np.full(3, 0.5), np.full(6, 0.05)])
 
 
 def initialize_from_rest(samples, gravity, window: float = 0.5,
@@ -145,36 +143,22 @@ class WindowFrame:
 
     A keyframe is a window frame that stays on as a matching target after
     it is marginalized; the keyframe set holds the same objects as the
-    window, so membership tests go by identity.  Once marginalized, a frame
-    keeps only its voxel map and the points, stamps and span of ``frame``.
-    The index keys the frame's state in the window graph, the scan span is
-    read from ``frame``, and an empty frame has an empty voxel map.
+    window, so membership tests go by identity.  The index keys the frame's
+    state in the window graph while it is there; a frame whose index the
+    graph no longer holds is marginalized, and keeps only its voxel map and
+    the points, stamps and span of ``frame``.  The scan span is read from
+    ``frame``, and an empty frame has an empty voxel map.
     """
 
     index: int
     frame: Frame  # deskewed, covariances attached until marginalized
     voxelmap: GaussianVoxelMap
     state: SensorState  # window estimate; final once marginalized
-    marginalized: bool = False
-
-
-@dataclass
-class MarginalizedFrame:
-    """Frame leaving the odometry window: its index, its final state and
-    the prior strengths of its velocity and biases, from the window's
-    marginal covariance.  A local mapping stage that re-deskews against the
-    final state brings the pre-deskew cloud back with it.
-    """
-
-    frame_index: int
-    state: SensorState
-    vel_bias_sigma: np.ndarray  # (9,) prior strengths for velocity and bias
 
 
 @dataclass
 class OdometryResult:
     state: SensorState
-    marginalized: list
     warning: str | None = None
 
 
@@ -287,9 +271,8 @@ class OdometryEstimator:
         if len(rec.frame):
             self._keyframe_update(rec)
 
-        marginalized = self._marginalize_old_frames()
-        return OdometryResult(state=rec.state, marginalized=marginalized,
-                              warning="; ".join(warnings) or None)
+        self._marginalize_old_frames()
+        return OdometryResult(state=rec.state, warning="; ".join(warnings) or None)
 
     def _prepare(self, scan: RawScan, imu_samples) -> tuple[WindowFrame, list, int]:
         """The scan's window frame, the factors that tie it in (a prior at
@@ -361,7 +344,7 @@ class OdometryEstimator:
         targets = recent + [kf for kf in self.keyframes if kf not in recent]
         candidates, needed = [], []
         for target in targets:
-            if target.marginalized:
+            if target.index not in self.graph.values:
                 candidates.append(MatchingCostFactor(
                     rec.index, rec.frame, target.voxelmap,
                     fixed_target_pose=target.state.pose,
@@ -436,26 +419,14 @@ class OdometryEstimator:
 
     # -- marginalization -------------------------------------------------------------------
 
-    def _marginalize_old_frames(self) -> list:
-        out = []
+    def _marginalize_old_frames(self) -> None:
+        """Fold the frames past the lag into the marginal prior, oldest
+        first.  A frame leaves the window only once marginalize succeeded,
+        so a failure keeps window and graph in step."""
         while len(self._window) > self.config.odometry.smoothing_lag:
-            out.append(self._emit_oldest())
-        return out
-
-    def _emit_oldest(self) -> MarginalizedFrame:
-        """Hand the oldest frame downstream; it leaves the window only once
-        marginalize succeeded, so a failure keeps window and graph in step."""
-        rec = self._window[0]
-        try:
-            cov = self.graph.marginal_covariance(rec.index)
-            sigmas = np.sqrt(np.clip(np.diag(cov)[6:15], 1e-12, None))
-        except np.linalg.LinAlgError:
-            sigmas = FALLBACK_VEL_BIAS_SIGMA.copy()
-        self.graph.marginalize([rec.index])
-        del self._window[0]
-        rec.marginalized = True
-        # a keyframe is only a target map, and the overlap reads its points:
-        # it keeps the points, stamps and span, and drops the rest
-        rec.frame = replace(rec.frame, neighbors=None, covs=None)
-        return MarginalizedFrame(frame_index=rec.index, state=rec.state,
-                                 vel_bias_sigma=sigmas)
+            rec = self._window[0]
+            self.graph.marginalize([rec.index])
+            del self._window[0]
+            # a keyframe is only a target map, and the overlap reads its
+            # points: it keeps the points, stamps and span, and drops the rest
+            rec.frame = replace(rec.frame, neighbors=None, covs=None)

@@ -41,6 +41,17 @@ class TestBadValues:
         ("preprocess", "plane_eps", 0.0, "plane_eps"),
         ("preprocess", "max_imu_gap", -0.02, "max_imu_gap"),
         ("preprocess", "downsample_resolution", float("nan"), "downsample_resolution"),
+        # a NaN gravity let numpy's LinAlgError escape every process_frame
+        ("imu", "gravity_z", float("nan"), "gravity_z"),
+        # the bootstrap assumes gravity along -z: +g let the estimate climb
+        ("imu", "gravity_z", 9.80665, "gravity_z"),
+        ("imu", "gravity_z", 0.0, "gravity_z"),
+        # a NaN window made every bootstrap raise InitializationMotion
+        ("odometry", "init_window", float("nan"), "init_window"),
+        ("odometry", "init_window", 0.0, "init_window"),
+        # a NaN limit switched the bootstrap's motion check off
+        ("odometry", "init_gyro_limit", float("nan"), "init_gyro_limit"),
+        ("odometry", "init_gyro_limit", -0.05, "init_gyro_limit"),
     ])
     def test_validate_rejects(self, section, name, value, match):
         config = PipelineConfig()
@@ -83,6 +94,9 @@ class TestInvalidConfig:
         ("optimizer", "update_tol", -1.0, "optimizer.update_tol"),
         ("odometry", "voxel_resolution", 0.0, "odometry.voxel_resolution"),
         ("imu", "gyro_bias_walk", 0.0, "imu.gyro_bias_walk"),
+        ("imu", "gravity_z", float("nan"), "imu.gravity_z"),
+        ("odometry", "init_window", float("nan"), "odometry.init_window"),
+        ("odometry", "init_gyro_limit", float("nan"), "odometry.init_gyro_limit"),
     ])
     def test_names_the_key(self, section, name, value, key):
         config = PipelineConfig()

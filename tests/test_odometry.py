@@ -20,15 +20,10 @@ from limapper.errors import (
     VoxelKeyOutOfRange,
 )
 from limapper.evaluation import compute_ate
-from limapper.factor_graph import (
-    FactorGraph,
-    MarginalPriorFactor,
-    _accumulate,
-    _layout,
-)
+from limapper.factor_graph import FactorGraph, MarginalPriorFactor
 from limapper.geometry import state_local, state_retract
 from limapper.imu import ImuSample
-from limapper.odometry import FALLBACK_VEL_BIAS_SIGMA, OdometryEstimator
+from limapper.odometry import OdometryEstimator
 from limapper.preprocess import RawScan
 from limapper.registration import match_terms, overlap_rate
 from limapper.synthetic import generate_synthetic_scene, square_loop_scene
@@ -56,13 +51,11 @@ def run(scene, config=None, n_scans=None):
 
 def outputs(est, results):
     """What a run hands back and keeps, in a form compared bit for bit."""
-    per_scan = [(state_vector(r.state).tobytes(), r.warning,
-                 [(m.frame_index, state_vector(m.state).tobytes(),
-                   m.vel_bias_sigma.tobytes()) for m in r.marginalized])
-                for r in results]
+    per_scan = [(state_vector(r.state).tobytes(), r.warning) for r in results]
     keyframes = [(e["frame_index"], e["inserted"], e["dropped_low_overlap"])
                  for e in est.keyframe_events]
-    return per_scan, keyframes, [f.kind for f in est.graph.factors]
+    return (per_scan, keyframes, [f.kind for f in est.graph.factors],
+            list(est.graph.values))
 
 
 def fingerprint(est):
@@ -162,11 +155,12 @@ class TestMarginalizedKeyframes:
         # a keyframe is only a target map once marginalized, and the overlap
         # reads its points; the neighbours and covariances go with the state
         est, _ = run(loop_scene)
-        marginalized = [kf for kf in est.keyframes if kf.marginalized]
-        assert marginalized and any(not kf.marginalized for kf in est.keyframes)
+        marginalized = [kf for kf in est.keyframes
+                        if kf.index not in est.graph.values]
+        assert marginalized and len(marginalized) < len(est.keyframes)
         for kf in est.keyframes:
             frame = kf.frame
-            if kf.marginalized:
+            if kf in marginalized:
                 assert frame.covs is None and frame.neighbors is None
                 assert_row_storage(frame)
             else:
@@ -208,40 +202,15 @@ class TestKeyframeScoring:
         assert checked == 6
 
 
-class TestMarginalCovarianceFallback:
-    @staticmethod
-    def short_lag():
-        config = PipelineConfig()
-        config.odometry.smoothing_lag = 1  # the second scan emits the first
-        return config
-
-    def test_singular_window_gives_fallback_sigmas(self, loop_scene, monkeypatch):
-        def singular(self, key):
-            raise np.linalg.LinAlgError("not positive definite")
-
-        monkeypatch.setattr(FactorGraph, "marginal_covariance", singular)
-        _, results = run(loop_scene, self.short_lag(), n_scans=3)
-        emitted = [m for r in results for m in r.marginalized]
-        assert len(emitted) == 2
-        for m in emitted:
-            assert np.array_equal(m.vel_bias_sigma, FALLBACK_VEL_BIAS_SIGMA)
-
-    def test_other_errors_propagate(self, loop_scene, monkeypatch):
-        def broken(self, key):
-            raise KeyError(key)
-
-        monkeypatch.setattr(FactorGraph, "marginal_covariance", broken)
-        with pytest.raises(KeyError):
-            run(loop_scene, self.short_lag(), n_scans=3)
-
-
 class TestFailedMarginalization:
     def test_window_and_graph_stay_in_step(self, loop_scene, monkeypatch):
         def disconnected(self, keys):
             raise DisconnectedGraph("probe")
 
         monkeypatch.setattr(FactorGraph, "marginalize", disconnected)
-        est = OdometryEstimator(TestMarginalCovarianceFallback.short_lag())
+        config = PipelineConfig()
+        config.odometry.smoothing_lag = 1  # the second scan marginalizes the first
+        est = OdometryEstimator(config)
         batches = imu_batches(loop_scene, est.config.odometry.init_window)
         est.process_frame(loop_scene.scans[0], batches[0])
         with pytest.raises(DisconnectedGraph):
@@ -249,42 +218,23 @@ class TestFailedMarginalization:
         # the frame that could not be marginalized is still in both
         assert [f.index for f in est._window] == list(est.graph.values)
         assert est._window[0].index == 0
-        assert not est._window[0].marginalized
 
 
-class TestHandOff:
-    def test_every_frame_past_the_lag_is_emitted_once_in_order(self, loop_scene):
-        est, results = run(loop_scene)
-        emitted = [m.frame_index for r in results for m in r.marginalized]
+class TestWindow:
+    def test_holds_the_graph_keys_and_frames_past_the_lag_leave_once_in_order(
+            self, loop_scene):
+        est = OdometryEstimator()
         lag = est.config.odometry.smoothing_lag
-        assert emitted == list(range(len(loop_scene.scans) - lag))
-
-
-class TestEmittedSigmas:
-    def test_close_to_a_fresh_assembly(self, loop_scene, monkeypatch):
-        # the sigmas come from the last solve's system, which an accepted
-        # step may have left; a fresh assembly of the window at its final
-        # values moves them by at most 5.2e-5 relative (measured); the bound
-        # is ten times that
-        held = FactorGraph.marginal_covariance
-        worst = []
-
-        def compare(self, key):
-            cov = held(self, key)
-            slices, dim = _layout(self.values)
-            # linearize copies, so the matching factors keep their own
-            # correspondences and the run is not disturbed
-            h, _, _ = _accumulate([copy.copy(f) for f in self.factors],
-                                  self.values, slices, dim)
-            fresh = np.linalg.inv(h)[slices[key], slices[key]]
-            a, b = (np.sqrt(np.diag(c)[6:15]) for c in (cov, fresh))
-            worst.append(np.max(np.abs(a - b) / b))
-            return cov
-
-        monkeypatch.setattr(FactorGraph, "marginal_covariance", compare)
-        run(loop_scene)
-        assert len(worst) == 14 - 5
-        assert max(worst) < 5.2e-4
+        batches = imu_batches(loop_scene, est.config.odometry.init_window)
+        left, before = [], []
+        for k, (scan, batch) in enumerate(zip(loop_scene.scans, batches)):
+            est.process_frame(scan, batch)
+            window = [f.index for f in est._window]
+            assert window == list(est.graph.values)
+            assert len(window) <= lag
+            left += [i for i in before + [k] if i not in window]
+            before = window
+        assert left == list(range(len(loop_scene.scans) - lag))
 
 
 class TestImuFaultAfterBootstrap:
