@@ -13,6 +13,7 @@ with the entry point that reads it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 from .errors import InvalidConfig
 from .factor_graph import LmSettings
@@ -50,8 +51,16 @@ class PipelineConfig:
 
     def validate(self) -> None:
         """Raise InvalidConfig, naming the key, for the first value out of
-        range.  Comparisons are written so that NaN fails them."""
+        range.  Comparisons are written so that NaN fails them, and a count
+        must be an integer (numpy's too)."""
         pre, odo, opt = self.preprocess, self.odometry, self.optimizer
+        for key, value in (("preprocess.knn", pre.knn),
+                           ("odometry.max_keyframes", odo.max_keyframes),
+                           ("odometry.recent_frame_links", odo.recent_frame_links),
+                           ("odometry.smoothing_lag", odo.smoothing_lag),
+                           ("odometry.min_inliers", odo.min_inliers),
+                           ("optimizer.max_iterations", opt.max_iterations)):
+            _require(isinstance(value, Integral), key, "must be an integer")
         _require(0.0 < odo.keyframe_insert_overlap < 1.0,
                  "odometry.keyframe_insert_overlap", "insert overlap must lie in (0, 1)")
         _require(0.0 < odo.keyframe_drop_overlap < odo.keyframe_insert_overlap,
@@ -73,12 +82,6 @@ class PipelineConfig:
             _require(getattr(pre, name) > 0, f"preprocess.{name}", "must be positive")
         _require(opt.max_iterations >= 1, "optimizer.max_iterations",
                  "LM iteration caps must be at least 1")
-        lambdas = "need 0 < optimizer.lambda_init < optimizer.lambda_max"
-        _require(opt.lambda_init > 0, "optimizer.lambda_init", lambdas)
-        _require(opt.lambda_max > 0, "optimizer.lambda_max", lambdas)
-        _require(opt.lambda_init < opt.lambda_max, "optimizer.lambda_init", lambdas)
-        for name in ("rel_cost_tol", "update_tol"):
-            _require(getattr(opt, name) >= 0, f"optimizer.{name}", "must not be negative")
         _require(odo.voxel_resolution > 0, "odometry.voxel_resolution", "must be positive")
         for name in ("accel_noise_density", "gyro_noise_density",
                      "accel_bias_walk", "gyro_bias_walk"):

@@ -69,7 +69,6 @@ from .geometry import (
     state_retract,
 )
 from .imu import (
-    GRAVITY,
     ImuResiduals,
     PreintegratedImu,
     PreintegratedStack,
@@ -89,6 +88,11 @@ STATE_DIM = 15  # tangent dimension of every variable
 # a matching factor looks up again once a source point can have moved this
 # fraction of a voxel since its last look-up
 RELOOK_FRACTION = 0.01
+# optimize_lm stops once one step changes the cost by at most this fraction
+# of it; correspondences jump between voxels, so much less is below the noise
+REL_COST_TOL = 1e-6
+LAMBDA_INIT = 1e-6  # the damping of a solve's first step
+LAMBDA_MAX = 1e12  # damping past this raises NotConverged
 
 
 class FactorLinearization(NamedTuple):
@@ -118,17 +122,15 @@ class ImuFactor(Factor):
     kind = "imu-preintegration"
 
     def __init__(self, key_i: int, key_j: int, pre: PreintegratedImu,
-                 gravity=GRAVITY, walk_information=None):
+                 gravity, walk_information):
         self.keys = (key_i, key_j)
         self.pre = pre
         self.gravity = np.asarray(gravity, dtype=float)
         info9 = np.linalg.inv(pre.cov)
         info9 = 0.5 * (info9 + info9.T)
-        walk = (np.full(6, 1e4) if walk_information is None
-                else np.asarray(walk_information, dtype=float))
         self.information = np.zeros((15, 15))
         self.information[:9, :9] = info9
-        self.information[9:, 9:] = np.diag(walk)
+        self.information[9:, 9:] = np.diag(walk_information)
 
 
 class _ImuStage(NamedTuple):
@@ -415,12 +417,6 @@ class MarginalPriorFactor(Factor):
 @dataclass
 class LmSettings:
     max_iterations: int = 64
-    # stop once one step changes the cost by at most this fraction of it;
-    # correspondences jump between voxels, so much less is below the noise
-    rel_cost_tol: float = 1e-6
-    update_tol: float = 1e-9
-    lambda_init: float = 1e-6
-    lambda_max: float = 1e12
 
 
 @dataclass
@@ -639,15 +635,16 @@ class FactorGraph:
         nu to 2; a rejected step scales it by nu and doubles nu.
 
         The solve converges when a step changes the cost by at most
-        rel_cost_tol times the cost, whether or not it is accepted, or when
-        the step is shorter than update_tol.  It also converges when two
-        linearizations in a row find no cost lower, by more than that
-        tolerance, than the lowest an earlier one found: the correspondences
-        looked up at each linearization then move the cost more than the
-        steps do, and the iterates wander or cycle between correspondence
-        sets.  Ending at max_iterations is not converging.  NotConverged is
-        raised when lambda passes lambda_max, and the graph's values are
-        then those it had before the solve.
+        REL_COST_TOL times the cost, whether or not it is accepted; a zero
+        step, at an optimum, is costed and rejected that way.  It also
+        converges when two linearizations in a row find no cost lower, by
+        more than that tolerance, than the lowest an earlier one found: the
+        correspondences looked up at each linearization then move the cost
+        more than the steps do, and the iterates wander or cycle between
+        correspondence sets.  Ending at max_iterations is not converging.
+        NotConverged is raised when lambda, which starts at LAMBDA_INIT,
+        passes LAMBDA_MAX, and the graph's values are then those it had
+        before the solve.
 
         The undamped system H of the last assembly, with its key slices, is
         held for marginal_covariance until the next solve, also when
@@ -662,12 +659,12 @@ class FactorGraph:
         placement = _Placement(self.factors, slices, dim)
         values = dict(self.values)
         initial_cost = cost = self.total_cost(values)
-        lam, nu = settings.lambda_init, 2.0
+        lam, nu = LAMBDA_INIT, 2.0
         iterations = evaluations = rejected = 0
         converged = False
 
         def negligible(change, ref):
-            return abs(change) <= settings.rel_cost_tol * max(ref, 1e-30)
+            return abs(change) <= REL_COST_TOL * max(ref, 1e-30)
 
         best = None  # lowest cost at a linearization so far
         stalled = 0  # linearizations since best was last lowered
@@ -687,9 +684,6 @@ class FactorGraph:
             while True:
                 delta = _damped_step(h, g, lam * diag)
                 if delta is not None:
-                    if np.max(np.abs(delta)) < settings.update_tol:
-                        converged = True
-                        break
                     candidate = self._retract_all(values, slices, delta)
                     new_cost = self.total_cost(candidate)
                     evaluations += 1
@@ -708,7 +702,7 @@ class FactorGraph:
                         converged = True
                         break
                 lam, nu = lam * nu, 2.0 * nu
-                if lam > settings.lambda_max:
+                if lam > LAMBDA_MAX:
                     raise NotConverged("no cost-reducing step found" if delta is not None
                                        else "damping exhausted on singular system")
         self.values = values

@@ -4,11 +4,12 @@ window of frame states.
 Each incoming scan is predicted forward with the IMU, deskewed, annotated
 with covariances, and tied into the window graph with a preintegrated-motion
 factor to the previous frame, matching-cost factors to the last few frames
-and to every keyframe (unary against keyframes whose states have been
-marginalized out), then the window is re-optimized.  Frames leaving the lag
-window are folded into a dense marginal prior; a keyframe among them stays
-on as a matching target.  Nothing is handed downstream until a local mapping
-stage exists to read it.
+and to the keyframes that it hits at least min_inliers times (unary against
+keyframes whose states have been marginalized out), then the window is
+re-optimized.  Frames leaving the lag window are folded into a dense
+marginal prior; a keyframe among them stays on as a matching target.
+Nothing is handed downstream until a local mapping stage exists to read
+it.
 """
 
 from __future__ import annotations
@@ -333,31 +334,30 @@ class OdometryEstimator:
         """The matching factors that link rec to the recent frames (newest
         first), then to the keyframes not linked already.
 
-        A marginalized keyframe that any point of rec hits gets a unary
-        factor; a window frame with at least min_inliers hits gets a binary
-        one.  The hits come from each candidate factor's own first lookup,
-        all at relative poses formed in one stacked pass, and the solve's
-        opening cost and first linearization reuse the terms of that lookup.
+        Each target that rec hits at least min_inliers times gets a factor:
+        a binary one to a window frame, a unary one to a marginalized
+        keyframe.  The hits come from each candidate factor's own first
+        lookup, all at relative poses formed in one stacked pass, and the
+        solve's opening cost and first linearization reuse the terms of that
+        lookup.
         """
         cfg = self.config.odometry
         recent = self._window[::-1][:cfg.recent_frame_links]
         targets = recent + [kf for kf in self.keyframes if kf not in recent]
-        candidates, needed = [], []
+        candidates = []
         for target in targets:
             if target.index not in self.graph.values:
                 candidates.append(MatchingCostFactor(
                     rec.index, rec.frame, target.voxelmap,
                     fixed_target_pose=target.state.pose,
                     min_inliers=cfg.min_inliers))
-                needed.append(1)
             else:
                 candidates.append(MatchingCostFactor(
                     rec.index, rec.frame, target.voxelmap, key_target=target.index,
                     min_inliers=cfg.min_inliers))
-                needed.append(cfg.min_inliers)
         hits = matching_hits(candidates, {**self.graph.values, rec.index: rec.state})
-        return [factor for factor, need, found in zip(candidates, needed, hits)
-                if found >= need]
+        return [factor for factor, found in zip(candidates, hits)
+                if found >= cfg.min_inliers]
 
     # -- keyframes --------------------------------------------------------------------
 

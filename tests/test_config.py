@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from limapper.config import PipelineConfig
@@ -28,13 +29,9 @@ class TestRejection:
 class TestBadValues:
     @pytest.mark.parametrize("section, name, value, match", [
         ("optimizer", "max_iterations", 0, "iteration caps"),
-        ("optimizer", "lambda_init", 0.0, "lambda_init"),
-        # a NaN lambda_init used to make optimize_lm loop forever
-        ("optimizer", "lambda_init", float("nan"), "lambda_init"),
-        ("optimizer", "lambda_init", 1e13, "lambda_init"),  # above lambda_max
-        ("optimizer", "lambda_max", float("nan"), "lambda_init"),
-        ("optimizer", "rel_cost_tol", -1e-6, "rel_cost_tol"),
-        ("optimizer", "update_tol", float("nan"), "update_tol"),
+        # a float count let a raw TypeError escape every process_frame
+        ("preprocess", "knn", 10.0, "integer"),
+        ("odometry", "recent_frame_links", 2.0, "integer"),
         ("preprocess", "knn", 0, "knn"),
         ("preprocess", "knn", 1, "knn"),  # every covariance would be eps * I
         ("preprocess", "knn", 2, "knn"),  # every normal an arbitrary one
@@ -62,9 +59,7 @@ class TestBadValues:
     def test_limits_themselves_pass(self):
         config = PipelineConfig()
         config.optimizer.max_iterations = 1
-        config.optimizer.rel_cost_tol = 0.0
-        config.optimizer.update_tol = 0.0
-        config.preprocess.knn = 3
+        config.preprocess.knn = np.int64(3)  # numpy's integers are counts too
         config.validate()
 
     def test_estimator_validates_its_config(self):
@@ -89,9 +84,12 @@ class TestInvalidConfig:
         ("preprocess", "knn", 2, "preprocess.knn"),
         ("preprocess", "plane_eps", 0.0, "preprocess.plane_eps"),
         ("optimizer", "max_iterations", 0, "optimizer.max_iterations"),
-        ("optimizer", "lambda_init", 1e13, "optimizer.lambda_init"),
-        ("optimizer", "lambda_max", float("nan"), "optimizer.lambda_max"),
-        ("optimizer", "update_tol", -1.0, "optimizer.update_tol"),
+        ("preprocess", "knn", 10.0, "preprocess.knn"),
+        ("odometry", "max_keyframes", 20.0, "odometry.max_keyframes"),
+        ("odometry", "recent_frame_links", 2.0, "odometry.recent_frame_links"),
+        ("odometry", "smoothing_lag", 5.0, "odometry.smoothing_lag"),
+        ("odometry", "min_inliers", 10.0, "odometry.min_inliers"),
+        ("optimizer", "max_iterations", 15.0, "optimizer.max_iterations"),
         ("odometry", "voxel_resolution", 0.0, "odometry.voxel_resolution"),
         ("imu", "gyro_bias_walk", 0.0, "imu.gyro_bias_walk"),
         ("imu", "gravity_z", float("nan"), "imu.gravity_z"),

@@ -59,6 +59,8 @@ from test_registration import (
 from workloads import loop_spec
 
 NOISE = ImuNoiseParams()
+# bias random-walk information per axis of the IMU factors below
+WALK = np.full(6, 1e4)
 # a stationary IMU long enough for the longest chain below
 STILL_SAMPLES = [ImuSample(t, -GRAVITY, np.zeros(3)) for t in np.arange(0, 6.21, 0.005)]
 
@@ -168,7 +170,7 @@ class TestContainer:
         g = FactorGraph()
         g.add_variable(0, zero_state())
         g.add_variable(1, zero_state(1.0))
-        g.add_factor(ImuFactor(0, 1, still_link(0)))
+        g.add_factor(ImuFactor(0, 1, still_link(0), GRAVITY, WALK))
         with pytest.raises(UnderConstrainedGraph):
             g.optimize_lm()
 
@@ -246,6 +248,19 @@ class TestOptimize:
         assert res.iterations == 3
         assert res.rejected_steps == 0
 
+    def test_solve_at_its_optimum_rejects_the_zero_step(self):
+        # the step at an optimum is zero: it is costed, does not lower the
+        # cost, and ends the solve as a negligible rejected step
+        target = random_state(np.random.default_rng(2))
+        g = FactorGraph()
+        g.add_variable(0, target)
+        g.add_factor(state_prior(0, target, np.full(15, 100.0)))
+        res = g.optimize_lm()
+        assert res.converged
+        assert (res.iterations, res.cost_evaluations, res.rejected_steps) == (1, 1, 1)
+        assert res.initial_cost == res.final_cost == 0.0
+        assert g.values[0] is target
+
     def test_iteration_cap_is_not_convergence(self):
         g, _ = prior_bowl()
         res = g.optimize_lm(LmSettings(max_iterations=1))
@@ -280,7 +295,7 @@ class TestOptimize:
             pre = preintegrate(samples, lo, hi, np.zeros(6), NOISE)
             init = state_retract(states[i + 1], rng.uniform(-0.05, 0.05, 15))
             g.add_variable(i + 1, init)
-            g.add_factor(ImuFactor(i, i + 1, pre))
+            g.add_factor(ImuFactor(i, i + 1, pre, GRAVITY, WALK))
         g.optimize_lm()
         for i in (1, 2):
             err = state_local(g.values[i], states[i])
@@ -510,7 +525,7 @@ def translation_chain(n, rng, prior_translation, prior_velocity, prior_info):
         bias_accel=np.zeros(3), bias_gyro=np.zeros(3), stamp=0.0)
     g.add_factor(state_prior(0, prior_target, info))
     for i in range(n - 1):
-        g.add_factor(ImuFactor(i, i + 1, still_link(i)))
+        g.add_factor(ImuFactor(i, i + 1, still_link(i), GRAVITY, WALK))
     return g
 
 
@@ -614,7 +629,7 @@ class TestMarginalization:
         pre = preintegrate(samples, 0.0, 1.0, np.zeros(6), NOISE)
         nxt = state_retract(states[0], rng.uniform(-0.1, 0.1, 15))
         g.add_variable(1, nxt)
-        g.add_factor(ImuFactor(0, 1, pre))
+        g.add_factor(ImuFactor(0, 1, pre, GRAVITY, WALK))
         g.add_factor(state_prior(1, nxt, np.r_[np.zeros(9), np.full(6, 100.0)]))
         g.optimize_lm()
         first = g.values[1]

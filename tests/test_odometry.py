@@ -525,16 +525,18 @@ class TestSparseFrame:
         assert np.isfinite(terms.cost)
 
     def test_matching_links_need_hits(self, loop_scene):
-        # five points hit the marginalized keyframe five times: a unary
-        # factor, but too few hits for a binary one to the recent frames;
-        # moved 100 m away they hit nothing and get no link at all
+        # one rule for both kinds: five points hit each target about five
+        # times, too few for a binary factor to the recent frames or a unary
+        # one to the marginalized keyframe; twenty points hit the keyframe
+        # at least min_inliers times and link to it
         est, _ = run(loop_scene, n_scans=6)
         scan = loop_scene.scans[6]
-        keep = np.linspace(0, len(scan.points) - 1, 5).astype(int)
         batch = imu_batches(loop_scene, est.config.odometry.init_window)[6]
-        for offset, links in ((0.0, ["matching-cost-unary"]), (100.0, [])):
+        binary = ["matching-cost-binary"] * est.config.odometry.recent_frame_links
+        for count, links in ((5, []), (20, binary + ["matching-cost-unary"])):
+            keep = np.linspace(0, len(scan.points) - 1, count).astype(int)
             trial = copy.deepcopy(est)
-            trial.process_frame(RawScan(scan.points[keep] + offset, scan.stamps[keep],
+            trial.process_frame(RawScan(scan.points[keep], scan.stamps[keep],
                                         scan.scan_start, scan.scan_end), batch)
             key = trial._window[-1].index
             assert [f.kind for f in trial.graph.factors
