@@ -5,9 +5,10 @@ A key names a field by its section, a field of ``PipelineConfig``, and its
 name within it (``odometry.max_keyframes``); ``InvalidConfig`` carries one.
 The ``imu`` section is the estimator's one noise record,
 ``imu.ImuNoiseParams``, and the ``optimizer`` section is
-``factor_graph.LmSettings``.  ``validate`` checks every threshold against
-its documented range.  There is no file format: a configuration file comes
-with the entry point that reads it.
+``factor_graph.LmSettings``.  Every section is a slotted dataclass, so
+setting a key that is no field (misspelt or deleted) raises AttributeError.
+``validate`` checks every threshold against its documented range.  There is
+no file format: a configuration file comes with the entry point that reads it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .factor_graph import LmSettings
 from .imu import ImuNoiseParams
 
 
-@dataclass
+@dataclass(slots=True)
 class PreprocessConfig:
     downsample_resolution: float = 0.25  # m
     knn: int = 10
@@ -28,7 +29,7 @@ class PreprocessConfig:
     max_imu_gap: float = 0.02  # s
 
 
-@dataclass
+@dataclass(slots=True)
 class OdometryConfig:
     voxel_resolution: float = 0.5  # m, per-frame voxel maps
     keyframe_insert_overlap: float = 0.90
@@ -41,13 +42,12 @@ class OdometryConfig:
     init_gyro_limit: float = 0.05  # rad/s
 
 
-@dataclass
+@dataclass(slots=True)
 class PipelineConfig:
     preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
     odometry: OdometryConfig = field(default_factory=OdometryConfig)
     imu: ImuNoiseParams = field(default_factory=ImuNoiseParams)
-    # window solves start warm; cap the tail
-    optimizer: LmSettings = field(default_factory=lambda: LmSettings(max_iterations=15))
+    optimizer: LmSettings = field(default_factory=LmSettings)
 
     def validate(self) -> None:
         """Raise InvalidConfig, naming the key, for the first value out of

@@ -220,8 +220,8 @@ class MatchingCostFactor(Factor):
 
     def __init__(self, key_source: int, source: Frame, target_map: GaussianVoxelMap,
                  key_target: int | None = None,
-                 fixed_target_pose: Se3Pose | None = None,
-                 min_inliers: int = 10):
+                 fixed_target_pose: Se3Pose | None = None, *,
+                 min_inliers: int):
         if (key_target is None) == (fixed_target_pose is None):
             raise ValueError("exactly one of key_target / fixed_target_pose")
         self.keys = (key_source,) if key_target is None else (key_source, key_target)
@@ -414,9 +414,10 @@ class MarginalPriorFactor(Factor):
                                    self.hessian, self._cost_at(d))
 
 
-@dataclass
+@dataclass(slots=True)
 class LmSettings:
-    max_iterations: int = 64
+    # window solves start warm; cap the tail
+    max_iterations: int = 15
 
 
 @dataclass

@@ -75,7 +75,7 @@ class ImuSample:
             object.__setattr__(self, name, value if shape else float(value))
 
 
-@dataclass
+@dataclass(slots=True)
 class ImuNoiseParams:
     """Continuous-time noise densities and the gravity along z; the
     ``imu`` section of the pipeline configuration."""
@@ -84,7 +84,7 @@ class ImuNoiseParams:
     gyro_noise_density: float = 0.002  # rad/s/sqrt(Hz)
     accel_bias_walk: float = 2e-4  # m/s^3/sqrt(Hz)
     gyro_bias_walk: float = 2e-5  # rad/s^2/sqrt(Hz)
-    gravity_z: float = -9.80665  # m/s^2
+    gravity_z: float = float(GRAVITY[2])  # m/s^2
 
     @property
     def gravity(self) -> np.ndarray:

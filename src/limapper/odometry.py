@@ -56,9 +56,8 @@ from .preprocess import (
 from .registration import GaussianVoxelMap, build_voxelmap, overlap_rate
 
 
-def initialize_from_rest(samples, gravity, window: float = 0.5,
-                         gyro_limit: float = 0.05, stamp: float | None = None
-                         ) -> SensorState:
+def initialize_from_rest(samples, gravity, window: float, gyro_limit: float,
+                         stamp: float | None = None) -> SensorState:
     """Bootstrap orientation and biases from stationary IMU data.
 
     Aligns the mean specific force with the gravity reaction (roll/pitch

@@ -188,38 +188,27 @@ def face_neighbour_keys(keys: np.ndarray) -> np.ndarray:
 
 
 def group_by_key(keys: np.ndarray):
-    """Stable grouping of equal keys: (order, starts, counts).
+    """Stable grouping of equal keys: (order, starts, counts, cell).
 
     Group g holds the rows ``order[starts[g]:starts[g] + counts[g]]``; groups
     come in ascending key order and each keeps its rows in index order.
+    ``cell`` holds each row's group, in the rows' own order.
     """
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
     counts = np.diff(np.r_[starts, keys.shape[0]])
-    return order, starts, counts
+    cell = np.empty_like(order)
+    cell[order] = np.repeat(np.arange(starts.shape[0]), counts)
+    return order, starts, counts, cell
 
 
-def segment_sums(values: np.ndarray, starts: np.ndarray,
-                 counts: np.ndarray) -> np.ndarray:
-    """Sum of each run ``values[s:s + c]``, added in row order from zero.
-
-    One vectorized pass per occupancy level adds the level-th row of every
-    run that has one, so each sum is the one a sequential loop forms: equal
-    bit for bit to ``np.add.at`` over the rows in index order, and to
-    numpy's sum over axis 0 of a 2-D block.
-    """
-    by_size = np.argsort(-counts, kind="stable")
-    first = starts[by_size]
-    # runs with more than `level` rows form a prefix of `by_size`
-    active = np.searchsorted(-counts[by_size], -np.arange(counts.max()),
-                             side="left")
-    sums = np.zeros((counts.shape[0],) + values.shape[1:])
-    for level, n in enumerate(active):
-        sums[:n] += values[first[:n] + level]
-    out = np.empty_like(sums)
-    out[by_size] = sums
-    return out
+def cell_sums(cell: np.ndarray, rows, n_cells: int) -> np.ndarray:
+    """(len(rows), n_cells) sums of each row's values per cell, one
+    ``np.bincount`` per row.  bincount adds a cell's values in row order from
+    +0.0, as a sequential loop does: equal bit for bit to ``np.add.at`` over
+    the rows in index order, and to numpy's sum over axis 0 of a 2-D block."""
+    return np.stack([np.bincount(cell, row, n_cells) for row in rows])
 
 
 def voxel_downsample(scan: RawScan, resolution: float) -> RawScan:
@@ -232,10 +221,10 @@ def voxel_downsample(scan: RawScan, resolution: float) -> RawScan:
     tolerance run the sequential assignment; their cells follow in key order.
 
     The output equals a per-voxel ``np.mean`` bit for bit.  That mean sums a
-    voxel's positions over axis 0 in scan order, which ``segment_sums``
-    repeats for all voxels at once.  A voxel's stamps are summed in the same
-    order only below 8 points: from 8 addends on, numpy sums a 1-D array
-    pairwise, so those voxels take a row sum of their stamps, which numpy forms
+    voxel's positions over axis 0 in scan order, which ``cell_sums`` repeats
+    for all voxels at once.  A voxel's stamps are summed in the same order
+    only below 8 points: from 8 addends on, numpy sums a 1-D array pairwise,
+    so those voxels take a row sum of their stamps, which numpy forms
     pairwise too, as ``np.mean`` does.
     """
     if resolution <= 0.0:
@@ -243,17 +232,16 @@ def voxel_downsample(scan: RawScan, resolution: float) -> RawScan:
     if len(scan) == 0:
         return scan
     split_tol = scan.duration / 10.0
-    order, starts, counts = group_by_key(pack_voxel_keys(scan.points, resolution))
+    order, starts, counts, cell = group_by_key(pack_voxel_keys(scan.points, resolution))
+    sums = cell_sums(cell, (*scan.points.T, scan.stamps), counts.shape[0])
     stamps = scan.stamps[order]
-    sums = segment_sums(np.column_stack([scan.points[order], stamps]),
-                        starts, counts)
     for c in np.unique(counts[counts >= 8]):
         # one (voxels, c) block per occupancy; numpy sums each contiguous
         # row pairwise, as it sums the voxel's 1-D slice
         g = np.flatnonzero(counts == c)
-        sums[g, 3] = stamps[starts[g][:, None] + np.arange(c)].sum(axis=1)
-    points = sums[:, :3] / counts[:, None]
-    mean_stamps = sums[:, 3] / counts
+        sums[3, g] = stamps[starts[g][:, None] + np.arange(c)].sum(axis=1)
+    points = (sums[:3] / counts).T
+    mean_stamps = sums[3] / counts
 
     spread = np.maximum.reduceat(stamps, starts) - np.minimum.reduceat(stamps, starts)
     # a voxel splits unless its spread is within tolerance, so a NaN stamp
@@ -262,15 +250,15 @@ def voxel_downsample(scan: RawScan, resolution: float) -> RawScan:
     overflow_at, overflow_points, overflow_stamps = [], [], []
     for g in np.flatnonzero(~(spread <= split_tol)):
         cells = [[], []]
-        cell_sums = [0.0, 0.0]
+        stamp_sums = [0.0, 0.0]
         for i in order[starts[g]:starts[g] + counts[g]]:
             t = scan.stamps[i]
-            if not cells[0] or abs(t - cell_sums[0] / len(cells[0])) <= split_tol:
+            if not cells[0] or abs(t - stamp_sums[0] / len(cells[0])) <= split_tol:
                 target = 0
             else:
                 target = 1
             cells[target].append(i)
-            cell_sums[target] += t
+            stamp_sums[target] += t
         points[g] = scan.points[cells[0]].mean(axis=0)
         mean_stamps[g] = scan.stamps[cells[0]].mean()
         if cells[1]:

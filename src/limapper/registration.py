@@ -64,13 +64,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .geometry import Se3Pose, so3_hat, so3_hat_batch
-from .preprocess import (
-    Frame,
-    face_neighbour_keys,
-    group_by_key,
-    pack_voxel_keys,
-    segment_sums,
-)
+from .preprocess import Frame, cell_sums, face_neighbour_keys, group_by_key, pack_voxel_keys
 
 
 class GaussianVoxelMap:
@@ -144,8 +138,9 @@ def build_voxelmap(frame: Frame, resolution: float) -> GaussianVoxelMap:
 
     The cell covariance is the mean of member covariances plus the scatter
     of member means about the cell mean (total covariance decomposition).
-    Only the six unique entries of each cell are summed, each in the same
-    order as ``np.add.at`` over the points in index order would sum it.
+    The points and the six unique covariance entries are summed per cell in
+    the frame's own point order (``cell_sums``), as ``np.add.at`` over the
+    points in index order would sum them.
     """
     if frame.covs is None and len(frame) > 0:
         raise ValueError("frame needs covariances before voxelization")
@@ -153,16 +148,14 @@ def build_voxelmap(frame: Frame, resolution: float) -> GaussianVoxelMap:
         return GaussianVoxelMap(resolution, np.zeros(0, dtype=np.int64),
                                 np.zeros((3, 0)), np.zeros((6, 0)))
     keys = pack_voxel_keys(frame.points, resolution)
-    order, starts, counts = group_by_key(keys)
-    points = frame.point_rows.take(order, axis=1)
-    means = segment_sums(points.T, starts, counts) / counts[:, None]
-    centered = points - np.repeat(means.T, counts, axis=1)
-    scatter = frame.cov_rows.take(order, axis=1)[_SYM]
+    order, starts, counts, cell = group_by_key(keys)
+    points = frame.point_rows
+    means = cell_sums(cell, points, counts.shape[0]) / counts
+    centered = points - means.take(cell, axis=1)
+    scatter = frame.cov_rows[_SYM]
     scatter += centered[_SYM_I] * centered[_SYM_J]
-    covs = segment_sums(scatter.T, starts, counts) / counts[:, None]
-    return GaussianVoxelMap(resolution, keys[order[starts]],
-                            np.ascontiguousarray(means.T),
-                            np.ascontiguousarray(covs.T))
+    covs = cell_sums(cell, scatter, counts.shape[0]) / counts
+    return GaussianVoxelMap(resolution, keys[order[starts]], means, covs)
 
 
 # a symmetric 3x3 matrix is kept as the row of its unique entries (xx, xy,

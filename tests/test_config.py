@@ -3,6 +3,7 @@ import pytest
 
 from limapper.config import PipelineConfig
 from limapper.errors import InvalidConfig, PipelineError
+from limapper.factor_graph import LmSettings
 from limapper.odometry import OdometryEstimator
 
 
@@ -110,3 +111,19 @@ class TestInvalidConfig:
         config.imu.accel_noise_density = -0.02
         with pytest.raises(InvalidConfig, match="imu.accel_noise_density"):
             OdometryEstimator(config)
+
+
+class TestClosedSections:
+    @pytest.mark.parametrize("section, name", [
+        ("odometry", "min_inlier"),  # misspelt: it would change nothing
+        ("optimizer", "lambda_init"),  # a deleted key
+        (None, "optimiser"),  # a misspelt section
+    ])
+    def test_unknown_key_raises(self, section, name):
+        config = PipelineConfig()
+        with pytest.raises(AttributeError):
+            setattr(config if section is None else getattr(config, section), name, 50)
+
+    def test_one_lm_cap(self):
+        # a solve without settings runs the cap the pipeline runs
+        assert LmSettings().max_iterations == PipelineConfig().optimizer.max_iterations

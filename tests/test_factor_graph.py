@@ -126,7 +126,7 @@ def two_pose_registration():
     g.add_variable(1, at_pose(pose_retract(true_rel, perturb)))
     g.add_factor(state_prior(0, zero_state(), np.full(15, 1e6)))
     g.add_factor(MatchingCostFactor(1, moved, vmap,
-                                    key_target=0))
+                                    key_target=0, min_inliers=10))
     hold_motion(g, 1)
     return g, true_rel
 
@@ -346,7 +346,7 @@ class TestMatchingCostFactor:
     def test_cost_keeps_correspondences_of_last_linearization(self):
         source, vmap = face_pair()
         f = MatchingCostFactor(0, source, vmap,
-                               fixed_target_pose=identity_pose())
+                               fixed_target_pose=identity_pose(), min_inliers=10)
         at = {0: zero_state()}
         # a nudge far inside the look-up bound and one just past it; each
         # moves the point on the face out of its voxel
@@ -387,7 +387,7 @@ class TestMatchingCostFactor:
         # terms only when a row changed
         source, vmap = face_pair()
         f = MatchingCostFactor(0, source, vmap,
-                               fixed_target_pose=identity_pose())
+                               fixed_target_pose=identity_pose(), min_inliers=10)
         bound = RELOOK_FRACTION * vmap.resolution
         with mock.patch.object(vmap, "look_up", wraps=vmap.look_up) as look_up, \
                 mock.patch.object(factor_graph, "match_terms",
@@ -466,8 +466,7 @@ class TestMatchingCostFactor:
         source = make_frame(np.vstack([rng.uniform(0.1, 0.4, (3, 3)),
                                        rng.uniform(5.0, 6.0, (8, 3))]))
         f = MatchingCostFactor(0, source, vmap,
-                               fixed_target_pose=identity_pose())
-        assert f.min_inliers == 10
+                               fixed_target_pose=identity_pose(), min_inliers=10)
         at = {0: zero_state()}
         assert linearize_matching(f, at).cost == 0.0
         assert f._held is None and f.inliers == 3
@@ -487,9 +486,9 @@ class TestMatchingCostFactor:
         calls.clear()
         empty = make_frame(np.zeros((0, 3)), covs=np.zeros((0, 3, 3)))
         for g in (MatchingCostFactor(0, empty, vmap,
-                                     fixed_target_pose=identity_pose()),
+                                     fixed_target_pose=identity_pose(), min_inliers=10),
                   MatchingCostFactor(0, source, build_voxelmap(empty, 0.5),
-                                     fixed_target_pose=identity_pose())):
+                                     fixed_target_pose=identity_pose(), min_inliers=10)):
             assert linearize_matching(g, at).cost == 0.0 and g._held is None
             assert matching_factor_cost(g, at) == 0.0 and g.inliers == 0
         assert calls == []
@@ -842,7 +841,7 @@ class TestStackedAssembly:
         empty = make_frame(np.zeros((0, 3)), covs=np.zeros((0, 3, 3)))
         graph.factors[3:3] = [
             MatchingCostFactor(binary.keys[0], empty, binary.target_map,
-                               key_target=binary.keys[1]),
+                               key_target=binary.keys[1], min_inliers=10),
             MatchingCostFactor(unary.keys[0], unary.source, unary.target_map,
                                fixed_target_pose=unary.fixed_target_pose,
                                min_inliers=10**9)]

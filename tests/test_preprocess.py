@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from limapper.errors import (
@@ -25,15 +25,16 @@ from limapper.preprocess import (
     Frame,
     RawScan,
     _cross_rows,
+    cell_sums,
     deskew,
     estimate_covariances,
     face_neighbour_keys,
     frame_from_scan,
+    group_by_key,
     knn_search,
     pack_voxel_keys,
     voxel_downsample,
 )
-from limapper.synthetic import generate_synthetic_scene, square_loop_scene
 
 from test_geometry import identity_pose, slerp, zero_state
 from test_imu import propagate_state
@@ -160,18 +161,6 @@ def assert_same_bits(out, ref):
     assert (out.scan_start, out.scan_end) == (ref.scan_start, ref.scan_end)
 
 
-@pytest.fixture(scope="module")
-def scene_scans():
-    """One scan of the 64x12-ray noisy loop and one of the 512x32-ray loop."""
-    noisy = generate_synthetic_scene(square_loop_scene(
-        perimeter=40, speed=3.0, n_frames=3, seed=1, settle=0.1,
-        ramp_time=0.1, range_noise=0.01))
-    dense = generate_synthetic_scene(square_loop_scene(
-        perimeter=40, speed=3.0, n_frames=3, seed=1, settle=0.1,
-        ramp_time=0.1, n_azimuth=512, n_elevation=32))
-    return {"loop": noisy.scans[2], "dense": dense.scans[2]}
-
-
 class TestVoxelDownsampleOracle:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_occupancies_1_to_30(self, seed):
@@ -233,6 +222,45 @@ class TestVoxelDownsampleOracle:
         scan = scene_scans[name]
         assert_same_bits(voxel_downsample(scan, resolution),
                          reference_voxel_downsample(scan, resolution))
+
+
+# per-cell sums: finite values, among them values whose sum depends on the
+# order of the additions, and -0.0; a NaN masks the order of its cell's
+# sum, so only the second column draws it.  No infinity, whose sum with its
+# negative would raise np.add.at's invalid-value warning
+FINITE_VALUES = st.one_of(st.floats(-1e6, 1e6), st.just(-0.0),
+                          st.sampled_from([0.1, 0.2, 0.3, 1.0, 1e16, -1e16]))
+SUM_VALUES = st.one_of(FINITE_VALUES, st.just(float("nan")))
+
+
+class TestCellGrouping:
+    @given(st.lists(st.integers(-5, 5), min_size=1, max_size=60))
+    def test_cell_index_agrees_with_order_and_starts(self, values):
+        keys = np.array(values, dtype=np.int64)
+        order, starts, counts, cell = group_by_key(keys)
+        # every row's cell holds its key, and the rows of cell g, in index
+        # order, are order[starts[g]:starts[g] + counts[g]]
+        assert np.array_equal(keys[order[starts]][cell], keys)
+        for g, (start, count) in enumerate(zip(starts, counts)):
+            assert np.array_equal(np.flatnonzero(cell == g), order[start:start + count])
+
+    @given(st.integers(1, 6).flatmap(lambda n_cells: st.tuples(
+        st.just(n_cells),
+        st.lists(st.tuples(st.integers(0, n_cells - 1), FINITE_VALUES, SUM_VALUES),
+                 max_size=40))))
+    # an empty cell, one-row cells of -0.0 and of NaN, and a cell whose
+    # first column sums to 0.6000000000000001 in row order, to 0.6 in reverse
+    @example((4, [(1, -0.0, float("nan")), (2, -0.0, -0.0), (3, 0.1, -0.0),
+                  (3, 0.2, 2.5), (3, 0.3, 1.0)]))
+    def test_cell_sums_equal_add_at_bit_for_bit(self, case):
+        n_cells, rows = case
+        cell = np.array([r[0] for r in rows], dtype=np.intp)
+        values = np.array([r[1:] for r in rows], dtype=float).reshape(-1, 2)
+        want = np.zeros((n_cells, 2))
+        np.add.at(want, cell, values)
+        got = cell_sums(cell, values.T, n_cells)
+        assert got.shape == (2, n_cells)
+        assert got.tobytes() == np.ascontiguousarray(want.T).tobytes()
 
 
 class TestPackVoxelKeys:

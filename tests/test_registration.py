@@ -1,4 +1,4 @@
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 from unittest import mock
 
@@ -23,7 +23,15 @@ from limapper.geometry import (
     so3_exp,
     so3_hat,
 )
-from limapper.preprocess import Frame, pack_voxel_keys
+from limapper.config import PipelineConfig
+from limapper.preprocess import (
+    Frame,
+    estimate_covariances,
+    frame_from_scan,
+    knn_search,
+    pack_voxel_keys,
+    voxel_downsample,
+)
 from limapper.registration import (
     _JAC_MAP,
     _JAC_OFFSET,
@@ -274,7 +282,8 @@ class TestD2dError:
 
 
 def reference_build_voxelmap(frame, resolution):
-    """np.unique plus np.add.at: the grouping the segment sums must match."""
+    """np.unique plus np.add.at: the cells, and the sums over each cell in
+    point order, that ``build_voxelmap`` must match bit for bit."""
     keys = pack_voxel_keys(frame.points, resolution)
     uniq, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
     means = np.zeros((uniq.size, 3))
@@ -299,16 +308,36 @@ class TestBuildVoxelmapOracle:
                   + rng.normal(scale=0.1, size=(1500, 3)))
         covs = [random_plane_cov(rng, rng.normal(size=3)) for _ in range(1500)]
         frame = make_frame(points, covs=covs)
-        vmap = build_voxelmap(frame, resolution)
-        keys, means, cell_covs, counts = reference_build_voxelmap(frame, resolution)
+        counts = assert_voxelmap_equals_oracle(frame, resolution)
         assert counts.max() >= 8
-        # the map keeps the six unique covariance entries (xx, xy, xz, yy, yz,
-        # zz), the ones on and above the diagonal
-        upper = np.triu_indices(3)
-        for got, want in ((vmap.keys, keys), (vmap.mean_rows.T, means),
-                          (vmap.cov_rows.T, cell_covs[:, upper[0], upper[1]])):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", ["loop", "dense"])
+    @pytest.mark.parametrize("resolution", [0.5, 2.0])
+    def test_scene_frames(self, scene_scans, name, resolution):
+        # a scan prepared as the odometry prepares it: real plane
+        # covariances, and the occupancies of real surfaces
+        pre = PipelineConfig().preprocess
+        frame = frame_from_scan(voxel_downsample(scene_scans[name],
+                                                 pre.downsample_resolution))
+        frame = replace(frame, neighbors=knn_search(frame, pre.knn))
+        frame = estimate_covariances(frame, pre.plane_eps)
+        counts = assert_voxelmap_equals_oracle(frame, resolution)
+        assert counts.max() >= 4  # cells where the order of the sum tells
+
+
+def assert_voxelmap_equals_oracle(frame, resolution):
+    """Compare ``build_voxelmap`` with the oracle bit for bit; the oracle's
+    cell occupancies."""
+    vmap = build_voxelmap(frame, resolution)
+    keys, means, cell_covs, counts = reference_build_voxelmap(frame, resolution)
+    # the map keeps the six unique covariance entries (xx, xy, xz, yy, yz,
+    # zz), the ones on and above the diagonal
+    upper = np.triu_indices(3)
+    for got, want in ((vmap.keys, keys), (vmap.mean_rows.T, means),
+                      (vmap.cov_rows.T, cell_covs[:, upper[0], upper[1]])):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    return counts
 
 
 class TestMatchingCost:
@@ -980,7 +1009,7 @@ class TestRowKernelOracle:
             return  # composing poses with it would already warn (inf * 0)
         # also on a factor's key-diff lookup, after a lookup that succeeded
         f = MatchingCostFactor(0, source, vmap,
-                               fixed_target_pose=identity_pose())
+                               fixed_target_pose=identity_pose(), min_inliers=10)
         linearize_matching(f, {0: at_pose(identity_pose())})
         values = {0: at_pose(far)}
         matching_factor_cost(f, values)  # held rows: no lookup
