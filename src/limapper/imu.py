@@ -109,7 +109,7 @@ def samples_to_arrays(samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return stamps, accel, gyro
 
 
-def integration_nodes(samples, t0: float, t1: float, max_gap: float = 0.02):
+def integration_nodes(samples, t0: float, t1: float, max_gap: float):
     """Sub-interval boundaries and measurements covering [t0, t1].
 
     Returns (stamps, accel, gyro) where stamps has m+1 entries and the i-th
@@ -172,8 +172,7 @@ def _prefix_sums(steps: np.ndarray) -> np.ndarray:
     return out
 
 
-def integrate(samples, t0: float, t1: float, bias,
-              max_gap: float = 0.02) -> NodeDeltas:
+def integrate(samples, t0: float, t1: float, bias, max_gap: float) -> NodeDeltas:
     """Deltas from t0 to every node of [t0, t1] at the given (accel, gyro)
     bias; raises as integration_nodes does."""
     bias = np.asarray(bias, dtype=float)
@@ -205,7 +204,7 @@ def integrate(samples, t0: float, t1: float, bias,
 
 
 def preintegrate(samples, t_i: float, t_j: float, bias_lin,
-                 noise: ImuNoiseParams, max_gap: float = 0.02) -> PreintegratedImu:
+                 noise: ImuNoiseParams, max_gap: float) -> PreintegratedImu:
     """Deltas over [t_i, t_j] with their covariance and bias Jacobian.
 
     The deltas are those of ``integrate`` at the last node N.  Every sum
@@ -315,8 +314,7 @@ def correct_deltas(pre: PreintegratedStack, bias: np.ndarray):
     return delta_r, delta_v, delta_p, theta
 
 
-def predict_state(state: SensorState, pre: PreintegratedImu,
-                  gravity=GRAVITY) -> SensorState:
+def predict_state(state: SensorState, pre: PreintegratedImu, gravity) -> SensorState:
     """Compose preintegrated deltas, corrected to the state's bias, onto a
     state, re-injecting gravity."""
     gravity = np.asarray(gravity, dtype=float)

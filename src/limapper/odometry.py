@@ -151,7 +151,7 @@ class WindowFrame:
     """
 
     index: int
-    frame: Frame  # deskewed, covariances attached until marginalized
+    frame: Frame  # deskewed, covariances attached until marginalized; no kNN rows
     voxelmap: GaussianVoxelMap
     state: SensorState  # window estimate; final once marginalized
 
@@ -205,18 +205,19 @@ class OdometryEstimator:
         pad = 2.0 * self.config.preprocess.max_imu_gap
         return [s for s in self._imu if t0 - pad <= s.stamp <= t1 + pad]
 
-    def _finish_frame(self, pre_frame: Frame, state: SensorState) -> Frame:
-        """Deskew with the predicted state and attach covariances."""
+    def _finish_frame(self, pre_frame: Frame, neighbors, state: SensorState) -> Frame:
+        """Deskew with the predicted state and attach covariances fitted to
+        the kNN rows of pre_frame, None for fewer than knn points."""
         cfg = self.config.preprocess
         samples = self._imu_between(pre_frame.scan_start, pre_frame.scan_end)
         frame = deskew(pre_frame, samples, state, gravity=self.config.imu.gravity,
                        max_gap=cfg.max_imu_gap)
-        if frame.neighbors is None:
+        if neighbors is None:
             # fewer points than knn: no neighbourhood to fit, so take the
             # flat-neighbourhood fallback of estimate_covariances
             n = len(frame)
             return replace(frame, covs=np.tile(cfg.plane_eps * np.eye(3), (n, 1, 1)))
-        return estimate_covariances(frame, cfg.plane_eps)
+        return estimate_covariances(frame, neighbors, cfg.plane_eps)
 
     def _overlap(self, a: WindowFrame, b: WindowFrame) -> float:
         """Fraction of a's points in occupied voxels of b's map or in their
@@ -283,8 +284,8 @@ class OdometryEstimator:
         cfg = self.config.odometry
         pre_cfg = self.config.preprocess
         pre_frame = frame_from_scan(voxel_downsample(scan, pre_cfg.downsample_resolution))
-        if len(pre_frame) >= pre_cfg.knn:
-            pre_frame = replace(pre_frame, neighbors=knn_search(pre_frame, pre_cfg.knn))
+        neighbors = (knn_search(pre_frame, pre_cfg.knn)  # kept only for the covariances
+                     if len(pre_frame) >= pre_cfg.knn else None)
         if not self._window:
             try:
                 state = initialize_from_rest(
@@ -314,7 +315,7 @@ class OdometryEstimator:
             anchor = ImuFactor(prev.index, index, pre, self.config.imu.gravity,
                                walk_information=self._walk_information(pre.dt_total))
 
-        frame = self._finish_frame(pre_frame, state)
+        frame = self._finish_frame(pre_frame, neighbors, state)
         rec = WindowFrame(index=index, frame=frame,
                           voxelmap=build_voxelmap(frame, cfg.voxel_resolution),
                           state=state)
@@ -427,5 +428,5 @@ class OdometryEstimator:
             self.graph.marginalize([rec.index])
             del self._window[0]
             # a keyframe is only a target map, and the overlap reads its
-            # points: it keeps the points, stamps and span, and drops the rest
-            rec.frame = replace(rec.frame, neighbors=None, covs=None)
+            # points: it keeps the points, stamps and span, and drops its covariances
+            rec.frame = replace(rec.frame, covs=None)

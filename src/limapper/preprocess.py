@@ -2,9 +2,9 @@
 and IMU-predicted deskewing.
 
 A scan becomes a Frame in four steps: downsample with per-voxel timestamp
-averaging, find neighbors (before deskewing, reused afterwards), deskew by
-integrating the IMU across the scan, then estimate plane-regularized point
-covariances from the precomputed neighborhoods.
+averaging, find neighbors (before deskewing), deskew by integrating the IMU
+across the scan, then estimate plane-regularized point covariances from
+those neighborhoods, whose index rows the Frame does not keep.
 
 The two per-point kernels take a general algorithm only where it is needed:
 
@@ -29,7 +29,7 @@ from scipy.spatial import cKDTree
 
 from .errors import FrameTooSparse, MalformedScan, VoxelKeyOutOfRange
 from .geometry import SensorState, rodrigues_coefficients
-from .imu import GRAVITY, integrate
+from .imu import integrate
 
 # voxel indices are packed into a single int64, 21 bits per axis
 _KEY_OFFSET = 1 << 20
@@ -88,7 +88,7 @@ class RawScan:
 
 @dataclass(frozen=True)
 class Frame:
-    """Downsampled point cloud with optional neighbors and covariances.
+    """Downsampled point cloud with optional covariances.
 
     Each per-point array is stored once, one contiguous row per component:
     ``point_rows`` is a C-contiguous (3, n) array and ``cov_rows`` a
@@ -105,7 +105,6 @@ class Frame:
     stamps: np.ndarray  # (n,)
     scan_start: float
     scan_end: float = 0.0
-    neighbors: np.ndarray | None = None  # (n, k) indices, self included
     covs: np.ndarray | None = None  # (n, 3, 3) regularized, a view of cov_rows
     deskewed: bool = False
 
@@ -340,10 +339,11 @@ def _eigh_covariances(points: np.ndarray, neighbors: np.ndarray,
     return covs
 
 
-def estimate_covariances(frame: Frame, plane_eps: float = 1e-3) -> Frame:
+def estimate_covariances(frame: Frame, neighbors: np.ndarray, plane_eps: float) -> Frame:
     """Plane-regularized covariance per point from its neighbor positions.
 
-    The sample covariance A of a point's neighborhood gets the eigenvalues
+    ``neighbors`` holds the (n, k) rows of ``knn_search``.  The sample
+    covariance A of a point's neighborhood gets the eigenvalues
     (plane_eps, 1, 1) in place of its own, keeping the eigenvectors.  That
     is C = I - (1 - plane_eps) * n n^T, with n the normal: the eigenvector of
     the smallest eigenvalue lambda0.  Fully degenerate neighborhoods
@@ -365,13 +365,11 @@ def estimate_covariances(frame: Frame, plane_eps: float = 1e-3) -> Frame:
     3e-12 of eigh's (see ``_COV_EIGEN_GAP``), and within 1e-14 on planar
     scan rows.
     """
-    if frame.neighbors is None:
-        raise ValueError("neighbors must be computed before covariances")
     n = len(frame)
     if n == 0:
         return replace(frame, covs=np.zeros((0, 3, 3)))
-    k = frame.neighbors.shape[1]
-    nbr = np.take(frame.point_rows, frame.neighbors, axis=1)  # (3, n, k)
+    k = neighbors.shape[1]
+    nbr = np.take(frame.point_rows, neighbors, axis=1)  # (3, n, k)
     nbr -= np.einsum("cnk->cn", nbr)[:, :, None] / k
     x, y, z = nbr
     a = np.stack([np.einsum("nk,nk->n", u, v) for u, v in (
@@ -396,7 +394,7 @@ def estimate_covariances(frame: Frame, plane_eps: float = 1e-3) -> Frame:
     covs[:, degenerate] = plane_eps * np.eye(3).reshape(9, 1)
     if fallback.any():
         rows = np.flatnonzero(fallback)
-        eigh_covs = _eigh_covariances(frame.points, frame.neighbors[rows], plane_eps)
+        eigh_covs = _eigh_covariances(frame.points, neighbors[rows], plane_eps)
         covs[:, rows] = eigh_covs.reshape(-1, 9).T
     return replace(frame, covs=covs.T.reshape(n, 3, 3))
 
@@ -444,7 +442,7 @@ def _null_direction(a: np.ndarray, lam: np.ndarray):
 
 
 def deskew(frame: Frame, imu_samples, state_at_scan_start: SensorState,
-           gravity=GRAVITY, max_gap: float = 0.02) -> Frame:
+           gravity, max_gap: float) -> Frame:
     """Undistort a frame by IMU motion prediction across the scan.
 
     ``imu.integrate`` forms the deltas from the scan start t_s to every IMU

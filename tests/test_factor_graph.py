@@ -42,7 +42,7 @@ from limapper.registration import GaussianVoxelMap, build_voxelmap
 from limapper.synthetic import generate_synthetic_scene
 
 from test_geometry import identity_pose, pose_apply, zero_state
-from test_imu import per_factor_imu_residual, propagate_state
+from test_imu import MAX_GAP, per_factor_imu_residual, propagate_state
 from test_odometry import run
 from test_registration import (
     at_pose,
@@ -292,7 +292,7 @@ class TestOptimize:
         g.add_variable(0, state0)
         g.add_factor(state_prior(0, state0, np.full(15, 1e8)))
         for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-            pre = preintegrate(samples, lo, hi, np.zeros(6), NOISE)
+            pre = preintegrate(samples, lo, hi, np.zeros(6), NOISE, MAX_GAP)
             init = state_retract(states[i + 1], rng.uniform(-0.05, 0.05, 15))
             g.add_variable(i + 1, init)
             g.add_factor(ImuFactor(i, i + 1, pre, GRAVITY, WALK))
@@ -497,7 +497,7 @@ class TestMatchingCostFactor:
 @functools.cache
 def still_link(i):
     """Preintegrated stationary IMU over [i, i + 1] s."""
-    return preintegrate(STILL_SAMPLES, float(i), i + 1.0, np.zeros(6), NOISE)
+    return preintegrate(STILL_SAMPLES, float(i), i + 1.0, np.zeros(6), NOISE, MAX_GAP)
 
 
 def translation_chain(n, rng, prior_translation, prior_velocity, prior_info):
@@ -625,7 +625,7 @@ class TestMarginalization:
         g.add_factor(state_prior(0, states[0], np.full(15, 1e6)))
         samples = [ImuSample(t, -GRAVITY + [0.1, 0, 0], [0, 0, 0.2])
                    for t in np.arange(0, 1.01, 0.005)]
-        pre = preintegrate(samples, 0.0, 1.0, np.zeros(6), NOISE)
+        pre = preintegrate(samples, 0.0, 1.0, np.zeros(6), NOISE, MAX_GAP)
         nxt = state_retract(states[0], rng.uniform(-0.1, 0.1, 15))
         g.add_variable(1, nxt)
         g.add_factor(ImuFactor(0, 1, pre, GRAVITY, WALK))

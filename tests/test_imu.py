@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from limapper.config import PreprocessConfig
 from limapper.errors import (
     ImuCoverageGap,
     InvalidInterval,
@@ -35,6 +36,7 @@ from limapper.imu import (
 from test_geometry import identity_pose, rotation_angle, zero_state
 
 NOISE = ImuNoiseParams()
+MAX_GAP = PreprocessConfig().max_imu_gap
 
 
 def imu_factor_residual(state_i: SensorState, state_j: SensorState,
@@ -101,7 +103,7 @@ def nodes_oracle(samples, t0, t1):
     return node_t, np.array(node_a), np.array(node_g)
 
 
-def preintegrate_oracle(samples, t_i, t_j, bias, noise=NOISE, max_gap=0.02):
+def preintegrate_oracle(samples, t_i, t_j, bias, noise=NOISE, max_gap=MAX_GAP):
     """Oracle: deltas, covariance and bias Jacobian by the per-step
     recursion (delta_r, delta_v, delta_p, cov, jac_bias)."""
     node_t, node_a, node_g = integration_nodes(samples, t_i, t_j, max_gap)
@@ -156,7 +158,7 @@ def stepwise_deltas(samples, t_i, t_j, bias):
     """Oracle: deltas by propagate_state over integration_nodes' nodes,
     from the identity without gravity (rotation vector, velocity, position
     are then the deltas)."""
-    node_t, node_a, node_g = integration_nodes(samples, t_i, t_j)
+    node_t, node_a, node_g = integration_nodes(samples, t_i, t_j, MAX_GAP)
     state = SensorState(identity_pose(), np.zeros(3), bias[:3], bias[3:], t_i)
     for k in range(node_t.size - 1):
         state = propagate_state(state, ImuSample(node_t[k], node_a[k], node_g[k]),
@@ -280,7 +282,7 @@ class TestPropagateState:
 class TestPreintegrate:
     def test_zero_readings_zero_deltas(self):
         samples = [ImuSample(t, np.zeros(3), np.zeros(3)) for t in np.linspace(0, 1, 101)]
-        pre = preintegrate(samples, 0.0, 1.0, np.zeros(6), NOISE)
+        pre = preintegrate(samples, 0.0, 1.0, np.zeros(6), NOISE, MAX_GAP)
         assert np.allclose(pre.delta_r.matrix(), np.eye(3))
         assert np.allclose(pre.delta_v, 0.0)
         assert np.allclose(pre.delta_p, 0.0)
@@ -294,11 +296,12 @@ class TestPreintegrate:
             n = rng.integers(20, 200)
             samples = make_samples(rng, n)
             bias = rng.uniform(-0.05, 0.05, 6)
-            pre = preintegrate(samples, samples[0].stamp, samples[-1].stamp, bias, NOISE)
+            pre = preintegrate(samples, samples[0].stamp, samples[-1].stamp, bias, NOISE,
+                               MAX_GAP)
             state0 = random_state(rng)
             state0 = SensorState(state0.pose, state0.velocity, bias[:3], bias[3:], 0.0)
             oracle = propagate_through(state0, samples)
-            predicted = predict_state(state0, pre)
+            predicted = predict_state(state0, pre, NOISE.gravity)
             scale = max(1.0, np.linalg.norm(oracle.pose.translation))
             assert np.linalg.norm(
                 predicted.pose.translation - oracle.pose.translation) < 1e-9 * scale
@@ -312,7 +315,7 @@ class TestPreintegrate:
 
         def integrate(rate):
             samples = make_samples(np.random.default_rng(3), int(rate) + 1, rate=rate)
-            return preintegrate(samples, 0.0, 1.0, np.zeros(6), NOISE)
+            return preintegrate(samples, 0.0, 1.0, np.zeros(6), NOISE, MAX_GAP)
 
         fine = integrate(20000.0)
         err_coarse = np.linalg.norm(integrate(100.0).delta_p - fine.delta_p)
@@ -324,21 +327,21 @@ class TestPreintegrate:
         samples = [ImuSample(t, np.array([np.sin(3 * t), 0, 9.8]),
                              np.array([0, 0, np.cos(2 * t)]))
                    for t in np.arange(0.0, 1.01, 0.01)]
-        pre = preintegrate(samples, 0.123, 0.877, np.zeros(6), NOISE)
+        pre = preintegrate(samples, 0.123, 0.877, np.zeros(6), NOISE, MAX_GAP)
         assert pre.dt_total == pytest.approx(0.754)
-        left = preintegrate(samples, 0.123, 0.5, np.zeros(6), NOISE)
+        left = preintegrate(samples, 0.123, 0.5, np.zeros(6), NOISE, MAX_GAP)
         assert left.dt_total == pytest.approx(0.377)
 
     def test_coverage_gap_raises(self):
         samples = [ImuSample(t, np.zeros(3), np.zeros(3))
                    for t in [0.0, 0.005, 0.01, 0.2, 0.205, 0.3]]
         with pytest.raises(ImuCoverageGap):
-            preintegrate(samples, 0.0, 0.3, np.zeros(6), NOISE)
+            preintegrate(samples, 0.0, 0.3, np.zeros(6), NOISE, MAX_GAP)
 
     def test_invalid_interval_raises(self):
         samples = [ImuSample(t, np.zeros(3), np.zeros(3)) for t in np.linspace(0, 1, 11)]
         with pytest.raises(InvalidInterval):
-            preintegrate(samples, 0.5, 0.5, np.zeros(6), NOISE)
+            preintegrate(samples, 0.5, 0.5, np.zeros(6), NOISE, MAX_GAP)
 
     def test_nodes_equal_per_node_interpolation(self):
         # integration_nodes finds every node's measurement in one pass; the
@@ -349,7 +352,7 @@ class TestPreintegrate:
             stamps = [s.stamp for s in samples]
             t0 = rng.choice([stamps[0] - 0.01, stamps[2], rng.uniform(stamps[0], stamps[3])])
             t1 = rng.uniform(stamps[-4], stamps[-1] + 0.01)
-            got = integration_nodes(samples, t0, t1)
+            got = integration_nodes(samples, t0, t1, MAX_GAP)
             want = nodes_oracle(samples, t0, t1)
             for g, w in zip(got, want):
                 assert g.tobytes() == w.tobytes()
@@ -363,7 +366,7 @@ class TestPreintegrate:
             t0 = rng.uniform(0.0, 0.01)
             t1 = rng.uniform(0.25, 0.3)
             bias = rng.uniform(-0.2, 0.2, 6)
-            pre = preintegrate(samples, t0, t1, bias, NOISE)
+            pre = preintegrate(samples, t0, t1, bias, NOISE, MAX_GAP)
             dr, dv, dp, cov, jac = preintegrate_oracle(samples, t0, t1, bias)
             assert np.max(np.abs(pre.delta_r.matrix() - dr)) < 1e-14
             assert np.max(np.abs(pre.delta_v - dv)) < 1e-13 * max(1.0, np.max(np.abs(dv)))
@@ -374,8 +377,8 @@ class TestPreintegrate:
     def test_repeated_stamp_is_a_zero_step(self):
         samples = make_samples(np.random.default_rng(22), 60)
         doubled = samples[:30] + [samples[29]] + samples[30:]
-        a = preintegrate(samples, 0.0, samples[-1].stamp, np.zeros(6), NOISE)
-        b = preintegrate(doubled, 0.0, samples[-1].stamp, np.zeros(6), NOISE)
+        a = preintegrate(samples, 0.0, samples[-1].stamp, np.zeros(6), NOISE, MAX_GAP)
+        b = preintegrate(doubled, 0.0, samples[-1].stamp, np.zeros(6), NOISE, MAX_GAP)
         assert b.delta_r.matrix().tobytes() == a.delta_r.matrix().tobytes()
         assert np.allclose(b.cov, a.cov, rtol=1e-14, atol=0.0)
 
@@ -384,14 +387,14 @@ class TestPreintegrate:
         samples = make_samples(rng, 400)
         traces = []
         for t_end in [0.25, 0.5, 1.0, 1.5, 1.99]:
-            pre = preintegrate(samples, 0.0, t_end, np.zeros(6), NOISE)
+            pre = preintegrate(samples, 0.0, t_end, np.zeros(6), NOISE, MAX_GAP)
             traces.append(np.trace(pre.cov))
         assert all(b > a for a, b in zip(traces, traces[1:]))
 
     def test_cov_symmetric_psd(self):
         rng = np.random.default_rng(10)
         samples = make_samples(rng, 200)
-        pre = preintegrate(samples, 0.0, samples[-1].stamp, np.zeros(6), NOISE)
+        pre = preintegrate(samples, 0.0, samples[-1].stamp, np.zeros(6), NOISE, MAX_GAP)
         assert np.allclose(pre.cov, pre.cov.T)
         assert np.min(np.linalg.eigvalsh(pre.cov)) > -1e-16
 
@@ -417,7 +420,7 @@ class TestBiasCorrection:
         for _ in range(60):
             samples = make_samples(rng, 40)
             pres.append(preintegrate(samples, samples[0].stamp, samples[-1].stamp,
-                                     rng.uniform(-0.03, 0.03, 6), NOISE))
+                                     rng.uniform(-0.03, 0.03, 6), NOISE, MAX_GAP))
             biases.append(pres[-1].bias_lin + rng.uniform(-0.02, 0.02, 6))
         stacked = correct_deltas(stack_preintegrated(pres, [GRAVITY] * len(pres)),
                                  np.array(biases))
@@ -432,7 +435,7 @@ class TestBiasCorrection:
         rng = np.random.default_rng(1)
         samples = make_samples(rng, 100)
         bias = np.array([0.01, -0.02, 0.03, 0.001, 0.002, -0.003])
-        pre = preintegrate(samples, 0.0, samples[-1].stamp, bias, NOISE)
+        pre = preintegrate(samples, 0.0, samples[-1].stamp, bias, NOISE, MAX_GAP)
         dr, dv, dp = correct_for_bias(pre, bias)
         assert np.allclose(dr.matrix(), pre.delta_r.matrix())
         assert np.allclose(dv, pre.delta_v)
@@ -442,13 +445,13 @@ class TestBiasCorrection:
         rng = np.random.default_rng(2)
         samples = make_samples(rng, 150)
         t1 = samples[-1].stamp
-        pre = preintegrate(samples, 0.0, t1, np.zeros(6), NOISE)
+        pre = preintegrate(samples, 0.0, t1, np.zeros(6), NOISE, MAX_GAP)
         direction = np.array([1.0, -1.0, 0.5, 0.4, -0.2, 0.8])
         direction /= np.linalg.norm(direction)
         errs = []
         for eps in [1e-2, 1e-3, 1e-4]:
             db = eps * direction
-            exact = preintegrate(samples, 0.0, t1, db, NOISE)
+            exact = preintegrate(samples, 0.0, t1, db, NOISE, MAX_GAP)
             dr, dv, dp = correct_for_bias(pre, db)
             err = (np.linalg.norm(dv - exact.delta_v)
                    + np.linalg.norm(dp - exact.delta_p)
@@ -463,14 +466,14 @@ class TestBiasCorrection:
         samples = make_samples(rng, 120)
         t1 = samples[-1].stamp
         bias0 = np.zeros(6)
-        pre = preintegrate(samples, 0.0, t1, bias0, NOISE)
+        pre = preintegrate(samples, 0.0, t1, bias0, NOISE, MAX_GAP)
         h = 1e-6
         fd = np.zeros((9, 6))
         for c in range(6):
             db = np.zeros(6)
             db[c] = h
-            plus = preintegrate(samples, 0.0, t1, bias0 + db, NOISE)
-            minus = preintegrate(samples, 0.0, t1, bias0 - db, NOISE)
+            plus = preintegrate(samples, 0.0, t1, bias0 + db, NOISE, MAX_GAP)
+            minus = preintegrate(samples, 0.0, t1, bias0 - db, NOISE, MAX_GAP)
             fd[0:3, c] = so3_log(pre.delta_r.inverse() * plus.delta_r) / (2 * h) - \
                 so3_log(pre.delta_r.inverse() * minus.delta_r) / (2 * h)
             fd[3:6, c] = (plus.delta_v - minus.delta_v) / (2 * h)
@@ -487,7 +490,7 @@ class TestBiasCorrection:
             samples = irregular_samples(rng, t1=0.2)
             t0, t1 = rng.uniform(0.0, 0.01), rng.uniform(0.15, 0.2)
             bias = rng.uniform(-0.2, 0.2, 6)
-            pre = preintegrate(samples, t0, t1, bias, NOISE)
+            pre = preintegrate(samples, t0, t1, bias, NOISE, MAX_GAP)
             r0 = stepwise_deltas(samples, t0, t1, bias)[0]
             fd = np.zeros((9, 6))
             for c in range(6):
@@ -556,7 +559,7 @@ class TestImuFactor:
             samples = make_samples(rng, 60)
             bias = rng.uniform(-0.03, 0.03, 6)
             pre = preintegrate(samples, samples[0].stamp, samples[-1].stamp,
-                               bias, NOISE)
+                               bias, NOISE, MAX_GAP)
             state_i, state_j = random_state(rng), random_state(rng)
             state_i = SensorState(state_i.pose, state_i.velocity,
                                   bias[:3] + rng.uniform(-0.01, 0.01, 3),
@@ -576,7 +579,8 @@ class TestImuFactor:
         state_i = random_state(rng)
         state_i = SensorState(state_i.pose, state_i.velocity, bias[:3], bias[3:], 0.0)
         state_j = propagate_through(state_i, samples)
-        pre = preintegrate(samples, samples[0].stamp, samples[-1].stamp, bias, NOISE)
+        pre = preintegrate(samples, samples[0].stamp, samples[-1].stamp, bias, NOISE,
+                           MAX_GAP)
         return state_i, state_j, pre
 
     def test_zero_residual_on_exact_propagation(self):
@@ -606,7 +610,7 @@ class TestImuFactor:
             state_i = random_state(rng)
             state_i = SensorState(state_i.pose, state_i.velocity, bias[:3], bias[3:], 0.0)
             pre = preintegrate(samples, samples[0].stamp, samples[-1].stamp,
-                               bias + rng.uniform(-0.01, 0.01, 6), NOISE)
+                               bias + rng.uniform(-0.01, 0.01, 6), NOISE, MAX_GAP)
             state_j = state_retract(propagate_through(state_i, samples),
                                     rng.uniform(-0.05, 0.05, 15))
             r0, j_i, j_j = imu_factor_residual(state_i, state_j, pre)
@@ -649,7 +653,8 @@ class TestImuFactor:
             ]
             state_i = zero_state()
             state_j = propagate_through(state_i, clean)
-            pre = preintegrate(noisy, clean[0].stamp, clean[-1].stamp, np.zeros(6), NOISE)
+            pre = preintegrate(noisy, clean[0].stamp, clean[-1].stamp, np.zeros(6), NOISE,
+                               MAX_GAP)
             r, _, _ = imu_factor_residual(state_i, state_j, pre)
             info = np.linalg.inv(pre.cov)
             vals.append(r[:9] @ info @ r[:9])

@@ -1,5 +1,7 @@
 import copy
+import gc
 import hashlib
+import tracemalloc
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -29,7 +31,7 @@ from limapper.registration import match_terms, overlap_rate
 from limapper.synthetic import generate_synthetic_scene, square_loop_scene
 from run import state_vector
 from test_preprocess import assert_row_storage
-from workloads import imu_batches, loop_spec
+from workloads import dense_spec, imu_batches, loop_spec
 
 
 @pytest.fixture(scope="module")
@@ -153,20 +155,40 @@ class TestBootstrapAnchor:
 class TestMarginalizedKeyframes:
     def test_keep_only_points_stamps_and_span(self, loop_scene):
         # a keyframe is only a target map once marginalized, and the overlap
-        # reads its points; the neighbours and covariances go with the state
+        # reads its points; the covariances go with the state.  No frame
+        # holds kNN rows: the search hands them to the covariance estimate
         est, _ = run(loop_scene)
         marginalized = [kf for kf in est.keyframes
                         if kf.index not in est.graph.values]
         assert marginalized and len(marginalized) < len(est.keyframes)
-        for kf in est.keyframes:
-            frame = kf.frame
-            if kf in marginalized:
-                assert frame.covs is None and frame.neighbors is None
-                assert_row_storage(frame)
-            else:
-                assert frame.covs is not None and frame.neighbors is not None
+        for rec in est._window + est.keyframes:
+            frame = rec.frame
+            assert not hasattr(frame, "neighbors")
+            arrays = [v for v in vars(frame).values() if isinstance(v, np.ndarray)]
+            assert all(a.dtype == float for a in arrays)
+            assert (frame.covs is None) == (rec in marginalized)
+            assert_row_storage(frame)
             assert len(frame) == len(frame.stamps) > 0
             assert frame.scan_start < frame.scan_end
+
+
+class TestMemoryBudget:
+    def test_bytes_held_after_a_dense_replay(self):
+        # 8 scans of the 512x32-ray loop leave 5 window frames of about 5k
+        # points, 104 bytes each (points, stamps, covariances), their voxel
+        # maps and factors, and one keyframe.  The estimator held 5.01 MB;
+        # kNN rows kept on the window frames (80 bytes a point) made 7.00 MB
+        scene = generate_synthetic_scene(dense_spec(1, 8))  # not traced
+        gc.collect()
+        tracemalloc.start()
+        try:
+            est, _ = run(scene)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(est._window) == 5
+        assert held < 1.1 * 5.01e6, f"{held / 1e6:.3f} MB"
 
 
 class TestKeyframeScoring:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from limapper.config import PreprocessConfig
 from limapper.errors import (
     FrameTooSparse,
     ImuCoverageGap,
@@ -37,7 +38,10 @@ from limapper.preprocess import (
 )
 
 from test_geometry import identity_pose, slerp, zero_state
-from test_imu import propagate_state
+from test_imu import MAX_GAP, NOISE, propagate_state
+
+
+PLANE_EPS = PreprocessConfig().plane_eps
 
 
 def scan_of(points, stamps, start=0.0, end=0.1):
@@ -427,14 +431,13 @@ def neighborhood(kind, k, noise, rng):
 
 
 def frame_of_neighborhoods(clouds):
-    """A frame of the clouds' points: each point's neighbors are the points
-    of its own cloud, itself first."""
+    """A frame of the clouds' points and its kNN rows: each point's
+    neighbors are the points of its own cloud, itself first."""
     k = len(clouds[0])
     pts = np.vstack(clouds)
     i = np.arange(len(pts))[:, None]
     neighbors = i - i % k + (i + np.arange(k)) % k
-    return Frame(points=pts, stamps=np.zeros(len(pts)), scan_start=0.0,
-                 neighbors=neighbors)
+    return Frame(points=pts, stamps=np.zeros(len(pts)), scan_start=0.0), neighbors
 
 
 class TestCovarianceProperties:
@@ -451,9 +454,9 @@ class TestCovarianceProperties:
                else np.eye(3)[rng.permutation(3)])
         clouds = [10.0 ** log_scale * neighborhood(kind, k, 10.0 ** log_noise, rng) @ rot.T
                   + rng.uniform(-50.0, 50.0, 3) for kind in kinds]
-        frame = frame_of_neighborhoods(clouds)
-        out = estimate_covariances(frame)
-        covs, degenerate, evals = reference_covariances(frame.points, frame.neighbors)
+        frame, neighbors = frame_of_neighborhoods(clouds)
+        out = estimate_covariances(frame, neighbors, PLANE_EPS)
+        covs, degenerate, evals = reference_covariances(frame.points, neighbors)
         # a flat neighbourhood's covariance is plane_eps * I
         assert (out.covs[degenerate] == 1e-3 * np.eye(3)).all()
         assert np.abs(out.covs - covs).max() <= 1e-9
@@ -472,9 +475,10 @@ class TestCovarianceProperties:
                                     1e-3 * width * rng.normal(size=10)])
             rot = so3_exp(rng.uniform(-np.pi, np.pi, 3)).matrix()
             clouds.append(base @ rot.T + rng.uniform(-50.0, 50.0, 3))
-        frame = frame_of_neighborhoods(clouds)
-        covs = reference_covariances(frame.points, frame.neighbors)[0]
-        assert np.abs(estimate_covariances(frame).covs - covs).max() <= 1e-10
+        frame, neighbors = frame_of_neighborhoods(clouds)
+        covs = reference_covariances(frame.points, neighbors)[0]
+        out = estimate_covariances(frame, neighbors, PLANE_EPS)
+        assert np.abs(out.covs - covs).max() <= 1e-10
 
     def test_exact_line_takes_eigh(self):
         # a line has no normal: any plane through it is as good, and the
@@ -483,26 +487,24 @@ class TestCovarianceProperties:
         direction = rng.normal(size=3)
         line = 3.7 + np.outer(rng.uniform(-1, 1, 10), direction / np.linalg.norm(direction))
         plane = np.column_stack([rng.uniform(-1, 1, (10, 2)), np.zeros(10)])
-        frame = frame_of_neighborhoods([plane, line, line[::-1] + 20.0])
-        out = estimate_covariances(frame)
-        covs, degenerate, _ = reference_covariances(frame.points, frame.neighbors)
+        frame, neighbors = frame_of_neighborhoods([plane, line, line[::-1] + 20.0])
+        out = estimate_covariances(frame, neighbors, PLANE_EPS)
+        covs, degenerate, _ = reference_covariances(frame.points, neighbors)
         assert out.covs[10:].tobytes() == covs[10:].tobytes()
         assert not degenerate.any()
         assert np.abs(out.covs[:10] - covs[:10]).max() <= 1e-14
 
 
 class TestCovariances:
-    def _frame_with_neighbors(self, pts):
+    def _covariances(self, pts):
         frame = frame_from_scan(scan_of(pts, np.zeros(len(pts))))
-        k = min(len(pts), 10)
-        return Frame(points=frame.points, stamps=frame.stamps, scan_start=0.0,
-                     neighbors=knn_search(frame, k))
+        return estimate_covariances(frame, knn_search(frame, min(len(pts), 10)), PLANE_EPS)
 
     def test_planar_neighborhood_normal_direction(self):
         rng = np.random.default_rng(4)
         pts = np.column_stack([rng.uniform(-1, 1, 30), rng.uniform(-1, 1, 30),
                                np.zeros(30)])
-        out = estimate_covariances(self._frame_with_neighbors(pts))
+        out = self._covariances(pts)
         evals, evecs = np.linalg.eigh(out.covs[0])
         assert np.allclose(evals, [1e-3, 1.0, 1.0], atol=1e-9)
         normal = evecs[:, 0]
@@ -510,13 +512,13 @@ class TestCovariances:
 
     def test_degenerate_neighborhood(self):
         pts = np.tile([[1.0, 2.0, 3.0]], (5, 1))
-        out = estimate_covariances(self._frame_with_neighbors(pts))
+        out = self._covariances(pts)
         assert np.array_equal(out.covs, np.tile(1e-3 * np.eye(3), (5, 1, 1)))
 
     def test_eigenvalues_fixed_regardless_of_spread(self):
         rng = np.random.default_rng(5)
         pts = rng.normal(scale=37.0, size=(40, 3))
-        out = estimate_covariances(self._frame_with_neighbors(pts))
+        out = self._covariances(pts)
         for c in out.covs:
             assert np.allclose(np.sort(np.linalg.eigvalsh(c)), [1e-3, 1, 1], atol=1e-9)
 
@@ -524,8 +526,8 @@ class TestCovariances:
         rng = np.random.default_rng(6)
         pts = rng.normal(size=(50, 3))
         rot = so3_exp(rng.uniform(-2, 2, 3))
-        a = estimate_covariances(self._frame_with_neighbors(pts))
-        b = estimate_covariances(self._frame_with_neighbors(pts @ rot.matrix().T))
+        a = self._covariances(pts)
+        b = self._covariances(pts @ rot.matrix().T)
         rm = rot.matrix()
         for ca, cb in zip(a.covs, b.covs):
             assert np.allclose(rm @ ca @ rm.T, cb, atol=1e-9)
@@ -537,7 +539,8 @@ class TestDeskew:
         pts = rng.uniform(-5, 5, (100, 3))
         stamps = rng.uniform(0.0, 0.1, 100)
         frame = Frame(points=pts, stamps=stamps, scan_start=0.0, scan_end=0.1)
-        out = deskew(frame, stationary_imu(-0.01, 0.12), zero_state())
+        out = deskew(frame, stationary_imu(-0.01, 0.12), zero_state(), NOISE.gravity,
+                     MAX_GAP)
         assert out.deskewed
         assert np.max(np.abs(out.points - pts)) < 1e-9
 
@@ -550,7 +553,7 @@ class TestDeskew:
         pts = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
         stamps = np.array([0.05, 0.08])
         frame = Frame(points=pts, stamps=stamps, scan_start=0.0, scan_end=0.1)
-        out = deskew(frame, samples, zero_state())
+        out = deskew(frame, samples, zero_state(), NOISE.gravity, MAX_GAP)
         for i, t in enumerate(stamps):
             expected = so3_exp(omega * t).apply(pts[i])
             assert np.allclose(out.points[i], expected, atol=1e-6)
@@ -560,7 +563,7 @@ class TestDeskew:
         frame = Frame(points=pts, stamps=np.zeros(2), scan_start=0.0, scan_end=0.1)
         samples = [ImuSample(float(t), -GRAVITY + [0.5, 0, 0], [0, 0, 0.3])
                    for t in np.arange(-0.01, 0.12, 0.005)]
-        out = deskew(frame, samples, zero_state())
+        out = deskew(frame, samples, zero_state(), NOISE.gravity, MAX_GAP)
         assert np.allclose(out.points, pts, atol=1e-9)
 
     def test_nonidentity_reference_state_is_relative(self):
@@ -571,12 +574,12 @@ class TestDeskew:
         samples = [ImuSample(float(t), -GRAVITY + [0.3, -0.2, 0.1], [0.1, 0.2, -0.3])
                    for t in np.arange(-0.01, 0.12, 0.005)]
         frame = Frame(points=pts, stamps=stamps, scan_start=0.0, scan_end=0.1)
-        out_id = deskew(frame, samples, zero_state())
+        out_id = deskew(frame, samples, zero_state(), NOISE.gravity, MAX_GAP)
         state = SensorState(
             pose=Se3Pose(so3_exp([0.4, -0.1, 1.2]), np.array([10.0, -3.0, 2.0])),
             velocity=np.array([1.0, 0.5, -0.2]),
             bias_accel=np.zeros(3), bias_gyro=np.zeros(3), stamp=0.0)
-        out_posed = deskew(frame, samples, state)
+        out_posed = deskew(frame, samples, state, NOISE.gravity, MAX_GAP)
         # velocity enters the relative motion, so integrate with the same
         # velocity but identity pose for the reference comparison
         ref = SensorState(identity_pose(), state.pose.rotation.inverse().apply(
@@ -584,7 +587,7 @@ class TestDeskew:
         # gravity must also be expressed consistently; rotate it into the
         # reference frame used above
         g_ref = state.pose.rotation.inverse().apply(GRAVITY)
-        out_ref = deskew(frame, samples, ref, gravity=g_ref)
+        out_ref = deskew(frame, samples, ref, gravity=g_ref, max_gap=MAX_GAP)
         assert np.allclose(out_posed.points, out_ref.points, atol=1e-9)
 
     def test_moving_rotating_sensor_matches_stepwise_poses(self):
@@ -601,7 +604,7 @@ class TestDeskew:
             velocity=np.array([8.0, -3.0, 0.5]),
             bias_accel=np.array([0.05, -0.1, 0.02]),
             bias_gyro=np.array([0.01, 0.03, -0.02]), stamp=0.0)
-        node_t, node_a, node_g = integration_nodes(samples, 0.0, 0.1)
+        node_t, node_a, node_g = integration_nodes(samples, 0.0, 0.1, MAX_GAP)
         poses = [state.pose]
         s = state
         for k in range(node_t.size - 1):
@@ -614,7 +617,7 @@ class TestDeskew:
         stamps = np.concatenate([node_t, rng.uniform(0.0, 0.1, 200)])
         pts = rng.uniform(-30, 30, (stamps.size, 3))
         frame = Frame(points=pts, stamps=stamps, scan_start=0.0, scan_end=0.1)
-        out = deskew(frame, samples, state)
+        out = deskew(frame, samples, state, NOISE.gravity, MAX_GAP)
         err = 0.0
         for p, t, got in zip(pts, stamps, out.points):
             k = min(int(np.searchsorted(node_t, t, side="right")) - 1, node_t.size - 2)
@@ -630,7 +633,7 @@ class TestDeskew:
         samples = [ImuSample(0.0, -GRAVITY, np.zeros(3)),
                    ImuSample(0.1, -GRAVITY, np.zeros(3))]
         with pytest.raises(ImuCoverageGap):
-            deskew(frame, samples, zero_state())
+            deskew(frame, samples, zero_state(), NOISE.gravity, MAX_GAP)
 
     def test_row_cross_products_equal_np_cross(self):
         # deskew rotates the (3, n) point rows with _cross_rows, which must
@@ -644,7 +647,7 @@ class TestDeskew:
         frame = Frame(points=np.zeros((1, 3)), stamps=np.zeros(1), scan_start=0.0,
                       scan_end=0.1, deskewed=True)
         with pytest.raises(ValueError):
-            deskew(frame, stationary_imu(0, 0.1), zero_state())
+            deskew(frame, stationary_imu(0, 0.1), zero_state(), NOISE.gravity, MAX_GAP)
 
 
 def assert_row_storage(frame):
@@ -684,10 +687,9 @@ class TestRowStorage:
     def test_replace_shares_the_rows(self):
         rng = np.random.default_rng(2)
         frame = frame_from_scan(scan_of(rng.uniform(-2, 2, (30, 3)), np.zeros(30)))
-        with_neighbors = replace(frame, neighbors=knn_search(frame, 5))
-        assert_row_storage(with_neighbors)
-        assert np.shares_memory(with_neighbors.points, frame.points)
-        covs = estimate_covariances(with_neighbors)
+        covs = estimate_covariances(frame, knn_search(frame, 5), PLANE_EPS)
+        assert_row_storage(covs)
+        assert np.shares_memory(covs.points, frame.points)
         again = replace(covs, deskewed=True)
         assert np.shares_memory(again.covs, covs.covs)
         assert np.shares_memory(again.points, frame.points)
@@ -696,7 +698,7 @@ class TestRowStorage:
         rng = np.random.default_rng(4)
         frame = frame_from_scan(scan_of(rng.uniform(-2, 2, (30, 3)),
                                         rng.uniform(0, 0.1, 30)))
-        frame = estimate_covariances(replace(frame, neighbors=knn_search(frame, 5)))
+        frame = estimate_covariances(frame, knn_search(frame, 5), PLANE_EPS)
         for copied in (pickle.loads(pickle.dumps(frame)), copy.deepcopy(frame)):
             assert_row_storage(copied)
             for f in fields(Frame):
@@ -714,7 +716,7 @@ class TestRowStorage:
                       stamps=rng.uniform(0.0, 0.1, 50), scan_start=0.0, scan_end=0.1)
         samples = [ImuSample(float(t), -GRAVITY + [0.3, -0.2, 0.1], [0.1, 0.2, -0.3])
                    for t in np.arange(-0.01, 0.12, 0.005)]
-        assert_row_storage(deskew(frame, samples, zero_state()))
+        assert_row_storage(deskew(frame, samples, zero_state(), NOISE.gravity, MAX_GAP))
 
     def test_estimate_covariances_with_eigh_and_degenerate_rows(self):
         # a plane (closed form), a line (eigh fallback) and ten copies of one
@@ -724,14 +726,14 @@ class TestRowStorage:
         line = 3.7 + np.outer(rng.uniform(-1, 1, 10), direction / np.linalg.norm(direction))
         plane = np.column_stack([rng.uniform(-1, 1, (10, 2)), np.zeros(10)])
         point = np.tile([[9.0, 9.0, 9.0]], (10, 1))
-        frame = frame_of_neighborhoods([plane, line, point])
-        out = estimate_covariances(frame)
+        frame, neighbors = frame_of_neighborhoods([plane, line, point])
+        out = estimate_covariances(frame, neighbors, PLANE_EPS)
         assert_row_storage(out)
-        covs, degenerate, _ = reference_covariances(frame.points, frame.neighbors)
+        covs, degenerate, _ = reference_covariances(frame.points, neighbors)
         assert degenerate.tolist() == [False] * 20 + [True] * 10
         assert np.array_equal(out.covs[20:], np.tile(1e-3 * np.eye(3), (10, 1, 1)))
         assert out.covs[10:].tobytes() == covs[10:].tobytes()
 
     def test_empty_frame(self):
         frame = frame_from_scan(scan_of(np.zeros((0, 3)), np.zeros(0)))
-        assert_row_storage(estimate_covariances(replace(frame, neighbors=np.zeros((0, 5), int))))
+        assert_row_storage(estimate_covariances(frame, np.zeros((0, 5), int), PLANE_EPS))

@@ -1,4 +1,4 @@
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 from unittest import mock
 
@@ -319,8 +319,7 @@ class TestBuildVoxelmapOracle:
         pre = PipelineConfig().preprocess
         frame = frame_from_scan(voxel_downsample(scene_scans[name],
                                                  pre.downsample_resolution))
-        frame = replace(frame, neighbors=knn_search(frame, pre.knn))
-        frame = estimate_covariances(frame, pre.plane_eps)
+        frame = estimate_covariances(frame, knn_search(frame, pre.knn), pre.plane_eps)
         counts = assert_voxelmap_equals_oracle(frame, resolution)
         assert counts.max() >= 4  # cells where the order of the sum tells
 
@@ -552,12 +551,9 @@ def box_room_frame(rng, n_per_wall=120, size=(6.0, 5.0, 3.0), jitter=0.0,
 
 def box_room_frame_plane_covs(rng, **kwargs):
     """Box-room frame with neighbor-based plane-regularized covariances."""
-    from limapper.preprocess import estimate_covariances, knn_search
-    from dataclasses import replace
-
     frame = box_room_frame(rng, **kwargs)
-    frame = replace(frame, covs=None, neighbors=knn_search(frame, 10))
-    return estimate_covariances(frame)
+    return estimate_covariances(frame, knn_search(frame, 10),
+                                PipelineConfig().preprocess.plane_eps)
 
 
 class TestLinearization:

@@ -5,7 +5,7 @@ import pytest
 
 from limapper.errors import GenerationError
 from limapper.geometry import SensorState
-from limapper.imu import GRAVITY, preintegrate, ImuNoiseParams, predict_state
+from limapper.imu import GRAVITY, preintegrate, predict_state
 from limapper.synthetic import (
     LinePath,
     Path,
@@ -21,6 +21,7 @@ from limapper.synthetic import (
 )
 
 from test_geometry import identity_pose, rotation_angle
+from test_imu import MAX_GAP, NOISE
 
 
 class StationaryTrajectory(Trajectory):
@@ -171,10 +172,10 @@ class TestSceneGeneration:
             duration=4.0, imu_rate=1000.0))
         traj = scene.spec.trajectory
         t0, t1 = 0.0, 3.5
-        pre = preintegrate(scene.imu, t0, t1, np.zeros(6), ImuNoiseParams())
+        pre = preintegrate(scene.imu, t0, t1, np.zeros(6), NOISE, MAX_GAP)
         state0 = SensorState(pose=traj.pose(t0), velocity=velocity(traj, t0),
                              bias_accel=np.zeros(3), bias_gyro=np.zeros(3), stamp=t0)
-        predicted = predict_state(state0, pre)
+        predicted = predict_state(state0, pre, NOISE.gravity)
         expected = traj.pose(t1)
         assert np.linalg.norm(predicted.pose.translation - expected.translation) < 5e-3
         assert rotation_angle(predicted.pose.rotation, expected.rotation) < 2e-3
