@@ -114,23 +114,23 @@ class Factor:
 class ImuFactor(Factor):
     """Preintegrated relative-motion constraint plus bias random walk.
 
-    The factor holds only its inputs.  All the IMU factors of a graph are
+    The factor holds only its preintegration and the information formed
+    from its noise: the inverse of ``pre.cov`` on the motion rows and of
+    ``pre.walk`` on the bias rows.  All the IMU factors of a graph are
     costed and linearized together, in one stacked pass over their K
     residuals (``_imu_stage``) and Jacobians (``_imu_blocks``).
     """
 
     kind = "imu-preintegration"
 
-    def __init__(self, key_i: int, key_j: int, pre: PreintegratedImu,
-                 gravity, walk_information):
+    def __init__(self, key_i: int, key_j: int, pre: PreintegratedImu):
         self.keys = (key_i, key_j)
         self.pre = pre
-        self.gravity = np.asarray(gravity, dtype=float)
         info9 = np.linalg.inv(pre.cov)
         info9 = 0.5 * (info9 + info9.T)
         self.information = np.zeros((15, 15))
         self.information[:9, :9] = info9
-        self.information[9:, 9:] = np.diag(walk_information)
+        self.information[9:, 9:] = np.diag(1.0 / pre.walk)
 
 
 class _ImuStage(NamedTuple):
@@ -162,8 +162,7 @@ def _imu_stage(factors, values, last: _ImuStage | None = None) -> _ImuStage:
             return last
         pre, info = last.pre, last.information
     else:
-        pre = stack_preintegrated([f.pre for f in factors],
-                                  [f.gravity for f in factors])
+        pre = stack_preintegrated([f.pre for f in factors])
         info = np.array([f.information for f in factors])
     res = imu_residuals(states[0::2], states[1::2], pre)
     r = res.residual
@@ -230,7 +229,7 @@ class MatchingCostFactor(Factor):
         self.fixed_target_pose = fixed_target_pose
         self.min_inliers = min_inliers
         self._empty = (len(source) == 0 or len(target_map) == 0
-                       or source.covs is None)
+                       or source.cov_rows is None)
         # (rot, trans, keys, rows) of the last look-up: its relative pose,
         # and the packed voxel key and voxel row per source point
         self._lookup = None

@@ -93,6 +93,10 @@ class ImuNoiseParams:
 
 @dataclass(frozen=True)
 class PreintegratedImu:
+    """The deltas over an interval with their noise, and the gravity that
+    re-enters when they are composed onto a state: all an IMU factor
+    reads."""
+
     delta_r: Rotation
     delta_v: np.ndarray
     delta_p: np.ndarray
@@ -100,6 +104,8 @@ class PreintegratedImu:
     cov: np.ndarray  # 9x9, (rot, vel, pos)
     bias_lin: np.ndarray  # 6, (ba, bg) at the linearization point
     jac_bias: np.ndarray  # 9x6, d(deltas)/d(bias)
+    gravity: np.ndarray  # (3,) world gravity [m/s^2]
+    walk: np.ndarray  # (6,) accel then gyro bias-walk variances over the interval
 
 
 def samples_to_arrays(samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -237,6 +243,9 @@ def preintegrate(samples, t_i: float, t_j: float, bias_lin,
     of those 9x3 factors carried to N.  The accel density, isotropic and so
     the same in any frame, adds sa^2 dt_k I on velocity, sa^2 dt_k s_k I
     between velocity and position and sa^2 dt_k s_k^2 I on position.
+
+    The bias-walk variances are density^2 * dt over the interval, with dt
+    at least 1 ms.
     """
     bias_lin = np.asarray(bias_lin, dtype=float)
     d = integrate(samples, t_i, t_j, bias_lin, max_gap)
@@ -264,20 +273,24 @@ def preintegrate(samples, t_i: float, t_j: float, bias_lin,
     accel = noise.accel_noise_density**2 * d.dt
     moments = np.array([[accel.sum(), accel @ mid], [accel @ mid, accel @ (mid * mid)]])
     cov[3:, 3:] += (moments[:, None, :, None] * np.eye(3)[None, :, None, :]).reshape(6, 6)
+    dt_total = float(t_j - t_i)
+    walk_dt = max(dt_total, 1e-3)
     return PreintegratedImu(
         delta_r=Rotation.from_matrix(d.rot[-1]),
         delta_v=d.vel[-1],
         delta_p=d.pos[-1],
-        dt_total=float(t_j - t_i),
+        dt_total=dt_total,
         cov=cov,
         bias_lin=bias_lin,
         jac_bias=jac,
+        gravity=noise.gravity,
+        walk=np.repeat([noise.accel_bias_walk**2 * walk_dt,
+                        noise.gyro_bias_walk**2 * walk_dt], 3),
     )
 
 
 class PreintegratedStack(NamedTuple):
-    """K preintegrations, each with the gravity of its factor, as arrays
-    with a leading axis of length K."""
+    """K preintegrations as arrays with a leading axis of length K."""
 
     delta_r: np.ndarray  # (K, 3, 3)
     delta_v: np.ndarray  # (K, 3)
@@ -288,8 +301,8 @@ class PreintegratedStack(NamedTuple):
     gravity: np.ndarray  # (K, 3)
 
 
-def stack_preintegrated(pres, gravities) -> PreintegratedStack:
-    """The K preintegrations and their K gravity vectors as one stack."""
+def stack_preintegrated(pres) -> PreintegratedStack:
+    """The K preintegrations as one stack."""
     return PreintegratedStack(
         np.array([p.delta_r.matrix() for p in pres]),
         np.array([p.delta_v for p in pres]),
@@ -297,7 +310,7 @@ def stack_preintegrated(pres, gravities) -> PreintegratedStack:
         np.array([[p.dt_total] for p in pres]),
         np.array([p.bias_lin for p in pres]),
         np.array([p.jac_bias for p in pres]),
-        np.array(gravities, dtype=float).reshape(-1, 3))
+        np.array([p.gravity for p in pres]))
 
 
 def correct_deltas(pre: PreintegratedStack, bias: np.ndarray):
@@ -314,12 +327,11 @@ def correct_deltas(pre: PreintegratedStack, bias: np.ndarray):
     return delta_r, delta_v, delta_p, theta
 
 
-def predict_state(state: SensorState, pre: PreintegratedImu, gravity) -> SensorState:
+def predict_state(state: SensorState, pre: PreintegratedImu) -> SensorState:
     """Compose preintegrated deltas, corrected to the state's bias, onto a
     state, re-injecting gravity."""
-    gravity = np.asarray(gravity, dtype=float)
-    dr, dv, dp, _ = correct_deltas(stack_preintegrated([pre], [gravity]),
-                                   state.bias[None])
+    gravity = pre.gravity
+    dr, dv, dp, _ = correct_deltas(stack_preintegrated([pre]), state.bias[None])
     dt = pre.dt_total
     r_i = state.pose.rotation
     return SensorState(

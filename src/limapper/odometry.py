@@ -49,7 +49,6 @@ from .preprocess import (
     RawScan,
     deskew,
     estimate_covariances,
-    frame_from_scan,
     knn_search,
     voxel_downsample,
 )
@@ -57,7 +56,7 @@ from .registration import GaussianVoxelMap, build_voxelmap, overlap_rate
 
 
 def initialize_from_rest(samples, gravity, window: float, gyro_limit: float,
-                         stamp: float | None = None) -> SensorState:
+                         stamp: float) -> SensorState:
     """Bootstrap orientation and biases from stationary IMU data.
 
     Aligns the mean specific force with the gravity reaction (roll/pitch
@@ -108,7 +107,7 @@ def initialize_from_rest(samples, gravity, window: float, gyro_limit: float,
         velocity=np.zeros(3),
         bias_accel=bias_accel,
         bias_gyro=mean_g,
-        stamp=t0 if stamp is None else stamp,
+        stamp=stamp,
     )
 
 
@@ -215,8 +214,8 @@ class OdometryEstimator:
         if neighbors is None:
             # fewer points than knn: no neighbourhood to fit, so take the
             # flat-neighbourhood fallback of estimate_covariances
-            n = len(frame)
-            return replace(frame, covs=np.tile(cfg.plane_eps * np.eye(3), (n, 1, 1)))
+            return replace(frame, cov_rows=np.tile(cfg.plane_eps * np.eye(3).reshape(9, 1),
+                                                   len(frame)))
         return estimate_covariances(frame, neighbors, cfg.plane_eps)
 
     def _overlap(self, a: WindowFrame, b: WindowFrame) -> float:
@@ -283,7 +282,7 @@ class OdometryEstimator:
         dropped = self._push_imu(imu_samples)
         cfg = self.config.odometry
         pre_cfg = self.config.preprocess
-        pre_frame = frame_from_scan(voxel_downsample(scan, pre_cfg.downsample_resolution))
+        pre_frame = voxel_downsample(scan, pre_cfg.downsample_resolution)
         neighbors = (knn_search(pre_frame, pre_cfg.knn)  # kept only for the covariances
                      if len(pre_frame) >= pre_cfg.knn else None)
         if not self._window:
@@ -311,9 +310,8 @@ class OdometryEstimator:
                                t_prev, scan.scan_start,
                                prev.state.bias, self.config.imu,
                                max_gap=pre_cfg.max_imu_gap)
-            state = predict_state(prev.state, pre, self.config.imu.gravity)
-            anchor = ImuFactor(prev.index, index, pre, self.config.imu.gravity,
-                               walk_information=self._walk_information(pre.dt_total))
+            state = predict_state(prev.state, pre)
+            anchor = ImuFactor(prev.index, index, pre)
 
         frame = self._finish_frame(pre_frame, neighbors, state)
         rec = WindowFrame(index=index, frame=frame,
@@ -322,13 +320,6 @@ class OdometryEstimator:
         return rec, [anchor, *self._matching_links(rec)], dropped
 
     # -- factors -------------------------------------------------------------------
-
-    def _walk_information(self, dt: float) -> np.ndarray:
-        dt = max(dt, 1e-3)
-        return np.concatenate([
-            np.full(3, 1.0 / (self.config.imu.accel_bias_walk**2 * dt)),
-            np.full(3, 1.0 / (self.config.imu.gyro_bias_walk**2 * dt)),
-        ])
 
     def _matching_links(self, rec: WindowFrame) -> list:
         """The matching factors that link rec to the recent frames (newest
@@ -429,4 +420,4 @@ class OdometryEstimator:
             del self._window[0]
             # a keyframe is only a target map, and the overlap reads its
             # points: it keeps the points, stamps and span, and drops its covariances
-            rec.frame = replace(rec.frame, covs=None)
+            rec.frame = replace(rec.frame, cov_rows=None)

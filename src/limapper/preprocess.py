@@ -1,10 +1,11 @@
 """Scan preprocessing: voxel downsampling, exact kNN, per-point covariances,
 and IMU-predicted deskewing.
 
-A scan becomes a Frame in four steps: downsample with per-voxel timestamp
-averaging, find neighbors (before deskewing), deskew by integrating the IMU
-across the scan, then estimate plane-regularized point covariances from
-those neighborhoods, whose index rows the Frame does not keep.
+A scan becomes a Frame in four steps: the downsample, which averages
+positions and timestamps per voxel, returns the Frame; its neighbors are
+found before deskewing; the deskew integrates the IMU across the scan; and
+the plane-regularized point covariances come from those neighborhoods,
+whose index rows the Frame does not keep.
 
 The two per-point kernels take a general algorithm only where it is needed:
 
@@ -21,7 +22,7 @@ The two per-point kernels take a general algorithm only where it is needed:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -90,44 +91,26 @@ class RawScan:
 class Frame:
     """Downsampled point cloud with optional covariances.
 
-    Each per-point array is stored once, one contiguous row per component:
-    ``point_rows`` is a C-contiguous (3, n) array and ``cov_rows`` a
-    C-contiguous (9, n) array of the row-major covariance entries.  The
-    (n, 3) ``points`` and (n, 3, 3) ``covs`` fields are views of that
-    storage; construction copies an array into it only when it is not laid
-    out so already, so ``replace`` shares the arrays it keeps.  Matching
-    reads the rows, so transforming the points is one (3x3)·(3xn) product
-    and every gather is a contiguous ``take`` along a row.  The frame holds
-    the scan span, named as on ``RawScan``, for every stage after it.
+    Each per-point array is one contiguous row per component: ``point_rows``
+    is a C-contiguous (3, n) array and ``cov_rows`` a C-contiguous (9, n)
+    array of the row-major covariance entries, as every producer makes them.
+    Matching reads the rows, so transforming the points is one
+    (3x3)·(3xn) product and every gather is a contiguous ``take`` along a
+    row.  The frame holds the scan span, named as on ``RawScan``, for every
+    stage after it.
     """
 
-    points: np.ndarray  # (n, 3), a view of point_rows
+    point_rows: np.ndarray  # (3, n)
     stamps: np.ndarray  # (n,)
     scan_start: float
-    scan_end: float = 0.0
-    covs: np.ndarray | None = None  # (n, 3, 3) regularized, a view of cov_rows
+    scan_end: float
+    cov_rows: np.ndarray | None = None  # (9, n) regularized
     deskewed: bool = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", _row_view(self.points, 3))
-        if self.covs is not None:
-            object.__setattr__(self, "covs", _row_view(self.covs, 9))
-
-    def __reduce__(self):
-        # pickle and copy rebuild the frame through the constructor: numpy
-        # stores a view as an array of its own, whose (n, 3, 3) layout
-        # would leave cov_rows strided
-        return (Frame, tuple(getattr(self, f.name) for f in fields(self)))
-
     @property
-    def point_rows(self) -> np.ndarray:
-        """(3, n) C-contiguous storage of ``points``."""
-        return self.points.T
-
-    @property
-    def cov_rows(self) -> np.ndarray:
-        """(9, n) C-contiguous storage of ``covs``, entries in row-major order."""
-        return self.covs.reshape(-1, 9).T
+    def points(self) -> np.ndarray:
+        """(n, 3) view of ``point_rows``."""
+        return self.point_rows.T
 
     @cached_property
     def reach(self) -> float:
@@ -137,22 +120,7 @@ class Frame:
         return float(np.sqrt(np.max(np.einsum("cn,cn->n", rows, rows), initial=0.0)))
 
     def __len__(self) -> int:
-        return self.points.shape[0]
-
-
-def _row_view(values, width: int) -> np.ndarray:
-    """``values`` as a view of a C-contiguous (width, n) float array, in its
-    own shape; copied only when it is not laid out so already."""
-    values = np.asarray(values, dtype=float)
-    rows = values.reshape(-1, width).T
-    if not rows.flags.c_contiguous:
-        rows = np.ascontiguousarray(rows)
-    return rows.T.reshape(values.shape)
-
-
-def frame_from_scan(scan: RawScan) -> Frame:
-    return Frame(points=scan.points, stamps=scan.stamps,
-                 scan_start=scan.scan_start, scan_end=scan.scan_end)
+        return self.point_rows.shape[1]
 
 
 def pack_voxel_keys(points: np.ndarray, resolution: float) -> np.ndarray:
@@ -210,8 +178,9 @@ def cell_sums(cell: np.ndarray, rows, n_cells: int) -> np.ndarray:
     return np.stack([np.bincount(cell, row, n_cells) for row in rows])
 
 
-def voxel_downsample(scan: RawScan, resolution: float) -> RawScan:
-    """Average positions and timestamps per voxel, splitting on stamp spread.
+def voxel_downsample(scan: RawScan, resolution: float) -> Frame:
+    """The frame of per-voxel mean positions and timestamps, splitting on
+    stamp spread.
 
     A point whose stamp differs from its cell's running-mean stamp by more
     than a tenth of the scan duration is diverted to a single overflow cell
@@ -229,7 +198,7 @@ def voxel_downsample(scan: RawScan, resolution: float) -> RawScan:
     if resolution <= 0.0:
         raise ValueError("resolution must be positive")
     if len(scan) == 0:
-        return scan
+        return Frame(np.empty((3, 0)), scan.stamps, scan.scan_start, scan.scan_end)
     split_tol = scan.duration / 10.0
     order, starts, counts, cell = group_by_key(pack_voxel_keys(scan.points, resolution))
     sums = cell_sums(cell, (*scan.points.T, scan.stamps), counts.shape[0])
@@ -239,7 +208,7 @@ def voxel_downsample(scan: RawScan, resolution: float) -> RawScan:
         # row pairwise, as it sums the voxel's 1-D slice
         g = np.flatnonzero(counts == c)
         sums[3, g] = stamps[starts[g][:, None] + np.arange(c)].sum(axis=1)
-    points = (sums[:3] / counts).T
+    point_rows = sums[:3] / counts
     mean_stamps = sums[3] / counts
 
     spread = np.maximum.reduceat(stamps, starts) - np.minimum.reduceat(stamps, starts)
@@ -258,16 +227,17 @@ def voxel_downsample(scan: RawScan, resolution: float) -> RawScan:
                 target = 1
             cells[target].append(i)
             stamp_sums[target] += t
-        points[g] = scan.points[cells[0]].mean(axis=0)
+        point_rows[:, g] = scan.points[cells[0]].mean(axis=0)
         mean_stamps[g] = scan.stamps[cells[0]].mean()
         if cells[1]:
             overflow_at.append(g + 1)
             overflow_points.append(scan.points[cells[1]].mean(axis=0))
             overflow_stamps.append(scan.stamps[cells[1]].mean())
     if overflow_at:
-        points = np.insert(points, overflow_at, overflow_points, axis=0)
+        point_rows = np.insert(point_rows, overflow_at, np.transpose(overflow_points),
+                               axis=1)
         mean_stamps = np.insert(mean_stamps, overflow_at, overflow_stamps)
-    return RawScan(points, mean_stamps, scan.scan_start, scan.scan_end)
+    return Frame(point_rows, mean_stamps, scan.scan_start, scan.scan_end)
 
 
 def knn_search(frame: Frame, k: int) -> np.ndarray:
@@ -367,7 +337,7 @@ def estimate_covariances(frame: Frame, neighbors: np.ndarray, plane_eps: float) 
     """
     n = len(frame)
     if n == 0:
-        return replace(frame, covs=np.zeros((0, 3, 3)))
+        return replace(frame, cov_rows=np.zeros((9, 0)))
     k = neighbors.shape[1]
     nbr = np.take(frame.point_rows, neighbors, axis=1)  # (3, n, k)
     nbr -= np.einsum("cnk->cn", nbr)[:, :, None] / k
@@ -396,7 +366,7 @@ def estimate_covariances(frame: Frame, neighbors: np.ndarray, plane_eps: float) 
         rows = np.flatnonzero(fallback)
         eigh_covs = _eigh_covariances(frame.points, neighbors[rows], plane_eps)
         covs[:, rows] = eigh_covs.reshape(-1, 9).T
-    return replace(frame, covs=covs.T.reshape(n, 3, 3))
+    return replace(frame, cov_rows=covs)
 
 
 def _symmetric_eigenvalues(a: np.ndarray):
@@ -481,7 +451,8 @@ def deskew(frame: Frame, imu_samples, state_at_scan_start: SensorState,
     # node translation (12-14) and its change over the step (15-17)
     steps = np.concatenate([d.rot[:-1].reshape(-1, 9), d.phi, trans[:-1],
                             np.diff(trans, axis=0)], axis=1)
-    per_point = np.ascontiguousarray(steps.T)[:, seg]
+    # take, unlike [:, seg], returns C-contiguous rows, the frame's layout
+    per_point = np.ascontiguousarray(steps.T).take(seg, axis=1)
     # rotate by exp(alpha phi_k) with Rodrigues' formula on the (3, n) rows,
     # p + a (w x p) + b w x (w x p), then by dR_k, and translate
     w = per_point[9:12] * alpha
@@ -493,7 +464,7 @@ def deskew(frame: Frame, imu_samples, state_at_scan_start: SensorState,
     for i in range(3):
         rot = per_point[3 * i:3 * i + 3]
         out[i] += rot[0] * points[0] + rot[1] * points[1] + rot[2] * points[2]
-    return replace(frame, points=out.T, deskewed=True)
+    return replace(frame, point_rows=out, deskewed=True)
 
 
 def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

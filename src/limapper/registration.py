@@ -27,15 +27,15 @@ keeps the source pose's.  A stacked product forms each slice with the BLAS
 call of the 2-D product of that slice alone, so a quadratic's result is the
 same bits in any stack.
 
-Every per-point array is stored in component rows: a frame keeps its
-points as one C-contiguous (3, n) array and its covariances as one (9, n)
-array (``Frame.point_rows``, ``Frame.cov_rows``), and a voxel map keeps its
-means as (3, M) rows and its covariances as the (6, M) rows of their unique
-entries (xx, xy, xz, yy, yz, zz).  ``match_terms`` forms each symmetric
-3x3 weight as those six entries and every per-inlier quantity as rows too,
-so the kernel is whole-row numpy operations, contiguous ``take`` gathers
-and small BLAS products with no per-inlier matrix; moving the inliers is
-one (3x3)·(3xm) product.
+Every per-point array is stored in component rows: a frame's fields are
+its points as one C-contiguous (3, n) array and its covariances as one
+(9, n) array (``Frame.point_rows``, ``Frame.cov_rows``), and a voxel map
+keeps its means as (3, M) rows and its covariances as the (6, M) rows of
+their unique entries (xx, xy, xz, yy, yz, zz).  ``match_terms`` forms each
+symmetric 3x3 weight as those six entries and every per-inlier quantity as
+rows too, so the kernel is whole-row numpy operations, contiguous ``take``
+gathers and small BLAS products with no per-inlier matrix; moving the
+inliers is one (3x3)·(3xm) product.
 
 A look-up (``GaussianVoxelMap.look_up``) moves the points, packs each
 one's voxel index into one int64 key and finds the key among the map's
@@ -142,7 +142,7 @@ def build_voxelmap(frame: Frame, resolution: float) -> GaussianVoxelMap:
     the frame's own point order (``cell_sums``), as ``np.add.at`` over the
     points in index order would sum them.
     """
-    if frame.covs is None and len(frame) > 0:
+    if frame.cov_rows is None and len(frame) > 0:
         raise ValueError("frame needs covariances before voxelization")
     if len(frame) == 0:
         return GaussianVoxelMap(resolution, np.zeros(0, dtype=np.int64),

@@ -1,5 +1,6 @@
 import copy
 import functools
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -44,6 +45,7 @@ from limapper.synthetic import generate_synthetic_scene
 from test_geometry import identity_pose, pose_apply, zero_state
 from test_imu import MAX_GAP, per_factor_imu_residual, propagate_state
 from test_odometry import run
+from test_preprocess import covs_of
 from test_registration import (
     at_pose,
     box_room_frame_plane_covs,
@@ -59,8 +61,9 @@ from test_registration import (
 from workloads import loop_spec
 
 NOISE = ImuNoiseParams()
-# bias random-walk information per axis of the IMU factors below
-WALK = np.full(6, 1e4)
+# bias random-walk variance per axis of the IMU factors below, whose
+# information is its inverse, 1e4
+WALK = np.full(6, 1e-4)
 # a stationary IMU long enough for the longest chain below
 STILL_SAMPLES = [ImuSample(t, -GRAVITY, np.zeros(3)) for t in np.arange(0, 6.21, 0.005)]
 
@@ -118,7 +121,7 @@ def two_pose_registration():
     true_rel = Se3Pose(so3_exp([0.02, -0.03, 0.3]), np.array([0.4, -0.2, 0.1]))
     # frame observed from the displaced pose: points in its own frame
     moved_pts = pose_apply(pose_inverse(true_rel), cloud.points)
-    moved = make_frame(moved_pts, covs=cloud.covs)
+    moved = make_frame(moved_pts, covs=covs_of(cloud))
     g = FactorGraph()
     g.add_variable(0, zero_state())
     perturb = np.concatenate([rng.normal(size=3) * (5 * np.pi / 180 / np.sqrt(3)),
@@ -170,7 +173,7 @@ class TestContainer:
         g = FactorGraph()
         g.add_variable(0, zero_state())
         g.add_variable(1, zero_state(1.0))
-        g.add_factor(ImuFactor(0, 1, still_link(0), GRAVITY, WALK))
+        g.add_factor(imu_factor(0, 1, still_link(0)))
         with pytest.raises(UnderConstrainedGraph):
             g.optimize_lm()
 
@@ -295,7 +298,7 @@ class TestOptimize:
             pre = preintegrate(samples, lo, hi, np.zeros(6), NOISE, MAX_GAP)
             init = state_retract(states[i + 1], rng.uniform(-0.05, 0.05, 15))
             g.add_variable(i + 1, init)
-            g.add_factor(ImuFactor(i, i + 1, pre, GRAVITY, WALK))
+            g.add_factor(imu_factor(i, i + 1, pre))
         g.optimize_lm()
         for i in (1, 2):
             err = state_local(g.values[i], states[i])
@@ -494,6 +497,11 @@ class TestMatchingCostFactor:
         assert calls == []
 
 
+def imu_factor(i, j, pre):
+    """An IMU factor on the preintegration, with the bias walk WALK."""
+    return ImuFactor(i, j, replace(pre, walk=WALK))
+
+
 @functools.cache
 def still_link(i):
     """Preintegrated stationary IMU over [i, i + 1] s."""
@@ -524,7 +532,7 @@ def translation_chain(n, rng, prior_translation, prior_velocity, prior_info):
         bias_accel=np.zeros(3), bias_gyro=np.zeros(3), stamp=0.0)
     g.add_factor(state_prior(0, prior_target, info))
     for i in range(n - 1):
-        g.add_factor(ImuFactor(i, i + 1, still_link(i), GRAVITY, WALK))
+        g.add_factor(imu_factor(i, i + 1, still_link(i)))
     return g
 
 
@@ -628,7 +636,7 @@ class TestMarginalization:
         pre = preintegrate(samples, 0.0, 1.0, np.zeros(6), NOISE, MAX_GAP)
         nxt = state_retract(states[0], rng.uniform(-0.1, 0.1, 15))
         g.add_variable(1, nxt)
-        g.add_factor(ImuFactor(0, 1, pre, GRAVITY, WALK))
+        g.add_factor(imu_factor(0, 1, pre))
         g.add_factor(state_prior(1, nxt, np.r_[np.zeros(9), np.full(6, 100.0)]))
         g.optimize_lm()
         first = g.values[1]
@@ -769,7 +777,7 @@ def reference_imu_lin(f, values):
     """(g, h, cost) of one IMU factor from the per-factor oracle, weighted
     with 2-D products."""
     r, j_i, j_j = per_factor_imu_residual(values[f.keys[0]], values[f.keys[1]],
-                                          f.pre, f.gravity)
+                                          f.pre, f.pre.gravity)
     jac = np.hstack([j_i, j_j])
     w = 2.0 * jac.T @ f.information
     return w @ r, w @ jac, float(r @ f.information @ r)

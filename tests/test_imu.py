@@ -40,11 +40,10 @@ MAX_GAP = PreprocessConfig().max_imu_gap
 
 
 def imu_factor_residual(state_i: SensorState, state_j: SensorState,
-                        pre: PreintegratedImu, gravity=GRAVITY,
-                        with_jacobians: bool = True):
+                        pre: PreintegratedImu, with_jacobians: bool = True):
     """Residual of one factor and, if asked, its Jacobians j_i and j_j for
     the two states: ``imu_residuals`` and ``imu_jacobians`` with K = 1."""
-    stack = stack_preintegrated([pre], [gravity])
+    stack = stack_preintegrated([pre])
     res = imu_residuals([state_i], [state_j], stack)
     if not with_jacobians:
         return res.residual[0], None, None
@@ -301,7 +300,7 @@ class TestPreintegrate:
             state0 = random_state(rng)
             state0 = SensorState(state0.pose, state0.velocity, bias[:3], bias[3:], 0.0)
             oracle = propagate_through(state0, samples)
-            predicted = predict_state(state0, pre, NOISE.gravity)
+            predicted = predict_state(state0, pre)
             scale = max(1.0, np.linalg.norm(oracle.pose.translation))
             assert np.linalg.norm(
                 predicted.pose.translation - oracle.pose.translation) < 1e-9 * scale
@@ -422,10 +421,9 @@ class TestBiasCorrection:
             pres.append(preintegrate(samples, samples[0].stamp, samples[-1].stamp,
                                      rng.uniform(-0.03, 0.03, 6), NOISE, MAX_GAP))
             biases.append(pres[-1].bias_lin + rng.uniform(-0.02, 0.02, 6))
-        stacked = correct_deltas(stack_preintegrated(pres, [GRAVITY] * len(pres)),
-                                 np.array(biases))
+        stacked = correct_deltas(stack_preintegrated(pres), np.array(biases))
         for k, (pre, bias) in enumerate(zip(pres, biases)):
-            alone = correct_deltas(stack_preintegrated([pre], [GRAVITY]), bias[None])
+            alone = correct_deltas(stack_preintegrated([pre]), bias[None])
             dr, dv, dp = correct_for_bias(pre, bias)
             want = [dr.matrix().tobytes(), dv.tobytes(), dp.tobytes()]
             for got in (alone, [a[k:k + 1] for a in stacked]):

@@ -18,6 +18,7 @@ from limapper.errors import (
     InitializationMotion,
     MalformedScan,
     NonFiniteStamp,
+    OutOfOrder,
     PipelineError,
     VoxelKeyOutOfRange,
 )
@@ -30,7 +31,7 @@ from limapper.preprocess import RawScan
 from limapper.registration import match_terms, overlap_rate
 from limapper.synthetic import generate_synthetic_scene, square_loop_scene
 from run import state_vector
-from test_preprocess import assert_row_storage
+from test_preprocess import assert_row_storage, covs_of
 from workloads import dense_spec, imu_batches, loop_spec
 
 
@@ -166,7 +167,7 @@ class TestMarginalizedKeyframes:
             assert not hasattr(frame, "neighbors")
             arrays = [v for v in vars(frame).values() if isinstance(v, np.ndarray)]
             assert all(a.dtype == float for a in arrays)
-            assert (frame.covs is None) == (rec in marginalized)
+            assert (frame.cov_rows is None) == (rec in marginalized)
             assert_row_storage(frame)
             assert len(frame) == len(frame.stamps) > 0
             assert frame.scan_start < frame.scan_end
@@ -305,6 +306,43 @@ class TestNonFiniteImuStamp:
             state_vector(r.state).tobytes() for r in clean]
 
 
+def batches_past_end(scene, init_window, lead, resend=0):
+    """The scene's IMU samples handed over with each scan up to ``lead``
+    past its end, the first batch also covering the bootstrap window; each
+    later batch starts with copies of the last ``resend`` samples of the
+    one before."""
+    batches, j, imu = [], 0, scene.imu
+    for k, scan in enumerate(scene.scans):
+        horizon = scan.scan_end + lead + (init_window if k == 0 else 0.0)
+        start = j
+        while j < len(imu) and imu[j].stamp <= horizon:
+            j += 1
+        again = [ImuSample(s.stamp, s.accel, s.gyro)
+                 for s in imu[max(start - resend, 0):start]]
+        batches.append(again + imu[start:j])
+    return batches
+
+
+class TestImuBatchBoundaries:
+    @pytest.mark.parametrize("lead, resend", [
+        (0.0005, 0), (0.05, 0), (0.2, 0),
+        (0.0, 5),  # the boundaries of imu_batches, each batch re-sending a tail
+    ])
+    def test_do_not_change_the_states(self, loop_scene, lead, resend):
+        # the estimator reads its buffer by stamp, so where one batch ends
+        # and the next begins, and a tail sent twice, change nothing
+        clean_est, clean = run(loop_scene)
+        est = OdometryEstimator()
+        batches = batches_past_end(loop_scene, est.config.odometry.init_window, lead,
+                                   resend)
+        stamps = [[s.stamp for s in batch] for batch in batches]
+        assert stamps != [[s.stamp for s in batch] for batch in
+                          imu_batches(loop_scene, est.config.odometry.init_window)]
+        results = [est.process_frame(scan, batch)
+                   for scan, batch in zip(loop_scene.scans, batches)]
+        assert outputs(est, results) == outputs(clean_est, clean)
+
+
 class TestRetryAfterFailure:
     """A scan that raises before it enters the graph can be sent again."""
 
@@ -436,6 +474,8 @@ def faulty_scan(scene, k, batch, fault):
                            else s.accel, s.gyro) for s in batch]
     elif fault == "span reversed":
         return RawScan(points, stamps, scan.scan_end, scan.scan_start), batch
+    elif fault == "resent":
+        return scene.scans[k - 1], batch
     return RawScan(points, stamps, scan.scan_start, scan.scan_end), batch
 
 
@@ -447,6 +487,8 @@ class TestFaultLeavesNoTrace:
         "stamps at start, accel before x1e11",
         # the scan is at fault, not its IMU batch
         "span reversed",
+        # scan 7 sent again after scan 7, with the next batch
+        "resent",
     ])
     def test_raises_and_leaves_the_estimator_as_it_was(self, loop_scene, fault):
         # the faulty batch's samples stay buffered until the scan is sent
@@ -459,11 +501,15 @@ class TestFaultLeavesNoTrace:
             est.process_frame(*faulty_scan(loop_scene, 8, batches[8], fault))
         assert fingerprint(est) == before
         if fault == "span reversed":
-            # the stamps are checked before any sample is buffered
             scan = loop_scene.scans[8]
             assert isinstance(info.value, MalformedScan)
             assert str(info.value) == (f"scan_end {scan.scan_start} comes before "
                                        f"scan_start {scan.scan_end}")
+        if fault == "resent":
+            assert isinstance(info.value, OutOfOrder)
+        if fault in ("span reversed", "resent"):
+            # the stamps and their order are checked before any sample is
+            # buffered
             assert [id(s) for s in est._imu] == [id(s) for s in imu]
         results += [est.process_frame(scan, batch)
                     for scan, batch in zip(loop_scene.scans[8:], batches[8:])]
@@ -537,7 +583,7 @@ class TestSparseFrame:
         rec = est._window[-1]
         eps = est.config.preprocess.plane_eps
         assert len(rec.frame) == 5 < est.config.preprocess.knn
-        assert np.array_equal(rec.frame.covs, np.tile(eps * np.eye(3), (5, 1, 1)))
+        assert np.array_equal(covs_of(rec.frame), np.tile(eps * np.eye(3), (5, 1, 1)))
         assert_row_storage(rec.frame)
         rot, trans = np.eye(3), np.zeros(3)
         _, rows = rec.voxelmap.look_up(rec.frame.point_rows, rot, trans)

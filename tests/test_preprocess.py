@@ -30,7 +30,6 @@ from limapper.preprocess import (
     deskew,
     estimate_covariances,
     face_neighbour_keys,
-    frame_from_scan,
     group_by_key,
     knn_search,
     pack_voxel_keys,
@@ -46,6 +45,26 @@ PLANE_EPS = PreprocessConfig().plane_eps
 
 def scan_of(points, stamps, start=0.0, end=0.1):
     return RawScan(np.asarray(points, float), np.asarray(stamps, float), start, end)
+
+
+def component_rows(values, width):
+    """n values of ``width`` entries each as C-contiguous (width, n) rows."""
+    return np.ascontiguousarray(np.reshape(values, (-1, width)).T, dtype=float)
+
+
+def frame_of(points, stamps=None, start=0.0, end=0.1, covs=None, deskewed=False):
+    """A frame of (n, 3) points and, if given, (n, 3, 3) covariances, in
+    component rows as its producers make them; zero stamps unless given,
+    and the span of ``scan_of`` unless given."""
+    rows = component_rows(points, 3)
+    stamps = np.zeros(rows.shape[1]) if stamps is None else np.asarray(stamps, float)
+    return Frame(rows, stamps, start, end,
+                 None if covs is None else component_rows(covs, 9), deskewed)
+
+
+def covs_of(frame):
+    """The (n, 3, 3) covariances of the frame's (9, n) rows."""
+    return frame.cov_rows.T.reshape(-1, 3, 3)
 
 
 def stationary_imu(t0, t1, rate=200.0):
@@ -120,7 +139,7 @@ class TestVoxelDownsample:
         pts = rng.uniform(-2, 2, (300, 3))
         scan = scan_of(pts, np.full(300, 0.05))
         once = voxel_downsample(scan, 0.5)
-        twice = voxel_downsample(once, 0.5)
+        twice = voxel_downsample(scan_of(once.points, once.stamps), 0.5)
         order1 = np.lexsort(once.points.T)
         order2 = np.lexsort(twice.points.T)
         assert len(once) == len(twice)
@@ -313,22 +332,20 @@ class TestFaceNeighbourKeys:
 
 class TestKnn:
     def test_colinear_example(self):
-        frame = frame_from_scan(scan_of(
-            [[0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]], [0, 0, 0, 0]))
+        frame = frame_of([[0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]], [0, 0, 0, 0])
         nbr = knn_search(frame, 2)
         assert list(nbr[0]) == [0, 1]
         assert list(nbr[3]) == [3, 2]
 
     def test_k_equals_n_is_permutation(self):
         rng = np.random.default_rng(2)
-        frame = frame_from_scan(scan_of(rng.normal(size=(8, 3)), np.zeros(8)))
+        frame = frame_of(rng.normal(size=(8, 3)), np.zeros(8))
         nbr = knn_search(frame, 8)
         for row in nbr:
             assert sorted(row) == list(range(8))
 
     def test_duplicates_tie_break_low_index(self):
-        frame = frame_from_scan(scan_of(
-            [[0, 0, 0], [0, 0, 0], [5, 0, 0]], np.zeros(3)))
+        frame = frame_of([[0, 0, 0], [0, 0, 0], [5, 0, 0]], np.zeros(3))
         nbr = knn_search(frame, 2)
         assert list(nbr[0]) == [0, 1]
         assert list(nbr[1]) == [0, 1]
@@ -337,7 +354,7 @@ class TestKnn:
         rng = np.random.default_rng(3)
         for n, k in [(50, 5), (400, 10), (2000, 10)]:
             pts = rng.uniform(-10, 10, (n, 3))
-            frame = frame_from_scan(scan_of(pts, np.zeros(n)))
+            frame = frame_of(pts, np.zeros(n))
             nbr = knn_search(frame, k)
             diff = pts[None, :, :] - pts[:, None, :]
             d2 = np.einsum("nmd,nmd->nm", diff, diff)
@@ -345,7 +362,7 @@ class TestKnn:
             assert np.array_equal(nbr, oracle)
 
     def test_too_few_points(self):
-        frame = frame_from_scan(scan_of([[0, 0, 0]], [0.0]))
+        frame = frame_of([[0, 0, 0]], [0.0])
         with pytest.raises(FrameTooSparse):
             knn_search(frame, 2)
 
@@ -356,7 +373,7 @@ class TestKnn:
         for seed in range(40):
             rng = np.random.default_rng(seed)
             pts = 0.25 * rng.integers(-3, 4, (300, 3))
-            nbr = knn_search(frame_from_scan(scan_of(pts, np.zeros(300))), 10)
+            nbr = knn_search(frame_of(pts, np.zeros(300)), 10)
             assert np.array_equal(nbr, reference_knn(pts, 10))
 
 
@@ -383,7 +400,7 @@ class TestKnnProperties:
         pts[dup] = pts[rng.integers(0, n, dup.sum())]
         if offset:  # off the origin the grid's distances are rounded
             pts += rng.uniform(-50.0, 50.0, 3)
-        nbr = knn_search(frame_from_scan(scan_of(pts, np.zeros(n))), k)
+        nbr = knn_search(frame_of(pts, np.zeros(n)), k)
         ref = reference_knn(pts, k)
         assert nbr.dtype == ref.dtype
         assert np.array_equal(nbr, ref)
@@ -437,7 +454,7 @@ def frame_of_neighborhoods(clouds):
     pts = np.vstack(clouds)
     i = np.arange(len(pts))[:, None]
     neighbors = i - i % k + (i + np.arange(k)) % k
-    return Frame(points=pts, stamps=np.zeros(len(pts)), scan_start=0.0), neighbors
+    return frame_of(pts, end=0.0), neighbors
 
 
 class TestCovarianceProperties:
@@ -458,11 +475,11 @@ class TestCovarianceProperties:
         out = estimate_covariances(frame, neighbors, PLANE_EPS)
         covs, degenerate, evals = reference_covariances(frame.points, neighbors)
         # a flat neighbourhood's covariance is plane_eps * I
-        assert (out.covs[degenerate] == 1e-3 * np.eye(3)).all()
-        assert np.abs(out.covs - covs).max() <= 1e-9
+        assert (covs_of(out)[degenerate] == 1e-3 * np.eye(3)).all()
+        assert np.abs(covs_of(out) - covs).max() <= 1e-9
         # rows well inside the fallback rule are eigh's, bit for bit
         fallback = (evals[:, 1] - evals[:, 0]) <= 0.5e-4 * evals[:, 2]
-        assert out.covs[fallback].tobytes() == covs[fallback].tobytes()
+        assert covs_of(out)[fallback].tobytes() == covs[fallback].tobytes()
 
     def test_elongated_planes_as_accurate_as_eigh(self):
         # gaps from 8e-5 to 9e-3 of the largest eigenvalue.  Near a line the
@@ -478,7 +495,7 @@ class TestCovarianceProperties:
         frame, neighbors = frame_of_neighborhoods(clouds)
         covs = reference_covariances(frame.points, neighbors)[0]
         out = estimate_covariances(frame, neighbors, PLANE_EPS)
-        assert np.abs(out.covs - covs).max() <= 1e-10
+        assert np.abs(covs_of(out) - covs).max() <= 1e-10
 
     def test_exact_line_takes_eigh(self):
         # a line has no normal: any plane through it is as good, and the
@@ -490,14 +507,14 @@ class TestCovarianceProperties:
         frame, neighbors = frame_of_neighborhoods([plane, line, line[::-1] + 20.0])
         out = estimate_covariances(frame, neighbors, PLANE_EPS)
         covs, degenerate, _ = reference_covariances(frame.points, neighbors)
-        assert out.covs[10:].tobytes() == covs[10:].tobytes()
+        assert covs_of(out)[10:].tobytes() == covs[10:].tobytes()
         assert not degenerate.any()
-        assert np.abs(out.covs[:10] - covs[:10]).max() <= 1e-14
+        assert np.abs(covs_of(out)[:10] - covs[:10]).max() <= 1e-14
 
 
 class TestCovariances:
     def _covariances(self, pts):
-        frame = frame_from_scan(scan_of(pts, np.zeros(len(pts))))
+        frame = frame_of(pts, np.zeros(len(pts)))
         return estimate_covariances(frame, knn_search(frame, min(len(pts), 10)), PLANE_EPS)
 
     def test_planar_neighborhood_normal_direction(self):
@@ -505,7 +522,7 @@ class TestCovariances:
         pts = np.column_stack([rng.uniform(-1, 1, 30), rng.uniform(-1, 1, 30),
                                np.zeros(30)])
         out = self._covariances(pts)
-        evals, evecs = np.linalg.eigh(out.covs[0])
+        evals, evecs = np.linalg.eigh(covs_of(out)[0])
         assert np.allclose(evals, [1e-3, 1.0, 1.0], atol=1e-9)
         normal = evecs[:, 0]
         assert abs(abs(normal[2]) - 1.0) < 1e-9
@@ -513,13 +530,13 @@ class TestCovariances:
     def test_degenerate_neighborhood(self):
         pts = np.tile([[1.0, 2.0, 3.0]], (5, 1))
         out = self._covariances(pts)
-        assert np.array_equal(out.covs, np.tile(1e-3 * np.eye(3), (5, 1, 1)))
+        assert np.array_equal(covs_of(out), np.tile(1e-3 * np.eye(3), (5, 1, 1)))
 
     def test_eigenvalues_fixed_regardless_of_spread(self):
         rng = np.random.default_rng(5)
         pts = rng.normal(scale=37.0, size=(40, 3))
         out = self._covariances(pts)
-        for c in out.covs:
+        for c in covs_of(out):
             assert np.allclose(np.sort(np.linalg.eigvalsh(c)), [1e-3, 1, 1], atol=1e-9)
 
     def test_rotation_equivariance(self):
@@ -529,7 +546,7 @@ class TestCovariances:
         a = self._covariances(pts)
         b = self._covariances(pts @ rot.matrix().T)
         rm = rot.matrix()
-        for ca, cb in zip(a.covs, b.covs):
+        for ca, cb in zip(covs_of(a), covs_of(b)):
             assert np.allclose(rm @ ca @ rm.T, cb, atol=1e-9)
 
 
@@ -538,7 +555,7 @@ class TestDeskew:
         rng = np.random.default_rng(7)
         pts = rng.uniform(-5, 5, (100, 3))
         stamps = rng.uniform(0.0, 0.1, 100)
-        frame = Frame(points=pts, stamps=stamps, scan_start=0.0, scan_end=0.1)
+        frame = frame_of(pts, stamps)
         out = deskew(frame, stationary_imu(-0.01, 0.12), zero_state(), NOISE.gravity,
                      MAX_GAP)
         assert out.deskewed
@@ -552,7 +569,7 @@ class TestDeskew:
                    for t in np.arange(-0.01, 0.12, 0.005)]
         pts = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
         stamps = np.array([0.05, 0.08])
-        frame = Frame(points=pts, stamps=stamps, scan_start=0.0, scan_end=0.1)
+        frame = frame_of(pts, stamps)
         out = deskew(frame, samples, zero_state(), NOISE.gravity, MAX_GAP)
         for i, t in enumerate(stamps):
             expected = so3_exp(omega * t).apply(pts[i])
@@ -560,7 +577,7 @@ class TestDeskew:
 
     def test_reference_stamp_points_unchanged(self):
         pts = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        frame = Frame(points=pts, stamps=np.zeros(2), scan_start=0.0, scan_end=0.1)
+        frame = frame_of(pts, np.zeros(2))
         samples = [ImuSample(float(t), -GRAVITY + [0.5, 0, 0], [0, 0, 0.3])
                    for t in np.arange(-0.01, 0.12, 0.005)]
         out = deskew(frame, samples, zero_state(), NOISE.gravity, MAX_GAP)
@@ -573,7 +590,7 @@ class TestDeskew:
         stamps = rng.uniform(0.0, 0.1, 50)
         samples = [ImuSample(float(t), -GRAVITY + [0.3, -0.2, 0.1], [0.1, 0.2, -0.3])
                    for t in np.arange(-0.01, 0.12, 0.005)]
-        frame = Frame(points=pts, stamps=stamps, scan_start=0.0, scan_end=0.1)
+        frame = frame_of(pts, stamps)
         out_id = deskew(frame, samples, zero_state(), NOISE.gravity, MAX_GAP)
         state = SensorState(
             pose=Se3Pose(so3_exp([0.4, -0.1, 1.2]), np.array([10.0, -3.0, 2.0])),
@@ -616,7 +633,7 @@ class TestDeskew:
 
         stamps = np.concatenate([node_t, rng.uniform(0.0, 0.1, 200)])
         pts = rng.uniform(-30, 30, (stamps.size, 3))
-        frame = Frame(points=pts, stamps=stamps, scan_start=0.0, scan_end=0.1)
+        frame = frame_of(pts, stamps)
         out = deskew(frame, samples, state, NOISE.gravity, MAX_GAP)
         err = 0.0
         for p, t, got in zip(pts, stamps, out.points):
@@ -629,7 +646,7 @@ class TestDeskew:
 
     def test_imu_gap_raises(self):
         pts = np.array([[1.0, 0.0, 0.0]])
-        frame = Frame(points=pts, stamps=np.array([0.05]), scan_start=0.0, scan_end=0.1)
+        frame = frame_of(pts, np.array([0.05]))
         samples = [ImuSample(0.0, -GRAVITY, np.zeros(3)),
                    ImuSample(0.1, -GRAVITY, np.zeros(3))]
         with pytest.raises(ImuCoverageGap):
@@ -644,60 +661,54 @@ class TestDeskew:
         assert _cross_rows(a, b).tobytes() == np.ascontiguousarray(np.cross(a.T, b.T).T).tobytes()
 
     def test_already_deskewed_rejected(self):
-        frame = Frame(points=np.zeros((1, 3)), stamps=np.zeros(1), scan_start=0.0,
-                      scan_end=0.1, deskewed=True)
+        frame = frame_of(np.zeros((1, 3)), np.zeros(1), deskewed=True)
         with pytest.raises(ValueError):
             deskew(frame, stationary_imu(0, 0.1), zero_state(), NOISE.gravity, MAX_GAP)
 
 
 def assert_row_storage(frame):
-    """The frame's per-point arrays are views of C-contiguous component rows
-    (an empty array shares no memory with anything)."""
+    """The frame's fields hold its per-point arrays as C-contiguous float
+    component rows: (3, n) points and, if any, (9, n) covariances; the
+    (n, 3) points are a view of the rows (an empty array shares no memory
+    with anything)."""
     n = len(frame)
     rows = frame.point_rows
-    assert rows.shape == (3, n) and rows.flags.c_contiguous
+    assert rows.shape == (3, n) and rows.flags.c_contiguous and rows.dtype == float
     assert np.shares_memory(rows, frame.points) or n == 0
     assert frame.points.shape == (n, 3)
-    if frame.covs is not None:
+    assert frame.stamps.shape == (n,)
+    if frame.cov_rows is not None:
         rows = frame.cov_rows
-        assert rows.shape == (9, n) and rows.flags.c_contiguous
-        assert np.shares_memory(rows, frame.covs) or n == 0
-        assert frame.covs.shape == (n, 3, 3)
-        assert np.array_equal(rows, np.reshape(frame.covs, (n, 9)).T)
+        assert rows.shape == (9, n) and rows.flags.c_contiguous and rows.dtype == float
 
 
 class TestRowStorage:
-    def test_frame_from_scan(self):
+    def test_voxel_downsample(self):
+        # stamps spread over the scan: voxels of two or more points split,
+        # and their overflow cells are inserted among the rows; a lone
+        # voxel that splits has (3, 1) rows before the insertion
         rng = np.random.default_rng(1)
-        scan = scan_of(rng.uniform(-2, 2, (40, 3)), rng.uniform(0, 0.1, 40))
-        frame = frame_from_scan(scan)
-        assert_row_storage(frame)
-        assert np.array_equal(frame.points, scan.points)
-
-    @pytest.mark.parametrize("n", [0, 1, 7])
-    def test_constructor_copies_other_layouts_once(self, n):
-        rng = np.random.default_rng(n)
-        points = rng.normal(size=(2 * n, 3))[::2]  # strided rows
-        covs = rng.normal(size=(n, 3, 3))  # C-contiguous
-        frame = Frame(points=points, stamps=np.zeros(n), scan_start=0.0, covs=covs)
-        assert_row_storage(frame)
-        assert np.array_equal(frame.points, points)
-        assert np.array_equal(frame.covs, covs)
+        scattered = scan_of(rng.uniform(-2, 2, (40, 3)), rng.uniform(0, 0.1, 40))
+        lone = scan_of(np.tile([[0.05, 0.05, 0.05]], (10, 1)), np.linspace(0.0, 0.1, 10))
+        for scan in (scattered, lone):
+            frame = voxel_downsample(scan, 1.0)
+            assert_row_storage(frame)
+            assert len(frame) > len(np.unique(pack_voxel_keys(scan.points, 1.0)))
+            assert_same_bits(frame, reference_voxel_downsample(scan, 1.0))
 
     def test_replace_shares_the_rows(self):
         rng = np.random.default_rng(2)
-        frame = frame_from_scan(scan_of(rng.uniform(-2, 2, (30, 3)), np.zeros(30)))
+        frame = frame_of(rng.uniform(-2, 2, (30, 3)), np.zeros(30))
         covs = estimate_covariances(frame, knn_search(frame, 5), PLANE_EPS)
         assert_row_storage(covs)
         assert np.shares_memory(covs.points, frame.points)
         again = replace(covs, deskewed=True)
-        assert np.shares_memory(again.covs, covs.covs)
+        assert np.shares_memory(again.cov_rows, covs.cov_rows)
         assert np.shares_memory(again.points, frame.points)
 
     def test_pickle_and_deepcopy_restore_the_rows(self):
         rng = np.random.default_rng(4)
-        frame = frame_from_scan(scan_of(rng.uniform(-2, 2, (30, 3)),
-                                        rng.uniform(0, 0.1, 30)))
+        frame = frame_of(rng.uniform(-2, 2, (30, 3)), rng.uniform(0, 0.1, 30))
         frame = estimate_covariances(frame, knn_search(frame, 5), PLANE_EPS)
         for copied in (pickle.loads(pickle.dumps(frame)), copy.deepcopy(frame)):
             assert_row_storage(copied)
@@ -712,8 +723,7 @@ class TestRowStorage:
 
     def test_deskew(self):
         rng = np.random.default_rng(3)
-        frame = Frame(points=rng.uniform(-5, 5, (50, 3)),
-                      stamps=rng.uniform(0.0, 0.1, 50), scan_start=0.0, scan_end=0.1)
+        frame = frame_of(rng.uniform(-5, 5, (50, 3)), rng.uniform(0.0, 0.1, 50))
         samples = [ImuSample(float(t), -GRAVITY + [0.3, -0.2, 0.1], [0.1, 0.2, -0.3])
                    for t in np.arange(-0.01, 0.12, 0.005)]
         assert_row_storage(deskew(frame, samples, zero_state(), NOISE.gravity, MAX_GAP))
@@ -731,9 +741,10 @@ class TestRowStorage:
         assert_row_storage(out)
         covs, degenerate, _ = reference_covariances(frame.points, neighbors)
         assert degenerate.tolist() == [False] * 20 + [True] * 10
-        assert np.array_equal(out.covs[20:], np.tile(1e-3 * np.eye(3), (10, 1, 1)))
-        assert out.covs[10:].tobytes() == covs[10:].tobytes()
+        assert np.array_equal(covs_of(out)[20:], np.tile(1e-3 * np.eye(3), (10, 1, 1)))
+        assert covs_of(out)[10:].tobytes() == covs[10:].tobytes()
 
     def test_empty_frame(self):
-        frame = frame_from_scan(scan_of(np.zeros((0, 3)), np.zeros(0)))
+        frame = voxel_downsample(scan_of(np.zeros((0, 3)), np.zeros(0)), 0.25)
+        assert_row_storage(frame)
         assert_row_storage(estimate_covariances(frame, np.zeros((0, 5), int), PLANE_EPS))

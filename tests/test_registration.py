@@ -25,9 +25,7 @@ from limapper.geometry import (
 )
 from limapper.config import PipelineConfig
 from limapper.preprocess import (
-    Frame,
     estimate_covariances,
-    frame_from_scan,
     knn_search,
     pack_voxel_keys,
     voxel_downsample,
@@ -46,14 +44,14 @@ from limapper.registration import (
 )
 
 from test_geometry import identity_pose, pose_apply, rotation_angle
+from test_preprocess import covs_of, frame_of
 
 
 def make_frame(points, covs=None, rng=None, iso=0.01):
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     if covs is None:
         covs = np.tile(np.eye(3) * iso, (len(points), 1, 1))
-    return Frame(points=points, stamps=np.zeros(len(points)), scan_start=0.0,
-                 covs=np.asarray(covs, dtype=float), deskewed=True)
+    return frame_of(points, end=0.0, covs=covs, deskewed=True)
 
 
 def at_pose(pose):
@@ -290,7 +288,7 @@ def reference_build_voxelmap(frame, resolution):
     np.add.at(means, inverse, frame.points)
     means /= counts[:, None]
     centered = frame.points - means[inverse]
-    scatter = frame.covs + np.einsum("ni,nj->nij", centered, centered)
+    scatter = covs_of(frame) + np.einsum("ni,nj->nij", centered, centered)
     covs = np.zeros((uniq.size, 3, 3))
     np.add.at(covs, inverse, scatter)
     covs /= counts[:, None, None]
@@ -317,8 +315,7 @@ class TestBuildVoxelmapOracle:
         # a scan prepared as the odometry prepares it: real plane
         # covariances, and the occupancies of real surfaces
         pre = PipelineConfig().preprocess
-        frame = frame_from_scan(voxel_downsample(scene_scans[name],
-                                                 pre.downsample_resolution))
+        frame = voxel_downsample(scene_scans[name], pre.downsample_resolution)
         frame = estimate_covariances(frame, knn_search(frame, pre.knn), pre.plane_eps)
         counts = assert_voxelmap_equals_oracle(frame, resolution)
         assert counts.max() >= 4  # cells where the order of the sum tells
@@ -381,7 +378,7 @@ class TestMatchingCost:
         for i, row in enumerate(rows):
             if row < 0:
                 continue
-            err, _, _ = d2d_error(Gaussian3(source.points[i], source.covs[i]),
+            err, _, _ = d2d_error(Gaussian3(source.points[i], covs_of(source)[i]),
                                   Gaussian3(means[row], covs[row]), t_ij)
             total += err
             count += 1
@@ -414,7 +411,7 @@ class TestMatchingCost:
         total, moved, weights, residuals = 0.0, [], [], []
         for i in hits:
             err, d, weight = d2d_error(
-                Gaussian3(source.points[i], source.covs[i]),
+                Gaussian3(source.points[i], covs_of(source)[i]),
                 Gaussian3(means[rows[i]], covs[rows[i]]), t_ij)
             moved.append(pose_apply(t_ij, source.points[i]))
             weights.append(weight)
@@ -580,7 +577,7 @@ class TestLinearization:
         moved = pose_apply(t_i, frame.points)
         frac = moved / 0.5 - np.floor(moved / 0.5)
         safe = np.all((frac > 0.05) & (frac < 0.95), axis=1)
-        frame = make_frame(frame.points[safe], covs=frame.covs[safe])
+        frame = make_frame(frame.points[safe], covs=covs_of(frame)[safe])
         b, h, terms = linearize_pair(frame, vmap, t_i, t_j)
         for _ in range(5):
             xi = rng.normal(size=12)
@@ -699,7 +696,7 @@ class TestLinearization:
             rmat = t_ij.rotation.matrix()
             moved = pose_apply(t_ij, frame.points)
             want = {k: 0.0 for k in ("h_ii", "h_ij", "h_jj", "b_i", "b_j")}
-            for mu, cov, x0, row in zip(frame.points, frame.covs, moved,
+            for mu, cov, x0, row in zip(frame.points, covs_of(frame), moved,
                                         rows_of(vmap, moved)):
                 if row < 0:
                     continue
@@ -798,7 +795,7 @@ class TestProperties:
         tf = Se3Pose(so3_exp(rot), np.asarray(trans))
         rmat = tf.rotation.matrix()
         moved = make_frame(pose_apply(tf, source.points),
-                           covs=rmat @ source.covs @ rmat.T)
+                           covs=rmat @ covs_of(source) @ rmat.T)
         t_moved = pose_compose(t_ij, pose_inverse(tf))
         a = terms_at(source, vmap, t_ij)
         b = terms_at(moved, vmap, t_moved)
@@ -833,7 +830,7 @@ class TestProperties:
         tf = pose_inverse(t_ij)  # re-express the source so that t_ij lands it
         rmat = tf.rotation.matrix()
         source = make_frame(pose_apply(tf, source.points),
-                            covs=rmat @ source.covs @ rmat.T)
+                            covs=rmat @ covs_of(source) @ rmat.T)
         terms = terms_at(source, vmap, t_ij)
         lin = blocks(*linearize_held(terms, t_ij)[:2])
         # each inlier's weight and residual from the reference kernel, which
@@ -883,7 +880,7 @@ def reference_match_terms(frame, vmap, t_ij, rows) -> PointTerms:
     moved = points @ rmat.T + t_ij.translation
     hit = rows >= 0
     inliers = int(np.count_nonzero(hit))
-    covs = np.ascontiguousarray(frame.covs).reshape(-1, 9)
+    covs = np.ascontiguousarray(covs_of(frame)).reshape(-1, 9)
     if inliers == rows.shape[0]:
         idx, x0 = rows, moved
     else:
@@ -954,7 +951,7 @@ class TestRowKernelOracle:
         tf = pose_inverse(t_ij)
         rmat = tf.rotation.matrix()
         source = make_frame(pose_apply(tf, source.points),
-                            covs=rmat @ source.covs @ rmat.T)
+                            covs=rmat @ covs_of(source) @ rmat.T)
         at = t_ij
         if fixed:
             at = pose_retract(t_ij, rng.normal(scale=0.05, size=6))
@@ -1069,7 +1066,7 @@ def frozen_reference(source, vmap, rows, held_at, t_ij, target_fixed):
     rmat = t_ij.rotation.matrix()
     means, covs = cell_means(vmap), cell_covs(vmap)
     cost, g, h = 0.0, np.zeros(12), np.zeros((12, 12))
-    for mu, cov, row in zip(source.points, source.covs, rows):
+    for mu, cov, row in zip(source.points, covs_of(source), rows):
         if row < 0:
             continue
         w = np.linalg.inv(covs[row] + r0 @ cov @ r0.T)

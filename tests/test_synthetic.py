@@ -175,7 +175,7 @@ class TestSceneGeneration:
         pre = preintegrate(scene.imu, t0, t1, np.zeros(6), NOISE, MAX_GAP)
         state0 = SensorState(pose=traj.pose(t0), velocity=velocity(traj, t0),
                              bias_accel=np.zeros(3), bias_gyro=np.zeros(3), stamp=t0)
-        predicted = predict_state(state0, pre, NOISE.gravity)
+        predicted = predict_state(state0, pre)
         expected = traj.pose(t1)
         assert np.linalg.norm(predicted.pose.translation - expected.translation) < 5e-3
         assert rotation_angle(predicted.pose.rotation, expected.rotation) < 2e-3
