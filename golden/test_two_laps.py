@@ -10,6 +10,7 @@ it lies outside the tier-1 test paths and runs as a step of its own:
 
 import numpy as np
 
+from limapper import odometry
 from limapper.dataset_io import record_from_pose
 from limapper.evaluation import compute_ate
 from test_odometry import keyframe_digest
@@ -54,7 +55,7 @@ def test_two_laps_bound_the_ate_and_the_accel_bias_error(two_laps):
     # one insertion test, one overlap per keyframe for rule 1 and the
     # ordered pairs of inner keyframes for rule 2: 363 with 20 keyframes,
     # on the scans that insert (mean 128.1 overlaps per scan)
-    k = est.config.odometry.max_keyframes
+    k = odometry.MAX_KEYFRAMES
     assert overlaps.max() <= 1 + k + (k - 1) * (k - 2)
 
 

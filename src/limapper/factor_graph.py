@@ -588,13 +588,12 @@ class FactorGraph:
                 raise UnknownVariable(f"factor references missing variable {k}")
         self.factors.append(factor)
 
-    def total_cost(self, values=None) -> float:
-        """Sum of the factor costs at the values (the graph's own by
-        default), from zero in the order of ``_accumulate``: every factor
-        that is costed alone, then the IMU factors from one stacked
-        evaluation, whose residual stage the graph keeps for the next
-        linearization, then the matching factors from another."""
-        values = self.values if values is None else values
+    def total_cost(self, values) -> float:
+        """Sum of the factor costs at the values, from zero in the order of
+        ``_accumulate``: every factor that is costed alone, then the IMU
+        factors from one stacked evaluation, whose residual stage the graph
+        keeps for the next linearization, then the matching factors from
+        another."""
         alone, imu, matching = _by_kind(self.factors)
         cost = 0.0
         for f in alone:

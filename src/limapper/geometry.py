@@ -102,11 +102,8 @@ class Rotation:
     def matrix(self) -> np.ndarray:
         return self._m
 
-    def compose(self, other: "Rotation") -> "Rotation":
-        return Rotation.from_matrix(self._m @ other._m)
-
     def __mul__(self, other: "Rotation") -> "Rotation":
-        return self.compose(other)
+        return Rotation.from_matrix(self._m @ other._m)
 
     def inverse(self) -> "Rotation":
         return Rotation.from_matrix(self._m.T)

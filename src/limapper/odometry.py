@@ -4,12 +4,15 @@ window of frame states.
 Each incoming scan is predicted forward with the IMU, deskewed, annotated
 with covariances, and tied into the window graph with a preintegrated-motion
 factor to the previous frame, matching-cost factors to the last few frames
-and to the keyframes that it hits at least min_inliers times (unary against
-keyframes whose states have been marginalized out), then the window is
-re-optimized.  Frames leaving the lag window are folded into a dense
+and to the keyframes that it hits at least ``MIN_INLIERS`` times (unary
+against keyframes whose states have been marginalized out), then the window
+is re-optimized.  Frames leaving the lag window are folded into a dense
 marginal prior; a keyframe among them stays on as a matching target.
 Nothing is handed downstream until a local mapping stage exists to read
 it.
+
+The estimator's rules are the module constants below, not config keys: the
+paper's odometry is one design, and a change to one changes the numbers.
 """
 
 from __future__ import annotations
@@ -53,6 +56,30 @@ from .preprocess import (
     voxel_downsample,
 )
 from .registration import GaussianVoxelMap, build_voxelmap, overlap_rate
+
+# neighbours per point for its covariance; a plane through a point's
+# neighbourhood needs 3 points to be defined
+KNN = 10
+# the covariance's eigenvalue along the plane normal; positive, so that every
+# covariance, also the flat fallback PLANE_EPS * I, can be inverted
+PLANE_EPS = 1e-3
+# a scan whose overlap with the newest keyframe is below the insert overlap
+# becomes a keyframe, and a keyframe whose overlap with it is below the drop
+# overlap leaves the set: 0 < drop < insert < 1
+KEYFRAME_INSERT_OVERLAP = 0.90
+KEYFRAME_DROP_OVERLAP = 0.05
+# at least 2: scored removal keeps the oldest keyframe and the newest
+MAX_KEYFRAMES = 20
+# newest window frames each scan is linked to; 0 links keyframes only
+RECENT_FRAME_LINKS = 3
+# frames in the window, at least 1
+SMOOTHING_LAG = 5
+# hits a target needs for a matching factor, at least 1: with 0, every
+# frame would link to an empty frame by an inert factor
+MIN_INLIERS = 10
+# rad/s; the bootstrap's stationary check compares each chunk's mean gyro
+# with it, so it is positive
+INIT_GYRO_LIMIT = 0.05
 
 
 def initialize_from_rest(samples, gravity, window: float, gyro_limit: float,
@@ -145,12 +172,12 @@ class WindowFrame:
     window, so membership tests go by identity.  The index keys the frame's
     state in the window graph while it is there; a frame whose index the
     graph no longer holds is marginalized, and keeps only its voxel map and
-    the points, stamps and span of ``frame``.  The scan span is read from
+    the points and span of ``frame``.  The scan span is read from
     ``frame``, and an empty frame has an empty voxel map.
     """
 
     index: int
-    frame: Frame  # deskewed, covariances attached until marginalized; no kNN rows
+    frame: Frame  # deskewed (no stamps), covariances until marginalized; no kNN rows
     voxelmap: GaussianVoxelMap
     state: SensorState  # window estimate; final once marginalized
 
@@ -206,17 +233,16 @@ class OdometryEstimator:
 
     def _finish_frame(self, pre_frame: Frame, neighbors, state: SensorState) -> Frame:
         """Deskew with the predicted state and attach covariances fitted to
-        the kNN rows of pre_frame, None for fewer than knn points."""
-        cfg = self.config.preprocess
+        the kNN rows of pre_frame, None for fewer than KNN points."""
         samples = self._imu_between(pre_frame.scan_start, pre_frame.scan_end)
         frame = deskew(pre_frame, samples, state, gravity=self.config.imu.gravity,
-                       max_gap=cfg.max_imu_gap)
+                       max_gap=self.config.preprocess.max_imu_gap)
         if neighbors is None:
-            # fewer points than knn: no neighbourhood to fit, so take the
+            # fewer points than KNN: no neighbourhood to fit, so take the
             # flat-neighbourhood fallback of estimate_covariances
-            return replace(frame, cov_rows=np.tile(cfg.plane_eps * np.eye(3).reshape(9, 1),
+            return replace(frame, cov_rows=np.tile(PLANE_EPS * np.eye(3).reshape(9, 1),
                                                    len(frame)))
-        return estimate_covariances(frame, neighbors, cfg.plane_eps)
+        return estimate_covariances(frame, neighbors, PLANE_EPS)
 
     def _overlap(self, a: WindowFrame, b: WindowFrame) -> float:
         """Fraction of a's points in occupied voxels of b's map or in their
@@ -283,13 +309,13 @@ class OdometryEstimator:
         cfg = self.config.odometry
         pre_cfg = self.config.preprocess
         pre_frame = voxel_downsample(scan, pre_cfg.downsample_resolution)
-        neighbors = (knn_search(pre_frame, pre_cfg.knn)  # kept only for the covariances
-                     if len(pre_frame) >= pre_cfg.knn else None)
+        neighbors = (knn_search(pre_frame, KNN)  # kept only for the covariances
+                     if len(pre_frame) >= KNN else None)
         if not self._window:
             try:
                 state = initialize_from_rest(
                     self._imu, self.config.imu.gravity, window=cfg.init_window,
-                    gyro_limit=cfg.init_gyro_limit, stamp=scan.scan_start)
+                    gyro_limit=INIT_GYRO_LIMIT, stamp=scan.scan_start)
             except InitializationMotion as exc:
                 if exc.unusable:
                     self._imu.clear()
@@ -325,15 +351,14 @@ class OdometryEstimator:
         """The matching factors that link rec to the recent frames (newest
         first), then to the keyframes not linked already.
 
-        Each target that rec hits at least min_inliers times gets a factor:
+        Each target that rec hits at least MIN_INLIERS times gets a factor:
         a binary one to a window frame, a unary one to a marginalized
         keyframe.  The hits come from each candidate factor's own first
         lookup, all at relative poses formed in one stacked pass, and the
         solve's opening cost and first linearization reuse the terms of that
         lookup.
         """
-        cfg = self.config.odometry
-        recent = self._window[::-1][:cfg.recent_frame_links]
+        recent = self._window[::-1][:RECENT_FRAME_LINKS]
         targets = recent + [kf for kf in self.keyframes if kf not in recent]
         candidates = []
         for target in targets:
@@ -341,14 +366,14 @@ class OdometryEstimator:
                 candidates.append(MatchingCostFactor(
                     rec.index, rec.frame, target.voxelmap,
                     fixed_target_pose=target.state.pose,
-                    min_inliers=cfg.min_inliers))
+                    min_inliers=MIN_INLIERS))
             else:
                 candidates.append(MatchingCostFactor(
                     rec.index, rec.frame, target.voxelmap, key_target=target.index,
-                    min_inliers=cfg.min_inliers))
+                    min_inliers=MIN_INLIERS))
         hits = matching_hits(candidates, {**self.graph.values, rec.index: rec.state})
         return [factor for factor, found in zip(candidates, hits)
-                if found >= cfg.min_inliers]
+                if found >= MIN_INLIERS]
 
     # -- keyframes --------------------------------------------------------------------
 
@@ -366,32 +391,31 @@ class OdometryEstimator:
 
         Insertion: rec becomes a keyframe if the set is empty or
         o(rec, newest keyframe), one overlap, is below
-        keyframe_insert_overlap.  Rule 1: each keyframe k whose o(k, rec)
-        is below keyframe_drop_overlap leaves the set; one overlap per
-        keyframe.  Rule 2: if the set of m then exceeds max_keyframes, the
+        KEYFRAME_INSERT_OVERLAP.  Rule 1: each keyframe k whose o(k, rec)
+        is below KEYFRAME_DROP_OVERLAP leaves the set; one overlap per
+        keyframe.  Rule 2: if the set of m then exceeds MAX_KEYFRAMES, the
         inner keyframe k (neither the oldest nor rec) of least score
         o(k, rec) * sum of (1 - o(k, j)) over the other inner keyframes j
         leaves it, the first on a tie.  It reuses rule 1's o(k, rec) and
         forms the (m-2)(m-3) ordered pairs of inner keyframes.
         """
-        cfg = self.config.odometry
         event = {"frame_index": rec.index, "inserted": False,
                  "dropped_low_overlap": [], "removed_by_score": None}
         if not self.keyframes or (
                 self._overlap(rec, self.keyframes[-1])
-                < cfg.keyframe_insert_overlap):
+                < KEYFRAME_INSERT_OVERLAP):
             event["inserted"] = True
             # rule 1: drop keyframes barely overlapping the new one
             to_rec = [self._overlap(kf, rec) for kf in self.keyframes]
             kept = []
             for kf, o in zip(self.keyframes, to_rec):
-                if o < cfg.keyframe_drop_overlap:
+                if o < KEYFRAME_DROP_OVERLAP:
                     event["dropped_low_overlap"].append(kf.index)
                 else:
                     kept.append((kf, o))
             self.keyframes = [kf for kf, _ in kept] + [rec]
             # rule 2: scored removal keeps the set bounded
-            if len(self.keyframes) > cfg.max_keyframes:
+            if len(self.keyframes) > MAX_KEYFRAMES:
                 inner = kept[1:]
                 scores = []
                 for kf, o in inner:
@@ -414,10 +438,10 @@ class OdometryEstimator:
         """Fold the frames past the lag into the marginal prior, oldest
         first.  A frame leaves the window only once marginalize succeeded,
         so a failure keeps window and graph in step."""
-        while len(self._window) > self.config.odometry.smoothing_lag:
+        while len(self._window) > SMOOTHING_LAG:
             rec = self._window[0]
             self.graph.marginalize([rec.index])
             del self._window[0]
             # a keyframe is only a target map, and the overlap reads its
-            # points: it keeps the points, stamps and span, and drops its covariances
+            # points: it keeps the points and span, and drops its covariances
             rec.frame = replace(rec.frame, cov_rows=None)

@@ -97,15 +97,16 @@ class Frame:
     Matching reads the rows, so transforming the points is one
     (3x3)·(3xn) product and every gather is a contiguous ``take`` along a
     row.  The frame holds the scan span, named as on ``RawScan``, for every
-    stage after it.
+    stage after it.  Its per-point stamps are read only by ``deskew``, which
+    hands back a frame without them: ``stamps is None`` marks a deskewed
+    frame.
     """
 
     point_rows: np.ndarray  # (3, n)
-    stamps: np.ndarray  # (n,)
+    stamps: np.ndarray | None  # (n,); None once deskewed
     scan_start: float
     scan_end: float
     cov_rows: np.ndarray | None = None  # (9, n) regularized
-    deskewed: bool = False
 
     @property
     def points(self) -> np.ndarray:
@@ -427,16 +428,17 @@ def deskew(frame: Frame, imu_samples, state_at_scan_start: SensorState,
     captured at t in step k, a fraction alpha into it, takes the rotation
     dR_k exp(alpha phi_k), the geodesic to the next node along the step's
     own rotation vector phi_k, and the linear interpolation of the two
-    nodes' translations; it is then expressed in the scan-start frame.
+    nodes' translations; it is then expressed in the scan-start frame.  The
+    frame it returns holds no stamps.
     """
-    if frame.deskewed:
+    if frame.stamps is None:
         raise ValueError("frame is already deskewed")
     if len(frame) == 0:
-        return replace(frame, deskewed=True)
+        return replace(frame, stamps=None)
     t0 = frame.scan_start
     t1 = max(float(frame.stamps.max()), frame.scan_end)
     if t1 <= t0:
-        return replace(frame, deskewed=True)
+        return replace(frame, stamps=None)
 
     state = state_at_scan_start
     d = integrate(imu_samples, t0, t1, state.bias, max_gap)
@@ -464,7 +466,7 @@ def deskew(frame: Frame, imu_samples, state_at_scan_start: SensorState,
     for i in range(3):
         rot = per_point[3 * i:3 * i + 3]
         out[i] += rot[0] * points[0] + rot[1] * points[1] + rot[2] * points[2]
-    return replace(frame, point_rows=out, deskewed=True)
+    return replace(frame, point_rows=out, stamps=None)
 
 
 def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -896,7 +896,7 @@ class TestStackedAssembly:
         assert h.tobytes() == h_moved.tobytes()
         assert g.tobytes() == g_moved.tobytes()
         assert cost == cost_moved
-        assert window.total_cost() == moved.total_cost()
+        assert window.total_cost(window.values) == moved.total_cost(moved.values)
 
     def test_marginalization_assembles_as_the_per_key_pair_loop(
             self, window, monkeypatch):

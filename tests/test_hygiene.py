@@ -221,6 +221,39 @@ def test_every_config_key_reaches_the_pipeline():
     assert not unread, "config keys no pipeline module reads: " + ", ".join(unread)
 
 
+# the reason of a key that stays because the benchmark reads it, followed by
+# the file that reads it
+BENCH_READS = "the bench reads it in "
+
+# every config key with its reason: a sensor or scene-scale setting, or a
+# value that a caller outside the tests sets or reads; any other value is a
+# module constant of the stage that reads it
+CONFIG_KEYS: dict[str, str] = {
+    **dict.fromkeys([f"imu.{name}" for name in (
+        "accel_noise_density", "gyro_noise_density", "accel_bias_walk",
+        "gyro_bias_walk", "gravity_z")], "sensor"),
+    "preprocess.max_imu_gap": "sensor",
+    "preprocess.downsample_resolution": "scene scale",
+    "odometry.voxel_resolution": "scene scale",
+    "odometry.init_window": BENCH_READS + "perfbench/run.py",
+    "optimizer.max_iterations": BENCH_READS + "perfbench/tracing.py",
+}
+
+
+def test_every_config_key_has_a_reason():
+    # a new key needs a reason here; a rule of the estimator is a constant
+    config = PipelineConfig()
+    keys = {f"{section.name}.{key.name}" for section in fields(config)
+            for key in fields(getattr(config, section.name))}
+    assert keys == set(CONFIG_KEYS), (
+        "keys without a reason: " + ", ".join(sorted(keys - set(CONFIG_KEYS)))
+        + "; listed but no key: " + ", ".join(sorted(set(CONFIG_KEYS) - keys)))
+    for key, reason in CONFIG_KEYS.items():
+        if reason.startswith(BENCH_READS):
+            reader = ROOT / reason.removeprefix(BENCH_READS)
+            assert key.split(".")[1] in reader.read_text(), f"{reader} reads no {key}"
+
+
 # the file of the benchmark's tracer, named by the reason of an entry below
 # that stays because the tracer patches it by name
 TRACER = "perfbench/tracing.py"

@@ -44,8 +44,8 @@ def loop_scene():
         ramp_time=0.5))
 
 
-def run(scene, config=None, n_scans=None):
-    est = OdometryEstimator(config)
+def run(scene, n_scans=None):
+    est = OdometryEstimator()
     batches = imu_batches(scene, est.config.odometry.init_window)
     results = [est.process_frame(scan, batch)
                for scan, batch in zip(scene.scans[:n_scans], batches)]
@@ -154,10 +154,11 @@ class TestBootstrapAnchor:
 
 
 class TestMarginalizedKeyframes:
-    def test_keep_only_points_stamps_and_span(self, loop_scene):
+    def test_keep_only_points_and_span(self, loop_scene):
         # a keyframe is only a target map once marginalized, and the overlap
         # reads its points; the covariances go with the state.  No frame
-        # holds kNN rows: the search hands them to the covariance estimate
+        # holds kNN rows, which the search hands to the covariance estimate,
+        # or stamps, which only the deskew reads
         est, _ = run(loop_scene)
         marginalized = [kf for kf in est.keyframes
                         if kf.index not in est.graph.values]
@@ -169,16 +170,17 @@ class TestMarginalizedKeyframes:
             assert all(a.dtype == float for a in arrays)
             assert (frame.cov_rows is None) == (rec in marginalized)
             assert_row_storage(frame)
-            assert len(frame) == len(frame.stamps) > 0
+            assert frame.stamps is None and len(frame) > 0
             assert frame.scan_start < frame.scan_end
 
 
 class TestMemoryBudget:
     def test_bytes_held_after_a_dense_replay(self):
         # 8 scans of the 512x32-ray loop leave 5 window frames of about 5k
-        # points, 104 bytes each (points, stamps, covariances), their voxel
-        # maps and factors, and one keyframe.  The estimator held 5.01 MB;
-        # kNN rows kept on the window frames (80 bytes a point) made 7.00 MB
+        # points, 96 bytes each (points and covariances), their voxel maps
+        # and factors, and one keyframe.  The estimator held 4.75 MB; stamps
+        # kept on the frames (8 bytes a point) made 5.00 MB, and kNN rows
+        # kept as well (80 bytes a point) 7.00 MB
         scene = generate_synthetic_scene(dense_spec(1, 8))  # not traced
         gc.collect()
         tracemalloc.start()
@@ -189,7 +191,7 @@ class TestMemoryBudget:
         finally:
             tracemalloc.stop()
         assert len(est._window) == 5
-        assert held < 1.1 * 5.01e6, f"{held / 1e6:.3f} MB"
+        assert held < 1.1 * 4.75e6, f"{held / 1e6:.3f} MB"
 
 
 class TestKeyframeScoring:
@@ -207,10 +209,9 @@ class TestKeyframeScoring:
             return overlap_rate(*args)
 
         monkeypatch.setattr(odometry, "overlap_rate", counted)
-        config = PipelineConfig()
-        config.odometry.max_keyframes = 4
-        est = OdometryEstimator(config)
-        batches = imu_batches(golden_scene, config.odometry.init_window)
+        monkeypatch.setattr(odometry, "MAX_KEYFRAMES", 4)
+        est = OdometryEstimator()
+        batches = imu_batches(golden_scene, est.config.odometry.init_window)
         checked = 0
         for scan, batch in zip(golden_scene.scans, batches):
             before = len(est.keyframes)
@@ -231,9 +232,9 @@ class TestFailedMarginalization:
             raise DisconnectedGraph("probe")
 
         monkeypatch.setattr(FactorGraph, "marginalize", disconnected)
-        config = PipelineConfig()
-        config.odometry.smoothing_lag = 1  # the second scan marginalizes the first
-        est = OdometryEstimator(config)
+        # the second scan marginalizes the first
+        monkeypatch.setattr(odometry, "SMOOTHING_LAG", 1)
+        est = OdometryEstimator()
         batches = imu_batches(loop_scene, est.config.odometry.init_window)
         est.process_frame(loop_scene.scans[0], batches[0])
         with pytest.raises(DisconnectedGraph):
@@ -247,7 +248,7 @@ class TestWindow:
     def test_holds_the_graph_keys_and_frames_past_the_lag_leave_once_in_order(
             self, loop_scene):
         est = OdometryEstimator()
-        lag = est.config.odometry.smoothing_lag
+        lag = odometry.SMOOTHING_LAG
         batches = imu_batches(loop_scene, est.config.odometry.init_window)
         left, before = [], []
         for k, (scan, batch) in enumerate(zip(loop_scene.scans, batches)):
@@ -551,10 +552,10 @@ class TestRecentFrameLinks:
     def binary_targets(scene, links):
         """Target frame indices of the binary matching factors added over 8
         scans, and the indices of every frame that became a keyframe."""
-        config = PipelineConfig()
-        config.odometry.recent_frame_links = links
-        config.odometry.smoothing_lag = 10  # keep every factor in the graph
-        est, _ = run(scene, config, n_scans=8)
+        # a lag of 10 keeps every factor in the graph
+        with mock.patch.object(odometry, "RECENT_FRAME_LINKS", links), \
+                mock.patch.object(odometry, "SMOOTHING_LAG", 10):
+            est, _ = run(scene, n_scans=8)
         targets = [f.keys[1] for f in est.graph.factors
                    if f.kind == "matching-cost-binary"]
         keyframes = {e["frame_index"] for e in est.keyframe_events
@@ -572,7 +573,7 @@ class TestRecentFrameLinks:
 class TestSparseFrame:
     def test_frame_below_knn_gets_flat_fallback_covariances(self, loop_scene):
         # too few points for a neighbourhood: the frame takes the fallback
-        # of a flat neighbourhood, plane_eps * I, instead of zero matrices
+        # of a flat neighbourhood, PLANE_EPS * I, instead of zero matrices
         # whose voxel map cannot be inverted
         est, _ = run(loop_scene, n_scans=6)
         scan = loop_scene.scans[6]
@@ -581,8 +582,8 @@ class TestSparseFrame:
         est.process_frame(RawScan(scan.points[keep], scan.stamps[keep],
                                   scan.scan_start, scan.scan_end), batch)
         rec = est._window[-1]
-        eps = est.config.preprocess.plane_eps
-        assert len(rec.frame) == 5 < est.config.preprocess.knn
+        eps = odometry.PLANE_EPS
+        assert len(rec.frame) == 5 < odometry.KNN
         assert np.array_equal(covs_of(rec.frame), np.tile(eps * np.eye(3), (5, 1, 1)))
         assert_row_storage(rec.frame)
         rot, trans = np.eye(3), np.zeros(3)
@@ -596,11 +597,11 @@ class TestSparseFrame:
         # one rule for both kinds: five points hit each target about five
         # times, too few for a binary factor to the recent frames or a unary
         # one to the marginalized keyframe; twenty points hit the keyframe
-        # at least min_inliers times and link to it
+        # at least MIN_INLIERS times and link to it
         est, _ = run(loop_scene, n_scans=6)
         scan = loop_scene.scans[6]
         batch = imu_batches(loop_scene, est.config.odometry.init_window)[6]
-        binary = ["matching-cost-binary"] * est.config.odometry.recent_frame_links
+        binary = ["matching-cost-binary"] * odometry.RECENT_FRAME_LINKS
         for count, links in ((5, []), (20, binary + ["matching-cost-unary"])):
             keep = np.linspace(0, len(scan.points) - 1, count).astype(int)
             trial = copy.deepcopy(est)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from limapper.config import PreprocessConfig
 from limapper.errors import (
     FrameTooSparse,
     ImuCoverageGap,
@@ -22,6 +21,7 @@ from limapper.geometry import (
     so3_exp,
 )
 from limapper.imu import GRAVITY, ImuSample, integration_nodes
+from limapper.odometry import PLANE_EPS
 from limapper.preprocess import (
     Frame,
     RawScan,
@@ -40,9 +40,6 @@ from test_geometry import identity_pose, slerp, zero_state
 from test_imu import MAX_GAP, NOISE, propagate_state
 
 
-PLANE_EPS = PreprocessConfig().plane_eps
-
-
 def scan_of(points, stamps, start=0.0, end=0.1):
     return RawScan(np.asarray(points, float), np.asarray(stamps, float), start, end)
 
@@ -52,14 +49,14 @@ def component_rows(values, width):
     return np.ascontiguousarray(np.reshape(values, (-1, width)).T, dtype=float)
 
 
-def frame_of(points, stamps=None, start=0.0, end=0.1, covs=None, deskewed=False):
+def frame_of(points, stamps=None, start=0.0, end=0.1, covs=None):
     """A frame of (n, 3) points and, if given, (n, 3, 3) covariances, in
-    component rows as its producers make them; zero stamps unless given,
-    and the span of ``scan_of`` unless given."""
-    rows = component_rows(points, 3)
-    stamps = np.zeros(rows.shape[1]) if stamps is None else np.asarray(stamps, float)
-    return Frame(rows, stamps, start, end,
-                 None if covs is None else component_rows(covs, 9), deskewed)
+    component rows as its producers make them; without stamps, as a
+    deskewed frame, unless given, and the span of ``scan_of`` unless
+    given."""
+    stamps = None if stamps is None else np.asarray(stamps, float)
+    return Frame(component_rows(points, 3), stamps, start, end,
+                 None if covs is None else component_rows(covs, 9))
 
 
 def covs_of(frame):
@@ -558,7 +555,7 @@ class TestDeskew:
         frame = frame_of(pts, stamps)
         out = deskew(frame, stationary_imu(-0.01, 0.12), zero_state(), NOISE.gravity,
                      MAX_GAP)
-        assert out.deskewed
+        assert out.stamps is None
         assert np.max(np.abs(out.points - pts)) < 1e-9
 
     def test_constant_yaw_rate_closed_form(self):
@@ -660,8 +657,15 @@ class TestDeskew:
         b = np.ascontiguousarray(rng.normal(size=(500, 3)).T) * 50.0
         assert _cross_rows(a, b).tobytes() == np.ascontiguousarray(np.cross(a.T, b.T).T).tobytes()
 
+    def test_empty_and_zero_span_frames_come_back_without_stamps(self):
+        # both return before the IMU is read, with the points as they were
+        for frame in (frame_of(np.zeros((0, 3)), np.zeros(0)),
+                      frame_of(np.ones((2, 3)), np.zeros(2), end=0.0)):
+            out = deskew(frame, [], zero_state(), NOISE.gravity, MAX_GAP)
+            assert out.stamps is None and out.point_rows is frame.point_rows
+
     def test_already_deskewed_rejected(self):
-        frame = frame_of(np.zeros((1, 3)), np.zeros(1), deskewed=True)
+        frame = frame_of(np.zeros((1, 3)))  # no stamps: deskewed
         with pytest.raises(ValueError):
             deskew(frame, stationary_imu(0, 0.1), zero_state(), NOISE.gravity, MAX_GAP)
 
@@ -670,13 +674,13 @@ def assert_row_storage(frame):
     """The frame's fields hold its per-point arrays as C-contiguous float
     component rows: (3, n) points and, if any, (9, n) covariances; the
     (n, 3) points are a view of the rows (an empty array shares no memory
-    with anything)."""
+    with anything), and the stamps, if any, are (n,)."""
     n = len(frame)
     rows = frame.point_rows
     assert rows.shape == (3, n) and rows.flags.c_contiguous and rows.dtype == float
     assert np.shares_memory(rows, frame.points) or n == 0
     assert frame.points.shape == (n, 3)
-    assert frame.stamps.shape == (n,)
+    assert frame.stamps is None or frame.stamps.shape == (n,)
     if frame.cov_rows is not None:
         rows = frame.cov_rows
         assert rows.shape == (9, n) and rows.flags.c_contiguous and rows.dtype == float
@@ -702,7 +706,7 @@ class TestRowStorage:
         covs = estimate_covariances(frame, knn_search(frame, 5), PLANE_EPS)
         assert_row_storage(covs)
         assert np.shares_memory(covs.points, frame.points)
-        again = replace(covs, deskewed=True)
+        again = replace(covs, stamps=None)
         assert np.shares_memory(again.cov_rows, covs.cov_rows)
         assert np.shares_memory(again.points, frame.points)
 

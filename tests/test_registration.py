@@ -24,6 +24,7 @@ from limapper.geometry import (
     so3_hat,
 )
 from limapper.config import PipelineConfig
+from limapper.odometry import KNN, PLANE_EPS
 from limapper.preprocess import (
     estimate_covariances,
     knn_search,
@@ -51,7 +52,7 @@ def make_frame(points, covs=None, rng=None, iso=0.01):
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     if covs is None:
         covs = np.tile(np.eye(3) * iso, (len(points), 1, 1))
-    return frame_of(points, end=0.0, covs=covs, deskewed=True)
+    return frame_of(points, end=0.0, covs=covs)
 
 
 def at_pose(pose):
@@ -314,9 +315,9 @@ class TestBuildVoxelmapOracle:
     def test_scene_frames(self, scene_scans, name, resolution):
         # a scan prepared as the odometry prepares it: real plane
         # covariances, and the occupancies of real surfaces
-        pre = PipelineConfig().preprocess
-        frame = voxel_downsample(scene_scans[name], pre.downsample_resolution)
-        frame = estimate_covariances(frame, knn_search(frame, pre.knn), pre.plane_eps)
+        frame = voxel_downsample(scene_scans[name],
+                                 PipelineConfig().preprocess.downsample_resolution)
+        frame = estimate_covariances(frame, knn_search(frame, KNN), PLANE_EPS)
         counts = assert_voxelmap_equals_oracle(frame, resolution)
         assert counts.max() >= 4  # cells where the order of the sum tells
 
@@ -549,8 +550,7 @@ def box_room_frame(rng, n_per_wall=120, size=(6.0, 5.0, 3.0), jitter=0.0,
 def box_room_frame_plane_covs(rng, **kwargs):
     """Box-room frame with neighbor-based plane-regularized covariances."""
     frame = box_room_frame(rng, **kwargs)
-    return estimate_covariances(frame, knn_search(frame, 10),
-                                PipelineConfig().preprocess.plane_eps)
+    return estimate_covariances(frame, knn_search(frame, 10), PLANE_EPS)
 
 
 class TestLinearization:
