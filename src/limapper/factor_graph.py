@@ -68,14 +68,7 @@ from .geometry import (
     state_local,
     state_retract,
 )
-from .imu import (
-    ImuResiduals,
-    PreintegratedImu,
-    PreintegratedStack,
-    imu_jacobians,
-    imu_residuals,
-    stack_preintegrated,
-)
+from .imu import ImuResiduals, PreintegratedImu, imu_jacobians, imu_residuals, stack
 from .registration import (
     GaussianVoxelMap,
     frozen_cost,
@@ -135,11 +128,12 @@ class ImuFactor(Factor):
 
 class _ImuStage(NamedTuple):
     """The stacked residual stage of K IMU factors at 2K states: state i
-    then state j of each factor, in factor order."""
+    then state j of each factor, in factor order, with their K
+    preintegrations stacked into one ``PreintegratedImu``."""
 
     factors: tuple
     states: tuple
-    pre: PreintegratedStack
+    pre: PreintegratedImu
     information: np.ndarray  # (K, 15, 15)
     residuals: ImuResiduals
     costs: list  # r.W r per factor, as Python floats
@@ -162,7 +156,7 @@ def _imu_stage(factors, values, last: _ImuStage | None = None) -> _ImuStage:
             return last
         pre, info = last.pre, last.information
     else:
-        pre = stack_preintegrated([f.pre for f in factors])
+        pre = stack([f.pre for f in factors])
         info = np.array([f.information for f in factors])
     res = imu_residuals(states[0::2], states[1::2], pre)
     r = res.residual
@@ -312,34 +306,31 @@ def matching_hits(factors, values) -> list[int]:
 
 
 def _held_terms(factors, values, relook: bool):
-    """(position in the stack or None, per factor; the stacked terms'
-    FrozenTerms, rotations and translations) of the matching factors that
-    hold terms after their look-ups.  The relative poses come from one
-    stacked pass; each factor with a source and a map is looked up there,
-    in factor order, if it has no look-up yet, or if ``relook`` and its
-    points can have moved past its bound (``MatchingCostFactor._look_up``)."""
+    """(indices of the matching factors that hold terms after their
+    look-ups; their terms, rotations and translations).  The relative
+    poses come from one stacked pass; each factor with a source and a map
+    is looked up there, in factor order, if it has no look-up yet, or if
+    ``relook`` and its points can have moved past its bound
+    (``MatchingCostFactor._look_up``)."""
     if not factors:
         return [], [], np.empty((0, 3, 3)), np.empty((0, 3))
     rots, trans = _relative_poses(factors, values)
-    at, held, kept = [], [], []
-    for k, f in enumerate(factors):
+    for f, rot, t in zip(factors, rots, trans):
         if not f._empty and (relook or f._lookup is None):
-            f._look_up(rots[k], trans[k])
-        if f._held is None:
-            at.append(None)
-            continue
-        at.append(len(held))
-        held.append(f._held)
-        kept.append(k)
-    return at, held, rots[kept], trans[kept]
+            f._look_up(rot, t)
+    kept = [k for k, f in enumerate(factors) if f._held is not None]
+    return kept, [factors[k]._held for k in kept], rots[kept], trans[kept]
 
 
 def _matching_costs(factors, values) -> list[float]:
-    """The cost of every matching factor: each looks up only if it has not
-    yet, and one stacked ``frozen_cost`` evaluates all held terms."""
-    at, held, rots, trans = _held_terms(factors, values, relook=False)
-    costs = frozen_cost(held, rots, trans).tolist() if held else []
-    return [0.0 if k is None else costs[k] for k in at]
+    """The cost of every matching factor, zero for one without terms: each
+    looks up only if it has not yet, and one stacked ``frozen_cost``
+    evaluates all held terms."""
+    kept, held, rots, trans = _held_terms(factors, values, relook=False)
+    costs = np.zeros(len(factors))
+    if held:
+        costs[kept] = frozen_cost(held, rots, trans)
+    return costs.tolist()
 
 
 def _matching_blocks(factors, values):
@@ -349,15 +340,12 @@ def _matching_blocks(factors, values):
     the gradients (K, 12), the Hessians (K, 12, 12) and the costs as Python
     floats, zero for a factor without terms; a factor with a fixed target
     takes the source pose's leading 6 and 6x6."""
-    at, held, rots, trans = _held_terms(factors, values, relook=True)
-    grad, hess = np.zeros((len(at), 12)), np.zeros((len(at), 12, 12))
-    costs = [0.0] * len(at)
+    kept, held, rots, trans = _held_terms(factors, values, relook=True)
+    k = len(factors)
+    grad, hess, costs = np.zeros((k, 12)), np.zeros((k, 12, 12)), np.zeros(k)
     if held:
-        rows = [k for k, a in enumerate(at) if a is not None]
-        grad[rows], hess[rows], cost = linearize_from_terms(held, rots, trans)
-        for k, c in zip(rows, cost.tolist()):
-            costs[k] = c
-    return grad, hess, costs
+        grad[kept], hess[kept], costs[kept] = linearize_from_terms(held, rots, trans)
+    return grad, hess, costs.tolist()
 
 
 class MarginalPriorFactor(Factor):

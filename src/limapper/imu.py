@@ -23,16 +23,18 @@ from cumulative sums.  ``preintegrate``
 takes the bias Jacobians and the covariance from the same sums, in closed
 form over the steps.
 
+One record, ``PreintegratedImu``, holds a preintegration, and ``stack``
+makes K of them one record whose fields carry a leading axis of length K.
 The deltas corrected for bias (``correct_deltas``; ``predict_state`` uses a
-stack of one), the factor residual and its Jacobians are formed for K
-factors at once (``imu_residuals``, ``imu_jacobians``), with every product
+stack of one), the factor residual and its Jacobians are formed for such a
+stack at once (``imu_residuals``, ``imu_jacobians``), with every product
 one stacked ``np.matmul``; one factor's result is the same bits in any stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -91,13 +93,13 @@ class ImuNoiseParams:
         return np.array([0.0, 0.0, self.gravity_z])
 
 
-@dataclass(frozen=True)
-class PreintegratedImu:
+class PreintegratedImu(NamedTuple):
     """The deltas over an interval with their noise, and the gravity that
     re-enters when they are composed onto a state: all an IMU factor
-    reads."""
+    reads.  ``stack`` gives K of them as one record, each field with a
+    leading axis of length K."""
 
-    delta_r: Rotation
+    delta_r: np.ndarray  # 3x3 rotation matrix
     delta_v: np.ndarray
     delta_p: np.ndarray
     dt_total: float
@@ -276,7 +278,7 @@ def preintegrate(samples, t_i: float, t_j: float, bias_lin,
     dt_total = float(t_j - t_i)
     walk_dt = max(dt_total, 1e-3)
     return PreintegratedImu(
-        delta_r=Rotation.from_matrix(d.rot[-1]),
+        delta_r=d.rot[-1],
         delta_v=d.vel[-1],
         delta_p=d.pos[-1],
         dt_total=dt_total,
@@ -289,32 +291,14 @@ def preintegrate(samples, t_i: float, t_j: float, bias_lin,
     )
 
 
-class PreintegratedStack(NamedTuple):
-    """K preintegrations as arrays with a leading axis of length K."""
-
-    delta_r: np.ndarray  # (K, 3, 3)
-    delta_v: np.ndarray  # (K, 3)
-    delta_p: np.ndarray  # (K, 3)
-    dt: np.ndarray  # (K, 1) dt_total
-    bias_lin: np.ndarray  # (K, 6)
-    jac_bias: np.ndarray  # (K, 9, 6)
-    gravity: np.ndarray  # (K, 3)
+def stack(records: Sequence[NamedTuple]) -> NamedTuple:
+    """K records of one NamedTuple type as one record of that type whose
+    fields carry a leading axis of length K."""
+    return type(records[0])(*(np.array(field) for field in zip(*records)))
 
 
-def stack_preintegrated(pres) -> PreintegratedStack:
-    """The K preintegrations as one stack."""
-    return PreintegratedStack(
-        np.array([p.delta_r.matrix() for p in pres]),
-        np.array([p.delta_v for p in pres]),
-        np.array([p.delta_p for p in pres]),
-        np.array([[p.dt_total] for p in pres]),
-        np.array([p.bias_lin for p in pres]),
-        np.array([p.jac_bias for p in pres]),
-        np.array([p.gravity for p in pres]))
-
-
-def correct_deltas(pre: PreintegratedStack, bias: np.ndarray):
-    """The deltas of K preintegrations corrected to first order for the
+def correct_deltas(pre: PreintegratedImu, bias: np.ndarray):
+    """The deltas of K stacked preintegrations corrected to first order for the
     biases (K, 6), with db = bias - bias_lin: dR exp(theta), dv + J_v db and
     dp + J_p db, where theta = J_R^g db_g (K, 3, 1).  Returns (delta_r,
     delta_v, delta_p, theta); stacked products as in ``imu_residuals``."""
@@ -331,7 +315,7 @@ def predict_state(state: SensorState, pre: PreintegratedImu) -> SensorState:
     """Compose preintegrated deltas, corrected to the state's bias, onto a
     state, re-injecting gravity."""
     gravity = pre.gravity
-    dr, dv, dp, _ = correct_deltas(stack_preintegrated([pre]), state.bias[None])
+    dr, dv, dp, _ = correct_deltas(stack([pre]), state.bias[None])
     dt = pre.dt_total
     r_i = state.pose.rotation
     return SensorState(
@@ -358,9 +342,10 @@ class ImuResiduals(NamedTuple):
     theta: np.ndarray  # (K, 3, 1) gyro-bias correction of the rotation
 
 
-def imu_residuals(states_i, states_j, pre: PreintegratedStack) -> ImuResiduals:
+def imu_residuals(states_i, states_j, pre: PreintegratedImu) -> ImuResiduals:
     """15-dof residuals (rot, vel, pos, accel-bias walk, gyro-bias walk) of
-    K factors, factor k between states_i[k] and states_j[k].
+    K factors, factor k between states_i[k] and states_j[k] with the k-th
+    of the stacked preintegrations.
 
     The motion rows compare the preintegrated deltas, corrected to the
     bias of state i to first order, against the state pair; the bias rows
@@ -376,7 +361,7 @@ def imu_residuals(states_i, states_j, pre: PreintegratedStack) -> ImuResiduals:
     vel_j = np.array([s.velocity for s in states_j])
     bias_i = np.array([s.bias for s in states_i])
     bias_j = np.array([s.bias for s in states_j])
-    dt, gravity = pre.dt, pre.gravity
+    dt, gravity = pre.dt_total[:, None], pre.gravity
     delta_r, delta_v, delta_p, theta = correct_deltas(pre, bias_i)
 
     ri_t = rot_i.transpose(0, 2, 1)
@@ -395,7 +380,7 @@ def imu_residuals(states_i, states_j, pre: PreintegratedStack) -> ImuResiduals:
     return ImuResiduals(residual, rot_i, rot_j, err_rot, rot_u_v, rot_u_p, theta)
 
 
-def imu_jacobians(res: ImuResiduals, pre: PreintegratedStack) -> np.ndarray:
+def imu_jacobians(res: ImuResiduals, pre: PreintegratedImu) -> np.ndarray:
     """(K, 15, 30) Jacobians of the K residuals with respect to the
     right-multiplicative retraction of state i (columns 0-14), then of
     state j (15-29); stacked products as in ``imu_residuals``."""
@@ -419,7 +404,7 @@ def imu_jacobians(res: ImuResiduals, pre: PreintegratedStack) -> np.ndarray:
     # position rows
     jac[:, 6:9, 0:3] = so3_hat_batch(res.rot_u_p[:, :, 0])
     jac[:, 6:9, 3:6] = -np.eye(3)
-    jac[:, 6:9, 6:9] = -ri_t * pre.dt[:, :, None]
+    jac[:, 6:9, 6:9] = -ri_t * pre.dt_total[:, None, None]
     jac[:, 6:9, 9:15] = -pre.jac_bias[:, 6:9, :]
     jac[:, 6:9, 18:21] = np.matmul(ri_t, res.rot_j)
     # bias random-walk rows

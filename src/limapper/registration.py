@@ -17,7 +17,9 @@ the relative pose since the terms were formed, so the cost is exactly
 c0 - 2 s.g + g.Q g, with Q and s gathered from a few weighted moment sums
 over the inliers.  No per-point pass is made until a voxel row changes.
 ``frozen_cost`` and ``linearize_from_terms`` take K held quadratics, each
-at its own relative pose, in one pass of stacked ``np.matmul`` products.
+at its own relative pose, as one ``FrozenTerms`` whose fields carry a
+leading axis of length K (``imu.stack``, which stacks preintegrations the
+same way), in one pass of stacked ``np.matmul`` products.
 The first costs candidate poses in O(1) per quadratic; the second takes
 each factor's gradient and Gauss-Newton Hessian for right-multiplicative
 perturbations of the source pose and the target pose: the target pose's
@@ -64,6 +66,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .geometry import Se3Pose, so3_hat, so3_hat_batch
+from .imu import stack
 from .preprocess import Frame, cell_sums, face_neighbour_keys, group_by_key, pack_voxel_keys
 
 
@@ -297,12 +300,6 @@ def match_terms(frame: Frame, vmap: GaussianVoxelMap, rot: np.ndarray,
     return FrozenTerms(pose, to_change, cost, s, q, inliers)
 
 
-def _stack(held: Sequence[FrozenTerms]) -> FrozenTerms:
-    """K held quadratics as one FrozenTerms whose fields carry a leading
-    axis of length K."""
-    return FrozenTerms(*(np.array(field) for field in zip(*held)))
-
-
 def _changes(terms: FrozenTerms, rot: np.ndarray, trans: np.ndarray
              ) -> np.ndarray:
     """(K, 12) g = vec([dt | dR - I]) from each held pose of the stacked
@@ -329,7 +326,7 @@ def frozen_cost(held: Sequence[FrozenTerms], rot: np.ndarray,
                 trans: np.ndarray) -> np.ndarray:
     """(K,) costs of K held quadratics, each at its relative pose
     (rot (K, 3, 3), trans (K, 3))."""
-    terms = _stack(held)
+    terms = stack(held)
     return _costs(terms, _changes(terms, rot, trans))[0]
 
 
@@ -353,7 +350,7 @@ def linearize_from_terms(held: Sequence[FrozenTerms], rot: np.ndarray,
     slice with the same BLAS call as the 2-D product of that slice alone,
     so the blocks of a quadratic do not depend on the others in the stack.
     """
-    terms = _stack(held)
+    terms = stack(held)
     g = _changes(terms, rot, trans)
     cost, qg = _costs(terms, g)
     jac = (np.matmul(_JAC_MAP, g[:, :, None])[:, :, 0] + _JAC_OFFSET).reshape(-1, 12, 6)

@@ -37,9 +37,9 @@ class AxisRect:
 @dataclass(frozen=True)
 class World:
     rects: tuple
-    # hull the trajectory must stay inside; None disables the check
-    hull_min: np.ndarray | None = None
-    hull_max: np.ndarray | None = None
+    # corners of the box the trajectory must stay inside
+    hull_min: np.ndarray
+    hull_max: np.ndarray
 
 
 def box_room(center=(0.0, 0.0, 0.0), size=(10.0, 8.0, 3.0)) -> World:
@@ -325,17 +325,18 @@ def generate_synthetic_scene(spec: SceneSpec) -> SyntheticScene:
             break
         stamps = t_start + ray_frac * spec.scan_duration
         uniq = t_start + (np.arange(spec.n_azimuth) / spec.n_azimuth) * spec.scan_duration
-        origins = np.empty((len(stamps), 3))
+        poses = [traj.pose(float(t_ray)) for t_ray in uniq]
+        centres = np.array([pose.translation for pose in poses])
+        outside = np.any((centres < spec.world.hull_min)
+                         | (centres > spec.world.hull_max), axis=1)
+        if np.any(outside):
+            a = int(np.argmax(outside))
+            raise GenerationError(
+                f"trajectory leaves the world at t={uniq[a]:.3f}: {centres[a]}")
+        origins = np.repeat(centres, spec.n_elevation, axis=0)
         dirs = np.empty_like(origins)
-        for a, t_ray in enumerate(uniq):
-            pose = traj.pose(float(t_ray))
-            if spec.world.hull_min is not None:
-                p = pose.translation
-                if np.any(p < spec.world.hull_min) or np.any(p > spec.world.hull_max):
-                    raise GenerationError(
-                        f"trajectory leaves the world at t={t_ray:.3f}: {p}")
+        for a, pose in enumerate(poses):
             sl = slice(a * spec.n_elevation, (a + 1) * spec.n_elevation)
-            origins[sl] = pose.translation
             dirs[sl] = dirs_body[sl] @ pose.rotation.matrix().T
         points_w, hit = cast_rays(spec.world, origins, dirs,
                                   spec.min_range, spec.max_range)
@@ -347,12 +348,11 @@ def generate_synthetic_scene(spec: SceneSpec) -> SyntheticScene:
         # express each hit in the sensor frame at its own capture time
         pts = []
         ts = []
-        for a, t_ray in enumerate(uniq):
+        for a, (t_ray, pose) in enumerate(zip(uniq, poses)):
             sl = slice(a * spec.n_elevation, (a + 1) * spec.n_elevation)
             sel = hit[sl]
             if not np.any(sel):
                 continue
-            pose = traj.pose(float(t_ray))
             local = (points_w[sl][sel] - pose.translation) @ pose.rotation.matrix()
             pts.append(local)
             ts.append(np.full(int(sel.sum()), t_ray))
@@ -364,28 +364,26 @@ def generate_synthetic_scene(spec: SceneSpec) -> SyntheticScene:
             stamps_out = np.zeros(0)
         scans.append(RawScan(points, stamps_out, t_start,
                              t_start + spec.scan_duration))
-        ground_truth.append(record_from_pose(t_start, traj.pose(t_start)))
+        ground_truth.append(record_from_pose(t_start, poses[0]))
     return SyntheticScene(scans, imu, ground_truth, spec)
 
 
-def square_loop_scene(perimeter: float = 40.0, n_frames: int = 200,
-                      settle: float = 1.0, speed: float | None = None,
-                      room_margin: float = 3.0, seed: int = 0,
+# m between the square loop's path and each wall of its room
+ROOM_MARGIN = 3.0
+
+
+def square_loop_scene(speed: float, ramp_time: float, perimeter: float = 40.0,
+                      n_frames: int = 200, settle: float = 1.0, seed: int = 0,
                       **spec_kwargs) -> SceneSpec:
-    """Square-loop trajectory inside a box room sized to fit it."""
+    """Square-loop trajectory at the given cruise speed, reached over
+    ramp_time after settle, inside a box room sized to fit it."""
     corner_radius = 1.5
     # perimeter = 8 (h - r) + 2 pi r  =>  h
     h = (perimeter - 2 * math.pi * corner_radius) / 8.0 + corner_radius
     path = SquareLoopPath(h, corner_radius)
     scan_rate = spec_kwargs.get("scan_rate", 10.0)
-    travel_time = n_frames / scan_rate - settle
-    if speed is None:
-        ramp = 1.0
-        speed = path.length / (travel_time - ramp / 2)
-        spec_kwargs.setdefault("ramp_time", ramp)
-    ramp_time = spec_kwargs.pop("ramp_time", 1.0)
     traj = PathTrajectory(path, speed, settle=settle, ramp_time=ramp_time)
-    world = box_room(center=(0.11, 0.13, 0.53),
-                     size=(2 * h + 2 * room_margin, 2 * h + 2 * room_margin, 4.0))
+    side = 2 * h + 2 * ROOM_MARGIN
+    world = box_room(center=(0.11, 0.13, 0.53), size=(side, side, 4.0))
     return SceneSpec(world=world, trajectory=traj,
                      duration=n_frames / scan_rate + 0.2, seed=seed, **spec_kwargs)

@@ -1,6 +1,5 @@
 import copy
 import functools
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -499,7 +498,7 @@ class TestMatchingCostFactor:
 
 def imu_factor(i, j, pre):
     """An IMU factor on the preintegration, with the bias walk WALK."""
-    return ImuFactor(i, j, replace(pre, walk=WALK))
+    return ImuFactor(i, j, pre._replace(walk=WALK))
 
 
 @functools.cache

@@ -9,6 +9,7 @@ from limapper.errors import (
     PipelineError,
 )
 from limapper.geometry import (
+    Rotation,
     Se3Pose,
     SensorState,
     so3_exp,
@@ -30,7 +31,7 @@ from limapper.imu import (
     preintegrate,
     predict_state,
     samples_to_arrays,
-    stack_preintegrated,
+    stack,
 )
 
 from test_geometry import identity_pose, rotation_angle, zero_state
@@ -43,11 +44,11 @@ def imu_factor_residual(state_i: SensorState, state_j: SensorState,
                         pre: PreintegratedImu, with_jacobians: bool = True):
     """Residual of one factor and, if asked, its Jacobians j_i and j_j for
     the two states: ``imu_residuals`` and ``imu_jacobians`` with K = 1."""
-    stack = stack_preintegrated([pre])
-    res = imu_residuals([state_i], [state_j], stack)
+    pres = stack([pre])
+    res = imu_residuals([state_i], [state_j], pres)
     if not with_jacobians:
         return res.residual[0], None, None
-    jac = imu_jacobians(res, stack)[0]
+    jac = imu_jacobians(res, pres)[0]
     return res.residual[0], jac[:, :15], jac[:, 15:]
 
 
@@ -282,7 +283,7 @@ class TestPreintegrate:
     def test_zero_readings_zero_deltas(self):
         samples = [ImuSample(t, np.zeros(3), np.zeros(3)) for t in np.linspace(0, 1, 101)]
         pre = preintegrate(samples, 0.0, 1.0, np.zeros(6), NOISE, MAX_GAP)
-        assert np.allclose(pre.delta_r.matrix(), np.eye(3))
+        assert np.allclose(pre.delta_r, np.eye(3))
         assert np.allclose(pre.delta_v, 0.0)
         assert np.allclose(pre.delta_p, 0.0)
         assert pre.dt_total == 1.0
@@ -367,7 +368,7 @@ class TestPreintegrate:
             bias = rng.uniform(-0.2, 0.2, 6)
             pre = preintegrate(samples, t0, t1, bias, NOISE, MAX_GAP)
             dr, dv, dp, cov, jac = preintegrate_oracle(samples, t0, t1, bias)
-            assert np.max(np.abs(pre.delta_r.matrix() - dr)) < 1e-14
+            assert np.max(np.abs(pre.delta_r - dr)) < 1e-14
             assert np.max(np.abs(pre.delta_v - dv)) < 1e-13 * max(1.0, np.max(np.abs(dv)))
             assert np.max(np.abs(pre.delta_p - dp)) < 1e-13 * max(1.0, np.max(np.abs(dp)))
             assert np.max(np.abs(pre.cov - cov)) < 1e-12 * np.max(np.abs(cov))
@@ -378,7 +379,7 @@ class TestPreintegrate:
         doubled = samples[:30] + [samples[29]] + samples[30:]
         a = preintegrate(samples, 0.0, samples[-1].stamp, np.zeros(6), NOISE, MAX_GAP)
         b = preintegrate(doubled, 0.0, samples[-1].stamp, np.zeros(6), NOISE, MAX_GAP)
-        assert b.delta_r.matrix().tobytes() == a.delta_r.matrix().tobytes()
+        assert b.delta_r.tobytes() == a.delta_r.tobytes()
         assert np.allclose(b.cov, a.cov, rtol=1e-14, atol=0.0)
 
     def test_cov_trace_monotone_in_time(self):
@@ -403,7 +404,7 @@ def correct_for_bias(pre: PreintegratedImu, new_bias):
     bias away from bias_lin, formed alone with 2-D products; returns
     (delta_r, delta_v, delta_p)."""
     db = np.asarray(new_bias, dtype=float) - pre.bias_lin
-    delta_r = pre.delta_r * so3_exp(pre.jac_bias[0:3, 3:6] @ db[3:])
+    delta_r = Rotation.from_matrix(pre.delta_r) * so3_exp(pre.jac_bias[0:3, 3:6] @ db[3:])
     delta_v = pre.delta_v + pre.jac_bias[3:6, :] @ db
     delta_p = pre.delta_p + pre.jac_bias[6:9, :] @ db
     return delta_r, delta_v, delta_p
@@ -421,9 +422,9 @@ class TestBiasCorrection:
             pres.append(preintegrate(samples, samples[0].stamp, samples[-1].stamp,
                                      rng.uniform(-0.03, 0.03, 6), NOISE, MAX_GAP))
             biases.append(pres[-1].bias_lin + rng.uniform(-0.02, 0.02, 6))
-        stacked = correct_deltas(stack_preintegrated(pres), np.array(biases))
+        stacked = correct_deltas(stack(pres), np.array(biases))
         for k, (pre, bias) in enumerate(zip(pres, biases)):
-            alone = correct_deltas(stack_preintegrated([pre]), bias[None])
+            alone = correct_deltas(stack([pre]), bias[None])
             dr, dv, dp = correct_for_bias(pre, bias)
             want = [dr.matrix().tobytes(), dv.tobytes(), dp.tobytes()]
             for got in (alone, [a[k:k + 1] for a in stacked]):
@@ -435,7 +436,7 @@ class TestBiasCorrection:
         bias = np.array([0.01, -0.02, 0.03, 0.001, 0.002, -0.003])
         pre = preintegrate(samples, 0.0, samples[-1].stamp, bias, NOISE, MAX_GAP)
         dr, dv, dp = correct_for_bias(pre, bias)
-        assert np.allclose(dr.matrix(), pre.delta_r.matrix())
+        assert np.allclose(dr.matrix(), pre.delta_r)
         assert np.allclose(dv, pre.delta_v)
         assert np.allclose(dp, pre.delta_p)
 
@@ -453,7 +454,7 @@ class TestBiasCorrection:
             dr, dv, dp = correct_for_bias(pre, db)
             err = (np.linalg.norm(dv - exact.delta_v)
                    + np.linalg.norm(dp - exact.delta_p)
-                   + np.linalg.norm(so3_log(exact.delta_r.inverse() * dr)))
+                   + np.linalg.norm(so3_log(Rotation.from_matrix(exact.delta_r.T) * dr)))
             errs.append(err)
         # halving eps by 10x should shrink the error ~100x
         assert errs[1] < 0.05 * errs[0]
@@ -472,8 +473,9 @@ class TestBiasCorrection:
             db[c] = h
             plus = preintegrate(samples, 0.0, t1, bias0 + db, NOISE, MAX_GAP)
             minus = preintegrate(samples, 0.0, t1, bias0 - db, NOISE, MAX_GAP)
-            fd[0:3, c] = so3_log(pre.delta_r.inverse() * plus.delta_r) / (2 * h) - \
-                so3_log(pre.delta_r.inverse() * minus.delta_r) / (2 * h)
+            fd[0:3, c] = (so3_log(Rotation.from_matrix(pre.delta_r.T @ plus.delta_r))
+                          - so3_log(Rotation.from_matrix(pre.delta_r.T @ minus.delta_r))
+                          ) / (2 * h)
             fd[3:6, c] = (plus.delta_v - minus.delta_v) / (2 * h)
             fd[6:9, c] = (plus.delta_p - minus.delta_p) / (2 * h)
         scale = max(1.0, np.max(np.abs(fd)))

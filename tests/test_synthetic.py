@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -191,26 +192,38 @@ class TestSceneGeneration:
         assert scan.stamps.max() > scan.stamps.min()
 
     def test_trajectory_leaving_world_raises(self):
+        # the message names the first ray stamp whose pose leaves the hull,
+        # here one inside a scan
         spec = SceneSpec(world=box_room(size=(4.0, 4.0, 3.0)),
                          trajectory=PathTrajectory(
                              LinePath([0, 0, 0], [1, 0, 0], 100.0), 5.0,
                              settle=0.0, ramp_time=0.1),
                          duration=5.0)
-        with pytest.raises(GenerationError):
+        world = spec.world
+        ray_stamps = (k / spec.scan_rate + a / spec.n_azimuth * spec.scan_duration
+                      for k in range(int(spec.duration * spec.scan_rate))
+                      for a in range(spec.n_azimuth))
+        first = next(t for t in ray_stamps
+                     if np.any(spec.trajectory.pose(t).translation < world.hull_min)
+                     or np.any(spec.trajectory.pose(t).translation > world.hull_max))
+        assert first % (1.0 / spec.scan_rate) > 1e-3
+        with pytest.raises(GenerationError, match=re.escape(f"leaves the world at t={first:.3f}: ")):
             generate_synthetic_scene(spec)
 
     def test_seed_determinism(self):
-        spec = square_loop_scene(n_frames=20, accel_noise_density=0.02,
-                                 gyro_noise_density=0.002, range_noise=0.005, seed=7)
+        spec = square_loop_scene(speed=3.0, ramp_time=0.5, n_frames=20,
+                                 accel_noise_density=0.02, gyro_noise_density=0.002,
+                                 range_noise=0.005, seed=7)
         a = generate_synthetic_scene(spec)
-        spec2 = square_loop_scene(n_frames=20, accel_noise_density=0.02,
-                                  gyro_noise_density=0.002, range_noise=0.005, seed=7)
+        spec2 = square_loop_scene(speed=3.0, ramp_time=0.5, n_frames=20,
+                                  accel_noise_density=0.02, gyro_noise_density=0.002,
+                                  range_noise=0.005, seed=7)
         b = generate_synthetic_scene(spec2)
         assert np.array_equal(a.scans[3].points, b.scans[3].points)
         assert np.array_equal(a.imu[100].accel, b.imu[100].accel)
 
     def test_square_loop_scene_dimensions(self):
-        spec = square_loop_scene(perimeter=40.0, n_frames=50)
+        spec = square_loop_scene(speed=3.0, ramp_time=0.5, perimeter=40.0, n_frames=50)
         path = spec.trajectory.path
         assert path.length == pytest.approx(40.0)
         scene = generate_synthetic_scene(spec)
