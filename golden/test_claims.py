@@ -25,16 +25,15 @@ def test_keyframe_factors_keep_the_drift_low(two_laps, monkeypatch):
     # and 30.89 mm without them (ratio 0.136), in runs of about 12 s and
     # 9 s; the bound on the ratio is 0.5
     scene, _, kept, _, _ = two_laps
-    hits = odometry.matching_hits
+    linked = odometry.linked
 
     def without_keyframe_factors(candidates, values):
-        """No hits for a candidate to a marginalized keyframe (a unary one),
-        so that no such factor is added; the keyframe set and the links to
-        window frames stay as they are."""
-        return [0 if f.unary else n
-                for f, n in zip(candidates, hits(candidates, values))]
+        """The linked candidates, less those to a marginalized keyframe
+        (the grounding ones), so that no such factor is added; the keyframe
+        set and the links to window frames stay as they are."""
+        return [f for f in linked(candidates, values) if not f.grounding]
 
-    monkeypatch.setattr(odometry, "matching_hits", without_keyframe_factors)
+    monkeypatch.setattr(odometry, "linked", without_keyframe_factors)
     est, withheld = run(scene)
     assert len(withheld) == len(kept) == 272
     assert all(r.warning is None for r in withheld)

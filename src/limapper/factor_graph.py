@@ -188,7 +188,9 @@ class _ImuMemo:
 
 class MatchingCostFactor(Factor):
     """Voxelized registration constraint between a source frame and a
-    target voxel map; unary when the target pose is fixed.
+    target voxel map.  Its target is the target frame's state key, which
+    makes the factor binary, or that frame's fixed pose, which makes it
+    unary and grounding (it anchors the source's component).
 
     The source/target poses are the pose components of the connected
     states.  The factor holds one record: the relative pose, keys and
@@ -208,45 +210,27 @@ class MatchingCostFactor(Factor):
     voxel by less than that fraction may keep its row, and a linearization
     that finds the same rows keeps the weights of the one that found them.
     With an empty source or map, or fewer than ``min_inliers``
-    correspondences, the factor contributes nothing and forms no terms.
+    correspondences, the factor contributes nothing and forms no terms;
+    ``linked`` admits a candidate by this gate.
     """
 
     def __init__(self, key_source: int, source: Frame, target_map: GaussianVoxelMap,
-                 key_target: int | None = None,
-                 fixed_target_pose: Se3Pose | None = None, *,
-                 min_inliers: int):
-        if (key_target is None) == (fixed_target_pose is None):
-            raise ValueError("exactly one of key_target / fixed_target_pose")
-        self.keys = (key_source,) if key_target is None else (key_source, key_target)
+                 target: int | Se3Pose, *, min_inliers: int):
+        self.grounding = isinstance(target, Se3Pose)
+        self.keys = (key_source,) if self.grounding else (key_source, target)
+        self.fixed_target_pose = target if self.grounding else None
+        self.kind = "matching-cost-unary" if self.grounding else "matching-cost-binary"
         self.source = source
         self.target_map = target_map
-        self.fixed_target_pose = fixed_target_pose
         self.min_inliers = min_inliers
         self._empty = (len(source) == 0 or len(target_map) == 0
                        or source.cov_rows is None)
         # (rot, trans, keys, rows) of the last look-up: its relative pose,
         # and the packed voxel key and voxel row per source point
         self._lookup = None
-        self._inliers = 0
+        self.inliers = 0  # source points that found a voxel at the last look-up
         # FrozenTerms on the rows of self._lookup; None below min_inliers
         self._held = None
-
-    @property
-    def unary(self) -> bool:
-        return self.fixed_target_pose is not None
-
-    @property
-    def grounding(self) -> bool:
-        return self.unary
-
-    @property
-    def kind(self) -> str:
-        return "matching-cost-unary" if self.unary else "matching-cost-binary"
-
-    @property
-    def inliers(self) -> int:
-        """Source points that found a voxel at the last lookup."""
-        return self._inliers
 
     def _look_up(self, rot: np.ndarray, trans: np.ndarray) -> None:
         """Find every source point's voxel row at the relative pose
@@ -272,9 +256,9 @@ class MatchingCostFactor(Factor):
         self._lookup = (rot, trans, keys, rows)
         if same:
             return
-        self._inliers = int(np.count_nonzero(rows >= 0))
+        self.inliers = int(np.count_nonzero(rows >= 0))
         self._held = None
-        if self._inliers >= self.min_inliers:
+        if self.inliers >= self.min_inliers:
             self._held = match_terms(self.source, self.target_map, rot, trans, rows)
 
 
@@ -287,7 +271,7 @@ def _relative_poses(factors, values) -> tuple[np.ndarray, np.ndarray]:
     slice with the BLAS call of the 2-D product, so the two agree bit for
     bit."""
     src = [values[f.keys[0]].pose for f in factors]
-    tgt = [f.fixed_target_pose if f.unary else values[f.keys[1]].pose
+    tgt = [f.fixed_target_pose if f.grounding else values[f.keys[1]].pose
            for f in factors]
     rot_j = np.array([p.rotation.matrix() for p in tgt])
     rot = np.matmul(rot_j.transpose(0, 2, 1),
@@ -297,12 +281,13 @@ def _relative_poses(factors, values) -> tuple[np.ndarray, np.ndarray]:
     return rot, trans[:, 0]
 
 
-def matching_hits(factors, values) -> list[int]:
-    """The source points of each matching factor that land in an occupied
-    voxel of its target map at the values; the terms of these look-ups
-    serve each factor's next cost and linearization."""
-    _held_terms(factors, values, relook=True)
-    return [f.inliers for f in factors]
+def linked(candidates, values) -> list:
+    """The candidate matching factors that hold terms after their first
+    look-up at the values, in order: those that found at least
+    ``min_inliers`` hits.  The terms of these look-ups serve each factor's
+    next cost and linearization."""
+    kept = _held_terms(candidates, values, relook=True)[0]
+    return [candidates[k] for k in kept]
 
 
 def _held_terms(factors, values, relook: bool):
@@ -433,7 +418,7 @@ def _by_kind(factors) -> tuple[list, list, list]:
     alone, imu, binary, unary = [], [], [], []
     for f in factors:
         if isinstance(f, MatchingCostFactor):
-            (unary if f.unary else binary).append(f)
+            (unary if f.grounding else binary).append(f)
         else:
             (imu if isinstance(f, ImuFactor) else alone).append(f)
     return alone, imu, binary + unary
@@ -453,7 +438,7 @@ class _Placement:
     def __init__(self, factors, slices, dim):
         self.dim = dim
         self.alone, self.imu, self.matching = _by_kind(factors)
-        self.binary = sum(not f.unary for f in self.matching)
+        self.binary = sum(not f.grounding for f in self.matching)
 
         def at(fs, keys, width):
             # (H, g) positions of the leading `width` components of each key

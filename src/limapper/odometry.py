@@ -36,7 +36,7 @@ from .factor_graph import (
     ImuFactor,
     MarginalPriorFactor,
     MatchingCostFactor,
-    matching_hits,
+    linked,
 )
 from .geometry import (
     Rotation,
@@ -217,14 +217,12 @@ class OdometryEstimator:
             if self._imu[i].stamp == s.stamp:
                 self._imu[i] = s
         # keep the buffer bounded: only the current inter-frame span and the
-        # initialization window are ever read back
+        # initialization window are ever read back; the last sample before
+        # the horizon stays, and every later one
         if self._window:
             horizon = self._window[-1].frame.scan_start - 1.0
-            drop = 0
-            while drop < len(self._imu) - 1 and self._imu[drop + 1].stamp < horizon:
-                drop += 1
-            if drop:
-                del self._imu[:drop]
+            before = bisect.bisect_left(self._imu, horizon, key=lambda b: b.stamp)
+            del self._imu[:max(before - 1, 0)]
         return dropped
 
     def _imu_between(self, t0: float, t1: float):
@@ -351,29 +349,21 @@ class OdometryEstimator:
         """The matching factors that link rec to the recent frames (newest
         first), then to the keyframes not linked already.
 
-        Each target that rec hits at least MIN_INLIERS times gets a factor:
-        a binary one to a window frame, a unary one to a marginalized
-        keyframe.  The hits come from each candidate factor's own first
-        lookup, all at relative poses formed in one stacked pass, and the
-        solve's opening cost and first linearization reuse the terms of that
-        lookup.
+        Each target gets a candidate factor, binary to a window frame's
+        state and unary to a marginalized keyframe's fixed pose, and
+        ``linked`` keeps the candidates that hold terms after their first
+        lookup: those that hit their target at least MIN_INLIERS times.
+        The lookups are all at relative poses formed in one stacked pass,
+        and the solve's opening cost and first linearization reuse their
+        terms.
         """
         recent = self._window[::-1][:RECENT_FRAME_LINKS]
         targets = recent + [kf for kf in self.keyframes if kf not in recent]
-        candidates = []
-        for target in targets:
-            if target.index not in self.graph.values:
-                candidates.append(MatchingCostFactor(
-                    rec.index, rec.frame, target.voxelmap,
-                    fixed_target_pose=target.state.pose,
-                    min_inliers=MIN_INLIERS))
-            else:
-                candidates.append(MatchingCostFactor(
-                    rec.index, rec.frame, target.voxelmap, key_target=target.index,
-                    min_inliers=MIN_INLIERS))
-        hits = matching_hits(candidates, {**self.graph.values, rec.index: rec.state})
-        return [factor for factor, found in zip(candidates, hits)
-                if found >= MIN_INLIERS]
+        candidates = [MatchingCostFactor(
+            rec.index, rec.frame, t.voxelmap,
+            t.index if t.index in self.graph.values else t.state.pose,
+            min_inliers=MIN_INLIERS) for t in targets]
+        return linked(candidates, {**self.graph.values, rec.index: rec.state})
 
     # -- keyframes --------------------------------------------------------------------
 

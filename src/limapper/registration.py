@@ -5,7 +5,8 @@ Gaussian of its member point Gaussians.  The matching cost between a source
 frame and a target voxel map sums, over source points that land in an
 occupied voxel, the Mahalanobis distance between the point Gaussian and the
 voxel Gaussian under the combined covariance.  Points that miss contribute
-nothing; low-overlap pairs are rejected up front by the overlap gate.
+nothing, and a pair with too few correspondences is not linked at all: the
+matching factor forms no terms below its minimum inlier count.
 
 A matching-cost factor has one path, and all the matching factors of a
 window take it together.  ``match_terms`` takes the correspondences that a

@@ -255,18 +255,23 @@ class PathTrajectory(Trajectory):
 # -- scene generation -------------------------------------------------------------
 
 
+# the simulated LiDAR: scans per second, the span of one scan in s, the
+# lowest and highest ray elevation in rad, and the nearest range it reports
+# in m
+SCAN_RATE = 10.0
+SCAN_DURATION = 0.095
+ELEVATION_SPAN = (-0.45, 0.45)
+MIN_RANGE = 0.3
+
+
 @dataclass
 class SceneSpec:
     world: World
     trajectory: Trajectory
     duration: float
-    scan_rate: float = 10.0
-    scan_duration: float = 0.095
     imu_rate: float = 200.0
     n_azimuth: int = 64
     n_elevation: int = 12
-    elevation_span: tuple[float, float] = (-0.45, 0.45)
-    min_range: float = 0.3
     max_range: float = 20.0
     accel_noise_density: float = 0.0
     gyro_noise_density: float = 0.0
@@ -307,24 +312,22 @@ def generate_synthetic_scene(spec: SceneSpec) -> SyntheticScene:
 
     # ray table shared by every scan
     az = np.linspace(0.0, 2 * math.pi, spec.n_azimuth, endpoint=False)
-    el = np.linspace(spec.elevation_span[0], spec.elevation_span[1], spec.n_elevation)
+    el = np.linspace(ELEVATION_SPAN[0], ELEVATION_SPAN[1], spec.n_elevation)
     az_grid, el_grid = np.meshgrid(az, el, indexing="ij")
     dirs_body = np.column_stack([
         (np.cos(el_grid) * np.cos(az_grid)).ravel(),
         (np.cos(el_grid) * np.sin(az_grid)).ravel(),
         np.sin(el_grid).ravel(),
     ])
-    ray_frac = np.repeat(np.arange(spec.n_azimuth) / spec.n_azimuth, spec.n_elevation)
 
     scans = []
     ground_truth = []
-    n_scans = int(spec.duration * spec.scan_rate)
+    n_scans = int(spec.duration * SCAN_RATE)
     for k in range(n_scans):
-        t_start = k / spec.scan_rate
-        if t_start + spec.scan_duration > spec.duration:
+        t_start = k / SCAN_RATE
+        if t_start + SCAN_DURATION > spec.duration:
             break
-        stamps = t_start + ray_frac * spec.scan_duration
-        uniq = t_start + (np.arange(spec.n_azimuth) / spec.n_azimuth) * spec.scan_duration
+        uniq = t_start + (np.arange(spec.n_azimuth) / spec.n_azimuth) * SCAN_DURATION
         poses = [traj.pose(float(t_ray)) for t_ray in uniq]
         centres = np.array([pose.translation for pose in poses])
         outside = np.any((centres < spec.world.hull_min)
@@ -338,8 +341,7 @@ def generate_synthetic_scene(spec: SceneSpec) -> SyntheticScene:
         for a, pose in enumerate(poses):
             sl = slice(a * spec.n_elevation, (a + 1) * spec.n_elevation)
             dirs[sl] = dirs_body[sl] @ pose.rotation.matrix().T
-        points_w, hit = cast_rays(spec.world, origins, dirs,
-                                  spec.min_range, spec.max_range)
+        points_w, hit = cast_rays(spec.world, origins, dirs, MIN_RANGE, spec.max_range)
         if spec.range_noise > 0:
             ranges = np.linalg.norm(points_w - origins, axis=1)
             noisy = ranges + rng.normal(scale=spec.range_noise, size=len(ranges))
@@ -363,7 +365,7 @@ def generate_synthetic_scene(spec: SceneSpec) -> SyntheticScene:
             points = np.zeros((0, 3))
             stamps_out = np.zeros(0)
         scans.append(RawScan(points, stamps_out, t_start,
-                             t_start + spec.scan_duration))
+                             t_start + SCAN_DURATION))
         ground_truth.append(record_from_pose(t_start, poses[0]))
     return SyntheticScene(scans, imu, ground_truth, spec)
 
@@ -381,9 +383,8 @@ def square_loop_scene(speed: float, ramp_time: float, perimeter: float = 40.0,
     # perimeter = 8 (h - r) + 2 pi r  =>  h
     h = (perimeter - 2 * math.pi * corner_radius) / 8.0 + corner_radius
     path = SquareLoopPath(h, corner_radius)
-    scan_rate = spec_kwargs.get("scan_rate", 10.0)
     traj = PathTrajectory(path, speed, settle=settle, ramp_time=ramp_time)
     side = 2 * h + 2 * ROOM_MARGIN
     world = box_room(center=(0.11, 0.13, 0.53), size=(side, side, 4.0))
     return SceneSpec(world=world, trajectory=traj,
-                     duration=n_frames / scan_rate + 0.2, seed=seed, **spec_kwargs)
+                     duration=n_frames / SCAN_RATE + 0.2, seed=seed, **spec_kwargs)

@@ -25,6 +25,7 @@ from limapper.factor_graph import (
     RELOOK_FRACTION,
     _accumulate,
     _layout,
+    linked,
 )
 from limapper.geometry import (
     Se3Pose,
@@ -127,8 +128,7 @@ def two_pose_registration():
                               rng.normal(size=3) * (0.1 / np.sqrt(3))])
     g.add_variable(1, at_pose(pose_retract(true_rel, perturb)))
     g.add_factor(state_prior(0, zero_state(), np.full(15, 1e6)))
-    g.add_factor(MatchingCostFactor(1, moved, vmap,
-                                    key_target=0, min_inliers=10))
+    g.add_factor(MatchingCostFactor(1, moved, vmap, 0, min_inliers=10))
     hold_motion(g, 1)
     return g, true_rel
 
@@ -347,8 +347,7 @@ def shifted(x, y=0.0):
 class TestMatchingCostFactor:
     def test_cost_keeps_correspondences_of_last_linearization(self):
         source, vmap = face_pair()
-        f = MatchingCostFactor(0, source, vmap,
-                               fixed_target_pose=identity_pose(), min_inliers=10)
+        f = MatchingCostFactor(0, source, vmap, identity_pose(), min_inliers=10)
         at = {0: zero_state()}
         # a nudge far inside the look-up bound and one just past it; each
         # moves the point on the face out of its voxel
@@ -388,8 +387,7 @@ class TestMatchingCostFactor:
         # keeps the held terms; a move past it looks up, and forms new
         # terms only when a row changed
         source, vmap = face_pair()
-        f = MatchingCostFactor(0, source, vmap,
-                               fixed_target_pose=identity_pose(), min_inliers=10)
+        f = MatchingCostFactor(0, source, vmap, identity_pose(), min_inliers=10)
         bound = RELOOK_FRACTION * vmap.resolution
         with mock.patch.object(vmap, "look_up", wraps=vmap.look_up) as look_up, \
                 mock.patch.object(factor_graph, "match_terms",
@@ -432,8 +430,7 @@ class TestMatchingCostFactor:
         # move turns the frame by up to sqrt(3) s bound / reach and shifts
         # it by up to sqrt(3) s bound, for s = 0.1, 0.3 or 1
         source, vmap = conditioned_pair(seed)
-        f = MatchingCostFactor(0, source, vmap,
-                               fixed_target_pose=identity_pose(), min_inliers=5)
+        f = MatchingCostFactor(0, source, vmap, identity_pose(), min_inliers=5)
         bound = RELOOK_FRACTION * vmap.resolution
         scale = np.array([bound / source.reach] * 3 + [bound] * 3)
         pose = looked_at = identity_pose()
@@ -467,8 +464,7 @@ class TestMatchingCostFactor:
         # three points in the map's one voxel, eight far outside it
         source = make_frame(np.vstack([rng.uniform(0.1, 0.4, (3, 3)),
                                        rng.uniform(5.0, 6.0, (8, 3))]))
-        f = MatchingCostFactor(0, source, vmap,
-                               fixed_target_pose=identity_pose(), min_inliers=10)
+        f = MatchingCostFactor(0, source, vmap, identity_pose(), min_inliers=10)
         at = {0: zero_state()}
         assert linearize_matching(f, at).cost == 0.0
         assert f._held is None and f.inliers == 3
@@ -487,13 +483,35 @@ class TestMatchingCostFactor:
 
         calls.clear()
         empty = make_frame(np.zeros((0, 3)), covs=np.zeros((0, 3, 3)))
-        for g in (MatchingCostFactor(0, empty, vmap,
-                                     fixed_target_pose=identity_pose(), min_inliers=10),
+        for g in (MatchingCostFactor(0, empty, vmap, identity_pose(), min_inliers=10),
                   MatchingCostFactor(0, source, build_voxelmap(empty, 0.5),
-                                     fixed_target_pose=identity_pose(), min_inliers=10)):
+                                     identity_pose(), min_inliers=10)):
             assert linearize_matching(g, at).cost == 0.0 and g._held is None
             assert matching_factor_cost(g, at) == 0.0 and g.inliers == 0
         assert calls == []
+
+    @pytest.mark.parametrize("target, keys, grounding, kind", [
+        (1, (0, 1), False, "matching-cost-binary"),
+        (identity_pose(), (0,), True, "matching-cost-unary")], ids=["key", "pose"])
+    def test_linked_at_min_inliers_only(self, target, keys, grounding, kind):
+        # a candidate is linked exactly when its first look-up finds
+        # min_inliers hits, whether its target is a state key or a fixed
+        # pose; the target alone sets the keys, grounding and kind
+        rng = np.random.default_rng(14)
+        vmap = build_voxelmap(make_frame(rng.uniform(0.05, 0.45, (40, 3))), 0.5)
+        # min_inliers - 1 and min_inliers points in the map's one voxel,
+        # eight far outside it
+        below, at = (MatchingCostFactor(
+            0, make_frame(np.vstack([rng.uniform(0.1, 0.4, (n, 3)),
+                                     rng.uniform(5.0, 6.0, (8, 3))])),
+            vmap, target, min_inliers=10) for n in (9, 10))
+        values = {0: zero_state(), 1: zero_state()}
+        assert linked([below], values) == []
+        assert linked([at], values) == [at]
+        assert (below.inliers, at.inliers) == (9, 10)
+        for f in (below, at):
+            assert (f.keys, f.grounding, f.kind) == (keys, grounding, kind)
+            assert f.fixed_target_pose is (target if grounding else None)
 
 
 def imu_factor(i, j, pre):
@@ -793,9 +811,9 @@ def reference_lin(f, values):
         return f.linearize(values)
     if f._held is None:
         return None, None, 0.0
-    t_j = f.fixed_target_pose if f.unary else values[f.keys[1]].pose
+    t_j = f.fixed_target_pose if f.grounding else values[f.keys[1]].pose
     t_ij = pose_compose(pose_inverse(t_j), values[f.keys[0]].pose)
-    return reference_linearize(f._held, t_ij, f.unary)
+    return reference_linearize(f._held, t_ij, f.grounding)
 
 
 def kind_order(f) -> int:
@@ -803,7 +821,7 @@ def kind_order(f) -> int:
     alone (the priors), then the IMU factors, then the binary and the unary
     matching factors."""
     if isinstance(f, MatchingCostFactor):
-        return 3 if f.unary else 2
+        return 3 if f.grounding else 2
     return 1 if isinstance(f, ImuFactor) else 0
 
 
@@ -843,15 +861,14 @@ class TestStackedAssembly:
         est, _ = run(generate_synthetic_scene(loop_spec(1, 20)), n_scans=22)
         graph = est.graph
         matching = [f for f in graph.factors if isinstance(f, MatchingCostFactor)]
-        binary = next(f for f in matching if not f.unary)
-        unary = next(f for f in matching if f.unary)
+        binary = next(f for f in matching if not f.grounding)
+        unary = next(f for f in matching if f.grounding)
         empty = make_frame(np.zeros((0, 3)), covs=np.zeros((0, 3, 3)))
         graph.factors[3:3] = [
             MatchingCostFactor(binary.keys[0], empty, binary.target_map,
-                               key_target=binary.keys[1], min_inliers=10),
+                               binary.keys[1], min_inliers=10),
             MatchingCostFactor(unary.keys[0], unary.source, unary.target_map,
-                               fixed_target_pose=unary.fixed_target_pose,
-                               min_inliers=10**9)]
+                               unary.fixed_target_pose, min_inliers=10**9)]
         return graph
 
     def test_accumulate_and_total_cost_equal_a_per_factor_reference(self, window):
@@ -962,7 +979,7 @@ class TestStackedAssembly:
     def test_no_second_look_up_at_the_pose_of_the_last(self, window):
         f = copy.deepcopy(next(f for f in window.factors
                                if isinstance(f, MatchingCostFactor)
-                               and not f.unary and f.inliers > 0))
+                               and not f.grounding and f.inliers > 0))
         f._lookup = None
         values = window.values
         with mock.patch.object(GaussianVoxelMap, "look_up", autospec=True,

@@ -1001,8 +1001,7 @@ class TestRowKernelOracle:
         if np.isinf(translation).any():
             return  # composing poses with it would already warn (inf * 0)
         # also on a factor's key-diff lookup, after a lookup that succeeded
-        f = MatchingCostFactor(0, source, vmap,
-                               fixed_target_pose=identity_pose(), min_inliers=10)
+        f = MatchingCostFactor(0, source, vmap, identity_pose(), min_inliers=10)
         linearize_matching(f, {0: at_pose(identity_pose())})
         values = {0: at_pose(far)}
         matching_factor_cost(f, values)  # held rows: no lookup
@@ -1097,10 +1096,7 @@ class TestFrozenTerms:
         bound = RELOOK_FRACTION * vmap.resolution
 
         def build():
-            if unary:
-                return MatchingCostFactor(key_i, source, vmap,
-                                          fixed_target_pose=t_j, min_inliers=5)
-            return MatchingCostFactor(key_i, source, vmap, key_target=key_j,
+            return MatchingCostFactor(key_i, source, vmap, t_j if unary else key_j,
                                       min_inliers=5)
 
         factor = build()

@@ -11,6 +11,8 @@ from limapper.synthetic import (
     LinePath,
     Path,
     PathTrajectory,
+    SCAN_DURATION,
+    SCAN_RATE,
     SceneSpec,
     SquareLoopPath,
     Trajectory,
@@ -200,13 +202,13 @@ class TestSceneGeneration:
                              settle=0.0, ramp_time=0.1),
                          duration=5.0)
         world = spec.world
-        ray_stamps = (k / spec.scan_rate + a / spec.n_azimuth * spec.scan_duration
-                      for k in range(int(spec.duration * spec.scan_rate))
+        ray_stamps = (k / SCAN_RATE + a / spec.n_azimuth * SCAN_DURATION
+                      for k in range(int(spec.duration * SCAN_RATE))
                       for a in range(spec.n_azimuth))
         first = next(t for t in ray_stamps
                      if np.any(spec.trajectory.pose(t).translation < world.hull_min)
                      or np.any(spec.trajectory.pose(t).translation > world.hull_max))
-        assert first % (1.0 / spec.scan_rate) > 1e-3
+        assert first % (1.0 / SCAN_RATE) > 1e-3
         with pytest.raises(GenerationError, match=re.escape(f"leaves the world at t={first:.3f}: ")):
             generate_synthetic_scene(spec)
 
