@@ -22,10 +22,11 @@ An assembly (``_accumulate``) takes one pass per factor kind, kind after
 kind: each prior linearizes alone; one stacked pass forms the residuals,
 Jacobians and blocks of all IMU factors (``imu_residuals``,
 ``imu_jacobians``); and one stacked pass forms the relative poses of all
-matching factors, binary then unary, each factor then has its target map
-look its points up at its pose (``GaussianVoxelMap.look_up``, which moves,
-packs and searches them), and one stacked call takes the blocks (or the
-costs) of all held quadratics.  Each pass scatters its blocks into H and g
+matching factors, binary then unary, each factor whose points can have
+moved past its bound then has its target map look its points up at its
+pose (``GaussianVoxelMap.look_up``, which moves, packs and searches them),
+and one stacked call takes the blocks (or the costs) of all held
+quadratics.  Each pass scatters its blocks into H and g
 right after it, at flat positions built once per solve (``_Placement``).
 So the terms reach each entry of H and g from zero, kind after kind and in
 factor order within a kind, whatever order the graph holds its factors in,
@@ -35,13 +36,20 @@ same bits as with the factor taken alone.  The stacked passes are the only
 way a matching or IMU factor is costed or linearized; only the prior has
 its own ``cost`` and ``linearize``.
 
-No factor repeats an evaluation whose inputs did not change: the graph
-keeps the residual stage of its last IMU pass, so the linearization at an
-accepted candidate, whose cost formed that stage, forms only the
-Jacobians, and a marginal prior keeps its last offset.  A matching factor
-goes further and keeps its rows and terms while its source points stay
-within ``RELOOK_FRACTION`` of a voxel of where its last look-up found them;
-its held quadratic is exact at any pose for those rows and weights.
+No factor repeats an evaluation whose inputs did not change.  A solve
+keeps one memo (``_SolveMemo``) on the graph and drops it when it returns.
+It holds the residual stage of the last IMU pass, so the linearization at
+an accepted candidate, whose cost formed that stage, forms only the
+Jacobians; and the matching factors' stacks (``_MatchingStacks``): the
+relative poses of the last pass, which that linearization reuses too, the
+fixed target poses of the unary factors, and the held quadratics, stacked
+once and patched at each factor that forms new ones.  A marginal prior
+keeps its last offset.  A matching factor goes further and keeps its rows
+and terms while its source points stay within ``RELOOK_FRACTION`` of a
+voxel of where its last look-up found them; its held quadratic is exact at
+any pose for those rows and weights.  One stacked test per linearization
+forms every factor's move bound, and only the factors not clearly inside it
+take the factor's own exact test, so the decisions are the exact test's.
 
 Every variable is the SensorState of one frame, keyed by the frame's index,
 with a 15-dof tangent (rot, trans, vel, accel bias, gyro bias).
@@ -53,7 +61,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import (
     DisconnectedGraph,
@@ -70,6 +78,7 @@ from .geometry import (
 )
 from .imu import ImuResiduals, PreintegratedImu, imu_jacobians, imu_residuals, stack
 from .registration import (
+    FrozenTerms,
     GaussianVoxelMap,
     frozen_cost,
     linearize_from_terms,
@@ -86,6 +95,10 @@ RELOOK_FRACTION = 0.01
 REL_COST_TOL = 1e-6
 LAMBDA_INIT = 1e-6  # the damping of a solve's first step
 LAMBDA_MAX = 1e12  # damping past this raises NotConverged
+# tr(R0^T R) of two rotations, summed in any order, is within this of
+# np.vdot(R0, R): the nine products add up to at most 3 in magnitude, so
+# either sum is within a few ulps of 3 of the exact trace
+_TRACE_ROUNDING = 1e-13
 
 
 class FactorLinearization(NamedTuple):
@@ -173,19 +186,6 @@ def _imu_blocks(stage: _ImuStage) -> tuple[np.ndarray, np.ndarray]:
             np.matmul(w, jac))
 
 
-class _ImuMemo:
-    """The last residual stage of a graph's stacked IMU pass, so that a
-    linearization at the states of the last cost forms only the
-    Jacobians."""
-
-    def __init__(self):
-        self.last: _ImuStage | None = None
-
-    def stage(self, factors, values) -> _ImuStage:
-        self.last = _imu_stage(factors, values, self.last)
-        return self.last
-
-
 class MatchingCostFactor(Factor):
     """Voxelized registration constraint between a source frame and a
     target voxel map.  Its target is the target frame's state key, which
@@ -209,6 +209,12 @@ class MatchingCostFactor(Factor):
     make the cost jump between two linearizations, a point that left its
     voxel by less than that fraction may keep its row, and a linearization
     that finds the same rows keeps the weights of the one that found them.
+    The graph forms the move bound of all its matching factors in one
+    stacked pass (``_MatchingStacks.to_look_up``), which rounds otherwise
+    than ``_look_up``'s exact test: by up to sqrt(_TRACE_ROUNDING) times the
+    reach where the turn is near zero.  A factor whose stacked bound is
+    inside by more than that guard band is not asked; every other one takes
+    the exact test, so the stacked pass changes no decision.
     With an empty source or map, or fewer than ``min_inliers``
     correspondences, the factor contributes nothing and forms no terms;
     ``linked`` admits a candidate by this gate.
@@ -262,23 +268,128 @@ class MatchingCostFactor(Factor):
             self._held = match_terms(self.source, self.target_map, rot, trans, rows)
 
 
-def _relative_poses(factors, values) -> tuple[np.ndarray, np.ndarray]:
-    """Rotations (K, 3, 3) and translations (K, 3) of the relative poses
-    T_j^-1 T_i of K matching factors, from the source pose T_i and the
-    target pose T_j (held or fixed).  They are the products that
-    ``pose_compose(pose_inverse(T_j), T_i)`` forms, R_j^T R_i and
-    t_i R_j - t_j R_j with row vectors; a stacked ``np.matmul`` forms each
-    slice with the BLAS call of the 2-D product, so the two agree bit for
-    bit."""
-    src = [values[f.keys[0]].pose for f in factors]
-    tgt = [f.fixed_target_pose if f.grounding else values[f.keys[1]].pose
-           for f in factors]
-    rot_j = np.array([p.rotation.matrix() for p in tgt])
-    rot = np.matmul(rot_j.transpose(0, 2, 1),
-                    np.array([p.rotation.matrix() for p in src]))
-    trans = np.matmul(np.array([p.translation for p in src])[:, None], rot_j)
-    trans -= np.matmul(np.array([p.translation for p in tgt])[:, None], rot_j)
-    return rot, trans[:, 0]
+class _MatchingStacks:
+    """The stacks that the passes over one list of K matching factors keep
+    between their calls; a solve keeps one for its duration.
+
+    - The relative poses of the last call, with the state objects they were
+      formed at, compared with ``is`` as ``_imu_stage`` compares them; and
+      the fixed target poses of the unary factors, stacked once.
+    - The relative pose of each factor's last look-up, for one stacked
+      relook test per linearization (``to_look_up``).
+    - The held terms of the factors that hold them, stacked once
+      (``imu.stack``) and patched in place at each factor whose look-up
+      formed new ones (``looked_up``).
+
+    The factors' own records stay the source: the stacks copy them when
+    built, and copy a factor's again after each of its look-ups.
+    """
+
+    def __init__(self, factors):
+        self.factors = factors
+        # the states the factors read, then one row per fixed target pose
+        self.keys = list(dict.fromkeys(k for f in factors for k in f.keys))
+        at = {k: n for n, k in enumerate(self.keys)}
+        fixed = [f.fixed_target_pose for f in factors if f.grounding]
+        row = iter(range(len(self.keys), len(self.keys) + len(fixed)))
+        self.source = np.array([at[f.keys[0]] for f in factors], dtype=np.intp)
+        self.target = np.array([next(row) if f.grounding else at[f.keys[1]]
+                                for f in factors], dtype=np.intp)
+        self.fixed_rot = np.array([p.rotation.matrix() for p in fixed]).reshape(-1, 3, 3)
+        self.fixed_trans = np.array([p.translation for p in fixed]).reshape(-1, 3)
+        self.states = self.poses = None  # of the last relative_poses
+
+        k = len(factors)
+        self.live = np.array([not f._empty for f in factors], dtype=bool)
+        self.looked = np.zeros(k, dtype=bool)
+        self.rot0, self.trans0 = np.zeros((k, 3, 3)), np.zeros((k, 3))
+        self.reach = np.array([f.source.reach for f in factors])
+        bound = np.array([RELOOK_FRACTION * f.target_map.resolution for f in factors])
+        # a stacked move bound at most `inside` is clearly inside the bound:
+        # its trace and the scalar test's np.vdot round apart by at most
+        # _TRACE_ROUNDING, which the square root of 3 - tr magnifies near
+        # zero to sqrt(_TRACE_ROUNDING) times the reach; 1e-9 of the bound
+        # covers the few ulps in which the products, norms and sums differ
+        self.inside = bound - (np.sqrt(_TRACE_ROUNDING) * self.reach + 1e-9 * bound)
+        for n in range(k):
+            self._copy_look_up(n)
+        self.held = [f._held for f in factors]
+        self._index()
+
+    def relative_poses(self, values) -> tuple[np.ndarray, np.ndarray]:
+        """Rotations (K, 3, 3) and translations (K, 3) of the relative poses
+        T_j^-1 T_i, from the source pose T_i and the target pose T_j (held
+        or fixed); those of the last call when it read the same state
+        objects.  They are the products that
+        ``pose_compose(pose_inverse(T_j), T_i)`` forms, R_j^T R_i and
+        t_i R_j - t_j R_j with row vectors; a stacked ``np.matmul`` forms
+        each slice with the BLAS call of the 2-D product, so the two agree
+        bit for bit."""
+        states = tuple(values[k] for k in self.keys)
+        if self.states is None or not _same(self.states, states):
+            rot = np.concatenate([np.array([s.pose.rotation.matrix() for s in states]
+                                           ).reshape(-1, 3, 3), self.fixed_rot])
+            trans = np.concatenate([np.array([s.pose.translation for s in states]
+                                             ).reshape(-1, 3), self.fixed_trans])
+            rot_j = rot[self.target]
+            rel_rot = np.matmul(rot_j.transpose(0, 2, 1), rot[self.source])
+            rel_trans = np.matmul(trans[self.source][:, None], rot_j)
+            rel_trans -= np.matmul(trans[self.target][:, None], rot_j)
+            self.states, self.poses = states, (rel_rot, rel_trans[:, 0])
+        return self.poses
+
+    def to_look_up(self, rot: np.ndarray, trans: np.ndarray, relook: bool
+                   ) -> np.ndarray:
+        """Indices, in order, of the factors to hand to
+        ``MatchingCostFactor._look_up`` at the relative poses: every factor
+        with a source and a map that has no look-up yet, and with
+        ``relook`` every one whose move bound, formed for all in one
+        stacked pass, is not clearly inside its relook bound.  Those take
+        the factor's own exact test, so the decisions are the scalar test's."""
+        due = ~self.looked
+        if relook:
+            trace = np.einsum("kij,kij->k", self.rot0, rot)
+            spin = np.sqrt(np.maximum(3.0 - trace, 0.0))
+            shift = trans - self.trans0
+            move = spin * self.reach + np.sqrt(np.einsum("ki,ki->k", shift, shift))
+            due |= ~(move <= self.inside)  # a NaN move is due, as in the scalar test
+        return np.flatnonzero(due & self.live)
+
+    def looked_up(self, n: int) -> None:
+        """Copy factor n's records after its look-up: its look-up pose, and
+        its held terms into their row of the stack; when the factor gained
+        or lost terms, the stack is dropped, to be built again on use."""
+        self._copy_look_up(n)
+        held, was = self.factors[n]._held, self.held[n]
+        if held is was:
+            return
+        self.held[n] = held
+        if held is None or was is None:
+            self._index()
+        elif self.terms is not None:
+            for field, value in zip(self.terms, held):
+                field[self.row[n]] = value
+
+    def stacked(self) -> FrozenTerms | None:
+        """The held terms of the factors in ``kept`` as one record, stacked
+        on first use; None when no factor holds terms."""
+        if self.terms is None and self.row:
+            self.terms = stack([self.held[n] for n in self.kept])
+        return self.terms
+
+    def _copy_look_up(self, n: int) -> None:
+        lookup = self.factors[n]._lookup
+        if lookup is not None:
+            self.rot0[n], self.trans0[n] = lookup[0], lookup[1]
+            self.looked[n] = True
+
+    def _index(self) -> None:
+        """The factors that hold terms (``kept``), each one's row in the
+        stack, and no stack yet."""
+        self.kept = np.array([n for n, h in enumerate(self.held) if h is not None],
+                             dtype=np.intp)
+        self.row = {n: r for r, n in enumerate(self.kept.tolist())}
+        self.terms = None
 
 
 def linked(candidates, values) -> list:
@@ -286,50 +397,48 @@ def linked(candidates, values) -> list:
     look-up at the values, in order: those that found at least
     ``min_inliers`` hits.  The terms of these look-ups serve each factor's
     next cost and linearization."""
-    kept = _held_terms(candidates, values, relook=True)[0]
-    return [candidates[k] for k in kept]
+    stacks = _MatchingStacks(candidates)
+    _look_ups(stacks, values, relook=True)
+    return [candidates[k] for k in stacks.kept]
 
 
-def _held_terms(factors, values, relook: bool):
-    """(indices of the matching factors that hold terms after their
-    look-ups; their terms, rotations and translations).  The relative
-    poses come from one stacked pass; each factor with a source and a map
-    is looked up there, in factor order, if it has no look-up yet, or if
-    ``relook`` and its points can have moved past its bound
-    (``MatchingCostFactor._look_up``)."""
-    if not factors:
-        return [], [], np.empty((0, 3, 3)), np.empty((0, 3))
-    rots, trans = _relative_poses(factors, values)
-    for f, rot, t in zip(factors, rots, trans):
-        if not f._empty and (relook or f._lookup is None):
-            f._look_up(rot, t)
-    kept = [k for k, f in enumerate(factors) if f._held is not None]
-    return kept, [factors[k]._held for k in kept], rots[kept], trans[kept]
+def _look_ups(stacks: _MatchingStacks, values, relook: bool):
+    """The rotations (K, 3, 3) and translations (K, 3) of the matching
+    factors' relative poses at the values, after the look-ups there.  The
+    poses come from one stacked pass, or from the last call at the same
+    states; each factor that ``to_look_up`` names is looked up at its pose,
+    in factor order (``MatchingCostFactor._look_up``)."""
+    rot, trans = stacks.relative_poses(values)
+    for n in stacks.to_look_up(rot, trans, relook):
+        stacks.factors[n]._look_up(rot[n], trans[n])
+        stacks.looked_up(n)
+    return rot, trans
 
 
-def _matching_costs(factors, values) -> list[float]:
+def _matching_costs(stacks: _MatchingStacks, values) -> list[float]:
     """The cost of every matching factor, zero for one without terms: each
     looks up only if it has not yet, and one stacked ``frozen_cost``
     evaluates all held terms."""
-    kept, held, rots, trans = _held_terms(factors, values, relook=False)
-    costs = np.zeros(len(factors))
-    if held:
-        costs[kept] = frozen_cost(held, rots, trans)
+    rot, trans = _look_ups(stacks, values, relook=False)
+    costs, kept = np.zeros(len(stacks.factors)), stacks.kept
+    if kept.size:
+        costs[kept] = frozen_cost(stacks.stacked(), rot[kept], trans[kept])
     return costs.tolist()
 
 
-def _matching_blocks(factors, values):
+def _matching_blocks(stacks: _MatchingStacks, values):
     """The linearization of every matching factor: each looks up, in
     order, if its points can have moved past its bound, and one stacked
     ``linearize_from_terms`` takes the blocks of all held terms.  Returns
     the gradients (K, 12), the Hessians (K, 12, 12) and the costs as Python
     floats, zero for a factor without terms; a factor with a fixed target
     takes the source pose's leading 6 and 6x6."""
-    kept, held, rots, trans = _held_terms(factors, values, relook=True)
-    k = len(factors)
+    rot, trans = _look_ups(stacks, values, relook=True)
+    k, kept = len(stacks.factors), stacks.kept
     grad, hess, costs = np.zeros((k, 12)), np.zeros((k, 12, 12)), np.zeros(k)
-    if held:
-        grad[kept], hess[kept], costs[kept] = linearize_from_terms(held, rots, trans)
+    if kept.size:
+        grad[kept], hess[kept], costs[kept] = linearize_from_terms(
+            stacks.stacked(), rot[kept], trans[kept])
     return grad, hess, costs.tolist()
 
 
@@ -424,21 +533,40 @@ def _by_kind(factors) -> tuple[list, list, list]:
     return alone, imu, binary + unary
 
 
-class _Placement:
-    """The factors of one list by kind (``_by_kind``), and where the blocks
-    of each kind land in the normal equations of one layout, built once for
-    the list and the layout: per factor that linearizes alone
-    (``alone_at``), for the IMU stack (``imu_at``), and for the binary and
-    the unary matching factors (``binary_at``, ``unary_at``; a matching
-    block covers the pose of each key, so a unary one only its source's).
-    Each is the pair of flat positions in the row-major H and in g of its
-    blocks' entries, factor after factor and each block row-major, so that
-    one scatter per kind adds each entry's terms in factor order."""
+class _SolveMemo:
+    """The factors of one list by kind (``_by_kind``), and what the stacked
+    passes over them keep between their calls: the residual stage of the
+    last IMU pass, so that a linearization at the states of the last cost
+    forms only the Jacobians, and the matching factors' stacks
+    (``_MatchingStacks``).  ``optimize_lm`` keeps one on the graph while it
+    runs and drops it when it returns, so nothing a memo holds outlives
+    its solve."""
 
-    def __init__(self, factors, slices, dim):
+    def __init__(self, factors):
+        self.alone, self.imu, matching = _by_kind(factors)
+        self.matching = _MatchingStacks(matching)
+        self.stage: _ImuStage | None = None
+
+    def imu_stage(self, values) -> _ImuStage:
+        self.stage = _imu_stage(self.imu, values, self.stage)
+        return self.stage
+
+
+class _Placement:
+    """Where the blocks of each kind of a memo's factors land in the normal
+    equations of one layout, built once for the factors and the layout: per
+    factor that linearizes alone (``alone_at``), for the IMU stack
+    (``imu_at``), and for the binary and the unary matching factors
+    (``binary_at``, ``unary_at``; a matching block covers the pose of each
+    key, so a unary one only its source's).  Each is the pair of flat
+    positions in the row-major H and in g of its blocks' entries, factor
+    after factor and each block row-major, so that one scatter per kind
+    adds each entry's terms in factor order."""
+
+    def __init__(self, memo: _SolveMemo, slices, dim):
         self.dim = dim
-        self.alone, self.imu, self.matching = _by_kind(factors)
-        self.binary = sum(not f.grounding for f in self.matching)
+        matching = memo.matching.factors
+        self.binary = sum(not f.grounding for f in matching)
 
         def at(fs, keys, width):
             # (H, g) positions of the leading `width` components of each key
@@ -449,37 +577,39 @@ class _Placement:
             # dimensions
             return (rows[:, :, None] * dim + rows[:, None, :]).ravel(), rows.ravel()
 
-        self.alone_at = [at([f], len(f.keys), STATE_DIM) for f in self.alone]
-        self.imu_at = at(self.imu, 2, STATE_DIM)
-        self.binary_at = at(self.matching[:self.binary], 2, 6)
-        self.unary_at = at(self.matching[self.binary:], 1, 6)
+        self.alone_at = [at([f], len(f.keys), STATE_DIM) for f in memo.alone]
+        self.imu_at = at(memo.imu, 2, STATE_DIM)
+        self.binary_at = at(matching[:self.binary], 2, 6)
+        self.unary_at = at(matching[self.binary:], 1, 6)
 
 
 def _accumulate(factors, values, slices, dim, placement: _Placement | None = None,
-                imu: _ImuMemo | None = None):
+                memo: _SolveMemo | None = None):
     """Dense normal equations (H, g) and total cost of the factors at values.
 
     Each kind takes one pass, and its blocks are scattered into H and g at
-    the positions of ``placement`` (built here when not given) right after
-    it: every factor that linearizes alone, then the IMU factors in one
-    stacked pass (whose residual stage ``imu`` keeps), then the matching
-    factors in one stacked linearization.  The costs are summed from zero
-    in the same order, as ``FactorGraph.total_cost`` sums them."""
-    p = placement or _Placement(factors, slices, dim)
+    the positions of ``placement`` right after it: every factor that
+    linearizes alone, then the IMU factors in one stacked pass, then the
+    matching factors in one stacked linearization.  The costs are summed
+    from zero in the same order, as ``FactorGraph.total_cost`` sums them.
+    ``memo`` and ``placement``, built here from the factors when not given,
+    must be of these factors."""
+    memo = memo or _SolveMemo(factors)
+    p = placement or _Placement(memo, slices, dim)
     h, g, cost = np.zeros(p.dim * p.dim), np.zeros(p.dim), 0.0
-    for f, (h_at, g_at) in zip(p.alone, p.alone_at):
+    for f, (h_at, g_at) in zip(memo.alone, p.alone_at):
         lin = f.linearize(values)
         np.add.at(h, h_at, lin.h.ravel())
         np.add.at(g, g_at, lin.g)
         cost += lin.cost
-    if p.imu:
-        stage = (imu or _ImuMemo()).stage(p.imu, values)
+    if memo.imu:
+        stage = memo.imu_stage(values)
         grad, hess = _imu_blocks(stage)
         np.add.at(h, p.imu_at[0], hess.ravel())
         np.add.at(g, p.imu_at[1], grad.ravel())
         for c in stage.costs:
             cost += c
-    grad, hess, costs = _matching_blocks(p.matching, values)
+    grad, hess, costs = _matching_blocks(memo.matching, values)
     b = p.binary
     np.add.at(h, p.binary_at[0], hess[:b].ravel())
     np.add.at(g, p.binary_at[1], grad[:b].ravel())
@@ -490,22 +620,49 @@ def _accumulate(factors, values, slices, dim, placement: _Placement | None = Non
     return h.reshape(p.dim, p.dim), g, cost
 
 
+def _cho_factor(a: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor of a for ``_cho_solve``: the LAPACK
+    ``dpotrf`` call that ``scipy.linalg.cho_factor(a, lower=True)`` makes,
+    so the same bits, without its wrappers.  As it does, raises ValueError
+    for a matrix that is not finite, which dpotrf would factor without a
+    word, and LinAlgError for one that is not numerically positive
+    definite."""
+    if not np.isfinite(a).all():
+        raise ValueError("matrix must not contain infs or NaNs")
+    c, info = dpotrf(a, lower=1, clean=0)
+    if info:
+        raise (np.linalg.LinAlgError if info > 0 else ValueError)(
+            f"dpotrf failed with info {info}")
+    return c
+
+
+def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with A x = b for the factor c of A from ``_cho_factor``: the LAPACK
+    ``dpotrs`` call of ``scipy.linalg.cho_solve``, with its ValueError for
+    a right-hand side that is not finite."""
+    if not np.isfinite(b).all():
+        raise ValueError("right-hand side must not contain infs or NaNs")
+    x, info = dpotrs(c, b, lower=1)
+    if info:
+        raise ValueError(f"dpotrs failed with info {info}")
+    return x
+
+
 def _cholesky(h):
-    """Lower Cholesky factor of h for ``cho_solve``.  A matrix that is not
+    """Lower Cholesky factor of h for ``_cho_solve``.  A matrix that is not
     numerically positive definite is factored with a jitter added to its
     diagonal: 1e-9 of its largest diagonal entry, and at least 1e-9."""
     try:
-        return scipy.linalg.cho_factor(h, lower=True)
+        return _cho_factor(h)
     except np.linalg.LinAlgError:
         jitter = 1e-9 * max(1.0, float(np.max(np.abs(np.diag(h)))))
-        return scipy.linalg.cho_factor(h + jitter * np.eye(len(h)), lower=True)
+        return _cho_factor(h + jitter * np.eye(len(h)))
 
 
 def _damped_step(h, g, damping):
     """Solution of (H + diag(damping)) delta = -g; None if it fails."""
     try:
-        factorized = scipy.linalg.cho_factor(h + np.diag(damping), lower=True)
-        delta = scipy.linalg.cho_solve(factorized, -g)
+        delta = _cho_solve(_cho_factor(h + np.diag(damping)), -g)
     except (np.linalg.LinAlgError, ValueError):
         return None
     return delta if np.all(np.isfinite(delta)) else None
@@ -548,7 +705,7 @@ class FactorGraph:
         self.factors: list[Factor] = []
         # (H, slices) of the last assembly of optimize_lm
         self._normal: tuple[np.ndarray, dict] | None = None
-        self._imu = _ImuMemo()
+        self._memo: _SolveMemo | None = None  # while optimize_lm runs
 
     def add_variable(self, key: int, initial_value) -> None:
         if key in self.values:
@@ -564,16 +721,17 @@ class FactorGraph:
     def total_cost(self, values) -> float:
         """Sum of the factor costs at the values, from zero in the order of
         ``_accumulate``: every factor that is costed alone, then the IMU
-        factors from one stacked evaluation, whose residual stage the graph
-        keeps for the next linearization, then the matching factors from
-        another."""
-        alone, imu, matching = _by_kind(self.factors)
+        factors from one stacked evaluation, then the matching factors from
+        another.  Within a solve, the solve's memo keeps the IMU residual
+        stage and the matching factors' relative poses for the next
+        linearization."""
+        memo = self._memo or _SolveMemo(self.factors)
         cost = 0.0
-        for f in alone:
+        for f in memo.alone:
             cost += f.cost(values)
-        for c in (self._imu.stage(imu, values).costs if imu else ()):
+        for c in (memo.imu_stage(values).costs if memo.imu else ()):
             cost += c
-        for c in _matching_costs(matching, values):
+        for c in _matching_costs(memo.matching, values):
             cost += c
         return cost
 
@@ -624,11 +782,21 @@ class FactorGraph:
         that iteration, which an accepted step may have moved since.  The
         odometry reads no covariance; only a caller of marginal_covariance,
         such as a local mapping stage, pays for factorizing H.
+
+        The stacked passes of the solve share one memo (``_SolveMemo``),
+        which the graph holds until the solve returns or raises.
         """
         settings = settings or LmSettings()
         self.check_structure()
+        self._memo = _SolveMemo(self.factors)
+        try:
+            return self._solve(settings)
+        finally:
+            self._memo = None
+
+    def _solve(self, settings: LmSettings) -> OptimizeResult:
         slices, dim = _layout(self.values)
-        placement = _Placement(self.factors, slices, dim)
+        placement = _Placement(self._memo, slices, dim)
         values = dict(self.values)
         initial_cost = cost = self.total_cost(values)
         lam, nu = LAMBDA_INIT, 2.0
@@ -642,7 +810,7 @@ class FactorGraph:
         stalled = 0  # linearizations since best was last lowered
         while not converged and iterations < settings.max_iterations:
             h, g, cost = _accumulate(self.factors, values, slices, dim, placement,
-                                     self._imu)
+                                     self._memo)
             self._normal = (h, slices)
             iterations += 1
             if best is None or (cost < best and not negligible(best - cost, best)):
@@ -723,8 +891,8 @@ class FactorGraph:
         h_rk = h[:r_dim, r_dim:]
         g_r = g[:r_dim]
         chol = _cholesky(h_rr)
-        x_rk = scipy.linalg.cho_solve(chol, h_rk)
-        x_r = scipy.linalg.cho_solve(chol, g_r)
+        x_rk = _cho_solve(chol, h_rk)
+        x_r = _cho_solve(chol, g_r)
         h_marg = h[r_dim:, r_dim:] - h_rk.T @ x_rk
         g_marg = g[r_dim:] - h_rk.T @ x_r
 
@@ -755,4 +923,4 @@ class FactorGraph:
         sl = slices[key]
         rhs = np.zeros((len(h), STATE_DIM))
         rhs[sl] = np.eye(STATE_DIM)
-        return scipy.linalg.cho_solve(_cholesky(h), rhs)[sl]
+        return _cho_solve(_cholesky(h), rhs)[sl]

@@ -20,7 +20,8 @@ over the inliers.  No per-point pass is made until a voxel row changes.
 ``frozen_cost`` and ``linearize_from_terms`` take K held quadratics, each
 at its own relative pose, as one ``FrozenTerms`` whose fields carry a
 leading axis of length K (``imu.stack``, which stacks preintegrations the
-same way), in one pass of stacked ``np.matmul`` products.
+same way; a solve stacks its factors' terms once and patches the rows of
+those that change), in one pass of stacked ``np.matmul`` products.
 The first costs candidate poses in O(1) per quadratic; the second takes
 each factor's gradient and Gauss-Newton Hessian for right-multiplicative
 perturbations of the source pose and the target pose: the target pose's
@@ -62,12 +63,11 @@ overlap against the map and dropped with it.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import Se3Pose, so3_hat, so3_hat_batch
-from .imu import stack
 from .preprocess import Frame, cell_sums, face_neighbour_keys, group_by_key, pack_voxel_keys
 
 
@@ -323,20 +323,19 @@ def _costs(terms: FrozenTerms, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return terms.cost - np.matmul(g[:, None, :], lin)[:, 0, 0], qg
 
 
-def frozen_cost(held: Sequence[FrozenTerms], rot: np.ndarray,
-                trans: np.ndarray) -> np.ndarray:
-    """(K,) costs of K held quadratics, each at its relative pose
-    (rot (K, 3, 3), trans (K, 3))."""
-    terms = stack(held)
+def frozen_cost(terms: FrozenTerms, rot: np.ndarray, trans: np.ndarray
+                ) -> np.ndarray:
+    """(K,) costs of K held quadratics, stacked into one record
+    (``imu.stack``), each at its relative pose (rot (K, 3, 3), trans
+    (K, 3))."""
     return _costs(terms, _changes(terms, rot, trans))[0]
 
 
-def linearize_from_terms(held: Sequence[FrozenTerms], rot: np.ndarray,
-                         trans: np.ndarray
+def linearize_from_terms(terms: FrozenTerms, rot: np.ndarray, trans: np.ndarray
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients (K, 12), Gauss-Newton Hessians (K, 12, 12) and costs (K,)
-    of K held quadratics, each at its relative pose (rot (K, 3, 3), trans
-    (K, 3)).  Each block covers the source pose's 6 dims, then the target
+    of K held quadratics, stacked into one record (``imu.stack``), each at
+    its relative pose (rot (K, 3, 3), trans (K, 3)).  Each block covers the source pose's 6 dims, then the target
     pose's 6; a factor whose target pose is fixed takes the leading 6 of
     the gradient and the leading 6x6 of the Hessian.
 
@@ -351,7 +350,6 @@ def linearize_from_terms(held: Sequence[FrozenTerms], rot: np.ndarray,
     slice with the same BLAS call as the 2-D product of that slice alone,
     so the blocks of a quadratic do not depend on the others in the stack.
     """
-    terms = stack(held)
     g = _changes(terms, rot, trans)
     cost, qg = _costs(terms, g)
     jac = (np.matmul(_JAC_MAP, g[:, :, None])[:, :, 0] + _JAC_OFFSET).reshape(-1, 12, 6)

@@ -1,5 +1,7 @@
 import copy
 import functools
+import gc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -694,9 +696,10 @@ class TestMarginalization:
 
 
 def record_cholesky(monkeypatch):
-    """Make scipy's cho_factor append, per call, whether it raised."""
+    """Make the graph's Cholesky factorization append, per call, whether it
+    raised."""
     raised = []
-    cho_factor = scipy.linalg.cho_factor
+    cho_factor = factor_graph._cho_factor
 
     def recording(*args, **kwargs):
         try:
@@ -707,7 +710,7 @@ def record_cholesky(monkeypatch):
         raised.append(False)
         return out
 
-    monkeypatch.setattr(scipy.linalg, "cho_factor", recording)
+    monkeypatch.setattr(factor_graph, "_cho_factor", recording)
     return raised
 
 
@@ -750,6 +753,40 @@ class TestMarginalizationEdges:
         cov = g.marginal_covariance(0)
         assert raised == [True, False]
         assert cov.shape == (15, 15) and np.all(np.isfinite(cov))
+
+
+class TestCholesky:
+    @pytest.mark.parametrize("n", [15, 90, 120])
+    def test_factor_and_solve_equal_scipys_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(n, n))
+        a = a @ a.T + n * np.eye(n)
+        ref = scipy.linalg.cho_factor(a, lower=True)
+        c = factor_graph._cho_factor(a)
+        assert c.tobytes() == ref[0].tobytes()
+        for b in (rng.normal(size=n), rng.normal(size=(n, 15))):
+            assert (factor_graph._cho_solve(c, b).tobytes()
+                    == scipy.linalg.cho_solve(ref, b).tobytes())
+        g, damping = rng.normal(size=n), rng.uniform(0.0, 1.0, n)
+        damped = scipy.linalg.cho_factor(a + np.diag(damping), lower=True)
+        assert (factor_graph._damped_step(a, g, damping).tobytes()
+                == scipy.linalg.cho_solve(damped, -g).tobytes())
+
+    def test_a_matrix_that_is_not_finite_is_refused(self):
+        # LAPACK factors a NaN without an error; the check before it does not
+        a = np.eye(6)
+        a[2, 2] = np.nan
+        assert factor_graph._damped_step(a, np.ones(6), np.ones(6)) is None
+        with pytest.raises(ValueError):
+            factor_graph._cholesky(a)
+
+    def test_a_matrix_that_is_not_positive_definite_takes_the_jitter(self, monkeypatch):
+        a = np.ones((6, 6))  # rank one
+        raised = record_cholesky(monkeypatch)
+        c = factor_graph._cholesky(a)
+        assert raised == [True, False]
+        jittered = scipy.linalg.cho_factor(a + 1e-9 * np.eye(6), lower=True)
+        assert c.tobytes() == jittered[0].tobytes()
 
 
 class TestMarginalizationProperties:
@@ -960,14 +997,15 @@ class TestStackedAssembly:
         rng = np.random.default_rng(6)
         candidate = {k: state_retract(v, rng.normal(scale=1e-4, size=15))
                      for k, v in graph.values.items()}
-        placement = factor_graph._Placement(graph.factors, slices, dim)
+        memo = graph._memo = factor_graph._SolveMemo(graph.factors)
+        placement = factor_graph._Placement(memo, slices, dim)
         graph.total_cost(candidate)  # the candidate's cost fills the memo
-        stage = graph._imu.last
+        stage, poses = memo.stage, memo.matching.poses
         with mock.patch.object(factor_graph, "imu_residuals",
                                wraps=factor_graph.imu_residuals) as residuals:
-            kept = _accumulate(graph.factors, candidate, slices, dim, placement,
-                               graph._imu)
-            assert residuals.call_count == 0 and graph._imu.last is stage
+            kept = _accumulate(graph.factors, candidate, slices, dim, placement, memo)
+            assert residuals.call_count == 0 and memo.stage is stage
+            assert memo.matching.poses is poses
             for f in graph.factors:
                 if isinstance(f, MarginalPriorFactor):
                     f._last = None
@@ -992,3 +1030,117 @@ class TestStackedAssembly:
             linearize_matching(f, moved)
             assert look_up.call_count == 2
         assert first.h.tobytes() == again.h.tobytes() and first.cost == again.cost
+
+
+def ulps_from(x: float, k: int) -> float:
+    """x moved by k ulps."""
+    for _ in range(abs(k)):
+        x = np.nextafter(x, np.inf if k > 0 else -np.inf)
+    return float(x)
+
+
+def scalar_move(f, rot, trans) -> float:
+    """The move bound of ``MatchingCostFactor._look_up``'s own test, from
+    the factor's last look-up to the relative pose (rot, trans)."""
+    rot0, trans0 = f._lookup[:2]
+    spin = np.sqrt(max(0.0, 3.0 - float(np.vdot(rot0, rot))))
+    return spin * f.source.reach + float(np.linalg.norm(trans - trans0))
+
+
+class TestSolveStacks:
+    @staticmethod
+    def unary_factors(n):
+        """n unary factors on keys 0..n-1, each with its own source and map,
+        at the identity target pose, so each relative pose is the source
+        state's pose."""
+        return [MatchingCostFactor(k, *conditioned_pair(40 + k), identity_pose(),
+                                   min_inliers=5) for k in range(n)]
+
+    def test_stacked_relook_test_looks_up_where_the_scalar_test_does(self):
+        bound = RELOOK_FRACTION * 0.5
+        turn = so3_exp([0.3, -0.2, 0.5])
+        tiny = turn * so3_exp([1e-9, 0.0, 0.0])  # a spin near rounding
+        # (rotation at the first look-up, at the second, and the shift along
+        # x as an offset from where the scalar move meets the bound, in ulps,
+        # or as a fraction of the bound)
+        cases = ([(identity_pose().rotation, identity_pose().rotation, ("ulps", k))
+                  for k in (-3, -1, 0, 1, 3)]
+                 + [(turn, turn, ("ulps", k)) for k in (-2, 0, 2)]
+                 + [(turn, tiny, ("ulps", k)) for k in (-2, 0, 2)]
+                 + [(turn, turn, ("band", 0.5)), (turn, turn, ("bound", 0.5)),
+                    (turn, turn, ("bound", 2.0))])
+        factors = self.unary_factors(len(cases))
+        stacks = factor_graph._MatchingStacks(factors)
+        first = {k: at_pose(Se3Pose(a, np.zeros(3))) for k, (a, _, _) in enumerate(cases)}
+        factor_graph._matching_blocks(stacks, first)
+        assert all(f._lookup is not None for f in factors)
+
+        second = {}
+        for k, ((_, b, (kind, amount)), f) in enumerate(zip(cases, factors)):
+            spin = scalar_move(f, b.matrix(), np.zeros(3))
+            if kind == "ulps":
+                x = ulps_from(bound - spin, amount)
+            elif kind == "band":
+                # inside the guard band, below the bound
+                x = bound - spin - amount * np.sqrt(factor_graph._TRACE_ROUNDING) * f.source.reach
+            else:
+                x = amount * bound
+            second[k] = at_pose(Se3Pose(b, np.array([x, 0.0, 0.0])))
+        rot, trans = stacks.relative_poses(second)
+        for k, state in second.items():
+            assert rot[k].tobytes() == state.pose.rotation.matrix().tobytes()
+            assert trans[k].tobytes() == state.pose.translation.tobytes()
+        moves = [scalar_move(f, rot[k], trans[k]) for k, f in enumerate(factors)]
+        expected = {k for k, move in enumerate(moves) if move > bound}
+        # moves within a few ulps of the bound on both sides, and moves that
+        # the stacked test hands to the scalar one, which then skips them
+        assert {ulps_from(bound, k) for k in (-1, 1)} <= set(moves)
+        due = set(stacks.to_look_up(rot, trans, relook=True).tolist())
+        assert expected < due and 0 < len(expected) < len(factors)
+        maps = [f.target_map for f in factors]
+        with mock.patch.object(GaussianVoxelMap, "look_up", autospec=True,
+                               side_effect=GaussianVoxelMap.look_up) as look_up:
+            factor_graph._matching_blocks(stacks, second)
+        assert [maps.index(c.args[0]) for c in look_up.call_args_list] == sorted(expected)
+
+    def test_held_stack_is_patched_to_the_stack_of_the_held_terms(self):
+        factors = self.unary_factors(4)
+        stacks = factor_graph._MatchingStacks(factors)
+        at = {k: zero_state() for k in range(4)}
+        factor_graph._matching_blocks(stacks, at)
+        terms, held = stacks.stacked(), [f._held for f in factors]
+        assert terms is not None and stacks.kept.tolist() == [0, 1, 2, 3]
+        # two factors move far enough that rows change and terms re-form
+        moved = dict(at)
+        for k in (1, 3):
+            moved[k] = at_pose(Se3Pose(identity_pose().rotation, np.array([0.2, 0.1, 0.0])))
+        with mock.patch.object(factor_graph, "stack", wraps=factor_graph.stack) as restack:
+            factor_graph._matching_blocks(stacks, moved)
+        assert [f._held is h for f, h in zip(factors, held)] == [True, False, True, False]
+        assert restack.call_count == 0 and stacks.stacked() is terms
+        for got, want in zip(terms, factor_graph.stack([f._held for f in factors])):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_no_cache_outlives_its_solve(self):
+        # the stacks live on the graph while a solve runs, and nowhere else
+        memos, solve = [], FactorGraph._solve
+
+        def recording(self, settings):
+            memos.append(self._memo)
+            return solve(self, settings)
+
+        graphs = [two_pose_registration()[0] for _ in range(2)]
+        with mock.patch.object(FactorGraph, "_solve", recording):
+            for g in graphs:
+                g.optimize_lm()
+        assert all(g._memo is None for g in graphs)
+        a, b = (m.matching.stacked() for m in memos)
+        assert all(not np.shares_memory(x, y) for x, y in zip(a, b))
+        del memos, a, b
+
+        g = graphs[0]
+        source = weakref.ref(g.factors[1].source)
+        g.marginalize([1])
+        g.optimize_lm()
+        gc.collect()
+        assert source() is None

@@ -24,6 +24,7 @@ from limapper.geometry import (
     so3_hat,
 )
 from limapper.config import PipelineConfig
+from limapper.imu import stack
 from limapper.odometry import KNN, PLANE_EPS
 from limapper.preprocess import (
     estimate_covariances,
@@ -64,7 +65,8 @@ def linearize_matching(f, values) -> FactorLinearization:
     """One matching factor linearized by the graph's stacked pass with that
     factor alone: the block over the pose part of each key, zero when the
     factor holds no terms, and the cost."""
-    grad, hess, costs = factor_graph._matching_blocks([f], values)
+    grad, hess, costs = factor_graph._matching_blocks(
+        factor_graph._MatchingStacks([f]), values)
     n = 6 * len(f.keys)
     return FactorLinearization(grad[0, :n], hess[0, :n, :n], costs[0])
 
@@ -72,7 +74,7 @@ def linearize_matching(f, values) -> FactorLinearization:
 def matching_factor_cost(f, values) -> float:
     """One matching factor's cost by the graph's stacked pass with that
     factor alone."""
-    return factor_graph._matching_costs([f], values)[0]
+    return factor_graph._matching_costs(factor_graph._MatchingStacks([f]), values)[0]
 
 
 def symmetric(entries):
@@ -159,7 +161,7 @@ def matching_cost(frame, vmap, t_ij):
 def linearize_held(held, t_ij, target_fixed=False):
     """(g, h, cost) of one held quadratic at t_ij: the stacked kernel with
     K=1, the source pose's blocks only when the target is fixed."""
-    g, h, cost = linearize_from_terms([held], t_ij.rotation.matrix()[None],
+    g, h, cost = linearize_from_terms(stack([held]), t_ij.rotation.matrix()[None],
                                       t_ij.translation[None])
     n = 6 if target_fixed else 12
     return g[0, :n], h[0, :n, :n], float(cost[0])
@@ -1194,16 +1196,17 @@ class TestStackedKernel:
         fixed = [True, False, True, False, False]
         rots = np.stack([p.rotation.matrix() for p in poses])
         trans = np.stack([p.translation for p in poses])
-        grad, hess, cost = linearize_from_terms(held, rots, trans)
-        costs = frozen_cost(held, rots, trans)
+        grad, hess, cost = linearize_from_terms(stack(held), rots, trans)
+        costs = frozen_cost(stack(held), rots, trans)
         assert grad.shape == (5, 12) and hess.shape == (5, 12, 12)
         for k, (one, pose) in enumerate(zip(held, poses)):
             n = 6 if fixed[k] else 12
-            g1, h1, c1 = linearize_from_terms([one], rots[k:k + 1], trans[k:k + 1])
+            g1, h1, c1 = linearize_from_terms(stack([one]), rots[k:k + 1],
+                                              trans[k:k + 1])
             assert grad[k, :n].tobytes() == g1[0, :n].tobytes()
             assert hess[k, :n, :n].tobytes() == h1[0, :n, :n].tobytes()
             assert cost[k] == c1[0] == costs[k]
-            assert frozen_cost([one], rots[k:k + 1], trans[k:k + 1])[0] == costs[k]
+            assert frozen_cost(stack([one]), rots[k:k + 1], trans[k:k + 1])[0] == costs[k]
             g2, h2, c2 = reference_linearize(one, pose, fixed[k])
             assert grad[k, :n].tobytes() == g2.tobytes()
             assert hess[k, :n, :n].tobytes() == h2.tobytes()

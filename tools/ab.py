@@ -1,26 +1,40 @@
-"""Compare the odometry's outputs at a revision with those of this tree.
+"""Compare the odometry's outputs, or its time per scan, at a revision with
+those of this tree.
 
     python3 tools/ab.py --base REV [--two-laps]
+    python3 tools/ab.py --base REV --time
 
 Exports REV with ``git archive`` into a temporary directory, so the
-repository is only read, then replays the same scenes through both trees,
-each in a fresh interpreter with the BLAS libraries pinned to one thread and
-that tree's ``src`` and ``perfbench`` on PYTHONPATH.  The scenes are the
+repository is only read.
+
+Without ``--time`` it replays the same scenes through both trees, each in a
+fresh interpreter with the BLAS libraries pinned to one thread and that
+tree's ``src`` and ``perfbench`` on PYTHONPATH.  The scenes are the
 benchmark workloads' at their bench length: ``loop`` seeds 1-3 (22 scans),
 ``dense`` seed 1 (18) and ``gap`` seed 1 (117), and with ``--two-laps`` the
-272-scan two-lap ``loop`` scene of the golden runs.
+272-scan two-lap ``loop`` scene of the golden runs.  For every scene it
+prints two digests per tree: the scene's (its scans' points and stamps and
+its IMU samples) and the replay's (``replay_digest``).  It exits 1 if any
+digest differs between the trees.  Digests can differ between hosts, so
+compare them on one host.
 
-For every scene it prints two digests per tree: the scene's (its scans'
-points and stamps and its IMU samples) and the replay's (``replay_digest``).
-It exits 1 if any digest differs between the trees.  It compares outputs
-only and times nothing.  Digests can differ between hosts, so compare them
-on one host.
+With ``--time`` it imports each tree's ``limapper`` under its own name into
+this one process, with the BLAS libraries pinned to one thread, and feeds
+both trees' estimators each scan of the warm-up scenes (``loop`` seeds 1-3
+and ``dense`` seed 1, TIME_PASSES times over), alternating from scan to
+scan which tree goes first.  It checks every scan's state and warning bit
+for bit, and exits 1 at the first difference.  It prints the median of the
+per-scan time ratios, this tree's over REV's, with a bootstrap interval.
+Both trees share the host's drift, scan by scan, which separate benchmark
+runs do not.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -34,6 +48,10 @@ ROOT = Path(__file__).resolve().parents[1]
 SCENES = [(f"loop-{seed}", "loop", seed, None) for seed in (1, 2, 3)] + [
     ("dense-1", "dense", 1, None), ("gap-1", "gap", 1, None)]
 TWO_LAPS = ("two-laps", "loop", 1, 270)
+# the scenes that --time replays, each TIME_PASSES times with new estimators
+TIME_SCENES = SCENES[:4]
+TIME_PASSES = 5
+BOOTSTRAP_RESAMPLES = 2000
 
 
 def scene_digest(scene) -> str:
@@ -108,11 +126,110 @@ def export(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
 
 
+def load_limapper(src: Path, name: str):
+    """The ``limapper`` package of a tree's ``src``, imported as ``name``, so
+    that the packages of two trees live side by side in one process; the
+    package imports its own modules relatively, so they load under
+    ``name`` too."""
+    init = src / "limapper" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def scan_output(estimator, scan, batch) -> tuple:
+    """(bytes of the state, warning) of one scan, or (None, exception type
+    name) when it raises."""
+    try:
+        result = estimator.process_frame(scan, batch)
+    except Exception as exc:  # compared between the trees like an output
+        return None, type(exc).__name__
+    s = result.state
+    return (b"".join(a.tobytes() for a in (
+        s.pose.rotation.matrix(), s.pose.translation, s.velocity, s.bias_accel,
+        s.bias_gyro)) + repr(s.stamp).encode(), result.warning)
+
+
+def time_scenes(base, this, scenes, passes: int) -> dict[str, list[float]]:
+    """{label: per-scan time ratios, this over base} of ``passes`` replays
+    of each (label, scene, IMU batches) through new estimators of the two
+    ``limapper`` packages; the first scan of a replay, the bootstrap, is
+    not timed.  Each scan goes to both estimators, the first tree
+    alternating from scan to scan.  Raises SystemExit at the first scan
+    whose outputs differ."""
+    from time import perf_counter
+
+    ratios, turn = {label: [] for label, _, _ in scenes}, 0
+    for _ in range(passes):
+        for label, scene, batches in scenes:
+            ests = [importlib.import_module(p.__name__ + ".odometry").OdometryEstimator()
+                    for p in (base, this)]
+            for k, (scan, batch) in enumerate(zip(scene.scans, batches)):
+                times, outputs = [0.0, 0.0], [None, None]
+                for side in ((0, 1) if turn % 2 == 0 else (1, 0)):
+                    t0 = perf_counter()
+                    outputs[side] = scan_output(ests[side], scan, batch)
+                    times[side] = perf_counter() - t0
+                turn += 1
+                if outputs[0] != outputs[1]:
+                    raise SystemExit(f"{label}: outputs differ at scan {k}")
+                if k > 0:
+                    ratios[label].append(times[1] / times[0])
+    return ratios
+
+
+def bootstrap_median(values) -> tuple[float, float, float]:
+    """(median, low, high) of the values, with the 95 % percentile
+    bootstrap interval of the median over BOOTSTRAP_RESAMPLES seeded
+    resamples."""
+    import numpy as np
+
+    values = np.asarray(values)
+    rng = np.random.default_rng(0)
+    medians = np.median(rng.choice(values, (BOOTSTRAP_RESAMPLES, len(values))), axis=1)
+    low, high = np.percentile(medians, [2.5, 97.5])
+    return float(np.median(values)), float(low), float(high)
+
+
+def time_against(base_src: Path) -> None:
+    """Print the time ratio of this tree over the one at ``base_src``."""
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    from limapper.config import PipelineConfig
+    from limapper.synthetic import generate_synthetic_scene
+    from workloads import WORKLOADS, imu_batches
+
+    base = load_limapper(base_src, "limapper_base")
+    this = load_limapper(ROOT / "src", "limapper_this")
+    window = PipelineConfig().odometry.init_window
+    scenes = []
+    for label, name, seed, _ in TIME_SCENES:
+        workload = WORKLOADS[name]
+        scene = generate_synthetic_scene(workload.spec(seed, workload.n_frames))
+        scenes.append((label, scene, imu_batches(scene, window)))
+    ratios = time_scenes(base, this, scenes, TIME_PASSES)
+    print(f"every output the same; time per scan, this tree over base, "
+          f"{TIME_PASSES} passes, median ratio [95 % bootstrap interval]:")
+    for workload in dict.fromkeys(name for _, name, _, _ in TIME_SCENES):
+        group = [r for label, name, _, _ in TIME_SCENES if name == workload
+                 for r in ratios[label]]
+        median, low, high = bootstrap_median(group)
+        print(f"  {workload}: {median:.3f} [{low:.3f}, {high:.3f}] over {len(group)} scans")
+    median, low, high = bootstrap_median([r for rs in ratios.values() for r in rs])
+    print(f"  all: {median:.3f} [{low:.3f}, {high:.3f}]")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", help="revision to compare this tree with")
     parser.add_argument("--two-laps", action="store_true",
                         help="also replay the 272-scan two-lap scene")
+    parser.add_argument("--time", action="store_true",
+                        help="time both trees scan by scan in this process")
     parser.add_argument("--replay", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.replay:
@@ -120,8 +237,13 @@ def main(argv=None) -> int:
         return 0
     if args.base is None:
         parser.error("--base is required")
+    if args.time and args.two_laps:
+        parser.error("--time replays the warm-up scenes only")
     with tempfile.TemporaryDirectory(prefix="ab-base-") as tmp:
         export(args.base, Path(tmp))
+        if args.time:
+            time_against(Path(tmp) / "src")
+            return 0
         base = tree_digests(Path(tmp), args.two_laps)
     this = tree_digests(ROOT, args.two_laps)
     differ = False
