@@ -28,10 +28,13 @@ def test_keyframe_factors_keep_the_drift_low(two_laps, monkeypatch):
     linked = odometry.linked
 
     def without_keyframe_factors(candidates, values):
-        """The linked candidates, less those to a marginalized keyframe
-        (the grounding ones), so that no such factor is added; the keyframe
-        set and the links to window frames stay as they are."""
-        return [f for f in linked(candidates, values) if not f.grounding]
+        """The block of the linked candidates, less the rows of those to a
+        marginalized keyframe (the grounding ones), so that no such factor
+        is added; the keyframe set and the links to window frames stay as
+        they are."""
+        block = linked(candidates, values)
+        block.keep([n for n, f in enumerate(block.factors) if not f.grounding])
+        return block
 
     monkeypatch.setattr(odometry, "linked", without_keyframe_factors)
     est, withheld = run(scene)

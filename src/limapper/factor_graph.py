@@ -7,7 +7,7 @@ components of each key stacked in key order (all 15 of a state, or the 6 of
 its pose for a matching factor).  The optimizer assembles damped normal
 equations at the current estimate each iteration and holds the last
 undamped system, which ``marginal_covariance`` reads.
-A matching-cost factor looks its correspondences up again only when it is
+A matching link looks its correspondences up again only when it is
 linearized, and then only once a source point can have moved
 ``RELOOK_FRACTION`` of a voxel since its last look-up.  Only when a voxel
 row changed does it form their weights and fold them, in one step
@@ -21,12 +21,12 @@ its linearization point.
 An assembly (``_accumulate``) takes one pass per factor kind, kind after
 kind: each prior linearizes alone; one stacked pass forms the residuals,
 Jacobians and blocks of all IMU factors (``imu_residuals``,
-``imu_jacobians``); and one stacked pass forms the relative poses of all
-matching factors, binary then unary, each factor whose points can have
-moved past its bound then has its target map look its points up at its
-pose (``GaussianVoxelMap.look_up``, which moves, packs and searches them),
-and one stacked call takes the blocks (or the costs) of all held
-quadratics.  Each pass scatters its blocks into H and g
+``imu_jacobians``); and one pass over the graph's ``MatchingBlock`` forms
+the relative poses of all matching links, binary then unary, has the
+target map of each link whose points can have moved past its bound look
+its points up at its pose (``GaussianVoxelMap.look_up``, which moves, packs
+and searches them), and takes the blocks (or the costs) of all held
+quadratics in one stacked call.  Each pass scatters its blocks into H and g
 right after it, at flat positions built once per solve (``_Placement``).
 So the terms reach each entry of H and g from zero, kind after kind and in
 factor order within a kind, whatever order the graph holds its factors in,
@@ -36,20 +36,15 @@ same bits as with the factor taken alone.  The stacked passes are the only
 way a matching or IMU factor is costed or linearized; only the prior has
 its own ``cost`` and ``linearize``.
 
-No factor repeats an evaluation whose inputs did not change.  A solve
-keeps one memo (``_SolveMemo``) on the graph and drops it when it returns.
-It holds the residual stage of the last IMU pass, so the linearization at
-an accepted candidate, whose cost formed that stage, forms only the
-Jacobians; and the matching factors' stacks (``_MatchingStacks``): the
-relative poses of the last pass, which that linearization reuses too, the
-fixed target poses of the unary factors, and the held quadratics, stacked
-once and patched at each factor that forms new ones.  A marginal prior
-keeps its last offset.  A matching factor goes further and keeps its rows
-and terms while its source points stay within ``RELOOK_FRACTION`` of a
-voxel of where its last look-up found them; its held quadratic is exact at
-any pose for those rows and weights.  One stacked test per linearization
-forms every factor's move bound, and only the factors not clearly inside it
-take the factor's own exact test, so the decisions are the exact test's.
+No factor repeats an evaluation whose inputs did not change.  The matching
+state has one owner, the graph's ``MatchingBlock``: a row per link from its
+commit until it is marginalized, with its last look-up and its held
+quadratic, which is exact at any pose for that look-up's rows and weights,
+and the relative poses of its last pass.  A solve keeps one memo
+(``_SolveMemo``) on the graph and drops it when it returns: the residual
+stage of the last IMU pass, so the linearization at an accepted candidate,
+whose cost formed that stage, forms only the Jacobians.  A marginal prior
+keeps its last offset.
 
 Every variable is the SensorState of one frame, keyed by the frame's index,
 with a 15-dof tangent (rot, trans, vel, accel bias, gyro bias).
@@ -57,7 +52,9 @@ with a 15-dof tangent (rot, trans, vel, accel bias, gyro bias).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -95,10 +92,6 @@ RELOOK_FRACTION = 0.01
 REL_COST_TOL = 1e-6
 LAMBDA_INIT = 1e-6  # the damping of a solve's first step
 LAMBDA_MAX = 1e12  # damping past this raises NotConverged
-# tr(R0^T R) of two rotations, summed in any order, is within this of
-# np.vdot(R0, R): the nine products add up to at most 3 in magnitude, so
-# either sum is within a few ulps of 3 of the exact trace
-_TRACE_ROUNDING = 1e-13
 
 
 class FactorLinearization(NamedTuple):
@@ -133,9 +126,8 @@ class ImuFactor(Factor):
         self.keys = (key_i, key_j)
         self.pre = pre
         info9 = np.linalg.inv(pre.cov)
-        info9 = 0.5 * (info9 + info9.T)
         self.information = np.zeros((15, 15))
-        self.information[:9, :9] = info9
+        self.information[:9, :9] = 0.5 * (info9 + info9.T)
         self.information[9:, 9:] = np.diag(1.0 / pre.walk)
 
 
@@ -188,37 +180,13 @@ def _imu_blocks(stage: _ImuStage) -> tuple[np.ndarray, np.ndarray]:
 
 class MatchingCostFactor(Factor):
     """Voxelized registration constraint between a source frame and a
-    target voxel map.  Its target is the target frame's state key, which
-    makes the factor binary, or that frame's fixed pose, which makes it
-    unary and grounding (it anchors the source's component).
-
-    The source/target poses are the pose components of the connected
-    states.  The factor holds one record: the relative pose, keys and
-    voxel rows of its last lookup, and the cost on those rows with the
-    weights frozen where the rows were last found, as a quadratic in the
-    change of the relative pose (``FrozenTerms``).  The graph costs and
-    linearizes all its matching factors together.  A cost
-    (``_matching_costs``) evaluates the held quadratic in O(1); it looks up
-    only if there was no lookup yet.  A linearization (``_matching_blocks``)
-    looks the voxel of every source point up at the given estimate once a
-    point can have moved ``RELOOK_FRACTION`` of a voxel since the last
-    lookup (the source frame's ``reach`` bounds the move), searching the
-    map only for the points whose packed voxel key changed, and forms new
-    terms at that estimate only when a row changed; it then takes the block
-    from the held quadratic.  So a point crossing a voxel boundary does not
-    make the cost jump between two linearizations, a point that left its
-    voxel by less than that fraction may keep its row, and a linearization
-    that finds the same rows keeps the weights of the one that found them.
-    The graph forms the move bound of all its matching factors in one
-    stacked pass (``_MatchingStacks.to_look_up``), which rounds otherwise
-    than ``_look_up``'s exact test: by up to sqrt(_TRACE_ROUNDING) times the
-    reach where the turn is near zero.  A factor whose stacked bound is
-    inside by more than that guard band is not asked; every other one takes
-    the exact test, so the stacked pass changes no decision.
-    With an empty source or map, or fewer than ``min_inliers``
-    correspondences, the factor contributes nothing and forms no terms;
-    ``linked`` admits a candidate by this gate.
-    """
+    target voxel map: the handle of one link, which never changes once made.
+    Its target is the target frame's state key, which makes the factor
+    binary, or that frame's fixed pose, which makes it unary and grounding
+    (it anchors the source's component).  The link's matching state is its
+    row of a ``MatchingBlock``: the graph's, once the graph holds the link.
+    With an empty source or map the link contributes nothing and looks
+    nothing up."""
 
     def __init__(self, key_source: int, source: Frame, target_map: GaussianVoxelMap,
                  target: int | Se3Pose, *, min_inliers: int):
@@ -226,220 +194,168 @@ class MatchingCostFactor(Factor):
         self.keys = (key_source,) if self.grounding else (key_source, target)
         self.fixed_target_pose = target if self.grounding else None
         self.kind = "matching-cost-unary" if self.grounding else "matching-cost-binary"
-        self.source = source
-        self.target_map = target_map
-        self.min_inliers = min_inliers
-        self._empty = (len(source) == 0 or len(target_map) == 0
-                       or source.cov_rows is None)
-        # (rot, trans, keys, rows) of the last look-up: its relative pose,
-        # and the packed voxel key and voxel row per source point
-        self._lookup = None
-        self.inliers = 0  # source points that found a voxel at the last look-up
-        # FrozenTerms on the rows of self._lookup; None below min_inliers
-        self._held = None
-
-    def _look_up(self, rot: np.ndarray, trans: np.ndarray) -> None:
-        """Find every source point's voxel row at the relative pose
-        (rot, trans); re-form the held terms there when a row changed.
-        Nothing is searched while no source point can have moved more than
-        RELOOK_FRACTION of a voxel since the last look-up: a point p moves
-        by (R - R0) p + (t - t0), whose norm is at most
-        ||R - R0|| reach + ||t - t0||, and for rotations ||R - R0||, the
-        spectral norm, is sqrt(3 - tr(R0^T R)) exactly."""
-        if self._lookup is not None:
-            rot0, trans0, keys, rows = self._lookup
-            spin = np.sqrt(max(0.0, 3.0 - float(np.vdot(rot0, rot))))
-            move = spin * self.source.reach + float(np.linalg.norm(trans - trans0))
-            if move <= RELOOK_FRACTION * self.target_map.resolution:
-                return
-            known = (keys, rows)
-        else:
-            known = None
-        keys, rows = self.target_map.look_up(self.source.point_rows, rot, trans,
-                                             known)
-        same = known is not None and (
-            rows is known[1] or np.array_equal(rows, known[1]))
-        self._lookup = (rot, trans, keys, rows)
-        if same:
-            return
-        self.inliers = int(np.count_nonzero(rows >= 0))
-        self._held = None
-        if self.inliers >= self.min_inliers:
-            self._held = match_terms(self.source, self.target_map, rot, trans, rows)
+        self.source, self.target_map, self.min_inliers = source, target_map, min_inliers
 
 
-class _MatchingStacks:
-    """The stacks that the passes over one list of K matching factors keep
-    between their calls; a solve keeps one for its duration.
+class MatchingBlock:
+    """The matching state of a list of links, one row per link, binary rows
+    first and each kind in the order its rows came; the only store of that
+    state, which a graph holds for as long as its links live.
 
-    - The relative poses of the last call, with the state objects they were
-      formed at, compared with ``is`` as ``_imu_stage`` compares them; and
-      the fixed target poses of the unary factors, stacked once.
-    - The relative pose of each factor's last look-up, for one stacked
-      relook test per linearization (``to_look_up``).
-    - The held terms of the factors that hold them, stacked once
-      (``imu.stack``) and patched in place at each factor whose look-up
-      formed new ones (``looked_up``).
+    A row holds the link's handle (``factors``), the place of its source and
+    target poses among the states the rows read (or its fixed target pose),
+    its source's reach and its relook bound, whether it is live, the
+    relative pose of its last look-up (NaN before the first) with the
+    packed voxel key and voxel row per source point that it found
+    (``found``), and its inlier count.  The terms of all rows are one
+    stacked ``FrozenTerms``: a row that holds terms (``held``) has the cost
+    on its rows with the weights frozen where they were last found, and any
+    other row zeros, whose cost and block are zero.  A look-up that forms
+    new terms writes them over its row in place.
 
-    The factors' own records stay the source: the stacks copy them when
-    built, and copy a factor's again after each of its look-ups.
+    A cost (``costs``) looks up only the live rows without a look-up.  A
+    linearization (``linearize``) looks up every live row whose source
+    points can have moved ``RELOOK_FRACTION`` of a voxel since its last
+    look-up: a point p moves by (R - R0) p + (t - t0), whose norm is at most
+    ||R - R0|| reach + ||t - t0||, and for rotations ||R - R0||, the
+    spectral norm, is sqrt(3 - tr(R0^T R)); one stacked test forms that
+    bound for every row, and a NaN move is due.  A look-up searches the map
+    only for the points whose packed voxel key changed, and forms new terms
+    only when a row changed, so a point that left its voxel by less than
+    that fraction may keep its row, and a linearization that finds the same
+    rows keeps the weights of the one that found them.  The relative poses
+    of the last pass are kept with the state objects they were formed at.
     """
 
-    def __init__(self, factors):
-        self.factors = factors
-        # the states the factors read, then one row per fixed target pose
-        self.keys = list(dict.fromkeys(k for f in factors for k in f.keys))
-        at = {k: n for n, k in enumerate(self.keys)}
-        fixed = [f.fixed_target_pose for f in factors if f.grounding]
-        row = iter(range(len(self.keys), len(self.keys) + len(fixed)))
-        self.source = np.array([at[f.keys[0]] for f in factors], dtype=np.intp)
-        self.target = np.array([next(row) if f.grounding else at[f.keys[1]]
-                                for f in factors], dtype=np.intp)
-        self.fixed_rot = np.array([p.rotation.matrix() for p in fixed]).reshape(-1, 3, 3)
-        self.fixed_trans = np.array([p.translation for p in fixed]).reshape(-1, 3)
-        self.states = self.poses = None  # of the last relative_poses
-
-        k = len(factors)
-        self.live = np.array([not f._empty for f in factors], dtype=bool)
-        self.looked = np.zeros(k, dtype=bool)
-        self.rot0, self.trans0 = np.zeros((k, 3, 3)), np.zeros((k, 3))
-        self.reach = np.array([f.source.reach for f in factors])
-        bound = np.array([RELOOK_FRACTION * f.target_map.resolution for f in factors])
-        # a stacked move bound at most `inside` is clearly inside the bound:
-        # its trace and the scalar test's np.vdot round apart by at most
-        # _TRACE_ROUNDING, which the square root of 3 - tr magnifies near
-        # zero to sqrt(_TRACE_ROUNDING) times the reach; 1e-9 of the bound
-        # covers the few ulps in which the products, norms and sums differ
-        self.inside = bound - (np.sqrt(_TRACE_ROUNDING) * self.reach + 1e-9 * bound)
-        for n in range(k):
-            self._copy_look_up(n)
-        self.held = [f._held for f in factors]
+    def __init__(self, factors=()):
+        self.factors = fs = sorted(factors, key=lambda f: f.grounding)
+        k = len(fs)
+        self.live = np.array([len(f.source) > 0 and len(f.target_map) > 0
+                              and f.source.cov_rows is not None for f in fs], dtype=bool)
+        self.reach = np.array([f.source.reach for f in fs])
+        self.bound = np.array([RELOOK_FRACTION * f.target_map.resolution for f in fs])
+        # the fixed target pose of each unary row, and the identity for a binary one
+        self.fixed_rot = np.array([f.fixed_target_pose.rotation.matrix() if f.grounding
+                                   else np.eye(3) for f in fs]).reshape(-1, 3, 3)
+        self.fixed_trans = np.array([f.fixed_target_pose.translation if f.grounding
+                                     else np.zeros(3) for f in fs]).reshape(-1, 3)
+        self.rot0, self.trans0 = np.full((k, 3, 3), np.nan), np.full((k, 3), np.nan)
+        self.found = np.full(k, None)  # (keys, rows) of each row's last look-up
+        self.inliers, self.held = np.zeros(k, dtype=np.intp), np.zeros(k, dtype=bool)
+        self.terms = FrozenTerms(np.zeros((k, 3, 4)), np.zeros((k, 4, 4)), np.zeros(k),
+                                 np.zeros((k, 12)), np.zeros((k, 12, 12)),
+                                 np.zeros(k, dtype=np.intp))
         self._index()
 
-    def relative_poses(self, values) -> tuple[np.ndarray, np.ndarray]:
+    def _index(self) -> None:
+        """The states the rows read (``keys``), the place among them of each
+        row's source and of each binary row's target, and no relative poses
+        yet."""
+        fs = self.factors
+        self.binary = sum(not f.grounding for f in fs)
+        self.keys = list(dict.fromkeys(k for f in fs for k in f.keys))
+        at = {k: n for n, k in enumerate(self.keys)}
+        self.source = np.array([at[f.keys[0]] for f in fs], dtype=np.intp)
+        self.target = np.array([at[f.keys[1]] for f in fs[:self.binary]], dtype=np.intp)
+        self.states = self.poses = None  # of the last relative poses
+
+    def keep(self, rows) -> None:
+        """Keep only the rows at the indices, in their order."""
+        self.factors = [self.factors[n] for n in rows]
+        for name in _ROW_ARRAYS:
+            setattr(self, name, getattr(self, name)[rows])
+        self.terms = FrozenTerms(*(field[rows] for field in self.terms))
+        self._index()
+
+    def extend(self, other: MatchingBlock) -> None:
+        """Append the rows of another block with their state."""
+        self.factors += other.factors
+        for name in _ROW_ARRAYS:
+            setattr(self, name, np.concatenate([getattr(self, name), getattr(other, name)]))
+        self.terms = FrozenTerms(*map(np.concatenate, zip(self.terms, other.terms)))
+        self.keep(np.argsort([f.grounding for f in self.factors], kind="stable"))
+
+    def _relative_poses(self, values) -> tuple[np.ndarray, np.ndarray]:
         """Rotations (K, 3, 3) and translations (K, 3) of the relative poses
         T_j^-1 T_i, from the source pose T_i and the target pose T_j (held
         or fixed); those of the last call when it read the same state
-        objects.  They are the products that
-        ``pose_compose(pose_inverse(T_j), T_i)`` forms, R_j^T R_i and
-        t_i R_j - t_j R_j with row vectors; a stacked ``np.matmul`` forms
-        each slice with the BLAS call of the 2-D product, so the two agree
-        bit for bit."""
+        objects, compared with ``is`` as ``_imu_stage`` compares them.  They
+        are the products that ``pose_compose(pose_inverse(T_j), T_i)``
+        forms, R_j^T R_i and t_i R_j - t_j R_j with row vectors; a stacked
+        ``np.matmul`` forms each slice with the BLAS call of the 2-D
+        product, so the two agree bit for bit."""
         states = tuple(values[k] for k in self.keys)
         if self.states is None or not _same(self.states, states):
-            rot = np.concatenate([np.array([s.pose.rotation.matrix() for s in states]
-                                           ).reshape(-1, 3, 3), self.fixed_rot])
-            trans = np.concatenate([np.array([s.pose.translation for s in states]
-                                             ).reshape(-1, 3), self.fixed_trans])
-            rot_j = rot[self.target]
+            rot = np.array([s.pose.rotation.matrix() for s in states]).reshape(-1, 3, 3)
+            trans = np.array([s.pose.translation for s in states]).reshape(-1, 3)
+            rot_j = np.concatenate([rot[self.target], self.fixed_rot[self.binary:]])
+            trans_j = np.concatenate([trans[self.target], self.fixed_trans[self.binary:]])
             rel_rot = np.matmul(rot_j.transpose(0, 2, 1), rot[self.source])
             rel_trans = np.matmul(trans[self.source][:, None], rot_j)
-            rel_trans -= np.matmul(trans[self.target][:, None], rot_j)
+            rel_trans -= np.matmul(trans_j[:, None], rot_j)
             self.states, self.poses = states, (rel_rot, rel_trans[:, 0])
         return self.poses
 
-    def to_look_up(self, rot: np.ndarray, trans: np.ndarray, relook: bool
-                   ) -> np.ndarray:
-        """Indices, in order, of the factors to hand to
-        ``MatchingCostFactor._look_up`` at the relative poses: every factor
-        with a source and a map that has no look-up yet, and with
-        ``relook`` every one whose move bound, formed for all in one
-        stacked pass, is not clearly inside its relook bound.  Those take
-        the factor's own exact test, so the decisions are the scalar test's."""
-        due = ~self.looked
+    def _look_ups(self, values, relook: bool):
+        """The relative poses of the rows at the values, after the look-ups
+        there of the due live rows, in row order: with ``relook``, each
+        whose move bound is not within its relook bound; without, each that
+        has no look-up yet."""
+        rot, trans = self._relative_poses(values)
         if relook:
-            trace = np.einsum("kij,kij->k", self.rot0, rot)
-            spin = np.sqrt(np.maximum(3.0 - trace, 0.0))
+            spin = np.sqrt(np.maximum(3.0 - np.einsum("kij,kij->k", self.rot0, rot), 0.0))
             shift = trans - self.trans0
             move = spin * self.reach + np.sqrt(np.einsum("ki,ki->k", shift, shift))
-            due |= ~(move <= self.inside)  # a NaN move is due, as in the scalar test
-        return np.flatnonzero(due & self.live)
+            due = ~(move <= self.bound)
+        else:
+            due = np.isnan(self.trans0[:, 0])
+        for n in np.flatnonzero(due & self.live):
+            f, known = self.factors[n], self.found[n]
+            keys, found = f.target_map.look_up(f.source.point_rows, rot[n], trans[n], known)
+            self.rot0[n], self.trans0[n], self.found[n] = rot[n], trans[n], (keys, found)
+            if known is not None and (found is known[1] or np.array_equal(found, known[1])):
+                continue
+            self.inliers[n] = np.count_nonzero(found >= 0)
+            self.held[n] = self.inliers[n] >= f.min_inliers
+            terms = (match_terms(f.source, f.target_map, rot[n], trans[n], found)
+                     if self.held[n] else repeat(0))
+            for field, value in zip(self.terms, terms):
+                field[n] = value
+        return rot, trans
 
-    def looked_up(self, n: int) -> None:
-        """Copy factor n's records after its look-up: its look-up pose, and
-        its held terms into their row of the stack; when the factor gained
-        or lost terms, the stack is dropped, to be built again on use."""
-        self._copy_look_up(n)
-        held, was = self.factors[n]._held, self.held[n]
-        if held is was:
-            return
-        self.held[n] = held
-        if held is None or was is None:
-            self._index()
-        elif self.terms is not None:
-            for field, value in zip(self.terms, held):
-                field[self.row[n]] = value
+    def costs(self, values) -> list[float]:
+        """The cost of every row at the values, from one stacked
+        ``frozen_cost``; only the rows without a look-up look up."""
+        rot, trans = self._look_ups(values, relook=False)
+        return frozen_cost(self.terms, rot, trans).tolist()
 
-    def stacked(self) -> FrozenTerms | None:
-        """The held terms of the factors in ``kept`` as one record, stacked
-        on first use; None when no factor holds terms."""
-        if self.terms is None and self.row:
-            self.terms = stack([self.held[n] for n in self.kept])
-        return self.terms
-
-    def _copy_look_up(self, n: int) -> None:
-        lookup = self.factors[n]._lookup
-        if lookup is not None:
-            self.rot0[n], self.trans0[n] = lookup[0], lookup[1]
-            self.looked[n] = True
-
-    def _index(self) -> None:
-        """The factors that hold terms (``kept``), each one's row in the
-        stack, and no stack yet."""
-        self.kept = np.array([n for n, h in enumerate(self.held) if h is not None],
-                             dtype=np.intp)
-        self.row = {n: r for r, n in enumerate(self.kept.tolist())}
-        self.terms = None
+    def linearize(self, values):
+        """The gradients (K, 12), Gauss-Newton Hessians (K, 12, 12) and
+        costs, as Python floats, of the rows at the values, from one stacked
+        ``linearize_from_terms`` after the due look-ups; a unary row takes
+        the source pose's leading 6 and 6x6."""
+        rot, trans = self._look_ups(values, relook=True)
+        if not self.held.any():
+            k = len(self.factors)
+            return np.zeros((k, 12)), np.zeros((k, 12, 12)), [0.0] * k
+        grad, hess, costs = linearize_from_terms(self.terms, rot, trans)
+        return grad, hess, costs.tolist()
 
 
-def linked(candidates, values) -> list:
-    """The candidate matching factors that hold terms after their first
-    look-up at the values, in order: those that found at least
-    ``min_inliers`` hits.  The terms of these look-ups serve each factor's
-    next cost and linearization."""
-    stacks = _MatchingStacks(candidates)
-    _look_ups(stacks, values, relook=True)
-    return [candidates[k] for k in stacks.kept]
+# the arrays of a block's row state besides its terms
+_ROW_ARRAYS = ("live", "reach", "bound", "fixed_rot", "fixed_trans", "rot0", "trans0",
+               "found", "inliers", "held")
 
 
-def _look_ups(stacks: _MatchingStacks, values, relook: bool):
-    """The rotations (K, 3, 3) and translations (K, 3) of the matching
-    factors' relative poses at the values, after the look-ups there.  The
-    poses come from one stacked pass, or from the last call at the same
-    states; each factor that ``to_look_up`` names is looked up at its pose,
-    in factor order (``MatchingCostFactor._look_up``)."""
-    rot, trans = stacks.relative_poses(values)
-    for n in stacks.to_look_up(rot, trans, relook):
-        stacks.factors[n]._look_up(rot[n], trans[n])
-        stacks.looked_up(n)
-    return rot, trans
-
-
-def _matching_costs(stacks: _MatchingStacks, values) -> list[float]:
-    """The cost of every matching factor, zero for one without terms: each
-    looks up only if it has not yet, and one stacked ``frozen_cost``
-    evaluates all held terms."""
-    rot, trans = _look_ups(stacks, values, relook=False)
-    costs, kept = np.zeros(len(stacks.factors)), stacks.kept
-    if kept.size:
-        costs[kept] = frozen_cost(stacks.stacked(), rot[kept], trans[kept])
-    return costs.tolist()
-
-
-def _matching_blocks(stacks: _MatchingStacks, values):
-    """The linearization of every matching factor: each looks up, in
-    order, if its points can have moved past its bound, and one stacked
-    ``linearize_from_terms`` takes the blocks of all held terms.  Returns
-    the gradients (K, 12), the Hessians (K, 12, 12) and the costs as Python
-    floats, zero for a factor without terms; a factor with a fixed target
-    takes the source pose's leading 6 and 6x6."""
-    rot, trans = _look_ups(stacks, values, relook=True)
-    k, kept = len(stacks.factors), stacks.kept
-    grad, hess, costs = np.zeros((k, 12)), np.zeros((k, 12, 12)), np.zeros(k)
-    if kept.size:
-        grad[kept], hess[kept], costs[kept] = linearize_from_terms(
-            stacks.stacked(), rot[kept], trans[kept])
-    return grad, hess, costs.tolist()
+def linked(candidates, values) -> MatchingBlock:
+    """The candidate links that hold terms after their first look-up at
+    the values, as a block in row order: those that found at least
+    ``min_inliers`` hits.  Their rows keep these look-ups and terms for the
+    next cost and linearization (``FactorGraph.add_links``)."""
+    block = MatchingBlock(candidates)
+    block._look_ups(values, relook=False)
+    block.keep(np.flatnonzero(block.held))
+    return block
 
 
 class MarginalPriorFactor(Factor):
@@ -470,16 +386,14 @@ class MarginalPriorFactor(Factor):
         self.hessian = 0.5 * (hessian + hessian.T)
         self.gradient = gradient
         self.constant = constant
-        self._slices, self.dim = _layout(self.keys)
         self._last: tuple[tuple, np.ndarray] | None = None  # (states, delta)
 
     def _delta(self, values) -> np.ndarray:
         states = tuple(values[k] for k in self.keys)
         if self._last is not None and _same(self._last[0], states):
             return self._last[1]
-        delta = np.empty(self.dim)
-        for (k, sl), state in zip(self._slices.items(), states):
-            delta[sl] = state_local(state, self.lin_values[k])
+        delta = np.array([state_local(state, self.lin_values[k])
+                          for k, state in zip(self.keys, states)]).reshape(-1)
         self._last = (states, delta)
         return delta
 
@@ -513,38 +427,23 @@ class OptimizeResult:
 
 def _layout(keys):
     """Tangent slice of each key when the keys are stacked in order."""
-    slices = {}
-    off = 0
-    for k in keys:
-        slices[k] = slice(off, off + STATE_DIM)
-        off += STATE_DIM
-    return slices, off
-
-
-def _by_kind(factors) -> tuple[list, list, list]:
-    """The priors, which linearize alone, the IMU factors, and the matching
-    factors, binary then unary; each list in factor order."""
-    alone, imu, binary, unary = [], [], [], []
-    for f in factors:
-        if isinstance(f, MatchingCostFactor):
-            (unary if f.grounding else binary).append(f)
-        else:
-            (imu if isinstance(f, ImuFactor) else alone).append(f)
-    return alone, imu, binary + unary
+    slices = {k: slice(STATE_DIM * n, STATE_DIM * (n + 1)) for n, k in enumerate(keys)}
+    return slices, STATE_DIM * len(slices)
 
 
 class _SolveMemo:
-    """The factors of one list by kind (``_by_kind``), and what the stacked
-    passes over them keep between their calls: the residual stage of the
-    last IMU pass, so that a linearization at the states of the last cost
-    forms only the Jacobians, and the matching factors' stacks
-    (``_MatchingStacks``).  ``optimize_lm`` keeps one on the graph while it
-    runs and drops it when it returns, so nothing a memo holds outlives
-    its solve."""
+    """The factors of one list that linearize alone and the IMU factors,
+    each in factor order, the block that holds the rows of its matching
+    factors, and the residual stage of the last IMU pass, so that a
+    linearization at the states of the last cost forms only the Jacobians.
+    ``optimize_lm`` keeps one on the graph while it runs and drops it when
+    it returns."""
 
-    def __init__(self, factors):
-        self.alone, self.imu, matching = _by_kind(factors)
-        self.matching = _MatchingStacks(matching)
+    def __init__(self, factors, block: MatchingBlock):
+        self.alone = [f for f in factors
+                      if not isinstance(f, (ImuFactor, MatchingCostFactor))]
+        self.imu = [f for f in factors if isinstance(f, ImuFactor)]
+        self.block = block
         self.stage: _ImuStage | None = None
 
     def imu_stage(self, values) -> _ImuStage:
@@ -556,7 +455,7 @@ class _Placement:
     """Where the blocks of each kind of a memo's factors land in the normal
     equations of one layout, built once for the factors and the layout: per
     factor that linearizes alone (``alone_at``), for the IMU stack
-    (``imu_at``), and for the binary and the unary matching factors
+    (``imu_at``), and for the binary and the unary matching rows
     (``binary_at``, ``unary_at``; a matching block covers the pose of each
     key, so a unary one only its source's).  Each is the pair of flat
     positions in the row-major H and in g of its blocks' entries, factor
@@ -565,8 +464,7 @@ class _Placement:
 
     def __init__(self, memo: _SolveMemo, slices, dim):
         self.dim = dim
-        matching = memo.matching.factors
-        self.binary = sum(not f.grounding for f in matching)
+        matching, self.binary = memo.block.factors, memo.block.binary
 
         def at(fs, keys, width):
             # (H, g) positions of the leading `width` components of each key
@@ -583,18 +481,17 @@ class _Placement:
         self.unary_at = at(matching[self.binary:], 1, 6)
 
 
-def _accumulate(factors, values, slices, dim, placement: _Placement | None = None,
-                memo: _SolveMemo | None = None):
-    """Dense normal equations (H, g) and total cost of the factors at values.
+def _accumulate(memo: _SolveMemo, values, slices, dim,
+                placement: _Placement | None = None):
+    """Dense normal equations (H, g) and total cost of the memo's factors
+    at values.
 
     Each kind takes one pass, and its blocks are scattered into H and g at
     the positions of ``placement`` right after it: every factor that
     linearizes alone, then the IMU factors in one stacked pass, then the
-    matching factors in one stacked linearization.  The costs are summed
-    from zero in the same order, as ``FactorGraph.total_cost`` sums them.
-    ``memo`` and ``placement``, built here from the factors when not given,
-    must be of these factors."""
-    memo = memo or _SolveMemo(factors)
+    matching rows in one stacked linearization.  The costs are summed from
+    zero in the same order, as ``FactorGraph.total_cost`` sums them.
+    ``placement``, built here when not given, must be of the memo."""
     p = placement or _Placement(memo, slices, dim)
     h, g, cost = np.zeros(p.dim * p.dim), np.zeros(p.dim), 0.0
     for f, (h_at, g_at) in zip(memo.alone, p.alone_at):
@@ -602,20 +499,20 @@ def _accumulate(factors, values, slices, dim, placement: _Placement | None = Non
         np.add.at(h, h_at, lin.h.ravel())
         np.add.at(g, g_at, lin.g)
         cost += lin.cost
+    imu_costs = []
     if memo.imu:
         stage = memo.imu_stage(values)
         grad, hess = _imu_blocks(stage)
         np.add.at(h, p.imu_at[0], hess.ravel())
         np.add.at(g, p.imu_at[1], grad.ravel())
-        for c in stage.costs:
-            cost += c
-    grad, hess, costs = _matching_blocks(memo.matching, values)
+        imu_costs = stage.costs
+    grad, hess, costs = memo.block.linearize(values)
     b = p.binary
     np.add.at(h, p.binary_at[0], hess[:b].ravel())
     np.add.at(g, p.binary_at[1], grad[:b].ravel())
     np.add.at(h, p.unary_at[0], hess[b:, :6, :6].ravel())
     np.add.at(g, p.unary_at[1], grad[b:, :6].ravel())
-    for c in costs:
+    for c in imu_costs + costs:
         cost += c
     return h.reshape(p.dim, p.dim), g, cost
 
@@ -703,6 +600,7 @@ class FactorGraph:
     def __init__(self):
         self.values: dict[int, SensorState] = {}
         self.factors: list[Factor] = []
+        self.matching = MatchingBlock()  # the rows of the matching factors
         # (H, slices) of the last assembly of optimize_lm
         self._normal: tuple[np.ndarray, dict] | None = None
         self._memo: _SolveMemo | None = None  # while optimize_lm runs
@@ -713,25 +611,36 @@ class FactorGraph:
         self.values[key] = initial_value
 
     def add_factor(self, factor: Factor) -> None:
-        for k in factor.keys:
+        """Add a factor; a matching one's link gets a row of the graph's
+        block, with no look-up yet."""
+        if isinstance(factor, MatchingCostFactor):
+            return self.add_links(MatchingBlock([factor]))
+        self._add([factor])
+
+    def add_links(self, block: MatchingBlock) -> None:
+        """Add the links of a block; their rows, with their look-ups and
+        terms, join the graph's block."""
+        self._add(block.factors)
+        self.matching.extend(block)
+
+    def _add(self, factors) -> None:
+        for k in (k for f in factors for k in f.keys):
             if k not in self.values:
                 raise UnknownVariable(f"factor references missing variable {k}")
-        self.factors.append(factor)
+        self.factors += factors
 
     def total_cost(self, values) -> float:
         """Sum of the factor costs at the values, from zero in the order of
         ``_accumulate``: every factor that is costed alone, then the IMU
-        factors from one stacked evaluation, then the matching factors from
+        factors from one stacked evaluation, then the matching rows from
         another.  Within a solve, the solve's memo keeps the IMU residual
-        stage and the matching factors' relative poses for the next
-        linearization."""
-        memo = self._memo or _SolveMemo(self.factors)
+        stage for the next linearization, as the block keeps its relative
+        poses."""
+        memo = self._memo or _SolveMemo(self.factors, self.matching)
         cost = 0.0
-        for f in memo.alone:
-            cost += f.cost(values)
-        for c in (memo.imu_stage(values).costs if memo.imu else ()):
-            cost += c
-        for c in _matching_costs(memo.matching, values):
+        for c in [*(f.cost(values) for f in memo.alone),
+                  *(memo.imu_stage(values).costs if memo.imu else ()),
+                  *self.matching.costs(values)]:
             cost += c
         return cost
 
@@ -741,14 +650,6 @@ class FactorGraph:
         """Every variable must sit in a component that owns an anchoring
         (prior-like) factor; lone variables are rejected outright."""
         _check_anchored(self.values, [(f.keys, f.grounding) for f in self.factors])
-
-    # -- assembly ----------------------------------------------------------
-
-    def _retract_all(self, values, slices, delta):
-        out = {}
-        for k, v in values.items():
-            out[k] = state_retract(v, delta[slices[k]])
-        return out
 
     # -- optimization --------------------------------------------------------
 
@@ -788,7 +689,7 @@ class FactorGraph:
         """
         settings = settings or LmSettings()
         self.check_structure()
-        self._memo = _SolveMemo(self.factors)
+        self._memo = _SolveMemo(self.factors, self.matching)
         try:
             return self._solve(settings)
         finally:
@@ -809,8 +710,7 @@ class FactorGraph:
         best = None  # lowest cost at a linearization so far
         stalled = 0  # linearizations since best was last lowered
         while not converged and iterations < settings.max_iterations:
-            h, g, cost = _accumulate(self.factors, values, slices, dim, placement,
-                                     self._memo)
+            h, g, cost = _accumulate(self._memo, values, slices, dim, placement)
             self._normal = (h, slices)
             iterations += 1
             if best is None or (cost < best and not negligible(best - cost, best)):
@@ -824,7 +724,8 @@ class FactorGraph:
             while True:
                 delta = _damped_step(h, g, lam * diag)
                 if delta is not None:
-                    candidate = self._retract_all(values, slices, delta)
+                    candidate = {k: state_retract(v, delta[slices[k]])
+                                 for k, v in values.items()}
                     new_cost = self.total_cost(candidate)
                     evaluations += 1
                     small = negligible(cost - new_cost, cost)
@@ -856,7 +757,8 @@ class FactorGraph:
 
         All factors touching a removed key are linearized at the current
         estimate, consumed, and replaced by one MarginalPriorFactor over the
-        retained keys they touched.
+        retained keys they touched; the rows of the matching ones leave the
+        graph's block.
         """
         removed = list(keys_to_remove)
         for k in removed:
@@ -866,17 +768,13 @@ class FactorGraph:
         involved, remaining = [], []
         for f in self.factors:
             (involved if any(k in removed_set for k in f.keys) else remaining).append(f)
-        retained = []
-        for f in involved:
-            for k in f.keys:
-                if k not in removed_set and k not in retained:
-                    retained.append(k)
+        retained = list(dict.fromkeys(k for f in involved for k in f.keys
+                                      if k not in removed_set))
 
         # check the remaining graph, with the prior as one grounding link
         # over the retained keys, before mutating
         links = [(f.keys, f.grounding) for f in remaining]
-        if retained:
-            links.append((retained, True))
+        links += [(retained, True)] if retained else []
         try:
             _check_anchored([k for k in self.values if k not in removed_set], links)
         except UnderConstrainedGraph as exc:
@@ -884,26 +782,29 @@ class FactorGraph:
 
         # local ordering: removed first, then retained
         slices, dim = _layout(removed + retained)
-        h, g, cost = _accumulate(involved, self.values, slices, dim)
+        touched = np.array([any(k in removed_set for k in f.keys)
+                            for f in self.matching.factors], dtype=bool)
+        links = copy.copy(self.matching)  # the rows of the involved links
+        links.keep(np.flatnonzero(touched))
+        h, g, cost = _accumulate(_SolveMemo(involved, links), self.values, slices, dim)
 
         r_dim = STATE_DIM * len(removed)
-        h_rr = h[:r_dim, :r_dim]
         h_rk = h[:r_dim, r_dim:]
         g_r = g[:r_dim]
-        chol = _cholesky(h_rr)
+        chol = _cholesky(h[:r_dim, :r_dim])
         x_rk = _cho_solve(chol, h_rk)
         x_r = _cho_solve(chol, g_r)
         h_marg = h[r_dim:, r_dim:] - h_rk.T @ x_rk
         g_marg = g[r_dim:] - h_rk.T @ x_r
 
         self.factors = remaining
+        self.matching.keep(np.flatnonzero(~touched))
         for k in removed:
             del self.values[k]
         # the quadratic model c + g.d + d.H.d/2 at its minimum over the
         # removed variables, with the retained ones held
-        prior = MarginalPriorFactor(retained,
-                                    {k: self.values[k] for k in retained},
-                                    h_marg, g_marg, cost - 0.5 * float(g_r @ x_r))
+        prior = MarginalPriorFactor(retained, {k: self.values[k] for k in retained}, h_marg,
+                                    g_marg, cost - 0.5 * float(g_r @ x_r))
         if retained:
             self.add_factor(prior)
         return prior

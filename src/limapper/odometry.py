@@ -35,6 +35,7 @@ from .factor_graph import (
     FactorGraph,
     ImuFactor,
     MarginalPriorFactor,
+    MatchingBlock,
     MatchingCostFactor,
     linked,
 )
@@ -274,11 +275,11 @@ class OdometryEstimator:
         if scan.scan_start <= last:
             raise OutOfOrder(
                 f"scan at {scan.scan_start:.6f} does not follow {last:.6f}")
-        rec, factors, dropped = self._prepare(scan, imu_samples)
+        rec, anchor, links, dropped = self._prepare(scan, imu_samples)
 
         self.graph.add_variable(rec.index, rec.state)
-        for factor in factors:
-            self.graph.add_factor(factor)
+        self.graph.add_factor(anchor)
+        self.graph.add_links(links)
         self._window.append(rec)
 
         warnings = []
@@ -298,11 +299,12 @@ class OdometryEstimator:
         self._marginalize_old_frames()
         return OdometryResult(state=rec.state, warning="; ".join(warnings) or None)
 
-    def _prepare(self, scan: RawScan, imu_samples) -> tuple[WindowFrame, list, int]:
-        """The scan's window frame, the factors that tie it in (a prior at
-        the bootstrap or an IMU factor to the newest frame, then the
-        matching links) and the count of IMU samples left out.  It buffers
-        the samples and touches nothing else of the estimator."""
+    def _prepare(self, scan: RawScan, imu_samples
+                 ) -> tuple[WindowFrame, ImuFactor | MarginalPriorFactor, MatchingBlock, int]:
+        """The scan's window frame, the factor that ties it in (a prior at
+        the bootstrap or an IMU factor to the newest frame), the block of
+        its matching links and the count of IMU samples left out.  It
+        buffers the samples and touches nothing else of the estimator."""
         dropped = self._push_imu(imu_samples)
         cfg = self.config.odometry
         pre_cfg = self.config.preprocess
@@ -341,21 +343,21 @@ class OdometryEstimator:
         rec = WindowFrame(index=index, frame=frame,
                           voxelmap=build_voxelmap(frame, cfg.voxel_resolution),
                           state=state)
-        return rec, [anchor, *self._matching_links(rec)], dropped
+        return rec, anchor, self._matching_links(rec), dropped
 
     # -- factors -------------------------------------------------------------------
 
-    def _matching_links(self, rec: WindowFrame) -> list:
-        """The matching factors that link rec to the recent frames (newest
-        first), then to the keyframes not linked already.
+    def _matching_links(self, rec: WindowFrame) -> MatchingBlock:
+        """The block of the matching links of rec to the recent frames
+        (newest first), then to the keyframes not linked already.
 
         Each target gets a candidate factor, binary to a window frame's
         state and unary to a marginalized keyframe's fixed pose, and
         ``linked`` keeps the candidates that hold terms after their first
-        lookup: those that hit their target at least MIN_INLIERS times.
-        The lookups are all at relative poses formed in one stacked pass,
-        and the solve's opening cost and first linearization reuse their
-        terms.
+        look-up: those that hit their target at least MIN_INLIERS times.
+        The look-ups are all at relative poses formed in one stacked pass,
+        and the block's rows carry their terms into the graph, for the
+        solve's opening cost and first linearization.
         """
         recent = self._window[::-1][:RECENT_FRAME_LINKS]
         targets = recent + [kf for kf in self.keyframes if kf not in recent]

@@ -19,9 +19,9 @@ c0 - 2 s.g + g.Q g, with Q and s gathered from a few weighted moment sums
 over the inliers.  No per-point pass is made until a voxel row changes.
 ``frozen_cost`` and ``linearize_from_terms`` take K held quadratics, each
 at its own relative pose, as one ``FrozenTerms`` whose fields carry a
-leading axis of length K (``imu.stack``, which stacks preintegrations the
-same way; a solve stacks its factors' terms once and patches the rows of
-those that change), in one pass of stacked ``np.matmul`` products.
+leading axis of length K (``imu.stack`` stacks them, as it stacks
+preintegrations; the graph's ``MatchingBlock`` holds one such record, a row
+per link), in one pass of stacked ``np.matmul`` products.
 The first costs candidate poses in O(1) per quadratic; the second takes
 each factor's gradient and Gauss-Newton Hessian for right-multiplicative
 perturbations of the source pose and the target pose: the target pose's
@@ -45,10 +45,9 @@ A look-up (``GaussianVoxelMap.look_up``) moves the points, packs each
 one's voxel index into one int64 key and finds the key among the map's
 sorted keys.  Handed the keys and rows of an earlier look-up, it searches
 only the points whose key changed; a row depends only on the key and the
-immutable map, so the result is the same as a full search.
-``MatchingCostFactor`` keeps its last look-up for this.  It looks up again
-only once a source point can have moved ``RELOOK_FRACTION`` of a voxel
-since then, and hands its rows to ``match_terms`` only when a row changed.
+immutable map, so the result is the same as a full search.  A link's row
+of the ``MatchingBlock`` keeps its last look-up for this, and hands its
+rows to ``match_terms`` only when a row changed.
 
 ``overlap_rate``, the keyframe rules' measure, needs no rows: it counts
 the points whose voxel or one of its six face neighbours is occupied.  On
@@ -84,9 +83,7 @@ class GaussianVoxelMap:
     def __init__(self, resolution: float, keys: np.ndarray,
                  mean_rows: np.ndarray, cov_rows: np.ndarray):
         self.resolution = float(resolution)
-        self.keys = keys
-        self.mean_rows = mean_rows
-        self.cov_rows = cov_rows
+        self.keys, self.mean_rows, self.cov_rows = keys, mean_rows, cov_rows
 
     def __len__(self) -> int:
         return self.keys.shape[0]
@@ -335,9 +332,10 @@ def linearize_from_terms(terms: FrozenTerms, rot: np.ndarray, trans: np.ndarray
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients (K, 12), Gauss-Newton Hessians (K, 12, 12) and costs (K,)
     of K held quadratics, stacked into one record (``imu.stack``), each at
-    its relative pose (rot (K, 3, 3), trans (K, 3)).  Each block covers the source pose's 6 dims, then the target
-    pose's 6; a factor whose target pose is fixed takes the leading 6 of
-    the gradient and the leading 6x6 of the Hessian.
+    its relative pose (rot (K, 3, 3), trans (K, 3)).  Each block covers
+    the source pose's 6 dims, then the target pose's 6; a factor whose
+    target pose is fixed takes the leading 6 of the gradient and the
+    leading 6x6 of the Hessian.
 
     With J the (12x6) derivative of g with respect to the target pose
     (``_change_jacobian``), the target pose's blocks are
@@ -364,9 +362,7 @@ def linearize_from_terms(terms: FrozenTerms, rot: np.ndarray, trans: np.ndarray
     adj[:, 3:, :3] = np.matmul(so3_hat_batch(trans), rot)
     adj_t = adj.transpose(0, 2, 1)
     adj_t_h = np.matmul(adj_t, h_jj)
-    grad = np.empty((k, 12))
-    grad[:, :6] = -np.matmul(adj_t, b_j)[:, :, 0]
-    grad[:, 6:] = b_j[:, :, 0]
+    grad = np.concatenate([-np.matmul(adj_t, b_j), b_j], axis=1)[:, :, 0]
     hess = np.empty((k, 12, 12))
     hess[:, :6, :6] = np.matmul(adj_t_h, adj)
     hess[:, :6, 6:] = -adj_t_h

@@ -17,10 +17,24 @@ import ab  # noqa: E402
 def test_replay_digest_repeats_and_tells_seeds_apart():
     one, two = (generate_synthetic_scene(loop_spec(seed, 4)) for seed in (1, 2))
     assert len(one.scans) == len(two.scans) == 6
-    first = ab.replay_digest(one)
-    assert ab.replay_digest(one) == first
-    assert ab.replay_digest(two) != first
+    first, scans, error = ab.replay_outputs(one)
+    assert ab.replay_outputs(one) == (first, scans, error)
+    assert len(scans) == 6 and 0.0 < error < 0.01
+    other, other_scans, _ = ab.replay_outputs(two)
+    assert other != first and ab.first_difference(other_scans, scans) == 0
     assert ab.scene_digest(two) != ab.scene_digest(one)
+
+
+def test_a_difference_names_its_first_scan_and_both_ates():
+    base = {"scans": ["a", "b", "c", "d"], "ate_m": 0.0042}
+    this = {"scans": ["a", "b", "x", "y"], "ate_m": 0.00425}
+    assert ab.first_difference(base["scans"], base["scans"]) is None
+    assert ab.first_difference(this["scans"], base["scans"]) == 2
+    assert ab.first_difference(base["scans"][:3], base["scans"]) == 3
+    assert ab.difference_note(this, base) == (
+        "first differing scan 2, ATE 4.2500 mm (base 4.2000 mm)")
+    assert ab.difference_note({**this, "ate_m": None}, base).endswith(
+        "ATE none (base 4.2000 mm)")
 
 
 def test_timing_a_tree_against_itself():
@@ -32,7 +46,11 @@ def test_timing_a_tree_against_itself():
     assert first.__name__ != second.__name__
     scene = generate_synthetic_scene(loop_spec(1, 4))
     batches = imu_batches(scene, PipelineConfig().odometry.init_window)
-    ratios = ab.time_scenes(first, second, [("loop-1", scene, batches)], passes=1)
-    assert len(ratios["loop-1"]) == len(scene.scans) - 1 == 5
-    median, low, high = ab.bootstrap_median(ratios["loop-1"])
+    ratios = ab.time_scenes(first, second, [("loop-1", scene, batches)], passes=2)
+    assert [len(r) for r in ratios["loop-1"]] == [len(scene.scans) - 1] * 2 == [5, 5]
+    median, low, high = ab.bootstrap_median(ratios["loop-1"][0] + ratios["loop-1"][1])
     assert np.isfinite([median, low, high]).all() and low <= median <= high
+    # the spread of the pass medians holds the median of the pooled passes
+    least, most = ab.pass_spread(ratios["loop-1"])
+    assert least <= median <= most
+    assert "pass medians" in ab.summary(ratios["loop-1"])

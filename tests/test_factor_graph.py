@@ -23,6 +23,7 @@ from limapper.factor_graph import (
     ImuFactor,
     LmSettings,
     MarginalPriorFactor,
+    MatchingBlock,
     MatchingCostFactor,
     RELOOK_FRACTION,
     _accumulate,
@@ -40,7 +41,13 @@ from limapper.geometry import (
     state_local,
     state_retract,
 )
-from limapper.imu import GRAVITY, ImuNoiseParams, ImuSample, preintegrate
+from limapper.imu import (
+    GRAVITY,
+    ImuNoiseParams,
+    ImuSample,
+    PreintegratedImu,
+    preintegrate,
+)
 from limapper.registration import GaussianVoxelMap, build_voxelmap
 from limapper.synthetic import generate_synthetic_scene
 
@@ -57,8 +64,10 @@ from test_registration import (
     matching_cost,
     matching_factor_cost,
     reference_linearize,
+    held_terms,
     rows_of,
     terms_at,
+    terms_bytes,
 )
 from workloads import loop_spec
 
@@ -350,39 +359,40 @@ class TestMatchingCostFactor:
     def test_cost_keeps_correspondences_of_last_linearization(self):
         source, vmap = face_pair()
         f = MatchingCostFactor(0, source, vmap, identity_pose(), min_inliers=10)
+        block = MatchingBlock([f])
         at = {0: zero_state()}
         # a nudge far inside the look-up bound and one just past it; each
         # moves the point on the face out of its voxel
         bound = RELOOK_FRACTION * vmap.resolution
         near, far = shifted(-1e-7), shifted(-1.2 * bound)
 
-        linearize_matching(f, at)
-        assert f.inliers == len(source)
+        linearize_matching(block, at)
+        assert block.inliers[0] == len(source)
         rows = rows_of(vmap, source.points)
-        c0 = matching_factor_cost(f, at)
-        assert abs(matching_factor_cost(f, near) - c0) < 1e-6 * c0
+        c0 = matching_factor_cost(block, at)
+        assert abs(matching_factor_cost(block, near) - c0) < 1e-6 * c0
         for nudged in (near, far):
             pose = nudged[0].pose
             # the cost stays on the rows of the last linearization, where
             # the weights of an unrotated pose are those it formed
             kept = terms_at(source, vmap, pose, rows).cost
-            assert matching_factor_cost(f, nudged) == pytest.approx(kept, rel=1e-12)
+            assert matching_factor_cost(block, nudged) == pytest.approx(kept, rel=1e-12)
             # a fresh lookup at the nudged pose loses the point on the face
             fresh, inliers = matching_cost(source, vmap, pose)
             assert inliers == len(source) - 1
             assert abs(fresh - kept) > 1e-3 * kept
 
         # inside the bound a linearization keeps the rows
-        lin = linearize_matching(f, near)
-        assert f.inliers == len(source)
+        lin = linearize_matching(block, near)
+        assert block.inliers[0] == len(source)
         assert lin.cost == pytest.approx(
             terms_at(source, vmap, near[0].pose, rows).cost, rel=1e-12)
         # past it, it looks up again and the point on the face is lost
         fresh = matching_cost(source, vmap, far[0].pose)[0]
-        lin = linearize_matching(f, far)
-        assert f.inliers == len(source) - 1
+        lin = linearize_matching(block, far)
+        assert block.inliers[0] == len(source) - 1
         assert lin.cost == pytest.approx(fresh, rel=1e-12)
-        assert matching_factor_cost(f, far) == pytest.approx(fresh, rel=1e-12)
+        assert matching_factor_cost(block, far) == pytest.approx(fresh, rel=1e-12)
 
     def test_looks_up_again_only_past_the_bound(self):
         # a move inside the bound since the last look-up makes none and
@@ -390,36 +400,37 @@ class TestMatchingCostFactor:
         # terms only when a row changed
         source, vmap = face_pair()
         f = MatchingCostFactor(0, source, vmap, identity_pose(), min_inliers=10)
+        block = MatchingBlock([f])
         bound = RELOOK_FRACTION * vmap.resolution
         with mock.patch.object(vmap, "look_up", wraps=vmap.look_up) as look_up, \
                 mock.patch.object(factor_graph, "match_terms",
                                   wraps=factor_graph.match_terms) as terms:
 
             def linearize_at(values, looks, forms):
-                linearize_matching(f, values)
+                linearize_matching(block, values)
                 assert (look_up.call_count, terms.call_count) == (looks, forms)
 
             linearize_at({0: zero_state()}, 1, 1)
-            held = f._held
+            held = terms_bytes(block)
             # inside the bound the point on the face keeps its row, which a
             # look-up there would not find
             linearize_at(shifted(-0.9 * bound), 1, 1)
-            assert f._held is held and f.inliers == len(source)
+            assert terms_bytes(block) == held and block.inliers[0] == len(source)
             # past the bound, along the face: every row stays
             linearize_at(shifted(0.0, 1.1 * bound), 2, 1)
-            assert f._held is held and f.inliers == len(source)
+            assert terms_bytes(block) == held and block.inliers[0] == len(source)
             # the bound counts from that last look-up
             linearize_at(shifted(-0.9 * bound, 1.1 * bound), 2, 1)
-            assert f._held is held
+            assert terms_bytes(block) == held
             linearize_at(shifted(-1.2 * bound, 1.1 * bound), 3, 2)
-            assert f._held is not held and f.inliers == len(source) - 1
+            assert terms_bytes(block) != held and block.inliers[0] == len(source) - 1
             # a turn about the origin by an angle a moves a point at the
             # frame's reach by up to 2 sin(a / 2) reach
             for ratio, looks in ((0.9, 3), (1.1, 4)):
                 angle = 2.0 * np.arcsin(ratio * bound / (2.0 * source.reach))
                 turned = Se3Pose(so3_exp([0.0, 0.0, angle]),
                                  np.array([-1.2 * bound, 1.1 * bound, 0.0]))
-                linearize_matching(f, {0: at_pose(turned)})
+                linearize_matching(block, {0: at_pose(turned)})
                 assert look_up.call_count == looks
 
     @given(seed=st.integers(0, 2**32 - 1),
@@ -433,15 +444,16 @@ class TestMatchingCostFactor:
         # it by up to sqrt(3) s bound, for s = 0.1, 0.3 or 1
         source, vmap = conditioned_pair(seed)
         f = MatchingCostFactor(0, source, vmap, identity_pose(), min_inliers=5)
+        block = MatchingBlock([f])
         bound = RELOOK_FRACTION * vmap.resolution
         scale = np.array([bound / source.reach] * 3 + [bound] * 3)
         pose = looked_at = identity_pose()
         with mock.patch.object(vmap, "look_up", wraps=vmap.look_up) as look_up:
-            linearize_matching(f, {0: at_pose(pose)})
+            linearize_matching(block, {0: at_pose(pose)})
             for step, size in moves:
                 pose = pose_retract(pose, np.asarray(step) * size * scale)
                 calls = look_up.call_count
-                linearize_matching(f, {0: at_pose(pose)})
+                linearize_matching(block, {0: at_pose(pose)})
                 if look_up.call_count > calls:
                     looked_at = pose
                     continue
@@ -467,29 +479,31 @@ class TestMatchingCostFactor:
         source = make_frame(np.vstack([rng.uniform(0.1, 0.4, (3, 3)),
                                        rng.uniform(5.0, 6.0, (8, 3))]))
         f = MatchingCostFactor(0, source, vmap, identity_pose(), min_inliers=10)
+        block = MatchingBlock([f])
         at = {0: zero_state()}
-        assert linearize_matching(f, at).cost == 0.0
-        assert f._held is None and f.inliers == 3
+        assert linearize_matching(block, at).cost == 0.0
+        assert not block.held[0] and block.inliers[0] == 3
         # the count of the lookup says that the factor is below its minimum,
         # so no terms are formed, and no cost makes a pass over the points:
         # neither at the lookup's pose nor at one where a lookup would find
         # no point
         assert calls == []
-        assert matching_factor_cost(f, at) == 0.0
+        assert matching_factor_cost(block, at) == 0.0
         away = {0: at_pose(Se3Pose(identity_pose().rotation,
                                               np.array([2.0, 0.0, 0.0])))}
         assert matching_cost(source, vmap, away[0].pose)[1] == 0
         calls.clear()
-        assert matching_factor_cost(f, away) == 0.0
-        assert calls == [] and f.inliers == 3
+        assert matching_factor_cost(block, away) == 0.0
+        assert calls == [] and block.inliers[0] == 3
 
         calls.clear()
         empty = make_frame(np.zeros((0, 3)), covs=np.zeros((0, 3, 3)))
         for g in (MatchingCostFactor(0, empty, vmap, identity_pose(), min_inliers=10),
                   MatchingCostFactor(0, source, build_voxelmap(empty, 0.5),
                                      identity_pose(), min_inliers=10)):
-            assert linearize_matching(g, at).cost == 0.0 and g._held is None
-            assert matching_factor_cost(g, at) == 0.0 and g.inliers == 0
+            block = MatchingBlock([g])
+            assert linearize_matching(block, at).cost == 0.0 and not block.held[0]
+            assert matching_factor_cost(block, at) == 0.0 and block.inliers[0] == 0
         assert calls == []
 
     @pytest.mark.parametrize("target, keys, grounding, kind", [
@@ -508,9 +522,12 @@ class TestMatchingCostFactor:
                                      rng.uniform(5.0, 6.0, (8, 3))])),
             vmap, target, min_inliers=10) for n in (9, 10))
         values = {0: zero_state(), 1: zero_state()}
-        assert linked([below], values) == []
-        assert linked([at], values) == [at]
-        assert (below.inliers, at.inliers) == (9, 10)
+        assert linked([below], values).factors == []
+        kept = linked([below, at], values)
+        assert kept.factors == [at] and kept.inliers.tolist() == [10]
+        block = MatchingBlock([below, at])
+        block.costs(values)  # the first look-ups
+        assert block.inliers.tolist() == [9, 10] and block.held.tolist() == [False, True]
         for f in (below, at):
             assert (f.keys, f.grounding, f.kind) == (keys, grounding, kind)
             assert f.fixed_target_pose is (target if grounding else None)
@@ -837,20 +854,21 @@ def reference_imu_lin(f, values):
     return w @ r, w @ jac, float(r @ f.information @ r)
 
 
-def reference_lin(f, values):
+def reference_lin(f, values, block):
     """(g, h, cost) of one factor linearized alone; an IMU factor by the
     per-factor oracle, a matching factor by the 2-D per-factor kernel on
-    the terms it holds, at the relative pose that ``pose_compose`` forms,
-    and (None, None, 0.0) without terms."""
+    the terms the block holds in its row, at the relative pose that
+    ``pose_compose`` forms, and (None, None, 0.0) without terms."""
     if isinstance(f, ImuFactor):
         return reference_imu_lin(f, values)
     if not isinstance(f, MatchingCostFactor):
         return f.linearize(values)
-    if f._held is None:
+    held = held_terms(block, f)
+    if held is None:
         return None, None, 0.0
     t_j = f.fixed_target_pose if f.grounding else values[f.keys[1]].pose
     t_ij = pose_compose(pose_inverse(t_j), values[f.keys[0]].pose)
-    return reference_linearize(f._held, t_ij, f.grounding)
+    return reference_linearize(held, t_ij, f.grounding)
 
 
 def kind_order(f) -> int:
@@ -862,15 +880,15 @@ def kind_order(f) -> int:
     return 1 if isinstance(f, ImuFactor) else 0
 
 
-def reference_assembly(factors, values, slices, dim):
+def reference_assembly(factors, values, slices, dim, block):
     """Oracle: (H, g, cost) with every factor linearized alone, visited in
     kind order (factor order within a kind), its block placed one key pair
-    at a time and its cost summed in that order.  A matching block covers
-    the pose, the leading 6 components, of each key; every other block all
-    15."""
+    at a time and its cost summed in that order; a matching factor on the
+    terms of its row of the block.  A matching block covers the pose, the
+    leading 6 components, of each key; every other block all 15."""
     h, g, cost = np.zeros((dim, dim)), np.zeros(dim), 0.0
     for f in sorted(factors, key=kind_order):
-        g_f, h_f, c_f = reference_lin(f, values)
+        g_f, h_f, c_f = reference_lin(f, values, block)
         cost += c_f
         if h_f is None:
             continue
@@ -884,68 +902,75 @@ def reference_assembly(factors, values, slices, dim):
     return h, g, cost
 
 
-def reference_cost(f, values):
+def reference_cost(f, values, block):
     if isinstance(f, (ImuFactor, MatchingCostFactor)):
-        return reference_lin(f, values)[2]
+        return reference_lin(f, values, block)[2]
     return f.cost(values)
+
+
+def assemble(graph, values, slices, dim):
+    """(H, g, cost) of the graph's assembly at the values, with a new memo."""
+    return _accumulate(factor_graph._SolveMemo(graph.factors, graph.matching), values,
+                       slices, dim)
 
 
 class TestStackedAssembly:
     @pytest.fixture(scope="class")
     def window(self):
-        """The graph after 22 scans of the seed-1 loop, with a factor of an
-        empty source and one below its min_inliers among its factors."""
+        """The graph after 22 scans of the seed-1 loop, with a link of an
+        empty source and one below its min_inliers added last."""
         est, _ = run(generate_synthetic_scene(loop_spec(1, 20)), n_scans=22)
         graph = est.graph
-        matching = [f for f in graph.factors if isinstance(f, MatchingCostFactor)]
+        matching = graph.matching.factors
         binary = next(f for f in matching if not f.grounding)
         unary = next(f for f in matching if f.grounding)
         empty = make_frame(np.zeros((0, 3)), covs=np.zeros((0, 3, 3)))
-        graph.factors[3:3] = [
-            MatchingCostFactor(binary.keys[0], empty, binary.target_map,
-                               binary.keys[1], min_inliers=10),
-            MatchingCostFactor(unary.keys[0], unary.source, unary.target_map,
-                               unary.fixed_target_pose, min_inliers=10**9)]
+        graph.add_factor(MatchingCostFactor(binary.keys[0], empty, binary.target_map,
+                                            binary.keys[1], min_inliers=10))
+        graph.add_factor(MatchingCostFactor(unary.keys[0], unary.source,
+                                            unary.target_map, unary.fixed_target_pose,
+                                            min_inliers=10**9))
         return graph
 
     def test_accumulate_and_total_cost_equal_a_per_factor_reference(self, window):
         kinds = {f.kind for f in window.factors}
         assert {"matching-cost-unary", "matching-cost-binary"} <= kinds
-        values = window.values
+        values, block = window.values, window.matching
         slices, dim = _layout(values)
-        h, g, cost = _accumulate(window.factors, values, slices, dim)
+        h, g, cost = assemble(window, values, slices, dim)
         # the reference reads the terms the assembly's lookups left held
         h_ref, g_ref, cost_ref = reference_assembly(window.factors, values,
-                                                    slices, dim)
+                                                    slices, dim, block)
         assert h.tobytes() == h_ref.tobytes()
         assert g.tobytes() == g_ref.tobytes()
         assert cost == cost_ref
-        empty, starved = window.factors[3:5]
-        assert empty.inliers == 0 and empty._held is None
-        assert starved.inliers > 0 and starved._held is None
+        empty, starved = (block.factors.index(f) for f in window.factors[-2:])
+        assert block.inliers[empty] == 0 and not block.held[empty]
+        assert block.inliers[starved] > 0 and not block.held[starved]
         # a candidate step costs on the held terms, without a lookup
         rng = np.random.default_rng(4)
         step = {k: state_retract(v, rng.normal(scale=1e-3, size=15))
                 for k, v in values.items()}
         for at in (values, step):
             assert window.total_cost(at) == sum(
-                (reference_cost(f, at) for f in sorted(window.factors, key=kind_order)),
-                0.0)
+                (reference_cost(f, at, block)
+                 for f in sorted(window.factors, key=kind_order)), 0.0)
 
     def test_assembly_ignores_how_the_kinds_are_interleaved(self, window):
         # every factor that is not a matching one moved behind the matching
-        # ones, the factors of each kind in their own order
+        # ones, the factors of each kind in their own order; the links come
+        # with their rows, so both graphs hold the same matching state
         moved = FactorGraph()
         for k, v in window.values.items():
             moved.add_variable(k, v)
-        for f in sorted(window.factors,
-                        key=lambda f: not isinstance(f, MatchingCostFactor)):
-            moved.add_factor(f)
+        moved.add_links(window.matching)
+        for f in window.factors:
+            if not isinstance(f, MatchingCostFactor):
+                moved.add_factor(f)
         assert moved.factors != window.factors
         slices, dim = _layout(window.values)
-        h, g, cost = _accumulate(window.factors, window.values, slices, dim)
-        h_moved, g_moved, cost_moved = _accumulate(moved.factors, window.values,
-                                                   slices, dim)
+        h, g, cost = assemble(window, window.values, slices, dim)
+        h_moved, g_moved, cost_moved = assemble(moved, window.values, slices, dim)
         assert h.tobytes() == h_moved.tobytes()
         assert g.tobytes() == g_moved.tobytes()
         assert cost == cost_moved
@@ -957,9 +982,11 @@ class TestStackedAssembly:
         assembled = factor_graph._accumulate
         checked = []
 
-        def compare(factors, values, slices, dim, *rest):
-            h, g, cost = assembled(factors, values, slices, dim, *rest)
-            h_ref, g_ref, cost_ref = reference_assembly(factors, values, slices, dim)
+        def compare(memo, values, slices, dim, *rest):
+            h, g, cost = assembled(memo, values, slices, dim, *rest)
+            factors = memo.alone + memo.imu + memo.block.factors
+            h_ref, g_ref, cost_ref = reference_assembly(factors, values, slices, dim,
+                                                        memo.block)
             checked.append((h.tobytes() == h_ref.tobytes(),
                             g.tobytes() == g_ref.tobytes(), cost == cost_ref))
             return h, g, cost
@@ -968,9 +995,15 @@ class TestStackedAssembly:
         oldest = next(iter(graph.values))
         involved = [f for f in graph.factors if oldest in f.keys]
         assert {f.kind for f in involved} >= {"imu-preintegration",
-                                              "marginal-prior"}
+                                              "marginal-prior",
+                                              "matching-cost-binary"}
+        rows = len(graph.matching.factors)
         graph.marginalize([oldest])
         assert checked == [(True, True, True)]
+        # the rows of the removed links leave the block with them
+        assert len(graph.matching.factors) == rows - sum(
+            isinstance(f, MatchingCostFactor) for f in involved)
+        assert all(oldest not in f.keys for f in graph.matching.factors)
 
     def test_stacked_imu_pass_equals_each_factor_alone(self, window):
         imu = [f for f in window.factors if isinstance(f, ImuFactor)]
@@ -997,37 +1030,49 @@ class TestStackedAssembly:
         rng = np.random.default_rng(6)
         candidate = {k: state_retract(v, rng.normal(scale=1e-4, size=15))
                      for k, v in graph.values.items()}
-        memo = graph._memo = factor_graph._SolveMemo(graph.factors)
+        memo = graph._memo = factor_graph._SolveMemo(graph.factors, graph.matching)
         placement = factor_graph._Placement(memo, slices, dim)
         graph.total_cost(candidate)  # the candidate's cost fills the memo
-        stage, poses = memo.stage, memo.matching.poses
+        stage, poses = memo.stage, graph.matching.poses
         with mock.patch.object(factor_graph, "imu_residuals",
                                wraps=factor_graph.imu_residuals) as residuals:
-            kept = _accumulate(graph.factors, candidate, slices, dim, placement, memo)
+            kept = _accumulate(memo, candidate, slices, dim, placement)
             assert residuals.call_count == 0 and memo.stage is stage
-            assert memo.matching.poses is poses
+            assert graph.matching.poses is poses
             for f in graph.factors:
                 if isinstance(f, MarginalPriorFactor):
                     f._last = None
-            fresh = _accumulate(graph.factors, candidate, slices, dim)
-            assert residuals.call_count == 1
+            graph.matching.states = None
+            fresh = assemble(graph, candidate, slices, dim)
+            assert residuals.call_count == 1 and graph.matching.poses is not poses
         for a, b in zip(kept, fresh):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
+    def test_a_window_solve_stacks_no_terms(self, window):
+        # the block holds the stacked terms; a solve stacks only the IMU
+        # factors' preintegrations
+        graph = copy.deepcopy(window)
+        with mock.patch.object(factor_graph, "stack", wraps=factor_graph.stack) as stacked:
+            graph.optimize_lm()
+        assert stacked.call_count > 0
+        assert all(isinstance(p, PreintegratedImu)
+                   for c in stacked.call_args_list for p in c.args[0])
+
     def test_no_second_look_up_at_the_pose_of_the_last(self, window):
-        f = copy.deepcopy(next(f for f in window.factors
-                               if isinstance(f, MatchingCostFactor)
-                               and not f.grounding and f.inliers > 0))
-        f._lookup = None
+        rows = window.matching
+        n = next(n for n, f in enumerate(rows.factors)
+                 if not f.grounding and rows.inliers[n] > 0)
+        block = MatchingBlock([copy.deepcopy(rows.factors[n])])
         values = window.values
         with mock.patch.object(GaussianVoxelMap, "look_up", autospec=True,
                                side_effect=GaussianVoxelMap.look_up) as look_up:
-            first = linearize_matching(f, values)
-            again = linearize_matching(f, values)
+            first = linearize_matching(block, values)
+            again = linearize_matching(block, values)
             assert look_up.call_count == 1
             moved = dict(values)
-            moved[f.keys[0]] = state_retract(values[f.keys[0]], np.full(15, 1e-3))
-            linearize_matching(f, moved)
+            moved[block.factors[0].keys[0]] = state_retract(
+                values[block.factors[0].keys[0]], np.full(15, 1e-3))
+            linearize_matching(block, moved)
             assert look_up.call_count == 2
         assert first.h.tobytes() == again.h.tobytes() and first.cost == again.cost
 
@@ -1039,12 +1084,12 @@ def ulps_from(x: float, k: int) -> float:
     return float(x)
 
 
-def scalar_move(f, rot, trans) -> float:
-    """The move bound of ``MatchingCostFactor._look_up``'s own test, from
-    the factor's last look-up to the relative pose (rot, trans)."""
-    rot0, trans0 = f._lookup[:2]
-    spin = np.sqrt(max(0.0, 3.0 - float(np.vdot(rot0, rot))))
-    return spin * f.source.reach + float(np.linalg.norm(trans - trans0))
+def scalar_move(block, n, rot, trans) -> float:
+    """The exact move bound of row n of the block, from its last look-up to
+    the relative pose (rot, trans), the row taken alone: the spin
+    sqrt(3 - tr(R0^T R)) times the reach, plus the shift."""
+    spin = np.sqrt(max(0.0, 3.0 - float(np.vdot(block.rot0[n], rot))))
+    return spin * block.reach[n] + float(np.linalg.norm(trans - block.trans0[n]))
 
 
 class TestSolveStacks:
@@ -1057,90 +1102,103 @@ class TestSolveStacks:
                                    min_inliers=5) for k in range(n)]
 
     def test_stacked_relook_test_looks_up_where_the_scalar_test_does(self):
+        # the block's one relook test, stacked over its rows, against each
+        # row's exact bound taken alone (scalar_move): at a pure shift the
+        # two agree to the ulp where the move meets the bound; after a turn
+        # they may round apart within a few ulps of it, and agree 1e-7 of
+        # the reach away from it; a row without a look-up has a NaN move,
+        # which is due
         bound = RELOOK_FRACTION * 0.5
         turn = so3_exp([0.3, -0.2, 0.5])
         tiny = turn * so3_exp([1e-9, 0.0, 0.0])  # a spin near rounding
         # (rotation at the first look-up, at the second, and the shift along
-        # x as an offset from where the scalar move meets the bound, in ulps,
-        # or as a fraction of the bound)
+        # x as an offset from where the scalar move meets the bound, in ulps
+        # or in reaches, or as a fraction of the bound)
         cases = ([(identity_pose().rotation, identity_pose().rotation, ("ulps", k))
                   for k in (-3, -1, 0, 1, 3)]
                  + [(turn, turn, ("ulps", k)) for k in (-2, 0, 2)]
                  + [(turn, tiny, ("ulps", k)) for k in (-2, 0, 2)]
-                 + [(turn, turn, ("band", 0.5)), (turn, turn, ("bound", 0.5)),
-                    (turn, turn, ("bound", 2.0))])
-        factors = self.unary_factors(len(cases))
-        stacks = factor_graph._MatchingStacks(factors)
-        first = {k: at_pose(Se3Pose(a, np.zeros(3))) for k, (a, _, _) in enumerate(cases)}
-        factor_graph._matching_blocks(stacks, first)
-        assert all(f._lookup is not None for f in factors)
+                 + [(turn, turn, ("reach", -1e-7)), (turn, turn, ("reach", 1e-7)),
+                    (turn, turn, ("bound", 0.5)), (turn, turn, ("bound", 2.0))])
+        rounding = {k for k, (a, _, (kind, _)) in enumerate(cases)
+                    if kind == "ulps" and a is turn}
+        factors = self.unary_factors(len(cases) + 1)
+        block = MatchingBlock(factors[:-1])
+        block.linearize({k: at_pose(Se3Pose(a, np.zeros(3)))
+                         for k, (a, _, _) in enumerate(cases)})
+        assert not np.isnan(block.trans0).any()
+        block.extend(MatchingBlock(factors[-1:]))  # a row with no look-up yet
 
-        second = {}
-        for k, ((_, b, (kind, amount)), f) in enumerate(zip(cases, factors)):
-            spin = scalar_move(f, b.matrix(), np.zeros(3))
+        second = {len(cases): zero_state()}
+        for k, (_, b, (kind, amount)) in enumerate(cases):
+            spin = scalar_move(block, k, b.matrix(), np.zeros(3))
             if kind == "ulps":
                 x = ulps_from(bound - spin, amount)
-            elif kind == "band":
-                # inside the guard band, below the bound
-                x = bound - spin - amount * np.sqrt(factor_graph._TRACE_ROUNDING) * f.source.reach
+            elif kind == "reach":
+                x = bound - spin + amount * block.reach[k]
             else:
                 x = amount * bound
             second[k] = at_pose(Se3Pose(b, np.array([x, 0.0, 0.0])))
-        rot, trans = stacks.relative_poses(second)
+        rot, trans = block._relative_poses(second)
         for k, state in second.items():
             assert rot[k].tobytes() == state.pose.rotation.matrix().tobytes()
             assert trans[k].tobytes() == state.pose.translation.tobytes()
-        moves = [scalar_move(f, rot[k], trans[k]) for k, f in enumerate(factors)]
-        expected = {k for k, move in enumerate(moves) if move > bound}
-        # moves within a few ulps of the bound on both sides, and moves that
-        # the stacked test hands to the scalar one, which then skips them
+        moves = [scalar_move(block, k, rot[k], trans[k]) for k in range(len(cases))]
+        expected = {k for k, move in enumerate(moves) if move > bound} | {len(cases)}
+        # moves within a few ulps of the bound on both sides
         assert {ulps_from(bound, k) for k in (-1, 1)} <= set(moves)
-        due = set(stacks.to_look_up(rot, trans, relook=True).tolist())
-        assert expected < due and 0 < len(expected) < len(factors)
+        assert 1 < len(expected - rounding) < len(factors) - len(rounding)
         maps = [f.target_map for f in factors]
         with mock.patch.object(GaussianVoxelMap, "look_up", autospec=True,
                                side_effect=GaussianVoxelMap.look_up) as look_up:
-            factor_graph._matching_blocks(stacks, second)
-        assert [maps.index(c.args[0]) for c in look_up.call_args_list] == sorted(expected)
+            block.linearize(second)
+        looked = [maps.index(c.args[0]) for c in look_up.call_args_list]
+        assert looked == sorted(set(looked))
+        assert set(looked) - rounding == expected - rounding
 
     def test_held_stack_is_patched_to_the_stack_of_the_held_terms(self):
+        # a look-up that forms new terms writes them over its row of the
+        # block's one stack, and nothing stacks terms again
         factors = self.unary_factors(4)
-        stacks = factor_graph._MatchingStacks(factors)
+        block = MatchingBlock(factors)
         at = {k: zero_state() for k in range(4)}
-        factor_graph._matching_blocks(stacks, at)
-        terms, held = stacks.stacked(), [f._held for f in factors]
-        assert terms is not None and stacks.kept.tolist() == [0, 1, 2, 3]
+        block.linearize(at)
+        terms, before = block.terms, [terms_bytes(block, n) for n in range(4)]
+        assert block.held.all()
         # two factors move far enough that rows change and terms re-form
         moved = dict(at)
         for k in (1, 3):
             moved[k] = at_pose(Se3Pose(identity_pose().rotation, np.array([0.2, 0.1, 0.0])))
         with mock.patch.object(factor_graph, "stack", wraps=factor_graph.stack) as restack:
-            factor_graph._matching_blocks(stacks, moved)
-        assert [f._held is h for f, h in zip(factors, held)] == [True, False, True, False]
-        assert restack.call_count == 0 and stacks.stacked() is terms
-        for got, want in zip(terms, factor_graph.stack([f._held for f in factors])):
-            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            block.linearize(moved)
+        assert restack.call_count == 0 and block.terms is terms
+        assert [terms_bytes(block, n) == b for n, b in enumerate(before)] == [
+            True, False, True, False]
+        want = factor_graph.stack([terms_at(f.source, f.target_map, moved[k].pose)
+                                   for k, f in enumerate(factors)])
+        for got, field in zip(terms, want):
+            assert np.asarray(got).tobytes() == np.asarray(field).tobytes()
 
     def test_no_cache_outlives_its_solve(self):
-        # the stacks live on the graph while a solve runs, and nowhere else
-        memos, solve = [], FactorGraph._solve
-
-        def recording(self, settings):
-            memos.append(self._memo)
-            return solve(self, settings)
-
+        # a solve's memo lives on the graph while the solve runs; the block
+        # lives with the graph's links, shares no memory with another
+        # graph's block, and drops the row of a marginalized link, and with
+        # it the link's source frame, at once
         graphs = [two_pose_registration()[0] for _ in range(2)]
-        with mock.patch.object(FactorGraph, "_solve", recording):
-            for g in graphs:
-                g.optimize_lm()
+        for g in graphs:
+            g.optimize_lm()
         assert all(g._memo is None for g in graphs)
-        a, b = (m.matching.stacked() for m in memos)
-        assert all(not np.shares_memory(x, y) for x, y in zip(a, b))
-        del memos, a, b
+
+        def arrays(block):
+            return [block.rot0, block.trans0, block.inliers, block.held, *block.terms,
+                    *(a for found in block.found for a in found)]
+
+        a, b = (arrays(g.matching) for g in graphs)
+        assert all(not np.shares_memory(x, y) for x in a for y in b)
+        del a, b
 
         g = graphs[0]
         source = weakref.ref(g.factors[1].source)
         g.marginalize([1])
-        g.optimize_lm()
         gc.collect()
-        assert source() is None
+        assert source() is None and g.matching.factors == []

@@ -63,11 +63,15 @@ def outputs(est, results):
 
 def fingerprint(est):
     """What a scan that raises must leave as it was: the graph's variables
-    by key and state object, its factors, the window with each frame's
-    state object, the keyframes and the keyframe events.  Each state is
-    held next to its id, so that the id cannot pass to a new object."""
+    by key and state object, its factors, its matching block (the factor
+    handles of its rows in order, the row count and its terms stack), the
+    window with each frame's state object, the keyframes and the keyframe
+    events.  Each state and the stack are held next to their ids, so that
+    an id cannot pass to a new object."""
+    block = est.graph.matching
     return ([(k, id(v), v) for k, v in est.graph.values.items()],
             list(est.graph.factors),
+            (list(block.factors), block.held.size, id(block.terms), block.terms),
             [(f, id(f.state), f.state) for f in est._window],
             list(est.keyframes), repr(est.keyframe_events))
 
@@ -428,9 +432,10 @@ class TestRetryAfterFailure:
                          np.full(3, np.nan) if fault == "nan gyro" else s.gyro)
                for s in batch]
         est = OdometryEstimator()
+        before = fingerprint(est)
         with pytest.raises(InitializationMotion, match=cause):
             est.process_frame(loop_scene.scans[0], bad)
-        assert fingerprint(est) == fingerprint(OdometryEstimator())
+        assert fingerprint(est) == before
         assert est._imu == []  # the unusable samples are dropped
         # so the scan goes through when it comes again with intact samples
         # of the same stamps, as on a fresh estimator

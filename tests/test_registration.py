@@ -12,6 +12,7 @@ from limapper.errors import VoxelKeyOutOfRange
 from limapper.factor_graph import (
     RELOOK_FRACTION,
     FactorLinearization,
+    MatchingBlock,
     MatchingCostFactor,
 )
 from limapper.geometry import (
@@ -61,20 +62,30 @@ def at_pose(pose):
     return SensorState(pose, np.zeros(3), np.zeros(3), np.zeros(3), 0.0)
 
 
-def linearize_matching(f, values) -> FactorLinearization:
-    """One matching factor linearized by the graph's stacked pass with that
-    factor alone: the block over the pose part of each key, zero when the
-    factor holds no terms, and the cost."""
-    grad, hess, costs = factor_graph._matching_blocks(
-        factor_graph._MatchingStacks([f]), values)
-    n = 6 * len(f.keys)
+def linearize_matching(block, values) -> FactorLinearization:
+    """The first row of a matching block linearized by the block's stacked
+    pass: the block over the pose part of each key, zero when the row holds
+    no terms, and the cost."""
+    grad, hess, costs = block.linearize(values)
+    n = 6 * len(block.factors[0].keys)
     return FactorLinearization(grad[0, :n], hess[0, :n, :n], costs[0])
 
 
-def matching_factor_cost(f, values) -> float:
-    """One matching factor's cost by the graph's stacked pass with that
-    factor alone."""
-    return factor_graph._matching_costs(factor_graph._MatchingStacks([f]), values)[0]
+def matching_factor_cost(block, values) -> float:
+    """The cost of a matching block's first row by the block's stacked pass."""
+    return block.costs(values)[0]
+
+
+def held_terms(block, f):
+    """The terms that a block holds in the row of the factor, as a record of
+    its own; None when the row holds none."""
+    n = block.factors.index(f)
+    return FrozenTerms(*(field[n] for field in block.terms)) if block.held[n] else None
+
+
+def terms_bytes(block, n=0) -> bytes:
+    """The bytes of row n of a block's stacked terms."""
+    return b"".join(np.asarray(field[n]).tobytes() for field in block.terms)
 
 
 def symmetric(entries):
@@ -1002,13 +1013,15 @@ class TestRowKernelOracle:
             overlap_rate(source, vmap, far)
         if np.isinf(translation).any():
             return  # composing poses with it would already warn (inf * 0)
-        # also on a factor's key-diff lookup, after a lookup that succeeded
-        f = MatchingCostFactor(0, source, vmap, identity_pose(), min_inliers=10)
-        linearize_matching(f, {0: at_pose(identity_pose())})
+        # also on a link's key-diff lookup, after a lookup that succeeded:
+        # the move to a NaN pose is NaN, which is due
+        block = MatchingBlock([MatchingCostFactor(0, source, vmap, identity_pose(),
+                                                  min_inliers=10)])
+        linearize_matching(block, {0: at_pose(identity_pose())})
         values = {0: at_pose(far)}
-        matching_factor_cost(f, values)  # held rows: no lookup
+        matching_factor_cost(block, values)  # held rows: no lookup
         with pytest.raises(VoxelKeyOutOfRange):
-            linearize_matching(f, values)
+            linearize_matching(block, values)
 
 
 class TestMapRowStorage:
@@ -1085,10 +1098,10 @@ def frozen_reference(source, vmap, rows, held_at, t_ij, target_fixed):
 class TestFrozenTerms:
     @given(seed=seeds, path=steps, unary=st.booleans())
     def test_factor_equals_frozen_reference_and_fresh_factor(self, seed, path, unary):
-        # the factor looks up again only once a source point can have moved
+        # the block looks up again only once a source point can have moved
         # RELOOK_FRACTION of a voxel since its last look-up, by the bound
         # 2 sin(angle / 2) reach + |shift| of that move; it re-forms its
-        # terms only when a look-up changed a row, and then equals a factor
+        # terms only when a look-up changed a row, and then equals a block
         # built at that pose bit for bit; between changes it keeps the
         # weights of the last change and moves only the points
         source, vmap = conditioned_pair(seed)
@@ -1098,10 +1111,10 @@ class TestFrozenTerms:
         bound = RELOOK_FRACTION * vmap.resolution
 
         def build():
-            return MatchingCostFactor(key_i, source, vmap, t_j if unary else key_j,
-                                      min_inliers=5)
+            return MatchingBlock([MatchingCostFactor(
+                key_i, source, vmap, t_j if unary else key_j, min_inliers=5)])
 
-        factor = build()
+        block = build()
         t_i, rows, held_at, looked_at = t_j, None, None, None
         with mock.patch.object(factor_graph, "match_terms",
                                wraps=factor_graph.match_terms) as spy, \
@@ -1113,7 +1126,7 @@ class TestFrozenTerms:
                 t_ij = pose_compose(pose_inverse(t_j), t_i)
                 if cost_first and rows is not None:
                     calls = spy.call_count, look_up.call_count
-                    matching_factor_cost(factor, values)  # on the held quadratic
+                    matching_factor_cost(block, values)  # on the held quadratic
                     assert (spy.call_count, look_up.call_count) == calls
                 relook = looked_at is None or (
                     2.0 * np.sin(0.5 * rotation_angle(looked_at.rotation,
@@ -1129,14 +1142,14 @@ class TestFrozenTerms:
                     if changed:
                         rows, held_at = found, t_ij
                 calls = spy.call_count, look_up.call_count
-                lin = linearize_matching(factor, values)
+                lin = linearize_matching(block, values)
                 inliers = int(np.count_nonzero(rows >= 0))
-                assert factor.inliers == inliers
+                assert block.inliers[0] == inliers
                 assert spy.call_count == calls[0] + (changed and inliers >= 5)
                 assert look_up.call_count == calls[1] + relook
-                assert matching_factor_cost(factor, values) == lin.cost
+                assert matching_factor_cost(block, values) == lin.cost
                 if inliers < 5:
-                    assert factor._held is None and lin.cost == 0.0
+                    assert not block.held[0] and lin.cost == 0.0
                     continue
                 cost, g, h = frozen_reference(source, vmap, rows, held_at, t_ij,
                                               unary)

@@ -14,9 +14,10 @@ benchmark workloads' at their bench length: ``loop`` seeds 1-3 (22 scans),
 ``dense`` seed 1 (18) and ``gap`` seed 1 (117), and with ``--two-laps`` the
 272-scan two-lap ``loop`` scene of the golden runs.  For every scene it
 prints two digests per tree: the scene's (its scans' points and stamps and
-its IMU samples) and the replay's (``replay_digest``).  It exits 1 if any
-digest differs between the trees.  Digests can differ between hosts, so
-compare them on one host.
+its IMU samples) and the replay's (``replay_outputs``).  Where the replay's
+digest differs, it names the first scan whose outputs differ and gives
+each tree's ATE on the scene.  It exits 1 if any digest differs between
+the trees.  Digests can differ between hosts, so compare them on one host.
 
 With ``--time`` it imports each tree's ``limapper`` under its own name into
 this one process, with the BLAS libraries pinned to one thread, and feeds
@@ -24,9 +25,11 @@ both trees' estimators each scan of the warm-up scenes (``loop`` seeds 1-3
 and ``dense`` seed 1, TIME_PASSES times over), alternating from scan to
 scan which tree goes first.  It checks every scan's state and warning bit
 for bit, and exits 1 at the first difference.  It prints the median of the
-per-scan time ratios, this tree's over REV's, with a bootstrap interval.
-Both trees share the host's drift, scan by scan, which separate benchmark
-runs do not.
+per-scan time ratios, this tree's over REV's, with a bootstrap interval,
+and the spread (lowest to highest) of the medians of the single passes.
+The bootstrap resamples the scans of one run, so it does not see drift
+between passes, which the spread does.  Both trees share the host's drift,
+scan by scan, which separate benchmark runs do not.
 """
 
 from __future__ import annotations
@@ -67,11 +70,14 @@ def scene_digest(scene) -> str:
     return h.hexdigest()
 
 
-def replay_digest(scene) -> str:
-    """sha256 over the outputs of one replay of the scene through a new
-    ``OdometryEstimator`` (the benchmark's ``run.replay``): each scan's
-    state vector and its warning or exception type, then the factor kinds
-    in the window after each scan, then the keyframe events."""
+def replay_outputs(scene) -> tuple[str, list[str], float | None]:
+    """(digest, per-scan digests, ATE in m or None) of one replay of the
+    scene through a new ``OdometryEstimator`` (the benchmark's
+    ``run.replay``).  The digest is sha256 over each scan's state vector
+    and its warning or exception type, then the factor kinds in the window
+    after each scan, then the keyframe events.  A scan's digest covers its
+    state vector, warning or exception type, the factor kinds after it and
+    the keyframe event of its frame."""
     import run
     from limapper.config import PipelineConfig
     from workloads import imu_batches
@@ -84,7 +90,35 @@ def replay_digest(scene) -> str:
         h.update(repr(note).encode())
     h.update(repr([sorted(kinds.items()) for kinds in out.factor_kinds]).encode())
     h.update(repr(out.keyframe_events).encode())
-    return h.hexdigest()
+    # a frame's index counts the scans that committed before it
+    committed = [k for k, s in enumerate(out.states) if s is not None]
+    events = {committed[e[0]]: e for e in out.keyframe_events}
+    scans = [hashlib.sha256(repr((rec, events.get(k))).encode()).hexdigest()
+             for k, rec in enumerate(out.scan_records())]
+    try:
+        error = run.ate(out, scene)
+    except Exception:  # an ATE that cannot be formed is reported as None
+        error = None
+    return h.hexdigest(), scans, error
+
+
+def first_difference(this: list, base: list) -> int | None:
+    """The first index at which two lists differ, or at which the shorter
+    one ends; None when they are equal."""
+    for k, (a, b) in enumerate(zip(this, base)):
+        if a != b:
+            return k
+    return None if len(this) == len(base) else min(len(this), len(base))
+
+
+def difference_note(this: dict, base: dict) -> str:
+    """Where the replays of one scene differ, from the records of the two
+    trees: the first differing scan, and each tree's ATE."""
+    def mm(error):
+        return "none" if error is None else f"{1e3 * error:.4f} mm"
+
+    return (f"first differing scan {first_difference(this['scans'], base['scans'])}, "
+            f"ATE {mm(this['ate_m'])} (base {mm(base['ate_m'])})")
 
 
 def replay_all(two_laps: bool) -> None:
@@ -97,9 +131,10 @@ def replay_all(two_laps: bool) -> None:
     for label, name, seed, frames in SCENES + ([TWO_LAPS] if two_laps else []):
         workload = WORKLOADS[name]
         scene = generate_synthetic_scene(workload.spec(seed, frames or workload.n_frames))
-        print(json.dumps({"scene": label, "scans": len(scene.scans),
+        output, scans, error = replay_outputs(scene)
+        print(json.dumps({"scene": label, "scans": scans, "ate_m": error,
                           "scene_digest": scene_digest(scene),
-                          "output_digest": replay_digest(scene)}), flush=True)
+                          "output_digest": output}), flush=True)
 
 
 def tree_digests(tree: Path, two_laps: bool) -> dict:
@@ -153,11 +188,11 @@ def scan_output(estimator, scan, batch) -> tuple:
         s.bias_gyro)) + repr(s.stamp).encode(), result.warning)
 
 
-def time_scenes(base, this, scenes, passes: int) -> dict[str, list[float]]:
-    """{label: per-scan time ratios, this over base} of ``passes`` replays
-    of each (label, scene, IMU batches) through new estimators of the two
-    ``limapper`` packages; the first scan of a replay, the bootstrap, is
-    not timed.  Each scan goes to both estimators, the first tree
+def time_scenes(base, this, scenes, passes: int) -> dict[str, list[list[float]]]:
+    """{label: per pass, the per-scan time ratios, this over base} of
+    ``passes`` replays of each (label, scene, IMU batches) through new
+    estimators of the two ``limapper`` packages; the first scan of a
+    replay, the bootstrap, is not timed.  Each scan goes to both estimators, the first tree
     alternating from scan to scan.  Raises SystemExit at the first scan
     whose outputs differ."""
     from time import perf_counter
@@ -165,6 +200,7 @@ def time_scenes(base, this, scenes, passes: int) -> dict[str, list[float]]:
     ratios, turn = {label: [] for label, _, _ in scenes}, 0
     for _ in range(passes):
         for label, scene, batches in scenes:
+            ratios[label].append([])
             ests = [importlib.import_module(p.__name__ + ".odometry").OdometryEstimator()
                     for p in (base, this)]
             for k, (scan, batch) in enumerate(zip(scene.scans, batches)):
@@ -177,7 +213,7 @@ def time_scenes(base, this, scenes, passes: int) -> dict[str, list[float]]:
                 if outputs[0] != outputs[1]:
                     raise SystemExit(f"{label}: outputs differ at scan {k}")
                 if k > 0:
-                    ratios[label].append(times[1] / times[0])
+                    ratios[label][-1].append(times[1] / times[0])
     return ratios
 
 
@@ -192,6 +228,24 @@ def bootstrap_median(values) -> tuple[float, float, float]:
     medians = np.median(rng.choice(values, (BOOTSTRAP_RESAMPLES, len(values))), axis=1)
     low, high = np.percentile(medians, [2.5, 97.5])
     return float(np.median(values)), float(low), float(high)
+
+
+def pass_spread(per_pass) -> tuple[float, float]:
+    """(lowest, highest) median of the ratios of one pass."""
+    import numpy as np
+
+    medians = [float(np.median(ratios)) for ratios in per_pass]
+    return min(medians), max(medians)
+
+
+def summary(per_pass) -> str:
+    """The median of all the passes' ratios with its bootstrap interval,
+    and the spread of the pass medians."""
+    pooled = [r for ratios in per_pass for r in ratios]
+    median, low, high = bootstrap_median(pooled)
+    least, most = pass_spread(per_pass)
+    return (f"{median:.3f} [{low:.3f}, {high:.3f}], pass medians {least:.3f}-{most:.3f}, "
+            f"over {len(pooled)} scans")
 
 
 def time_against(base_src: Path) -> None:
@@ -213,14 +267,15 @@ def time_against(base_src: Path) -> None:
         scenes.append((label, scene, imu_batches(scene, window)))
     ratios = time_scenes(base, this, scenes, TIME_PASSES)
     print(f"every output the same; time per scan, this tree over base, "
-          f"{TIME_PASSES} passes, median ratio [95 % bootstrap interval]:")
-    for workload in dict.fromkeys(name for _, name, _, _ in TIME_SCENES):
-        group = [r for label, name, _, _ in TIME_SCENES if name == workload
-                 for r in ratios[label]]
-        median, low, high = bootstrap_median(group)
-        print(f"  {workload}: {median:.3f} [{low:.3f}, {high:.3f}] over {len(group)} scans")
-    median, low, high = bootstrap_median([r for rs in ratios.values() for r in rs])
-    print(f"  all: {median:.3f} [{low:.3f}, {high:.3f}]")
+          f"{TIME_PASSES} passes, median ratio [95 % bootstrap interval], "
+          f"spread of the pass medians:")
+    groups = {name: [label for label, n, _, _ in TIME_SCENES if n == name]
+              for _, name, _, _ in TIME_SCENES}
+    groups["all"] = list(ratios)
+    for name, labels in groups.items():
+        per_pass = [[r for label in labels for r in ratios[label][p]]
+                    for p in range(TIME_PASSES)]
+        print(f"  {name}: {summary(per_pass)}")
 
 
 def main(argv=None) -> int:
@@ -254,7 +309,9 @@ def main(argv=None) -> int:
             differ |= new != old
             cells.append(f"{kind} {new[:16]} "
                          + ("same" if new == old else f"DIFFERS (base {old[:16]})"))
-        print(f"{label} ({rec['scans']} scans): " + ", ".join(cells))
+        if rec["output_digest"] != base[label]["output_digest"]:
+            cells.append(difference_note(rec, base[label]))
+        print(f"{label} ({len(rec['scans'])} scans): " + ", ".join(cells))
     print(f"base {args.base}: " + ("outputs differ" if differ else "every scene the same"))
     return 1 if differ else 0
 
