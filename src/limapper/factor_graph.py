@@ -18,33 +18,28 @@ an iteration, and it is the cost of the Gauss-Newton model's own weights.
 A prior (``MarginalPriorFactor``) is a fixed quadratic in the offset from
 its linearization point.
 
-An assembly (``_accumulate``) takes one pass per factor kind, kind after
-kind: each prior linearizes alone; one stacked pass forms the residuals,
-Jacobians and blocks of all IMU factors (``imu_residuals``,
-``imu_jacobians``); and one pass over the graph's ``MatchingBlock`` forms
-the relative poses of all matching links, binary then unary, has the
-target map of each link whose points can have moved past its bound look
-its points up at its pose (``GaussianVoxelMap.look_up``, which moves, packs
-and searches them), and takes the blocks (or the costs) of all held
-quadratics in one stacked call.  Each pass scatters its blocks into H and g
-right after it, at flat positions built once per solve (``_Placement``).
-So the terms reach each entry of H and g from zero, kind after kind and in
-factor order within a kind, whatever order the graph holds its factors in,
-and the costs are summed in that order too.  Each slice of a stacked
+A graph keeps each factor's state in one of three stores, by its kind:
+its priors, each linearized alone; its ``ImuBlock``, a row per IMU factor,
+costed and linearized in one stacked pass (``imu_residuals``,
+``imu_jacobians``); and its ``MatchingBlock``, a row per link, binary then
+unary, whose pass looks up the due links (``GaussianVoxelMap.look_up``)
+and takes the blocks or costs of all held quadratics in one stacked call.
+An assembly (``_accumulate``) takes the three in that order and adds all
+their blocks into H in one scatter and into g in one more, at positions
+built once per solve (``_Placement``).  So each entry sums its terms from
+zero store after store, in row order within one, whatever order the
+factors came in; the costs are summed so too.  Each slice of a stacked
 product is the 2-D product of that slice, so every block and cost is the
-same bits as with the factor taken alone.  The stacked passes are the only
-way a matching or IMU factor is costed or linearized; only the prior has
-its own ``cost`` and ``linearize``.
+same bits as with the factor taken alone.
 
-No factor repeats an evaluation whose inputs did not change.  The matching
-state has one owner, the graph's ``MatchingBlock``: a row per link from its
-commit until it is marginalized, with its last look-up and its held
-quadratic, which is exact at any pose for that look-up's rows and weights,
-and the relative poses of its last pass.  A solve keeps one memo
-(``_SolveMemo``) on the graph and drops it when it returns: the residual
-stage of the last IMU pass, so the linearization at an accepted candidate,
-whose cost formed that stage, forms only the Jacobians.  A marginal prior
-keeps its last offset.
+No factor repeats an evaluation whose inputs did not change.  A block
+lives with its rows, each from its commit until ``marginalize`` consumes
+it, and keeps what its last pass formed with the state objects it read:
+the IMU block its residuals, so the linearization at an accepted
+candidate, whose cost formed them, forms only the Jacobians; the matching
+block its relative poses, besides each link's last look-up and held
+quadratic, exact at any pose for that look-up's rows and weights.  A
+marginal prior keeps its last offset.
 
 Every variable is the SensorState of one frame, keyed by the frame's index,
 with a 15-dof tangent (rot, trans, vel, accel bias, gyro bias).
@@ -115,9 +110,8 @@ class ImuFactor(Factor):
 
     The factor holds only its preintegration and the information formed
     from its noise: the inverse of ``pre.cov`` on the motion rows and of
-    ``pre.walk`` on the bias rows.  All the IMU factors of a graph are
-    costed and linearized together, in one stacked pass over their K
-    residuals (``_imu_stage``) and Jacobians (``_imu_blocks``).
+    ``pre.walk`` on the bias rows.  Its row of the graph's ``ImuBlock``
+    costs and linearizes it with the others.
     """
 
     kind = "imu-preintegration"
@@ -131,51 +125,63 @@ class ImuFactor(Factor):
         self.information[9:, 9:] = np.diag(1.0 / pre.walk)
 
 
-class _ImuStage(NamedTuple):
-    """The stacked residual stage of K IMU factors at 2K states: state i
-    then state j of each factor, in factor order, with their K
-    preintegrations stacked into one ``PreintegratedImu``."""
-
-    factors: tuple
-    states: tuple
-    pre: PreintegratedImu
-    information: np.ndarray  # (K, 15, 15)
-    residuals: ImuResiduals
-    costs: list  # r.W r per factor, as Python floats
-
-
 def _same(a: tuple, b: tuple) -> bool:
     return len(a) == len(b) and all(x is y for x, y in zip(a, b))
 
 
-def _imu_stage(factors, values, last: _ImuStage | None = None) -> _ImuStage:
-    """The residual stage of the IMU factors at the values.  It is ``last``
-    itself when that holds the same factors at the same state objects,
-    compared with ``is``: the states are immutable and the stage holds
-    them, so an equal identity is an equal input.  With the same factors
-    only, it reuses last's stacked preintegrations and informations."""
-    factors = tuple(factors)
-    states = tuple(values[k] for f in factors for k in f.keys)
-    if last is not None and _same(last.factors, factors):
-        if _same(last.states, states):
-            return last
-        pre, info = last.pre, last.information
-    else:
-        pre = stack([f.pre for f in factors])
-        info = np.array([f.information for f in factors])
-    res = imu_residuals(states[0::2], states[1::2], pre)
-    r = res.residual
-    costs = np.matmul(np.matmul(r[:, None, :], info), r[:, :, None])[:, 0, 0]
-    return _ImuStage(factors, states, pre, info, res, costs.tolist())
+class ImuBlock:
+    """The IMU factors of a graph, one row per factor in the order they
+    came: its handle (``factors``), its preintegration among the K stacked
+    ones (``pre``) and its information among the (K, 15, 15)
+    ``information``, stacked when the rows change; the only store of them,
+    held by the graph until ``marginalize`` consumes the factor.  A cost
+    forms the residuals of all rows in one stacked pass, and a
+    linearization their Jacobians in another.  The residuals and costs of
+    the last pass are kept with the state objects they were formed at,
+    compared with ``is`` as in ``MatchingBlock._relative_poses``, so the
+    linearization at an accepted candidate, whose cost formed them, forms
+    only the Jacobians."""
 
+    def __init__(self):
+        self._rows([])
 
-def _imu_blocks(stage: _ImuStage) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients (K, 30) and Gauss-Newton Hessians (K, 30, 30) of the
-    stage's factors, 2 J^T W r and 2 J^T W J, over state i then state j."""
-    jac = imu_jacobians(stage.residuals, stage.pre)
-    w = np.matmul(2.0 * jac.transpose(0, 2, 1), stage.information)
-    return (np.matmul(w, stage.residuals.residual[:, :, None])[:, :, 0],
-            np.matmul(w, jac))
+    def add(self, factor: ImuFactor) -> None:
+        """Append the factor's row."""
+        self._rows([*self.factors, factor])
+
+    def keep(self, rows) -> None:
+        """Keep only the rows at the indices, in their order."""
+        self._rows([self.factors[n] for n in rows])
+
+    def _rows(self, factors) -> None:
+        self.factors, self.states, self.stage = factors, None, None
+        self.pre = stack([f.pre for f in factors]) if factors else None
+        self.information = np.array([f.information for f in factors]).reshape(-1, 15, 15)
+
+    def _stage(self, values) -> tuple[ImuResiduals, list]:
+        """The residuals and costs r.W r of the rows at the values; those
+        of the last call when it read the same state objects."""
+        states = tuple(values[k] for f in self.factors for k in f.keys)
+        if self.states is None or not _same(self.states, states):
+            res = imu_residuals(states[0::2], states[1::2], self.pre)
+            r = res.residual
+            costs = np.matmul(np.matmul(r[:, None, :], self.information), r[:, :, None])
+            self.states, self.stage = states, (res, costs[:, 0, 0].tolist())
+        return self.stage
+
+    def costs(self, values) -> list[float]:
+        """The cost of every row at the values, as Python floats."""
+        return self._stage(values)[1] if self.factors else []
+
+    def linearize(self, values):
+        """Gradients 2 J^T W r (K, 30) and Gauss-Newton Hessians 2 J^T W J
+        (K, 30, 30), over state i then j, and costs of the rows at values."""
+        if not self.factors:
+            return np.zeros((0, 30)), np.zeros((0, 30, 30)), []
+        res, costs = self._stage(values)
+        jac = imu_jacobians(res, self.pre)
+        w = np.matmul(2.0 * jac.transpose(0, 2, 1), self.information)
+        return np.matmul(w, res.residual[:, :, None])[:, :, 0], np.matmul(w, jac), costs
 
 
 class MatchingCostFactor(Factor):
@@ -268,18 +274,24 @@ class MatchingBlock:
         self._index()
 
     def extend(self, other: MatchingBlock) -> None:
-        """Append the rows of another block with their state."""
-        self.factors += other.factors
+        """Append the rows of another block with their state, binary first."""
+        a, b = self.binary, other.binary
+
+        def merged(own, new):
+            return np.concatenate([own[:a], new[:b], own[a:], new[b:]])
+
+        self.factors = [*self.factors[:a], *other.factors[:b],
+                        *self.factors[a:], *other.factors[b:]]
         for name in _ROW_ARRAYS:
-            setattr(self, name, np.concatenate([getattr(self, name), getattr(other, name)]))
-        self.terms = FrozenTerms(*map(np.concatenate, zip(self.terms, other.terms)))
-        self.keep(np.argsort([f.grounding for f in self.factors], kind="stable"))
+            setattr(self, name, merged(getattr(self, name), getattr(other, name)))
+        self.terms = FrozenTerms(*map(merged, self.terms, other.terms))
+        self._index()
 
     def _relative_poses(self, values) -> tuple[np.ndarray, np.ndarray]:
         """Rotations (K, 3, 3) and translations (K, 3) of the relative poses
         T_j^-1 T_i, from the source pose T_i and the target pose T_j (held
         or fixed); those of the last call when it read the same state
-        objects, compared with ``is`` as ``_imu_stage`` compares them.  They
+        objects, compared with ``is`` as an ``ImuBlock`` compares them.  They
         are the products that ``pose_compose(pose_inverse(T_j), T_i)``
         forms, R_j^T R_i and t_i R_j - t_j R_j with row vectors; a stacked
         ``np.matmul`` forms each slice with the BLAS call of the 2-D
@@ -354,7 +366,8 @@ def linked(candidates, values) -> MatchingBlock:
     next cost and linearization (``FactorGraph.add_links``)."""
     block = MatchingBlock(candidates)
     block._look_ups(values, relook=False)
-    block.keep(np.flatnonzero(block.held))
+    if not block.held.all():
+        block.keep(np.flatnonzero(block.held))
     return block
 
 
@@ -431,40 +444,16 @@ def _layout(keys):
     return slices, STATE_DIM * len(slices)
 
 
-class _SolveMemo:
-    """The factors of one list that linearize alone and the IMU factors,
-    each in factor order, the block that holds the rows of its matching
-    factors, and the residual stage of the last IMU pass, so that a
-    linearization at the states of the last cost forms only the Jacobians.
-    ``optimize_lm`` keeps one on the graph while it runs and drops it when
-    it returns."""
-
-    def __init__(self, factors, block: MatchingBlock):
-        self.alone = [f for f in factors
-                      if not isinstance(f, (ImuFactor, MatchingCostFactor))]
-        self.imu = [f for f in factors if isinstance(f, ImuFactor)]
-        self.block = block
-        self.stage: _ImuStage | None = None
-
-    def imu_stage(self, values) -> _ImuStage:
-        self.stage = _imu_stage(self.imu, values, self.stage)
-        return self.stage
-
-
 class _Placement:
-    """Where the blocks of each kind of a memo's factors land in the normal
-    equations of one layout, built once for the factors and the layout: per
-    factor that linearizes alone (``alone_at``), for the IMU stack
-    (``imu_at``), and for the binary and the unary matching rows
-    (``binary_at``, ``unary_at``; a matching block covers the pose of each
-    key, so a unary one only its source's).  Each is the pair of flat
-    positions in the row-major H and in g of its blocks' entries, factor
-    after factor and each block row-major, so that one scatter per kind
-    adds each entry's terms in factor order."""
+    """Where the blocks of a graph's three stores land in the normal
+    equations of one layout, built once for both: the flat positions in the
+    row-major H (``h_at``) and in g (``g_at``) of each prior's block, then
+    of the IMU rows' and of the binary and the unary matching rows' (the
+    pose of each key, so a unary row only its source's), row by row."""
 
-    def __init__(self, memo: _SolveMemo, slices, dim):
+    def __init__(self, priors, imu: ImuBlock, matching: MatchingBlock, slices, dim):
         self.dim = dim
-        matching, self.binary = memo.block.factors, memo.block.binary
+        b = matching.binary
 
         def at(fs, keys, width):
             # (H, g) positions of the leading `width` components of each key
@@ -475,44 +464,28 @@ class _Placement:
             # dimensions
             return (rows[:, :, None] * dim + rows[:, None, :]).ravel(), rows.ravel()
 
-        self.alone_at = [at([f], len(f.keys), STATE_DIM) for f in memo.alone]
-        self.imu_at = at(memo.imu, 2, STATE_DIM)
-        self.binary_at = at(matching[:self.binary], 2, 6)
-        self.unary_at = at(matching[self.binary:], 1, 6)
+        places = [*(at([f], len(f.keys), STATE_DIM) for f in priors),
+                  at(imu.factors, 2, STATE_DIM), at(matching.factors[:b], 2, 6),
+                  at(matching.factors[b:], 1, 6)]
+        self.h_at, self.g_at = (np.concatenate(p) for p in zip(*places))
 
 
-def _accumulate(memo: _SolveMemo, values, slices, dim,
-                placement: _Placement | None = None):
-    """Dense normal equations (H, g) and total cost of the memo's factors
-    at values.
-
-    Each kind takes one pass, and its blocks are scattered into H and g at
-    the positions of ``placement`` right after it: every factor that
-    linearizes alone, then the IMU factors in one stacked pass, then the
-    matching rows in one stacked linearization.  The costs are summed from
-    zero in the same order, as ``FactorGraph.total_cost`` sums them.
-    ``placement``, built here when not given, must be of the memo."""
-    p = placement or _Placement(memo, slices, dim)
+def _accumulate(priors, imu: ImuBlock, matching: MatchingBlock, values, p: _Placement):
+    """Dense normal equations (H, g) and total cost of the three stores at
+    values, for their placement ``p``: each prior linearized alone, then the
+    IMU rows and the matching rows in a stacked pass each, all blocks added
+    into H in one scatter and into g in one more, and the costs summed from
+    zero in the same order, as ``FactorGraph.total_cost`` sums them."""
+    lins = [f.linearize(values) for f in priors]
+    imu_g, imu_h, imu_costs = imu.linearize(values)
+    grad, hess, costs = matching.linearize(values)
+    b = matching.binary
     h, g, cost = np.zeros(p.dim * p.dim), np.zeros(p.dim), 0.0
-    for f, (h_at, g_at) in zip(memo.alone, p.alone_at):
-        lin = f.linearize(values)
-        np.add.at(h, h_at, lin.h.ravel())
-        np.add.at(g, g_at, lin.g)
-        cost += lin.cost
-    imu_costs = []
-    if memo.imu:
-        stage = memo.imu_stage(values)
-        grad, hess = _imu_blocks(stage)
-        np.add.at(h, p.imu_at[0], hess.ravel())
-        np.add.at(g, p.imu_at[1], grad.ravel())
-        imu_costs = stage.costs
-    grad, hess, costs = memo.block.linearize(values)
-    b = p.binary
-    np.add.at(h, p.binary_at[0], hess[:b].ravel())
-    np.add.at(g, p.binary_at[1], grad[:b].ravel())
-    np.add.at(h, p.unary_at[0], hess[b:, :6, :6].ravel())
-    np.add.at(g, p.unary_at[1], grad[b:, :6].ravel())
-    for c in imu_costs + costs:
+    np.add.at(h, p.h_at, np.concatenate([*(lin.h.ravel() for lin in lins), imu_h.ravel(),
+                                         hess[:b].ravel(), hess[b:, :6, :6].ravel()]))
+    np.add.at(g, p.g_at, np.concatenate([*(lin.g for lin in lins), imu_g.ravel(),
+                                         grad[:b].ravel(), grad[b:, :6].ravel()]))
+    for c in [*(lin.cost for lin in lins), *imu_costs, *costs]:
         cost += c
     return h.reshape(p.dim, p.dim), g, cost
 
@@ -599,11 +572,14 @@ class FactorGraph:
 
     def __init__(self):
         self.values: dict[int, SensorState] = {}
+        # the handles in the order they came, which orders a marginal
+        # prior's keys; each factor's state is in one of the three stores
         self.factors: list[Factor] = []
+        self.priors: list[Factor] = []  # the factors that linearize alone
+        self.imu = ImuBlock()  # the rows of the IMU factors
         self.matching = MatchingBlock()  # the rows of the matching factors
         # (H, slices) of the last assembly of optimize_lm
         self._normal: tuple[np.ndarray, dict] | None = None
-        self._memo: _SolveMemo | None = None  # while optimize_lm runs
 
     def add_variable(self, key: int, initial_value) -> None:
         if key in self.values:
@@ -611,11 +587,14 @@ class FactorGraph:
         self.values[key] = initial_value
 
     def add_factor(self, factor: Factor) -> None:
-        """Add a factor; a matching one's link gets a row of the graph's
-        block, with no look-up yet."""
+        """Add a factor to its store: a row of the matching block (with no
+        look-up yet) or of the IMU block, or a place among the priors."""
         if isinstance(factor, MatchingCostFactor):
             return self.add_links(MatchingBlock([factor]))
         self._add([factor])
+        if isinstance(factor, ImuFactor):
+            return self.imu.add(factor)
+        self.priors.append(factor)
 
     def add_links(self, block: MatchingBlock) -> None:
         """Add the links of a block; their rows, with their look-ups and
@@ -631,15 +610,10 @@ class FactorGraph:
 
     def total_cost(self, values) -> float:
         """Sum of the factor costs at the values, from zero in the order of
-        ``_accumulate``: every factor that is costed alone, then the IMU
-        factors from one stacked evaluation, then the matching rows from
-        another.  Within a solve, the solve's memo keeps the IMU residual
-        stage for the next linearization, as the block keeps its relative
-        poses."""
-        memo = self._memo or _SolveMemo(self.factors, self.matching)
+        ``_accumulate``: each prior costed alone, then the IMU rows and the
+        matching rows in a stacked evaluation each."""
         cost = 0.0
-        for c in [*(f.cost(values) for f in memo.alone),
-                  *(memo.imu_stage(values).costs if memo.imu else ()),
+        for c in [*(f.cost(values) for f in self.priors), *self.imu.costs(values),
                   *self.matching.costs(values)]:
             cost += c
         return cost
@@ -683,21 +657,12 @@ class FactorGraph:
         that iteration, which an accepted step may have moved since.  The
         odometry reads no covariance; only a caller of marginal_covariance,
         such as a local mapping stage, pays for factorizing H.
-
-        The stacked passes of the solve share one memo (``_SolveMemo``),
-        which the graph holds until the solve returns or raises.
         """
         settings = settings or LmSettings()
         self.check_structure()
-        self._memo = _SolveMemo(self.factors, self.matching)
-        try:
-            return self._solve(settings)
-        finally:
-            self._memo = None
-
-    def _solve(self, settings: LmSettings) -> OptimizeResult:
+        stores = self.priors, self.imu, self.matching
         slices, dim = _layout(self.values)
-        placement = _Placement(self._memo, slices, dim)
+        placement = _Placement(*stores, slices, dim)
         values = dict(self.values)
         initial_cost = cost = self.total_cost(values)
         lam, nu = LAMBDA_INIT, 2.0
@@ -710,7 +675,7 @@ class FactorGraph:
         best = None  # lowest cost at a linearization so far
         stalled = 0  # linearizations since best was last lowered
         while not converged and iterations < settings.max_iterations:
-            h, g, cost = _accumulate(self._memo, values, slices, dim, placement)
+            h, g, cost = _accumulate(*stores, values, placement)
             self._normal = (h, slices)
             iterations += 1
             if best is None or (cost < best and not negligible(best - cost, best)):
@@ -757,14 +722,22 @@ class FactorGraph:
 
         All factors touching a removed key are linearized at the current
         estimate, consumed, and replaced by one MarginalPriorFactor over the
-        retained keys they touched; the rows of the matching ones leave the
-        graph's block.
+        retained keys they touched; their rows leave the graph's blocks.  A
+        repeated key counts once, and an empty list changes nothing and
+        returns an empty prior, as when no key is retained.
         """
-        removed = list(keys_to_remove)
+        removed = list(dict.fromkeys(keys_to_remove))
         for k in removed:
             if k not in self.values:
                 raise UnknownVariable(f"variable {k} not in graph")
+        if not removed:
+            return MarginalPriorFactor((), {}, np.zeros((0, 0)), np.zeros(0))
         removed_set = set(removed)
+
+        def touched(factors):
+            return np.array([any(k in removed_set for k in f.keys) for f in factors],
+                            dtype=bool)
+
         involved, remaining = [], []
         for f in self.factors:
             (involved if any(k in removed_set for k in f.keys) else remaining).append(f)
@@ -780,13 +753,16 @@ class FactorGraph:
         except UnderConstrainedGraph as exc:
             raise DisconnectedGraph(str(exc)) from exc
 
-        # local ordering: removed first, then retained
+        # local ordering: removed first, then retained; the involved rows
+        # of each store
         slices, dim = _layout(removed + retained)
-        touched = np.array([any(k in removed_set for k in f.keys)
-                            for f in self.matching.factors], dtype=bool)
-        links = copy.copy(self.matching)  # the rows of the involved links
-        links.keep(np.flatnonzero(touched))
-        h, g, cost = _accumulate(_SolveMemo(involved, links), self.values, slices, dim)
+        priors = [f for f in self.priors if any(k in removed_set for k in f.keys)]
+        imu_rows, link_rows = touched(self.imu.factors), touched(self.matching.factors)
+        imu, links = copy.copy(self.imu), copy.copy(self.matching)
+        imu.keep(np.flatnonzero(imu_rows))
+        links.keep(np.flatnonzero(link_rows))
+        h, g, cost = _accumulate(priors, imu, links, self.values,
+                                 _Placement(priors, imu, links, slices, dim))
 
         r_dim = STATE_DIM * len(removed)
         h_rk = h[:r_dim, r_dim:]
@@ -798,7 +774,9 @@ class FactorGraph:
         g_marg = g[r_dim:] - h_rk.T @ x_r
 
         self.factors = remaining
-        self.matching.keep(np.flatnonzero(~touched))
+        self.priors = [f for f in self.priors if f not in priors]
+        self.imu.keep(np.flatnonzero(~imu_rows))
+        self.matching.keep(np.flatnonzero(~link_rows))
         for k in removed:
             del self.values[k]
         # the quadratic model c + g.d + d.H.d/2 at its minimum over the

@@ -5,6 +5,11 @@ run checks the same cases and a failure repeats, and it applies no
 per-example deadline, because the speed of a shared host can drift by half
 between runs.  ``max_examples`` bounds the time the property tests add.
 With fixed examples an example database would add nothing, so none is kept.
+The examples are fixed only for one set of loaded modules, though:
+Hypothesis (6.155) also draws example literals from the local modules that
+are loaded, so a test file run alone can draw other examples than it draws
+in the whole suite.  CI therefore runs each tier-1 file alone too, and an
+example that fails only there is pinned with ``@example``.
 
 The benchmark's directory goes on the import path, so that the tests build
 its scenes with its own helpers (``workloads``, ``run``) instead of copies.

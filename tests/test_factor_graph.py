@@ -16,16 +16,18 @@ from limapper.errors import (
     UnderConstrainedGraph,
     UnknownVariable,
 )
-from limapper import factor_graph
+from limapper import factor_graph, imu as imu_module
 from limapper.factor_graph import (
     FactorGraph,
     FactorLinearization,
+    ImuBlock,
     ImuFactor,
     LmSettings,
     MarginalPriorFactor,
     MatchingBlock,
     MatchingCostFactor,
     RELOOK_FRACTION,
+    _Placement,
     _accumulate,
     _layout,
     linked,
@@ -45,10 +47,9 @@ from limapper.imu import (
     GRAVITY,
     ImuNoiseParams,
     ImuSample,
-    PreintegratedImu,
     preintegrate,
 )
-from limapper.registration import GaussianVoxelMap, build_voxelmap
+from limapper.registration import FrozenTerms, GaussianVoxelMap, build_voxelmap
 from limapper.synthetic import generate_synthetic_scene
 
 from test_geometry import identity_pose, pose_apply, zero_state
@@ -125,7 +126,9 @@ def prior_bowl():
     return g, target
 
 
-def two_pose_registration():
+def two_pose_registration(anchor=np.full(15, 1e6)):
+    """Frame 1 registered to frame 0, whose state the prior information
+    ``anchor`` holds at zero, with frame 1's velocity and bias held."""
     rng = np.random.default_rng(3)
     cloud = box_room_frame_plane_covs(rng, n_per_wall=150)
     vmap = build_voxelmap(cloud, 0.5)
@@ -138,7 +141,7 @@ def two_pose_registration():
     perturb = np.concatenate([rng.normal(size=3) * (5 * np.pi / 180 / np.sqrt(3)),
                               rng.normal(size=3) * (0.1 / np.sqrt(3))])
     g.add_variable(1, at_pose(pose_retract(true_rel, perturb)))
-    g.add_factor(state_prior(0, zero_state(), np.full(15, 1e6)))
+    g.add_factor(state_prior(0, zero_state(), anchor))
     g.add_factor(MatchingCostFactor(1, moved, vmap, 0, min_inliers=10))
     hold_motion(g, 1)
     return g, true_rel
@@ -744,11 +747,38 @@ class TestMarginalizationEdges:
         assert all(g.values[k] is v for k, v in values.items())
         assert g.factors == factors
 
+    @staticmethod
+    def chain():
+        return translation_chain(3, np.random.default_rng(13), [0.0] * 3, [0.0] * 3,
+                                 [10.0] * 6)
+
+    def test_a_repeated_key_counts_once(self):
+        twice, once = self.chain(), self.chain()
+        a, b = twice.marginalize([1, 1]), once.marginalize([1])
+        assert a.keys == b.keys == (0, 2)
+        assert a.hessian.tobytes() == b.hessian.tobytes()
+        assert a.gradient.tobytes() == b.gradient.tobytes()
+        assert a.constant == b.constant
+        for g in (twice, once):
+            assert list(g.values) == [0, 2]
+            assert (len(g.priors), len(g.imu.factors)) == (4, 0)
+        assert [f.kind for f in twice.factors] == [f.kind for f in once.factors]
+
+    def test_an_empty_list_changes_nothing(self):
+        g = self.chain()
+        values, factors, priors = dict(g.values), list(g.factors), list(g.priors)
+        imu_rows = g.imu.factors
+        prior = g.marginalize([])
+        assert prior.keys == () and prior.constant == 0.0
+        assert prior.hessian.shape == (0, 0) and prior.gradient.shape == (0,)
+        assert list(g.values) == list(values)
+        assert all(g.values[k] is v for k, v in values.items())
+        assert g.factors == factors and g.priors == priors and g.imu.factors is imu_rows
+
     def test_unobserved_velocity_and_bias_fold_through_the_jitter(self, monkeypatch):
         # frame 0 keeps its pose prior and its matching factor, but nothing
         # informs its velocity or biases, so their block of H is zero
-        g, _ = two_pose_registration()
-        g.factors[0] = state_prior(0, zero_state(), np.r_[np.full(6, 1e6), np.zeros(9)])
+        g, _ = two_pose_registration(anchor=np.r_[np.full(6, 1e6), np.zeros(9)])
         raised = record_cholesky(monkeypatch)
         prior = g.marginalize([0])
         assert raised == [True, False]
@@ -836,12 +866,19 @@ class TestMarginalizationProperties:
             assert np.linalg.norm(err) < 1e-8
 
 
+def imu_block(factors) -> ImuBlock:
+    """A block of the IMU factors' rows, in their order."""
+    block = ImuBlock()
+    for f in factors:
+        block.add(f)
+    return block
+
+
 def linearize_imu(f, values) -> FactorLinearization:
-    """One IMU factor linearized by the graph's stacked pass with that
-    factor alone."""
-    stage = factor_graph._imu_stage([f], values)
-    grad, hess = factor_graph._imu_blocks(stage)
-    return FactorLinearization(grad[0], hess[0], stage.costs[0])
+    """One IMU factor linearized by the stacked pass of a block that holds
+    that factor alone."""
+    grad, hess, costs = imu_block([f]).linearize(values)
+    return FactorLinearization(grad[0], hess[0], costs[0])
 
 
 def reference_imu_lin(f, values):
@@ -909,9 +946,9 @@ def reference_cost(f, values, block):
 
 
 def assemble(graph, values, slices, dim):
-    """(H, g, cost) of the graph's assembly at the values, with a new memo."""
-    return _accumulate(factor_graph._SolveMemo(graph.factors, graph.matching), values,
-                       slices, dim)
+    """(H, g, cost) of the assembly of the graph's stores at the values."""
+    stores = graph.priors, graph.imu, graph.matching
+    return _accumulate(*stores, values, _Placement(*stores, slices, dim))
 
 
 class TestStackedAssembly:
@@ -980,30 +1017,41 @@ class TestStackedAssembly:
             self, window, monkeypatch):
         graph = copy.deepcopy(window)
         assembled = factor_graph._accumulate
+        oldest = next(iter(graph.values))
+        involved = [f for f in graph.factors if oldest in f.keys]
+        # the layout of marginalize: the removed key, then the retained ones
+        # in the order the graph holds their factors
+        slices, dim = _layout([oldest, *dict.fromkeys(
+            k for f in involved for k in f.keys if k != oldest)])
         checked = []
 
-        def compare(memo, values, slices, dim, *rest):
-            h, g, cost = assembled(memo, values, slices, dim, *rest)
-            factors = memo.alone + memo.imu + memo.block.factors
+        def compare(priors, imu, matching, values, placement):
+            h, g, cost = assembled(priors, imu, matching, values, placement)
+            factors = priors + imu.factors + matching.factors
             h_ref, g_ref, cost_ref = reference_assembly(factors, values, slices, dim,
-                                                        memo.block)
+                                                        matching)
             checked.append((h.tobytes() == h_ref.tobytes(),
                             g.tobytes() == g_ref.tobytes(), cost == cost_ref))
             return h, g, cost
 
         monkeypatch.setattr(factor_graph, "_accumulate", compare)
-        oldest = next(iter(graph.values))
-        involved = [f for f in graph.factors if oldest in f.keys]
         assert {f.kind for f in involved} >= {"imu-preintegration",
                                               "marginal-prior",
                                               "matching-cost-binary"}
-        rows = len(graph.matching.factors)
+        rows = len(graph.matching.factors), len(graph.imu.factors), len(graph.priors)
         graph.marginalize([oldest])
         assert checked == [(True, True, True)]
-        # the rows of the removed links leave the block with them
-        assert len(graph.matching.factors) == rows - sum(
-            isinstance(f, MatchingCostFactor) for f in involved)
-        assert all(oldest not in f.keys for f in graph.matching.factors)
+        # the rows of the removed factors leave their stores with them, and
+        # the new prior joins the priors
+        assert (len(graph.matching.factors), len(graph.imu.factors),
+                len(graph.priors)) == (
+            rows[0] - sum(isinstance(f, MatchingCostFactor) for f in involved),
+            rows[1] - sum(isinstance(f, ImuFactor) for f in involved),
+            rows[2] + 1 - sum(isinstance(f, MarginalPriorFactor) for f in involved))
+        for store in (graph.matching.factors, graph.imu.factors, graph.priors):
+            assert all(oldest not in f.keys for f in store)
+        assert graph.imu.pre.cov.shape[0] == len(graph.imu.factors)
+        assert graph.imu.information.shape[0] == len(graph.imu.factors)
 
     def test_stacked_imu_pass_equals_each_factor_alone(self, window):
         imu = [f for f in window.factors if isinstance(f, ImuFactor)]
@@ -1012,8 +1060,10 @@ class TestStackedAssembly:
         step = {k: state_retract(v, rng.normal(scale=1e-3, size=15))
                 for k, v in window.values.items()}
         for at in (window.values, step):
-            stage = factor_graph._imu_stage(imu, at)
-            grad, hess = factor_graph._imu_blocks(stage)
+            block = imu_block(imu)
+            costs = block.costs(at)
+            grad, hess, lin_costs = block.linearize(at)
+            assert lin_costs == costs
             for k, f in enumerate(imu):
                 g_ref, h_ref, cost_ref = reference_imu_lin(f, at)
                 alone = linearize_imu(f, at)
@@ -1021,7 +1071,7 @@ class TestStackedAssembly:
                     assert got.tobytes() == g_ref.tobytes()
                 for got in (hess[k], alone.h):
                     assert got.tobytes() == h_ref.tobytes()
-                assert stage.costs[k] == alone.cost == cost_ref
+                assert costs[k] == alone.cost == cost_ref
 
     def test_linearization_at_an_accepted_candidate_forms_only_the_jacobians(
             self, window):
@@ -1030,33 +1080,42 @@ class TestStackedAssembly:
         rng = np.random.default_rng(6)
         candidate = {k: state_retract(v, rng.normal(scale=1e-4, size=15))
                      for k, v in graph.values.items()}
-        memo = graph._memo = factor_graph._SolveMemo(graph.factors, graph.matching)
-        placement = factor_graph._Placement(memo, slices, dim)
-        graph.total_cost(candidate)  # the candidate's cost fills the memo
-        stage, poses = memo.stage, graph.matching.poses
+        stores = graph.priors, graph.imu, graph.matching
+        placement = _Placement(*stores, slices, dim)
+        graph.total_cost(candidate)  # the candidate's cost fills the stages
+        stage, poses = graph.imu.stage, graph.matching.poses
         with mock.patch.object(factor_graph, "imu_residuals",
                                wraps=factor_graph.imu_residuals) as residuals:
-            kept = _accumulate(memo, candidate, slices, dim, placement)
-            assert residuals.call_count == 0 and memo.stage is stage
+            kept = _accumulate(*stores, candidate, placement)
+            assert residuals.call_count == 0 and graph.imu.stage is stage
             assert graph.matching.poses is poses
-            for f in graph.factors:
-                if isinstance(f, MarginalPriorFactor):
-                    f._last = None
-            graph.matching.states = None
+            for f in graph.priors:
+                f._last = None
+            graph.imu.states = graph.matching.states = None
             fresh = assemble(graph, candidate, slices, dim)
             assert residuals.call_count == 1 and graph.matching.poses is not poses
         for a, b in zip(kept, fresh):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
-    def test_a_window_solve_stacks_no_terms(self, window):
-        # the block holds the stacked terms; a solve stacks only the IMU
-        # factors' preintegrations
+    @staticmethod
+    def stacked_in_a_solve(window):
+        """The records that each ``stack`` call of a window solve stacked."""
         graph = copy.deepcopy(window)
-        with mock.patch.object(factor_graph, "stack", wraps=factor_graph.stack) as stacked:
+        with (mock.patch.object(factor_graph, "stack", wraps=factor_graph.stack) as fg,
+              mock.patch.object(imu_module, "stack", wraps=imu_module.stack) as own):
             graph.optimize_lm()
-        assert stacked.call_count > 0
-        assert all(isinstance(p, PreintegratedImu)
-                   for c in stacked.call_args_list for p in c.args[0])
+        return [c.args[0] for c in fg.call_args_list + own.call_args_list]
+
+    def test_a_window_solve_stacks_no_terms(self, window):
+        # the matching block holds the stacked terms
+        assert not any(isinstance(r, FrozenTerms)
+                       for records in self.stacked_in_a_solve(window) for r in records)
+
+    def test_a_window_solve_stacks_no_preintegration(self, window):
+        # the IMU block stacks each preintegration once, as its row comes,
+        # so a solve stacks nothing
+        assert any(isinstance(f, ImuFactor) for f in window.factors)
+        assert self.stacked_in_a_solve(window) == []
 
     def test_no_second_look_up_at_the_pose_of_the_last(self, window):
         rows = window.matching
@@ -1180,25 +1239,49 @@ class TestSolveStacks:
             assert np.asarray(got).tobytes() == np.asarray(field).tobytes()
 
     def test_no_cache_outlives_its_solve(self):
-        # a solve's memo lives on the graph while the solve runs; the block
-        # lives with the graph's links, shares no memory with another
-        # graph's block, and drops the row of a marginalized link, and with
-        # it the link's source frame, at once
+        # each block lives with the graph's factors, shares no memory with
+        # another graph's block, and drops the row of a marginalized factor,
+        # and with it the link's source frame, the factor's preintegration
+        # and the states its last pass read, at once
         graphs = [two_pose_registration()[0] for _ in range(2)]
-        for g in graphs:
+        chains = [self.imu_pair() for _ in range(2)]
+        for g in graphs + chains:
             g.optimize_lm()
-        assert all(g._memo is None for g in graphs)
 
         def arrays(block):
             return [block.rot0, block.trans0, block.inliers, block.held, *block.terms,
                     *(a for found in block.found for a in found)]
 
-        a, b = (arrays(g.matching) for g in graphs)
-        assert all(not np.shares_memory(x, y) for x in a for y in b)
-        del a, b
+        def imu_arrays(block):
+            return [block.information, *block.pre, *block.stage[0]]
+
+        for held in (arrays(g.matching) for g in graphs), (imu_arrays(g.imu) for g in chains):
+            a, b = held
+            assert all(not np.shares_memory(x, y) for x in a for y in b)
+        del a, b, held
 
         g = graphs[0]
         source = weakref.ref(g.factors[1].source)
         g.marginalize([1])
         gc.collect()
         assert source() is None and g.matching.factors == []
+
+        g = chains[0]
+        states = [weakref.ref(s) for s in (g.values[0], g.imu.states[0])]
+        pre = weakref.ref(g.imu.factors[0].pre.cov)
+        g.marginalize([0])
+        gc.collect()
+        assert [s() for s in states] == [None, None]
+        assert pre() is None and g.imu.factors == [] and g.imu.states is None
+
+    @staticmethod
+    def imu_pair() -> FactorGraph:
+        """Two states one second apart, linked by an IMU factor on a
+        preintegration of its own, the first held by a prior."""
+        g = FactorGraph()
+        g.add_variable(0, zero_state())
+        g.add_variable(1, zero_state(1.0))
+        g.add_factor(state_prior(0, zero_state(), np.full(15, 1e6)))
+        g.add_factor(imu_factor(0, 1, preintegrate(STILL_SAMPLES, 0.0, 1.0, np.zeros(6),
+                                                   NOISE, MAX_GAP)))
+        return g

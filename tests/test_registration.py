@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from limapper import factor_graph, registration
@@ -799,10 +799,16 @@ class TestProperties:
             assert err <= 1e-12 * cond * np.abs(want).max()
 
     @given(seed=seeds, rot=angles, trans=offsets, rot_ij=angles)
+    # the weights of a combined covariance with a condition number of about
+    # 1700, whose rounding in the other frame reached 1.4e-12 of the largest
+    @example(seed=22, rot=[0.0, 1.4375, 1.0], trans=[0.0, 0.0, 0.0],
+             rot_ij=[0.0, 0.0, 0.0])
     def test_rigid_change_of_source_frame(self, seed, rot, trans, rot_ij):
         # expressing the source cloud in another frame T, and the relative
         # pose as t_ij T^-1, changes none of the matching terms nor the
-        # target pose's blocks
+        # target pose's blocks; each weight is the inverse of a combined
+        # covariance, so its rounding scales with their condition number, as
+        # in test_weight_is_the_inverse
         source, vmap = matched_pair(seed)
         t_ij = Se3Pose(so3_exp(0.05 * np.asarray(rot_ij)), np.array([0.02, -0.03, 0.01]))
         tf = Se3Pose(so3_exp(rot), np.asarray(trans))
@@ -819,9 +825,10 @@ class TestProperties:
         # match_terms bit for bit (TestRowKernelOracle)
         ref_a = reference_match_terms(source, vmap, t_ij, rows)
         ref_b = reference_match_terms(moved, vmap, t_moved, rows)
-        for name in ("d", "wd", "weight"):
+        cond = max(np.linalg.cond(symmetric(w)) for w in ref_a.weight.T)
+        for name, scale in (("d", 1.0), ("wd", 1.0), ("weight", cond)):
             x, y = getattr(ref_a, name), getattr(ref_b, name)
-            assert np.abs(x - y).max() <= 1e-12 * np.abs(x).max(), name
+            assert np.abs(x - y).max() <= 1e-12 * scale * np.abs(x).max(), name
         assert b.inliers == a.inliers
         assert b.cost == pytest.approx(a.cost, rel=1e-12)
         lin_a = blocks(*linearize_held(a, t_ij)[:2])
