@@ -11,13 +11,14 @@ from .errors import InsufficientOverlap
 ASSOCIATION_TOL = 0.05  # seconds
 
 
-def associate(est_records, gt_records, tol: float = ASSOCIATION_TOL):
-    """Pair each estimate with the nearest ground-truth stamp within tol."""
+def associate(est_records, gt_records):
+    """Pair each estimate with the nearest ground-truth stamp within
+    ASSOCIATION_TOL."""
     gt_stamps = np.array([r.stamp for r in gt_records])
     pairs = []
     for rec in est_records:
         i = int(np.searchsorted(gt_stamps, rec.stamp))
-        best, best_dt = None, tol
+        best, best_dt = None, ASSOCIATION_TOL
         for j in (i - 1, i):
             if 0 <= j < len(gt_records):
                 dt = abs(gt_stamps[j] - rec.stamp)
@@ -47,15 +48,14 @@ class AteResult:
     rmse: float
 
 
-def compute_ate(estimate, ground_truth, align: bool = True,
-                tol: float = ASSOCIATION_TOL) -> AteResult:
+def compute_ate(estimate, ground_truth, align: bool = True) -> AteResult:
     """Post-alignment RMSE of translational residuals.
 
-    Estimate and ground truth are lists of TrajectoryRecord; pairs are
-    associated by nearest stamp.  With align=True the estimate is first
-    mapped onto the ground truth by the closed-form rigid alignment.
+    Estimate and ground truth are lists of TrajectoryRecord, paired by
+    nearest stamp within ASSOCIATION_TOL.  With align=True the estimate is
+    first mapped onto the ground truth by the closed-form rigid alignment.
     """
-    pairs = associate(estimate, ground_truth, tol)
+    pairs = associate(estimate, ground_truth)
     if len(pairs) < 3:
         raise InsufficientOverlap(f"only {len(pairs)} associated pose pairs")
     est = np.array([p[0].position for p in pairs])

@@ -190,9 +190,8 @@ class MatchingCostFactor(Factor):
     Its target is the target frame's state key, which makes the factor
     binary, or that frame's fixed pose, which makes it unary and grounding
     (it anchors the source's component).  The link's matching state is its
-    row of a ``MatchingBlock``: the graph's, once the graph holds the link.
-    With an empty source or map the link contributes nothing and looks
-    nothing up."""
+    row of a ``MatchingBlock``, with which it enters a graph (``add_links``).
+    With an empty source or map it contributes nothing and looks nothing up."""
 
     def __init__(self, key_source: int, source: Frame, target_map: GaussianVoxelMap,
                  target: int | Se3Pose, *, min_inliers: int):
@@ -363,7 +362,7 @@ def linked(candidates, values) -> MatchingBlock:
     """The candidate links that hold terms after their first look-up at
     the values, as a block in row order: those that found at least
     ``min_inliers`` hits.  Their rows keep these look-ups and terms for the
-    next cost and linearization (``FactorGraph.add_links``)."""
+    next cost and linearization, in a graph through ``FactorGraph.add_links``."""
     block = MatchingBlock(candidates)
     block._look_ups(values, relook=False)
     if not block.held.all():
@@ -587,18 +586,18 @@ class FactorGraph:
         self.values[key] = initial_value
 
     def add_factor(self, factor: Factor) -> None:
-        """Add a factor to its store: a row of the matching block (with no
-        look-up yet) or of the IMU block, or a place among the priors."""
+        """Add a factor to its store: a row of the IMU block, or a place
+        among the priors.  A matching link enters through ``add_links``."""
         if isinstance(factor, MatchingCostFactor):
-            return self.add_links(MatchingBlock([factor]))
+            raise TypeError("a matching link enters through add_links")
         self._add([factor])
         if isinstance(factor, ImuFactor):
             return self.imu.add(factor)
         self.priors.append(factor)
 
     def add_links(self, block: MatchingBlock) -> None:
-        """Add the links of a block; their rows, with their look-ups and
-        terms, join the graph's block."""
+        """Add the links of a block, the only way in for matching links; their
+        rows, with any look-ups and terms, join the graph's block."""
         self._add(block.factors)
         self.matching.extend(block)
 

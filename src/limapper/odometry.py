@@ -83,13 +83,13 @@ MIN_INLIERS = 10
 INIT_GYRO_LIMIT = 0.05
 
 
-def initialize_from_rest(samples, gravity, window: float, gyro_limit: float,
-                         stamp: float) -> SensorState:
+def initialize_from_rest(samples, gravity, window: float, stamp: float) -> SensorState:
     """Bootstrap orientation and biases from stationary IMU data.
 
     Aligns the mean specific force with the gravity reaction (roll/pitch
     only, yaw zero), takes the gyro mean as gyro bias, and attributes any
-    leftover specific-force magnitude to the accelerometer bias.  Raises
+    leftover specific-force magnitude to the accelerometer bias.  The window
+    is stationary when no chunk's mean gyro exceeds INIT_GYRO_LIMIT.  Raises
     InitializationMotion, naming the cause, when the window does not qualify;
     it is marked ``unusable`` unless the window is only too short.
     """
@@ -109,7 +109,7 @@ def initialize_from_rest(samples, gravity, window: float, gyro_limit: float,
     # average short chunks so white noise does not masquerade as motion
     n_chunks = max(1, len(gyro) // 20)
     for chunk in np.array_split(gyro, n_chunks):
-        if np.linalg.norm(chunk.mean(axis=0)) > gyro_limit:
+        if np.linalg.norm(chunk.mean(axis=0)) > INIT_GYRO_LIMIT:
             raise InitializationMotion("gyro activity above the stationary limit",
                                        unusable=True)
     mean_a = accel.mean(axis=0)
@@ -313,9 +313,8 @@ class OdometryEstimator:
                      if len(pre_frame) >= KNN else None)
         if not self._window:
             try:
-                state = initialize_from_rest(
-                    self._imu, self.config.imu.gravity, window=cfg.init_window,
-                    gyro_limit=INIT_GYRO_LIMIT, stamp=scan.scan_start)
+                state = initialize_from_rest(self._imu, self.config.imu.gravity,
+                                             window=cfg.init_window, stamp=scan.scan_start)
             except InitializationMotion as exc:
                 if exc.unusable:
                     self._imu.clear()

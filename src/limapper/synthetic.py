@@ -58,14 +58,17 @@ def box_room(center=(0.0, 0.0, 0.0), size=(10.0, 8.0, 3.0)) -> World:
     return World(tuple(rects), lo, hi)
 
 
-def two_room_world(room_size=(8.0, 6.0, 3.0), gap: float = 22.0) -> World:
-    """Two closed rooms separated along x by an empty stretch.
+ROOM_SIZE = (8.0, 6.0, 3.0)  # m along x, y and z of each room of two_room_world
+
+
+def two_room_world(gap: float = 22.0) -> World:
+    """Two closed rooms of ROOM_SIZE, gap m apart along x.
 
     Open faces toward the gap let the trajectory pass through; in the middle
     of the gap nothing lies within typical sensor range, which starves the
     registration of geometry there.
     """
-    sx, sy, sz = room_size
+    sx, sy, sz = ROOM_SIZE
     rects = []
 
     def room(x0):
@@ -91,9 +94,9 @@ def two_room_world(room_size=(8.0, 6.0, 3.0), gap: float = 22.0) -> World:
     return World(tuple(rects), hull_min, hull_max)
 
 
-def cast_rays(world: World, origins: np.ndarray, dirs: np.ndarray,
-              min_range: float, max_range: float):
-    """Nearest hit per ray against every rectangle; NaN rows on misses."""
+def cast_rays(world: World, origins: np.ndarray, dirs: np.ndarray, max_range: float):
+    """Nearest hit per ray against every rectangle, from MIN_RANGE to
+    max_range, and the mask of the rays that hit; a miss's row is its origin."""
     n = origins.shape[0]
     best_t = np.full(n, np.inf)
     for rect in world.rects:
@@ -106,7 +109,7 @@ def cast_rays(world: World, origins: np.ndarray, dirs: np.ndarray,
         tt = np.where(finite, t, 0.0)
         p0 = origins[:, others[0]] + tt * dirs[:, others[0]]
         p1 = origins[:, others[1]] + tt * dirs[:, others[1]]
-        ok = (finite & (t >= min_range) & (t <= max_range)
+        ok = (finite & (t >= MIN_RANGE) & (t <= max_range)
               & (p0 >= rect.lo[0]) & (p0 <= rect.hi[0])
               & (p1 >= rect.lo[1]) & (p1 <= rect.hi[1]))
         best_t = np.where(ok & (t < best_t), t, best_t)
@@ -155,18 +158,17 @@ class LinePath(Path):
 
 
 class SquareLoopPath(Path):
-    """Counterclockwise rounded square centered at the origin.
+    """Counterclockwise rounded square centered at the origin, at z = 0.
 
     half_side is the distance from the center to an edge; corners are
     quarter arcs of corner_radius.  The path starts at the left end of the
     bottom edge, heading +x.
     """
 
-    def __init__(self, half_side: float, corner_radius: float, height: float = 0.0):
+    def __init__(self, half_side: float, corner_radius: float):
         if corner_radius >= half_side:
             raise ValueError("corner radius must be below half_side")
         h, r = float(half_side), float(corner_radius)
-        self.height = float(height)
         edge = 2 * (h - r)
         arc = math.pi * r / 2
         self.length = 4 * edge + 4 * arc
@@ -193,17 +195,17 @@ class SquareLoopPath(Path):
                 if kind == "straight":
                     start, d, yaw = data
                     p = start + s * d
-                    return np.array([p[0], p[1], self.height]), yaw, 0.0
+                    return np.array([p[0], p[1], 0.0]), yaw, 0.0
                 center, a0 = data
                 r = self.corner_radius
                 theta = a0 + s / r
                 p = center + r * np.array([math.cos(theta), math.sin(theta)])
-                return (np.array([p[0], p[1], self.height]),
+                return (np.array([p[0], p[1], 0.0]),
                         theta + math.pi / 2, 1.0 / r)
             s -= seg_len
         # numerical wrap past the last segment
         start, d, yaw = self._segments[0][2]
-        return np.array([start[0], start[1], self.height]), yaw, 0.0
+        return np.array([start[0], start[1], 0.0]), yaw, 0.0
 
 
 class PathTrajectory(Trajectory):
@@ -266,6 +268,8 @@ MIN_RANGE = 0.3
 
 @dataclass
 class SceneSpec:
+    """A scene's world, trajectory, seconds, sensor rates, rays, range,
+    noise, biases and noise seed; its IMU measures against ``imu.GRAVITY``."""
     world: World
     trajectory: Trajectory
     duration: float
@@ -278,7 +282,6 @@ class SceneSpec:
     range_noise: float = 0.0
     accel_bias: np.ndarray = field(default_factory=lambda: np.zeros(3))
     gyro_bias: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    gravity: np.ndarray = field(default_factory=lambda: GRAVITY.copy())
     seed: int = 0
 
 
@@ -293,7 +296,6 @@ class SyntheticScene:
 def generate_synthetic_scene(spec: SceneSpec) -> SyntheticScene:
     rng = np.random.default_rng(spec.seed)
     traj = spec.trajectory
-    gravity = np.asarray(spec.gravity, float)
 
     # IMU stream from the analytic derivatives, plus bias and white noise
     imu = []
@@ -302,7 +304,7 @@ def generate_synthetic_scene(spec: SceneSpec) -> SyntheticScene:
     for k in range(n_imu):
         t = k / spec.imu_rate
         rot = traj.pose(t).rotation
-        accel = rot.inverse().apply(traj.accel(t) - gravity) + spec.accel_bias
+        accel = rot.inverse().apply(traj.accel(t) - GRAVITY) + spec.accel_bias
         gyro = traj.omega_body(t) + spec.gyro_bias
         if spec.accel_noise_density > 0:
             accel = accel + rng.normal(scale=spec.accel_noise_density * sqrt_rate, size=3)
@@ -341,7 +343,7 @@ def generate_synthetic_scene(spec: SceneSpec) -> SyntheticScene:
         for a, pose in enumerate(poses):
             sl = slice(a * spec.n_elevation, (a + 1) * spec.n_elevation)
             dirs[sl] = dirs_body[sl] @ pose.rotation.matrix().T
-        points_w, hit = cast_rays(spec.world, origins, dirs, MIN_RANGE, spec.max_range)
+        points_w, hit = cast_rays(spec.world, origins, dirs, spec.max_range)
         if spec.range_noise > 0:
             ranges = np.linalg.norm(points_w - origins, axis=1)
             noisy = ranges + rng.normal(scale=spec.range_noise, size=len(ranges))

@@ -46,7 +46,7 @@ def test_timing_a_tree_against_itself():
     assert first.__name__ != second.__name__
     scene = generate_synthetic_scene(loop_spec(1, 4))
     batches = imu_batches(scene, PipelineConfig().odometry.init_window)
-    ratios = ab.time_scenes(first, second, [("loop-1", scene, batches)], passes=2)
+    ratios = ab.time_scenes(first, second, [("loop-1", scene, batches, 1)], passes=2)
     assert [len(r) for r in ratios["loop-1"]] == [len(scene.scans) - 1] * 2 == [5, 5]
     median, low, high = ab.bootstrap_median(ratios["loop-1"][0] + ratios["loop-1"][1])
     assert np.isfinite([median, low, high]).all() and low <= median <= high
@@ -54,3 +54,15 @@ def test_timing_a_tree_against_itself():
     least, most = ab.pass_spread(ratios["loop-1"])
     assert least <= median <= most
     assert "pass medians" in ab.summary(ratios["loop-1"])
+
+
+def test_the_steady_state_starts_at_the_first_removal_by_score():
+    # frame indices count the committed scans, so scan 2, which raised,
+    # has no frame, and frame 3 is scan 4
+    removal = {"keyframe_ids": [0, 1, 3], "removed": 1}
+    events = [{"frame_index": k, "removed_by_score": None} for k in range(3)]
+    events += [{"frame_index": 3, "removed_by_score": removal},
+               {"frame_index": 4, "removed_by_score": dict(removal, removed=3)}]
+    committed = [0, 1, 3, 4, 5]
+    assert ab.first_removal(events, committed) == 4
+    assert ab.first_removal(events[:3], committed) is None

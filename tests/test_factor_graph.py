@@ -142,7 +142,7 @@ def two_pose_registration(anchor=np.full(15, 1e6)):
                               rng.normal(size=3) * (0.1 / np.sqrt(3))])
     g.add_variable(1, at_pose(pose_retract(true_rel, perturb)))
     g.add_factor(state_prior(0, zero_state(), anchor))
-    g.add_factor(MatchingCostFactor(1, moved, vmap, 0, min_inliers=10))
+    g.add_links(MatchingBlock([MatchingCostFactor(1, moved, vmap, 0, min_inliers=10)]))
     hold_motion(g, 1)
     return g, true_rel
 
@@ -181,6 +181,16 @@ class TestContainer:
         g.add_factor(state_prior(0, zero_state(), np.ones(15)))
         with pytest.raises(UnderConstrainedGraph):
             g.optimize_lm()
+
+    def test_a_matching_link_enters_only_through_add_links(self):
+        g, _ = two_pose_registration()
+        link = g.matching.factors[0]
+        factors, matching = list(g.factors), g.matching
+        with pytest.raises(TypeError, match="add_links"):
+            g.add_factor(MatchingCostFactor(link.keys[0], link.source, link.target_map,
+                                            link.keys[1], min_inliers=10))
+        assert g.factors == factors and g.matching is matching
+        assert matching.factors == [link] and len(matching.live) == len(matching.terms.cost) == 1
 
     def test_unanchored_component_rejected(self):
         g = FactorGraph()
@@ -962,11 +972,11 @@ class TestStackedAssembly:
         binary = next(f for f in matching if not f.grounding)
         unary = next(f for f in matching if f.grounding)
         empty = make_frame(np.zeros((0, 3)), covs=np.zeros((0, 3, 3)))
-        graph.add_factor(MatchingCostFactor(binary.keys[0], empty, binary.target_map,
-                                            binary.keys[1], min_inliers=10))
-        graph.add_factor(MatchingCostFactor(unary.keys[0], unary.source,
-                                            unary.target_map, unary.fixed_target_pose,
-                                            min_inliers=10**9))
+        graph.add_links(MatchingBlock([MatchingCostFactor(
+            binary.keys[0], empty, binary.target_map, binary.keys[1], min_inliers=10)]))
+        graph.add_links(MatchingBlock([MatchingCostFactor(
+            unary.keys[0], unary.source, unary.target_map, unary.fixed_target_pose,
+            min_inliers=10**9)]))
         return graph
 
     def test_accumulate_and_total_cost_equal_a_per_factor_reference(self, window):

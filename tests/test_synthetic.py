@@ -68,7 +68,7 @@ class TestRayCasting:
         world = box_room(center=(0, 0, 0), size=(4.0, 4.0, 4.0))
         origins = np.zeros((3, 3))
         dirs = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, -1.0]])
-        pts, hit = cast_rays(world, origins, dirs, 0.1, 10.0)
+        pts, hit = cast_rays(world, origins, dirs, 10.0)
         assert hit.all()
         assert np.allclose(pts[0], [2.0, 0, 0])
         assert np.allclose(pts[1], [0, 2.0, 0])
@@ -78,15 +78,15 @@ class TestRayCasting:
         world = box_room(size=(40.0, 40.0, 40.0))
         origins = np.zeros((1, 3))
         dirs = np.array([[1.0, 0.0, 0.0]])
-        _, hit = cast_rays(world, origins, dirs, 0.1, 5.0)
+        _, hit = cast_rays(world, origins, dirs, 5.0)
         assert not hit.any()
 
     def test_two_room_gap_has_no_geometry(self):
-        world = two_room_world(room_size=(8.0, 6.0, 3.0), gap=22.0)
+        world = two_room_world(gap=22.0)
         origins = np.tile([[19.0, 0.0, 0.0]], (8, 1))
         angles = np.linspace(0, 2 * math.pi, 8, endpoint=False)
         dirs = np.column_stack([np.cos(angles), np.sin(angles), np.zeros(8)])
-        _, hit = cast_rays(world, origins, dirs, 0.1, 6.0)
+        _, hit = cast_rays(world, origins, dirs, 6.0)
         assert not hit.any()
 
 

@@ -2,7 +2,7 @@
 those of this tree.
 
     python3 tools/ab.py --base REV [--two-laps]
-    python3 tools/ab.py --base REV --time
+    python3 tools/ab.py --base REV --time [--two-laps]
 
 Exports REV with ``git archive`` into a temporary directory, so the
 repository is only read.
@@ -29,7 +29,11 @@ per-scan time ratios, this tree's over REV's, with a bootstrap interval,
 and the spread (lowest to highest) of the medians of the single passes.
 The bootstrap resamples the scans of one run, so it does not see drift
 between passes, which the spread does.  Both trees share the host's drift,
-scan by scan, which separate benchmark runs do not.
+scan by scan, which separate benchmark runs do not.  With ``--two-laps`` it
+also prints a ``steady`` line: the two-lap scene, TIME_PASSES times over,
+timed from the scan of its first keyframe removal by score on, when the
+keyframe set is full.  That scan is found from the keyframe events of a
+replay through this tree.
 """
 
 from __future__ import annotations
@@ -188,18 +192,27 @@ def scan_output(estimator, scan, batch) -> tuple:
         s.bias_gyro)) + repr(s.stamp).encode(), result.warning)
 
 
+def first_removal(events, committed) -> int | None:
+    """The scan of the first keyframe event that removes a keyframe by
+    score, or None if none does.  ``events`` are an estimator's
+    ``keyframe_events``, and ``committed`` lists in order the scans that
+    committed a frame, since a frame's index counts those."""
+    return next((committed[e["frame_index"]] for e in events if e["removed_by_score"]),
+                None)
+
+
 def time_scenes(base, this, scenes, passes: int) -> dict[str, list[list[float]]]:
     """{label: per pass, the per-scan time ratios, this over base} of
-    ``passes`` replays of each (label, scene, IMU batches) through new
-    estimators of the two ``limapper`` packages; the first scan of a
-    replay, the bootstrap, is not timed.  Each scan goes to both estimators, the first tree
-    alternating from scan to scan.  Raises SystemExit at the first scan
-    whose outputs differ."""
+    ``passes`` replays of each (label, scene, IMU batches, first timed
+    scan) through new estimators of the two ``limapper`` packages; the
+    scans before the first timed one still go to both.  Each scan goes to
+    both estimators, the first tree alternating from scan to scan.  Raises
+    SystemExit at the first scan whose outputs differ."""
     from time import perf_counter
 
-    ratios, turn = {label: [] for label, _, _ in scenes}, 0
+    ratios, turn = {label: [] for label, *_ in scenes}, 0
     for _ in range(passes):
-        for label, scene, batches in scenes:
+        for label, scene, batches, first in scenes:
             ratios[label].append([])
             ests = [importlib.import_module(p.__name__ + ".odometry").OdometryEstimator()
                     for p in (base, this)]
@@ -212,7 +225,7 @@ def time_scenes(base, this, scenes, passes: int) -> dict[str, list[list[float]]]
                 turn += 1
                 if outputs[0] != outputs[1]:
                     raise SystemExit(f"{label}: outputs differ at scan {k}")
-                if k > 0:
+                if k >= first:
                     ratios[label][-1].append(times[1] / times[0])
     return ratios
 
@@ -248,8 +261,28 @@ def summary(per_pass) -> str:
             f"over {len(pooled)} scans")
 
 
-def time_against(base_src: Path) -> None:
-    """Print the time ratio of this tree over the one at ``base_src``."""
+def steady_scene(this, window: float) -> tuple:
+    """(label, scene, IMU batches, first timed scan) of the two-lap scene,
+    timed from its first keyframe removal by score on, which a replay
+    through this tree's estimator finds."""
+    from limapper.synthetic import generate_synthetic_scene
+    from workloads import WORKLOADS, imu_batches
+
+    _, name, seed, frames = TWO_LAPS
+    scene = generate_synthetic_scene(WORKLOADS[name].spec(seed, frames))
+    batches = imu_batches(scene, window)
+    est = importlib.import_module(this.__name__ + ".odometry").OdometryEstimator()
+    committed = [k for k, (scan, batch) in enumerate(zip(scene.scans, batches))
+                 if scan_output(est, scan, batch)[0] is not None]
+    first = first_removal(est.keyframe_events, committed)
+    if first is None:
+        raise SystemExit("the two-lap scene removes no keyframe by score")
+    return "steady", scene, batches, first
+
+
+def time_against(base_src: Path, two_laps: bool) -> None:
+    """Print the time ratio of this tree over the one at ``base_src``: of
+    the warm-up scenes, and with ``two_laps`` of the steady state."""
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -264,7 +297,7 @@ def time_against(base_src: Path) -> None:
     for label, name, seed, _ in TIME_SCENES:
         workload = WORKLOADS[name]
         scene = generate_synthetic_scene(workload.spec(seed, workload.n_frames))
-        scenes.append((label, scene, imu_batches(scene, window)))
+        scenes.append((label, scene, imu_batches(scene, window), 1))
     ratios = time_scenes(base, this, scenes, TIME_PASSES)
     print(f"every output the same; time per scan, this tree over base, "
           f"{TIME_PASSES} passes, median ratio [95 % bootstrap interval], "
@@ -276,13 +309,18 @@ def time_against(base_src: Path) -> None:
         per_pass = [[r for label in labels for r in ratios[label][p]]
                     for p in range(TIME_PASSES)]
         print(f"  {name}: {summary(per_pass)}")
+    if two_laps:
+        steady = steady_scene(this, window)
+        ratios = time_scenes(base, this, [steady], TIME_PASSES)
+        print(f"  steady: {summary(ratios['steady'])}, from scan {steady[3]}")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", help="revision to compare this tree with")
     parser.add_argument("--two-laps", action="store_true",
-                        help="also replay the 272-scan two-lap scene")
+                        help="also replay the 272-scan two-lap scene; with "
+                        "--time, time it from its first removal by score on")
     parser.add_argument("--time", action="store_true",
                         help="time both trees scan by scan in this process")
     parser.add_argument("--replay", action="store_true", help=argparse.SUPPRESS)
@@ -292,12 +330,10 @@ def main(argv=None) -> int:
         return 0
     if args.base is None:
         parser.error("--base is required")
-    if args.time and args.two_laps:
-        parser.error("--time replays the warm-up scenes only")
     with tempfile.TemporaryDirectory(prefix="ab-base-") as tmp:
         export(args.base, Path(tmp))
         if args.time:
-            time_against(Path(tmp) / "src")
+            time_against(Path(tmp) / "src", args.two_laps)
             return 0
         base = tree_digests(Path(tmp), args.two_laps)
     this = tree_digests(ROOT, args.two_laps)
