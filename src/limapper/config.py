@@ -6,8 +6,9 @@ name within it (``odometry.voxel_resolution``); ``InvalidConfig`` carries
 one.  A key exists for a sensor setting, for a scene-scale setting, or for a
 value that a caller outside the tests sets differently.  Anything else is a
 module constant of the stage that reads it (the estimator's rules are those
-of ``odometry.py``).  The ``imu`` section is the estimator's one noise
-record, ``imu.ImuNoiseParams``, and the ``optimizer`` section is
+of ``odometry.py``, and gravity is ``imu.GRAVITY``).  The ``imu`` section is
+the estimator's one noise record, ``imu.ImuNoiseParams``, which holds the
+sensor's noise densities and bias walks, and the ``optimizer`` section is
 ``factor_graph.LmSettings``.  Every section is a slotted dataclass, so
 setting a key that is no field (misspelt or deleted) raises AttributeError.
 ``validate`` checks every key against its documented range.  There is no
@@ -59,8 +60,6 @@ class PipelineConfig:
         for name in ("accel_noise_density", "gyro_noise_density",
                      "accel_bias_walk", "gyro_bias_walk"):
             _require(getattr(self.imu, name) > 0, f"imu.{name}", "must be positive")
-        # the bootstrap aligns the specific force with +z, so gravity points down
-        _require(self.imu.gravity_z < 0, "imu.gravity_z", "gravity must point along -z")
 
 
 def _require(ok: bool, key: str, message: str) -> None:

@@ -21,6 +21,10 @@ class VoxelKeyOutOfRange(PipelineError):
     """Point is not finite or lies outside the range of packed voxel keys."""
 
 
+class NonFiniteCovariance(PipelineError):
+    """A point's neighbourhood has a sample covariance that is not finite."""
+
+
 class DuplicateVariable(PipelineError):
     """Variable key already present in the graph."""
 

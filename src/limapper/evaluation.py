@@ -48,20 +48,19 @@ class AteResult:
     rmse: float
 
 
-def compute_ate(estimate, ground_truth, align: bool = True) -> AteResult:
+def compute_ate(estimate, ground_truth) -> AteResult:
     """Post-alignment RMSE of translational residuals.
 
     Estimate and ground truth are lists of TrajectoryRecord, paired by
-    nearest stamp within ASSOCIATION_TOL.  With align=True the estimate is
-    first mapped onto the ground truth by the closed-form rigid alignment.
+    nearest stamp within ASSOCIATION_TOL.  The estimate is first mapped onto
+    the ground truth by the closed-form rigid alignment.
     """
     pairs = associate(estimate, ground_truth)
     if len(pairs) < 3:
         raise InsufficientOverlap(f"only {len(pairs)} associated pose pairs")
     est = np.array([p[0].position for p in pairs])
     gt = np.array([p[1].position for p in pairs])
-    if align:
-        rot, t = umeyama_alignment(est, gt)
-        est = est @ rot.T + t
+    rot, t = umeyama_alignment(est, gt)
+    est = est @ rot.T + t
     errors = np.linalg.norm(est - gt, axis=1)
     return AteResult(rmse=float(np.sqrt(np.mean(errors**2))))

@@ -51,6 +51,8 @@ from .geometry import (
     so3_right_jacobian_inv,
 )
 
+# world gravity [m/s^2], read by the estimator and by the synthetic scenes;
+# it points along -z, since the bootstrap aligns the specific force with +z
 GRAVITY = np.array([0.0, 0.0, -9.80665])
 
 
@@ -79,25 +81,19 @@ class ImuSample:
 
 @dataclass(slots=True)
 class ImuNoiseParams:
-    """Continuous-time noise densities and the gravity along z; the
-    ``imu`` section of the pipeline configuration."""
+    """Continuous-time noise densities and bias walks; the ``imu`` section
+    of the pipeline configuration."""
 
     accel_noise_density: float = 0.02  # m/s^2/sqrt(Hz)
     gyro_noise_density: float = 0.002  # rad/s/sqrt(Hz)
     accel_bias_walk: float = 2e-4  # m/s^3/sqrt(Hz)
     gyro_bias_walk: float = 2e-5  # rad/s^2/sqrt(Hz)
-    gravity_z: float = float(GRAVITY[2])  # m/s^2
-
-    @property
-    def gravity(self) -> np.ndarray:
-        return np.array([0.0, 0.0, self.gravity_z])
 
 
 class PreintegratedImu(NamedTuple):
-    """The deltas over an interval with their noise, and the gravity that
-    re-enters when they are composed onto a state: all an IMU factor
-    reads.  ``stack`` gives K of them as one record, each field with a
-    leading axis of length K."""
+    """The deltas over an interval with their noise: all an IMU factor
+    reads besides ``GRAVITY``.  ``stack`` gives K of them as one record,
+    each field with a leading axis of length K."""
 
     delta_r: np.ndarray  # 3x3 rotation matrix
     delta_v: np.ndarray
@@ -106,7 +102,6 @@ class PreintegratedImu(NamedTuple):
     cov: np.ndarray  # 9x9, (rot, vel, pos)
     bias_lin: np.ndarray  # 6, (ba, bg) at the linearization point
     jac_bias: np.ndarray  # 9x6, d(deltas)/d(bias)
-    gravity: np.ndarray  # (3,) world gravity [m/s^2]
     walk: np.ndarray  # (6,) accel then gyro bias-walk variances over the interval
 
 
@@ -285,7 +280,6 @@ def preintegrate(samples, t_i: float, t_j: float, bias_lin,
         cov=cov,
         bias_lin=bias_lin,
         jac_bias=jac,
-        gravity=noise.gravity,
         walk=np.repeat([noise.accel_bias_walk**2 * walk_dt,
                         noise.gyro_bias_walk**2 * walk_dt], 3),
     )
@@ -314,15 +308,14 @@ def correct_deltas(pre: PreintegratedImu, bias: np.ndarray):
 def predict_state(state: SensorState, pre: PreintegratedImu) -> SensorState:
     """Compose preintegrated deltas, corrected to the state's bias, onto a
     state, re-injecting gravity."""
-    gravity = pre.gravity
     dr, dv, dp, _ = correct_deltas(stack([pre]), state.bias[None])
     dt = pre.dt_total
     r_i = state.pose.rotation
     return SensorState(
         pose=Se3Pose(r_i * Rotation.from_matrix(dr[0]),
                      state.pose.translation + state.velocity * dt
-                     + 0.5 * gravity * dt * dt + r_i.apply(dp[0])),
-        velocity=state.velocity + gravity * dt + r_i.apply(dv[0]),
+                     + 0.5 * GRAVITY * dt * dt + r_i.apply(dp[0])),
+        velocity=state.velocity + GRAVITY * dt + r_i.apply(dv[0]),
         bias_accel=state.bias_accel,
         bias_gyro=state.bias_gyro,
         stamp=state.stamp + dt,
@@ -361,15 +354,15 @@ def imu_residuals(states_i, states_j, pre: PreintegratedImu) -> ImuResiduals:
     vel_j = np.array([s.velocity for s in states_j])
     bias_i = np.array([s.bias for s in states_i])
     bias_j = np.array([s.bias for s in states_j])
-    dt, gravity = pre.dt_total[:, None], pre.gravity
+    dt = pre.dt_total[:, None]
     delta_r, delta_v, delta_p, theta = correct_deltas(pre, bias_i)
 
     ri_t = rot_i.transpose(0, 2, 1)
     err_rot = np.matmul(delta_r.transpose(0, 2, 1), np.matmul(ri_t, rot_j))
-    u_v = vel_j - vel_i - gravity * dt
+    u_v = vel_j - vel_i - GRAVITY * dt
     u_p = (np.array([s.pose.translation for s in states_j])
            - np.array([s.pose.translation for s in states_i])
-           - vel_i * dt - 0.5 * gravity * dt * dt)
+           - vel_i * dt - 0.5 * GRAVITY * dt * dt)
     rot_u_v = np.matmul(ri_t, u_v[:, :, None])
     rot_u_p = np.matmul(ri_t, u_p[:, :, None])
     residual = np.empty((rot_i.shape[0], 15))

@@ -47,7 +47,7 @@ from .geometry import (
     pose_inverse,
     so3_exp,
 )
-from .imu import ImuSample, predict_state, preintegrate
+from .imu import GRAVITY, ImuSample, predict_state, preintegrate
 from .preprocess import (
     Frame,
     RawScan,
@@ -61,9 +61,6 @@ from .registration import GaussianVoxelMap, build_voxelmap, overlap_rate
 # neighbours per point for its covariance; a plane through a point's
 # neighbourhood needs 3 points to be defined
 KNN = 10
-# the covariance's eigenvalue along the plane normal; positive, so that every
-# covariance, also the flat fallback PLANE_EPS * I, can be inverted
-PLANE_EPS = 1e-3
 # a scan whose overlap with the newest keyframe is below the insert overlap
 # becomes a keyframe, and a keyframe whose overlap with it is below the drop
 # overlap leaves the set: 0 < drop < insert < 1
@@ -83,7 +80,7 @@ MIN_INLIERS = 10
 INIT_GYRO_LIMIT = 0.05
 
 
-def initialize_from_rest(samples, gravity, window: float, stamp: float) -> SensorState:
+def initialize_from_rest(samples, window: float, stamp: float) -> SensorState:
     """Bootstrap orientation and biases from stationary IMU data.
 
     Aligns the mean specific force with the gravity reaction (roll/pitch
@@ -114,7 +111,7 @@ def initialize_from_rest(samples, gravity, window: float, stamp: float) -> Senso
                                        unusable=True)
     mean_a = accel.mean(axis=0)
     mean_g = gyro.mean(axis=0)
-    g_norm = float(np.linalg.norm(gravity))
+    g_norm = float(np.linalg.norm(GRAVITY))
     a_norm = float(np.linalg.norm(mean_a))
     if not 0.0 < a_norm < math.inf:
         raise InitializationMotion(
@@ -234,14 +231,8 @@ class OdometryEstimator:
         """Deskew with the predicted state and attach covariances fitted to
         the kNN rows of pre_frame, None for fewer than KNN points."""
         samples = self._imu_between(pre_frame.scan_start, pre_frame.scan_end)
-        frame = deskew(pre_frame, samples, state, gravity=self.config.imu.gravity,
-                       max_gap=self.config.preprocess.max_imu_gap)
-        if neighbors is None:
-            # fewer points than KNN: no neighbourhood to fit, so take the
-            # flat-neighbourhood fallback of estimate_covariances
-            return replace(frame, cov_rows=np.tile(PLANE_EPS * np.eye(3).reshape(9, 1),
-                                                   len(frame)))
-        return estimate_covariances(frame, neighbors, PLANE_EPS)
+        frame = deskew(pre_frame, samples, state, self.config.preprocess.max_imu_gap)
+        return estimate_covariances(frame, neighbors)
 
     def _overlap(self, a: WindowFrame, b: WindowFrame) -> float:
         """Fraction of a's points in occupied voxels of b's map or in their
@@ -313,8 +304,8 @@ class OdometryEstimator:
                      if len(pre_frame) >= KNN else None)
         if not self._window:
             try:
-                state = initialize_from_rest(self._imu, self.config.imu.gravity,
-                                             window=cfg.init_window, stamp=scan.scan_start)
+                state = initialize_from_rest(self._imu, window=cfg.init_window,
+                                             stamp=scan.scan_start)
             except InitializationMotion as exc:
                 if exc.unusable:
                     self._imu.clear()

@@ -28,9 +28,13 @@ from functools import cached_property
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import FrameTooSparse, MalformedScan, VoxelKeyOutOfRange
+from .errors import FrameTooSparse, MalformedScan, NonFiniteCovariance, VoxelKeyOutOfRange
 from .geometry import SensorState, rodrigues_coefficients
-from .imu import integrate
+from .imu import GRAVITY, integrate
+
+# the covariance's eigenvalue along the plane normal; positive, so that every
+# covariance, also the flat fallback PLANE_EPS * I, can be inverted
+PLANE_EPS = 1e-3
 
 # voxel indices are packed into a single int64, 21 bits per axis
 _KEY_OFFSET = 1 << 20
@@ -295,8 +299,7 @@ def knn_search(frame: Frame, k: int) -> np.ndarray:
     return idx
 
 
-def _eigh_covariances(points: np.ndarray, neighbors: np.ndarray,
-                      plane_eps: float):
+def _eigh_covariances(points: np.ndarray, neighbors: np.ndarray):
     """Covariances by eigen-decomposing each sample covariance; the rows of
     ``estimate_covariances`` that have no well-defined normal."""
     nbr = points[neighbors]  # (n, k, 3)
@@ -304,21 +307,25 @@ def _eigh_covariances(points: np.ndarray, neighbors: np.ndarray,
     cov = np.einsum("nki,nkj->nij", centered, centered) / nbr.shape[1]
     evals, evecs = np.linalg.eigh(cov)
     degenerate = evals[:, 2] < 1e-12
-    target = np.array([plane_eps, 1.0, 1.0])
+    target = np.array([PLANE_EPS, 1.0, 1.0])
     covs = np.einsum("nij,j,nkj->nik", evecs, target, evecs)
-    covs[degenerate] = np.eye(3) * plane_eps
+    covs[degenerate] = np.eye(3) * PLANE_EPS
     return covs
 
 
-def estimate_covariances(frame: Frame, neighbors: np.ndarray, plane_eps: float) -> Frame:
+def estimate_covariances(frame: Frame, neighbors: np.ndarray | None) -> Frame:
     """Plane-regularized covariance per point from its neighbor positions.
 
-    ``neighbors`` holds the (n, k) rows of ``knn_search``.  The sample
-    covariance A of a point's neighborhood gets the eigenvalues
-    (plane_eps, 1, 1) in place of its own, keeping the eigenvectors.  That
-    is C = I - (1 - plane_eps) * n n^T, with n the normal: the eigenvector of
+    ``neighbors`` holds the (n, k) rows of ``knn_search``, or None for a
+    frame with too few points for them.  The sample covariance A of a
+    point's neighborhood gets the eigenvalues (PLANE_EPS, 1, 1) in place of
+    its own, keeping the eigenvectors.  That is
+    C = I - (1 - PLANE_EPS) * n n^T, with n the normal: the eigenvector of
     the smallest eigenvalue lambda0.  Fully degenerate neighborhoods
-    (largest eigenvalue below 1e-12) get plane_eps * I.
+    (largest eigenvalue below 1e-12), and every point when ``neighbors`` is
+    None, get the flat fallback PLANE_EPS * I.  A sample covariance that is
+    not finite (points so far out that their squares overflow) raises
+    NonFiniteCovariance.
 
     The eigenvalues come in closed form (the trigonometric method for a
     symmetric 3x3 matrix).  The normal is the longest column of
@@ -337,14 +344,17 @@ def estimate_covariances(frame: Frame, neighbors: np.ndarray, plane_eps: float) 
     scan rows.
     """
     n = len(frame)
-    if n == 0:
-        return replace(frame, cov_rows=np.zeros((9, 0)))
+    if neighbors is None or n == 0:
+        return replace(frame, cov_rows=np.tile(PLANE_EPS * np.eye(3).reshape(9, 1), n))
     k = neighbors.shape[1]
     nbr = np.take(frame.point_rows, neighbors, axis=1)  # (3, n, k)
     nbr -= np.einsum("cnk->cn", nbr)[:, :, None] / k
     x, y, z = nbr
     a = np.stack([np.einsum("nk,nk->n", u, v) for u, v in (
         (x, x), (x, y), (x, z), (y, y), (y, z), (z, z))]) / k
+    if not np.isfinite(a).all():
+        raise NonFiniteCovariance("a sample covariance is not finite: the frame's "
+                                  f"coordinates reach {np.abs(frame.point_rows).max():g} m")
 
     lam0, lam1, lam2 = _symmetric_eigenvalues(a)
     gap = (lam1 - lam0) > _COV_EIGEN_GAP * lam2
@@ -358,14 +368,14 @@ def estimate_covariances(frame: Frame, neighbors: np.ndarray, plane_eps: float) 
 
     # the (9, n) rows of the row-major entries
     covs = np.empty((3, 3, n))
-    np.multiply(normal[:, None], -(1.0 - plane_eps) * normal, out=covs)
+    np.multiply(normal[:, None], -(1.0 - PLANE_EPS) * normal, out=covs)
     covs = covs.reshape(9, n)
     covs[[0, 4, 8]] += 1.0
     degenerate = lam2 < 1e-12
-    covs[:, degenerate] = plane_eps * np.eye(3).reshape(9, 1)
+    covs[:, degenerate] = PLANE_EPS * np.eye(3).reshape(9, 1)
     if fallback.any():
         rows = np.flatnonzero(fallback)
-        eigh_covs = _eigh_covariances(frame.points, neighbors[rows], plane_eps)
+        eigh_covs = _eigh_covariances(frame.points, neighbors[rows])
         covs[:, rows] = eigh_covs.reshape(-1, 9).T
     return replace(frame, cov_rows=covs)
 
@@ -413,7 +423,7 @@ def _null_direction(a: np.ndarray, lam: np.ndarray):
 
 
 def deskew(frame: Frame, imu_samples, state_at_scan_start: SensorState,
-           gravity, max_gap: float) -> Frame:
+           max_gap: float) -> Frame:
     """Undistort a frame by IMU motion prediction across the scan.
 
     ``imu.integrate`` forms the deltas from the scan start t_s to every IMU
@@ -424,12 +434,12 @@ def deskew(frame: Frame, imu_samples, state_at_scan_start: SensorState,
         rotation  dR_k,
         translation  R_s^T (v_s tau_k + g tau_k^2 / 2) + dp_k,  tau_k = t_k - t_s,
 
-    the closed form of integrating the state forward step by step.  A point
-    captured at t in step k, a fraction alpha into it, takes the rotation
-    dR_k exp(alpha phi_k), the geodesic to the next node along the step's
-    own rotation vector phi_k, and the linear interpolation of the two
-    nodes' translations; it is then expressed in the scan-start frame.  The
-    frame it returns holds no stamps.
+    with g = ``imu.GRAVITY``, the closed form of integrating the state
+    forward step by step.  A point captured at t in step k, a fraction alpha
+    into it, takes the rotation dR_k exp(alpha phi_k), the geodesic to the
+    next node along the step's own rotation vector phi_k, and the linear
+    interpolation of the two nodes' translations; it is then expressed in
+    the scan-start frame.  The frame it returns holds no stamps.
     """
     if frame.stamps is None:
         raise ValueError("frame is already deskewed")
@@ -443,7 +453,7 @@ def deskew(frame: Frame, imu_samples, state_at_scan_start: SensorState,
     state = state_at_scan_start
     d = integrate(imu_samples, t0, t1, state.bias, max_gap)
     tau = (d.stamps - t0)[:, None]
-    trans = (state.velocity * tau + 0.5 * np.asarray(gravity, dtype=float) * tau * tau
+    trans = (state.velocity * tau + 0.5 * GRAVITY * tau * tau
              ) @ state.pose.rotation.matrix() + d.pos
 
     seg = np.clip(np.searchsorted(d.stamps, frame.stamps, side="right") - 1,

@@ -19,9 +19,9 @@ c0 - 2 s.g + g.Q g, with Q and s gathered from a few weighted moment sums
 over the inliers.  No per-point pass is made until a voxel row changes.
 ``frozen_cost`` and ``linearize_from_terms`` take K held quadratics, each
 at its own relative pose, as one ``FrozenTerms`` whose fields carry a
-leading axis of length K (``imu.stack`` stacks them, as it stacks
-preintegrations; the graph's ``MatchingBlock`` holds one such record, a row
-per link), in one pass of stacked ``np.matmul`` products.
+leading axis of length K (the graph's ``MatchingBlock`` holds one such
+record, a row per link, and writes a link's new terms over its row in
+place), in one pass of stacked ``np.matmul`` products.
 The first costs candidate poses in O(1) per quadratic; the second takes
 each factor's gradient and Gauss-Newton Hessian for right-multiplicative
 perturbations of the source pose and the target pose: the target pose's
@@ -322,20 +322,20 @@ def _costs(terms: FrozenTerms, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def frozen_cost(terms: FrozenTerms, rot: np.ndarray, trans: np.ndarray
                 ) -> np.ndarray:
-    """(K,) costs of K held quadratics, stacked into one record
-    (``imu.stack``), each at its relative pose (rot (K, 3, 3), trans
-    (K, 3))."""
+    """(K,) costs of K held quadratics, stacked into one record (a
+    ``MatchingBlock``'s ``terms``), each at its relative pose
+    (rot (K, 3, 3), trans (K, 3))."""
     return _costs(terms, _changes(terms, rot, trans))[0]
 
 
 def linearize_from_terms(terms: FrozenTerms, rot: np.ndarray, trans: np.ndarray
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients (K, 12), Gauss-Newton Hessians (K, 12, 12) and costs (K,)
-    of K held quadratics, stacked into one record (``imu.stack``), each at
-    its relative pose (rot (K, 3, 3), trans (K, 3)).  Each block covers
-    the source pose's 6 dims, then the target pose's 6; a factor whose
-    target pose is fixed takes the leading 6 of the gradient and the
-    leading 6x6 of the Hessian.
+    of K held quadratics, stacked into one record (a ``MatchingBlock``'s
+    ``terms``), each at its relative pose (rot (K, 3, 3), trans (K, 3)).
+    Each block covers the source pose's 6 dims, then the target pose's 6;
+    a factor whose target pose is fixed takes the leading 6 of the
+    gradient and the leading 6x6 of the Hessian.
 
     With J the (12x6) derivative of g with respect to the target pose
     (``_change_jacobian``), the target pose's blocks are

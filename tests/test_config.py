@@ -12,11 +12,6 @@ class TestBadValues:
         ("optimizer", "max_iterations", 0, "iteration caps"),
         ("preprocess", "max_imu_gap", -0.02, "max_imu_gap"),
         ("preprocess", "downsample_resolution", float("nan"), "downsample_resolution"),
-        # a NaN gravity let numpy's LinAlgError escape every process_frame
-        ("imu", "gravity_z", float("nan"), "gravity_z"),
-        # the bootstrap assumes gravity along -z: +g let the estimate climb
-        ("imu", "gravity_z", 9.80665, "gravity_z"),
-        ("imu", "gravity_z", 0.0, "gravity_z"),
         # a NaN window made every bootstrap raise InitializationMotion
         ("odometry", "init_window", float("nan"), "init_window"),
         ("odometry", "init_window", 0.0, "init_window"),
@@ -45,7 +40,6 @@ class TestInvalidConfig:
         ("optimizer", "max_iterations", 15.0, "optimizer.max_iterations"),
         ("odometry", "voxel_resolution", 0.0, "odometry.voxel_resolution"),
         ("imu", "gyro_bias_walk", 0.0, "imu.gyro_bias_walk"),
-        ("imu", "gravity_z", float("nan"), "imu.gravity_z"),
         ("odometry", "init_window", float("nan"), "odometry.init_window"),
     ])
     def test_names_the_key(self, section, name, value, key):

@@ -895,7 +895,7 @@ def reference_imu_lin(f, values):
     """(g, h, cost) of one IMU factor from the per-factor oracle, weighted
     with 2-D products."""
     r, j_i, j_j = per_factor_imu_residual(values[f.keys[0]], values[f.keys[1]],
-                                          f.pre, f.pre.gravity)
+                                          f.pre, GRAVITY)
     jac = np.hstack([j_i, j_j])
     w = 2.0 * jac.T @ f.information
     return w @ r, w @ jac, float(r @ f.information @ r)

@@ -231,7 +231,7 @@ BENCH_READS = "the bench reads it in "
 CONFIG_KEYS: dict[str, str] = {
     **dict.fromkeys([f"imu.{name}" for name in (
         "accel_noise_density", "gyro_noise_density", "accel_bias_walk",
-        "gyro_bias_walk", "gravity_z")], "sensor"),
+        "gyro_bias_walk")], "sensor"),
     "preprocess.max_imu_gap": "sensor",
     "preprocess.downsample_resolution": "scene scale",
     "odometry.voxel_resolution": "scene scale",

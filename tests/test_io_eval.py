@@ -29,15 +29,19 @@ class TestAte:
                for t, pose in zip(stamps, poses)]
         assert compute_ate(est, gt).rmse < 1e-9
 
-    def test_displaced_vertex_no_alignment(self):
-        # unit square, one vertex displaced by 0.4: rmse = sqrt(0.4^2 / 4)
-        corners = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    def test_displaced_vertices_survive_alignment(self):
+        # square about the origin, two opposite vertices moved out along their
+        # diagonal by 0.4: no rigid motion fits the change of shape better
+        # than the identity, so rmse = sqrt(2 * 0.4^2 / 4)
+        corners = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
         gt = [TrajectoryRecord(float(i), np.array([x, y, 0.0]))
               for i, (x, y) in enumerate(corners)]
         est = list(gt)
-        est[2] = TrajectoryRecord(2.0, gt[2].position + np.array([0.4, 0.0, 0.0]))
-        res = compute_ate(est, gt, align=False)
-        assert res.rmse == pytest.approx(math.sqrt(0.4**2 / 4))
+        for i in (0, 2):
+            out = 0.4 * gt[i].position / np.linalg.norm(gt[i].position)
+            est[i] = TrajectoryRecord(float(i), gt[i].position + out)
+        res = compute_ate(est, gt)
+        assert res.rmse == pytest.approx(math.sqrt(2 * 0.4**2 / 4))
 
     def test_insufficient_overlap(self):
         gt = straight_records(10)

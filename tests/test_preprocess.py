@@ -1,6 +1,7 @@
 import copy
 import pickle
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from limapper.geometry import (
     pose_inverse,
     so3_exp,
 )
+from limapper import preprocess
 from limapper.imu import GRAVITY, ImuSample, integration_nodes
-from limapper.odometry import PLANE_EPS
 from limapper.preprocess import (
     Frame,
     RawScan,
@@ -37,7 +38,7 @@ from limapper.preprocess import (
 )
 
 from test_geometry import identity_pose, slerp, zero_state
-from test_imu import MAX_GAP, NOISE, propagate_state
+from test_imu import MAX_GAP, propagate_state
 
 
 def scan_of(points, stamps, start=0.0, end=0.1):
@@ -469,7 +470,7 @@ class TestCovarianceProperties:
         clouds = [10.0 ** log_scale * neighborhood(kind, k, 10.0 ** log_noise, rng) @ rot.T
                   + rng.uniform(-50.0, 50.0, 3) for kind in kinds]
         frame, neighbors = frame_of_neighborhoods(clouds)
-        out = estimate_covariances(frame, neighbors, PLANE_EPS)
+        out = estimate_covariances(frame, neighbors)
         covs, degenerate, evals = reference_covariances(frame.points, neighbors)
         # a flat neighbourhood's covariance is plane_eps * I
         assert (covs_of(out)[degenerate] == 1e-3 * np.eye(3)).all()
@@ -491,7 +492,7 @@ class TestCovarianceProperties:
             clouds.append(base @ rot.T + rng.uniform(-50.0, 50.0, 3))
         frame, neighbors = frame_of_neighborhoods(clouds)
         covs = reference_covariances(frame.points, neighbors)[0]
-        out = estimate_covariances(frame, neighbors, PLANE_EPS)
+        out = estimate_covariances(frame, neighbors)
         assert np.abs(covs_of(out) - covs).max() <= 1e-10
 
     def test_exact_line_takes_eigh(self):
@@ -502,7 +503,7 @@ class TestCovarianceProperties:
         line = 3.7 + np.outer(rng.uniform(-1, 1, 10), direction / np.linalg.norm(direction))
         plane = np.column_stack([rng.uniform(-1, 1, (10, 2)), np.zeros(10)])
         frame, neighbors = frame_of_neighborhoods([plane, line, line[::-1] + 20.0])
-        out = estimate_covariances(frame, neighbors, PLANE_EPS)
+        out = estimate_covariances(frame, neighbors)
         covs, degenerate, _ = reference_covariances(frame.points, neighbors)
         assert covs_of(out)[10:].tobytes() == covs[10:].tobytes()
         assert not degenerate.any()
@@ -512,7 +513,7 @@ class TestCovarianceProperties:
 class TestCovariances:
     def _covariances(self, pts):
         frame = frame_of(pts, np.zeros(len(pts)))
-        return estimate_covariances(frame, knn_search(frame, min(len(pts), 10)), PLANE_EPS)
+        return estimate_covariances(frame, knn_search(frame, min(len(pts), 10)))
 
     def test_planar_neighborhood_normal_direction(self):
         rng = np.random.default_rng(4)
@@ -553,8 +554,7 @@ class TestDeskew:
         pts = rng.uniform(-5, 5, (100, 3))
         stamps = rng.uniform(0.0, 0.1, 100)
         frame = frame_of(pts, stamps)
-        out = deskew(frame, stationary_imu(-0.01, 0.12), zero_state(), NOISE.gravity,
-                     MAX_GAP)
+        out = deskew(frame, stationary_imu(-0.01, 0.12), zero_state(), MAX_GAP)
         assert out.stamps is None
         assert np.max(np.abs(out.points - pts)) < 1e-9
 
@@ -567,7 +567,7 @@ class TestDeskew:
         pts = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
         stamps = np.array([0.05, 0.08])
         frame = frame_of(pts, stamps)
-        out = deskew(frame, samples, zero_state(), NOISE.gravity, MAX_GAP)
+        out = deskew(frame, samples, zero_state(), MAX_GAP)
         for i, t in enumerate(stamps):
             expected = so3_exp(omega * t).apply(pts[i])
             assert np.allclose(out.points[i], expected, atol=1e-6)
@@ -577,7 +577,7 @@ class TestDeskew:
         frame = frame_of(pts, np.zeros(2))
         samples = [ImuSample(float(t), -GRAVITY + [0.5, 0, 0], [0, 0, 0.3])
                    for t in np.arange(-0.01, 0.12, 0.005)]
-        out = deskew(frame, samples, zero_state(), NOISE.gravity, MAX_GAP)
+        out = deskew(frame, samples, zero_state(), MAX_GAP)
         assert np.allclose(out.points, pts, atol=1e-9)
 
     def test_nonidentity_reference_state_is_relative(self):
@@ -588,12 +588,12 @@ class TestDeskew:
         samples = [ImuSample(float(t), -GRAVITY + [0.3, -0.2, 0.1], [0.1, 0.2, -0.3])
                    for t in np.arange(-0.01, 0.12, 0.005)]
         frame = frame_of(pts, stamps)
-        out_id = deskew(frame, samples, zero_state(), NOISE.gravity, MAX_GAP)
+        out_id = deskew(frame, samples, zero_state(), MAX_GAP)
         state = SensorState(
             pose=Se3Pose(so3_exp([0.4, -0.1, 1.2]), np.array([10.0, -3.0, 2.0])),
             velocity=np.array([1.0, 0.5, -0.2]),
             bias_accel=np.zeros(3), bias_gyro=np.zeros(3), stamp=0.0)
-        out_posed = deskew(frame, samples, state, NOISE.gravity, MAX_GAP)
+        out_posed = deskew(frame, samples, state, MAX_GAP)
         # velocity enters the relative motion, so integrate with the same
         # velocity but identity pose for the reference comparison
         ref = SensorState(identity_pose(), state.pose.rotation.inverse().apply(
@@ -601,7 +601,8 @@ class TestDeskew:
         # gravity must also be expressed consistently; rotate it into the
         # reference frame used above
         g_ref = state.pose.rotation.inverse().apply(GRAVITY)
-        out_ref = deskew(frame, samples, ref, gravity=g_ref, max_gap=MAX_GAP)
+        with mock.patch.object(preprocess, "GRAVITY", g_ref):
+            out_ref = deskew(frame, samples, ref, MAX_GAP)
         assert np.allclose(out_posed.points, out_ref.points, atol=1e-9)
 
     def test_moving_rotating_sensor_matches_stepwise_poses(self):
@@ -631,7 +632,7 @@ class TestDeskew:
         stamps = np.concatenate([node_t, rng.uniform(0.0, 0.1, 200)])
         pts = rng.uniform(-30, 30, (stamps.size, 3))
         frame = frame_of(pts, stamps)
-        out = deskew(frame, samples, state, NOISE.gravity, MAX_GAP)
+        out = deskew(frame, samples, state, MAX_GAP)
         err = 0.0
         for p, t, got in zip(pts, stamps, out.points):
             k = min(int(np.searchsorted(node_t, t, side="right")) - 1, node_t.size - 2)
@@ -647,7 +648,7 @@ class TestDeskew:
         samples = [ImuSample(0.0, -GRAVITY, np.zeros(3)),
                    ImuSample(0.1, -GRAVITY, np.zeros(3))]
         with pytest.raises(ImuCoverageGap):
-            deskew(frame, samples, zero_state(), NOISE.gravity, MAX_GAP)
+            deskew(frame, samples, zero_state(), MAX_GAP)
 
     def test_row_cross_products_equal_np_cross(self):
         # deskew rotates the (3, n) point rows with _cross_rows, which must
@@ -661,13 +662,13 @@ class TestDeskew:
         # both return before the IMU is read, with the points as they were
         for frame in (frame_of(np.zeros((0, 3)), np.zeros(0)),
                       frame_of(np.ones((2, 3)), np.zeros(2), end=0.0)):
-            out = deskew(frame, [], zero_state(), NOISE.gravity, MAX_GAP)
+            out = deskew(frame, [], zero_state(), MAX_GAP)
             assert out.stamps is None and out.point_rows is frame.point_rows
 
     def test_already_deskewed_rejected(self):
         frame = frame_of(np.zeros((1, 3)))  # no stamps: deskewed
         with pytest.raises(ValueError):
-            deskew(frame, stationary_imu(0, 0.1), zero_state(), NOISE.gravity, MAX_GAP)
+            deskew(frame, stationary_imu(0, 0.1), zero_state(), MAX_GAP)
 
 
 def assert_row_storage(frame):
@@ -703,7 +704,7 @@ class TestRowStorage:
     def test_replace_shares_the_rows(self):
         rng = np.random.default_rng(2)
         frame = frame_of(rng.uniform(-2, 2, (30, 3)), np.zeros(30))
-        covs = estimate_covariances(frame, knn_search(frame, 5), PLANE_EPS)
+        covs = estimate_covariances(frame, knn_search(frame, 5))
         assert_row_storage(covs)
         assert np.shares_memory(covs.points, frame.points)
         again = replace(covs, stamps=None)
@@ -713,7 +714,7 @@ class TestRowStorage:
     def test_pickle_and_deepcopy_restore_the_rows(self):
         rng = np.random.default_rng(4)
         frame = frame_of(rng.uniform(-2, 2, (30, 3)), rng.uniform(0, 0.1, 30))
-        frame = estimate_covariances(frame, knn_search(frame, 5), PLANE_EPS)
+        frame = estimate_covariances(frame, knn_search(frame, 5))
         for copied in (pickle.loads(pickle.dumps(frame)), copy.deepcopy(frame)):
             assert_row_storage(copied)
             for f in fields(Frame):
@@ -730,7 +731,7 @@ class TestRowStorage:
         frame = frame_of(rng.uniform(-5, 5, (50, 3)), rng.uniform(0.0, 0.1, 50))
         samples = [ImuSample(float(t), -GRAVITY + [0.3, -0.2, 0.1], [0.1, 0.2, -0.3])
                    for t in np.arange(-0.01, 0.12, 0.005)]
-        assert_row_storage(deskew(frame, samples, zero_state(), NOISE.gravity, MAX_GAP))
+        assert_row_storage(deskew(frame, samples, zero_state(), MAX_GAP))
 
     def test_estimate_covariances_with_eigh_and_degenerate_rows(self):
         # a plane (closed form), a line (eigh fallback) and ten copies of one
@@ -741,7 +742,7 @@ class TestRowStorage:
         plane = np.column_stack([rng.uniform(-1, 1, (10, 2)), np.zeros(10)])
         point = np.tile([[9.0, 9.0, 9.0]], (10, 1))
         frame, neighbors = frame_of_neighborhoods([plane, line, point])
-        out = estimate_covariances(frame, neighbors, PLANE_EPS)
+        out = estimate_covariances(frame, neighbors)
         assert_row_storage(out)
         covs, degenerate, _ = reference_covariances(frame.points, neighbors)
         assert degenerate.tolist() == [False] * 20 + [True] * 10
@@ -751,4 +752,4 @@ class TestRowStorage:
     def test_empty_frame(self):
         frame = voxel_downsample(scan_of(np.zeros((0, 3)), np.zeros(0)), 0.25)
         assert_row_storage(frame)
-        assert_row_storage(estimate_covariances(frame, np.zeros((0, 5), int), PLANE_EPS))
+        assert_row_storage(estimate_covariances(frame, np.zeros((0, 5), int)))

@@ -26,7 +26,7 @@ from limapper.geometry import (
 )
 from limapper.config import PipelineConfig
 from limapper.imu import stack
-from limapper.odometry import KNN, PLANE_EPS
+from limapper.odometry import KNN
 from limapper.preprocess import (
     estimate_covariances,
     knn_search,
@@ -330,7 +330,7 @@ class TestBuildVoxelmapOracle:
         # covariances, and the occupancies of real surfaces
         frame = voxel_downsample(scene_scans[name],
                                  PipelineConfig().preprocess.downsample_resolution)
-        frame = estimate_covariances(frame, knn_search(frame, KNN), PLANE_EPS)
+        frame = estimate_covariances(frame, knn_search(frame, KNN))
         counts = assert_voxelmap_equals_oracle(frame, resolution)
         assert counts.max() >= 4  # cells where the order of the sum tells
 
@@ -563,7 +563,7 @@ def box_room_frame(rng, n_per_wall=120, size=(6.0, 5.0, 3.0), jitter=0.0,
 def box_room_frame_plane_covs(rng, **kwargs):
     """Box-room frame with neighbor-based plane-regularized covariances."""
     frame = box_room_frame(rng, **kwargs)
-    return estimate_covariances(frame, knn_search(frame, 10), PLANE_EPS)
+    return estimate_covariances(frame, knn_search(frame, 10))
 
 
 class TestLinearization:
