@@ -46,7 +46,8 @@ class NotConverged(PipelineError):
 
 
 class MalformedScan(PipelineError):
-    """A scan's points are not (n, 3) or its stamps are not (n,)."""
+    """A scan's points are not (n, 3), its stamps are not (n,), or its span
+    ends before it starts."""
 
 
 class MalformedImuSample(PipelineError):

@@ -120,7 +120,8 @@ def integration_nodes(samples, t0: float, t1: float, max_gap: float):
     t0, every sample stamp inside (t0, t1), and t1; a node at a sample's
     stamp takes that sample.  The first node, when it falls between two
     samples, takes their linear interpolation, and before the first or
-    after the last sample the nearest one.  Samples must be in stamp order.
+    after the last sample the nearest one.  Samples must be in stamp order,
+    which the estimator's IMU buffer guarantees.
     """
     if t1 <= t0:
         raise InvalidInterval(f"window [{t0}, {t1}] is empty")

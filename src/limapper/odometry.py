@@ -24,13 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import PipelineConfig
-from .errors import (
-    InitializationMotion,
-    MalformedScan,
-    NonFiniteStamp,
-    NotConverged,
-    OutOfOrder,
-)
+from .errors import InitializationMotion, NotConverged, OutOfOrder
 from .factor_graph import (
     FactorGraph,
     ImuFactor,
@@ -145,22 +139,6 @@ def finite_samples(samples, stamp_only: bool = False) -> tuple[list, int]:
     return [s for s, ok in zip(samples, finite) if ok], int((~finite).sum())
 
 
-def check_stamps(scan: RawScan) -> None:
-    """Raise NonFiniteStamp unless the scan's span and point stamps are
-    finite, and MalformedScan if its span ends before it starts."""
-    for name, value in (("scan_start", scan.scan_start), ("scan_end", scan.scan_end)):
-        if not math.isfinite(value):
-            raise NonFiniteStamp(f"{name} is {value}")
-    if scan.scan_end < scan.scan_start:
-        raise MalformedScan(f"scan_end {scan.scan_end} comes before "
-                            f"scan_start {scan.scan_start}")
-    bad = np.flatnonzero(~np.isfinite(scan.stamps))
-    if bad.size:
-        raise NonFiniteStamp(
-            f"{bad.size} point stamps are not finite, the first at point "
-            f"{bad[0]}: {scan.stamps[bad[0]]}")
-
-
 @dataclass(eq=False)
 class WindowFrame:
     """One scan in the odometry window.
@@ -199,21 +177,21 @@ class OdometryEstimator:
     # -- helpers ---------------------------------------------------------------
 
     def _push_imu(self, samples) -> int:
-        """Buffer the samples newer than the last buffered one, leaving out
-        those with a non-finite stamp and, once the run has started, those
-        with any non-finite value; return the count left out.  An older
-        sample replaces the buffered one of its stamp, if any, so that a
-        scan sent again with clean samples mends what it buffered before.
-        Before the bootstrap, a sample with a non-finite accel or gyro value
-        is buffered, so that the bootstrap names its window unusable."""
+        """Buffer the samples in stamp order, whatever order they come in,
+        leaving out those with a non-finite stamp and, once the run has
+        started, those with any non-finite value; return the count left
+        out.  A sample replaces the buffered one of its stamp, if any, so
+        the last copy of a stamp wins and a scan sent again with clean
+        samples mends what it buffered before.  Before the bootstrap, a
+        sample with a non-finite accel or gyro value is buffered, so that
+        the bootstrap names its window unusable."""
         samples, dropped = finite_samples(samples, stamp_only=not self._window)
         for s in samples:
-            if not self._imu or s.stamp > self._imu[-1].stamp:
-                self._imu.append(s)
-                continue
             i = bisect.bisect_left(self._imu, s.stamp, key=lambda b: b.stamp)
-            if self._imu[i].stamp == s.stamp:
+            if i < len(self._imu) and self._imu[i].stamp == s.stamp:
                 self._imu[i] = s
+            else:
+                self._imu.insert(i, s)
         # keep the buffer bounded: only the current inter-frame span and the
         # initialization window are ever read back; the last sample before
         # the horizon stays, and every later one
@@ -257,11 +235,13 @@ class OdometryEstimator:
         estimate, and the warning says so.  A bootstrap that finds its
         samples unusable drops every buffered sample instead, so that the
         scan can be sent again with new samples, also ones of the same
-        stamps.  IMU samples with a non-finite stamp are left out, and after
-        the bootstrap so are those with a non-finite value; the scan's
-        warning gives their count.
+        stamps.  The IMU buffer keeps every sample handed over in stamp
+        order, whatever order the batches bring them in, and the last copy
+        of a stamp wins.  Samples with a non-finite stamp are left out, and
+        after the bootstrap so are those with a non-finite value; the
+        scan's warning gives their count.  RawScan checked the scan's own
+        stamps when it was built.
         """
-        check_stamps(scan)
         last = self._window[-1].frame.scan_start if self._window else -math.inf
         if scan.scan_start <= last:
             raise OutOfOrder(

@@ -22,13 +22,20 @@ The two per-point kernels take a general algorithm only where it is needed:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import FrameTooSparse, MalformedScan, NonFiniteCovariance, VoxelKeyOutOfRange
+from .errors import (
+    FrameTooSparse,
+    MalformedScan,
+    NonFiniteCovariance,
+    NonFiniteStamp,
+    VoxelKeyOutOfRange,
+)
 from .geometry import SensorState, rodrigues_coefficients
 from .imu import GRAVITY, integrate
 
@@ -61,10 +68,14 @@ _COV_EIGEN_GAP = 1e-4
 
 @dataclass(frozen=True)
 class RawScan:
-    """Points with absolute per-point stamps plus the scan time span.
+    """Points with absolute per-point stamps plus the scan time span,
+    checked once here for every stage after it.
 
     The points must be (n, 3), an empty input becoming (0, 3), and the
-    stamps (n,); any other shapes raise MalformedScan.
+    stamps (n,); any other shapes raise MalformedScan, and so does a span
+    that ends before it starts.  A NaN or infinite ``scan_start``,
+    ``scan_end`` or point stamp raises NonFiniteStamp.  The points are not
+    checked: a non-finite point raises VoxelKeyOutOfRange in the downsample.
     """
 
     points: np.ndarray  # (n, 3) positions, sensor frame [m]
@@ -80,6 +91,17 @@ class RawScan:
         if points.ndim != 2 or points.shape[1] != 3 or stamps.shape != points.shape[:1]:
             raise MalformedScan(f"points of shape {points.shape} and stamps of "
                                 f"shape {stamps.shape}; need (n, 3) and (n,)")
+        for name, value in (("scan_start", self.scan_start), ("scan_end", self.scan_end)):
+            if not math.isfinite(value):
+                raise NonFiniteStamp(f"{name} is {value}")
+        if self.scan_end < self.scan_start:
+            raise MalformedScan(f"scan_end {self.scan_end} comes before "
+                                f"scan_start {self.scan_start}")
+        bad = np.flatnonzero(~np.isfinite(stamps))
+        if bad.size:
+            raise NonFiniteStamp(
+                f"{bad.size} point stamps are not finite, the first at point "
+                f"{bad[0]}: {stamps[bad[0]]}")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "stamps", stamps)
 
@@ -217,11 +239,11 @@ def voxel_downsample(scan: RawScan, resolution: float) -> Frame:
     mean_stamps = sums[3] / counts
 
     spread = np.maximum.reduceat(stamps, starts) - np.minimum.reduceat(stamps, starts)
-    # a voxel splits unless its spread is within tolerance, so a NaN stamp
-    # splits it.  Running-mean assignment in scan order: the primary cell
-    # replaces the voxel's row, a non-empty overflow cell goes right after it
+    # a voxel splits when its spread exceeds the tolerance.  Running-mean
+    # assignment in scan order: the primary cell replaces the voxel's row, a
+    # non-empty overflow cell goes right after it
     overflow_at, overflow_points, overflow_stamps = [], [], []
-    for g in np.flatnonzero(~(spread <= split_tol)):
+    for g in np.flatnonzero(spread > split_tol):
         cells = [[], []]
         stamp_sums = [0.0, 0.0]
         for i in order[starts[g]:starts[g] + counts[g]]:

@@ -257,6 +257,8 @@ class PathTrajectory(Trajectory):
 # -- scene generation -------------------------------------------------------------
 
 
+# the simulated IMU's samples per second
+IMU_RATE = 200.0
 # the simulated LiDAR: scans per second, the span of one scan in s, the
 # lowest and highest ray elevation in rad, and the nearest range it reports
 # in m
@@ -268,12 +270,11 @@ MIN_RANGE = 0.3
 
 @dataclass
 class SceneSpec:
-    """A scene's world, trajectory, seconds, sensor rates, rays, range,
-    noise, biases and noise seed; its IMU measures against ``imu.GRAVITY``."""
+    """A scene's world, trajectory, seconds, rays, range, noise, biases and
+    noise seed; its IMU samples at IMU_RATE against ``imu.GRAVITY``."""
     world: World
     trajectory: Trajectory
     duration: float
-    imu_rate: float = 200.0
     n_azimuth: int = 64
     n_elevation: int = 12
     max_range: float = 20.0
@@ -299,10 +300,10 @@ def generate_synthetic_scene(spec: SceneSpec) -> SyntheticScene:
 
     # IMU stream from the analytic derivatives, plus bias and white noise
     imu = []
-    n_imu = int(round(spec.duration * spec.imu_rate)) + 1
-    sqrt_rate = math.sqrt(spec.imu_rate)
+    n_imu = int(round(spec.duration * IMU_RATE)) + 1
+    sqrt_rate = math.sqrt(IMU_RATE)
     for k in range(n_imu):
-        t = k / spec.imu_rate
+        t = k / IMU_RATE
         rot = traj.pose(t).rotation
         accel = rot.inverse().apply(traj.accel(t) - GRAVITY) + spec.accel_bias
         gyro = traj.omega_body(t) + spec.gyro_bias

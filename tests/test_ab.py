@@ -48,12 +48,27 @@ def test_timing_a_tree_against_itself():
     batches = imu_batches(scene, PipelineConfig().odometry.init_window)
     ratios = ab.time_scenes(first, second, [("loop-1", scene, batches, 1)], passes=2)
     assert [len(r) for r in ratios["loop-1"]] == [len(scene.scans) - 1] * 2 == [5, 5]
-    median, low, high = ab.bootstrap_median(ratios["loop-1"][0] + ratios["loop-1"][1])
+    median, low, high = ab.bootstrap_median(ratios["loop-1"])
     assert np.isfinite([median, low, high]).all() and low <= median <= high
-    # the spread of the pass medians holds the median of the pooled passes
-    least, most = ab.pass_spread(ratios["loop-1"])
-    assert least <= median <= most
+    # the spread of the pass medians holds their median
+    medians = ab.pass_medians(ratios["loop-1"])
+    assert min(medians) <= median <= max(medians)
     assert "pass medians" in ab.summary(ratios["loop-1"])
+
+
+def test_the_interval_covers_passes_that_a_drifting_host_shifts():
+    # five made-up passes of one scatter, each shifted by a constant, as a
+    # host whose speed changes from one pass to the next shifts its ratios
+    scatter = np.random.default_rng(1).normal(1.0, 0.01, 200)
+    per_pass = [scatter + shift for shift in (-0.004, -0.002, 0.0, 0.002, 0.004)]
+    medians = ab.pass_medians(per_pass)
+    _, low, high = ab.bootstrap_median(per_pass)
+    assert low <= min(medians) and max(medians) <= high
+    # resampling the pooled scans, as if each were drawn alone, misses them
+    pooled = np.concatenate(per_pass)
+    draws = np.random.default_rng(0).choice(pooled, (ab.BOOTSTRAP_RESAMPLES, pooled.size))
+    scan_low, scan_high = np.percentile(np.median(draws, axis=1), [2.5, 97.5])
+    assert min(medians) < scan_low and scan_high < max(medians)
 
 
 def test_the_steady_state_starts_at_the_first_removal_by_score():

@@ -329,18 +329,35 @@ def batches_past_end(scene, init_window, lead, resend=0):
     return batches
 
 
+# orders in which one batch can bring its samples
+ARRIVALS = {
+    "reversed": lambda batch: batch[::-1],
+    "newest first": lambda batch: batch[-1:] + batch[:-1],
+    "first two swapped": lambda batch: [batch[1], batch[0]] + batch[2:],
+    "last copied 100 s ahead": lambda batch: batch + [
+        ImuSample(batch[-1].stamp + 100.0, batch[-1].accel, batch[-1].gyro)],
+}
+
+
 class TestImuBatchBoundaries:
-    @pytest.mark.parametrize("lead, resend", [
-        (0.0005, 0), (0.05, 0), (0.2, 0),
-        (0.0, 5),  # the boundaries of imu_batches, each batch re-sending a tail
+    @pytest.mark.parametrize("lead, resend, arrival", [
+        *(pytest.param(lead, resend, None, id=f"{lead}-{resend}") for lead, resend in [
+            (0.0005, 0), (0.05, 0), (0.2, 0),
+            (0.0, 5),  # the boundaries of imu_batches, each batch re-sending a tail
+        ]),
+        # the boundaries of imu_batches, the batch of scan 8 in another order
+        *(pytest.param(0.0, 0, arrival, id=arrival) for arrival in ARRIVALS),
     ])
-    def test_do_not_change_the_states(self, loop_scene, lead, resend):
+    def test_do_not_change_the_states(self, loop_scene, lead, resend, arrival):
         # the estimator reads its buffer by stamp, so where one batch ends
-        # and the next begins, and a tail sent twice, change nothing
+        # and the next begins, a tail sent twice, and the order in which a
+        # batch brings its samples change nothing
         clean_est, clean = run(loop_scene)
         est = OdometryEstimator()
         batches = batches_past_end(loop_scene, est.config.odometry.init_window, lead,
                                    resend)
+        if arrival:
+            batches[8] = ARRIVALS[arrival](batches[8])
         stamps = [[s.stamp for s in batch] for batch in batches]
         assert stamps != [[s.stamp for s in batch] for batch in
                           imu_batches(loop_scene, est.config.odometry.init_window)]

@@ -12,6 +12,7 @@ from limapper.errors import (
     FrameTooSparse,
     ImuCoverageGap,
     MalformedScan,
+    NonFiniteStamp,
     VoxelKeyOutOfRange,
 )
 from limapper.geometry import (
@@ -87,6 +88,34 @@ class TestRawScanShapes:
         scan = RawScan([], [], 0.0, 0.1)
         assert scan.points.shape == (0, 3) and scan.stamps.shape == (0,)
         assert len(scan) == 0
+
+
+# the error and message of each stamp fault of a scan
+STAMP_FAULTS = {
+    "nan point stamp": (NonFiniteStamp,
+                        "1 point stamps are not finite, the first at point 17: nan"),
+    "nan scan_start": (NonFiniteStamp, "scan_start is nan"),
+    "nan scan_end": (NonFiniteStamp, "scan_end is nan"),
+    "span reversed": (MalformedScan, "scan_end 0.0 comes before scan_start 0.1"),
+}
+
+
+class TestRawScanStamps:
+    @pytest.mark.parametrize("fault", STAMP_FAULTS)
+    def test_are_refused_where_the_scan_is_built(self, fault):
+        error, message = STAMP_FAULTS[fault]
+        points = np.random.default_rng(0).uniform(-5, 5, (768, 3))
+        stamps = np.linspace(0.0, 0.1, 768)
+        span = [0.0, 0.1]
+        if fault == "nan point stamp":
+            stamps[17] = np.nan
+        elif fault == "span reversed":
+            span.reverse()
+        else:
+            span[fault == "nan scan_end"] = np.nan
+        with pytest.raises(error) as info:
+            RawScan(points, stamps, *span)
+        assert str(info.value) == message
 
 
 class TestVoxelDownsample:

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from limapper import synthetic
 from limapper.errors import GenerationError
 from limapper.geometry import SensorState
 from limapper.imu import GRAVITY, preintegrate, predict_state
@@ -166,13 +167,15 @@ class TestSceneGeneration:
             assert planar == pytest.approx(v * v / r, rel=1e-9)
             assert s.accel[2] == pytest.approx(9.80665, rel=1e-12)
 
-    def test_noiseless_preintegration_consistency(self):
+    def test_noiseless_preintegration_consistency(self, monkeypatch):
         # noiseless IMU driven through the preintegration pipeline must
         # reproduce the analytic trajectory
+        monkeypatch.setattr(synthetic, "IMU_RATE", 1000.0)
         scene = generate_synthetic_scene(SceneSpec(
             world=box_room(size=(30.0, 30.0, 5.0)),
             trajectory=PathTrajectory(CirclePath(3.0), 1.5, settle=0.3, ramp_time=0.5),
-            duration=4.0, imu_rate=1000.0))
+            duration=4.0))
+        assert len(scene.imu) == 4001
         traj = scene.spec.trajectory
         t0, t1 = 0.0, 3.5
         pre = preintegrate(scene.imu, t0, t1, np.zeros(6), NOISE, MAX_GAP)

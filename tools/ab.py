@@ -24,13 +24,14 @@ this one process, with the BLAS libraries pinned to one thread, and feeds
 both trees' estimators each scan of the warm-up scenes (``loop`` seeds 1-3
 and ``dense`` seed 1, TIME_PASSES times over), alternating from scan to
 scan which tree goes first.  It checks every scan's state and warning bit
-for bit, and exits 1 at the first difference.  It prints the median of the
-per-scan time ratios, this tree's over REV's, with a bootstrap interval,
-and the spread (lowest to highest) of the medians of the single passes.
-The bootstrap resamples the scans of one run, so it does not see drift
-between passes, which the spread does.  Both trees share the host's drift,
-scan by scan, which separate benchmark runs do not.  With ``--two-laps`` it
-also prints a ``steady`` line: the two-lap scene, TIME_PASSES times over,
+for bit, and exits 1 at the first difference.  For the per-scan time
+ratios, this tree's over REV's, it prints the median of each pass's median,
+with a bootstrap interval that resamples whole passes, and the spread
+(lowest to highest) of the pass medians.  The scans of one pass share the
+host's speed, so the interval is drawn over passes, not scans.  Both trees
+share the host's drift, scan by scan, which separate benchmark runs do
+not.  With ``--two-laps`` it also prints a ``steady`` line: the two-lap
+scene, TIME_PASSES times over,
 timed from the scan of its first keyframe removal by score on, when the
 keyframe set is full.  That scan is found from the keyframe events of a
 replay through this tree.
@@ -230,35 +231,37 @@ def time_scenes(base, this, scenes, passes: int) -> dict[str, list[list[float]]]
     return ratios
 
 
-def bootstrap_median(values) -> tuple[float, float, float]:
-    """(median, low, high) of the values, with the 95 % percentile
-    bootstrap interval of the median over BOOTSTRAP_RESAMPLES seeded
-    resamples."""
+def pass_medians(per_pass) -> list[float]:
+    """The median of the ratios of each pass."""
     import numpy as np
 
-    values = np.asarray(values)
+    return [float(np.median(ratios)) for ratios in per_pass]
+
+
+def bootstrap_median(per_pass) -> tuple[float, float, float]:
+    """(median, low, high) of the pass medians, with the 95 % percentile
+    bootstrap interval of their median over BOOTSTRAP_RESAMPLES seeded
+    resamples of whole passes.  Consecutive scans of one pass share the
+    host's speed, so the passes, not the scans, are the independent draws;
+    resampling the scans gives an interval narrower than the spread of the
+    passes themselves."""
+    import numpy as np
+
+    medians = np.asarray(pass_medians(per_pass))
     rng = np.random.default_rng(0)
-    medians = np.median(rng.choice(values, (BOOTSTRAP_RESAMPLES, len(values))), axis=1)
-    low, high = np.percentile(medians, [2.5, 97.5])
-    return float(np.median(values)), float(low), float(high)
-
-
-def pass_spread(per_pass) -> tuple[float, float]:
-    """(lowest, highest) median of the ratios of one pass."""
-    import numpy as np
-
-    medians = [float(np.median(ratios)) for ratios in per_pass]
-    return min(medians), max(medians)
+    draws = np.median(rng.choice(medians, (BOOTSTRAP_RESAMPLES, len(medians))), axis=1)
+    low, high = np.percentile(draws, [2.5, 97.5])
+    return float(np.median(medians)), float(low), float(high)
 
 
 def summary(per_pass) -> str:
-    """The median of all the passes' ratios with its bootstrap interval,
-    and the spread of the pass medians."""
-    pooled = [r for ratios in per_pass for r in ratios]
-    median, low, high = bootstrap_median(pooled)
-    least, most = pass_spread(per_pass)
-    return (f"{median:.3f} [{low:.3f}, {high:.3f}], pass medians {least:.3f}-{most:.3f}, "
-            f"over {len(pooled)} scans")
+    """The median of the pass medians with its bootstrap interval over
+    whole passes, and the spread of the pass medians."""
+    median, low, high = bootstrap_median(per_pass)
+    medians = pass_medians(per_pass)
+    return (f"{median:.3f} [{low:.3f}, {high:.3f}], pass medians "
+            f"{min(medians):.3f}-{max(medians):.3f}, "
+            f"over {sum(len(ratios) for ratios in per_pass)} scans")
 
 
 def steady_scene(this, window: float) -> tuple:
@@ -300,8 +303,8 @@ def time_against(base_src: Path, two_laps: bool) -> None:
         scenes.append((label, scene, imu_batches(scene, window), 1))
     ratios = time_scenes(base, this, scenes, TIME_PASSES)
     print(f"every output the same; time per scan, this tree over base, "
-          f"{TIME_PASSES} passes, median ratio [95 % bootstrap interval], "
-          f"spread of the pass medians:")
+          f"{TIME_PASSES} passes, median of the pass median ratios [95 % "
+          f"bootstrap interval over passes], spread of the pass medians:")
     groups = {name: [label for label, n, _, _ in TIME_SCENES if n == name]
               for _, name, _, _ in TIME_SCENES}
     groups["all"] = list(ratios)
